@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfcinv
 
 
 class CalibrationMethod(Enum):
@@ -107,7 +107,7 @@ def z_quantile(eps_pe: float) -> float:
     """
     if not 0.0 < eps_pe < 1.0:
         raise ValueError(f"eps_pe must lie in (0, 1), got {eps_pe}")
-    return math.sqrt(2.0) * float(erfcinv(eps_pe))
+    return -NormalDist().inv_cdf(eps_pe / 2.0)
 
 
 def _half_width(v_hat: float, m: int, eps_pe: float) -> float:

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence
 
 from .calibration import (
@@ -337,8 +337,25 @@ def _calibration_estimate(model: CalibrationModel, v_ele: float, v_rin: float,
     return confidence_interval_ote(v_tot, fs.calib_samples_m, fs.eps_pe)
 
 
+def _row_failure(exc: Exception, model_value: str, v: float, dist: float,
+                 delta: float) -> RuntimeError:
+    """The error of one grid point, re-raised with the point named."""
+    return RuntimeError(
+        f"model={model_value} V={v!r} km={dist!r} delta={delta!r}: "
+        f"{type(exc).__name__}: {exc}"
+    )
+
+
 def _sweep_row(task: tuple) -> dict:
-    model_value, v, dist, delta, system, regime_value, fs, pulse_rate = task
+    model_value, v, dist, delta = task[:4]
+    try:
+        return _evaluate_sweep_row(*task)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        raise _row_failure(exc, model_value, v, dist, delta) from exc
+
+
+def _evaluate_sweep_row(model_value, v, dist, delta, system, regime_value, fs,
+                        pulse_rate) -> dict:
     model = CalibrationModel(model_value)
     regime = Regime(regime_value)
     params = SystemParams(v=v, t=transmittance_from_km(dist), **system)
@@ -371,18 +388,26 @@ def _sweep_row(task: tuple) -> dict:
 
 
 def _ten_row(task: tuple) -> dict:
-    model_value, v, dist, system, regime_value, fs = task
+    model_value, v, dist = task[:3]
+    try:
+        return _evaluate_ten_row(*task)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        raise _row_failure(exc, model_value, v, dist, 0.0) from exc
+
+
+def _evaluate_ten_row(model_value, v, dist, system, regime_value, fs) -> dict:
     model = CalibrationModel(model_value)
     regime = Regime(regime_value)
     t = transmittance_from_km(dist)
     scenario = SnuScenario(model=model)
+    if regime is not Regime.ASYMPTOTIC:
+        calib = _calibration_estimate(model, system["v_ele"],
+                                      system.get("v_rin", 0.0), fs)
 
     def rate_at(eps_c: float) -> float:
         params = SystemParams(v=v, t=t, **{**system, "eps_c": eps_c})
         if regime is Regime.ASYMPTOTIC:
             return key_rate_asymptotic(params, scenario).rate_bits_per_pulse
-        calib = _calibration_estimate(model, system["v_ele"],
-                                      system.get("v_rin", 0.0), fs)
         return key_rate_finite(params, scenario, fs, calib).rate_bits_per_pulse
 
     ten = _bisect_tolerable_noise(rate_at)
@@ -564,9 +589,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("configuration valid")
             return EXIT_OK
         if args.out is not None:
-            config = _with_output(config, path=args.out)
+            config = replace(config, output_path=args.out)
         if args.format is not None:
-            config = _with_output(config, fmt=args.format)
+            config = replace(config, output_format=args.format)
         jobs = args.jobs if args.jobs is not None else _default_jobs()
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
@@ -584,16 +609,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_RUNTIME_ERROR
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _with_output(config: SweepConfig, path: Optional[str] = None,
-                 fmt: Optional[str] = None) -> SweepConfig:
-    raw = config.to_dict()
-    if path is not None:
-        raw.setdefault("output", {})["path"] = path
-    if fmt is not None:
-        raw.setdefault("output", {})["format"] = fmt
-    return SweepConfig.from_dict(raw)
 
 
 def entrypoint() -> None:

@@ -104,6 +104,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
+def _g(x: float) -> float:
+    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x) if x > 0.0 else 0.0
+
+
 def entropy_g(x: float) -> float:
     """Thermal-state entropy function (x+1)log2(x+1) - x log2 x.
 
@@ -114,34 +118,52 @@ def entropy_g(x: float) -> float:
     x = float(x)
     if x < -ENTROPY_ARG_TOL:
         raise ValueError(f"entropy argument must be nonnegative, got {x}")
-    if x <= 0.0:
-        return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    return _g(x)
 
 
-def symplectic_eigenvalues(gamma: CovarianceMatrix) -> SymplecticSpectrum:
-    """Symplectic spectrum of a covariance matrix.
+def entropy_of_spectra(spectra: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits from symplectic spectra of shape (..., n).
+
+    Eigenvalues may dip marginally below 1 for miscalibrated matrices;
+    those modes carry no entropy and clamp to the vacuum value. Each
+    mode's term takes libm's log2, summed in spectrum order: numpy's SIMD
+    log2 differs from it in the last ulp on a few inputs in 10^4, which
+    would move published rates.
+    """
+    x = np.maximum(0.0, (spectra - 1.0) / 2.0)
+    rows = x.reshape(-1, x.shape[-1]).tolist()
+    return np.array([sum(map(_g, row)) for row in rows]).reshape(x.shape[:-1])
+
+
+def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
+    """Symplectic spectra of a stack of covariance matrices (..., 2n, 2n).
 
     Computed as the moduli of the eigenvalues of i*Omega*gamma with a
-    general dense eigensolver. The eigenvalues come in +/- pairs; each
-    pair is collapsed to a single entry (averaged, which is exact up to
-    solver noise), giving n values sorted descending.
+    general dense eigensolver, one batched call for the whole stack. The
+    eigenvalues come in +/- pairs; each pair is collapsed to a single
+    entry (averaged, which is exact up to solver noise), giving n values
+    per matrix sorted descending, shape (..., n).
     """
-    n = gamma.n_modes
-    m = 1j * symplectic_form(n) @ gamma.data
+    n = stack.shape[-1] // 2
+    m = 1j * symplectic_form(n) @ stack
     try:
         ev = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         try:
-            cond = float(np.linalg.cond(gamma.data))
+            cond = float(np.max(np.linalg.cond(stack)))
         except np.linalg.LinAlgError:
             cond = float("inf")
         raise NumericalError(
             f"eigenvalue solve did not converge (matrix condition number {cond:.3e})"
         ) from exc
-    mags = np.sort(np.abs(ev))
-    paired = mags.reshape(n, 2).mean(axis=1)
-    return SymplecticSpectrum(tuple(float(v) for v in paired[::-1]))
+    mags = np.sort(np.abs(ev), axis=-1)
+    paired = (mags[..., 0::2] + mags[..., 1::2]) / 2.0
+    return paired[..., ::-1]
+
+
+def symplectic_eigenvalues(gamma: CovarianceMatrix) -> SymplecticSpectrum:
+    """Symplectic spectrum of one covariance matrix; see :func:`symplectic_spectra`."""
+    return SymplecticSpectrum(tuple(float(v) for v in symplectic_spectra(gamma.data)))
 
 
 def beamsplitter_symplectic(n_modes: int, mode_a: int, mode_b: int,
@@ -163,6 +185,14 @@ def beamsplitter_symplectic(n_modes: int, mode_a: int, mode_b: int,
     return y
 
 
+def mix_on_beamsplitter(stack: np.ndarray, mode_a: int, mode_b: int,
+                        transmittance: float) -> np.ndarray:
+    """Y^T gamma Y over a stack (..., 2n, 2n), symmetrised; arguments unchecked."""
+    y = beamsplitter_symplectic(stack.shape[-1] // 2, mode_a, mode_b, transmittance)
+    out = y.T @ stack @ y
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
 def apply_beamsplitter(gamma: CovarianceMatrix, mode_a: int, mode_b: int,
                        transmittance: float) -> CovarianceMatrix:
     """Mix two modes on a beamsplitter: gamma -> Y^T gamma Y."""
@@ -174,18 +204,21 @@ def apply_beamsplitter(gamma: CovarianceMatrix, mode_a: int, mode_b: int,
     for m in (mode_a, mode_b):
         if not 0 <= m < n:
             raise ValueError(f"mode index {m} out of range for {n} modes")
-    y = beamsplitter_symplectic(n, mode_a, mode_b, transmittance)
-    out = y.T @ gamma.data @ y
-    return CovarianceMatrix((out + out.T) / 2.0)
+    return CovarianceMatrix(mix_on_beamsplitter(gamma.data, mode_a, mode_b, transmittance))
+
+
+def with_vacuum(data: np.ndarray) -> np.ndarray:
+    """Block-diagonal gamma (+) I2 of one plain 2n x 2n matrix."""
+    d = data.shape[0]
+    out = np.zeros((d + 2, d + 2))
+    out[:d, :d] = data
+    out[d:, d:] = np.eye(2)
+    return out
 
 
 def attach_vacuum(gamma: CovarianceMatrix) -> CovarianceMatrix:
     """Append one vacuum mode: gamma -> gamma (+) I2."""
-    d = gamma.data.shape[0]
-    out = np.zeros((d + 2, d + 2))
-    out[:d, :d] = gamma.data
-    out[d:, d:] = np.eye(2)
-    return CovarianceMatrix(out)
+    return CovarianceMatrix(with_vacuum(gamma.data))
 
 
 def keep_modes(gamma: CovarianceMatrix, modes: Sequence[int]) -> CovarianceMatrix:
@@ -202,36 +235,46 @@ def keep_modes(gamma: CovarianceMatrix, modes: Sequence[int]) -> CovarianceMatri
     return CovarianceMatrix(gamma.data[np.ix_(idx, idx)])
 
 
+def homodyne_conditioned(stack: np.ndarray, measured_mode: int,
+                         basis: MeasurementBasis) -> np.ndarray:
+    """Conditional covariances after ideal homodyne, over a stack (..., 2n, 2n).
+
+    Returns A - C (X B X)^+ C^T per matrix, where B is the measured
+    mode's block, C the cross block, and X projects onto the measured
+    quadrature; one batched pseudoinverse handles the rank-1 projected
+    blocks. The result does not depend on the measurement outcome.
+    """
+    n = stack.shape[-1] // 2
+    q = 0 if basis is MeasurementBasis.X_QUADRATURE else 1
+    kept = np.array([i for m in range(n) if m != measured_mode for i in (2 * m, 2 * m + 1)])
+    measured = slice(2 * measured_mode, 2 * measured_mode + 2)
+    a = stack[..., kept[:, None], kept]
+    b = stack[..., measured, measured]
+    c = stack[..., kept, measured]
+    bqq = b[..., q, q]
+    if np.any(bqq <= 0.0):
+        raise NumericalError(
+            f"measured quadrature variance must be positive, got {np.min(bqq)}"
+        )
+    proj = np.zeros((2, 2))
+    proj[q, q] = 1.0
+    pinv = np.linalg.pinv(proj @ b @ proj, rcond=_PINV_RCOND)
+    out = a - c @ pinv @ np.swapaxes(c, -1, -2)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
 def condition_on_homodyne(gamma: CovarianceMatrix, measured_mode: int,
                           basis: MeasurementBasis) -> CovarianceMatrix:
     """Covariance of the remaining modes after ideal homodyne detection.
 
-    Returns A - C (X B X)^+ C^T where B is the measured mode's block, C
-    the cross block, and X projects onto the measured quadrature. The
-    pseudoinverse handles the rank-1 projected block; the result does
-    not depend on the measurement outcome.
+    One matrix through :func:`homodyne_conditioned`.
     """
     n = gamma.n_modes
     if n < 2:
         raise ValueError("conditioning requires at least two modes")
     if not 0 <= measured_mode < n:
         raise ValueError(f"mode index {measured_mode} out of range for {n} modes")
-    q = 0 if basis is MeasurementBasis.X_QUADRATURE else 1
-    keep = [m for m in range(n) if m != measured_mode]
-    kidx = [i for m in keep for i in (2 * m, 2 * m + 1)]
-    midx = [2 * measured_mode, 2 * measured_mode + 1]
-    a = gamma.data[np.ix_(kidx, kidx)]
-    b = gamma.data[np.ix_(midx, midx)]
-    c = gamma.data[np.ix_(kidx, midx)]
-    if b[q, q] <= 0.0:
-        raise NumericalError(
-            f"measured quadrature variance must be positive, got {b[q, q]}"
-        )
-    proj = np.zeros((2, 2))
-    proj[q, q] = 1.0
-    pinv = np.linalg.pinv(proj @ b @ proj, rcond=_PINV_RCOND)
-    out = a - c @ pinv @ c.T
-    return CovarianceMatrix((out + out.T) / 2.0)
+    return CovarianceMatrix(homodyne_conditioned(gamma.data, measured_mode, basis))
 
 
 def is_physical(gamma: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> bool:

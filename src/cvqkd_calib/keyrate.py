@@ -20,19 +20,19 @@ from .gaussian import (
     CovarianceMatrix,
     MeasurementBasis,
     NumericalError,
-    condition_on_homodyne,
-    entropy_g,
-    symplectic_eigenvalues,
+    entropy_of_spectra,
+    homodyne_conditioned,
+    symplectic_spectra,
 )
 from .models import (
     CalibrationModel,
     SnuScenario,
     SystemParams,
     apply_miscalibration,
-    build_conventional,
-    build_three_mode,
-    build_two_mode,
-    conventional_channel_matrix,
+    conventional_channel_stack,
+    conventional_stack,
+    three_mode_stack,
+    two_mode_stack,
 )
 
 # Number of evenly spaced points scanned across the SNU confidence
@@ -132,60 +132,92 @@ def mutual_information_from_matrix(gamma: CovarianceMatrix) -> float:
     return 0.5 * math.log2(vb / vb_cond)
 
 
-def _entropy_of(gamma: CovarianceMatrix) -> float:
-    """Von Neumann entropy from the symplectic spectrum, in bits.
-
-    Eigenvalues may dip marginally below 1 for miscalibrated matrices
-    scanned over the SNU interval; those modes carry no entropy and
-    clamp to the vacuum value.
-    """
-    return sum(entropy_g(max(0.0, (lam - 1.0) / 2.0)) for lam in symplectic_eigenvalues(gamma))
+def _n0_values(n0: float | np.ndarray) -> np.ndarray:
+    """The SNU ratios of a Holevo evaluation as a 1-D array, checked positive."""
+    values = np.atleast_1d(np.asarray(n0, dtype=float))
+    if values.ndim != 1 or not np.all(values > 0.0):
+        raise ValueError(f"n0 must be a positive scalar or 1-D array, got {n0!r}")
+    return values
 
 
-def holevo_two_mode(params: SystemParams, n0: float = 1.0) -> float:
+def _require_finite(values: np.ndarray, n0: np.ndarray, what: str) -> None:
+    """Raise NumericalError naming the first n0 whose entry of `values` is not finite."""
+    if np.isfinite(values).all():
+        return
+    finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+    bad = float(n0[np.argmin(finite)])
+    raise NumericalError(f"non-finite {what} at n0 = {bad!r}")
+
+
+def _spectra(stack: np.ndarray, n0: np.ndarray, what: str) -> np.ndarray:
+    _require_finite(stack, n0, f"{what} matrix")
+    spectra = symplectic_spectra(stack)
+    _require_finite(spectra, n0, f"{what} symplectic spectrum")
+    return spectra
+
+
+def _conditional_entropy(measured: np.ndarray, n0: np.ndarray) -> np.ndarray:
+    """Entropies of the trusted modes left after ideal x-homodyne on B3 (mode 1)."""
+    _require_finite(measured, n0, "measured matrix")
+    cond = homodyne_conditioned(measured, 1, MeasurementBasis.X_QUADRATURE)
+    return entropy_of_spectra(_spectra(cond, n0, "conditional"))
+
+
+def _as_given(chi: np.ndarray, n0: float | np.ndarray) -> float | np.ndarray:
+    """A float for a scalar n0, the array for a 1-D one."""
+    return float(chi[0]) if np.ndim(n0) == 0 else chi
+
+
+def holevo_two_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
     """Eavesdropper information bound for the one-time two-mode model.
 
     chi_BE = S(A,B3) - S(A | b3) with the conditional state after ideal
-    x-homodyne on B3.
+    x-homodyne on B3. n0 is a scalar (float result) or a 1-D array of
+    SNU ratios (one bound per entry, in one batched pass).
     """
-    scenario = SnuScenario(model=CalibrationModel.ONE_TIME_TWO_MODE, n0=n0)
-    g = build_two_mode(params, scenario)
-    cond = condition_on_homodyne(g, 1, MeasurementBasis.X_QUADRATURE)
-    return _entropy_of(g) - _entropy_of(cond)
+    n0s = _n0_values(n0)
+    g = two_mode_stack(params, n0s)
+    chi = entropy_of_spectra(_spectra(g, n0s, "two-mode")) - _conditional_entropy(g, n0s)
+    return _as_given(chi, n0)
 
 
-def holevo_three_mode(params: SystemParams, n0: float = 1.0) -> float:
+def holevo_three_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
     """Eavesdropper information bound for the one-time three-mode model.
 
-    chi_BE = S(A,B3,C) - S(A,C | b3). One symplectic eigenvalue of the
+    chi_BE = S(A,B3,C) - S(A,C | b3). One symplectic eigenvalue of each
     full matrix equals 1 by construction (the detection beamsplitter's
-    vacuum ancilla); it contributes no entropy and is verified here as
-    an internal consistency check.
+    vacuum ancilla); it contributes no entropy and is verified here for
+    every n0 as an internal consistency check. n0 as in
+    :func:`holevo_two_mode`.
     """
-    scenario = SnuScenario(model=CalibrationModel.ONE_TIME_THREE_MODE, n0=n0)
-    g = build_three_mode(params, scenario)
-    spectrum = symplectic_eigenvalues(g)
-    if min(abs(lam - 1.0) for lam in spectrum) > _UNIT_EIGENVALUE_TOL:
+    n0s = _n0_values(n0)
+    g = three_mode_stack(params, n0s)
+    spectra = _spectra(g, n0s, "three-mode")
+    lost = np.min(np.abs(spectra - 1.0), axis=-1) > _UNIT_EIGENVALUE_TOL
+    if lost.any():
+        i = int(np.argmax(lost))
         raise NumericalError(
-            f"three-mode matrix lost its unit eigenvalue: spectrum {spectrum.values}"
+            f"three-mode matrix lost its unit eigenvalue at n0 = {float(n0s[i])!r}: "
+            f"spectrum {tuple(float(x) for x in spectra[i])}"
         )
-    cond = condition_on_homodyne(g, 1, MeasurementBasis.X_QUADRATURE)
-    return _entropy_of(g) - _entropy_of(cond)
+    chi = entropy_of_spectra(spectra) - _conditional_entropy(g, n0s)
+    return _as_given(chi, n0)
 
 
-def holevo_conventional(params: SystemParams, n0: float = 1.0) -> float:
+def holevo_conventional(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
     """Eavesdropper information bound for the conventional trusted model.
 
     Eve purifies only the channel output (A, B1), so her entropy comes
     from the pre-detector matrix; after Bob's homodyne the global state
     stays pure, so her conditional entropy equals that of the remaining
-    trusted modes (A, F, G) in the full 8x8 model.
+    trusted modes (A, F, G) in the full 8x8 model. n0 as in
+    :func:`holevo_two_mode`.
     """
-    scenario = SnuScenario(model=CalibrationModel.CONVENTIONAL_TTE, n0=n0)
-    g_ab1 = conventional_channel_matrix(params, n0)
-    g = build_conventional(params, scenario)
-    cond = condition_on_homodyne(g, 1, MeasurementBasis.X_QUADRATURE)
-    return _entropy_of(g_ab1) - _entropy_of(cond)
+    n0s = _n0_values(n0)
+    g_ab1 = conventional_channel_stack(params, n0s)
+    g = conventional_stack(params, n0s)
+    chi = entropy_of_spectra(_spectra(g_ab1, n0s, "channel")) - _conditional_entropy(g, n0s)
+    return _as_given(chi, n0)
 
 
 _HOLEVO = {
@@ -195,8 +227,9 @@ _HOLEVO = {
 }
 
 
-def holevo_bound(model: CalibrationModel, params: SystemParams, n0: float = 1.0) -> float:
-    """Dispatch to the model's Holevo computation."""
+def holevo_bound(model: CalibrationModel, params: SystemParams,
+                 n0: float | np.ndarray = 1.0) -> float | np.ndarray:
+    """Dispatch to the model's Holevo computation (scalar or 1-D n0)."""
     return _HOLEVO[model](params, n0)
 
 
@@ -235,7 +268,8 @@ def key_rate_finite(params: SystemParams, scenario: SnuScenario,
 
     The calibrated-over-true SNU ratio is scanned across the confidence
     interval normalized by its point estimate; beta*I_AB - chi_BE is
-    minimized over that grid, the penalty Delta(n) subtracted, and the
+    evaluated on that grid in one batched Holevo call and minimized, the
+    penalty Delta(n) subtracted, and the
     result scaled by the key fraction n/N. Channel-parameter fluctuation
     is out of scope; only the SNU-bearing matrix entries move.
     """
@@ -248,24 +282,18 @@ def key_rate_finite(params: SystemParams, scenario: SnuScenario,
     i_ab = mutual_information(eff)
     grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                        N0_SCAN_POINTS)
-    worst_value = math.inf
-    worst_n0 = scenario.n0
-    worst_chi = 0.0
-    for g in grid:
-        n0 = scenario.n0 * float(g)
-        chi = holevo_bound(scenario.model, eff, n0)
-        value = eff.beta * i_ab - chi
-        if value < worst_value:
-            worst_value = value
-            worst_n0 = n0
-            worst_chi = chi
+    n0 = scenario.n0 * grid
+    chi = holevo_bound(scenario.model, eff, n0)
+    values = eff.beta * i_ab - chi
+    # argmin takes the first of equal minima, as a strict-< scan would.
+    worst = int(np.argmin(values))
     penalty = finite_size_penalty(fs)
     return KeyRateResult(
-        rate_bits_per_pulse=fs.key_fraction * (worst_value - penalty),
+        rate_bits_per_pulse=fs.key_fraction * (float(values[worst]) - penalty),
         i_ab=i_ab,
-        chi_be=worst_chi,
+        chi_be=float(chi[worst]),
         delta_n=penalty,
-        worst_n0=worst_n0,
+        worst_n0=float(n0[worst]),
         model=scenario.model,
         regime=Regime.FINITE_SIZE,
     )

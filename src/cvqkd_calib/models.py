@@ -23,19 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian import (
-    CovarianceMatrix,
-    apply_beamsplitter,
-    attach_vacuum,
-    keep_modes,
-)
+from .gaussian import CovarianceMatrix, mix_on_beamsplitter, with_vacuum
 
 # Fiber attenuation used to convert link distance to transmittance,
 # T = 10^(-ALPHA_DB_PER_KM * L / 10). Standard telecom value.
 ALPHA_DB_PER_KM = 0.2
-
-_SZ = np.diag([1.0, -1.0])
-_I2 = np.eye(2)
 
 
 class CalibrationModel(Enum):
@@ -138,45 +130,65 @@ def epr_state(v: float) -> CovarianceMatrix:
     """Two-mode squeezed state: diagonal v*I2, cross sqrt(v^2-1)*sigma_z."""
     if v < 1.0:
         raise ValueError(f"EPR variance must be >= 1, got {v}")
-    c = math.sqrt(v * v - 1.0)
-    return CovarianceMatrix(_blocks4(v * _I2, c * _SZ, v * _I2))
+    return CovarianceMatrix(_blocks4(v, math.sqrt(v * v - 1.0), v)[0])
 
 
-def _blocks4(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    g = np.zeros((4, 4))
-    g[:2, :2] = a
-    g[:2, 2:] = c
-    g[2:, :2] = c.T
-    g[2:, 2:] = b
+def _blocks4(a, c, b) -> np.ndarray:
+    """Stack (N, 4, 4) of [[a I2, c sigma_z], [c sigma_z, b I2]] over broadcast a, c, b."""
+    g = np.zeros((max(np.size(a), np.size(c), np.size(b)), 4, 4))
+    g[:, 0, 0] = g[:, 1, 1] = a
+    g[:, 2, 2] = g[:, 3, 3] = b
+    g[:, 0, 2] = g[:, 2, 0] = c
+    g[:, 1, 3] = g[:, 3, 1] = -c
     return g
+
+
+def _n0_array(n0: float | np.ndarray) -> np.ndarray:
+    return np.atleast_1d(np.asarray(n0, dtype=float))
+
+
+def _check_model(scenario: SnuScenario, model: CalibrationModel, name: str) -> None:
+    if scenario.model is not model:
+        raise ValueError(f"scenario model is {scenario.model}, expected {name}")
 
 
 def channel_output_matrix(params: SystemParams) -> CovarianceMatrix:
     """State (A, B1') after the channel, before any detector optics."""
+    return CovarianceMatrix(_channel_output(params))
+
+
+def _channel_output(params: SystemParams) -> np.ndarray:
     v, t, ec = params.v, params.t, params.eps_c
     cross = math.sqrt(t * (v * v - 1.0))
     vb = t * (v - 1.0 + ec) + 1.0
-    return CovarianceMatrix(_blocks4(v * _I2, cross * _SZ, vb * _I2))
+    return _blocks4(v, cross, vb)[0]
 
 
-def build_two_mode(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
-    """4x4 covariance of (A, B3) for the one-time two-mode model.
+def two_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
+    """Covariances (N, 4, 4) of (A, B3) for the one-time two-mode model.
 
     Bob's block carries the full product transmittance t*eta_d*eta_e and,
     for n0 != 1, the calibrated-over-true SNU ratio divides his variance
-    and scales the cross correlation by 1/sqrt(n0).
+    and scales the cross correlation by 1/sqrt(n0). One matrix per entry
+    of the scalar or 1-D n0.
     """
-    if scenario.model is not CalibrationModel.ONE_TIME_TWO_MODE:
-        raise ValueError(f"scenario model is {scenario.model}, expected two-mode")
-    v, n0 = params.v, scenario.n0
+    n0 = _n0_array(n0)
+    v = params.v
     tau = params.t * params.eta_d * params.eta_e
-    cross = math.sqrt(tau * (v * v - 1.0) / n0)
+    cross = np.sqrt(tau * (v * v - 1.0) / n0)
     vb = (tau * (v - 1.0 + params.eps_c) + 1.0) / n0
-    return CovarianceMatrix(_blocks4(v * _I2, cross * _SZ, vb * _I2))
+    return _blocks4(v, cross, vb)
 
 
-def build_three_mode(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
-    """6x6 covariance of (A, B3, C) for the one-time three-mode model.
+def build_two_mode(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
+    """4x4 covariance of (A, B3) for the one-time two-mode model; see
+    :func:`two_mode_stack`."""
+    _check_model(scenario, CalibrationModel.ONE_TIME_TWO_MODE, "two-mode")
+    return CovarianceMatrix(two_mode_stack(params, scenario.n0)[0])
+
+
+def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
+    """Covariances (N, 6, 6) of (A, B3, C) for the one-time three-mode model.
 
     Built by the physical sequence: channel output, vacuum ancilla mixed
     on the electronic-noise beamsplitter eta_e (its reflected mode is
@@ -187,81 +199,93 @@ def build_three_mode(params: SystemParams, scenario: SnuScenario) -> CovarianceM
     For n0 != 1 the B3 entries are rescaled and the unobserved mode C is
     reconstructed from the rescaled Bob variance through the trusted
     eta_d relations, which is how the receiver would rebuild the state
-    from miscalibrated data.
+    from miscalibrated data. The choice is made per entry of n0.
     """
-    if scenario.model is not CalibrationModel.ONE_TIME_THREE_MODE:
-        raise ValueError(f"scenario model is {scenario.model}, expected three-mode")
-    g = channel_output_matrix(params)
-    g = attach_vacuum(g)
-    g = apply_beamsplitter(g, 1, 2, params.eta_e)
-    g = keep_modes(g, (0, 1))
-    g = attach_vacuum(g)
-    g = apply_beamsplitter(g, 1, 2, params.eta_d)
-    if scenario.n0 != 1.0:
-        g = _rescale_three_mode(g, params.eta_d, scenario.n0)
-    return g
+    n0 = _n0_array(n0)
+    g = with_vacuum(_channel_output(params))
+    g = mix_on_beamsplitter(g, 1, 2, params.eta_e)[:4, :4]
+    g = mix_on_beamsplitter(with_vacuum(g), 1, 2, params.eta_d)
+    out = np.broadcast_to(g, (n0.shape[0], 6, 6)).copy()
+    moved = n0 != 1.0
+    if moved.any():
+        out[moved] = _rescale_three_mode(g, params.eta_d, n0[moved])
+    return out
 
 
-def _rescale_three_mode(g: CovarianceMatrix, eta_d: float, n0: float) -> CovarianceMatrix:
-    """Apply the SNU ratio to B3 and rebuild mode C from trusted relations."""
-    vb3 = g.data[2, 2] / n0
-    cab3 = g.data[0, 2] / math.sqrt(n0)
+def build_three_mode(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
+    """6x6 covariance of (A, B3, C) for the one-time three-mode model; see
+    :func:`three_mode_stack`."""
+    _check_model(scenario, CalibrationModel.ONE_TIME_THREE_MODE, "three-mode")
+    return CovarianceMatrix(three_mode_stack(params, scenario.n0)[0])
+
+
+def _rescale_three_mode(g: np.ndarray, eta_d: float, n0: np.ndarray) -> np.ndarray:
+    """Apply each SNU ratio to B3 and rebuild mode C from trusted relations."""
+    vb3 = g[2, 2] / n0
+    cab3 = g[0, 2] / np.sqrt(n0)
     vc = (vb3 - 1.0) * (1.0 - eta_d) / eta_d + 1.0
     cac = cab3 * math.sqrt((1.0 - eta_d) / eta_d)
     cb3c = (vb3 - 1.0) * math.sqrt((1.0 - eta_d) * eta_d) / eta_d
-    v = g.data[0, 0]
-    out = np.zeros((6, 6))
-    out[:2, :2] = v * _I2
-    out[2:4, 2:4] = vb3 * _I2
-    out[4:, 4:] = vc * _I2
-    out[:2, 2:4] = cab3 * _SZ
-    out[2:4, :2] = cab3 * _SZ
-    out[:2, 4:] = cac * _SZ
-    out[4:, :2] = cac * _SZ
-    out[2:4, 4:] = cb3c * _I2
-    out[4:, 2:4] = cb3c * _I2
-    return CovarianceMatrix(out)
+    out = np.zeros((n0.shape[0], 6, 6))
+    out[:, :4, :4] = _blocks4(g[0, 0], cab3, vb3)
+    for i in (4, 5):
+        out[:, i, i] = vc
+        out[:, i - 2, i] = out[:, i, i - 2] = cb3c
+    out[:, 0, 4] = out[:, 4, 0] = cac
+    out[:, 1, 5] = out[:, 5, 1] = -cac
+    return out
 
 
-def conventional_channel_matrix(params: SystemParams, n0: float = 1.0) -> CovarianceMatrix:
-    """Channel-output state (A, B1) as the receiver of the conventional
-    model reconstructs it from its (possibly miscalibrated) measured
-    moments and its trusted knowledge of eta_d and v_ele.
+def conventional_channel_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
+    """Channel-output states (N, 4, 4) of (A, B1) as the receiver of the
+    conventional model reconstructs them from its (possibly
+    miscalibrated) measured moments and its trusted knowledge of eta_d
+    and v_ele, one per entry of n0.
 
     At n0 = 1 this is exactly the physical channel output.
     """
+    n0 = _n0_array(n0)
     v, t, ec, ed = params.v, params.t, params.eps_c, params.eta_d
     ve = params.v_ele + params.v_rin
     vb3 = (ed * t * (v - 1.0 + ec) + 1.0 + ve) / n0
-    cab3 = math.sqrt(ed * t * (v * v - 1.0) / n0)
+    cab3 = np.sqrt(ed * t * (v * v - 1.0) / n0)
     vb1 = (vb3 - (1.0 - ed) - ve) / ed
     cab1 = cab3 / math.sqrt(ed)
-    return CovarianceMatrix(_blocks4(v * _I2, cab1 * _SZ, vb1 * _I2))
+    return _blocks4(v, cab1, vb1)
 
 
-def build_conventional(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
-    """8x8 covariance of (A, B3, F, G) for the conventional trusted model.
+def conventional_channel_matrix(params: SystemParams, n0: float = 1.0) -> CovarianceMatrix:
+    """One matrix of :func:`conventional_channel_stack`."""
+    return CovarianceMatrix(conventional_channel_stack(params, n0)[0])
+
+
+def conventional_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
+    """Covariances (N, 8, 8) of (A, B3, F, G) for the conventional trusted model.
 
     F and G are the two modes of the detector's trusted EPR source with
     variance 1 + v_ele / (1 - eta_d), chosen so that mixing F into the
     signal on the eta_d beamsplitter adds exactly v_ele of noise to the
     detected mode: Bob's variance is eta_d*t*(v - 1 + eps_c) + 1 + v_ele.
     """
-    if scenario.model is not CalibrationModel.CONVENTIONAL_TTE:
-        raise ValueError(f"scenario model is {scenario.model}, expected conventional")
     ve = params.v_ele + params.v_rin
     if params.eta_d == 1.0 and ve > 0.0:
         raise ValueError(
             "eta_d = 1 with nonzero electronic noise needs an infinite detector "
             "EPR variance; use eta_d < 1 or v_ele = 0"
         )
-    g_ab1 = conventional_channel_matrix(params, scenario.n0)
+    g_ab1 = conventional_channel_stack(params, n0)
     v_epr = 1.0 if ve == 0.0 else 1.0 + ve / (1.0 - params.eta_d)
-    out = np.zeros((8, 8))
-    out[:4, :4] = g_ab1.data
-    out[4:, 4:] = epr_state(v_epr).data
-    g = CovarianceMatrix(out)
-    return apply_beamsplitter(g, 1, 2, params.eta_d)
+    out = np.zeros((g_ab1.shape[0], 8, 8))
+    out[:, :4, :4] = g_ab1
+    out[:, 4:, 4:] = _blocks4(v_epr, math.sqrt(v_epr * v_epr - 1.0), v_epr)[0]
+    return mix_on_beamsplitter(out, 1, 2, params.eta_d)
+
+
+def build_conventional(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
+    """8x8 covariance of (A, B3, F, G) for the conventional trusted model;
+    see :func:`conventional_stack`."""
+    _check_model(scenario, CalibrationModel.CONVENTIONAL_TTE, "conventional")
+    return CovarianceMatrix(conventional_stack(params, scenario.n0)[0])
 
 
 def snu_tte(v_tot: float, v_ele: float) -> float:

@@ -2,9 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cvqkd_calib
+from cvqkd_calib import CalibrationModel, NumericalError, keyrate
 from cvqkd_calib.cli import (
     CALIB_COLUMNS,
     EXIT_CONFIG_ERROR,
@@ -170,6 +176,27 @@ class TestSweepRows:
         cfg = SweepConfig.from_dict(base_config())
         assert sweep_rows(cfg, jobs=2) == sweep_rows(cfg, jobs=1)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("rows,delta", [(sweep_rows, "0.001"), (ten_rows, "0.0")])
+    def test_row_failure_names_grid_point(self, monkeypatch, jobs, rows, delta):
+        # Holevo evaluation breaks at 10 km only; the error must say where,
+        # also when it crosses a worker-process boundary.
+        healthy = keyrate.holevo_three_mode
+
+        def failing(params, n0=1.0):
+            if params.t < 0.9:
+                raise NumericalError("eigenvalue solve did not converge")
+            return healthy(params, n0)
+
+        monkeypatch.setitem(keyrate._HOLEVO, CalibrationModel.ONE_TIME_THREE_MODE, failing)
+        cfg = SweepConfig.from_dict(base_config(
+            models=["three_mode"], miscalibration_deltas=[0.001],
+            distances_km={"start": 0.0, "stop": 10.0, "step": 10.0}))
+        with pytest.raises(RuntimeError, match=(
+                rf"^model=three_mode V=4\.0 km=10\.0 delta={delta}: "
+                r"NumericalError: eigenvalue solve did not converge$")):
+            rows(cfg, jobs=jobs)
+
 
 class TestTenRows:
     def test_ordering_and_positivity(self):
@@ -265,6 +292,16 @@ class TestOutputs:
                 else:
                     assert cv == str(jv)
 
+    def test_out_and_format_flags_apply_together(self, tmp_path):
+        path = write_config(tmp_path, base_config(
+            output={"path": str(tmp_path / "configured.csv"), "format": "csv"}))
+        out = tmp_path / "flagged.json"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--format", "json"]) == EXIT_OK
+        assert not (tmp_path / "configured.csv").exists()
+        rows = json.loads(out.read_text())
+        assert [list(r) for r in rows] == [SWEEP_COLUMNS] * 9
+
     def test_sweep_header(self, tmp_path):
         path = write_config(tmp_path, base_config(
             output={"path": str(tmp_path / "s.csv"), "format": "csv"}))
@@ -337,3 +374,13 @@ class TestExitCodes:
         path = write_config(tmp_path, base_config(
             output={"path": str(tmp_path / "e.csv"), "format": "csv"}))
         assert main(["sweep", "--config", path]) == EXIT_CONFIG_ERROR
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs about 0.3 s of start-up on every CLI run; tests may use it.
+    src = Path(cvqkd_calib.__file__).resolve().parents[1]
+    code = ("import sys, cvqkd_calib.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ electronic noise, for the three-mode model.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,26 +18,31 @@ from cvqkd_calib import (
     CovarianceMatrix,
     FiniteSizeParams,
     MeasurementBasis,
+    NumericalError,
     Regime,
     SnuScenario,
     SystemParams,
+    apply_miscalibration,
     build_three_mode,
     build_two_mode,
     condition_on_homodyne,
     confidence_interval_ote,
+    confidence_interval_tte,
     entropy_g,
     finite_size_penalty,
+    holevo_bound,
     holevo_conventional,
     holevo_three_mode,
     holevo_two_mode,
     key_rate_asymptotic,
     key_rate_finite,
+    keyrate,
     mutual_information,
     mutual_information_from_matrix,
     symplectic_eigenvalues,
     transmittance_from_km,
 )
-from oracles import holevo_lodewyck
+from oracles import holevo_lodewyck, holevo_pointwise
 
 TWO = CalibrationModel.ONE_TIME_TWO_MODE
 THREE = CalibrationModel.ONE_TIME_THREE_MODE
@@ -414,3 +420,108 @@ class TestKeyRateFinite:
         object.__setattr__(bad, "lower", -1.0)
         with pytest.raises(ValueError, match="interval"):
             key_rate_finite(p, SnuScenario(model=TWO), fs, bad)
+
+
+class TestBatchedScan:
+    """The n0 scan evaluates all N0_SCAN_POINTS bounds in one batched
+    kernel call; the per-point pipeline of tests/oracles.py is its oracle."""
+
+    FS = FiniteSizeParams(block_length=10 ** 8, key_fraction=0.5, eps_pe=1e-10,
+                          eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=10 ** 6)
+
+    @staticmethod
+    def draws(seed, n=20):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            km = 200.0 if i == 0 else rng.uniform(0.0, 200.0)
+            yield params(
+                v=rng.uniform(1.5, 60.0),
+                t=transmittance_from_km(km),
+                eps_c=rng.uniform(0.0, 0.1),
+                eta_d=rng.uniform(0.3, 0.99),
+                v_ele=0.0 if i % 4 == 0 else rng.uniform(0.0, 0.3),
+                beta=rng.uniform(0.85, 1.0),
+            )
+
+    def calib(self, p, model):
+        v_tot, m, eps = 1.0 + p.v_ele, self.FS.calib_samples_m, self.FS.eps_pe
+        if model is CONV:
+            return confidence_interval_tte(v_tot, p.v_ele, m, m, eps)
+        return confidence_interval_ote(v_tot, m, eps)
+
+    @pytest.mark.parametrize("model,seed", [(TWO, 1), (THREE, 2), (CONV, 3)])
+    def test_batched_holevo_matches_pointwise(self, model, seed):
+        for p in self.draws(seed):
+            n0 = np.append(np.linspace(0.99, 1.01, 20), 1.0)
+            batched = holevo_bound(model, p, n0)
+            assert batched.shape == n0.shape
+            for got, x in zip(batched, n0):
+                expect = holevo_pointwise(model, p, float(x))
+                assert got == pytest.approx(expect, rel=1e-13, abs=1e-15)
+            assert holevo_bound(model, p, 1.0) == batched[-1]
+
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_finite_rate_is_pointwise_minimum(self, model):
+        for p in self.draws(seed=7, n=8):
+            scenario = SnuScenario(model=model, calib_error=0.001)
+            calib = self.calib(p, model)
+            res = key_rate_finite(p, scenario, self.FS, calib)
+            eff = apply_miscalibration(p, scenario.calib_error)
+            grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
+            worst_value = math.inf
+            for g in grid:
+                n0 = scenario.n0 * float(g)
+                chi = holevo_pointwise(model, eff, n0)
+                value = eff.beta * res.i_ab - chi
+                if value < worst_value:
+                    worst_value, worst_n0, worst_chi = value, n0, chi
+            assert res.worst_n0 == worst_n0
+            assert res.chi_be == pytest.approx(worst_chi, rel=1e-13, abs=1e-15)
+            assert res.rate_bits_per_pulse == pytest.approx(
+                self.FS.key_fraction * (worst_value - res.delta_n), rel=1e-13, abs=1e-15)
+
+    def scan_n0(self, p, scenario):
+        calib = confidence_interval_ote(1.0 + p.v_ele, self.FS.calib_samples_m, self.FS.eps_pe)
+        grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
+        return calib, scenario.n0 * grid
+
+    @pytest.mark.parametrize("model,builder", [(TWO, "two_mode_stack"),
+                                               (THREE, "three_mode_stack"),
+                                               (CONV, "conventional_stack")])
+    def test_nonfinite_stack_element_names_its_n0(self, monkeypatch, model, builder):
+        original = getattr(keyrate, builder)
+
+        def poisoned(p, n0):
+            out = original(p, n0)
+            out[7, 2, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(keyrate, builder, poisoned)
+        p = params(v=4.0, t=transmittance_from_km(20.0))
+        scenario = SnuScenario(model=model)
+        calib, n0 = self.scan_n0(p, scenario)
+        named = re.escape(repr(float(n0[7])))
+        with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$"):
+            key_rate_finite(p, scenario, self.FS, calib)
+
+    def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch):
+        original = keyrate.three_mode_stack
+
+        def inflated(p, n0):
+            out = original(p, n0)
+            out[5] *= 1.5
+            return out
+
+        monkeypatch.setattr(keyrate, "three_mode_stack", inflated)
+        p = params(v=4.0, t=transmittance_from_km(20.0))
+        scenario = SnuScenario(model=THREE)
+        calib, n0 = self.scan_n0(p, scenario)
+        named = re.escape(repr(float(n0[5])))
+        with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:"):
+            key_rate_finite(p, scenario, self.FS, calib)
+
+    def test_n0_must_be_positive_scalar_or_vector(self):
+        p = params()
+        for bad in (0.0, -1.0, np.array([1.0, -0.5]), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="n0"):
+                holevo_two_mode(p, bad)
