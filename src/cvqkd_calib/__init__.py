@@ -5,7 +5,9 @@ The package builds the entanglement-based covariance matrices of the
 conventional two-time calibration model and of the one-time two-mode and
 three-mode models, evaluates secret key rates under collective attacks in
 the asymptotic and finite-size regimes, and simulates the calibration
-statistics themselves.
+statistics themselves. The batched Gaussian-state kernels live in
+:mod:`cvqkd_calib.gaussian` and the covariance-stack builders in
+:mod:`cvqkd_calib.models`.
 """
 
 from .calibration import (
@@ -19,52 +21,27 @@ from .calibration import (
     sample_homodyne,
     z_quantile,
 )
-from .gaussian import (
-    CovarianceMatrix,
-    MeasurementBasis,
-    NumericalError,
-    SymplecticSpectrum,
-    apply_beamsplitter,
-    attach_vacuum,
-    condition_on_homodyne,
-    entropy_g,
-    is_physical,
-    keep_modes,
-    symplectic_eigenvalues,
-    symplectic_form,
-)
+from .gaussian import NumericalError
 from .keyrate import (
     FiniteSizeParams,
     KeyRateResult,
     Regime,
     finite_size_penalty,
-    holevo_bound,
     holevo_conventional,
     holevo_three_mode,
     holevo_two_mode,
     key_rate_asymptotic,
     key_rate_finite,
     mutual_information,
-    mutual_information_from_matrix,
 )
 from .models import (
     ALPHA_DB_PER_KM,
     CalibrationModel,
-    DetectorSplit,
     SnuScenario,
     SystemParams,
     apply_miscalibration,
-    build_conventional,
-    build_three_mode,
-    build_two_mode,
-    channel_output_matrix,
-    conventional_channel_matrix,
-    epr_state,
     eta_e_from_noise,
-    snu_ote,
-    snu_tte,
     transmittance_from_km,
-    worst_case_split,
 )
 
 __version__ = "0.1.0"
@@ -74,50 +51,27 @@ __all__ = [
     "CalibrationEstimate",
     "CalibrationMethod",
     "CalibrationModel",
-    "CovarianceMatrix",
-    "DetectorSplit",
     "FiniteSizeParams",
     "KeyRateResult",
-    "MeasurementBasis",
     "NoiseGroundTruth",
     "NumericalError",
     "Regime",
     "SnuScenario",
-    "SymplecticSpectrum",
     "SystemParams",
-    "apply_beamsplitter",
     "apply_miscalibration",
-    "attach_vacuum",
-    "build_conventional",
-    "build_three_mode",
-    "build_two_mode",
-    "channel_output_matrix",
-    "condition_on_homodyne",
     "confidence_interval_ote",
     "confidence_interval_tte",
-    "conventional_channel_matrix",
     "deviation_curve",
-    "entropy_g",
-    "epr_state",
     "estimate_variance",
     "eta_e_from_noise",
     "finite_size_penalty",
-    "holevo_bound",
     "holevo_conventional",
     "holevo_three_mode",
     "holevo_two_mode",
-    "is_physical",
-    "keep_modes",
     "key_rate_asymptotic",
     "key_rate_finite",
     "mutual_information",
-    "mutual_information_from_matrix",
     "sample_homodyne",
-    "snu_ote",
-    "snu_tte",
-    "symplectic_eigenvalues",
-    "symplectic_form",
     "transmittance_from_km",
-    "worst_case_split",
     "z_quantile",
 ]

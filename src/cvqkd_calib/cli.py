@@ -13,9 +13,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence
 
@@ -37,8 +35,6 @@ from .models import (
     SystemParams,
     transmittance_from_km,
 )
-
-JOBS_ENV_VAR = "CVQKD_CALIB_JOBS"
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -119,44 +115,6 @@ class SweepConfig:
     @staticmethod
     def from_dict(raw: dict) -> "SweepConfig":
         return _config_from_dict(raw)
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "models": [m.value for m in self.models],
-            "regime": self.regime.value,
-            "distances_km": {
-                "start": self.distances_km.start,
-                "stop": self.distances_km.stop,
-                "step": self.distances_km.step,
-            },
-            "variances": list(self.variances),
-            "system": dict(self.system),
-            "miscalibration_deltas": list(self.miscalibration_deltas),
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
-        if self.finite_size is not None:
-            fs = self.finite_size
-            out["finite_size"] = {
-                "block_length": fs.block_length,
-                "key_fraction": fs.key_fraction,
-                "eps_pe": fs.eps_pe,
-                "eps_pa": fs.eps_pa,
-                "eps_smooth": fs.eps_smooth,
-                "calib_samples_m": fs.calib_samples_m,
-                "dim_hx": fs.dim_hx,
-            }
-        if self.pulse_rate_hz is not None:
-            out["pulse_rate_hz"] = self.pulse_rate_hz
-        if self.calibration is not None:
-            c = self.calibration
-            out["calibration"] = {
-                "v_tot": c.v_tot,
-                "v_ele": c.v_ele,
-                "seed": c.seed,
-                "eps_pe": c.eps_pe,
-                "m_grid": list(c.m_grid),
-            }
-        return out
 
 
 def _need(raw: dict, key: str, section: str = "") -> Any:
@@ -322,7 +280,7 @@ def _apply_override(raw: dict, item: str) -> None:
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _calibration_estimate(model: CalibrationModel, v_ele: float, v_rin: float,
+def _calibration_estimate(model: CalibrationModel, system: dict[str, float],
                           fs: FiniteSizeParams):
     """SNU confidence interval for the finite-size scan, in true-SNU units.
 
@@ -330,46 +288,41 @@ def _calibration_estimate(model: CalibrationModel, v_ele: float, v_rin: float,
     two-time unit subtracts a separately measured v_ele (the LO-off
     measurement sees no RIN), so its interval carries both fluctuations.
     """
-    v_tot = 1.0 + v_ele + v_rin
+    v_ele = system["v_ele"]
+    v_tot = 1.0 + v_ele + system.get("v_rin", 0.0)
     if model is CalibrationModel.CONVENTIONAL_TTE:
         return confidence_interval_tte(v_tot, v_ele, fs.calib_samples_m,
                                        fs.calib_samples_m, fs.eps_pe)
     return confidence_interval_ote(v_tot, fs.calib_samples_m, fs.eps_pe)
 
 
-def _row_failure(exc: Exception, model_value: str, v: float, dist: float,
+def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
                  delta: float) -> RuntimeError:
     """The error of one grid point, re-raised with the point named."""
     return RuntimeError(
-        f"model={model_value} V={v!r} km={dist!r} delta={delta!r}: "
+        f"model={model.value} V={v!r} km={dist!r} delta={delta!r}: "
         f"{type(exc).__name__}: {exc}"
     )
 
 
-def _sweep_row(task: tuple) -> dict:
-    model_value, v, dist, delta = task[:4]
+def _sweep_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float,
+               delta: float) -> dict:
+    system = config.system
     try:
-        return _evaluate_sweep_row(*task)
+        params = SystemParams(v=v, t=transmittance_from_km(dist), **system)
+        scenario = SnuScenario(model=model, calib_error=delta)
+        if config.regime is Regime.ASYMPTOTIC:
+            res = key_rate_asymptotic(params, scenario)
+        else:
+            calib = _calibration_estimate(model, system, config.finite_size)
+            res = key_rate_finite(params, scenario, config.finite_size, calib)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
-        raise _row_failure(exc, model_value, v, dist, delta) from exc
-
-
-def _evaluate_sweep_row(model_value, v, dist, delta, system, regime_value, fs,
-                        pulse_rate) -> dict:
-    model = CalibrationModel(model_value)
-    regime = Regime(regime_value)
-    params = SystemParams(v=v, t=transmittance_from_km(dist), **system)
-    scenario = SnuScenario(model=model, calib_error=delta)
-    if regime is Regime.ASYMPTOTIC:
-        res = key_rate_asymptotic(params, scenario)
-    else:
-        calib = _calibration_estimate(model, system["v_ele"],
-                                      system.get("v_rin", 0.0), fs)
-        res = key_rate_finite(params, scenario, fs, calib)
+        raise _row_failure(exc, model, v, dist, delta) from exc
     rate = res.rate_bits_per_pulse
+    pulse_rate = config.pulse_rate_hz
     return {
         "model": model.value,
-        "regime": regime.value,
+        "regime": config.regime.value,
         "V": v,
         "distance_km": dist,
         "transmittance": params.t,
@@ -387,33 +340,26 @@ def _evaluate_sweep_row(model_value, v, dist, delta, system, regime_value, fs,
     }
 
 
-def _ten_row(task: tuple) -> dict:
-    model_value, v, dist = task[:3]
+def _ten_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float) -> dict:
+    system, fs = config.system, config.finite_size
     try:
-        return _evaluate_ten_row(*task)
+        t = transmittance_from_km(dist)
+        scenario = SnuScenario(model=model)
+        calib = (None if config.regime is Regime.ASYMPTOTIC
+                 else _calibration_estimate(model, system, fs))
+
+        def rate_at(eps_c: float) -> float:
+            params = SystemParams(v=v, t=t, **{**system, "eps_c": eps_c})
+            if calib is None:
+                return key_rate_asymptotic(params, scenario).rate_bits_per_pulse
+            return key_rate_finite(params, scenario, fs, calib).rate_bits_per_pulse
+
+        ten = _bisect_tolerable_noise(rate_at)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
-        raise _row_failure(exc, model_value, v, dist, 0.0) from exc
-
-
-def _evaluate_ten_row(model_value, v, dist, system, regime_value, fs) -> dict:
-    model = CalibrationModel(model_value)
-    regime = Regime(regime_value)
-    t = transmittance_from_km(dist)
-    scenario = SnuScenario(model=model)
-    if regime is not Regime.ASYMPTOTIC:
-        calib = _calibration_estimate(model, system["v_ele"],
-                                      system.get("v_rin", 0.0), fs)
-
-    def rate_at(eps_c: float) -> float:
-        params = SystemParams(v=v, t=t, **{**system, "eps_c": eps_c})
-        if regime is Regime.ASYMPTOTIC:
-            return key_rate_asymptotic(params, scenario).rate_bits_per_pulse
-        return key_rate_finite(params, scenario, fs, calib).rate_bits_per_pulse
-
-    ten = _bisect_tolerable_noise(rate_at)
+        raise _row_failure(exc, model, v, dist, 0.0) from exc
     return {
         "model": model.value,
-        "regime": regime.value,
+        "regime": config.regime.value,
         "V": v,
         "distance_km": dist,
         "transmittance": t,
@@ -444,40 +390,27 @@ def _bisect_tolerable_noise(rate_at, tol: float = TEN_TOLERANCE,
     return 0.5 * (lo + hi)
 
 
-def _run_tasks(worker, tasks: list[tuple], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def sweep_rows(config: SweepConfig, jobs: int = 1) -> list[dict]:
-    """Key-rate rows for every (model, V, distance, delta) grid point."""
-    tasks = [
-        (model.value, v, dist, delta, config.system, config.regime.value,
-         config.finite_size, config.pulse_rate_hz)
+def sweep_rows(config: SweepConfig) -> list[dict]:
+    """Key-rate rows for every (model, V, distance, delta) grid point, sorted
+    in that order."""
+    return [
+        _sweep_row(config, model, v, dist, delta)
         for model in sorted(config.models, key=lambda m: m.value)
         for v in sorted(config.variances)
         for dist in config.distances_km.points()
-        for delta in config.miscalibration_deltas
+        for delta in sorted(config.miscalibration_deltas)
     ]
-    rows = _run_tasks(_sweep_row, tasks, jobs)
-    rows.sort(key=lambda r: (r["model"], r["V"], r["distance_km"], r["delta"]))
-    return rows
 
 
-def ten_rows(config: SweepConfig, jobs: int = 1) -> list[dict]:
-    """Tolerable-excess-noise rows for every (model, V, distance)."""
-    tasks = [
-        (model.value, v, dist, config.system, config.regime.value,
-         config.finite_size)
+def ten_rows(config: SweepConfig) -> list[dict]:
+    """Tolerable-excess-noise rows for every (model, V, distance), sorted in
+    that order."""
+    return [
+        _ten_row(config, model, v, dist)
         for model in sorted(config.models, key=lambda m: m.value)
         for v in sorted(config.variances)
         for dist in config.distances_km.points()
     ]
-    rows = _run_tasks(_ten_row, tasks, jobs)
-    rows.sort(key=lambda r: (r["model"], r["V"], r["distance_km"]))
-    return rows
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:
@@ -514,18 +447,18 @@ def write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> Non
         raise ConfigError(f"unknown output format {fmt}")
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> str:
+def run_sweep(config: SweepConfig) -> str:
     if config.output_path is None:
         raise ConfigError("no output path: set output.path in the config or pass --out")
-    rows = sweep_rows(config, jobs=jobs)
+    rows = sweep_rows(config)
     write_rows(rows, SWEEP_COLUMNS, config.output_path, config.output_format)
     return config.output_path
 
 
-def run_ten_sweep(config: SweepConfig, jobs: int = 1) -> str:
+def run_ten_sweep(config: SweepConfig) -> str:
     if config.output_path is None:
         raise ConfigError("no output path: set output.path in the config or pass --out")
-    rows = ten_rows(config, jobs=jobs)
+    rows = ten_rows(config)
     write_rows(rows, TEN_COLUMNS, config.output_path, config.output_format)
     return config.output_path
 
@@ -540,19 +473,6 @@ def run_calibration_report(config: SweepConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-def _default_jobs() -> int:
-    value = os.environ.get(JOBS_ENV_VAR)
-    if value is None:
-        return 1
-    try:
-        jobs = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{JOBS_ENV_VAR} must be an integer, got {value!r}") from exc
-    if jobs < 1:
-        raise ConfigError(f"{JOBS_ENV_VAR} must be >= 1, got {jobs}")
-    return jobs
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -575,8 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output file path (overrides output.path)")
             p.add_argument("--format", choices=["csv", "json"],
                            help="output format (overrides output.format)")
-            p.add_argument("--jobs", type=int, default=None,
-                           help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)")
     return parser
 
 
@@ -592,13 +510,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = replace(config, output_path=args.out)
         if args.format is not None:
             config = replace(config, output_format=args.format)
-        jobs = args.jobs if args.jobs is not None else _default_jobs()
-        if jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         if args.command == "sweep":
-            path = run_sweep(config, jobs=jobs)
+            path = run_sweep(config)
         elif args.command == "ten":
-            path = run_ten_sweep(config, jobs=jobs)
+            path = run_ten_sweep(config)
         else:
             path = run_calibration_report(config)
     except ConfigError as exc:

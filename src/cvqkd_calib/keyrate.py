@@ -17,7 +17,6 @@ import numpy as np
 
 from .calibration import CalibrationEstimate
 from .gaussian import (
-    CovarianceMatrix,
     MeasurementBasis,
     NumericalError,
     entropy_of_spectra,
@@ -123,15 +122,6 @@ def mutual_information(params: SystemParams) -> float:
     return 0.5 * math.log2((params.v + chi) / (chi + 1.0))
 
 
-def mutual_information_from_matrix(gamma: CovarianceMatrix) -> float:
-    """I_AB read off a model matrix: modes (A, B3) with A heterodyned."""
-    va = gamma.data[0, 0]
-    vb = gamma.data[2, 2]
-    c = gamma.data[0, 2]
-    vb_cond = vb - c * c / (va + 1.0)
-    return 0.5 * math.log2(vb / vb_cond)
-
-
 def _n0_values(n0: float | np.ndarray) -> np.ndarray:
     """The SNU ratios of a Holevo evaluation as a 1-D array, checked positive."""
     values = np.atleast_1d(np.asarray(n0, dtype=float))
@@ -215,7 +205,7 @@ def holevo_conventional(params: SystemParams, n0: float | np.ndarray = 1.0) -> f
     """
     n0s = _n0_values(n0)
     g_ab1 = conventional_channel_stack(params, n0s)
-    g = conventional_stack(params, n0s)
+    g = conventional_stack(params, g_ab1)
     chi = entropy_of_spectra(_spectra(g_ab1, n0s, "channel")) - _conditional_entropy(g, n0s)
     return _as_given(chi, n0)
 
@@ -227,17 +217,11 @@ _HOLEVO = {
 }
 
 
-def holevo_bound(model: CalibrationModel, params: SystemParams,
-                 n0: float | np.ndarray = 1.0) -> float | np.ndarray:
-    """Dispatch to the model's Holevo computation (scalar or 1-D n0)."""
-    return _HOLEVO[model](params, n0)
-
-
 def key_rate_asymptotic(params: SystemParams, scenario: SnuScenario) -> KeyRateResult:
     """Asymptotic secret key rate, rate = beta * I_AB - chi_BE."""
     eff = apply_miscalibration(params, scenario.calib_error)
     i_ab = mutual_information(eff)
-    chi = holevo_bound(scenario.model, eff, scenario.n0)
+    chi = _HOLEVO[scenario.model](eff, scenario.n0)
     return KeyRateResult(
         rate_bits_per_pulse=eff.beta * i_ab - chi,
         i_ab=i_ab,
@@ -283,7 +267,7 @@ def key_rate_finite(params: SystemParams, scenario: SnuScenario,
     grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                        N0_SCAN_POINTS)
     n0 = scenario.n0 * grid
-    chi = holevo_bound(scenario.model, eff, n0)
+    chi = _HOLEVO[scenario.model](eff, n0)
     values = eff.beta * i_ab - chi
     # argmin takes the first of equal minima, as a strict-< scan would.
     worst = int(np.argmin(values))

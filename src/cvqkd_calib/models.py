@@ -13,6 +13,9 @@ measure statistics but differing in how much of the detector is trusted:
 * one-time three-mode: single-step calibration with the detection-
   efficiency loss mode C kept on the trusted side; the electronic noise
   becomes an untrusted loss of transmittance eta_e.
+
+Each builder returns a plain stack (N, 2n, 2n), one matrix per entry of
+a scalar or 1-D array of SNU ratios n0.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, mix_on_beamsplitter, with_vacuum
+from .gaussian import mix_on_beamsplitter, with_vacuum
 
 # Fiber attenuation used to convert link distance to transmittance,
 # T = 10^(-ALPHA_DB_PER_KM * L / 10). Standard telecom value.
@@ -76,22 +79,6 @@ class SystemParams:
         """Electronic-noise beamsplitter transmittance of this detector."""
         return eta_e_from_noise(self.v_ele, self.v_rin)
 
-    def detector_split(self) -> DetectorSplit:
-        return DetectorSplit(eta_e=self.eta_e, eta_d=self.eta_d)
-
-
-@dataclass(frozen=True)
-class DetectorSplit:
-    """The two trusted-loss transmittances of the one-time detector model."""
-
-    eta_e: float
-    eta_d: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("eta_e", self.eta_e), ("eta_d", self.eta_d)):
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
-
 
 @dataclass(frozen=True)
 class SnuScenario:
@@ -126,13 +113,6 @@ def eta_e_from_noise(v_ele: float, v_rin: float = 0.0) -> float:
     return 1.0 / (1.0 + v_ele + v_rin)
 
 
-def epr_state(v: float) -> CovarianceMatrix:
-    """Two-mode squeezed state: diagonal v*I2, cross sqrt(v^2-1)*sigma_z."""
-    if v < 1.0:
-        raise ValueError(f"EPR variance must be >= 1, got {v}")
-    return CovarianceMatrix(_blocks4(v, math.sqrt(v * v - 1.0), v)[0])
-
-
 def _blocks4(a, c, b) -> np.ndarray:
     """Stack (N, 4, 4) of [[a I2, c sigma_z], [c sigma_z, b I2]] over broadcast a, c, b."""
     g = np.zeros((max(np.size(a), np.size(c), np.size(b)), 4, 4))
@@ -145,16 +125,6 @@ def _blocks4(a, c, b) -> np.ndarray:
 
 def _n0_array(n0: float | np.ndarray) -> np.ndarray:
     return np.atleast_1d(np.asarray(n0, dtype=float))
-
-
-def _check_model(scenario: SnuScenario, model: CalibrationModel, name: str) -> None:
-    if scenario.model is not model:
-        raise ValueError(f"scenario model is {scenario.model}, expected {name}")
-
-
-def channel_output_matrix(params: SystemParams) -> CovarianceMatrix:
-    """State (A, B1') after the channel, before any detector optics."""
-    return CovarianceMatrix(_channel_output(params))
 
 
 def _channel_output(params: SystemParams) -> np.ndarray:
@@ -180,13 +150,6 @@ def two_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
     return _blocks4(v, cross, vb)
 
 
-def build_two_mode(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
-    """4x4 covariance of (A, B3) for the one-time two-mode model; see
-    :func:`two_mode_stack`."""
-    _check_model(scenario, CalibrationModel.ONE_TIME_TWO_MODE, "two-mode")
-    return CovarianceMatrix(two_mode_stack(params, scenario.n0)[0])
-
-
 def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
     """Covariances (N, 6, 6) of (A, B3, C) for the one-time three-mode model.
 
@@ -194,7 +157,10 @@ def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray
     on the electronic-noise beamsplitter eta_e (its reflected mode is
     unobservable and traced out), then a second vacuum ancilla mixed on
     the detection-efficiency beamsplitter eta_d whose reflected mode C
-    stays on the trusted side.
+    stays on the trusted side. The key rate depends on t and eta_e only
+    through their product, and only that product is observable, so this
+    model is also the worst-case split that security requires: the
+    untrusted channel takes all of the measured loss t*eta_e.
 
     For n0 != 1 the B3 entries are rescaled and the unobserved mode C is
     reconstructed from the rescaled Bob variance through the trusted
@@ -210,13 +176,6 @@ def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray
     if moved.any():
         out[moved] = _rescale_three_mode(g, params.eta_d, n0[moved])
     return out
-
-
-def build_three_mode(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
-    """6x6 covariance of (A, B3, C) for the one-time three-mode model; see
-    :func:`three_mode_stack`."""
-    _check_model(scenario, CalibrationModel.ONE_TIME_THREE_MODE, "three-mode")
-    return CovarianceMatrix(three_mode_stack(params, scenario.n0)[0])
 
 
 def _rescale_three_mode(g: np.ndarray, eta_d: float, n0: np.ndarray) -> np.ndarray:
@@ -254,13 +213,10 @@ def conventional_channel_stack(params: SystemParams, n0: float | np.ndarray) -> 
     return _blocks4(v, cab1, vb1)
 
 
-def conventional_channel_matrix(params: SystemParams, n0: float = 1.0) -> CovarianceMatrix:
-    """One matrix of :func:`conventional_channel_stack`."""
-    return CovarianceMatrix(conventional_channel_stack(params, n0)[0])
-
-
-def conventional_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
-    """Covariances (N, 8, 8) of (A, B3, F, G) for the conventional trusted model.
+def conventional_stack(params: SystemParams, g_ab1: np.ndarray) -> np.ndarray:
+    """Covariances (N, 8, 8) of (A, B3, F, G) for the conventional trusted model,
+    one per channel-output state of the stack g_ab1 (N, 4, 4) from
+    :func:`conventional_channel_stack`.
 
     F and G are the two modes of the detector's trusted EPR source with
     variance 1 + v_ele / (1 - eta_d), chosen so that mixing F into the
@@ -273,51 +229,11 @@ def conventional_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarr
             "eta_d = 1 with nonzero electronic noise needs an infinite detector "
             "EPR variance; use eta_d < 1 or v_ele = 0"
         )
-    g_ab1 = conventional_channel_stack(params, n0)
     v_epr = 1.0 if ve == 0.0 else 1.0 + ve / (1.0 - params.eta_d)
     out = np.zeros((g_ab1.shape[0], 8, 8))
     out[:, :4, :4] = g_ab1
     out[:, 4:, 4:] = _blocks4(v_epr, math.sqrt(v_epr * v_epr - 1.0), v_epr)[0]
     return mix_on_beamsplitter(out, 1, 2, params.eta_d)
-
-
-def build_conventional(params: SystemParams, scenario: SnuScenario) -> CovarianceMatrix:
-    """8x8 covariance of (A, B3, F, G) for the conventional trusted model;
-    see :func:`conventional_stack`."""
-    _check_model(scenario, CalibrationModel.CONVENTIONAL_TTE, "conventional")
-    return CovarianceMatrix(conventional_stack(params, scenario.n0)[0])
-
-
-def snu_tte(v_tot: float, v_ele: float) -> float:
-    """Two-time-evaluation shot-noise unit: total minus electronic noise."""
-    if v_ele < 0.0:
-        raise ValueError(f"electronic noise must be nonnegative, got {v_ele}")
-    if v_tot <= v_ele:
-        raise ValueError(
-            f"total noise {v_tot} must exceed electronic noise {v_ele}"
-        )
-    return v_tot - v_ele
-
-
-def snu_ote(v_tot: float) -> float:
-    """One-time-evaluation shot-noise unit: the total variance itself."""
-    if v_tot <= 0.0:
-        raise ValueError(f"total noise must be positive, got {v_tot}")
-    return v_tot
-
-
-def worst_case_split(t_times_eta_e: float) -> tuple[float, float]:
-    """Worst-case assignment of the jointly measured loss t*eta_e.
-
-    Only the product is observable, so security requires the split that
-    minimizes the key rate: the untrusted channel takes all of it
-    (t = t*eta_e, eta_e = 1). The three-mode model with an eavesdropper
-    purifying (A, B3, C) embodies exactly this worst case, since its key
-    rate depends on t and eta_e only through their product.
-    """
-    if not 0.0 < t_times_eta_e <= 1.0:
-        raise ValueError(f"loss product must lie in (0, 1], got {t_times_eta_e}")
-    return t_times_eta_e, 1.0
 
 
 def apply_miscalibration(params: SystemParams, delta: float) -> SystemParams:

@@ -5,18 +5,33 @@ import math
 
 import numpy as np
 
-from cvqkd_calib import (
-    CalibrationModel,
-    CovarianceMatrix,
-    SnuScenario,
-    SystemParams,
-    build_conventional,
-    build_three_mode,
-    build_two_mode,
-    conventional_channel_matrix,
-    entropy_g,
-    symplectic_form,
+from cvqkd_calib import CalibrationModel, SystemParams
+from cvqkd_calib.gaussian import symplectic_form
+from cvqkd_calib.models import (
+    conventional_channel_stack,
+    conventional_stack,
+    three_mode_stack,
+    two_mode_stack,
 )
+
+
+def entropy_g(x: float) -> float:
+    """Thermal-state entropy function (x+1)log2(x+1) - x log2 x, 0 for x <= 0."""
+    return 0.0 if x <= 0.0 else (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+
+
+def epr_state(v: float) -> np.ndarray:
+    """Two-mode squeezed state: diagonal v*I2, cross sqrt(v^2-1)*sigma_z."""
+    g = v * np.eye(4)
+    g[:2, 2:] = g[2:, :2] = math.sqrt(v * v - 1.0) * np.diag([1.0, -1.0])
+    return g
+
+
+def mutual_information_from_matrix(gamma: np.ndarray) -> float:
+    """I_AB read off a model matrix: modes (A, B3) with A heterodyned."""
+    va, vb, c = gamma[0, 0], gamma[2, 2], gamma[0, 2]
+    vb_cond = vb - c * c / (va + 1.0)
+    return 0.5 * math.log2(vb / vb_cond)
 
 
 def _pair(a: float, b: float) -> tuple[float, float]:
@@ -48,39 +63,44 @@ def holevo_lodewyck(v: float, t: float, eps: float, eta: float, v_el: float) -> 
     return sum(g(lam) for lam in _pair(a, b)) - sum(g(lam) for lam in _pair(c, d))
 
 
-def _entropy_g(x: float) -> float:
-    return 0.0 if x <= 0.0 else (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+def _checked(gamma: np.ndarray) -> np.ndarray:
+    """One covariance matrix, asserted finite and symmetric to 1e-12 of its
+    largest entry (at least 1), returned symmetrised."""
+    assert np.all(np.isfinite(gamma)), "covariance matrix contains non-finite entries"
+    scale = max(1.0, float(np.abs(gamma).max()))
+    assert float(np.abs(gamma - gamma.T).max()) <= 1e-12 * scale, "not symmetric"
+    return (gamma + gamma.T) / 2.0
 
 
-def _entropy(gamma: CovarianceMatrix) -> float:
+def _entropy(gamma: np.ndarray) -> float:
     """Entropy from one eigvals call on i*Omega*gamma, summed per mode."""
-    n = gamma.n_modes
-    mags = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ gamma.data)))
+    n = gamma.shape[0] // 2
+    mags = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ gamma)))
     spectrum = mags.reshape(n, 2).mean(axis=1)[::-1]
-    return sum(_entropy_g(max(0.0, (lam - 1.0) / 2.0)) for lam in spectrum)
+    return sum(entropy_g(max(0.0, (lam - 1.0) / 2.0)) for lam in spectrum)
 
 
-def _x_conditioned(gamma: CovarianceMatrix) -> CovarianceMatrix:
+def _x_conditioned(gamma: np.ndarray) -> np.ndarray:
     """A - C (X B X)^+ C^T after x-homodyne on mode 1, one matrix at a time."""
-    keep = [i for i in range(gamma.data.shape[0]) if i not in (2, 3)]
-    a = gamma.data[np.ix_(keep, keep)]
-    b = gamma.data[2:4, 2:4]
-    c = gamma.data[np.ix_(keep, [2, 3])]
+    keep = [i for i in range(gamma.shape[0]) if i not in (2, 3)]
+    a = gamma[np.ix_(keep, keep)]
+    b = gamma[2:4, 2:4]
+    c = gamma[np.ix_(keep, [2, 3])]
     proj = np.diag([1.0, 0.0])
     out = a - c @ np.linalg.pinv(proj @ b @ proj, rcond=1e-12) @ c.T
-    return CovarianceMatrix((out + out.T) / 2.0)
+    return _checked((out + out.T) / 2.0)
 
 
 def holevo_pointwise(model: CalibrationModel, params: SystemParams, n0: float) -> float:
     """chi_BE at one SNU ratio by the per-point pipeline the batched kernels
-    replaced: validated CovarianceMatrix objects from the one-matrix builders,
-    one eigvals call and one pinv per matrix, and a scalar libm entropy."""
-    scenario = SnuScenario(model=model, n0=n0)
+    replaced: one model matrix at a time, checked finite and symmetric, one
+    eigvals call and one pinv per matrix, and a scalar libm entropy."""
     if model is CalibrationModel.ONE_TIME_TWO_MODE:
-        eve = measured = build_two_mode(params, scenario)
+        eve = measured = _checked(two_mode_stack(params, n0)[0])
     elif model is CalibrationModel.ONE_TIME_THREE_MODE:
-        eve = measured = build_three_mode(params, scenario)
+        eve = measured = _checked(three_mode_stack(params, n0)[0])
     else:
-        eve = conventional_channel_matrix(params, n0)
-        measured = build_conventional(params, scenario)
+        channel = conventional_channel_stack(params, n0)
+        eve = _checked(channel[0])
+        measured = _checked(conventional_stack(params, channel)[0])
     return _entropy(eve) - _entropy(_x_conditioned(measured))

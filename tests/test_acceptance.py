@@ -24,21 +24,18 @@ from cvqkd_calib import (
     NoiseGroundTruth,
     SnuScenario,
     SystemParams,
-    build_three_mode,
-    condition_on_homodyne,
     confidence_interval_ote,
     confidence_interval_tte,
     deviation_curve,
-    entropy_g,
     holevo_two_mode,
     key_rate_asymptotic,
     key_rate_finite,
-    symplectic_eigenvalues,
     transmittance_from_km,
 )
-from cvqkd_calib.gaussian import MeasurementBasis
+from cvqkd_calib.gaussian import MeasurementBasis, homodyne_conditioned, symplectic_spectra
+from cvqkd_calib.models import three_mode_stack
 from cvqkd_calib.cli import SweepConfig, run_sweep
-from oracles import holevo_lodewyck
+from oracles import entropy_g, holevo_lodewyck
 
 TWO = CalibrationModel.ONE_TIME_TWO_MODE
 THREE = CalibrationModel.ONE_TIME_THREE_MODE
@@ -122,12 +119,12 @@ def test_criterion_2_closed_form_oracle_equivalence():
                  - p.v * ((1 - p.eta_d) * p.eta_d) ** 2 * cc ** 2 * dd
                  - (1 - p.eta_d) * p.eta_d
                  * ((1 - p.eta_d) * p.eta_d * cc ** 2 + cc + 1) * dd ** 2)
-    g3 = build_three_mode(p, SnuScenario(model=THREE))
-    spec = symplectic_eigenvalues(g3).values
+    (g3,) = three_mode_stack(p, 1.0)
+    spec = symplectic_spectra(g3)
     a_generic = spec[0] ** 2 + spec[1] ** 2
     b_generic = (spec[0] * spec[1]) ** 2
-    cond = condition_on_homodyne(g3, 1, MeasurementBasis.X_QUADRATURE)
-    cspec = symplectic_eigenvalues(cond).values
+    cond = homodyne_conditioned(g3, 1, MeasurementBasis.X_QUADRATURE)
+    cspec = symplectic_spectra(cond)
     e_printed = (gg * p.v + p.v ** 2 - 2 * (1 - p.eta_d) * dd
                  + (cc + 1) * ((1 - p.eta_d) * cc + 1)) / (p.eta_d * cc + 1)
     e_generic = math.sqrt(cspec[0] ** 2 + cspec[1] ** 2)

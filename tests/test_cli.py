@@ -16,7 +16,6 @@ from cvqkd_calib.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_RUNTIME_ERROR,
-    JOBS_ENV_VAR,
     SWEEP_COLUMNS,
     TEN_COLUMNS,
     ConfigError,
@@ -53,17 +52,6 @@ def read_csv(path) -> list[dict]:
 
 
 class TestConfigParsing:
-    def test_round_trip_is_semantically_identical(self):
-        cfg = SweepConfig.from_dict(base_config(
-            miscalibration_deltas=[0.0, 0.001],
-            pulse_rate_hz=5e6,
-            finite_size={"block_length": 10 ** 10, "key_fraction": 0.5,
-                         "eps_pe": 1e-10, "eps_pa": 1e-10, "eps_smooth": 1e-10,
-                         "calib_samples_m": 10 ** 8},
-        ))
-        again = SweepConfig.from_dict(cfg.to_dict())
-        assert cfg == again
-
     def test_missing_field_named_in_error(self):
         raw = base_config()
         del raw["system"]["beta"]
@@ -172,15 +160,9 @@ class TestSweepRows:
         assert row["n0_worst"] != 1.0
         assert row["regime"] == "finite_size"
 
-    def test_parallel_equals_serial(self):
-        cfg = SweepConfig.from_dict(base_config())
-        assert sweep_rows(cfg, jobs=2) == sweep_rows(cfg, jobs=1)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("rows,delta", [(sweep_rows, "0.001"), (ten_rows, "0.0")])
-    def test_row_failure_names_grid_point(self, monkeypatch, jobs, rows, delta):
-        # Holevo evaluation breaks at 10 km only; the error must say where,
-        # also when it crosses a worker-process boundary.
+    def test_row_failure_names_grid_point(self, monkeypatch, rows, delta):
+        # Holevo evaluation breaks at 10 km only; the error must say where.
         healthy = keyrate.holevo_three_mode
 
         def failing(params, n0=1.0):
@@ -195,7 +177,7 @@ class TestSweepRows:
         with pytest.raises(RuntimeError, match=(
                 rf"^model=three_mode V=4\.0 km=10\.0 delta={delta}: "
                 r"NumericalError: eigenvalue solve did not converge$")):
-            rows(cfg, jobs=jobs)
+            rows(cfg)
 
 
 class TestTenRows:
@@ -361,19 +343,6 @@ class TestExitCodes:
             output={"path": str(tmp_path / "no-such-dir" / "x.csv"),
                     "format": "csv"}))
         assert main(["sweep", "--config", path]) == EXIT_RUNTIME_ERROR
-
-    def test_jobs_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        path = write_config(tmp_path, base_config(
-            models=["three_mode"],
-            output={"path": str(tmp_path / "e.csv"), "format": "csv"}))
-        assert main(["sweep", "--config", path]) == EXIT_OK
-
-    def test_jobs_env_invalid(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "many")
-        path = write_config(tmp_path, base_config(
-            output={"path": str(tmp_path / "e.csv"), "format": "csv"}))
-        assert main(["sweep", "--config", path]) == EXIT_CONFIG_ERROR
 
 
 def test_cli_import_does_not_load_scipy():

@@ -4,28 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from cvqkd_calib import (
     CalibrationModel,
-    DetectorSplit,
     SnuScenario,
     SystemParams,
     apply_miscalibration,
-    build_conventional,
-    build_three_mode,
-    build_two_mode,
-    channel_output_matrix,
-    conventional_channel_matrix,
-    epr_state,
+    confidence_interval_ote,
+    confidence_interval_tte,
     eta_e_from_noise,
-    is_physical,
-    keep_modes,
-    snu_ote,
-    snu_tte,
-    symplectic_eigenvalues,
+    key_rate_asymptotic,
     transmittance_from_km,
-    worst_case_split,
 )
+from cvqkd_calib.gaussian import symplectic_spectra
+from cvqkd_calib.models import (
+    conventional_channel_stack,
+    conventional_stack,
+    three_mode_stack,
+    two_mode_stack,
+)
+from oracles import epr_state
+from strategies import PROPERTY, system_params
 
 SZ = np.diag([1.0, -1.0])
 I2 = np.eye(2)
@@ -52,6 +52,14 @@ def three_mode_closed_form(p: SystemParams) -> np.ndarray:
     g[:2, 4:] = g[4:, :2] = math.sqrt(t * ee * (1 - ed) * (v * v - 1)) * SZ
     g[2:4, 4:] = g[4:, 2:4] = math.sqrt(ed * (1 - ed)) * t * ee * (v - 1 + ec) * I2
     return g
+
+
+def conventional(p: SystemParams, n0=1.0) -> np.ndarray:
+    return conventional_stack(p, conventional_channel_stack(p, n0))
+
+
+# A physical matrix has every symplectic eigenvalue >= 1 up to this slack.
+PHYSICALITY_TOL = 1e-9
 
 
 def random_params(rng) -> SystemParams:
@@ -87,25 +95,11 @@ class TestParamTypes:
         with pytest.raises(ValueError, match="RIN"):
             params(v_rin=-0.1)
 
-    def test_detector_split(self):
-        split = params().detector_split()
-        assert split == DetectorSplit(eta_e=1 / 1.01, eta_d=0.6)
-        with pytest.raises(ValueError, match="eta_e"):
-            DetectorSplit(eta_e=0.0, eta_d=0.5)
-
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="n0"):
             SnuScenario(model=TWO, n0=0.0)
         with pytest.raises(ValueError, match="no signal"):
             SnuScenario(model=TWO, calib_error=-1.0)
-
-    def test_builders_reject_wrong_model(self):
-        with pytest.raises(ValueError, match="expected two-mode"):
-            build_two_mode(params(), SnuScenario(model=THREE))
-        with pytest.raises(ValueError, match="expected three-mode"):
-            build_three_mode(params(), SnuScenario(model=CONV))
-        with pytest.raises(ValueError, match="expected conventional"):
-            build_conventional(params(), SnuScenario(model=TWO))
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +137,29 @@ class TestEtaE:
 class TestBuildTwoMode:
     def test_lossless_noiseless_is_pure(self):
         p = params(v=40.0, t=1.0, eps_c=0.0, eta_d=1.0, v_ele=0.0)
-        g = build_two_mode(p, SnuScenario(model=TWO))
-        np.testing.assert_allclose(g.data, epr_state(40.0).data, atol=1e-12)
-        assert symplectic_eigenvalues(g).values == pytest.approx((1.0, 1.0), abs=1e-9)
+        (g,) = two_mode_stack(p, 1.0)
+        np.testing.assert_allclose(g, epr_state(40.0), atol=1e-12)
+        assert symplectic_spectra(g) == pytest.approx((1.0, 1.0), abs=1e-9)
 
     def test_bob_variance_arithmetic(self):
-        g = build_two_mode(params(), SnuScenario(model=TWO))
+        (g,) = two_mode_stack(params(), 1.0)
         expect = 0.5 * 0.6 * (1 / 1.01) * 39.01 + 1
         assert expect == pytest.approx(12.5871287128712, rel=1e-12)
-        assert g.data[2, 2] == pytest.approx(expect, rel=1e-14)
-        assert g.data[0, 2] == pytest.approx(
+        assert g[2, 2] == pytest.approx(expect, rel=1e-14)
+        assert g[0, 2] == pytest.approx(
             math.sqrt(0.5 * 0.6 * (1 / 1.01) * (40.0 ** 2 - 1)), rel=1e-14)
 
     def test_snu_ratio_scales_bob_entries(self):
-        p = params()
-        base = build_two_mode(p, SnuScenario(model=TWO))
-        scaled = build_two_mode(p, SnuScenario(model=TWO, n0=1.001))
-        np.testing.assert_allclose(scaled.mode_block(1, 1), base.mode_block(1, 1) / 1.001,
+        base, scaled = two_mode_stack(params(), np.array([1.0, 1.001]))
+        np.testing.assert_allclose(scaled[2:, 2:], base[2:, 2:] / 1.001, rtol=1e-14)
+        np.testing.assert_allclose(scaled[:2, 2:], base[:2, 2:] / math.sqrt(1.001),
                                    rtol=1e-14)
-        np.testing.assert_allclose(scaled.mode_block(0, 1),
-                                   base.mode_block(0, 1) / math.sqrt(1.001), rtol=1e-14)
-        np.testing.assert_allclose(scaled.mode_block(0, 0), base.mode_block(0, 0),
-                                   rtol=1e-14)
+        np.testing.assert_allclose(scaled[:2, :2], base[:2, :2], rtol=1e-14)
 
-    def test_physical_at_unit_ratio(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            g = build_two_mode(random_params(rng), SnuScenario(model=TWO))
-            assert is_physical(g)
+    @PROPERTY
+    @given(system_params)
+    def test_physical_at_unit_ratio(self, p):
+        assert symplectic_spectra(two_mode_stack(p, 1.0)).min() >= 1.0 - PHYSICALITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -179,38 +168,33 @@ class TestBuildTwoMode:
 class TestBuildThreeMode:
     def test_matches_closed_form_entries(self):
         p = params()
-        g = build_three_mode(p, SnuScenario(model=THREE))
-        np.testing.assert_allclose(g.data, three_mode_closed_form(p), atol=1e-12)
+        np.testing.assert_allclose(three_mode_stack(p, 1.0)[0], three_mode_closed_form(p),
+                                   atol=1e-12)
 
     def test_transparent_detector_decouples_mode_c(self):
         p = params(eta_d=1.0)
-        g = build_three_mode(p, SnuScenario(model=THREE))
-        assert np.abs(g.data[:4, 4:]).max() <= 1e-10
-        np.testing.assert_allclose(g.data[4:, 4:], I2, atol=1e-10)
-        two = build_two_mode(p, SnuScenario(model=TWO))
-        np.testing.assert_allclose(keep_modes(g, (0, 1)).data, two.data, atol=1e-12)
+        (g,) = three_mode_stack(p, 1.0)
+        assert np.abs(g[:4, 4:]).max() <= 1e-10
+        np.testing.assert_allclose(g[4:, 4:], I2, atol=1e-10)
+        np.testing.assert_allclose(g[:4, :4], two_mode_stack(p, 1.0)[0], atol=1e-12)
 
     def test_marginal_consistency_over_random_draws(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             p = random_params(rng)
             n0 = rng.uniform(0.99, 1.01)
-            g3 = build_three_mode(p, SnuScenario(model=THREE, n0=n0))
-            g2 = build_two_mode(p, SnuScenario(model=TWO, n0=n0))
-            np.testing.assert_allclose(keep_modes(g3, (0, 1)).data, g2.data, atol=1e-12)
+            g3 = three_mode_stack(p, n0)
+            g2 = two_mode_stack(p, n0)
+            np.testing.assert_allclose(g3[:, :4, :4], g2, atol=1e-12)
 
     def test_unit_eigenvalue_present_for_any_ratio(self):
-        p = params()
-        for n0 in (1.0, 0.995, 1.005):
-            g = build_three_mode(p, SnuScenario(model=THREE, n0=n0))
-            spec = symplectic_eigenvalues(g)
-            assert min(abs(lam - 1.0) for lam in spec) < 1e-9
+        spectra = symplectic_spectra(three_mode_stack(params(), np.array([1.0, 0.995, 1.005])))
+        assert np.abs(spectra - 1.0).min(axis=-1).max() < 1e-9
 
-    def test_physical_at_unit_ratio(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            g = build_three_mode(random_params(rng), SnuScenario(model=THREE))
-            assert is_physical(g)
+    @PROPERTY
+    @given(system_params)
+    def test_physical_at_unit_ratio(self, p):
+        assert symplectic_spectra(three_mode_stack(p, 1.0)).min() >= 1.0 - PHYSICALITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -219,42 +203,51 @@ class TestBuildThreeMode:
 class TestBuildConventional:
     def test_bob_variance(self):
         p = params(v=40.0, t=1.0, eps_c=0.0, eta_d=0.6, v_ele=0.01)
-        g = build_conventional(p, SnuScenario(model=CONV))
-        assert g.data[2, 2] == pytest.approx(0.6 * 39.0 + 1.01, rel=1e-12)
+        assert conventional(p)[0, 2, 2] == pytest.approx(0.6 * 39.0 + 1.01, rel=1e-12)
 
     def test_bob_variance_general_point(self):
-        p = params()
-        g = build_conventional(p, SnuScenario(model=CONV))
-        assert g.data[2, 2] == pytest.approx(0.6 * 0.5 * 39.01 + 1.01, rel=1e-12)
+        assert conventional(params())[0, 2, 2] == pytest.approx(0.6 * 0.5 * 39.01 + 1.01,
+                                                               rel=1e-12)
 
     def test_perfect_detector_gives_pure_epr(self):
         p = params(v=40.0, t=1.0, eps_c=0.0, eta_d=1.0, v_ele=0.0)
-        g = build_conventional(p, SnuScenario(model=CONV))
-        np.testing.assert_allclose(keep_modes(g, (0, 1)).data, epr_state(40.0).data,
-                                   atol=1e-12)
-        assert symplectic_eigenvalues(g).values == pytest.approx((1.0,) * 4, abs=1e-9)
+        (g,) = conventional(p)
+        np.testing.assert_allclose(g[:4, :4], epr_state(40.0), atol=1e-12)
+        assert symplectic_spectra(g) == pytest.approx((1.0,) * 4, abs=1e-9)
 
     def test_degenerate_epr_variance_rejected(self):
         with pytest.raises(ValueError, match="eta_d < 1 or v_ele = 0"):
-            build_conventional(params(eta_d=1.0, v_ele=0.01), SnuScenario(model=CONV))
+            conventional(params(eta_d=1.0, v_ele=0.01))
 
     def test_channel_reconstruction_at_unit_ratio(self):
+        # At n0 = 1 the reconstruction is the physical channel output.
         p = params()
-        got = conventional_channel_matrix(p, 1.0)
-        np.testing.assert_allclose(got.data, channel_output_matrix(p).data, atol=1e-12)
+        expect = np.zeros((4, 4))
+        expect[:2, :2] = p.v * I2
+        expect[2:, 2:] = (p.t * (p.v - 1 + p.eps_c) + 1) * I2
+        expect[:2, 2:] = expect[2:, :2] = math.sqrt(p.t * (p.v ** 2 - 1)) * SZ
+        np.testing.assert_allclose(conventional_channel_stack(p, 1.0)[0], expect, atol=1e-12)
 
-    def test_physical_at_unit_ratio(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            p = random_params(rng)
-            if p.eta_d == 1.0:
-                continue
-            g = build_conventional(p, SnuScenario(model=CONV))
-            assert is_physical(g)
+    @PROPERTY
+    @given(system_params)
+    def test_physical_at_unit_ratio(self, p):
+        channel = conventional_channel_stack(p, 1.0)
+        for stack in (channel, conventional_stack(p, channel)):
+            assert symplectic_spectra(stack).min() >= 1.0 - PHYSICALITY_TOL
 
 
 # ---------------------------------------------------------------------------
-# SNU conversions
+# SNU conversions, as the calibration point estimates carry them: the
+# two-time unit is total minus electronic noise, the one-time unit the
+# total variance itself
+
+def snu_tte(v_tot: float, v_ele: float) -> float:
+    return confidence_interval_tte(v_tot, v_ele, 10 ** 6, 10 ** 6, 1e-10).point
+
+
+def snu_ote(v_tot: float) -> float:
+    return confidence_interval_ote(v_tot, 10 ** 6, 1e-10).point
+
 
 class TestSnuConversions:
     def test_tte_measured_values(self):
@@ -283,19 +276,30 @@ class TestSnuConversions:
 
 
 class TestWorstCaseSplit:
+    """Only the product t*eta_e of channel and electronic-noise loss is
+    observable. The one-time models depend on the two only through that
+    product, so they already embody the worst-case split that hands all of
+    it to the untrusted channel (t*eta_e, 1)."""
+
+    @staticmethod
+    def rate(model, t, v_ele):
+        p = params(v=4.0, t=t, v_ele=v_ele)
+        return key_rate_asymptotic(p, SnuScenario(model=model)).rate_bits_per_pulse
+
     def test_all_loss_to_channel(self):
-        assert worst_case_split(0.5) == (0.5, 1.0)
-        assert worst_case_split(1.0) == (1.0, 1.0)
+        for t in (1.0, 0.5, transmittance_from_km(60.0)):
+            eta_e = eta_e_from_noise(0.01)
+            for model in (TWO, THREE):
+                assert self.rate(model, t, 0.01) == pytest.approx(
+                    self.rate(model, t * eta_e, 0.0), rel=1e-12)
 
     def test_product_preserved(self):
-        t, eta_e = worst_case_split(0.3 * 0.99)
-        assert t * eta_e == pytest.approx(0.297, rel=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            worst_case_split(0.0)
-        with pytest.raises(ValueError):
-            worst_case_split(1.5)
+        product = 0.3 * 0.99
+        rates = []
+        for v_ele in (0.0, 0.01, 0.1, 0.3):
+            t = product / eta_e_from_noise(v_ele)
+            rates.append(self.rate(THREE, t, v_ele))
+        assert rates == pytest.approx([rates[0]] * len(rates), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
