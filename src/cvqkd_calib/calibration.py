@@ -60,11 +60,10 @@ class CalibrationEstimate:
 
 @dataclass(frozen=True)
 class NoiseGroundTruth:
-    """True detector-noise variances and the seed for replayable sampling."""
+    """True detector-noise variances."""
 
     v_tot: float
     v_ele: float
-    seed: int
 
     def __post_init__(self) -> None:
         if self.v_tot <= 0.0:
@@ -76,7 +75,7 @@ class NoiseGroundTruth:
             )
 
 
-def sample_homodyne(truth: NoiseGroundTruth, m: int, lo_on: bool) -> np.ndarray:
+def sample_homodyne(truth: NoiseGroundTruth, m: int, lo_on: bool, seed: int) -> np.ndarray:
     """Draw m homodyne output samples.
 
     Zero-mean Gaussian with variance v_tot when the LO path is connected,
@@ -86,7 +85,7 @@ def sample_homodyne(truth: NoiseGroundTruth, m: int, lo_on: bool) -> np.ndarray:
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
-    rng = np.random.default_rng([truth.seed, 1 if lo_on else 0])
+    rng = np.random.default_rng([seed, 1 if lo_on else 0])
     variance = truth.v_tot if lo_on else truth.v_ele
     return rng.normal(0.0, math.sqrt(variance), size=m)
 

@@ -14,10 +14,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .calibration import (
+    CalibrationEstimate,
     NoiseGroundTruth,
     confidence_interval_ote,
     confidence_interval_tte,
@@ -25,6 +26,7 @@ from .calibration import (
 )
 from .keyrate import (
     FiniteSizeParams,
+    KeyRateResult,
     Regime,
     key_rate_asymptotic,
     key_rate_finite,
@@ -83,14 +85,9 @@ class DistanceGrid:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    v_tot: float
-    v_ele: float
-    seed: int
+    truth: NoiseGroundTruth
     eps_pe: float
     m_grid: tuple[int, ...]
-
-    def ground_truth(self) -> NoiseGroundTruth:
-        return NoiseGroundTruth(v_tot=self.v_tot, v_ele=self.v_ele, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -109,19 +106,28 @@ class SweepConfig:
     pulse_rate_hz: Optional[float] = None
     calibration: Optional[CalibrationConfig] = None
 
-    def system_params(self, v: float, t: float) -> SystemParams:
-        return SystemParams(v=v, t=t, **self.system)
-
     @staticmethod
     def from_dict(raw: dict) -> "SweepConfig":
         return _config_from_dict(raw)
 
 
-def _need(raw: dict, key: str, section: str = "") -> Any:
+def _need(raw: dict, key: str, section: str = "", kind: Optional[type] = None) -> Any:
+    where = f"{section}.{key}" if section else key
     if key not in raw:
-        where = f"{section}.{key}" if section else key
         raise ConfigError(f"missing config field: {where}")
-    return raw[key]
+    return raw[key] if kind is None else _finite(raw[key], where, kind)
+
+
+def _finite(value: Any, field: str, kind: type = float) -> Any:
+    """kind(value), or a ConfigError naming the field if that is no finite number;
+    checked after conversion, as --set passes non-JSON such as nan on as a string."""
+    try:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ConfigError(f"{field} must be a finite number, got {value!r}")
 
 
 def _config_from_dict(raw: dict) -> SweepConfig:
@@ -144,11 +150,12 @@ def _config_from_dict(raw: dict) -> SweepConfig:
             ) from exc
         d = _need(raw, "distances_km")
         grid = DistanceGrid(
-            start=float(_need(d, "start", "distances_km")),
-            stop=float(_need(d, "stop", "distances_km")),
-            step=float(_need(d, "step", "distances_km")),
+            start=_need(d, "start", "distances_km", float),
+            stop=_need(d, "stop", "distances_km", float),
+            step=_need(d, "step", "distances_km", float),
         )
-        variances = tuple(float(v) for v in _need(raw, "variances"))
+        variances = tuple(_finite(v, f"variances[{i}]")
+                          for i, v in enumerate(_need(raw, "variances")))
         if not variances:
             raise ConfigError("variances must be a non-empty list")
         system_raw = dict(_need(raw, "system"))
@@ -156,7 +163,7 @@ def _config_from_dict(raw: dict) -> SweepConfig:
         unknown = set(system_raw) - allowed
         if unknown:
             raise ConfigError(f"unknown system fields: {sorted(unknown)}")
-        system = {k: float(v) for k, v in system_raw.items()}
+        system = {k: _finite(v, f"system.{k}") for k, v in system_raw.items()}
         for req in ("eps_c", "eta_d", "v_ele", "beta"):
             if req not in system:
                 raise ConfigError(f"missing config field: system.{req}")
@@ -164,17 +171,18 @@ def _config_from_dict(raw: dict) -> SweepConfig:
         if raw.get("finite_size") is not None:
             f = raw["finite_size"]
             fs = FiniteSizeParams(
-                block_length=int(_need(f, "block_length", "finite_size")),
-                key_fraction=float(_need(f, "key_fraction", "finite_size")),
-                eps_pe=float(_need(f, "eps_pe", "finite_size")),
-                eps_pa=float(_need(f, "eps_pa", "finite_size")),
-                eps_smooth=float(_need(f, "eps_smooth", "finite_size")),
-                calib_samples_m=int(_need(f, "calib_samples_m", "finite_size")),
-                dim_hx=int(f.get("dim_hx", 2)),
+                block_length=_need(f, "block_length", "finite_size", int),
+                key_fraction=_need(f, "key_fraction", "finite_size", float),
+                eps_pe=_need(f, "eps_pe", "finite_size", float),
+                eps_pa=_need(f, "eps_pa", "finite_size", float),
+                eps_smooth=_need(f, "eps_smooth", "finite_size", float),
+                calib_samples_m=_need(f, "calib_samples_m", "finite_size", int),
+                dim_hx=_finite(f.get("dim_hx", 2), "finite_size.dim_hx", int),
             )
         if regime is Regime.FINITE_SIZE and fs is None:
             raise ConfigError("finite_size section is required for the finite_size regime")
-        deltas = tuple(float(x) for x in raw.get("miscalibration_deltas", [0.0]))
+        deltas = tuple(_finite(x, f"miscalibration_deltas[{i}]")
+                       for i, x in enumerate(raw.get("miscalibration_deltas", [0.0])))
         if not deltas:
             deltas = (0.0,)
         for delta in deltas:
@@ -182,18 +190,18 @@ def _config_from_dict(raw: dict) -> SweepConfig:
                 raise ConfigError(f"miscalibration delta {delta} leaves no signal")
         pulse = raw.get("pulse_rate_hz")
         if pulse is not None:
-            pulse = float(pulse)
+            pulse = _finite(pulse, "pulse_rate_hz")
             if pulse <= 0.0:
                 raise ConfigError(f"pulse_rate_hz must be positive, got {pulse}")
         calib = None
         if raw.get("calibration") is not None:
             c = raw["calibration"]
             calib = CalibrationConfig(
-                v_tot=float(_need(c, "v_tot", "calibration")),
-                v_ele=float(_need(c, "v_ele", "calibration")),
-                seed=int(c.get("seed", 0)),
-                eps_pe=float(_need(c, "eps_pe", "calibration")),
-                m_grid=tuple(int(m) for m in _need(c, "m_grid", "calibration")),
+                truth=NoiseGroundTruth(v_tot=_need(c, "v_tot", "calibration", float),
+                                       v_ele=_need(c, "v_ele", "calibration", float)),
+                eps_pe=_need(c, "eps_pe", "calibration", float),
+                m_grid=tuple(_finite(m, f"calibration.m_grid[{i}]", int)
+                             for i, m in enumerate(_need(c, "m_grid", "calibration"))),
             )
         output = raw.get("output", {})
         out_path = output.get("path")
@@ -213,32 +221,16 @@ def _config_from_dict(raw: dict) -> SweepConfig:
             pulse_rate_hz=pulse,
             calibration=calib,
         )
+        # Dry run: build what the commands build, so bad values fail before any row.
+        for v in variances:
+            SystemParams(v=v, t=1.0, **system)
+        if calib is not None:
+            calibration_rows(cfg)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    _validate_physics(cfg)
     return cfg
-
-
-def _validate_physics(cfg: SweepConfig) -> None:
-    """Dry-build the parameter objects so bad values fail before the sweep."""
-    try:
-        for v in cfg.variances:
-            cfg.system_params(v, 1.0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.calibration is not None:
-        try:
-            cfg.calibration.ground_truth()
-            if not 0.0 < cfg.calibration.eps_pe < 1.0:
-                raise ValueError(
-                    f"calibration.eps_pe must lie in (0, 1), got {cfg.calibration.eps_pe}"
-                )
-            if not cfg.calibration.m_grid:
-                raise ValueError("calibration.m_grid must not be empty")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> SweepConfig:
@@ -280,20 +272,32 @@ def _apply_override(raw: dict, item: str) -> None:
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _calibration_estimate(model: CalibrationModel, system: dict[str, float],
-                          fs: FiniteSizeParams):
-    """SNU confidence interval for the finite-size scan, in true-SNU units.
+def _calibration_estimate(config: SweepConfig,
+                          model: CalibrationModel) -> Optional[CalibrationEstimate]:
+    """SNU confidence interval for the finite-size scan, in true-SNU units;
+    None in the asymptotic regime, which assumes a perfectly known SNU.
 
     The one-time unit is the full LO-on variance 1 + v_ele + v_rin; the
     two-time unit subtracts a separately measured v_ele (the LO-off
     measurement sees no RIN), so its interval carries both fluctuations.
     """
+    if config.regime is Regime.ASYMPTOTIC:
+        return None
+    system, fs = config.system, config.finite_size
     v_ele = system["v_ele"]
     v_tot = 1.0 + v_ele + system.get("v_rin", 0.0)
     if model is CalibrationModel.CONVENTIONAL_TTE:
         return confidence_interval_tte(v_tot, v_ele, fs.calib_samples_m,
                                        fs.calib_samples_m, fs.eps_pe)
     return confidence_interval_ote(v_tot, fs.calib_samples_m, fs.eps_pe)
+
+
+def _rate(config: SweepConfig, params: SystemParams, scenario: SnuScenario,
+          calib: Optional[CalibrationEstimate]) -> KeyRateResult:
+    """Key rate in the config's regime, given _calibration_estimate's interval."""
+    if calib is None:
+        return key_rate_asymptotic(params, scenario)
+    return key_rate_finite(params, scenario, config.finite_size, calib)
 
 
 def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
@@ -310,12 +314,8 @@ def _sweep_row(config: SweepConfig, model: CalibrationModel, v: float, dist: flo
     system = config.system
     try:
         params = SystemParams(v=v, t=transmittance_from_km(dist), **system)
-        scenario = SnuScenario(model=model, calib_error=delta)
-        if config.regime is Regime.ASYMPTOTIC:
-            res = key_rate_asymptotic(params, scenario)
-        else:
-            calib = _calibration_estimate(model, system, config.finite_size)
-            res = key_rate_finite(params, scenario, config.finite_size, calib)
+        res = _rate(config, params, SnuScenario(model=model, calib_error=delta),
+                    _calibration_estimate(config, model))
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         raise _row_failure(exc, model, v, dist, delta) from exc
     rate = res.rate_bits_per_pulse
@@ -341,18 +341,15 @@ def _sweep_row(config: SweepConfig, model: CalibrationModel, v: float, dist: flo
 
 
 def _ten_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float) -> dict:
-    system, fs = config.system, config.finite_size
+    system = config.system
     try:
         t = transmittance_from_km(dist)
         scenario = SnuScenario(model=model)
-        calib = (None if config.regime is Regime.ASYMPTOTIC
-                 else _calibration_estimate(model, system, fs))
+        calib = _calibration_estimate(config, model)
 
         def rate_at(eps_c: float) -> float:
             params = SystemParams(v=v, t=t, **{**system, "eps_c": eps_c})
-            if calib is None:
-                return key_rate_asymptotic(params, scenario).rate_bits_per_pulse
-            return key_rate_finite(params, scenario, fs, calib).rate_bits_per_pulse
+            return _rate(config, params, scenario, calib).rate_bits_per_pulse
 
         ten = _bisect_tolerable_noise(rate_at)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
@@ -369,9 +366,8 @@ def _ten_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float
     }
 
 
-def _bisect_tolerable_noise(rate_at, tol: float = TEN_TOLERANCE,
-                            max_iter: int = TEN_MAX_ITER) -> float:
-    """Largest excess noise with positive rate, to tol, by bisection."""
+def _bisect_tolerable_noise(rate_at) -> float:
+    """Largest excess noise with positive rate, to TEN_TOLERANCE, by bisection."""
     if rate_at(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, 0.5
@@ -379,45 +375,42 @@ def _bisect_tolerable_noise(rate_at, tol: float = TEN_TOLERANCE,
         hi *= 2.0
         if hi > _TEN_BRACKET_CAP:
             raise RuntimeError("rate stayed positive up to the excess-noise cap")
-    for _ in range(max_iter):
+    for _ in range(TEN_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if rate_at(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= TEN_TOLERANCE:
             break
     return 0.5 * (lo + hi)
 
 
+def _grid(config: SweepConfig) -> list[tuple[CalibrationModel, float, float]]:
+    """Every (model, V, distance) point, sorted in that order."""
+    return [(model, v, dist)
+            for model in sorted(config.models, key=lambda m: m.value)
+            for v in sorted(config.variances)
+            for dist in config.distances_km.points()]
+
+
 def sweep_rows(config: SweepConfig) -> list[dict]:
-    """Key-rate rows for every (model, V, distance, delta) grid point, sorted
-    in that order."""
-    return [
-        _sweep_row(config, model, v, dist, delta)
-        for model in sorted(config.models, key=lambda m: m.value)
-        for v in sorted(config.variances)
-        for dist in config.distances_km.points()
-        for delta in sorted(config.miscalibration_deltas)
-    ]
+    """Key-rate rows for every _grid point and sorted delta, in that order."""
+    return [_sweep_row(config, model, v, dist, delta)
+            for model, v, dist in _grid(config)
+            for delta in sorted(config.miscalibration_deltas)]
 
 
 def ten_rows(config: SweepConfig) -> list[dict]:
-    """Tolerable-excess-noise rows for every (model, V, distance), sorted in
-    that order."""
-    return [
-        _ten_row(config, model, v, dist)
-        for model in sorted(config.models, key=lambda m: m.value)
-        for v in sorted(config.variances)
-        for dist in config.distances_km.points()
-    ]
+    """Tolerable-excess-noise rows for every _grid point."""
+    return [_ten_row(config, model, v, dist) for model, v, dist in _grid(config)]
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:
     if config.calibration is None:
         raise ConfigError("calibration section is required for the calib command")
     c = config.calibration
-    return deviation_curve(c.ground_truth(), c.m_grid, c.eps_pe)
+    return deviation_curve(c.truth, c.m_grid, c.eps_pe)
 
 
 # ---------------------------------------------------------------------------
@@ -447,32 +440,19 @@ def write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> Non
         raise ConfigError(f"unknown output format {fmt}")
 
 
-def run_sweep(config: SweepConfig) -> str:
-    if config.output_path is None:
-        raise ConfigError("no output path: set output.path in the config or pass --out")
-    rows = sweep_rows(config)
-    write_rows(rows, SWEEP_COLUMNS, config.output_path, config.output_format)
-    return config.output_path
-
-
-def run_ten_sweep(config: SweepConfig) -> str:
-    if config.output_path is None:
-        raise ConfigError("no output path: set output.path in the config or pass --out")
-    rows = ten_rows(config)
-    write_rows(rows, TEN_COLUMNS, config.output_path, config.output_format)
-    return config.output_path
-
-
-def run_calibration_report(config: SweepConfig) -> str:
-    if config.output_path is None:
-        raise ConfigError("no output path: set output.path in the config or pass --out")
-    rows = calibration_rows(config)
-    write_rows(rows, CALIB_COLUMNS, config.output_path, config.output_format)
-    return config.output_path
-
-
 # ---------------------------------------------------------------------------
 # entry point
+
+# command -> (help text, row builder, output columns); validate-config builds none.
+_COMMANDS = {
+    "sweep": ("Key rate vs distance for the configured models.", sweep_rows, SWEEP_COLUMNS),
+    "ten": ("Tolerable excess noise vs distance (bisection on eps_c).", ten_rows,
+            TEN_COLUMNS),
+    "calib": ("Calibration deviation curves vs block length.", calibration_rows,
+              CALIB_COLUMNS),
+    "validate-config": ("Parse and validate a config, then exit.", None, None),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -481,17 +461,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "shot-noise-unit calibration models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("sweep", "Key rate vs distance for the configured models."),
-        ("ten", "Tolerable excess noise vs distance (bisection on eps_c)."),
-        ("calib", "Calibration deviation curves vs block length."),
-        ("validate-config", "Parse and validate a config, then exit."),
-    ):
+    for name, (help_text, build_rows, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config entry (dotted keys)")
-        if name != "validate-config":
+        if build_rows is not None:
             p.add_argument("--out", help="output file path (overrides output.path)")
             p.add_argument("--format", choices=["csv", "json"],
                            help="output format (overrides output.format)")
@@ -499,23 +474,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    _, build_rows, columns = _COMMANDS[args.command]
     try:
         config = load_config(args.config, args.overrides)
-        if args.command == "validate-config":
+        if build_rows is None:
             print("configuration valid")
             return EXIT_OK
-        if args.out is not None:
-            config = replace(config, output_path=args.out)
-        if args.format is not None:
-            config = replace(config, output_format=args.format)
-        if args.command == "sweep":
-            path = run_sweep(config)
-        elif args.command == "ten":
-            path = run_ten_sweep(config)
-        else:
-            path = run_calibration_report(config)
+        path = config.output_path if args.out is None else args.out
+        if path is None:
+            raise ConfigError("no output path: set output.path in the config or pass --out")
+        fmt = config.output_format if args.format is None else args.format
+        write_rows(build_rows(config), columns, path, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

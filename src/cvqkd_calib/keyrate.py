@@ -218,16 +218,16 @@ _HOLEVO = {
 
 
 def key_rate_asymptotic(params: SystemParams, scenario: SnuScenario) -> KeyRateResult:
-    """Asymptotic secret key rate, rate = beta * I_AB - chi_BE."""
+    """Asymptotic secret key rate at n0 = 1, rate = beta * I_AB - chi_BE."""
     eff = apply_miscalibration(params, scenario.calib_error)
     i_ab = mutual_information(eff)
-    chi = _HOLEVO[scenario.model](eff, scenario.n0)
+    chi = _HOLEVO[scenario.model](eff, 1.0)
     return KeyRateResult(
         rate_bits_per_pulse=eff.beta * i_ab - chi,
         i_ab=i_ab,
         chi_be=chi,
         delta_n=0.0,
-        worst_n0=scenario.n0,
+        worst_n0=1.0,
         model=scenario.model,
         regime=Regime.ASYMPTOTIC,
     )
@@ -264,9 +264,8 @@ def key_rate_finite(params: SystemParams, scenario: SnuScenario,
         )
     eff = apply_miscalibration(params, scenario.calib_error)
     i_ab = mutual_information(eff)
-    grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
-                       N0_SCAN_POINTS)
-    n0 = scenario.n0 * grid
+    n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
+                     N0_SCAN_POINTS)
     chi = _HOLEVO[scenario.model](eff, n0)
     values = eff.beta * i_ab - chi
     # argmin takes the first of equal minima, as a strict-< scan would.

@@ -84,19 +84,14 @@ class SystemParams:
 class SnuScenario:
     """Which calibration model to evaluate, and how the SNU is (mis)known.
 
-    n0 is the ratio (calibrated SNU)/(true SNU): 1 means perfect
-    calibration, and Bob-side second moments get divided by n0.
     calib_error is a signed fractional miscalibration delta applied
     through :func:`apply_miscalibration` before rate evaluation.
     """
 
     model: CalibrationModel
-    n0: float = 1.0
     calib_error: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.n0 > 0.0:
-            raise ValueError(f"n0 must be positive, got {self.n0}")
         if not 1.0 + self.calib_error > 0.0:
             raise ValueError(f"calibration error {self.calib_error} leaves no signal")
 
@@ -265,8 +260,8 @@ def apply_miscalibration(params: SystemParams, delta: float) -> SystemParams:
     return replace(params, t=t_hat, eps_c=max(eps_hat, 0.0))
 
 
-def transmittance_from_km(distance_km: float, alpha_db_per_km: float = ALPHA_DB_PER_KM) -> float:
+def transmittance_from_km(distance_km: float) -> float:
     """Fiber transmittance at the given length."""
     if distance_km < 0.0:
         raise ValueError(f"distance must be nonnegative, got {distance_km}")
-    return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
+    return 10.0 ** (-ALPHA_DB_PER_KM * distance_km / 10.0)

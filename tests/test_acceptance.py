@@ -34,7 +34,7 @@ from cvqkd_calib import (
 )
 from cvqkd_calib.gaussian import MeasurementBasis, homodyne_conditioned, symplectic_spectra
 from cvqkd_calib.models import three_mode_stack
-from cvqkd_calib.cli import SweepConfig, run_sweep
+from cvqkd_calib.cli import SWEEP_COLUMNS, SweepConfig, sweep_rows, write_rows
 from oracles import entropy_g, holevo_lodewyck
 
 TWO = CalibrationModel.ONE_TIME_TWO_MODE
@@ -285,7 +285,7 @@ def test_criterion_7_calibration_statistics():
     cov_ok = coverage >= 1 - eps - 3 * sigma
 
     # (c) deviation ordering on the measured-detector ground truth
-    truth = NoiseGroundTruth(v_tot=2.3768, v_ele=0.421, seed=0)
+    truth = NoiseGroundTruth(v_tot=2.3768, v_ele=0.421)
     rows = deviation_curve(truth, [10 ** k for k in range(5, 11)], 1e-5)
     dev_ok = all(r["dev_ote"] < r["dev_tte"] for r in rows)
 
@@ -306,9 +306,11 @@ def test_criterion_8_sweep_determinism(tmp_path):
         "system": {"eps_c": EPS_C, "eta_d": ETA_D, "v_ele": V_ELE, "beta": BETA},
         "output": {"path": str(tmp_path / "sweep.csv"), "format": "csv"},
     }
-    run_sweep(SweepConfig.from_dict(cfg_dict))
+    out = str(tmp_path / "sweep.csv")
+    write_rows(sweep_rows(SweepConfig.from_dict(cfg_dict)), SWEEP_COLUMNS, out, "csv")
     first = (tmp_path / "sweep.csv").read_bytes()
-    run_sweep(SweepConfig.from_dict(json.loads(json.dumps(cfg_dict))))
+    write_rows(sweep_rows(SweepConfig.from_dict(json.loads(json.dumps(cfg_dict)))),
+               SWEEP_COLUMNS, out, "csv")
     second = (tmp_path / "sweep.csv").read_bytes()
     newline = b"\n"
     n_rows = first.count(newline) - 1

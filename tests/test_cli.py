@@ -40,6 +40,11 @@ def base_config(**overrides) -> dict:
     return cfg
 
 
+FINITE_SIZE = {"block_length": 10 ** 10, "key_fraction": 0.5, "eps_pe": 1e-10,
+               "eps_pa": 1e-10, "eps_smooth": 1e-10, "calib_samples_m": 5 * 10 ** 9}
+CALIBRATION = {"v_tot": 2.3768, "v_ele": 0.421, "eps_pe": 1e-5, "m_grid": [10 ** 5, 10 ** 6]}
+
+
 def write_config(tmp_path, cfg, name="config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -333,6 +338,39 @@ class TestExitCodes:
         path = write_config(tmp_path, raw)
         assert main(["validate-config", "--config", path]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,field", [
+        ("distances_km.step=NaN", "distances_km.step"),
+        ("pulse_rate_hz=NaN", "pulse_rate_hz"),
+        ("pulse_rate_hz=1e999", "pulse_rate_hz"),
+        ("miscalibration_deltas=[NaN]", "miscalibration_deltas[0]"),
+        ("variances=[Infinity]", "variances[0]"),
+        ("system.eps_c=nan", "system.eps_c"),
+        ("calibration.v_tot=inf", "calibration.v_tot"),
+        ("finite_size.block_length=1e999", "finite_size.block_length"),
+    ])
+    def test_validate_config_rejects_non_finite_numbers(self, tmp_path, capsys, override,
+                                                        field):
+        path = write_config(tmp_path, base_config(finite_size=FINITE_SIZE,
+                                                  calibration=CALIBRATION))
+        assert main(["validate-config", "--config", path, "--set", override]) \
+            == EXIT_CONFIG_ERROR
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m_grid", ["[1]", "[0.5]"])
+    def test_validate_config_dry_runs_calibration(self, tmp_path, capsys, m_grid):
+        path = write_config(tmp_path, base_config(calibration=CALIBRATION))
+        assert main(["validate-config", "--config", path,
+                     "--set", f"calibration.m_grid={m_grid}"]) == EXIT_CONFIG_ERROR
+        assert "need at least 2 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "ten", "calib"])
+    def test_no_output_path(self, tmp_path, capsys, command):
+        raw = base_config(calibration=CALIBRATION)
+        del raw["output"]
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_CONFIG_ERROR
+        assert "no output path" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) \

@@ -494,7 +494,7 @@ class TestBatchedScan:
             grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
             worst_value = math.inf
             for g in grid:
-                n0 = scenario.n0 * float(g)
+                n0 = float(g)
                 chi = holevo_pointwise(model, eff, n0)
                 value = eff.beta * res.i_ab - chi
                 if value < worst_value:
@@ -504,10 +504,10 @@ class TestBatchedScan:
             assert res.rate_bits_per_pulse == pytest.approx(
                 self.FS.key_fraction * (worst_value - res.delta_n), rel=1e-13, abs=1e-15)
 
-    def scan_n0(self, p, scenario):
+    def scan_n0(self, p):
         calib = confidence_interval_ote(1.0 + p.v_ele, self.FS.calib_samples_m, self.FS.eps_pe)
         grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
-        return calib, scenario.n0 * grid
+        return calib, grid
 
     @pytest.mark.parametrize("model,builder", [(TWO, "two_mode_stack"),
                                                (THREE, "three_mode_stack"),
@@ -523,7 +523,7 @@ class TestBatchedScan:
         monkeypatch.setattr(keyrate, builder, poisoned)
         p = params(v=4.0, t=transmittance_from_km(20.0))
         scenario = SnuScenario(model=model)
-        calib, n0 = self.scan_n0(p, scenario)
+        calib, n0 = self.scan_n0(p)
         named = re.escape(repr(float(n0[7])))
         with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$"):
             key_rate_finite(p, scenario, self.FS, calib)
@@ -539,7 +539,7 @@ class TestBatchedScan:
         monkeypatch.setattr(keyrate, "three_mode_stack", inflated)
         p = params(v=4.0, t=transmittance_from_km(20.0))
         scenario = SnuScenario(model=THREE)
-        calib, n0 = self.scan_n0(p, scenario)
+        calib, n0 = self.scan_n0(p)
         named = re.escape(repr(float(n0[5])))
         with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:"):
             key_rate_finite(p, scenario, self.FS, calib)

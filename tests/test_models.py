@@ -96,8 +96,6 @@ class TestParamTypes:
             params(v_rin=-0.1)
 
     def test_scenario_validation(self):
-        with pytest.raises(ValueError, match="n0"):
-            SnuScenario(model=TWO, n0=0.0)
         with pytest.raises(ValueError, match="no signal"):
             SnuScenario(model=TWO, calib_error=-1.0)
 
