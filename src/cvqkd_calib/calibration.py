@@ -1,27 +1,18 @@
-"""Shot-noise-unit calibration statistics: simulation and worst-case bounds.
+"""Shot-noise-unit calibration statistics: worst-case confidence bounds.
 
 The one-time procedure measures the homodyne output once with the local
 oscillator connected and takes the total variance as the unit; the
 two-time procedure additionally measures the electronic noise with the
-LO off and subtracts. Both estimators, their chi-square confidence
-intervals, and the analytic worst-case deviation comparison live here.
+LO off and subtracts. The chi-square confidence intervals of both
+estimates and the analytic worst-case deviation comparison live here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from statistics import NormalDist
 from typing import Sequence
-
-import numpy as np
-
-
-class CalibrationMethod(Enum):
-    TWO_TIME = "two_time"
-    ONE_TIME = "one_time"
-
 
 # Floor applied to a confidence bound that would otherwise cross zero
 # (sample count too small for the requested failure probability).
@@ -36,26 +27,17 @@ class CalibrationEstimate:
     a positive epsilon because the sample count was too small.
     """
 
-    method: CalibrationMethod
-    m_samples: int
     point: float
     lower: float
     upper: float
-    eps_pe: float
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if self.m_samples < 2:
-            raise ValueError(f"need at least 2 samples, got {self.m_samples}")
-        if self.point <= 0.0:
-            raise ValueError(f"point estimate must be positive, got {self.point}")
         if not 0.0 < self.lower <= self.point <= self.upper:
             raise ValueError(
                 f"interval [{self.lower}, {self.upper}] must bracket the "
                 f"point estimate {self.point} with a positive lower bound"
             )
-        if not 0.0 < self.eps_pe < 1.0:
-            raise ValueError(f"eps_pe must lie in (0, 1), got {self.eps_pe}")
 
 
 @dataclass(frozen=True)
@@ -73,29 +55,6 @@ class NoiseGroundTruth:
                 f"electronic noise must satisfy 0 <= v_ele < v_tot, "
                 f"got v_ele={self.v_ele}, v_tot={self.v_tot}"
             )
-
-
-def sample_homodyne(truth: NoiseGroundTruth, m: int, lo_on: bool, seed: int) -> np.ndarray:
-    """Draw m homodyne output samples.
-
-    Zero-mean Gaussian with variance v_tot when the LO path is connected,
-    v_ele when it is not. The two switch positions use independently
-    derived streams from the same seed, so every simulation replays
-    exactly.
-    """
-    if m < 2:
-        raise ValueError(f"need at least 2 samples, got {m}")
-    rng = np.random.default_rng([seed, 1 if lo_on else 0])
-    variance = truth.v_tot if lo_on else truth.v_ele
-    return rng.normal(0.0, math.sqrt(variance), size=m)
-
-
-def estimate_variance(samples: Sequence[float]) -> float:
-    """Known-zero-mean variance estimator: mean of squares, dividing by m."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size < 2:
-        raise ValueError(f"need at least 2 samples, got {arr.size}")
-    return float(np.mean(arr * arr))
 
 
 def z_quantile(eps_pe: float) -> float:
@@ -124,15 +83,8 @@ def confidence_interval_ote(v_hat: float, m: int, eps_pe: float) -> CalibrationE
     degenerate = lower <= 0.0
     if degenerate:
         lower = _DEGENERATE_FLOOR * v_hat
-    return CalibrationEstimate(
-        method=CalibrationMethod.ONE_TIME,
-        m_samples=m,
-        point=v_hat,
-        lower=lower,
-        upper=v_hat + d,
-        eps_pe=eps_pe,
-        degenerate=degenerate,
-    )
+    return CalibrationEstimate(point=v_hat, lower=lower, upper=v_hat + d,
+                               degenerate=degenerate)
 
 
 def confidence_interval_tte(v_tot_hat: float, v_ele_hat: float, m1: int, m2: int,
@@ -157,15 +109,8 @@ def confidence_interval_tte(v_tot_hat: float, v_ele_hat: float, m1: int, m2: int
     degenerate = lower <= 0.0
     if degenerate:
         lower = _DEGENERATE_FLOOR * point
-    return CalibrationEstimate(
-        method=CalibrationMethod.TWO_TIME,
-        m_samples=m1 + m2,
-        point=point,
-        lower=lower,
-        upper=point + d_tot + d_ele,
-        eps_pe=eps_pe,
-        degenerate=degenerate,
-    )
+    return CalibrationEstimate(point=point, lower=lower, upper=point + d_tot + d_ele,
+                               degenerate=degenerate)
 
 
 def deviation_curve(truth: NoiseGroundTruth, m_grid: Sequence[int],

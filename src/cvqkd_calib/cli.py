@@ -31,12 +31,7 @@ from .keyrate import (
     key_rate_asymptotic,
     key_rate_finite,
 )
-from .models import (
-    CalibrationModel,
-    SnuScenario,
-    SystemParams,
-    transmittance_from_km,
-)
+from .models import CalibrationModel, SystemParams, transmittance_from_km
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -60,6 +55,10 @@ _TEN_BRACKET_CAP = 1024.0
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; maps to exit code 1."""
+
+
+# The config value types that _typed passes through as given, with their JSON names.
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -115,27 +114,42 @@ def _need(raw: dict, key: str, section: str = "", kind: Optional[type] = None) -
     where = f"{section}.{key}" if section else key
     if key not in raw:
         raise ConfigError(f"missing config field: {where}")
-    return raw[key] if kind is None else _finite(raw[key], where, kind)
+    return raw[key] if kind is None else _typed(raw[key], where, kind)
 
 
-def _finite(value: Any, field: str, kind: type = float) -> Any:
-    """kind(value), or a ConfigError naming the field if that is no finite number;
-    checked after conversion, as --set passes non-JSON such as nan on as a string."""
+def _typed(value: Any, field: str, kind: type = float) -> Any:
+    """value checked as a kind of _JSON_TYPES, float or int, or a ConfigError naming the field.
+
+    An object, list or string is returned as given. A float is any finite
+    number; an int is a finite integral one, so 5e9 counts 5000000000
+    samples but 5.7 is an error. Numbers are checked after conversion, as
+    --set passes non-JSON such as nan on as a string.
+    """
+    if kind in _JSON_TYPES:
+        if isinstance(value, kind):
+            return value
+        raise ConfigError(f"{field} must be {_JSON_TYPES[kind]}, got {value!r}")
     try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
+        number = float(value)
     except (OverflowError, TypeError, ValueError):
-        pass
-    raise ConfigError(f"{field} must be a finite number, got {value!r}")
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{field} must be a finite number, got {value!r}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return int(value) if isinstance(value, int) else int(number)
 
 
-def _config_from_dict(raw: dict) -> SweepConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+def _config_from_dict(raw: dict, overrides: Sequence[str] = ()) -> SweepConfig:
+    """The config in raw, after the --set overrides are applied to it."""
+    _typed(raw, "config root", dict)
+    for item in overrides:
+        _apply_override(raw, item)
     try:
-        model_names = _need(raw, "models")
-        if not isinstance(model_names, list) or not model_names:
+        model_names = _need(raw, "models", kind=list)
+        if not model_names:
             raise ConfigError("models must be a non-empty list")
         try:
             models = tuple(CalibrationModel(m) for m in model_names)
@@ -148,28 +162,28 @@ def _config_from_dict(raw: dict) -> SweepConfig:
             raise ConfigError(
                 f"regime must be one of {[r.value for r in Regime]}"
             ) from exc
-        d = _need(raw, "distances_km")
+        d = _need(raw, "distances_km", kind=dict)
         grid = DistanceGrid(
             start=_need(d, "start", "distances_km", float),
             stop=_need(d, "stop", "distances_km", float),
             step=_need(d, "step", "distances_km", float),
         )
-        variances = tuple(_finite(v, f"variances[{i}]")
-                          for i, v in enumerate(_need(raw, "variances")))
+        variances = tuple(_typed(v, f"variances[{i}]")
+                          for i, v in enumerate(_need(raw, "variances", kind=list)))
         if not variances:
             raise ConfigError("variances must be a non-empty list")
-        system_raw = dict(_need(raw, "system"))
+        system_raw = _need(raw, "system", kind=dict)
         allowed = {"eps_c", "eta_d", "v_ele", "beta", "v_rin"}
         unknown = set(system_raw) - allowed
         if unknown:
             raise ConfigError(f"unknown system fields: {sorted(unknown)}")
-        system = {k: _finite(v, f"system.{k}") for k, v in system_raw.items()}
+        system = {k: _typed(v, f"system.{k}") for k, v in system_raw.items()}
         for req in ("eps_c", "eta_d", "v_ele", "beta"):
             if req not in system:
                 raise ConfigError(f"missing config field: system.{req}")
         fs = None
         if raw.get("finite_size") is not None:
-            f = raw["finite_size"]
+            f = _typed(raw["finite_size"], "finite_size", dict)
             fs = FiniteSizeParams(
                 block_length=_need(f, "block_length", "finite_size", int),
                 key_fraction=_need(f, "key_fraction", "finite_size", float),
@@ -177,12 +191,14 @@ def _config_from_dict(raw: dict) -> SweepConfig:
                 eps_pa=_need(f, "eps_pa", "finite_size", float),
                 eps_smooth=_need(f, "eps_smooth", "finite_size", float),
                 calib_samples_m=_need(f, "calib_samples_m", "finite_size", int),
-                dim_hx=_finite(f.get("dim_hx", 2), "finite_size.dim_hx", int),
+                dim_hx=_typed(f.get("dim_hx", 2), "finite_size.dim_hx", int),
             )
         if regime is Regime.FINITE_SIZE and fs is None:
             raise ConfigError("finite_size section is required for the finite_size regime")
-        deltas = tuple(_finite(x, f"miscalibration_deltas[{i}]")
-                       for i, x in enumerate(raw.get("miscalibration_deltas", [0.0])))
+        raw_deltas = _typed(raw.get("miscalibration_deltas", [0.0]), "miscalibration_deltas",
+                            list)
+        deltas = tuple(_typed(x, f"miscalibration_deltas[{i}]")
+                       for i, x in enumerate(raw_deltas))
         if not deltas:
             deltas = (0.0,)
         for delta in deltas:
@@ -190,21 +206,23 @@ def _config_from_dict(raw: dict) -> SweepConfig:
                 raise ConfigError(f"miscalibration delta {delta} leaves no signal")
         pulse = raw.get("pulse_rate_hz")
         if pulse is not None:
-            pulse = _finite(pulse, "pulse_rate_hz")
+            pulse = _typed(pulse, "pulse_rate_hz")
             if pulse <= 0.0:
                 raise ConfigError(f"pulse_rate_hz must be positive, got {pulse}")
         calib = None
         if raw.get("calibration") is not None:
-            c = raw["calibration"]
+            c = _typed(raw["calibration"], "calibration", dict)
             calib = CalibrationConfig(
                 truth=NoiseGroundTruth(v_tot=_need(c, "v_tot", "calibration", float),
                                        v_ele=_need(c, "v_ele", "calibration", float)),
                 eps_pe=_need(c, "eps_pe", "calibration", float),
-                m_grid=tuple(_finite(m, f"calibration.m_grid[{i}]", int)
-                             for i, m in enumerate(_need(c, "m_grid", "calibration"))),
+                m_grid=tuple(_typed(m, f"calibration.m_grid[{i}]", int)
+                             for i, m in enumerate(_need(c, "m_grid", "calibration", list))),
             )
-        output = raw.get("output", {})
+        output = _typed(raw.get("output", {}), "output", dict)
         out_path = output.get("path")
+        if out_path is not None:
+            _typed(out_path, "output.path", str)
         out_format = output.get("format", "csv")
         if out_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {out_format}")
@@ -245,9 +263,7 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> SweepConfig:
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from exc
-    for item in overrides:
-        _apply_override(raw, item)
-    return SweepConfig.from_dict(raw)
+    return _config_from_dict(raw, overrides)
 
 
 def _apply_override(raw: dict, item: str) -> None:
@@ -292,12 +308,12 @@ def _calibration_estimate(config: SweepConfig,
     return confidence_interval_ote(v_tot, fs.calib_samples_m, fs.eps_pe)
 
 
-def _rate(config: SweepConfig, params: SystemParams, scenario: SnuScenario,
-          calib: Optional[CalibrationEstimate]) -> KeyRateResult:
+def _rate(config: SweepConfig, params: SystemParams, model: CalibrationModel,
+          calib: Optional[CalibrationEstimate], delta: float = 0.0) -> KeyRateResult:
     """Key rate in the config's regime, given _calibration_estimate's interval."""
     if calib is None:
-        return key_rate_asymptotic(params, scenario)
-    return key_rate_finite(params, scenario, config.finite_size, calib)
+        return key_rate_asymptotic(params, model, delta)
+    return key_rate_finite(params, model, config.finite_size, calib, delta)
 
 
 def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
@@ -314,8 +330,7 @@ def _sweep_row(config: SweepConfig, model: CalibrationModel, v: float, dist: flo
     system = config.system
     try:
         params = SystemParams(v=v, t=transmittance_from_km(dist), **system)
-        res = _rate(config, params, SnuScenario(model=model, calib_error=delta),
-                    _calibration_estimate(config, model))
+        res = _rate(config, params, model, _calibration_estimate(config, model), delta)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         raise _row_failure(exc, model, v, dist, delta) from exc
     rate = res.rate_bits_per_pulse
@@ -344,12 +359,11 @@ def _ten_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float
     system = config.system
     try:
         t = transmittance_from_km(dist)
-        scenario = SnuScenario(model=model)
         calib = _calibration_estimate(config, model)
 
         def rate_at(eps_c: float) -> float:
             params = SystemParams(v=v, t=t, **{**system, "eps_c": eps_c})
-            return _rate(config, params, scenario, calib).rate_bits_per_pulse
+            return _rate(config, params, model, calib).rate_bits_per_pulse
 
         ten = _bisect_tolerable_noise(rate_at)
     except (ArithmeticError, RuntimeError, ValueError) as exc:

@@ -13,7 +13,6 @@ them for finiteness where it evaluates them.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -22,14 +21,12 @@ import numpy as np
 # rank-deficient by construction.
 _PINV_RCOND = 1e-12
 
+# Projector X onto the x quadrature of the measured mode.
+_X_PROJECTOR = np.diag([1.0, 0.0])
+
 
 class NumericalError(RuntimeError):
     """Raised when an eigensolve or a conditioning step breaks down."""
-
-
-class MeasurementBasis(Enum):
-    X_QUADRATURE = "x"
-    P_QUADRATURE = "p"
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -117,29 +114,25 @@ def with_vacuum(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def homodyne_conditioned(stack: np.ndarray, measured_mode: int,
-                         basis: MeasurementBasis) -> np.ndarray:
-    """Conditional covariances after ideal homodyne, over a stack (..., 2n, 2n).
+def homodyne_conditioned(stack: np.ndarray, measured_mode: int) -> np.ndarray:
+    """Conditional covariances after ideal x-homodyne, over a stack (..., 2n, 2n).
 
     Returns A - C (X B X)^+ C^T per matrix, where B is the measured
-    mode's block, C the cross block, and X projects onto the measured
+    mode's block, C the cross block, and X projects onto its x
     quadrature; one batched pseudoinverse handles the rank-1 projected
     blocks. The result does not depend on the measurement outcome.
     """
     n = stack.shape[-1] // 2
-    q = 0 if basis is MeasurementBasis.X_QUADRATURE else 1
     kept = np.array([i for m in range(n) if m != measured_mode for i in (2 * m, 2 * m + 1)])
     measured = slice(2 * measured_mode, 2 * measured_mode + 2)
     a = stack[..., kept[:, None], kept]
     b = stack[..., measured, measured]
     c = stack[..., kept, measured]
-    bqq = b[..., q, q]
-    if np.any(bqq <= 0.0):
+    bxx = b[..., 0, 0]
+    if np.any(bxx <= 0.0):
         raise NumericalError(
-            f"measured quadrature variance must be positive, got {np.min(bqq)}"
+            f"measured quadrature variance must be positive, got {np.min(bxx)}"
         )
-    proj = np.zeros((2, 2))
-    proj[q, q] = 1.0
-    pinv = np.linalg.pinv(proj @ b @ proj, rcond=_PINV_RCOND)
+    pinv = np.linalg.pinv(_X_PROJECTOR @ b @ _X_PROJECTOR, rcond=_PINV_RCOND)
     out = a - c @ pinv @ np.swapaxes(c, -1, -2)
     return (out + np.swapaxes(out, -1, -2)) / 2.0

@@ -17,7 +17,6 @@ import numpy as np
 
 from .calibration import CalibrationEstimate
 from .gaussian import (
-    MeasurementBasis,
     NumericalError,
     entropy_of_spectra,
     homodyne_conditioned,
@@ -25,11 +24,11 @@ from .gaussian import (
 )
 from .models import (
     CalibrationModel,
-    SnuScenario,
     SystemParams,
     apply_miscalibration,
     conventional_channel_stack,
     conventional_stack,
+    n0_values,
     three_mode_stack,
     two_mode_stack,
 )
@@ -106,8 +105,6 @@ class KeyRateResult:
     chi_be: float
     delta_n: float
     worst_n0: float
-    model: CalibrationModel
-    regime: Regime
 
 
 def mutual_information(params: SystemParams) -> float:
@@ -122,34 +119,26 @@ def mutual_information(params: SystemParams) -> float:
     return 0.5 * math.log2((params.v + chi) / (chi + 1.0))
 
 
-def _n0_values(n0: float | np.ndarray) -> np.ndarray:
-    """The SNU ratios of a Holevo evaluation as a 1-D array, checked positive."""
-    values = np.atleast_1d(np.asarray(n0, dtype=float))
-    if values.ndim != 1 or not np.all(values > 0.0):
-        raise ValueError(f"n0 must be a positive scalar or 1-D array, got {n0!r}")
-    return values
-
-
-def _require_finite(values: np.ndarray, n0: np.ndarray, what: str) -> None:
+def _require_finite(values: np.ndarray, n0: float | np.ndarray, what: str) -> None:
     """Raise NumericalError naming the first n0 whose entry of `values` is not finite."""
     if np.isfinite(values).all():
         return
     finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
-    bad = float(n0[np.argmin(finite)])
+    bad = float(n0_values(n0)[np.argmin(finite)])
     raise NumericalError(f"non-finite {what} at n0 = {bad!r}")
 
 
-def _spectra(stack: np.ndarray, n0: np.ndarray, what: str) -> np.ndarray:
+def _spectra(stack: np.ndarray, n0: float | np.ndarray, what: str) -> np.ndarray:
     _require_finite(stack, n0, f"{what} matrix")
     spectra = symplectic_spectra(stack)
     _require_finite(spectra, n0, f"{what} symplectic spectrum")
     return spectra
 
 
-def _conditional_entropy(measured: np.ndarray, n0: np.ndarray) -> np.ndarray:
+def _conditional_entropy(measured: np.ndarray, n0: float | np.ndarray) -> np.ndarray:
     """Entropies of the trusted modes left after ideal x-homodyne on B3 (mode 1)."""
     _require_finite(measured, n0, "measured matrix")
-    cond = homodyne_conditioned(measured, 1, MeasurementBasis.X_QUADRATURE)
+    cond = homodyne_conditioned(measured, 1)
     return entropy_of_spectra(_spectra(cond, n0, "conditional"))
 
 
@@ -162,12 +151,11 @@ def holevo_two_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> float
     """Eavesdropper information bound for the one-time two-mode model.
 
     chi_BE = S(A,B3) - S(A | b3) with the conditional state after ideal
-    x-homodyne on B3. n0 is a scalar (float result) or a 1-D array of
-    SNU ratios (one bound per entry, in one batched pass).
+    x-homodyne on B3. n0 is a positive scalar (float result) or a 1-D
+    array of SNU ratios (one bound per entry, in one batched pass).
     """
-    n0s = _n0_values(n0)
-    g = two_mode_stack(params, n0s)
-    chi = entropy_of_spectra(_spectra(g, n0s, "two-mode")) - _conditional_entropy(g, n0s)
+    g = two_mode_stack(params, n0)
+    chi = entropy_of_spectra(_spectra(g, n0, "two-mode")) - _conditional_entropy(g, n0)
     return _as_given(chi, n0)
 
 
@@ -180,17 +168,16 @@ def holevo_three_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> flo
     every n0 as an internal consistency check. n0 as in
     :func:`holevo_two_mode`.
     """
-    n0s = _n0_values(n0)
-    g = three_mode_stack(params, n0s)
-    spectra = _spectra(g, n0s, "three-mode")
+    g = three_mode_stack(params, n0)
+    spectra = _spectra(g, n0, "three-mode")
     lost = np.min(np.abs(spectra - 1.0), axis=-1) > _UNIT_EIGENVALUE_TOL
     if lost.any():
         i = int(np.argmax(lost))
         raise NumericalError(
-            f"three-mode matrix lost its unit eigenvalue at n0 = {float(n0s[i])!r}: "
+            f"three-mode matrix lost its unit eigenvalue at n0 = {float(n0_values(n0)[i])!r}: "
             f"spectrum {tuple(float(x) for x in spectra[i])}"
         )
-    chi = entropy_of_spectra(spectra) - _conditional_entropy(g, n0s)
+    chi = entropy_of_spectra(spectra) - _conditional_entropy(g, n0)
     return _as_given(chi, n0)
 
 
@@ -203,10 +190,9 @@ def holevo_conventional(params: SystemParams, n0: float | np.ndarray = 1.0) -> f
     trusted modes (A, F, G) in the full 8x8 model. n0 as in
     :func:`holevo_two_mode`.
     """
-    n0s = _n0_values(n0)
-    g_ab1 = conventional_channel_stack(params, n0s)
+    g_ab1 = conventional_channel_stack(params, n0)
     g = conventional_stack(params, g_ab1)
-    chi = entropy_of_spectra(_spectra(g_ab1, n0s, "channel")) - _conditional_entropy(g, n0s)
+    chi = entropy_of_spectra(_spectra(g_ab1, n0, "channel")) - _conditional_entropy(g, n0)
     return _as_given(chi, n0)
 
 
@@ -217,19 +203,20 @@ _HOLEVO = {
 }
 
 
-def key_rate_asymptotic(params: SystemParams, scenario: SnuScenario) -> KeyRateResult:
-    """Asymptotic secret key rate at n0 = 1, rate = beta * I_AB - chi_BE."""
-    eff = apply_miscalibration(params, scenario.calib_error)
+def key_rate_asymptotic(params: SystemParams, model: CalibrationModel,
+                        delta: float = 0.0) -> KeyRateResult:
+    """Asymptotic secret key rate at n0 = 1, rate = beta * I_AB - chi_BE,
+    from the parameters :func:`apply_miscalibration` estimates under a
+    fractional SNU error delta."""
+    eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
-    chi = _HOLEVO[scenario.model](eff, 1.0)
+    chi = _HOLEVO[model](eff, 1.0)
     return KeyRateResult(
         rate_bits_per_pulse=eff.beta * i_ab - chi,
         i_ab=i_ab,
         chi_be=chi,
         delta_n=0.0,
         worst_n0=1.0,
-        model=scenario.model,
-        regime=Regime.ASYMPTOTIC,
     )
 
 
@@ -246,27 +233,23 @@ def finite_size_penalty(fs: FiniteSizeParams) -> float:
         + (2.0 / n) * math.log2(1.0 / fs.eps_pa)
 
 
-def key_rate_finite(params: SystemParams, scenario: SnuScenario,
-                    fs: FiniteSizeParams, calib: CalibrationEstimate) -> KeyRateResult:
+def key_rate_finite(params: SystemParams, model: CalibrationModel, fs: FiniteSizeParams,
+                    calib: CalibrationEstimate, delta: float = 0.0) -> KeyRateResult:
     """Finite-size secret key rate with the worst case over SNU fluctuation.
 
     The calibrated-over-true SNU ratio is scanned across the confidence
     interval normalized by its point estimate; beta*I_AB - chi_BE is
     evaluated on that grid in one batched Holevo call and minimized, the
-    penalty Delta(n) subtracted, and the
-    result scaled by the key fraction n/N. Channel-parameter fluctuation
-    is out of scope; only the SNU-bearing matrix entries move.
+    penalty Delta(n) subtracted, and the result scaled by the key
+    fraction n/N. delta is as in :func:`key_rate_asymptotic`.
+    Channel-parameter fluctuation is out of scope; only the SNU-bearing
+    matrix entries move.
     """
-    if calib.lower <= 0.0 or calib.upper < calib.lower or calib.point <= 0.0:
-        raise ValueError(
-            f"invalid calibration interval [{calib.lower}, {calib.upper}] "
-            f"around {calib.point}"
-        )
-    eff = apply_miscalibration(params, scenario.calib_error)
+    eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
     n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                      N0_SCAN_POINTS)
-    chi = _HOLEVO[scenario.model](eff, n0)
+    chi = _HOLEVO[model](eff, n0)
     values = eff.beta * i_ab - chi
     # argmin takes the first of equal minima, as a strict-< scan would.
     worst = int(np.argmin(values))
@@ -277,6 +260,4 @@ def key_rate_finite(params: SystemParams, scenario: SnuScenario,
         chi_be=float(chi[worst]),
         delta_n=penalty,
         worst_n0=float(n0[worst]),
-        model=scenario.model,
-        regime=Regime.FINITE_SIZE,
     )

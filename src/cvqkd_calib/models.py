@@ -15,7 +15,8 @@ measure statistics but differing in how much of the detector is trusted:
   becomes an untrusted loss of transmittance eta_e.
 
 Each builder returns a plain stack (N, 2n, 2n), one matrix per entry of
-a scalar or 1-D array of SNU ratios n0.
+a scalar or 1-D array of SNU ratios n0, which :func:`n0_values` checks
+positive.
 """
 
 from __future__ import annotations
@@ -80,22 +81,6 @@ class SystemParams:
         return eta_e_from_noise(self.v_ele, self.v_rin)
 
 
-@dataclass(frozen=True)
-class SnuScenario:
-    """Which calibration model to evaluate, and how the SNU is (mis)known.
-
-    calib_error is a signed fractional miscalibration delta applied
-    through :func:`apply_miscalibration` before rate evaluation.
-    """
-
-    model: CalibrationModel
-    calib_error: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 1.0 + self.calib_error > 0.0:
-            raise ValueError(f"calibration error {self.calib_error} leaves no signal")
-
-
 def eta_e_from_noise(v_ele: float, v_rin: float = 0.0) -> float:
     """Transmittance that absorbs additive detector noise as a loss.
 
@@ -118,8 +103,12 @@ def _blocks4(a, c, b) -> np.ndarray:
     return g
 
 
-def _n0_array(n0: float | np.ndarray) -> np.ndarray:
-    return np.atleast_1d(np.asarray(n0, dtype=float))
+def n0_values(n0: float | np.ndarray) -> np.ndarray:
+    """The SNU ratios of a stack as a 1-D array, checked positive."""
+    values = np.atleast_1d(np.asarray(n0, dtype=float))
+    if values.ndim != 1 or not np.all(values > 0.0):
+        raise ValueError(f"n0 must be a positive scalar or 1-D array, got {n0!r}")
+    return values
 
 
 def _channel_output(params: SystemParams) -> np.ndarray:
@@ -137,7 +126,7 @@ def two_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
     and scales the cross correlation by 1/sqrt(n0). One matrix per entry
     of the scalar or 1-D n0.
     """
-    n0 = _n0_array(n0)
+    n0 = n0_values(n0)
     v = params.v
     tau = params.t * params.eta_d * params.eta_e
     cross = np.sqrt(tau * (v * v - 1.0) / n0)
@@ -162,7 +151,7 @@ def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray
     eta_d relations, which is how the receiver would rebuild the state
     from miscalibrated data. The choice is made per entry of n0.
     """
-    n0 = _n0_array(n0)
+    n0 = n0_values(n0)
     g = with_vacuum(_channel_output(params))
     g = mix_on_beamsplitter(g, 1, 2, params.eta_e)[:4, :4]
     g = mix_on_beamsplitter(with_vacuum(g), 1, 2, params.eta_d)
@@ -198,7 +187,7 @@ def conventional_channel_stack(params: SystemParams, n0: float | np.ndarray) -> 
 
     At n0 = 1 this is exactly the physical channel output.
     """
-    n0 = _n0_array(n0)
+    n0 = n0_values(n0)
     v, t, ec, ed = params.v, params.t, params.eps_c, params.eta_d
     ve = params.v_ele + params.v_rin
     vb3 = (ed * t * (v - 1.0 + ec) + 1.0 + ve) / n0

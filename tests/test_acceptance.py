@@ -22,7 +22,6 @@ from cvqkd_calib import (
     CalibrationModel,
     FiniteSizeParams,
     NoiseGroundTruth,
-    SnuScenario,
     SystemParams,
     confidence_interval_ote,
     confidence_interval_tte,
@@ -32,10 +31,10 @@ from cvqkd_calib import (
     key_rate_finite,
     transmittance_from_km,
 )
-from cvqkd_calib.gaussian import MeasurementBasis, homodyne_conditioned, symplectic_spectra
+from cvqkd_calib.gaussian import homodyne_conditioned, symplectic_spectra
 from cvqkd_calib.models import three_mode_stack
 from cvqkd_calib.cli import SWEEP_COLUMNS, SweepConfig, sweep_rows, write_rows
-from oracles import entropy_g, holevo_lodewyck
+from oracles import holevo_lodewyck
 
 TWO = CalibrationModel.ONE_TIME_TWO_MODE
 THREE = CalibrationModel.ONE_TIME_THREE_MODE
@@ -54,8 +53,7 @@ def sysparams(v, km, eps_c=EPS_C, eta_d=ETA_D, v_ele=V_ELE, beta=BETA):
 
 
 def rate(model, v, km, **kw):
-    return key_rate_asymptotic(sysparams(v, km, **kw),
-                               SnuScenario(model=model)).rate_bits_per_pulse
+    return key_rate_asymptotic(sysparams(v, km, **kw), model).rate_bits_per_pulse
 
 
 def report(criterion, ok, detail):
@@ -71,7 +69,7 @@ def test_criterion_1_purity_baseline():
         p = SystemParams(v=v, t=1.0, eps_c=0.0, eta_d=1.0, v_ele=0.0, beta=BETA)
         expect = BETA * 0.5 * math.log2(v)
         for model in (TWO, THREE, CONV):
-            res = key_rate_asymptotic(p, SnuScenario(model=model))
+            res = key_rate_asymptotic(p, model)
             worst = max(worst, abs(res.chi_be), abs(res.rate_bits_per_pulse - expect))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 1.0
@@ -82,7 +80,9 @@ def test_criterion_2_closed_form_oracle_equivalence():
     """Generic eigensolver pipeline vs the published two-mode closed form
     over 1000 random draws, plus the documented report on the published
     three-mode closed forms (which carry inconsistent terms and disagree
-    with the authoritative generic routine, as expected)."""
+    with the authoritative generic routine, as expected). The two-mode
+    closed form is the Lodewyck et al. bound at transmittance
+    t*eta_d*eta_e with an ideal detector."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240801)
     worst = 0.0
@@ -93,17 +93,7 @@ def test_criterion_2_closed_form_oracle_equivalence():
                          eta_d=rng.uniform(0.3, 1.0),
                          v_ele=rng.uniform(0.0, 0.5),
                          beta=BETA)
-        tau = p.t * p.eta_d * p.eta_e
-        v = p.v
-        vb = tau * (v - 1 + p.eps_c) + 1
-        c2 = tau * (v * v - 1)
-        disc = v * v + vb * vb - 2 * c2
-        det = (v * vb - c2) ** 2
-        l1 = math.sqrt((disc + math.sqrt(disc * disc - 4 * det)) / 2)
-        l2 = math.sqrt((disc - math.sqrt(disc * disc - 4 * det)) / 2)
-        l3 = math.sqrt(v * (v - c2 / vb))
-        g = lambda lam: entropy_g(max(0.0, (lam - 1) / 2))
-        closed = g(l1) + g(l2) - g(l3)
+        closed = holevo_lodewyck(p.v, p.t * p.eta_d * p.eta_e, p.eps_c, 1.0, 0.0)
         generic = holevo_two_mode(p)
         worst = max(worst, abs(generic - closed) / max(abs(closed), 1e-12))
     elapsed = time.perf_counter() - t0
@@ -123,7 +113,7 @@ def test_criterion_2_closed_form_oracle_equivalence():
     spec = symplectic_spectra(g3)
     a_generic = spec[0] ** 2 + spec[1] ** 2
     b_generic = (spec[0] * spec[1]) ** 2
-    cond = homodyne_conditioned(g3, 1, MeasurementBasis.X_QUADRATURE)
+    cond = homodyne_conditioned(g3, 1)
     cspec = symplectic_spectra(cond)
     e_printed = (gg * p.v + p.v ** 2 - 2 * (1 - p.eta_d) * dd
                  + (cc + 1) * ((1 - p.eta_d) * cc + 1)) / (p.eta_d * cc + 1)
@@ -175,8 +165,7 @@ def test_criterion_4_disparity_floor():
 
 def _zero_rate_distance(delta):
     def apparent_rate(km):
-        scenario = SnuScenario(model=CONV, calib_error=delta)
-        return key_rate_asymptotic(sysparams(40.0, km), scenario).rate_bits_per_pulse
+        return key_rate_asymptotic(sysparams(40.0, km), CONV, delta).rate_bits_per_pulse
 
     lo, hi = 0.0, 300.0
     assert apparent_rate(lo) > 0 and apparent_rate(hi) <= 0
@@ -207,7 +196,7 @@ def _finite_rate(model, v, km, fs):
                                         fs.calib_samples_m, fs.eps_pe)
     else:
         calib = confidence_interval_ote(v_tot, fs.calib_samples_m, fs.eps_pe)
-    return key_rate_finite(params, SnuScenario(model=model), fs, calib)
+    return key_rate_finite(params, model, fs, calib)
 
 
 def test_criterion_6_finite_size_convergence():
@@ -231,8 +220,8 @@ def test_criterion_6_finite_size_convergence():
     worst_shift, worst_km = 0.0, 0.0
     for km in np.arange(0.0, 81.0, 10.0):
         p = sysparams(4.0, km)
-        asym3 = key_rate_asymptotic(p, SnuScenario(model=THREE))
-        asymc = key_rate_asymptotic(p, SnuScenario(model=CONV))
+        asym3 = key_rate_asymptotic(p, THREE)
+        asymc = key_rate_asymptotic(p, CONV)
         closed = (holevo_lodewyck(p.v, p.t * p.eta_e, p.eps_c, p.eta_d, 0.0)
                   - holevo_lodewyck(p.v, p.t, p.eps_c, p.eta_d, p.v_ele))
         scale = max(asym3.chi_be, asymc.chi_be)
@@ -328,13 +317,11 @@ def test_experimental_scale_nonnormative():
     t = 10 ** (-1.162)
     pulse_hz = 5e6
     p = SystemParams(v=20.0, t=t, eps_c=0.02, eta_d=0.6, v_ele=0.01, beta=0.9501)
-    asym_kbps = key_rate_asymptotic(
-        p, SnuScenario(model=THREE)).rate_bits_per_pulse * pulse_hz / 1e3
+    asym_kbps = key_rate_asymptotic(p, THREE).rate_bits_per_pulse * pulse_hz / 1e3
     fs = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
                           eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=5 * 10 ** 9)
     calib = confidence_interval_ote(1.0 + p.v_ele, fs.calib_samples_m, fs.eps_pe)
-    fin_kbps = key_rate_finite(
-        p, SnuScenario(model=THREE), fs, calib).rate_bits_per_pulse * pulse_hz / 1e3
+    fin_kbps = key_rate_finite(p, THREE, fs, calib).rate_bits_per_pulse * pulse_hz / 1e3
     ok = (11.62 / 10 <= asym_kbps <= 11.62 * 10) and (2.39 / 10 <= fin_kbps <= 2.39 * 10)
     print(f"ACCEPTANCE exp-scale (non-normative): {'PASS' if ok else 'FAIL'} - "
           f"asymptotic {asym_kbps:.2f} kbps (target order 11.62), "

@@ -1,4 +1,4 @@
-"""Tests for the calibration simulator, estimators and confidence bounds."""
+"""Tests for the calibration statistics and confidence bounds."""
 
 import math
 
@@ -8,20 +8,16 @@ from scipy import stats
 from scipy.special import erfc
 
 from cvqkd_calib import (
-    CalibrationMethod,
     NoiseGroundTruth,
     confidence_interval_ote,
     confidence_interval_tte,
     deviation_curve,
-    estimate_variance,
-    sample_homodyne,
     z_quantile,
 )
 
 # Measured in a deployed detector: total LO-on variance and its
 # electronic-noise floor, used throughout as a realistic ground truth.
 TRUTH = NoiseGroundTruth(v_tot=2.3768, v_ele=0.421)
-SEED = 1234
 
 
 def z_bisection_oracle(eps: float, tol: float = 1e-10) -> float:
@@ -44,47 +40,9 @@ class TestGroundTruth:
             NoiseGroundTruth(v_tot=1.0, v_ele=1.5)
 
 
-class TestSampleHomodyne:
-    def test_deterministic_given_seed(self):
-        a = sample_homodyne(TRUTH, 1000, lo_on=True, seed=SEED)
-        b = sample_homodyne(TRUTH, 1000, lo_on=True, seed=SEED)
-        np.testing.assert_array_equal(a, b)
-
-    def test_different_seed_differs(self):
-        assert not np.array_equal(sample_homodyne(TRUTH, 100, True, SEED),
-                                  sample_homodyne(TRUTH, 100, True, SEED + 1))
-
-    def test_lo_switch_uses_independent_stream(self):
-        on = sample_homodyne(TRUTH, 100, lo_on=True, seed=SEED)
-        off = sample_homodyne(TRUTH, 100, lo_on=False, seed=SEED)
-        assert not np.allclose(on / math.sqrt(TRUTH.v_tot),
-                               off / math.sqrt(TRUTH.v_ele))
-
-    def test_sample_variance_within_three_standard_errors(self):
-        m = 10 ** 6
-        draws = sample_homodyne(TRUTH, m, lo_on=True, seed=SEED)
-        est = estimate_variance(draws)
-        se = math.sqrt(2.0) * TRUTH.v_tot / math.sqrt(m)
-        assert abs(est - TRUTH.v_tot) < 3 * se
-
-    def test_lo_off_zero_noise_is_silent(self):
-        silent = NoiseGroundTruth(v_tot=1.0, v_ele=0.0)
-        np.testing.assert_array_equal(sample_homodyne(silent, 10, lo_on=False, seed=3),
-                                      np.zeros(10))
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            sample_homodyne(TRUTH, 1, lo_on=True, seed=SEED)
-
-
 class TestEstimateVariance:
-    def test_mean_of_squares(self):
-        assert estimate_variance([1.0, -1.0]) == 1.0
-        assert estimate_variance([0.0, 0.0, 0.0]) == 0.0
-
-    def test_divides_by_m_not_m_minus_one(self):
-        # Known-zero-mean estimator, not the centered one.
-        assert estimate_variance([2.0, 0.0]) == 2.0
+    """The known-zero-mean estimator the intervals assume: the mean of
+    squares of m samples, dividing by m."""
 
     def test_unbiased_over_replicates(self):
         rng = np.random.default_rng(8)
@@ -93,10 +51,6 @@ class TestEstimateVariance:
         means = np.mean(draws ** 2, axis=1)
         se = math.sqrt(2.0) * v / math.sqrt(m) / math.sqrt(reps)
         assert abs(float(np.mean(means)) - v) < 3 * se
-
-    def test_requires_two_samples(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            estimate_variance([1.0])
 
     def test_scaled_estimates_follow_chi_square(self):
         # m Vhat / V against the chi-square reference with m - 1 degrees
@@ -138,7 +92,6 @@ class TestConfidenceIntervalOte:
         assert expect == pytest.approx(1.485e-3, rel=1e-3)
         assert est.upper - est.point == pytest.approx(expect, rel=1e-12)
         assert est.point - est.lower == pytest.approx(expect, rel=1e-12)
-        assert est.method is CalibrationMethod.ONE_TIME
         assert not est.degenerate
 
     def test_width_scales_as_inverse_sqrt_m(self):
@@ -185,7 +138,6 @@ class TestConfidenceIntervalTte:
         assert tte.point == ote.point
         assert tte.lower == pytest.approx(ote.lower, rel=1e-12)
         assert tte.upper == pytest.approx(ote.upper, rel=1e-12)
-        assert tte.method is CalibrationMethod.TWO_TIME
 
     def test_wider_than_ote_at_same_budget(self):
         m = 10 ** 8

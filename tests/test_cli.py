@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,10 +199,7 @@ class TestTenRows:
     def test_bisection_against_root_bracketing_oracle(self):
         # Independent fine scan brackets the zero of the rate in eps_c;
         # the bisected value must agree within its tolerance.
-        from cvqkd_calib import (
-            CalibrationModel, SnuScenario, SystemParams,
-            key_rate_asymptotic, transmittance_from_km,
-        )
+        from cvqkd_calib import SystemParams, key_rate_asymptotic, transmittance_from_km
         cfg = SweepConfig.from_dict(base_config(
             models=["three_mode"], variances=[4.0],
             distances_km={"start": 25.0, "stop": 25.0, "step": 5.0}))
@@ -210,8 +208,8 @@ class TestTenRows:
         def rate(eps_c):
             p = SystemParams(v=4.0, t=transmittance_from_km(25.0), eps_c=eps_c,
                              eta_d=0.6, v_ele=0.01, beta=0.956)
-            scenario = SnuScenario(model=CalibrationModel.ONE_TIME_THREE_MODE)
-            return key_rate_asymptotic(p, scenario).rate_bits_per_pulse
+            model = CalibrationModel.ONE_TIME_THREE_MODE
+            return key_rate_asymptotic(p, model).rate_bits_per_pulse
 
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-6:
@@ -357,12 +355,58 @@ class TestExitCodes:
             == EXIT_CONFIG_ERROR
         assert f"{field} must be a finite number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m_grid", ["[1]", "[0.5]"])
-    def test_validate_config_dry_runs_calibration(self, tmp_path, capsys, m_grid):
+    # [0.5] is no count, so it fails before the dry run and names its field.
+    @pytest.mark.parametrize("m_grid,message", [
+        ("[1]", "need at least 2 samples"),
+        ("[0.5]", "calibration.m_grid[0] must be an integer, got 0.5"),
+    ], ids=["[1]", "[0.5]"])
+    def test_validate_config_dry_runs_calibration(self, tmp_path, capsys, m_grid, message):
         path = write_config(tmp_path, base_config(calibration=CALIBRATION))
         assert main(["validate-config", "--config", path,
                      "--set", f"calibration.m_grid={m_grid}"]) == EXIT_CONFIG_ERROR
-        assert "need at least 2 samples" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,kind", [
+        ("output", "an object"),
+        ("distances_km", "an object"),
+        ("system", "an object"),
+        ("finite_size", "an object"),
+        ("calibration", "an object"),
+        ("variances", "a list"),
+        ("miscalibration_deltas", "a list"),
+        ("calibration.m_grid", "a list"),
+        ("output.path", "a string"),
+    ])
+    def test_validate_config_rejects_sections_and_lists_of_the_wrong_type(
+            self, tmp_path, capsys, field, kind):
+        path = write_config(tmp_path, base_config(finite_size=FINITE_SIZE,
+                                                  calibration=CALIBRATION))
+        assert main(["validate-config", "--config", path, "--set", f"{field}=5"]) \
+            == EXIT_CONFIG_ERROR
+        assert f"{field} must be {kind}, got 5" in capsys.readouterr().err
+
+    def test_set_on_a_config_that_is_no_object(self, tmp_path, capsys):
+        path = write_config(tmp_path, [base_config()])
+        assert main(["validate-config", "--config", path, "--set", "variances=[4]"]) \
+            == EXIT_CONFIG_ERROR
+        assert "config root must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,field,integral", [
+        ("finite_size.block_length=9999999999.5", "finite_size.block_length",
+         "finite_size.block_length=1e10"),
+        ("finite_size.calib_samples_m=5.7", "finite_size.calib_samples_m",
+         "finite_size.calib_samples_m=5e9"),
+        ("finite_size.dim_hx=2.5", "finite_size.dim_hx", "finite_size.dim_hx=2.0"),
+        ("calibration.m_grid=[100000.5]", "calibration.m_grid[0]", "calibration.m_grid=[1e5]"),
+    ])
+    def test_validate_config_counts_must_be_integral(self, tmp_path, capsys, override, field,
+                                                     integral):
+        path = write_config(tmp_path, base_config(finite_size=FINITE_SIZE,
+                                                  calibration=CALIBRATION))
+        assert main(["validate-config", "--config", path, "--set", override]) \
+            == EXIT_CONFIG_ERROR
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert main(["validate-config", "--config", path, "--set", integral]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["sweep", "ten", "calib"])
     def test_no_output_path(self, tmp_path, capsys, command):
@@ -381,6 +425,23 @@ class TestExitCodes:
             output={"path": str(tmp_path / "no-such-dir" / "x.csv"),
                     "format": "csv"}))
         assert main(["sweep", "--config", path]) == EXIT_RUNTIME_ERROR
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced code block of that language after the heading in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index(heading)
+    return re.search(rf"```{language}\n(.*?)```", text[start:], re.S).group(1)
+
+
+def test_readme_example_config_is_valid(tmp_path):
+    path = tmp_path / "readme.json"
+    path.write_text(_readme_block("Example config:", "json"))
+    assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_block("## Library", "python"), "README.md", "exec"), {})
 
 
 def test_cli_import_does_not_load_scipy():

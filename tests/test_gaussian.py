@@ -14,7 +14,6 @@ import pytest
 
 from cvqkd_calib import NumericalError, eta_e_from_noise
 from cvqkd_calib.gaussian import (
-    MeasurementBasis,
     entropy_of_spectra,
     homodyne_conditioned,
     mix_on_beamsplitter,
@@ -25,7 +24,6 @@ from cvqkd_calib.gaussian import (
 from oracles import epr_state
 
 SZ = np.diag([1.0, -1.0])
-X = MeasurementBasis.X_QUADRATURE
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +218,8 @@ class TestAttachVacuum:
 class TestConditionOnHomodyne:
     def test_uncorrelated_modes_unchanged(self):
         g = np.diag([3.0, 3.0, 5.0, 5.0])
-        for basis in MeasurementBasis:
-            out = homodyne_conditioned(g, 1, basis)
-            np.testing.assert_allclose(out, np.diag([3.0, 3.0]), atol=1e-14)
+        out = homodyne_conditioned(g, 1)
+        np.testing.assert_allclose(out, np.diag([3.0, 3.0]), atol=1e-14)
 
     def test_two_mode_conditional_matches_symbolic_form(self):
         """Measuring x on Bob's mode leaves Alice in diag((V chi + 1)/(V + chi), V).
@@ -239,7 +236,7 @@ class TestConditionOnHomodyne:
         g[:2, :2] = v * np.eye(2)
         g[2:, 2:] = (tau * (v - 1 + eps_c) + 1) * np.eye(2)
         g[:2, 2:] = g[2:, :2] = math.sqrt(tau * (v * v - 1)) * SZ
-        out = homodyne_conditioned(g, 1, X)
+        out = homodyne_conditioned(g, 1)
         expect = np.diag([(v * chi + 1) / (v + chi), v])
         np.testing.assert_allclose(out, expect, rtol=1e-12)
         lam = symplectic_spectra(out)[0]
@@ -257,19 +254,18 @@ class TestConditionOnHomodyne:
             for _ in range(25)
         ])
         for mode in range(3):
-            for quad, basis in enumerate(MeasurementBasis):
-                out = homodyne_conditioned(stack, mode, basis)
-                assert out.shape == (25, 4, 4)
-                for got, g in zip(out, stack):
-                    np.testing.assert_allclose(got, conditioning_oracle(g, mode, quad),
-                                               atol=1e-10)
+            out = homodyne_conditioned(stack, mode)
+            assert out.shape == (25, 4, 4)
+            for got, g in zip(out, stack):
+                np.testing.assert_allclose(got, conditioning_oracle(g, mode, 0), atol=1e-10)
 
     def test_result_independent_of_measured_outcome_convention(self):
         # x- and p-homodyne give the same conditional spectrum for the
-        # sigma_z-correlated states used throughout.
+        # sigma_z-correlated states used throughout, which is why the
+        # kernel measures x only; the p side comes from the full-matrix oracle.
         g = mix_on_beamsplitter(with_vacuum(epr_state(12.0)), 1, 2, 0.7)
-        sx = symplectic_spectra(homodyne_conditioned(g, 1, X))
-        sp = symplectic_spectra(homodyne_conditioned(g, 1, MeasurementBasis.P_QUADRATURE))
+        sx = symplectic_spectra(homodyne_conditioned(g, 1))
+        sp = symplectic_spectra(conditioning_oracle(g, 1, 1))
         assert sx == pytest.approx(sp, rel=1e-10)
 
     def test_local_phase_flip_invariance(self):
@@ -282,17 +278,17 @@ class TestConditionOnHomodyne:
             flipped = g.copy()
             flipped[4:6, :4] *= -1.0
             flipped[:4, 4:6] *= -1.0
-            a, b = symplectic_spectra(homodyne_conditioned(np.stack([g, flipped]), 1, X))
+            a, b = symplectic_spectra(homodyne_conditioned(np.stack([g, flipped]), 1))
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_reduces_mode_count(self):
-        out = homodyne_conditioned(with_vacuum(epr_state(3.0)), 2, X)
+        out = homodyne_conditioned(with_vacuum(epr_state(3.0)), 2)
         assert out.shape == (4, 4)
 
     def test_zero_variance_quadrature_raises(self):
         g = np.diag([1.0, 1.0, 0.0, 4.0])
         with pytest.raises(NumericalError, match="positive"):
-            homodyne_conditioned(g, 1, X)
+            homodyne_conditioned(g, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for mutual information, Holevo bounds and key rates.
 
-The published two-mode closed forms (symplectic pair plus conditional
-eigenvalue) act as the independent oracle for the generic eigensolver
-pipeline. The Lodewyck et al. trusted-detector closed form is the oracle
-for the conventional model and, at transmittance t*eta_e without
-electronic noise, for the three-mode model.
+The Lodewyck et al. trusted-detector closed form is the independent
+oracle for the generic eigensolver pipeline: for the two-mode model at
+transmittance t*eta_d*eta_e with an ideal detector, for the conventional
+model as it stands and, at transmittance t*eta_e without electronic
+noise, for the three-mode model.
 """
 
+import dataclasses
 import math
 import re
 
@@ -19,8 +20,6 @@ from cvqkd_calib import (
     CalibrationModel,
     FiniteSizeParams,
     NumericalError,
-    Regime,
-    SnuScenario,
     SystemParams,
     apply_miscalibration,
     confidence_interval_ote,
@@ -36,14 +35,9 @@ from cvqkd_calib import (
     mutual_information,
     transmittance_from_km,
 )
-from cvqkd_calib.gaussian import (
-    MeasurementBasis,
-    entropy_of_spectra,
-    homodyne_conditioned,
-    symplectic_spectra,
-)
+from cvqkd_calib.gaussian import entropy_of_spectra, homodyne_conditioned, symplectic_spectra
 from cvqkd_calib.models import three_mode_stack, two_mode_stack
-from oracles import entropy_g, holevo_lodewyck, holevo_pointwise, mutual_information_from_matrix
+from oracles import holevo_lodewyck, holevo_pointwise, mutual_information_from_matrix
 from strategies import PROPERTY, at_km, distances_km, link_fields, system_params
 
 TWO = CalibrationModel.ONE_TIME_TWO_MODE
@@ -67,28 +61,24 @@ def random_params(rng):
     )
 
 
-def two_mode_closed_form_holevo(p: SystemParams, n0: float = 1.0) -> float:
-    """Published two-mode pipeline: symplectic pair from the quadratic
-    invariants, conditional eigenvalue from the conditioning identity."""
+def two_mode_closed_form_holevo(p: SystemParams) -> float:
+    """The two-mode bound in closed form: everything between Alice and the
+    detected mode is channel, so Lodewyck et al. apply at transmittance
+    t*eta_d*eta_e with an ideal detector. Checks on the way that the
+    printed A/B coefficients equal the quadratic symplectic invariants of
+    the (A, B3) matrix at perfect calibration."""
     tau = p.t * p.eta_d * p.eta_e
     chi = 1.0 / tau - 1.0 + p.eps_c
     v = p.v
-    vb = (tau * (v - 1 + p.eps_c) + 1) / n0
-    c2 = tau * (v * v - 1) / n0
+    vb = tau * (v - 1 + p.eps_c) + 1
+    c2 = tau * (v * v - 1)
     disc = v * v + vb * vb - 2 * c2
     det = (v * vb - c2) ** 2
-    l1 = math.sqrt((disc + math.sqrt(disc * disc - 4 * det)) / 2)
-    l2 = math.sqrt((disc - math.sqrt(disc * disc - 4 * det)) / 2)
-    if n0 == 1.0:
-        # cross-check the printed A/B coefficients at perfect calibration
-        a_printed = v * v * (1 - 2 * tau) + 2 * tau + (tau * (v + chi)) ** 2
-        b_printed = (tau * (v * chi + 1)) ** 2
-        assert disc == pytest.approx(a_printed, rel=1e-12)
-        assert det == pytest.approx(b_printed, rel=1e-12)
-    # conditional matrix is diag(v - c^2/vb, v) after x-homodyne on Bob
-    l3 = math.sqrt(v * (v - c2 / vb))
-    g = lambda lam: entropy_g(max(0.0, (lam - 1) / 2))
-    return g(l1) + g(l2) - g(l3)
+    a_printed = v * v * (1 - 2 * tau) + 2 * tau + (tau * (v + chi)) ** 2
+    b_printed = (tau * (v * chi + 1)) ** 2
+    assert disc == pytest.approx(a_printed, rel=1e-12)
+    assert det == pytest.approx(b_printed, rel=1e-12)
+    return holevo_lodewyck(v, tau, p.eps_c, 1.0, 0.0)
 
 
 class TestMutualInformation:
@@ -238,28 +228,27 @@ class TestLodewyckOracle:
 class TestKeyRateAsymptotic:
     def test_composition_at_zero_distance(self):
         p = params(t=1.0)
-        res = key_rate_asymptotic(p, SnuScenario(model=THREE))
+        res = key_rate_asymptotic(p, THREE)
         chi = 1 / (p.eta_d * p.eta_e) - 1 + p.eps_c
         i_ab = 0.5 * math.log2((p.v + chi) / (chi + 1))
         assert res.i_ab == pytest.approx(i_ab, rel=1e-12)
         assert res.rate_bits_per_pulse == pytest.approx(
             p.beta * i_ab - res.chi_be, rel=1e-12)
-        assert res.regime is Regime.ASYMPTOTIC
         assert res.delta_n == 0.0
         assert res.worst_n0 == 1.0
 
     def test_three_mode_close_to_conventional_at_low_variance(self):
         # Divergence at V = 4, 25 km is well below one percent.
         p = params(v=4.0, t=transmittance_from_km(25.0))
-        r3 = key_rate_asymptotic(p, SnuScenario(model=THREE)).rate_bits_per_pulse
-        rc = key_rate_asymptotic(p, SnuScenario(model=CONV)).rate_bits_per_pulse
+        r3 = key_rate_asymptotic(p, THREE).rate_bits_per_pulse
+        rc = key_rate_asymptotic(p, CONV).rate_bits_per_pulse
         assert rc > 0
         assert abs(r3 - rc) / rc < 0.01
 
     @PROPERTY
     @given(system_params)
     def test_model_ordering_over_draws(self, p):
-        rates = {m: key_rate_asymptotic(p, SnuScenario(model=m)).rate_bits_per_pulse
+        rates = {m: key_rate_asymptotic(p, m).rate_bits_per_pulse
                  for m in (TWO, THREE, CONV)}
         assert rates[TWO] <= rates[THREE] + 1e-12
         # Without electronic noise the three-mode and conventional models
@@ -274,8 +263,7 @@ class TestKeyRateAsymptotic:
             rates = []
             for km in np.arange(0.0, 101.0, 5.0):
                 p = params(v=v, t=transmittance_from_km(km))
-                rates.append(key_rate_asymptotic(
-                    p, SnuScenario(model=THREE)).rate_bits_per_pulse)
+                rates.append(key_rate_asymptotic(p, THREE).rate_bits_per_pulse)
             positive = [r for r in rates if r > 0]
             assert len(positive) >= 2
             assert all(b < a for a, b in zip(positive, positive[1:]))
@@ -284,24 +272,22 @@ class TestKeyRateAsymptotic:
     @given(link_fields, distances_km, distances_km, st.sampled_from([TWO, THREE, CONV]))
     def test_rate_never_rises_with_distance_while_positive(self, fields, km1, km2, model):
         near, far = sorted((km1, km2))
-        scenario = SnuScenario(model=model)
-        r_near = key_rate_asymptotic(at_km(fields, near), scenario).rate_bits_per_pulse
-        r_far = key_rate_asymptotic(at_km(fields, far), scenario).rate_bits_per_pulse
+        r_near = key_rate_asymptotic(at_km(fields, near), model).rate_bits_per_pulse
+        r_far = key_rate_asymptotic(at_km(fields, far), model).rate_bits_per_pulse
         if r_near > 0.0:
             assert r_far <= r_near + 1e-12
 
     def test_small_step_continuity(self):
         p0 = params(v=4.0, t=transmittance_from_km(30.0))
         p1 = params(v=4.0, t=transmittance_from_km(30.01))
-        r0 = key_rate_asymptotic(p0, SnuScenario(model=THREE)).rate_bits_per_pulse
-        r1 = key_rate_asymptotic(p1, SnuScenario(model=THREE)).rate_bits_per_pulse
+        r0 = key_rate_asymptotic(p0, THREE).rate_bits_per_pulse
+        r1 = key_rate_asymptotic(p1, THREE).rate_bits_per_pulse
         assert abs(r1 - r0) < 1e-4
 
     def test_miscalibration_lowers_apparent_rate(self):
         p = params(t=transmittance_from_km(40.0))
-        clean = key_rate_asymptotic(p, SnuScenario(model=CONV)).rate_bits_per_pulse
-        skewed = key_rate_asymptotic(
-            p, SnuScenario(model=CONV, calib_error=0.002)).rate_bits_per_pulse
+        clean = key_rate_asymptotic(p, CONV).rate_bits_per_pulse
+        skewed = key_rate_asymptotic(p, CONV, delta=0.002).rate_bits_per_pulse
         assert skewed < clean
 
     def test_sign_convention_invariance(self):
@@ -313,7 +299,7 @@ class TestKeyRateAsymptotic:
         flipped[4:6, :4] *= -1.0
         flipped[:4, 4:6] *= -1.0
         both = np.stack([g, flipped])
-        cond = homodyne_conditioned(both, 1, MeasurementBasis.X_QUADRATURE)
+        cond = homodyne_conditioned(both, 1)
         chi = (entropy_of_spectra(symplectic_spectra(both))
                - entropy_of_spectra(symplectic_spectra(cond)))
         assert abs(chi[0] - chi[1]) < 1e-10
@@ -373,12 +359,11 @@ class TestKeyRateFinite:
 
     def test_collapsed_interval_and_huge_block_recovers_asymptotic(self):
         p = params(v=4.0, t=transmittance_from_km(20.0))
-        scenario = SnuScenario(model=THREE)
-        asym = key_rate_asymptotic(p, scenario)
+        asym = key_rate_asymptotic(p, THREE)
         fs = FiniteSizeParams(block_length=10 ** 16, key_fraction=0.999999,
                               eps_pe=1e-10, eps_pa=1e-10, eps_smooth=1e-10,
                               calib_samples_m=10 ** 16)
-        fin = key_rate_finite(p, scenario, fs, self.collapsed_interval())
+        fin = key_rate_finite(p, THREE, fs, self.collapsed_interval())
         assert fin.rate_bits_per_pulse == pytest.approx(
             asym.rate_bits_per_pulse, rel=1e-4)
         # the interval at m = 1e18 is not exactly a point: chi moves by
@@ -389,8 +374,7 @@ class TestKeyRateFinite:
         p = params(v=4.0, t=transmittance_from_km(20.0))
         fs = self.fs()
         calib = confidence_interval_ote(1.01, fs.calib_samples_m, fs.eps_pe)
-        res = key_rate_finite(p, SnuScenario(model=THREE), fs, calib)
-        assert res.regime is Regime.FINITE_SIZE
+        res = key_rate_finite(p, THREE, fs, calib)
         assert res.rate_bits_per_pulse == pytest.approx(
             fs.key_fraction * (p.beta * res.i_ab - res.chi_be - res.delta_n),
             rel=1e-12)
@@ -401,8 +385,8 @@ class TestKeyRateFinite:
         p = params(v=4.0, t=transmittance_from_km(20.0))
         fs = self.fs(m=10 ** 6)
         calib = confidence_interval_ote(1.01, fs.calib_samples_m, fs.eps_pe)
-        fin = key_rate_finite(p, SnuScenario(model=THREE), fs, calib)
-        asym = key_rate_asymptotic(p, SnuScenario(model=THREE))
+        fin = key_rate_finite(p, THREE, fs, calib)
+        asym = key_rate_asymptotic(p, THREE)
         assert fin.chi_be >= asym.chi_be - 1e-12
 
     def test_finite_below_asymptotic_when_interval_contains_unity(self):
@@ -413,37 +397,34 @@ class TestKeyRateFinite:
         checked = 0
         while checked < 25:
             p = random_params(rng)
-            scenario = SnuScenario(model=TWO)
-            asym = key_rate_asymptotic(p, scenario)
+            asym = key_rate_asymptotic(p, TWO)
             if asym.rate_bits_per_pulse < 0:
                 continue
             calib = confidence_interval_ote(1.0 + p.v_ele, fs.calib_samples_m, fs.eps_pe)
-            fin = key_rate_finite(p, scenario, fs, calib)
+            fin = key_rate_finite(p, TWO, fs, calib)
             assert fin.rate_bits_per_pulse <= asym.rate_bits_per_pulse + 1e-12
             checked += 1
 
     def test_monotone_in_block_length(self):
         p = params(v=4.0, t=transmittance_from_km(40.0))
-        scenario = SnuScenario(model=THREE)
         calib = confidence_interval_ote(1.01, 10 ** 8, 1e-10)
         rates = []
         for n in (10 ** 8, 10 ** 9, 10 ** 10, 10 ** 11, 10 ** 12):
             fs = FiniteSizeParams(block_length=n, key_fraction=0.5, eps_pe=1e-10,
                                   eps_pa=1e-10, eps_smooth=1e-10,
                                   calib_samples_m=10 ** 8)
-            rates.append(key_rate_finite(p, scenario, fs, calib).rate_bits_per_pulse)
+            rates.append(key_rate_finite(p, THREE, fs, calib).rate_bits_per_pulse)
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_invalid_interval_rejected(self):
-        p = params()
+        # The frozen interval type checks itself, so no interval that
+        # key_rate_finite could receive has a nonpositive lower bound.
         fs = self.fs()
         calib = confidence_interval_ote(1.01, fs.calib_samples_m, fs.eps_pe)
-        bad = type(calib)(method=calib.method, m_samples=calib.m_samples,
-                          point=calib.point, lower=calib.lower, upper=calib.upper,
-                          eps_pe=calib.eps_pe)
-        object.__setattr__(bad, "lower", -1.0)
         with pytest.raises(ValueError, match="interval"):
-            key_rate_finite(p, SnuScenario(model=TWO), fs, bad)
+            type(calib)(point=calib.point, lower=-1.0, upper=calib.upper)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            calib.lower = -1.0
 
 
 class TestBatchedScan:
@@ -487,10 +468,9 @@ class TestBatchedScan:
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_finite_rate_is_pointwise_minimum(self, model):
         for p in self.draws(seed=7, n=8):
-            scenario = SnuScenario(model=model, calib_error=0.001)
             calib = self.calib(p, model)
-            res = key_rate_finite(p, scenario, self.FS, calib)
-            eff = apply_miscalibration(p, scenario.calib_error)
+            res = key_rate_finite(p, model, self.FS, calib, delta=0.001)
+            eff = apply_miscalibration(p, 0.001)
             grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
             worst_value = math.inf
             for g in grid:
@@ -522,11 +502,10 @@ class TestBatchedScan:
 
         monkeypatch.setattr(keyrate, builder, poisoned)
         p = params(v=4.0, t=transmittance_from_km(20.0))
-        scenario = SnuScenario(model=model)
         calib, n0 = self.scan_n0(p)
         named = re.escape(repr(float(n0[7])))
         with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$"):
-            key_rate_finite(p, scenario, self.FS, calib)
+            key_rate_finite(p, model, self.FS, calib)
 
     def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch):
         original = keyrate.three_mode_stack
@@ -538,11 +517,10 @@ class TestBatchedScan:
 
         monkeypatch.setattr(keyrate, "three_mode_stack", inflated)
         p = params(v=4.0, t=transmittance_from_km(20.0))
-        scenario = SnuScenario(model=THREE)
         calib, n0 = self.scan_n0(p)
         named = re.escape(repr(float(n0[5])))
         with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:"):
-            key_rate_finite(p, scenario, self.FS, calib)
+            key_rate_finite(p, THREE, self.FS, calib)
 
     def test_n0_must_be_positive_scalar_or_vector(self):
         p = params()

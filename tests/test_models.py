@@ -8,7 +8,6 @@ from hypothesis import given
 
 from cvqkd_calib import (
     CalibrationModel,
-    SnuScenario,
     SystemParams,
     apply_miscalibration,
     confidence_interval_ote,
@@ -97,7 +96,7 @@ class TestParamTypes:
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="no signal"):
-            SnuScenario(model=TWO, calib_error=-1.0)
+            key_rate_asymptotic(params(), TWO, delta=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +281,7 @@ class TestWorstCaseSplit:
     @staticmethod
     def rate(model, t, v_ele):
         p = params(v=4.0, t=t, v_ele=v_ele)
-        return key_rate_asymptotic(p, SnuScenario(model=model)).rate_bits_per_pulse
+        return key_rate_asymptotic(p, model).rate_bits_per_pulse
 
     def test_all_loss_to_channel(self):
         for t in (1.0, 0.5, transmittance_from_km(60.0)):
