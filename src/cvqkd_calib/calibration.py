@@ -121,14 +121,17 @@ def deviation_curve(truth: NoiseGroundTruth, m_grid: Sequence[int],
     true variances (no sampling), giving for each block length the
     relative deviation dev = (worst-case half-width)/(true SNU) and the
     normalized worst-case SNU estimate 1 - dev. The two-time method
-    measures twice, so both half-widths enter its deviation.
+    measures twice, so both half-widths enter its deviation. Block
+    lengths must be integral: 1e5 counts as 100000, 100000.5 is an error.
     """
     if len(m_grid) == 0:
         raise ValueError("block-length grid must not be empty")
     snu_tte_true = truth.v_tot - truth.v_ele
     rows = []
-    for m in m_grid:
-        m = int(m)
+    for given in m_grid:
+        if not float(given).is_integer():
+            raise ValueError(f"block length must be an integer, got {given!r}")
+        m = int(given)
         if m < 2:
             raise ValueError(f"need at least 2 samples, got {m}")
         base = z_quantile(eps_pe) * math.sqrt(2.0) / math.sqrt(m)

@@ -17,13 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from .calibration import (
-    CalibrationEstimate,
-    NoiseGroundTruth,
-    confidence_interval_ote,
-    confidence_interval_tte,
-    deviation_curve,
-)
+from .calibration import NoiseGroundTruth, deviation_curve
 from .keyrate import (
     FiniteSizeParams,
     KeyRateResult,
@@ -122,7 +116,8 @@ def _typed(value: Any, field: str, kind: type = float) -> Any:
 
     An object, list or string is returned as given. A float is any finite
     number; an int is a finite integral one, so 5e9 counts 5000000000
-    samples but 5.7 is an error. Numbers are checked after conversion, as
+    samples but 5.7 is an error. A JSON boolean is not a number, though
+    Python counts it as an int. Numbers are checked after conversion, as
     --set passes non-JSON such as nan on as a string.
     """
     if kind in _JSON_TYPES:
@@ -130,7 +125,7 @@ def _typed(value: Any, field: str, kind: type = float) -> Any:
             return value
         raise ConfigError(f"{field} must be {_JSON_TYPES[kind]}, got {value!r}")
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (OverflowError, TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
@@ -288,32 +283,12 @@ def _apply_override(raw: dict, item: str) -> None:
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _calibration_estimate(config: SweepConfig,
-                          model: CalibrationModel) -> Optional[CalibrationEstimate]:
-    """SNU confidence interval for the finite-size scan, in true-SNU units;
-    None in the asymptotic regime, which assumes a perfectly known SNU.
-
-    The one-time unit is the full LO-on variance 1 + v_ele + v_rin; the
-    two-time unit subtracts a separately measured v_ele (the LO-off
-    measurement sees no RIN), so its interval carries both fluctuations.
-    """
-    if config.regime is Regime.ASYMPTOTIC:
-        return None
-    system, fs = config.system, config.finite_size
-    v_ele = system["v_ele"]
-    v_tot = 1.0 + v_ele + system.get("v_rin", 0.0)
-    if model is CalibrationModel.CONVENTIONAL_TTE:
-        return confidence_interval_tte(v_tot, v_ele, fs.calib_samples_m,
-                                       fs.calib_samples_m, fs.eps_pe)
-    return confidence_interval_ote(v_tot, fs.calib_samples_m, fs.eps_pe)
-
-
 def _rate(config: SweepConfig, params: SystemParams, model: CalibrationModel,
-          calib: Optional[CalibrationEstimate], delta: float = 0.0) -> KeyRateResult:
-    """Key rate in the config's regime, given _calibration_estimate's interval."""
-    if calib is None:
+          delta: float = 0.0) -> KeyRateResult:
+    """Key rate in the config's regime."""
+    if config.regime is Regime.ASYMPTOTIC:
         return key_rate_asymptotic(params, model, delta)
-    return key_rate_finite(params, model, config.finite_size, calib, delta)
+    return key_rate_finite(params, model, config.finite_size, delta)
 
 
 def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
@@ -330,7 +305,7 @@ def _sweep_row(config: SweepConfig, model: CalibrationModel, v: float, dist: flo
     system = config.system
     try:
         params = SystemParams(v=v, t=transmittance_from_km(dist), **system)
-        res = _rate(config, params, model, _calibration_estimate(config, model), delta)
+        res = _rate(config, params, model, delta)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         raise _row_failure(exc, model, v, dist, delta) from exc
     rate = res.rate_bits_per_pulse
@@ -359,11 +334,10 @@ def _ten_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float
     system = config.system
     try:
         t = transmittance_from_km(dist)
-        calib = _calibration_estimate(config, model)
 
         def rate_at(eps_c: float) -> float:
             params = SystemParams(v=v, t=t, **{**system, "eps_c": eps_c})
-            return _rate(config, params, model, calib).rate_bits_per_pulse
+            return _rate(config, params, model).rate_bits_per_pulse
 
         ten = _bisect_tolerable_noise(rate_at)
     except (ArithmeticError, RuntimeError, ValueError) as exc:

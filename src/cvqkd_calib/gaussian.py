@@ -12,6 +12,7 @@ them for finiteness where it evaluates them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,12 +30,14 @@ class NumericalError(RuntimeError):
     """Raised when an eigensolve or a conditioning step breaks down."""
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode."""
+    """Standard symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode; cached, read-only."""
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for i in range(n_modes):
         out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = block
+    out.flags.writeable = False
     return out
 
 

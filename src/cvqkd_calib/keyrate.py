@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .calibration import CalibrationEstimate
+from .calibration import CalibrationEstimate, confidence_interval_ote, confidence_interval_tte
 from .gaussian import (
     NumericalError,
     entropy_of_spectra,
@@ -80,9 +80,9 @@ class FiniteSizeParams:
             raise ValueError("key share n = key_fraction * N must be at least 1")
         if self.dim_hx < 1:
             raise ValueError(f"raw-key alphabet dimension must be positive, got {self.dim_hx}")
-        if not 1 <= self.calib_samples_m <= self.block_length:
+        if not 2 <= self.calib_samples_m <= self.block_length:
             raise ValueError(
-                f"calibration samples must lie in [1, N], got {self.calib_samples_m}"
+                f"calibration samples must lie in [2, N], got {self.calib_samples_m}"
             )
 
     @property
@@ -233,18 +233,35 @@ def finite_size_penalty(fs: FiniteSizeParams) -> float:
         + (2.0 / n) * math.log2(1.0 / fs.eps_pa)
 
 
+def snu_interval(params: SystemParams, model: CalibrationModel,
+                 fs: FiniteSizeParams) -> CalibrationEstimate:
+    """SNU confidence interval of the model's calibration procedure, in
+    true-SNU units, from fs.calib_samples_m samples per measurement step.
+
+    The one-time unit is the full LO-on variance 1 + v_ele + v_rin; the
+    two-time unit subtracts a separately measured v_ele (the LO-off
+    measurement sees no RIN), so its interval carries both fluctuations.
+    """
+    v_tot = 1.0 + params.v_ele + params.v_rin
+    m = fs.calib_samples_m
+    if model is CalibrationModel.CONVENTIONAL_TTE:
+        return confidence_interval_tte(v_tot, params.v_ele, m, m, fs.eps_pe)
+    return confidence_interval_ote(v_tot, m, fs.eps_pe)
+
+
 def key_rate_finite(params: SystemParams, model: CalibrationModel, fs: FiniteSizeParams,
-                    calib: CalibrationEstimate, delta: float = 0.0) -> KeyRateResult:
+                    delta: float = 0.0) -> KeyRateResult:
     """Finite-size secret key rate with the worst case over SNU fluctuation.
 
-    The calibrated-over-true SNU ratio is scanned across the confidence
-    interval normalized by its point estimate; beta*I_AB - chi_BE is
-    evaluated on that grid in one batched Holevo call and minimized, the
-    penalty Delta(n) subtracted, and the result scaled by the key
-    fraction n/N. delta is as in :func:`key_rate_asymptotic`.
+    The calibrated-over-true SNU ratio is scanned across the model's
+    :func:`snu_interval` normalized by its point estimate; beta*I_AB -
+    chi_BE is evaluated on that grid in one batched Holevo call and
+    minimized, the penalty Delta(n) subtracted, and the result scaled by
+    the key fraction n/N. delta is as in :func:`key_rate_asymptotic`.
     Channel-parameter fluctuation is out of scope; only the SNU-bearing
     matrix entries move.
     """
+    calib = snu_interval(params, model, fs)
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
     n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,

@@ -24,7 +24,6 @@ from cvqkd_calib import (
     NoiseGroundTruth,
     SystemParams,
     confidence_interval_ote,
-    confidence_interval_tte,
     deviation_curve,
     holevo_two_mode,
     key_rate_asymptotic,
@@ -188,17 +187,6 @@ def test_criterion_5_miscalibration_collapse():
                          f"0.1% -> {d1:.1f} (band 40-120), 0.3% -> {d3:.1f}")
 
 
-def _finite_rate(model, v, km, fs):
-    params = sysparams(v, km)
-    v_tot = 1.0 + V_ELE
-    if model is CONV:
-        calib = confidence_interval_tte(v_tot, V_ELE, fs.calib_samples_m,
-                                        fs.calib_samples_m, fs.eps_pe)
-    else:
-        calib = confidence_interval_ote(v_tot, fs.calib_samples_m, fs.eps_pe)
-    return key_rate_finite(params, model, fs, calib)
-
-
 def test_criterion_6_finite_size_convergence():
     """Three-mode vs conventional at V = 4 over 0-80 km, at every grid point:
 
@@ -228,8 +216,8 @@ def test_criterion_6_finite_size_convergence():
         if not abs(asym3.chi_be - asymc.chi_be - closed) <= 1e-9 * scale:
             gap_violations += 1
         r3, rc = asym3.rate_bits_per_pulse, asymc.rate_bits_per_pulse
-        fin3 = _finite_rate(THREE, 4.0, km, fs).rate_bits_per_pulse
-        finc = _finite_rate(CONV, 4.0, km, fs).rate_bits_per_pulse
+        fin3 = key_rate_finite(p, THREE, fs).rate_bits_per_pulse
+        finc = key_rate_finite(p, CONV, fs).rate_bits_per_pulse
         asym_gap[km] = abs(r3 - rc) / rc
         shift = abs(abs(fin3 - finc) / finc - asym_gap[km])
         if not shift <= 0.02:
@@ -320,8 +308,7 @@ def test_experimental_scale_nonnormative():
     asym_kbps = key_rate_asymptotic(p, THREE).rate_bits_per_pulse * pulse_hz / 1e3
     fs = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
                           eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=5 * 10 ** 9)
-    calib = confidence_interval_ote(1.0 + p.v_ele, fs.calib_samples_m, fs.eps_pe)
-    fin_kbps = key_rate_finite(p, THREE, fs, calib).rate_bits_per_pulse * pulse_hz / 1e3
+    fin_kbps = key_rate_finite(p, THREE, fs).rate_bits_per_pulse * pulse_hz / 1e3
     ok = (11.62 / 10 <= asym_kbps <= 11.62 * 10) and (2.39 / 10 <= fin_kbps <= 2.39 * 10)
     print(f"ACCEPTANCE exp-scale (non-normative): {'PASS' if ok else 'FAIL'} - "
           f"asymptotic {asym_kbps:.2f} kbps (target order 11.62), "

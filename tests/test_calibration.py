@@ -200,3 +200,10 @@ class TestDeviationCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             deviation_curve(TRUTH, [], 1e-5)
+
+    def test_block_lengths_must_be_integral(self):
+        (row,) = deviation_curve(TRUTH, [1e5], 1e-5)
+        assert row["m"] == 100000 and type(row["m"]) is int
+        for bad in (100000.5, 0.5):
+            with pytest.raises(ValueError, match=f"integer, got {bad!r}"):
+                deviation_curve(TRUTH, [bad], 1e-5)

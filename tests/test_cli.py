@@ -346,6 +346,10 @@ class TestExitCodes:
         ("system.eps_c=nan", "system.eps_c"),
         ("calibration.v_tot=inf", "calibration.v_tot"),
         ("finite_size.block_length=1e999", "finite_size.block_length"),
+        ("system.v_rin=true", "system.v_rin"),
+        ("pulse_rate_hz=true", "pulse_rate_hz"),
+        ("finite_size.block_length=true", "finite_size.block_length"),
+        ("variances=[true]", "variances[0]"),
     ])
     def test_validate_config_rejects_non_finite_numbers(self, tmp_path, capsys, override,
                                                         field):
@@ -354,6 +358,13 @@ class TestExitCodes:
         assert main(["validate-config", "--config", path, "--set", override]) \
             == EXIT_CONFIG_ERROR
         assert f"{field} must be a finite number" in capsys.readouterr().err
+
+    def test_validate_config_rejects_too_few_calibration_samples(self, tmp_path, capsys):
+        # Every SNU interval needs two samples, so the sweep would fail later.
+        path = write_config(tmp_path, base_config(finite_size=FINITE_SIZE))
+        assert main(["validate-config", "--config", path, "--set", "regime=finite_size",
+                     "--set", "finite_size.calib_samples_m=1"]) == EXIT_CONFIG_ERROR
+        assert "calibration samples must lie in [2, N], got 1" in capsys.readouterr().err
 
     # [0.5] is no count, so it fails before the dry run and names its field.
     @pytest.mark.parametrize("m_grid,message", [

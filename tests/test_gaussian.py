@@ -305,3 +305,15 @@ class TestPhysicality:
     def test_symplectic_form_squares_to_minus_identity(self):
         w = symplectic_form(3)
         np.testing.assert_allclose(w @ w, -np.eye(6))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symplectic_form_is_shared_read_only_and_exact(self, n):
+        expect = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            expect[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, 1.0], [-1.0, 0.0]]
+        w = symplectic_form(n)
+        # bytes, not values: a kron-built form would carry -0.0 entries
+        assert w.tobytes() == expect.tobytes()
+        assert symplectic_form(n) is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1.0

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cvqkd_calib import (
@@ -36,6 +36,7 @@ from cvqkd_calib import (
     transmittance_from_km,
 )
 from cvqkd_calib.gaussian import entropy_of_spectra, homodyne_conditioned, symplectic_spectra
+from cvqkd_calib.keyrate import snu_interval
 from cvqkd_calib.models import three_mode_stack, two_mode_stack
 from oracles import holevo_lodewyck, holevo_pointwise, mutual_information_from_matrix
 from strategies import PROPERTY, at_km, distances_km, link_fields, system_params
@@ -316,8 +317,9 @@ class TestFiniteSizeParams:
             FiniteSizeParams(**{**good, "eps_pa": 0.0})
         with pytest.raises(ValueError, match="block length"):
             FiniteSizeParams(**{**good, "block_length": 0})
-        with pytest.raises(ValueError, match="calibration samples"):
-            FiniteSizeParams(**{**good, "calib_samples_m": 10 ** 11})
+        for m in (1, 10 ** 11):
+            with pytest.raises(ValueError, match="calibration samples"):
+                FiniteSizeParams(**{**good, "calib_samples_m": m})
 
 
 class TestFiniteSizePenalty:
@@ -354,16 +356,13 @@ class TestKeyRateFinite:
         return FiniteSizeParams(block_length=n, key_fraction=0.5, eps_pe=1e-10,
                                 eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=m)
 
-    def collapsed_interval(self):
-        return confidence_interval_ote(1.01, 10 ** 18, 1e-10)
-
     def test_collapsed_interval_and_huge_block_recovers_asymptotic(self):
         p = params(v=4.0, t=transmittance_from_km(20.0))
         asym = key_rate_asymptotic(p, THREE)
-        fs = FiniteSizeParams(block_length=10 ** 16, key_fraction=0.999999,
+        fs = FiniteSizeParams(block_length=10 ** 18, key_fraction=0.999999,
                               eps_pe=1e-10, eps_pa=1e-10, eps_smooth=1e-10,
-                              calib_samples_m=10 ** 16)
-        fin = key_rate_finite(p, THREE, fs, self.collapsed_interval())
+                              calib_samples_m=10 ** 18)
+        fin = key_rate_finite(p, THREE, fs)
         assert fin.rate_bits_per_pulse == pytest.approx(
             asym.rate_bits_per_pulse, rel=1e-4)
         # the interval at m = 1e18 is not exactly a point: chi moves by
@@ -373,8 +372,8 @@ class TestKeyRateFinite:
     def test_rate_formula_decomposition(self):
         p = params(v=4.0, t=transmittance_from_km(20.0))
         fs = self.fs()
-        calib = confidence_interval_ote(1.01, fs.calib_samples_m, fs.eps_pe)
-        res = key_rate_finite(p, THREE, fs, calib)
+        calib = snu_interval(p, THREE, fs)
+        res = key_rate_finite(p, THREE, fs)
         assert res.rate_bits_per_pulse == pytest.approx(
             fs.key_fraction * (p.beta * res.i_ab - res.chi_be - res.delta_n),
             rel=1e-12)
@@ -384,8 +383,7 @@ class TestKeyRateFinite:
     def test_worst_case_no_better_than_perfect_calibration(self):
         p = params(v=4.0, t=transmittance_from_km(20.0))
         fs = self.fs(m=10 ** 6)
-        calib = confidence_interval_ote(1.01, fs.calib_samples_m, fs.eps_pe)
-        fin = key_rate_finite(p, THREE, fs, calib)
+        fin = key_rate_finite(p, THREE, fs)
         asym = key_rate_asymptotic(p, THREE)
         assert fin.chi_be >= asym.chi_be - 1e-12
 
@@ -400,31 +398,55 @@ class TestKeyRateFinite:
             asym = key_rate_asymptotic(p, TWO)
             if asym.rate_bits_per_pulse < 0:
                 continue
-            calib = confidence_interval_ote(1.0 + p.v_ele, fs.calib_samples_m, fs.eps_pe)
-            fin = key_rate_finite(p, TWO, fs, calib)
+            fin = key_rate_finite(p, TWO, fs)
             assert fin.rate_bits_per_pulse <= asym.rate_bits_per_pulse + 1e-12
             checked += 1
 
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    @PROPERTY
+    @given(p=system_params, m=st.sampled_from([10 ** 6, 5 * 10 ** 9]))
+    def test_finite_never_exceeds_asymptotic_over_draws(self, model, p, m):
+        asym = key_rate_asymptotic(p, model).rate_bits_per_pulse
+        assume(asym >= 0.0)
+        fin = key_rate_finite(p, model, self.fs(m=m))
+        assert fin.rate_bits_per_pulse <= asym + 1e-12
+
     def test_monotone_in_block_length(self):
         p = params(v=4.0, t=transmittance_from_km(40.0))
-        calib = confidence_interval_ote(1.01, 10 ** 8, 1e-10)
         rates = []
         for n in (10 ** 8, 10 ** 9, 10 ** 10, 10 ** 11, 10 ** 12):
             fs = FiniteSizeParams(block_length=n, key_fraction=0.5, eps_pe=1e-10,
                                   eps_pa=1e-10, eps_smooth=1e-10,
                                   calib_samples_m=10 ** 8)
-            rates.append(key_rate_finite(p, THREE, fs, calib).rate_bits_per_pulse)
+            rates.append(key_rate_finite(p, THREE, fs).rate_bits_per_pulse)
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_invalid_interval_rejected(self):
         # The frozen interval type checks itself, so no interval that
-        # key_rate_finite could receive has a nonpositive lower bound.
-        fs = self.fs()
-        calib = confidence_interval_ote(1.01, fs.calib_samples_m, fs.eps_pe)
+        # key_rate_finite derives has a nonpositive lower bound.
+        calib = snu_interval(params(), THREE, self.fs())
         with pytest.raises(ValueError, match="interval"):
             type(calib)(point=calib.point, lower=-1.0, upper=calib.upper)
         with pytest.raises(dataclasses.FrozenInstanceError):
             calib.lower = -1.0
+
+
+class TestSnuInterval:
+    """Each model implies its calibration procedure: two steps for the
+    conventional receiver, one for the one-time receivers, all on the
+    true unit 1 + v_ele + v_rin."""
+
+    @pytest.mark.parametrize("v_ele,v_rin", [(0.01, 0.0), (0.1, 0.02), (0.0, 0.0)])
+    def test_matches_explicit_procedure(self, v_ele, v_rin):
+        p = SystemParams(v=4.0, t=0.5, eps_c=0.01, eta_d=0.6, v_ele=v_ele, beta=0.956,
+                         v_rin=v_rin)
+        fs = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-8,
+                              eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=10 ** 6)
+        v_tot = 1.0 + v_ele + v_rin
+        assert snu_interval(p, CONV, fs) == confidence_interval_tte(
+            v_tot, v_ele, 10 ** 6, 10 ** 6, 1e-8)
+        for model in (TWO, THREE):
+            assert snu_interval(p, model, fs) == confidence_interval_ote(v_tot, 10 ** 6, 1e-8)
 
 
 class TestBatchedScan:
@@ -448,12 +470,6 @@ class TestBatchedScan:
                 beta=rng.uniform(0.85, 1.0),
             )
 
-    def calib(self, p, model):
-        v_tot, m, eps = 1.0 + p.v_ele, self.FS.calib_samples_m, self.FS.eps_pe
-        if model is CONV:
-            return confidence_interval_tte(v_tot, p.v_ele, m, m, eps)
-        return confidence_interval_ote(v_tot, m, eps)
-
     @pytest.mark.parametrize("model,seed", [(TWO, 1), (THREE, 2), (CONV, 3)])
     def test_batched_holevo_matches_pointwise(self, model, seed):
         for p in self.draws(seed):
@@ -468,8 +484,8 @@ class TestBatchedScan:
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_finite_rate_is_pointwise_minimum(self, model):
         for p in self.draws(seed=7, n=8):
-            calib = self.calib(p, model)
-            res = key_rate_finite(p, model, self.FS, calib, delta=0.001)
+            calib = snu_interval(p, model, self.FS)
+            res = key_rate_finite(p, model, self.FS, delta=0.001)
             eff = apply_miscalibration(p, 0.001)
             grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
             worst_value = math.inf
@@ -484,10 +500,9 @@ class TestBatchedScan:
             assert res.rate_bits_per_pulse == pytest.approx(
                 self.FS.key_fraction * (worst_value - res.delta_n), rel=1e-13, abs=1e-15)
 
-    def scan_n0(self, p):
-        calib = confidence_interval_ote(1.0 + p.v_ele, self.FS.calib_samples_m, self.FS.eps_pe)
-        grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
-        return calib, grid
+    def scan_n0(self, p, model):
+        calib = snu_interval(p, model, self.FS)
+        return np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
 
     @pytest.mark.parametrize("model,builder", [(TWO, "two_mode_stack"),
                                                (THREE, "three_mode_stack"),
@@ -502,10 +517,10 @@ class TestBatchedScan:
 
         monkeypatch.setattr(keyrate, builder, poisoned)
         p = params(v=4.0, t=transmittance_from_km(20.0))
-        calib, n0 = self.scan_n0(p)
+        n0 = self.scan_n0(p, model)
         named = re.escape(repr(float(n0[7])))
         with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$"):
-            key_rate_finite(p, model, self.FS, calib)
+            key_rate_finite(p, model, self.FS)
 
     def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch):
         original = keyrate.three_mode_stack
@@ -517,10 +532,10 @@ class TestBatchedScan:
 
         monkeypatch.setattr(keyrate, "three_mode_stack", inflated)
         p = params(v=4.0, t=transmittance_from_km(20.0))
-        calib, n0 = self.scan_n0(p)
+        n0 = self.scan_n0(p, THREE)
         named = re.escape(repr(float(n0[5])))
         with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:"):
-            key_rate_finite(p, THREE, self.FS, calib)
+            key_rate_finite(p, THREE, self.FS)
 
     def test_n0_must_be_positive_scalar_or_vector(self):
         p = params()
