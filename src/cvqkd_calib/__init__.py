@@ -13,8 +13,7 @@ statistics themselves. The batched Gaussian-state kernels live in
 from .calibration import (
     CalibrationEstimate,
     NoiseGroundTruth,
-    confidence_interval_ote,
-    confidence_interval_tte,
+    confidence_interval,
     deviation_curve,
     z_quantile,
 )
@@ -22,13 +21,11 @@ from .gaussian import NumericalError
 from .keyrate import (
     FiniteSizeParams,
     KeyRateResult,
-    Regime,
     finite_size_penalty,
     holevo_conventional,
     holevo_three_mode,
     holevo_two_mode,
-    key_rate_asymptotic,
-    key_rate_finite,
+    key_rate,
     mutual_information,
 )
 from .models import (
@@ -50,19 +47,16 @@ __all__ = [
     "KeyRateResult",
     "NoiseGroundTruth",
     "NumericalError",
-    "Regime",
     "SystemParams",
     "apply_miscalibration",
-    "confidence_interval_ote",
-    "confidence_interval_tte",
+    "confidence_interval",
     "deviation_curve",
     "eta_e_from_noise",
     "finite_size_penalty",
     "holevo_conventional",
     "holevo_three_mode",
     "holevo_two_mode",
-    "key_rate_asymptotic",
-    "key_rate_finite",
+    "key_rate",
     "mutual_information",
     "transmittance_from_km",
     "z_quantile",

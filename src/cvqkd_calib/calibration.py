@@ -72,38 +72,26 @@ def _half_width(v_hat: float, m: int, eps_pe: float) -> float:
     return z_quantile(eps_pe) * v_hat * math.sqrt(2.0) / math.sqrt(m)
 
 
-def confidence_interval_ote(v_hat: float, m: int, eps_pe: float) -> CalibrationEstimate:
-    """One-time interval [v_hat - d, v_hat + d] with d = z * v_hat * sqrt(2/m)."""
-    if v_hat <= 0.0:
-        raise ValueError(f"variance estimate must be positive, got {v_hat}")
-    if m < 2:
-        raise ValueError(f"need at least 2 samples, got {m}")
-    d = _half_width(v_hat, m, eps_pe)
-    lower = v_hat - d
-    degenerate = lower <= 0.0
-    if degenerate:
-        lower = _DEGENERATE_FLOOR * v_hat
-    return CalibrationEstimate(point=v_hat, lower=lower, upper=v_hat + d,
-                               degenerate=degenerate)
+def confidence_interval(v_tot_hat: float, v_ele_hat: float, m: int,
+                        eps_pe: float) -> CalibrationEstimate:
+    """SNU estimate v_tot_hat - v_ele_hat with its worst-case interval.
 
-
-def confidence_interval_tte(v_tot_hat: float, v_ele_hat: float, m1: int, m2: int,
-                            eps_pe: float) -> CalibrationEstimate:
-    """Two-time interval: both measurement fluctuations widen the bound.
-
-    [v_tot - d_tot - v_ele - d_ele, v_tot + d_tot - v_ele + d_ele], with
-    each half-width computed from its own sample count.
+    [v_tot - d_tot - v_ele - d_ele, v_tot + d_tot - v_ele + d_ele] with
+    d = z * v_hat * sqrt(2/m) per step of m samples. The two-time
+    procedure subtracts a measured v_ele_hat, so both fluctuations widen
+    the bound; the one-time procedure is v_ele_hat = 0, one step.
     """
     if v_ele_hat < 0.0:
         raise ValueError(f"electronic noise estimate must be nonnegative, got {v_ele_hat}")
     if v_tot_hat <= v_ele_hat:
         raise ValueError(
-            f"total noise {v_tot_hat} must exceed electronic noise {v_ele_hat}"
+            f"SNU estimate must be positive: total noise {v_tot_hat} must exceed "
+            f"electronic noise {v_ele_hat}"
         )
-    if m1 < 2 or m2 < 2:
-        raise ValueError(f"need at least 2 samples per step, got {m1} and {m2}")
-    d_tot = _half_width(v_tot_hat, m1, eps_pe)
-    d_ele = _half_width(v_ele_hat, m2, eps_pe) if v_ele_hat > 0.0 else 0.0
+    if m < 2:
+        raise ValueError(f"need at least 2 samples, got {m}")
+    d_tot = _half_width(v_tot_hat, m, eps_pe)
+    d_ele = _half_width(v_ele_hat, m, eps_pe)
     point = v_tot_hat - v_ele_hat
     lower = point - d_tot - d_ele
     degenerate = lower <= 0.0

@@ -15,16 +15,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from typing import Any, Optional, Sequence
 
 from .calibration import NoiseGroundTruth, deviation_curve
-from .keyrate import (
-    FiniteSizeParams,
-    KeyRateResult,
-    Regime,
-    key_rate_asymptotic,
-    key_rate_finite,
-)
+from .keyrate import FiniteSizeParams, key_rate
 from .models import CalibrationModel, SystemParams, transmittance_from_km
 
 EXIT_OK = 0
@@ -45,6 +40,11 @@ CALIB_COLUMNS = ["m", "snu_norm_ote", "snu_norm_tte", "dev_ote", "dev_tte"]
 TEN_TOLERANCE = 1e-4
 TEN_MAX_ITER = 60
 _TEN_BRACKET_CAP = 1024.0
+
+
+class Regime(Enum):
+    ASYMPTOTIC = "asymptotic"
+    FINITE_SIZE = "finite_size"
 
 
 class ConfigError(ValueError):
@@ -85,7 +85,11 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Full description of one sweep run."""
+    """Full description of one sweep run.
+
+    finite_size is None in the asymptotic regime, even when the config
+    carries a (validated) finite_size section.
+    """
 
     models: tuple[CalibrationModel, ...]
     regime: Regime
@@ -229,7 +233,7 @@ def _config_from_dict(raw: dict, overrides: Sequence[str] = ()) -> SweepConfig:
             system=system,
             output_path=out_path,
             output_format=out_format,
-            finite_size=fs,
+            finite_size=fs if regime is Regime.FINITE_SIZE else None,
             miscalibration_deltas=deltas,
             pulse_rate_hz=pulse,
             calibration=calib,
@@ -283,14 +287,6 @@ def _apply_override(raw: dict, item: str) -> None:
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _rate(config: SweepConfig, params: SystemParams, model: CalibrationModel,
-          delta: float = 0.0) -> KeyRateResult:
-    """Key rate in the config's regime."""
-    if config.regime is Regime.ASYMPTOTIC:
-        return key_rate_asymptotic(params, model, delta)
-    return key_rate_finite(params, model, config.finite_size, delta)
-
-
 def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
                  delta: float) -> RuntimeError:
     """The error of one grid point, re-raised with the point named."""
@@ -305,7 +301,7 @@ def _sweep_row(config: SweepConfig, model: CalibrationModel, v: float, dist: flo
     system = config.system
     try:
         params = SystemParams(v=v, t=transmittance_from_km(dist), **system)
-        res = _rate(config, params, model, delta)
+        res = key_rate(params, model, config.finite_size, delta)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         raise _row_failure(exc, model, v, dist, delta) from exc
     rate = res.rate_bits_per_pulse
@@ -337,7 +333,7 @@ def _ten_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float
 
         def rate_at(eps_c: float) -> float:
             params = SystemParams(v=v, t=t, **{**system, "eps_c": eps_c})
-            return _rate(config, params, model).rate_bits_per_pulse
+            return key_rate(params, model, config.finite_size).rate_bits_per_pulse
 
         ten = _bisect_tolerable_noise(rate_at)
     except (ArithmeticError, RuntimeError, ValueError) as exc:

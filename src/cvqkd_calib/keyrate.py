@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .calibration import CalibrationEstimate, confidence_interval_ote, confidence_interval_tte
+from .calibration import CalibrationEstimate, confidence_interval
 from .gaussian import (
     NumericalError,
     entropy_of_spectra,
@@ -42,11 +41,6 @@ N0_SCAN_POINTS = 21
 # The three-mode matrix must expose one unit symplectic eigenvalue (the
 # detection beamsplitter's vacuum ancilla survives any rescaling).
 _UNIT_EIGENVALUE_TOL = 1e-6
-
-
-class Regime(Enum):
-    ASYMPTOTIC = "asymptotic"
-    FINITE_SIZE = "finite_size"
 
 
 @dataclass(frozen=True)
@@ -76,8 +70,8 @@ class FiniteSizeParams:
                         ("eps_smooth", self.eps_smooth)):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {p}")
-        if self.key_fraction * self.block_length < 1.0:
-            raise ValueError("key share n = key_fraction * N must be at least 1")
+        if self.n_key < 2.0:
+            raise ValueError(f"key share n = key_fraction * N needs n >= 2, got {self.n_key}")
         if self.dim_hx < 1:
             raise ValueError(f"raw-key alphabet dimension must be positive, got {self.dim_hx}")
         if not 2 <= self.calib_samples_m <= self.block_length:
@@ -136,8 +130,8 @@ def _spectra(stack: np.ndarray, n0: float | np.ndarray, what: str) -> np.ndarray
 
 
 def _conditional_entropy(measured: np.ndarray, n0: float | np.ndarray) -> np.ndarray:
-    """Entropies of the trusted modes left after ideal x-homodyne on B3 (mode 1)."""
-    _require_finite(measured, n0, "measured matrix")
+    """Entropies of the trusted modes left after ideal x-homodyne on B3 (mode 1)
+    of a stack already checked finite."""
     cond = homodyne_conditioned(measured, 1)
     return entropy_of_spectra(_spectra(cond, n0, "conditional"))
 
@@ -192,6 +186,7 @@ def holevo_conventional(params: SystemParams, n0: float | np.ndarray = 1.0) -> f
     """
     g_ab1 = conventional_channel_stack(params, n0)
     g = conventional_stack(params, g_ab1)
+    _require_finite(g, n0, "measured matrix")
     chi = entropy_of_spectra(_spectra(g_ab1, n0, "channel")) - _conditional_entropy(g, n0)
     return _as_given(chi, n0)
 
@@ -203,23 +198,6 @@ _HOLEVO = {
 }
 
 
-def key_rate_asymptotic(params: SystemParams, model: CalibrationModel,
-                        delta: float = 0.0) -> KeyRateResult:
-    """Asymptotic secret key rate at n0 = 1, rate = beta * I_AB - chi_BE,
-    from the parameters :func:`apply_miscalibration` estimates under a
-    fractional SNU error delta."""
-    eff = apply_miscalibration(params, delta)
-    i_ab = mutual_information(eff)
-    chi = _HOLEVO[model](eff, 1.0)
-    return KeyRateResult(
-        rate_bits_per_pulse=eff.beta * i_ab - chi,
-        i_ab=i_ab,
-        chi_be=chi,
-        delta_n=0.0,
-        worst_n0=1.0,
-    )
-
-
 def finite_size_penalty(fs: FiniteSizeParams) -> float:
     """Rate correction Delta(n) for finite raw-key length.
 
@@ -227,8 +205,6 @@ def finite_size_penalty(fs: FiniteSizeParams) -> float:
     vanishing as n grows.
     """
     n = fs.n_key
-    if n < 2.0:
-        raise ValueError(f"finite-size penalty needs n >= 2, got {n}")
     return (2.0 * fs.dim_hx + 3.0) * math.sqrt(math.log2(2.0 / fs.eps_smooth) / n) \
         + (2.0 / n) * math.log2(1.0 / fs.eps_pa)
 
@@ -242,37 +218,40 @@ def snu_interval(params: SystemParams, model: CalibrationModel,
     two-time unit subtracts a separately measured v_ele (the LO-off
     measurement sees no RIN), so its interval carries both fluctuations.
     """
-    v_tot = 1.0 + params.v_ele + params.v_rin
-    m = fs.calib_samples_m
-    if model is CalibrationModel.CONVENTIONAL_TTE:
-        return confidence_interval_tte(v_tot, params.v_ele, m, m, fs.eps_pe)
-    return confidence_interval_ote(v_tot, m, fs.eps_pe)
+    v_ele = params.v_ele if model is CalibrationModel.CONVENTIONAL_TTE else 0.0
+    return confidence_interval(1.0 + params.v_ele + params.v_rin, v_ele,
+                               fs.calib_samples_m, fs.eps_pe)
 
 
-def key_rate_finite(params: SystemParams, model: CalibrationModel, fs: FiniteSizeParams,
-                    delta: float = 0.0) -> KeyRateResult:
-    """Finite-size secret key rate with the worst case over SNU fluctuation.
+def key_rate(params: SystemParams, model: CalibrationModel,
+             fs: FiniteSizeParams | None = None, delta: float = 0.0) -> KeyRateResult:
+    """Secret key rate, asymptotic for fs None and finite-size otherwise.
 
-    The calibrated-over-true SNU ratio is scanned across the model's
-    :func:`snu_interval` normalized by its point estimate; beta*I_AB -
-    chi_BE is evaluated on that grid in one batched Holevo call and
-    minimized, the penalty Delta(n) subtracted, and the result scaled by
-    the key fraction n/N. delta is as in :func:`key_rate_asymptotic`.
+    The SNU estimates are those :func:`apply_miscalibration` makes under
+    a fractional SNU error delta. Asymptotically the rate is beta*I_AB -
+    chi_BE at n0 = 1. In the finite-size regime the calibrated-over-true
+    SNU ratio is scanned across the model's :func:`snu_interval`
+    normalized by its point estimate, beta*I_AB - chi_BE is minimized
+    over that grid in one batched Holevo call, the penalty Delta(n) is
+    subtracted and the result scaled by the key fraction n/N.
     Channel-parameter fluctuation is out of scope; only the SNU-bearing
     matrix entries move.
     """
-    calib = snu_interval(params, model, fs)
+    if fs is None:
+        n0, penalty, share = np.ones(1), 0.0, 1.0
+    else:
+        calib = snu_interval(params, model, fs)
+        n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
+                         N0_SCAN_POINTS)
+        penalty, share = finite_size_penalty(fs), fs.key_fraction
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
-    n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
-                     N0_SCAN_POINTS)
     chi = _HOLEVO[model](eff, n0)
     values = eff.beta * i_ab - chi
     # argmin takes the first of equal minima, as a strict-< scan would.
     worst = int(np.argmin(values))
-    penalty = finite_size_penalty(fs)
     return KeyRateResult(
-        rate_bits_per_pulse=fs.key_fraction * (float(values[worst]) - penalty),
+        rate_bits_per_pulse=share * (float(values[worst]) - penalty),
         i_ab=i_ab,
         chi_be=float(chi[worst]),
         delta_n=penalty,

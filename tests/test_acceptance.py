@@ -23,11 +23,10 @@ from cvqkd_calib import (
     FiniteSizeParams,
     NoiseGroundTruth,
     SystemParams,
-    confidence_interval_ote,
+    confidence_interval,
     deviation_curve,
     holevo_two_mode,
-    key_rate_asymptotic,
-    key_rate_finite,
+    key_rate,
     transmittance_from_km,
 )
 from cvqkd_calib.gaussian import homodyne_conditioned, symplectic_spectra
@@ -52,7 +51,7 @@ def sysparams(v, km, eps_c=EPS_C, eta_d=ETA_D, v_ele=V_ELE, beta=BETA):
 
 
 def rate(model, v, km, **kw):
-    return key_rate_asymptotic(sysparams(v, km, **kw), model).rate_bits_per_pulse
+    return key_rate(sysparams(v, km, **kw), model).rate_bits_per_pulse
 
 
 def report(criterion, ok, detail):
@@ -68,7 +67,7 @@ def test_criterion_1_purity_baseline():
         p = SystemParams(v=v, t=1.0, eps_c=0.0, eta_d=1.0, v_ele=0.0, beta=BETA)
         expect = BETA * 0.5 * math.log2(v)
         for model in (TWO, THREE, CONV):
-            res = key_rate_asymptotic(p, model)
+            res = key_rate(p, model)
             worst = max(worst, abs(res.chi_be), abs(res.rate_bits_per_pulse - expect))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 1.0
@@ -164,7 +163,7 @@ def test_criterion_4_disparity_floor():
 
 def _zero_rate_distance(delta):
     def apparent_rate(km):
-        return key_rate_asymptotic(sysparams(40.0, km), CONV, delta).rate_bits_per_pulse
+        return key_rate(sysparams(40.0, km), CONV, delta=delta).rate_bits_per_pulse
 
     lo, hi = 0.0, 300.0
     assert apparent_rate(lo) > 0 and apparent_rate(hi) <= 0
@@ -208,16 +207,16 @@ def test_criterion_6_finite_size_convergence():
     worst_shift, worst_km = 0.0, 0.0
     for km in np.arange(0.0, 81.0, 10.0):
         p = sysparams(4.0, km)
-        asym3 = key_rate_asymptotic(p, THREE)
-        asymc = key_rate_asymptotic(p, CONV)
+        asym3 = key_rate(p, THREE)
+        asymc = key_rate(p, CONV)
         closed = (holevo_lodewyck(p.v, p.t * p.eta_e, p.eps_c, p.eta_d, 0.0)
                   - holevo_lodewyck(p.v, p.t, p.eps_c, p.eta_d, p.v_ele))
         scale = max(asym3.chi_be, asymc.chi_be)
         if not abs(asym3.chi_be - asymc.chi_be - closed) <= 1e-9 * scale:
             gap_violations += 1
         r3, rc = asym3.rate_bits_per_pulse, asymc.rate_bits_per_pulse
-        fin3 = key_rate_finite(p, THREE, fs).rate_bits_per_pulse
-        finc = key_rate_finite(p, CONV, fs).rate_bits_per_pulse
+        fin3 = key_rate(p, THREE, fs).rate_bits_per_pulse
+        finc = key_rate(p, CONV, fs).rate_bits_per_pulse
         asym_gap[km] = abs(r3 - rc) / rc
         shift = abs(abs(fin3 - finc) / finc - asym_gap[km])
         if not shift <= 0.02:
@@ -255,7 +254,7 @@ def test_criterion_7_calibration_statistics():
     for _ in range(20):
         chunk = rng.normal(0.0, math.sqrt(v_tot), size=(reps_cov // 20, m_cov))
         for vhat in np.mean(chunk ** 2, axis=1):
-            est = confidence_interval_ote(float(vhat), m_cov, eps)
+            est = confidence_interval(float(vhat), 0.0, m_cov, eps)
             hits += est.lower <= v_tot <= est.upper
     coverage = hits / reps_cov
     sigma = math.sqrt(eps * (1 - eps) / reps_cov)
@@ -305,10 +304,10 @@ def test_experimental_scale_nonnormative():
     t = 10 ** (-1.162)
     pulse_hz = 5e6
     p = SystemParams(v=20.0, t=t, eps_c=0.02, eta_d=0.6, v_ele=0.01, beta=0.9501)
-    asym_kbps = key_rate_asymptotic(p, THREE).rate_bits_per_pulse * pulse_hz / 1e3
+    asym_kbps = key_rate(p, THREE).rate_bits_per_pulse * pulse_hz / 1e3
     fs = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
                           eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=5 * 10 ** 9)
-    fin_kbps = key_rate_finite(p, THREE, fs).rate_bits_per_pulse * pulse_hz / 1e3
+    fin_kbps = key_rate(p, THREE, fs).rate_bits_per_pulse * pulse_hz / 1e3
     ok = (11.62 / 10 <= asym_kbps <= 11.62 * 10) and (2.39 / 10 <= fin_kbps <= 2.39 * 10)
     print(f"ACCEPTANCE exp-scale (non-normative): {'PASS' if ok else 'FAIL'} - "
           f"asymptotic {asym_kbps:.2f} kbps (target order 11.62), "

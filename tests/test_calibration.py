@@ -9,8 +9,7 @@ from scipy.special import erfc
 
 from cvqkd_calib import (
     NoiseGroundTruth,
-    confidence_interval_ote,
-    confidence_interval_tte,
+    confidence_interval,
     deviation_curve,
     z_quantile,
 )
@@ -87,7 +86,7 @@ class TestZQuantile:
 
 class TestConfidenceIntervalOte:
     def test_half_width_arithmetic(self):
-        est = confidence_interval_ote(2.3768, 10 ** 8, 1e-5)
+        est = confidence_interval(2.3768, 0.0, 10 ** 8, 1e-5)
         expect = z_quantile(1e-5) * 2.3768 * math.sqrt(2.0) / 1e4
         assert expect == pytest.approx(1.485e-3, rel=1e-3)
         assert est.upper - est.point == pytest.approx(expect, rel=1e-12)
@@ -95,25 +94,25 @@ class TestConfidenceIntervalOte:
         assert not est.degenerate
 
     def test_width_scales_as_inverse_sqrt_m(self):
-        a = confidence_interval_ote(1.0, 10 ** 6, 1e-5)
-        b = confidence_interval_ote(1.0, 2 * 10 ** 6, 1e-5)
+        a = confidence_interval(1.0, 0.0, 10 ** 6, 1e-5)
+        b = confidence_interval(1.0, 0.0, 2 * 10 ** 6, 1e-5)
         assert (a.upper - a.lower) / (b.upper - b.lower) == pytest.approx(
             math.sqrt(2.0), rel=1e-12)
 
     def test_collapses_for_huge_m(self):
-        est = confidence_interval_ote(1.0, 10 ** 18, 1e-5)
+        est = confidence_interval(1.0, 0.0, 10 ** 18, 1e-5)
         assert est.upper - est.lower < 1e-7
 
     def test_degenerate_small_m_flagged(self):
-        est = confidence_interval_ote(1.0, 2, 1e-10)
+        est = confidence_interval(1.0, 0.0, 2, 1e-10)
         assert est.degenerate
         assert est.lower > 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            confidence_interval_ote(0.0, 100, 1e-5)
+            confidence_interval(0.0, 0.0, 100, 1e-5)
         with pytest.raises(ValueError):
-            confidence_interval_ote(1.0, 1, 1e-5)
+            confidence_interval(1.0, 0.0, 1, 1e-5)
 
     def test_coverage_at_five_percent(self):
         # Empirical coverage over 1e4 replicates at m = 1e4 must reach
@@ -124,7 +123,7 @@ class TestConfidenceIntervalOte:
         for _ in range(20):
             draws = rng.normal(0.0, math.sqrt(TRUTH.v_tot), size=(reps // 20, m))
             for vhat in np.mean(draws ** 2, axis=1):
-                est = confidence_interval_ote(float(vhat), m, eps)
+                est = confidence_interval(float(vhat), 0.0, m, eps)
                 hits += est.lower <= TRUTH.v_tot <= est.upper
         coverage = hits / reps
         sigma = math.sqrt(eps * (1 - eps) / reps)
@@ -133,35 +132,28 @@ class TestConfidenceIntervalOte:
 
 class TestConfidenceIntervalTte:
     def test_reduces_to_ote_without_electronic_noise(self):
-        tte = confidence_interval_tte(2.0, 0.0, 10 ** 6, 10 ** 6, 1e-5)
-        ote = confidence_interval_ote(2.0, 10 ** 6, 1e-5)
-        assert tte.point == ote.point
-        assert tte.lower == pytest.approx(ote.lower, rel=1e-12)
-        assert tte.upper == pytest.approx(ote.upper, rel=1e-12)
+        est = confidence_interval(2.0, 0.0, 10 ** 6, 1e-5)
+        d = z_quantile(1e-5) * 2.0 * math.sqrt(2.0) / math.sqrt(10 ** 6)
+        assert (est.point, est.lower, est.upper) == (2.0, 2.0 - d, 2.0 + d)
 
     def test_wider_than_ote_at_same_budget(self):
         m = 10 ** 8
-        tte = confidence_interval_tte(TRUTH.v_tot, TRUTH.v_ele, m, m, 1e-5)
-        ote = confidence_interval_ote(TRUTH.v_tot, m, 1e-5)
+        tte = confidence_interval(TRUTH.v_tot, TRUTH.v_ele, m, 1e-5)
+        ote = confidence_interval(TRUTH.v_tot, 0.0, m, 1e-5)
         rel_tte = (tte.upper - tte.lower) / tte.point
         rel_ote = (ote.upper - ote.lower) / ote.point
         assert rel_tte > rel_ote
 
     def test_contains_subtracted_point(self):
-        est = confidence_interval_tte(2.3768, 0.421, 10 ** 5, 10 ** 5, 1e-5)
+        est = confidence_interval(2.3768, 0.421, 10 ** 5, 1e-5)
         assert est.lower <= 2.3768 - 0.421 <= est.upper
         assert est.point == pytest.approx(1.9558, rel=1e-12)
 
-    def test_per_step_sample_counts(self):
-        wide = confidence_interval_tte(2.0, 0.4, 10 ** 4, 10 ** 8, 1e-5)
-        tight = confidence_interval_tte(2.0, 0.4, 10 ** 8, 10 ** 8, 1e-5)
-        assert wide.upper - wide.lower > tight.upper - tight.lower
-
     def test_domain(self):
         with pytest.raises(ValueError, match="exceed"):
-            confidence_interval_tte(0.4, 0.5, 100, 100, 1e-5)
+            confidence_interval(0.4, 0.5, 100, 1e-5)
         with pytest.raises(ValueError):
-            confidence_interval_tte(2.0, -0.1, 100, 100, 1e-5)
+            confidence_interval(2.0, -0.1, 100, 1e-5)
 
 
 class TestDeviationCurve:

@@ -199,7 +199,7 @@ class TestTenRows:
     def test_bisection_against_root_bracketing_oracle(self):
         # Independent fine scan brackets the zero of the rate in eps_c;
         # the bisected value must agree within its tolerance.
-        from cvqkd_calib import SystemParams, key_rate_asymptotic, transmittance_from_km
+        from cvqkd_calib import SystemParams, key_rate, transmittance_from_km
         cfg = SweepConfig.from_dict(base_config(
             models=["three_mode"], variances=[4.0],
             distances_km={"start": 25.0, "stop": 25.0, "step": 5.0}))
@@ -209,7 +209,7 @@ class TestTenRows:
             p = SystemParams(v=4.0, t=transmittance_from_km(25.0), eps_c=eps_c,
                              eta_d=0.6, v_ele=0.01, beta=0.956)
             model = CalibrationModel.ONE_TIME_THREE_MODE
-            return key_rate_asymptotic(p, model).rate_bits_per_pulse
+            return key_rate(p, model).rate_bits_per_pulse
 
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-6:
@@ -365,6 +365,15 @@ class TestExitCodes:
         assert main(["validate-config", "--config", path, "--set", "regime=finite_size",
                      "--set", "finite_size.calib_samples_m=1"]) == EXIT_CONFIG_ERROR
         assert "calibration samples must lie in [2, N], got 1" in capsys.readouterr().err
+
+    def test_validate_config_rejects_key_share_below_two(self, tmp_path, capsys):
+        # The finite-size penalty needs n = key_fraction * N >= 2, so the sweep would fail later.
+        path = write_config(tmp_path, base_config(finite_size=FINITE_SIZE))
+        assert main(["validate-config", "--config", path, "--set", "regime=finite_size",
+                     "--set", "finite_size.block_length=3",
+                     "--set", "finite_size.key_fraction=0.5",
+                     "--set", "finite_size.calib_samples_m=2"]) == EXIT_CONFIG_ERROR
+        assert "needs n >= 2, got 1.5" in capsys.readouterr().err
 
     # [0.5] is no count, so it fails before the dry run and names its field.
     @pytest.mark.parametrize("m_grid,message", [

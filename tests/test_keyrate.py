@@ -22,14 +22,12 @@ from cvqkd_calib import (
     NumericalError,
     SystemParams,
     apply_miscalibration,
-    confidence_interval_ote,
-    confidence_interval_tte,
+    confidence_interval,
     finite_size_penalty,
     holevo_conventional,
     holevo_three_mode,
     holevo_two_mode,
-    key_rate_asymptotic,
-    key_rate_finite,
+    key_rate,
     keyrate,
     models,
     mutual_information,
@@ -229,7 +227,7 @@ class TestLodewyckOracle:
 class TestKeyRateAsymptotic:
     def test_composition_at_zero_distance(self):
         p = params(t=1.0)
-        res = key_rate_asymptotic(p, THREE)
+        res = key_rate(p, THREE)
         chi = 1 / (p.eta_d * p.eta_e) - 1 + p.eps_c
         i_ab = 0.5 * math.log2((p.v + chi) / (chi + 1))
         assert res.i_ab == pytest.approx(i_ab, rel=1e-12)
@@ -241,15 +239,15 @@ class TestKeyRateAsymptotic:
     def test_three_mode_close_to_conventional_at_low_variance(self):
         # Divergence at V = 4, 25 km is well below one percent.
         p = params(v=4.0, t=transmittance_from_km(25.0))
-        r3 = key_rate_asymptotic(p, THREE).rate_bits_per_pulse
-        rc = key_rate_asymptotic(p, CONV).rate_bits_per_pulse
+        r3 = key_rate(p, THREE).rate_bits_per_pulse
+        rc = key_rate(p, CONV).rate_bits_per_pulse
         assert rc > 0
         assert abs(r3 - rc) / rc < 0.01
 
     @PROPERTY
     @given(system_params)
     def test_model_ordering_over_draws(self, p):
-        rates = {m: key_rate_asymptotic(p, m).rate_bits_per_pulse
+        rates = {m: key_rate(p, m).rate_bits_per_pulse
                  for m in (TWO, THREE, CONV)}
         assert rates[TWO] <= rates[THREE] + 1e-12
         # Without electronic noise the three-mode and conventional models
@@ -264,7 +262,7 @@ class TestKeyRateAsymptotic:
             rates = []
             for km in np.arange(0.0, 101.0, 5.0):
                 p = params(v=v, t=transmittance_from_km(km))
-                rates.append(key_rate_asymptotic(p, THREE).rate_bits_per_pulse)
+                rates.append(key_rate(p, THREE).rate_bits_per_pulse)
             positive = [r for r in rates if r > 0]
             assert len(positive) >= 2
             assert all(b < a for a, b in zip(positive, positive[1:]))
@@ -273,22 +271,22 @@ class TestKeyRateAsymptotic:
     @given(link_fields, distances_km, distances_km, st.sampled_from([TWO, THREE, CONV]))
     def test_rate_never_rises_with_distance_while_positive(self, fields, km1, km2, model):
         near, far = sorted((km1, km2))
-        r_near = key_rate_asymptotic(at_km(fields, near), model).rate_bits_per_pulse
-        r_far = key_rate_asymptotic(at_km(fields, far), model).rate_bits_per_pulse
+        r_near = key_rate(at_km(fields, near), model).rate_bits_per_pulse
+        r_far = key_rate(at_km(fields, far), model).rate_bits_per_pulse
         if r_near > 0.0:
             assert r_far <= r_near + 1e-12
 
     def test_small_step_continuity(self):
         p0 = params(v=4.0, t=transmittance_from_km(30.0))
         p1 = params(v=4.0, t=transmittance_from_km(30.01))
-        r0 = key_rate_asymptotic(p0, THREE).rate_bits_per_pulse
-        r1 = key_rate_asymptotic(p1, THREE).rate_bits_per_pulse
+        r0 = key_rate(p0, THREE).rate_bits_per_pulse
+        r1 = key_rate(p1, THREE).rate_bits_per_pulse
         assert abs(r1 - r0) < 1e-4
 
     def test_miscalibration_lowers_apparent_rate(self):
         p = params(t=transmittance_from_km(40.0))
-        clean = key_rate_asymptotic(p, CONV).rate_bits_per_pulse
-        skewed = key_rate_asymptotic(p, CONV, delta=0.002).rate_bits_per_pulse
+        clean = key_rate(p, CONV).rate_bits_per_pulse
+        skewed = key_rate(p, CONV, delta=0.002).rate_bits_per_pulse
         assert skewed < clean
 
     def test_sign_convention_invariance(self):
@@ -320,6 +318,8 @@ class TestFiniteSizeParams:
         for m in (1, 10 ** 11):
             with pytest.raises(ValueError, match="calibration samples"):
                 FiniteSizeParams(**{**good, "calib_samples_m": m})
+        with pytest.raises(ValueError, match=r"n >= 2, got 1\.5"):
+            FiniteSizeParams(**{**good, "block_length": 3, "calib_samples_m": 2})
 
 
 class TestFiniteSizePenalty:
@@ -358,11 +358,11 @@ class TestKeyRateFinite:
 
     def test_collapsed_interval_and_huge_block_recovers_asymptotic(self):
         p = params(v=4.0, t=transmittance_from_km(20.0))
-        asym = key_rate_asymptotic(p, THREE)
+        asym = key_rate(p, THREE)
         fs = FiniteSizeParams(block_length=10 ** 18, key_fraction=0.999999,
                               eps_pe=1e-10, eps_pa=1e-10, eps_smooth=1e-10,
                               calib_samples_m=10 ** 18)
-        fin = key_rate_finite(p, THREE, fs)
+        fin = key_rate(p, THREE, fs)
         assert fin.rate_bits_per_pulse == pytest.approx(
             asym.rate_bits_per_pulse, rel=1e-4)
         # the interval at m = 1e18 is not exactly a point: chi moves by
@@ -373,7 +373,7 @@ class TestKeyRateFinite:
         p = params(v=4.0, t=transmittance_from_km(20.0))
         fs = self.fs()
         calib = snu_interval(p, THREE, fs)
-        res = key_rate_finite(p, THREE, fs)
+        res = key_rate(p, THREE, fs)
         assert res.rate_bits_per_pulse == pytest.approx(
             fs.key_fraction * (p.beta * res.i_ab - res.chi_be - res.delta_n),
             rel=1e-12)
@@ -383,8 +383,8 @@ class TestKeyRateFinite:
     def test_worst_case_no_better_than_perfect_calibration(self):
         p = params(v=4.0, t=transmittance_from_km(20.0))
         fs = self.fs(m=10 ** 6)
-        fin = key_rate_finite(p, THREE, fs)
-        asym = key_rate_asymptotic(p, THREE)
+        fin = key_rate(p, THREE, fs)
+        asym = key_rate(p, THREE)
         assert fin.chi_be >= asym.chi_be - 1e-12
 
     def test_finite_below_asymptotic_when_interval_contains_unity(self):
@@ -395,10 +395,10 @@ class TestKeyRateFinite:
         checked = 0
         while checked < 25:
             p = random_params(rng)
-            asym = key_rate_asymptotic(p, TWO)
+            asym = key_rate(p, TWO)
             if asym.rate_bits_per_pulse < 0:
                 continue
-            fin = key_rate_finite(p, TWO, fs)
+            fin = key_rate(p, TWO, fs)
             assert fin.rate_bits_per_pulse <= asym.rate_bits_per_pulse + 1e-12
             checked += 1
 
@@ -406,9 +406,9 @@ class TestKeyRateFinite:
     @PROPERTY
     @given(p=system_params, m=st.sampled_from([10 ** 6, 5 * 10 ** 9]))
     def test_finite_never_exceeds_asymptotic_over_draws(self, model, p, m):
-        asym = key_rate_asymptotic(p, model).rate_bits_per_pulse
+        asym = key_rate(p, model).rate_bits_per_pulse
         assume(asym >= 0.0)
-        fin = key_rate_finite(p, model, self.fs(m=m))
+        fin = key_rate(p, model, self.fs(m=m))
         assert fin.rate_bits_per_pulse <= asym + 1e-12
 
     def test_monotone_in_block_length(self):
@@ -418,12 +418,12 @@ class TestKeyRateFinite:
             fs = FiniteSizeParams(block_length=n, key_fraction=0.5, eps_pe=1e-10,
                                   eps_pa=1e-10, eps_smooth=1e-10,
                                   calib_samples_m=10 ** 8)
-            rates.append(key_rate_finite(p, THREE, fs).rate_bits_per_pulse)
+            rates.append(key_rate(p, THREE, fs).rate_bits_per_pulse)
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_invalid_interval_rejected(self):
         # The frozen interval type checks itself, so no interval that
-        # key_rate_finite derives has a nonpositive lower bound.
+        # key_rate derives has a nonpositive lower bound.
         calib = snu_interval(params(), THREE, self.fs())
         with pytest.raises(ValueError, match="interval"):
             type(calib)(point=calib.point, lower=-1.0, upper=calib.upper)
@@ -443,10 +443,10 @@ class TestSnuInterval:
         fs = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-8,
                               eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=10 ** 6)
         v_tot = 1.0 + v_ele + v_rin
-        assert snu_interval(p, CONV, fs) == confidence_interval_tte(
-            v_tot, v_ele, 10 ** 6, 10 ** 6, 1e-8)
+        assert snu_interval(p, CONV, fs) == confidence_interval(
+            v_tot, v_ele, 10 ** 6, 1e-8)
         for model in (TWO, THREE):
-            assert snu_interval(p, model, fs) == confidence_interval_ote(v_tot, 10 ** 6, 1e-8)
+            assert snu_interval(p, model, fs) == confidence_interval(v_tot, 0.0, 10 ** 6, 1e-8)
 
 
 class TestBatchedScan:
@@ -485,7 +485,7 @@ class TestBatchedScan:
     def test_finite_rate_is_pointwise_minimum(self, model):
         for p in self.draws(seed=7, n=8):
             calib = snu_interval(p, model, self.FS)
-            res = key_rate_finite(p, model, self.FS, delta=0.001)
+            res = key_rate(p, model, self.FS, delta=0.001)
             eff = apply_miscalibration(p, 0.001)
             grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
             worst_value = math.inf
@@ -520,7 +520,7 @@ class TestBatchedScan:
         n0 = self.scan_n0(p, model)
         named = re.escape(repr(float(n0[7])))
         with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$"):
-            key_rate_finite(p, model, self.FS)
+            key_rate(p, model, self.FS)
 
     def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch):
         original = keyrate.three_mode_stack
@@ -535,7 +535,7 @@ class TestBatchedScan:
         n0 = self.scan_n0(p, THREE)
         named = re.escape(repr(float(n0[5])))
         with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:"):
-            key_rate_finite(p, THREE, self.FS)
+            key_rate(p, THREE, self.FS)
 
     def test_n0_must_be_positive_scalar_or_vector(self):
         p = params()

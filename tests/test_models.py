@@ -10,10 +10,9 @@ from cvqkd_calib import (
     CalibrationModel,
     SystemParams,
     apply_miscalibration,
-    confidence_interval_ote,
-    confidence_interval_tte,
+    confidence_interval,
     eta_e_from_noise,
-    key_rate_asymptotic,
+    key_rate,
     transmittance_from_km,
 )
 from cvqkd_calib.gaussian import symplectic_spectra
@@ -96,7 +95,7 @@ class TestParamTypes:
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="no signal"):
-            key_rate_asymptotic(params(), TWO, delta=-1.0)
+            key_rate(params(), TWO, delta=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +238,11 @@ class TestBuildConventional:
 # total variance itself
 
 def snu_tte(v_tot: float, v_ele: float) -> float:
-    return confidence_interval_tte(v_tot, v_ele, 10 ** 6, 10 ** 6, 1e-10).point
+    return confidence_interval(v_tot, v_ele, 10 ** 6, 1e-10).point
 
 
 def snu_ote(v_tot: float) -> float:
-    return confidence_interval_ote(v_tot, 10 ** 6, 1e-10).point
+    return confidence_interval(v_tot, 0.0, 10 ** 6, 1e-10).point
 
 
 class TestSnuConversions:
@@ -281,7 +280,7 @@ class TestWorstCaseSplit:
     @staticmethod
     def rate(model, t, v_ele):
         p = params(v=4.0, t=t, v_ele=v_ele)
-        return key_rate_asymptotic(p, model).rate_bits_per_pulse
+        return key_rate(p, model).rate_bits_per_pulse
 
     def test_all_loss_to_channel(self):
         for t in (1.0, 0.5, transmittance_from_km(60.0)):
