@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from .calibration import NoiseGroundTruth, deviation_curve
 from .keyrate import FiniteSizeParams, key_rate
 from .models import CalibrationModel, SystemParams, transmittance_from_km
@@ -296,98 +298,137 @@ def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
     )
 
 
-def _sweep_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float,
-               delta: float) -> dict:
+_ROW_ERRORS = (ArithmeticError, RuntimeError, ValueError)
+
+
+def _column(values: list[float]) -> float | np.ndarray:
+    """A one-point block's value as a float, so errors print it as a number;
+    more points as a 1-D column."""
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+def _sweep_block(config: SweepConfig, model: CalibrationModel, v: float,
+                 points: list[tuple[float, float]]) -> list[dict]:
+    """Key-rate rows of the (distance, delta) points of one (model, V) block,
+    from one key_rate call over the block."""
     system = config.system
-    try:
-        params = SystemParams(v=v, t=transmittance_from_km(dist), **system)
-        res = key_rate(params, model, config.finite_size, delta)
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
-        raise _row_failure(exc, model, v, dist, delta) from exc
-    rate = res.rate_bits_per_pulse
+    params = SystemParams(v=v, t=_column([transmittance_from_km(d) for d, _ in points]),
+                          **system)
+    res = key_rate(params, model, config.finite_size, _column([x for _, x in points]))
+    columns = (np.atleast_1d(c).tolist() for c in (
+        params.t, res.i_ab, res.chi_be, res.rate_bits_per_pulse, res.worst_n0))
     pulse_rate = config.pulse_rate_hz
-    return {
-        "model": model.value,
-        "regime": config.regime.value,
-        "V": v,
-        "distance_km": dist,
-        "transmittance": params.t,
-        "eps_c": system["eps_c"],
-        "eta_d": system["eta_d"],
-        "v_ele": system["v_ele"],
-        "delta": delta,
-        "n0_worst": res.worst_n0,
-        "i_ab": res.i_ab,
-        "chi_be": res.chi_be,
-        "delta_n": res.delta_n,
-        "rate_bits_per_pulse": rate,
-        "rate_bits_per_s": None if pulse_rate is None else rate * pulse_rate,
-        "rate_clamped": max(rate, 0.0),
-    }
-
-
-def _ten_row(config: SweepConfig, model: CalibrationModel, v: float, dist: float) -> dict:
-    system = config.system
-    try:
-        t = transmittance_from_km(dist)
-
-        def rate_at(eps_c: float) -> float:
-            params = SystemParams(v=v, t=t, **{**system, "eps_c": eps_c})
-            return key_rate(params, model, config.finite_size).rate_bits_per_pulse
-
-        ten = _bisect_tolerable_noise(rate_at)
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
-        raise _row_failure(exc, model, v, dist, 0.0) from exc
-    return {
+    return [{
         "model": model.value,
         "regime": config.regime.value,
         "V": v,
         "distance_km": dist,
         "transmittance": t,
+        "eps_c": system["eps_c"],
+        "eta_d": system["eta_d"],
+        "v_ele": system["v_ele"],
+        "delta": delta,
+        "n0_worst": worst_n0,
+        "i_ab": i_ab,
+        "chi_be": chi_be,
+        "delta_n": res.delta_n,
+        "rate_bits_per_pulse": rate,
+        "rate_bits_per_s": None if pulse_rate is None else rate * pulse_rate,
+        "rate_clamped": max(rate, 0.0),
+    } for (dist, delta), t, i_ab, chi_be, rate, worst_n0 in zip(points, *columns)]
+
+
+def _ten_block(config: SweepConfig, model: CalibrationModel, v: float,
+               points: list[tuple[float, float]]) -> list[dict]:
+    """Tolerable-excess-noise rows of the (distance, 0.0) points of one
+    (model, V) block, bisected in lockstep."""
+    system = config.system
+    t = np.array([transmittance_from_km(d) for d, _ in points])
+
+    def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
+        params = SystemParams(v=v, t=_column(t[rows].tolist()),
+                              **{**system, "eps_c": eps_c})
+        return key_rate(params, model, config.finite_size).rate_bits_per_pulse
+
+    return [{
+        "model": model.value,
+        "regime": config.regime.value,
+        "V": v,
+        "distance_km": dist,
+        "transmittance": t_row,
         "eta_d": system["eta_d"],
         "v_ele": system["v_ele"],
         "ten": ten,
-    }
+    } for (dist, _), t_row, ten in zip(points, t.tolist(),
+                                       _tolerable_noise(rate_at, len(points)).tolist())]
 
 
-def _bisect_tolerable_noise(rate_at) -> float:
-    """Largest excess noise with positive rate, to TEN_TOLERANCE, by bisection."""
-    if rate_at(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 0.5
-    while rate_at(hi) > 0.0:
-        hi *= 2.0
-        if hi > _TEN_BRACKET_CAP:
+def _tolerable_noise(rate_at, n: int) -> np.ndarray:
+    """Largest excess noise with positive rate for each of n rows, to
+    TEN_TOLERANCE, by bisections run in lockstep.
+
+    rate_at(rows, eps_c) gives the rates of the listed rows at their
+    eps_c. Each step evaluates every unfinished row once, at the iterate
+    a bisection of that row alone would take next: eps_c = 0, then
+    hi = 0.5, 1, 2, ... while the rate stays positive, then midpoints.
+    A row whose rate is not positive at eps_c = 0 tolerates 0.0.
+    """
+    lo, hi = np.zeros(n), np.full(n, 0.5)
+    steps = np.zeros(n, dtype=int)
+    bracketing = np.ones(n, dtype=bool)
+    tolerant = rate_at(np.arange(n), np.zeros(n)) > 0.0
+    active = tolerant.copy()
+    while active.any():
+        rows = np.flatnonzero(active)
+        grow = bracketing[rows]
+        at = np.where(grow, hi[rows], 0.5 * (lo[rows] + hi[rows]))
+        up = rate_at(rows, at) > 0.0
+        # Bracketing rows double hi while the rate stays positive.
+        hi[rows[grow & up]] *= 2.0
+        if np.any(hi[rows] > _TEN_BRACKET_CAP):
             raise RuntimeError("rate stayed positive up to the excess-noise cap")
-    for _ in range(TEN_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= TEN_TOLERANCE:
-            break
-    return 0.5 * (lo + hi)
+        bracketing[rows[grow & ~up]] = False
+        # Bisecting rows move the end whose sign the midpoint shares.
+        lo[rows[~grow & up]] = at[~grow & up]
+        hi[rows[~grow & ~up]] = at[~grow & ~up]
+        steps[rows[~grow]] += 1
+        done = ~grow & ((hi[rows] - lo[rows] <= TEN_TOLERANCE) | (steps[rows] >= TEN_MAX_ITER))
+        active[rows[done]] = False
+    return np.where(tolerant, 0.5 * (lo + hi), 0.0)
 
 
-def _grid(config: SweepConfig) -> list[tuple[CalibrationModel, float, float]]:
-    """Every (model, V, distance) point, sorted in that order."""
-    return [(model, v, dist)
-            for model in sorted(config.models, key=lambda m: m.value)
-            for v in sorted(config.variances)
-            for dist in config.distances_km.points()]
+def _grid_rows(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
+    """block(config, model, V, points) over each (model, V) of the grid, sorted,
+    with points every (distance, delta) in that order.
+
+    When a block raises, its points are evaluated one at a time in grid
+    order, so the error names the first failing point."""
+    points = [(dist, delta) for dist in config.distances_km.points() for delta in deltas]
+    rows = []
+    for model in sorted(config.models, key=lambda m: m.value):
+        for v in sorted(config.variances):
+            try:
+                rows += block(config, model, v, points)
+                continue
+            except _ROW_ERRORS:
+                pass  # a block error cannot say which point failed
+            for dist, delta in points:
+                try:
+                    rows += block(config, model, v, [(dist, delta)])
+                except _ROW_ERRORS as exc:
+                    raise _row_failure(exc, model, v, dist, delta) from exc
+    return rows
 
 
 def sweep_rows(config: SweepConfig) -> list[dict]:
-    """Key-rate rows for every _grid point and sorted delta, in that order."""
-    return [_sweep_row(config, model, v, dist, delta)
-            for model, v, dist in _grid(config)
-            for delta in sorted(config.miscalibration_deltas)]
+    """Key-rate rows for every (model, V, distance) point and sorted delta,
+    in that order."""
+    return _grid_rows(config, _sweep_block, sorted(config.miscalibration_deltas))
 
 
 def ten_rows(config: SweepConfig) -> list[dict]:
-    """Tolerable-excess-noise rows for every _grid point."""
-    return [_ten_row(config, model, v, dist) for model, v, dist in _grid(config)]
+    """Tolerable-excess-noise rows for every (model, V, distance) point."""
+    return _grid_rows(config, _ten_block, [0.0])
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:

@@ -88,6 +88,23 @@ def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
     return paired[..., ::-1]
 
 
+# Bounded: the key holds a float transmittance, one per detector in use.
+@functools.lru_cache(maxsize=64)
+def beamsplitter_matrix(dim: int, mode_a: int, mode_b: int,
+                        transmittance: float) -> np.ndarray:
+    """Y of :func:`mix_on_beamsplitter` on dim quadratures; cached, read-only."""
+    t = math.sqrt(transmittance) * np.eye(2)
+    r = math.sqrt(1.0 - transmittance) * np.eye(2)
+    y = np.eye(dim)
+    a, b = 2 * mode_a, 2 * mode_b
+    y[a:a + 2, a:a + 2] = t
+    y[a:a + 2, b:b + 2] = r
+    y[b:b + 2, a:a + 2] = -r
+    y[b:b + 2, b:b + 2] = t
+    y.flags.writeable = False
+    return y
+
+
 def mix_on_beamsplitter(stack: np.ndarray, mode_a: int, mode_b: int,
                         transmittance: float) -> np.ndarray:
     """Mix two modes on a beamsplitter over a stack (..., 2n, 2n).
@@ -96,25 +113,27 @@ def mix_on_beamsplitter(stack: np.ndarray, mode_a: int, mode_b: int,
     the two modes and, on them, sqrt(eta) on the diagonal and
     +/- sqrt(1 - eta) off-diagonal.
     """
-    t = math.sqrt(transmittance) * np.eye(2)
-    r = math.sqrt(1.0 - transmittance) * np.eye(2)
-    y = np.eye(stack.shape[-1])
-    a, b = 2 * mode_a, 2 * mode_b
-    y[a:a + 2, a:a + 2] = t
-    y[a:a + 2, b:b + 2] = r
-    y[b:b + 2, a:a + 2] = -r
-    y[b:b + 2, b:b + 2] = t
+    y = beamsplitter_matrix(stack.shape[-1], mode_a, mode_b, transmittance)
     out = y.T @ stack @ y
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
-def with_vacuum(data: np.ndarray) -> np.ndarray:
-    """Append one vacuum mode to one 2n x 2n matrix: gamma (+) I2."""
-    d = data.shape[0]
-    out = np.zeros((d + 2, d + 2))
-    out[:d, :d] = data
-    out[d:, d:] = np.eye(2)
+def with_vacuum(stack: np.ndarray) -> np.ndarray:
+    """Append one vacuum mode to each matrix of a stack (..., 2n, 2n): gamma (+) I2."""
+    d = stack.shape[-1]
+    out = np.zeros(stack.shape[:-2] + (d + 2, d + 2))
+    out[..., :d, :d] = stack
+    out[..., d, d] = out[..., d + 1, d + 1] = 1.0
     return out
+
+
+@functools.cache
+def kept_quadratures(n_modes: int, measured_mode: int) -> np.ndarray:
+    """Quadrature indices of every mode but the measured one; cached, read-only."""
+    kept = np.array([i for m in range(n_modes) if m != measured_mode
+                     for i in (2 * m, 2 * m + 1)])
+    kept.flags.writeable = False
+    return kept
 
 
 def homodyne_conditioned(stack: np.ndarray, measured_mode: int) -> np.ndarray:
@@ -125,8 +144,7 @@ def homodyne_conditioned(stack: np.ndarray, measured_mode: int) -> np.ndarray:
     quadrature; one batched pseudoinverse handles the rank-1 projected
     blocks. The result does not depend on the measurement outcome.
     """
-    n = stack.shape[-1] // 2
-    kept = np.array([i for m in range(n) if m != measured_mode for i in (2 * m, 2 * m + 1)])
+    kept = kept_quadratures(stack.shape[-1] // 2, measured_mode)
     measured = slice(2 * measured_mode, 2 * measured_mode + 2)
     a = stack[..., kept[:, None], kept]
     b = stack[..., measured, measured]

@@ -91,34 +91,51 @@ class KeyRateResult:
     rate_bits_per_pulse may be negative; clamping to zero is left to the
     presentation layer. In the finite-size regime chi_be is the worst
     case over the scanned SNU interval and worst_n0 records where it was
-    attained; delta_n is zero in the asymptotic regime.
+    attained; delta_n is zero in the asymptotic regime. For a block of
+    rows every field but delta_n, which all rows share, is a 1-D column.
     """
 
-    rate_bits_per_pulse: float
-    i_ab: float
-    chi_be: float
+    rate_bits_per_pulse: float | np.ndarray
+    i_ab: float | np.ndarray
+    chi_be: float | np.ndarray
     delta_n: float
-    worst_n0: float
+    worst_n0: float | np.ndarray
 
 
-def mutual_information(params: SystemParams) -> float:
+def _row_shape(params: SystemParams) -> tuple[int, ...]:
+    """() for one row of scalar params, (rows,) for a block of columns."""
+    return np.broadcast(params.v, params.t, params.eps_c).shape
+
+
+def _as_given(values: np.ndarray, params: SystemParams,
+              n0: float | np.ndarray = 1.0) -> float | np.ndarray:
+    """Row-major values over (row, n0) shaped as the inputs were: a float for
+    scalar params and n0, otherwise an array of shape rows + n0 shape."""
+    shape = _row_shape(params) + np.shape(n0)
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def mutual_information(params: SystemParams) -> float | np.ndarray:
     """Shannon information between Alice and Bob, identical for all models.
 
     I_AB = 1/2 log2((V + chi)/(chi + 1)) with the total noise referred to
     the channel input, chi = 1/(t * eta_d * eta_e) - 1 + eps_c. The same
     value follows from any model matrix as 1/2 log2(V_B / V_B|A) with
-    Alice's mode heterodyned.
+    Alice's mode heterodyned. One value per row; each takes libm's log2.
     """
-    chi = 1.0 / (params.t * params.eta_d * params.eta_e) - 1.0 + params.eps_c
-    return 0.5 * math.log2((params.v + chi) / (chi + 1.0))
+    chi = 1.0 / (np.asarray(params.t) * params.eta_d * params.eta_e) - 1.0 + params.eps_c
+    ratio = np.ravel((params.v + chi) / (chi + 1.0)).tolist()
+    return _as_given(np.array([0.5 * math.log2(x) for x in ratio]), params)
 
 
 def _require_finite(values: np.ndarray, n0: float | np.ndarray, what: str) -> None:
-    """Raise NumericalError naming the first n0 whose entry of `values` is not finite."""
+    """Raise NumericalError naming the n0 of the first (row, n0) entry of
+    `values` that is not finite."""
     if np.isfinite(values).all():
         return
     finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
-    bad = float(n0_values(n0)[np.argmin(finite)])
+    scan = n0_values(n0)
+    bad = float(scan[np.argmin(finite) % scan.size])
     raise NumericalError(f"non-finite {what} at n0 = {bad!r}")
 
 
@@ -136,21 +153,17 @@ def _conditional_entropy(measured: np.ndarray, n0: float | np.ndarray) -> np.nda
     return entropy_of_spectra(_spectra(cond, n0, "conditional"))
 
 
-def _as_given(chi: np.ndarray, n0: float | np.ndarray) -> float | np.ndarray:
-    """A float for a scalar n0, the array for a 1-D one."""
-    return float(chi[0]) if np.ndim(n0) == 0 else chi
-
-
 def holevo_two_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
     """Eavesdropper information bound for the one-time two-mode model.
 
     chi_BE = S(A,B3) - S(A | b3) with the conditional state after ideal
-    x-homodyne on B3. n0 is a positive scalar (float result) or a 1-D
-    array of SNU ratios (one bound per entry, in one batched pass).
+    x-homodyne on B3. n0 is a positive scalar or a 1-D array of SNU
+    ratios; every (row, n0) bound comes from one batched pass, a float
+    for scalar params and n0, otherwise an array of shape rows + n0 shape.
     """
     g = two_mode_stack(params, n0)
     chi = entropy_of_spectra(_spectra(g, n0, "two-mode")) - _conditional_entropy(g, n0)
-    return _as_given(chi, n0)
+    return _as_given(chi, params, n0)
 
 
 def holevo_three_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
@@ -159,20 +172,21 @@ def holevo_three_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> flo
     chi_BE = S(A,B3,C) - S(A,C | b3). One symplectic eigenvalue of each
     full matrix equals 1 by construction (the detection beamsplitter's
     vacuum ancilla); it contributes no entropy and is verified here for
-    every n0 as an internal consistency check. n0 as in
-    :func:`holevo_two_mode`.
+    every (row, n0) as an internal consistency check. n0 and the result
+    as in :func:`holevo_two_mode`.
     """
     g = three_mode_stack(params, n0)
     spectra = _spectra(g, n0, "three-mode")
     lost = np.min(np.abs(spectra - 1.0), axis=-1) > _UNIT_EIGENVALUE_TOL
     if lost.any():
         i = int(np.argmax(lost))
+        scan = n0_values(n0)
         raise NumericalError(
-            f"three-mode matrix lost its unit eigenvalue at n0 = {float(n0_values(n0)[i])!r}: "
+            f"three-mode matrix lost its unit eigenvalue at n0 = {float(scan[i % scan.size])!r}: "
             f"spectrum {tuple(float(x) for x in spectra[i])}"
         )
     chi = entropy_of_spectra(spectra) - _conditional_entropy(g, n0)
-    return _as_given(chi, n0)
+    return _as_given(chi, params, n0)
 
 
 def holevo_conventional(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
@@ -181,14 +195,14 @@ def holevo_conventional(params: SystemParams, n0: float | np.ndarray = 1.0) -> f
     Eve purifies only the channel output (A, B1), so her entropy comes
     from the pre-detector matrix; after Bob's homodyne the global state
     stays pure, so her conditional entropy equals that of the remaining
-    trusted modes (A, F, G) in the full 8x8 model. n0 as in
-    :func:`holevo_two_mode`.
+    trusted modes (A, F, G) in the full 8x8 model. n0 and the result as
+    in :func:`holevo_two_mode`.
     """
     g_ab1 = conventional_channel_stack(params, n0)
     g = conventional_stack(params, g_ab1)
     _require_finite(g, n0, "measured matrix")
     chi = entropy_of_spectra(_spectra(g_ab1, n0, "channel")) - _conditional_entropy(g, n0)
-    return _as_given(chi, n0)
+    return _as_given(chi, params, n0)
 
 
 _HOLEVO = {
@@ -224,7 +238,8 @@ def snu_interval(params: SystemParams, model: CalibrationModel,
 
 
 def key_rate(params: SystemParams, model: CalibrationModel,
-             fs: FiniteSizeParams | None = None, delta: float = 0.0) -> KeyRateResult:
+             fs: FiniteSizeParams | None = None,
+             delta: float | np.ndarray = 0.0) -> KeyRateResult:
     """Secret key rate, asymptotic for fs None and finite-size otherwise.
 
     The SNU estimates are those :func:`apply_miscalibration` makes under
@@ -232,10 +247,15 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     chi_BE at n0 = 1. In the finite-size regime the calibrated-over-true
     SNU ratio is scanned across the model's :func:`snu_interval`
     normalized by its point estimate, beta*I_AB - chi_BE is minimized
-    over that grid in one batched Holevo call, the penalty Delta(n) is
-    subtracted and the result scaled by the key fraction n/N.
+    over that grid, the penalty Delta(n) is subtracted and the result
+    scaled by the key fraction n/N.
     Channel-parameter fluctuation is out of scope; only the SNU-bearing
     matrix entries move.
+
+    One row for scalar params and delta. A block of rows, with v, t,
+    eps_c or delta as 1-D columns, goes through one batched Holevo call
+    over every (row, n0) and gives a column per result field; each row
+    equals its own one-row evaluation.
     """
     if fs is None:
         n0, penalty, share = np.ones(1), 0.0, 1.0
@@ -246,14 +266,15 @@ def key_rate(params: SystemParams, model: CalibrationModel,
         penalty, share = finite_size_penalty(fs), fs.key_fraction
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
-    chi = _HOLEVO[model](eff, n0)
-    values = eff.beta * i_ab - chi
+    chi = np.reshape(_HOLEVO[model](eff, n0), (-1, n0.size))
+    values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
     # argmin takes the first of equal minima, as a strict-< scan would.
-    worst = int(np.argmin(values))
+    worst = np.argmin(values, axis=1)
+    rows = np.arange(worst.size)
     return KeyRateResult(
-        rate_bits_per_pulse=share * (float(values[worst]) - penalty),
+        rate_bits_per_pulse=_as_given(share * (values[rows, worst] - penalty), eff),
         i_ab=i_ab,
-        chi_be=float(chi[worst]),
+        chi_be=_as_given(chi[rows, worst], eff),
         delta_n=penalty,
-        worst_n0=float(n0[worst]),
+        worst_n0=_as_given(n0[worst], eff),
     )

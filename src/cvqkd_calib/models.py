@@ -14,9 +14,12 @@ measure statistics but differing in how much of the detector is trusted:
   efficiency loss mode C kept on the trusted side; the electronic noise
   becomes an untrusted loss of transmittance eta_e.
 
-Each builder returns a plain stack (N, 2n, 2n), one matrix per entry of
-a scalar or 1-D array of SNU ratios n0, which :func:`n0_values` checks
-positive.
+The fields v, t and eps_c of :class:`SystemParams` may be scalars or 1-D
+columns that broadcast together, one row of a grid block per element;
+the detector fields are scalars shared by every row. Each builder
+returns a plain stack (rows * N, 2n, 2n), one matrix per (row, n0) pair
+in row-major order, for a scalar or 1-D array of N SNU ratios n0, which
+:func:`n0_values` checks positive.
 """
 
 from __future__ import annotations
@@ -49,22 +52,24 @@ class SystemParams:
     the detection efficiency, v_ele the electronic noise variance, beta
     the reconciliation efficiency, v_rin an optional relative-intensity
     noise variance treated as additive Gaussian noise at the detector.
+    v, t and eps_c may also be 1-D columns that broadcast together, one
+    row each; every element is checked.
     """
 
-    v: float
-    t: float
-    eps_c: float
+    v: float | np.ndarray
+    t: float | np.ndarray
+    eps_c: float | np.ndarray
     eta_d: float
     v_ele: float
     beta: float
     v_rin: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.v > 1.0:
+        if not np.all(np.greater(self.v, 1.0)):
             raise ValueError(f"EPR variance must exceed 1, got {self.v}")
-        if not 0.0 < self.t <= 1.0:
+        if not np.all(np.greater(self.t, 0.0) & np.less_equal(self.t, 1.0)):
             raise ValueError(f"transmittance must lie in (0, 1], got {self.t}")
-        if self.eps_c < 0.0:
+        if np.any(np.less(self.eps_c, 0.0)):
             raise ValueError(f"excess noise must be nonnegative, got {self.eps_c}")
         if not 0.0 < self.eta_d <= 1.0:
             raise ValueError(f"detection efficiency must lie in (0, 1], got {self.eta_d}")
@@ -94,8 +99,10 @@ def eta_e_from_noise(v_ele: float, v_rin: float = 0.0) -> float:
 
 
 def _blocks4(a, c, b) -> np.ndarray:
-    """Stack (N, 4, 4) of [[a I2, c sigma_z], [c sigma_z, b I2]] over broadcast a, c, b."""
-    g = np.zeros((max(np.size(a), np.size(c), np.size(b)), 4, 4))
+    """Stack (N, 4, 4) of [[a I2, c sigma_z], [c sigma_z, b I2]], one matrix per
+    element of a, c and b broadcast together, in row-major order."""
+    a, c, b = (x.ravel() for x in np.broadcast_arrays(a, c, b))
+    g = np.zeros((a.size, 4, 4))
     g[:, 0, 0] = g[:, 1, 1] = a
     g[:, 2, 2] = g[:, 3, 3] = b
     g[:, 0, 2] = g[:, 2, 0] = c
@@ -111,31 +118,36 @@ def n0_values(n0: float | np.ndarray) -> np.ndarray:
     return values
 
 
+def _columns(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v, t and eps_c as (rows, 1) or (1, 1) arrays, which broadcast to one row each."""
+    return tuple(np.reshape(x, (-1, 1)) for x in (params.v, params.t, params.eps_c))
+
+
 def _channel_output(params: SystemParams) -> np.ndarray:
-    v, t, ec = params.v, params.t, params.eps_c
-    cross = math.sqrt(t * (v * v - 1.0))
+    v, t, ec = _columns(params)
+    cross = np.sqrt(t * (v * v - 1.0))
     vb = t * (v - 1.0 + ec) + 1.0
-    return _blocks4(v, cross, vb)[0]
+    return _blocks4(v, cross, vb)
 
 
 def two_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
-    """Covariances (N, 4, 4) of (A, B3) for the one-time two-mode model.
+    """Covariances (rows * N, 4, 4) of (A, B3) for the one-time two-mode model.
 
     Bob's block carries the full product transmittance t*eta_d*eta_e and,
     for n0 != 1, the calibrated-over-true SNU ratio divides his variance
-    and scales the cross correlation by 1/sqrt(n0). One matrix per entry
-    of the scalar or 1-D n0.
+    and scales the cross correlation by 1/sqrt(n0). One matrix per
+    (row, n0).
     """
     n0 = n0_values(n0)
-    v = params.v
-    tau = params.t * params.eta_d * params.eta_e
+    v, t, ec = _columns(params)
+    tau = t * params.eta_d * params.eta_e
     cross = np.sqrt(tau * (v * v - 1.0) / n0)
-    vb = (tau * (v - 1.0 + params.eps_c) + 1.0) / n0
+    vb = (tau * (v - 1.0 + ec) + 1.0) / n0
     return _blocks4(v, cross, vb)
 
 
 def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
-    """Covariances (N, 6, 6) of (A, B3, C) for the one-time three-mode model.
+    """Covariances (rows * N, 6, 6) of (A, B3, C) for the one-time three-mode model.
 
     Built by the physical sequence: channel output, vacuum ancilla mixed
     on the electronic-noise beamsplitter eta_e (its reflected mode is
@@ -149,28 +161,30 @@ def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray
     For n0 != 1 the B3 entries are rescaled and the unobserved mode C is
     reconstructed from the rescaled Bob variance through the trusted
     eta_d relations, which is how the receiver would rebuild the state
-    from miscalibrated data. The choice is made per entry of n0.
+    from miscalibrated data. The choice is made per (row, n0).
     """
     n0 = n0_values(n0)
     g = with_vacuum(_channel_output(params))
-    g = mix_on_beamsplitter(g, 1, 2, params.eta_e)[:4, :4]
+    g = mix_on_beamsplitter(g, 1, 2, params.eta_e)[:, :4, :4]
     g = mix_on_beamsplitter(with_vacuum(g), 1, 2, params.eta_d)
-    out = np.broadcast_to(g, (n0.shape[0], 6, 6)).copy()
-    moved = n0 != 1.0
+    out = np.repeat(g, n0.size, axis=0)
+    scan = np.tile(n0, g.shape[0])
+    moved = scan != 1.0
     if moved.any():
-        out[moved] = _rescale_three_mode(g, params.eta_d, n0[moved])
+        out[moved] = _rescale_three_mode(out[moved], params.eta_d, scan[moved])
     return out
 
 
 def _rescale_three_mode(g: np.ndarray, eta_d: float, n0: np.ndarray) -> np.ndarray:
-    """Apply each SNU ratio to B3 and rebuild mode C from trusted relations."""
-    vb3 = g[2, 2] / n0
-    cab3 = g[0, 2] / np.sqrt(n0)
+    """Apply each SNU ratio to B3 of its matrix in g and rebuild mode C from
+    trusted relations."""
+    vb3 = g[:, 2, 2] / n0
+    cab3 = g[:, 0, 2] / np.sqrt(n0)
     vc = (vb3 - 1.0) * (1.0 - eta_d) / eta_d + 1.0
     cac = cab3 * math.sqrt((1.0 - eta_d) / eta_d)
     cb3c = (vb3 - 1.0) * math.sqrt((1.0 - eta_d) * eta_d) / eta_d
     out = np.zeros((n0.shape[0], 6, 6))
-    out[:, :4, :4] = _blocks4(g[0, 0], cab3, vb3)
+    out[:, :4, :4] = _blocks4(g[:, 0, 0], cab3, vb3)
     for i in (4, 5):
         out[:, i, i] = vc
         out[:, i - 2, i] = out[:, i, i - 2] = cb3c
@@ -180,15 +194,16 @@ def _rescale_three_mode(g: np.ndarray, eta_d: float, n0: np.ndarray) -> np.ndarr
 
 
 def conventional_channel_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
-    """Channel-output states (N, 4, 4) of (A, B1) as the receiver of the
+    """Channel-output states (rows * N, 4, 4) of (A, B1) as the receiver of the
     conventional model reconstructs them from its (possibly
     miscalibrated) measured moments and its trusted knowledge of eta_d
-    and v_ele, one per entry of n0.
+    and v_ele, one per (row, n0).
 
     At n0 = 1 this is exactly the physical channel output.
     """
     n0 = n0_values(n0)
-    v, t, ec, ed = params.v, params.t, params.eps_c, params.eta_d
+    v, t, ec = _columns(params)
+    ed = params.eta_d
     ve = params.v_ele + params.v_rin
     vb3 = (ed * t * (v - 1.0 + ec) + 1.0 + ve) / n0
     cab3 = np.sqrt(ed * t * (v * v - 1.0) / n0)
@@ -220,7 +235,8 @@ def conventional_stack(params: SystemParams, g_ab1: np.ndarray) -> np.ndarray:
     return mix_on_beamsplitter(out, 1, 2, params.eta_d)
 
 
-def apply_miscalibration(params: SystemParams, delta: float) -> SystemParams:
+def apply_miscalibration(params: SystemParams,
+                         delta: float | np.ndarray) -> SystemParams:
     """Parameters Alice and Bob would estimate under an SNU error.
 
     Normalizing by an SNU that is wrong by the fraction delta scales
@@ -229,24 +245,30 @@ def apply_miscalibration(params: SystemParams, delta: float) -> SystemParams:
     gives t_hat = (1 + delta) * t from the covariance, with the residual
     variance absorbed into the apparent excess noise. The estimates are
     clamped to their physical ranges (t_hat <= 1, eps_hat >= 0), as a
-    constrained estimator would be.
+    constrained estimator would be. delta may be a 1-D column, one per
+    row of params.
     """
-    if 1.0 + delta <= 0.0:
+    if np.any(1.0 + np.asarray(delta) <= 0.0):
         raise ValueError(f"miscalibration delta {delta} leaves no signal")
-    if delta == 0.0:
+    if np.ndim(delta) == 0 and delta == 0.0:
         return params
-    v, t, ed = params.v, params.t, params.eta_d
+    v, t, ec, ed = params.v, params.t, params.eps_c, params.eta_d
     ve = params.v_ele + params.v_rin
-    t_hat = (1.0 + delta) * t
-    if t_hat <= 1.0:
-        eps_hat = params.eps_c + delta * (1.0 + ve) / ((1.0 + delta) * ed * t)
-    else:
+    t_hat = (1.0 + delta) * np.asarray(t)
+    eps_hat = np.where(
+        t_hat <= 1.0,
+        ec + delta * (1.0 + ve) / ((1.0 + delta) * ed * t),
         # Covariance implies t_hat > 1; the constrained estimate pins
         # t_hat = 1 and the variance equation then fixes eps_hat.
-        vb_scaled = (1.0 + delta) * (ed * t * (v - 1.0 + params.eps_c) + 1.0 + ve)
-        eps_hat = (vb_scaled - 1.0 - ve) / ed - (v - 1.0)
-        t_hat = 1.0
-    return replace(params, t=t_hat, eps_c=max(eps_hat, 0.0))
+        ((1.0 + delta) * (ed * t * (v - 1.0 + ec) + 1.0 + ve) - 1.0 - ve) / ed - (v - 1.0),
+    )
+    return replace(params, t=_given(np.where(t_hat <= 1.0, t_hat, 1.0)),
+                   eps_c=_given(np.where(eps_hat < 0.0, 0.0, eps_hat)))
+
+
+def _given(column: np.ndarray) -> float | np.ndarray:
+    """A 0-d result as a float, a 1-D one as the array."""
+    return float(column) if column.ndim == 0 else column
 
 
 def transmittance_from_km(distance_km: float) -> float:

@@ -1,11 +1,12 @@
 """Independent closed forms and reference pipelines that the batched
-eigensolver kernels are tested against."""
+eigensolver kernels and the lockstep TEN search are tested against."""
 
 import math
 
 import numpy as np
 
 from cvqkd_calib import CalibrationModel, SystemParams
+from cvqkd_calib.cli import _TEN_BRACKET_CAP, TEN_MAX_ITER, TEN_TOLERANCE
 from cvqkd_calib.gaussian import symplectic_form
 from cvqkd_calib.models import (
     conventional_channel_stack,
@@ -104,3 +105,25 @@ def holevo_pointwise(model: CalibrationModel, params: SystemParams, n0: float) -
         eve = _checked(channel[0])
         measured = _checked(conventional_stack(params, channel)[0])
     return _entropy(eve) - _entropy(_x_conditioned(measured))
+
+
+def bisect_tolerable_noise(rate_at) -> float:
+    """Largest excess noise with positive rate_at(eps_c), one row at a time:
+    the scalar bisection that the lockstep TEN search replaced, with its
+    tolerance, iteration limit and bracket cap."""
+    if rate_at(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 0.5
+    while rate_at(hi) > 0.0:
+        hi *= 2.0
+        if hi > _TEN_BRACKET_CAP:
+            raise RuntimeError("rate stayed positive up to the excess-noise cap")
+    for _ in range(TEN_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if rate_at(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= TEN_TOLERANCE:
+            break
+    return 0.5 * (lo + hi)

@@ -1,6 +1,7 @@
 """Tests for config handling, sweep execution and output contracts."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -8,10 +9,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cvqkd_calib
-from cvqkd_calib import CalibrationModel, NumericalError, keyrate
+from cvqkd_calib import (
+    CalibrationModel,
+    NumericalError,
+    SystemParams,
+    cli,
+    key_rate,
+    keyrate,
+    transmittance_from_km,
+)
 from cvqkd_calib.cli import (
     CALIB_COLUMNS,
     EXIT_CONFIG_ERROR,
@@ -26,6 +36,8 @@ from cvqkd_calib.cli import (
     sweep_rows,
     ten_rows,
 )
+from cvqkd_calib.keyrate import snu_interval
+from oracles import bisect_tolerable_noise
 
 
 def base_config(**overrides) -> dict:
@@ -172,7 +184,7 @@ class TestSweepRows:
         healthy = keyrate.holevo_three_mode
 
         def failing(params, n0=1.0):
-            if params.t < 0.9:
+            if np.any(np.less(params.t, 0.9)):
                 raise NumericalError("eigenvalue solve did not converge")
             return healthy(params, n0)
 
@@ -184,6 +196,43 @@ class TestSweepRows:
                 rf"^model=three_mode V=4\.0 km=10\.0 delta={delta}: "
                 r"NumericalError: eigenvalue solve did not converge$")):
             rows(cfg)
+
+    @pytest.mark.parametrize("model,builder,what", [
+        ("two_mode", "two_mode_stack", "two-mode matrix"),
+        ("three_mode", "three_mode_stack", "three-mode matrix"),
+        ("conventional", "conventional_stack", "measured matrix"),
+    ])
+    def test_poisoned_element_inside_a_block_names_its_point_and_n0(
+            self, monkeypatch, model, builder, what):
+        # One (model, V) block holds 4 distances x 3 deltas x 21 n0; poison the
+        # matrix of V = 20 (the second V), 20 km, delta 0.001 at the eighth n0.
+        original = getattr(keyrate, builder)
+        t_hat = (1.0 + 0.001) * transmittance_from_km(20.0)
+
+        def poisoned(params, n0):
+            out = original(params, n0)
+            rows = np.broadcast(params.v, params.t, params.eps_c).shape or (1,)
+            hit = np.flatnonzero((np.broadcast_to(params.v, rows) == 20.0)
+                                 & (np.broadcast_to(params.t, rows) == t_hat))
+            per_row = out.shape[0] // rows[0]
+            for row in hit:
+                out[row * per_row + 7, 2, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(keyrate, builder, poisoned)
+        cfg = SweepConfig.from_dict(base_config(
+            models=[model], variances=[4.0, 20.0], regime="finite_size",
+            finite_size=FINITE_SIZE, miscalibration_deltas=[0.0, 0.001, 0.003],
+            distances_km={"start": 0.0, "stop": 30.0, "step": 10.0}))
+        p = SystemParams(v=20.0, t=1.0, **cfg.system)
+        calib = snu_interval(p, CalibrationModel(model), cfg.finite_size)
+        n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
+                         keyrate.N0_SCAN_POINTS)
+        named = re.escape(repr(float(n0[7])))
+        with pytest.raises(RuntimeError, match=(
+                rf"^model={model} V=20\.0 km=20\.0 delta=0\.001: "
+                rf"NumericalError: non-finite {what} at n0 = {named}$")):
+            sweep_rows(cfg)
 
 
 class TestTenRows:
@@ -227,6 +276,63 @@ class TestTenRows:
             distances_km={"start": 150.0, "stop": 150.0, "step": 5.0}))
         (row,) = ten_rows(cfg)
         assert row["ten"] == 0.0
+
+    @staticmethod
+    def oracle_rows(cfg):
+        """Each grid row's TEN from the scalar bisection of tests/oracles.py."""
+        out = []
+        for model in sorted(cfg.models, key=lambda m: m.value):
+            for v in sorted(cfg.variances):
+                for km in cfg.distances_km.points():
+                    def rate_at(eps_c, model=model, v=v, km=km):
+                        p = SystemParams(v=v, t=transmittance_from_km(km),
+                                         **{**cfg.system, "eps_c": eps_c})
+                        return key_rate(p, model, cfg.finite_size).rate_bits_per_pulse
+
+                    out.append(bisect_tolerable_noise(rate_at))
+        return out
+
+    @pytest.mark.parametrize("regime,step,seed", [("asymptotic", 25.0, 0),
+                                                  ("asymptotic", 25.0, 1),
+                                                  ("finite_size", 50.0, 2)])
+    def test_lockstep_equals_scalar_bisection_oracle(self, regime, step, seed):
+        # V = 40 turns the rate negative at eps_c = 0 from about 60 km.
+        rng = np.random.default_rng(seed)
+        cfg = SweepConfig.from_dict(base_config(
+            regime=regime, finite_size=FINITE_SIZE,
+            variances=[float(rng.uniform(3.0, 5.0)), float(rng.uniform(12.0, 20.0)), 40.0],
+            distances_km={"start": float(rng.uniform(0.0, 5.0)), "stop": 200.0,
+                          "step": step}))
+        ten = [r["ten"] for r in ten_rows(cfg)]
+        assert ten == self.oracle_rows(cfg)
+        assert 0.0 in ten and max(ten) > 0.0
+
+    def test_lockstep_equals_oracle_when_the_bracket_grows(self):
+        # Real rates turn negative below eps_c = 0.5, so linear rates with
+        # roots up to the cap drive the bracket doubling.
+        roots = np.array([-0.1, 0.0, 0.3, 0.5, 0.7, 3.3, 100.0, 1000.0])
+        got = cli._tolerable_noise(lambda rows, eps_c: roots[rows] - eps_c, roots.size)
+        assert got.tolist() == [bisect_tolerable_noise(lambda eps_c, r=r: r - eps_c)
+                                for r in roots.tolist()]
+
+    def test_bracket_cap_names_its_grid_point(self, monkeypatch):
+        # A rate that stays positive at 10 km for any excess noise.
+        healthy = cli.key_rate
+        t10 = transmittance_from_km(10.0)
+
+        def positive_at_10_km(params, model, fs=None, delta=0.0):
+            res = healthy(params, model, fs, delta)
+            rate = np.where(np.asarray(params.t) == t10, 1.0, res.rate_bits_per_pulse)
+            return dataclasses.replace(res, rate_bits_per_pulse=rate)
+
+        monkeypatch.setattr(cli, "key_rate", positive_at_10_km)
+        cfg = SweepConfig.from_dict(base_config(
+            models=["conventional", "two_mode"],
+            distances_km={"start": 0.0, "stop": 20.0, "step": 10.0}))
+        with pytest.raises(RuntimeError, match=(
+                r"^model=conventional V=4\.0 km=10\.0 delta=0\.0: "
+                r"RuntimeError: rate stayed positive up to the excess-noise cap$")):
+            ten_rows(cfg)
 
     def test_finite_size_tolerable_noise_curves_coincide(self):
         # Three-mode and conventional tolerable-excess-noise values stay

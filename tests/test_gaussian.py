@@ -14,8 +14,10 @@ import pytest
 
 from cvqkd_calib import NumericalError, eta_e_from_noise
 from cvqkd_calib.gaussian import (
+    beamsplitter_matrix,
     entropy_of_spectra,
     homodyne_conditioned,
+    kept_quadratures,
     mix_on_beamsplitter,
     symplectic_form,
     symplectic_spectra,
@@ -317,3 +319,27 @@ class TestPhysicality:
         assert symplectic_form(n) is w
         with pytest.raises(ValueError, match="read-only"):
             w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dim,a,b,eta", [(6, 1, 2, 1.0 / 1.01), (6, 1, 2, 0.6),
+                                             (8, 1, 2, 0.6), (4, 0, 1, 0.0)])
+    def test_beamsplitter_matrix_is_shared_read_only_and_exact(self, dim, a, b, eta):
+        expect = np.eye(dim)
+        t, r = math.sqrt(eta) * np.eye(2), math.sqrt(1.0 - eta) * np.eye(2)
+        expect[2 * a:2 * a + 2, 2 * a:2 * a + 2] = t
+        expect[2 * a:2 * a + 2, 2 * b:2 * b + 2] = r
+        expect[2 * b:2 * b + 2, 2 * a:2 * a + 2] = -r
+        expect[2 * b:2 * b + 2, 2 * b:2 * b + 2] = t
+        y = beamsplitter_matrix(dim, a, b, eta)
+        assert y.tobytes() == expect.tobytes()
+        assert beamsplitter_matrix(dim, a, b, eta) is y
+        with pytest.raises(ValueError, match="read-only"):
+            y[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n,measured", [(2, 1), (3, 1), (4, 1), (3, 2)])
+    def test_kept_quadratures_are_shared_read_only_and_exact(self, n, measured):
+        expect = np.array([i for i in range(2 * n) if i // 2 != measured])
+        kept = kept_quadratures(n, measured)
+        assert kept.tobytes() == expect.tobytes() and kept.dtype == expect.dtype
+        assert kept_quadratures(n, measured) is kept
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1

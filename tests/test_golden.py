@@ -1,0 +1,48 @@
+"""Byte-identity of the CLI outputs on the README example grid.
+
+tests/golden/ holds gzipped outputs written from tests/golden/config.json
+(the README example config). Each test regenerates one output through
+cli.main and compares bytes, so any change to a printed digit fails here.
+A change that moves outputs on purpose regenerates the files with the
+commands below and says why:
+
+    cvqkd-calib <command> --config tests/golden/config.json [--set ...] --out <name>.csv
+    gzip -n -9 <name>.csv
+"""
+
+import gzip
+from pathlib import Path
+
+import pytest
+
+from cvqkd_calib.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+FINITE_STEP_50 = ["--set", "regime=finite_size", "--set", "distances_km.step=50"]
+
+CASES = {
+    "sweep_asymptotic": ["sweep"],
+    "sweep_finite_size_step50": ["sweep", *FINITE_STEP_50],
+    "ten_asymptotic": ["ten"],
+    "ten_finite_size_step50": ["ten", *FINITE_STEP_50],
+    "calib": ["calib"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(tmp_path, capsys, name):
+    command, *overrides = CASES[name]
+    out = tmp_path / f"{name}.csv"
+    argv = [command, "--config", str(GOLDEN / "config.json"), *overrides, "--out", str(out)]
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    expect = gzip.decompress((GOLDEN / f"{name}.csv.gz").read_bytes())
+    got = out.read_bytes()
+    if got != expect:
+        got_lines, expect_lines = got.splitlines(), expect.splitlines()
+        first = next((i for i, (a, b) in enumerate(zip(got_lines, expect_lines)) if a != b),
+                     min(len(got_lines), len(expect_lines)))
+        pair = [lines[first] if first < len(lines) else b"<end>"
+                for lines in (got_lines, expect_lines)]
+        pytest.fail(f"{name}: {len(got_lines)} lines against {len(expect_lines)}; "
+                    f"line {first + 1} reads {pair[0]!r}, expected {pair[1]!r}")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cvqkd_calib import (
     CalibrationModel,
     FiniteSizeParams,
+    KeyRateResult,
     NumericalError,
     SystemParams,
     apply_miscalibration,
@@ -43,6 +44,7 @@ TWO = CalibrationModel.ONE_TIME_TWO_MODE
 THREE = CalibrationModel.ONE_TIME_THREE_MODE
 CONV = CalibrationModel.CONVENTIONAL_TTE
 HOLEVO = {TWO: holevo_two_mode, THREE: holevo_three_mode, CONV: holevo_conventional}
+N0 = keyrate.N0_SCAN_POINTS
 
 
 def params(v=40.0, t=0.5, eps_c=0.01, eta_d=0.6, v_ele=0.01, beta=0.956):
@@ -431,6 +433,43 @@ class TestKeyRateFinite:
             calib.lower = -1.0
 
 
+class TestBlockEvaluation:
+    """A block of rows, v, t, eps_c and delta given as columns, goes through
+    one key_rate call; every row equals its own one-row evaluation bit for
+    bit, clamp branch of apply_miscalibration included."""
+
+    FS = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
+                          eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=5 * 10 ** 9)
+    DELTAS = (0.0, 0.001, 0.5, 2.0)
+
+    @pytest.mark.parametrize("regime", ["asymptotic", "finite_size"])
+    @pytest.mark.parametrize("v_rin", [0.0, 0.02])
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_block_equals_its_rows(self, model, v_rin, regime):
+        fs = self.FS if regime == "finite_size" else None
+        rng = np.random.default_rng([list(CalibrationModel).index(model), int(v_rin * 100),
+                                     fs is None])
+        for _ in range(3):
+            n = 4 * len(self.DELTAS)
+            # Half the rows within 5 km, where delta 0.5 and 2.0 imply t_hat > 1.
+            km = np.where(np.arange(n) % 2 == 0, rng.uniform(0.0, 5.0, n),
+                          rng.uniform(0.0, 200.0, n))
+            t = np.array([transmittance_from_km(x) for x in km])
+            v = rng.uniform(1.5, 60.0, n)
+            eps_c = rng.uniform(0.0, 0.1, n)
+            delta = np.tile(self.DELTAS, n // len(self.DELTAS))
+            assert np.any((1.0 + delta) * t > 1.0)
+            detector = dict(eta_d=rng.uniform(0.3, 0.99), v_ele=rng.uniform(0.0, 0.3),
+                            beta=rng.uniform(0.85, 1.0), v_rin=v_rin)
+            block = key_rate(SystemParams(v=v, t=t, eps_c=eps_c, **detector), model, fs,
+                             delta)
+            columns = [np.broadcast_to(getattr(block, f.name), (n,)).tolist()
+                       for f in dataclasses.fields(KeyRateResult)]
+            expect = [key_rate(SystemParams(v=v[i], t=t[i], eps_c=eps_c[i], **detector),
+                               model, fs, delta[i]) for i in range(n)]
+            assert [KeyRateResult(*row) for row in zip(*columns)] == expect
+
+
 class TestSnuInterval:
     """Each model implies its calibration procedure: two steps for the
     conventional receiver, one for the one-time receivers, all on the
@@ -504,34 +543,44 @@ class TestBatchedScan:
         calib = snu_interval(p, model, self.FS)
         return np.linspace(calib.lower / calib.point, calib.upper / calib.point, 21)
 
+    @staticmethod
+    def block(rows):
+        """One row at 20 km, or a block of rows at 10, 20, 30, ... km whose
+        middle row is at 20 km."""
+        km = [20.0] if rows == 1 else [10.0 * (i + 1) for i in range(rows)]
+        t = [transmittance_from_km(x) for x in km]
+        return params(v=4.0, t=t[0] if rows == 1 else np.array(t)), rows // 2
+
+    @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("model,builder", [(TWO, "two_mode_stack"),
                                                (THREE, "three_mode_stack"),
                                                (CONV, "conventional_stack")])
-    def test_nonfinite_stack_element_names_its_n0(self, monkeypatch, model, builder):
+    def test_nonfinite_stack_element_names_its_n0(self, monkeypatch, model, builder, rows):
         original = getattr(keyrate, builder)
+        p, middle = self.block(rows)
 
         def poisoned(p, n0):
             out = original(p, n0)
-            out[7, 2, 2] = np.nan
+            out[middle * N0 + 7, 2, 2] = np.nan
             return out
 
         monkeypatch.setattr(keyrate, builder, poisoned)
-        p = params(v=4.0, t=transmittance_from_km(20.0))
         n0 = self.scan_n0(p, model)
         named = re.escape(repr(float(n0[7])))
         with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$"):
             key_rate(p, model, self.FS)
 
-    def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch, rows):
         original = keyrate.three_mode_stack
+        p, middle = self.block(rows)
 
         def inflated(p, n0):
             out = original(p, n0)
-            out[5] *= 1.5
+            out[middle * N0 + 5] *= 1.5
             return out
 
         monkeypatch.setattr(keyrate, "three_mode_stack", inflated)
-        p = params(v=4.0, t=transmittance_from_km(20.0))
         n0 = self.scan_n0(p, THREE)
         named = re.escape(repr(float(n0[5])))
         with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:"):

@@ -93,6 +93,16 @@ class TestParamTypes:
         with pytest.raises(ValueError, match="RIN"):
             params(v_rin=-0.1)
 
+    @pytest.mark.parametrize("field,bad,message", [
+        ("v", 1.0, "EPR variance"), ("t", 0.0, "transmittance"), ("t", 1.2, "transmittance"),
+        ("eps_c", -0.01, "excess noise"),
+    ])
+    def test_every_element_of_a_column_is_checked(self, field, bad, message):
+        good = {"v": 4.0, "t": 0.5, "eps_c": 0.01}[field]
+        params(**{field: np.array([good, good])})
+        with pytest.raises(ValueError, match=message):
+            params(**{field: np.array([good, bad, good])})
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="no signal"):
             key_rate(params(), TWO, delta=-1.0)
