@@ -56,6 +56,31 @@ class ConfigError(ValueError):
 # The config value types that _typed passes through as given, with their JSON names.
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 
+# Every config key by section, "config" being the root, with the kind _typed
+# checks: [kind] is a non-empty list of that kind, and a dict is the section
+# of that name.
+_KEYS = {
+    "config": {"models": [str], "regime": str, "distances_km": dict, "variances": [float],
+               "system": dict, "finite_size": dict, "miscalibration_deltas": [float],
+               "pulse_rate_hz": float, "calibration": dict, "output": dict},
+    "distances_km": {"start": float, "stop": float, "step": float},
+    "system": {"eps_c": float, "eta_d": float, "v_ele": float, "beta": float,
+               "v_rin": float},
+    "finite_size": {"block_length": int, "key_fraction": float, "eps_pe": float,
+                    "eps_pa": float, "eps_smooth": float, "calib_samples_m": int,
+                    "dim_hx": int},
+    "calibration": {"v_tot": float, "v_ele": float, "eps_pe": float, "m_grid": [int]},
+    "output": {"path": str, "format": str},
+}
+
+# The optional keys, with the value an absent or null one takes. None leaves
+# the key out, so a dataclass default applies or the reader finds it unset.
+_OPTIONAL = {
+    "system.v_rin": None, "finite_size": None, "finite_size.dim_hx": None,
+    "miscalibration_deltas": [0.0], "pulse_rate_hz": None, "calibration": None,
+    "output": {}, "output.path": None, "output.format": "csv",
+}
+
 
 @dataclass(frozen=True)
 class DistanceGrid:
@@ -79,8 +104,10 @@ class DistanceGrid:
 
 
 @dataclass(frozen=True)
-class CalibrationConfig:
-    truth: NoiseGroundTruth
+class CalibrationConfig(NoiseGroundTruth):
+    """The true noise variances of the calib report, with its failure
+    probability and block lengths."""
+
     eps_pe: float
     m_grid: tuple[int, ...]
 
@@ -105,27 +132,81 @@ class SweepConfig:
     pulse_rate_hz: Optional[float] = None
     calibration: Optional[CalibrationConfig] = None
 
-    @staticmethod
-    def from_dict(raw: dict) -> "SweepConfig":
-        return _config_from_dict(raw)
+    @classmethod
+    def from_dict(cls, raw: dict, overrides: Sequence[str] = ()) -> "SweepConfig":
+        """The config in raw, after the --set overrides are applied to it."""
+        _typed(raw, "config root", dict)
+        for item in overrides:
+            _apply_override(raw, item)
+        try:
+            top = _section(raw, "config")
+            try:
+                models = tuple(CalibrationModel(m) for m in top["models"])
+            except ValueError as exc:
+                valid = ", ".join(m.value for m in CalibrationModel)
+                raise ConfigError(
+                    f"unknown model in {list(top['models'])}; valid: {valid}") from exc
+            try:
+                regime = Regime(top["regime"])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"regime must be one of {[r.value for r in Regime]}"
+                ) from exc
+            fs = FiniteSizeParams(**top["finite_size"]) if "finite_size" in top else None
+            if regime is Regime.FINITE_SIZE and fs is None:
+                raise ConfigError("finite_size section is required for the finite_size regime")
+            for delta in top["miscalibration_deltas"]:
+                if 1.0 + delta <= 0.0:
+                    raise ConfigError(f"miscalibration delta {delta} leaves no signal")
+            pulse = top.get("pulse_rate_hz")
+            if pulse is not None and pulse <= 0.0:
+                raise ConfigError(f"pulse_rate_hz must be positive, got {pulse}")
+            output = top["output"]
+            if output["format"] not in ("csv", "json"):
+                raise ConfigError(f"output.format must be csv or json, got {output['format']}")
+            cfg = cls(
+                models=models,
+                regime=regime,
+                distances_km=DistanceGrid(**top["distances_km"]),
+                variances=top["variances"],
+                system=top["system"],
+                output_path=output.get("path"),
+                output_format=output["format"],
+                finite_size=fs if regime is Regime.FINITE_SIZE else None,
+                miscalibration_deltas=top["miscalibration_deltas"],
+                pulse_rate_hz=pulse,
+                calibration=(CalibrationConfig(**top["calibration"])
+                             if "calibration" in top else None),
+            )
+            # Dry run: build what the commands build, so bad values fail before any row.
+            for v in cfg.variances:
+                SystemParams(v=v, t=1.0, **cfg.system)
+            if cfg.calibration is not None:
+                calibration_rows(cfg)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        return cfg
 
 
-def _need(raw: dict, key: str, section: str = "", kind: Optional[type] = None) -> Any:
-    where = f"{section}.{key}" if section else key
-    if key not in raw:
-        raise ConfigError(f"missing config field: {where}")
-    return raw[key] if kind is None else _typed(raw[key], where, kind)
+def _typed(value: Any, field: str, kind: type | list[type]) -> Any:
+    """value checked as a kind of _JSON_TYPES, float, int or [kind], or a
+    ConfigError naming the field.
 
-
-def _typed(value: Any, field: str, kind: type = float) -> Any:
-    """value checked as a kind of _JSON_TYPES, float or int, or a ConfigError naming the field.
-
-    An object, list or string is returned as given. A float is any finite
-    number; an int is a finite integral one, so 5e9 counts 5000000000
-    samples but 5.7 is an error. A JSON boolean is not a number, though
-    Python counts it as an int. Numbers are checked after conversion, as
-    --set passes non-JSON such as nan on as a string.
+    An object, list or string is returned as given. [kind] is a non-empty
+    list, returned as a tuple of its elements, each checked as kind and
+    named field[i]. A float is any finite number; an int is a finite
+    integral one, so 5e9 counts 5000000000 samples but 5.7 is an error. A
+    JSON boolean is not a number, though Python counts it as an int.
+    Numbers are checked after conversion, as --set passes non-JSON such as
+    nan on as a string.
     """
+    if isinstance(kind, list):
+        items = _typed(value, field, list)
+        if not items:
+            raise ConfigError(f"{field} must be a non-empty list")
+        return tuple(_typed(x, f"{field}[{i}]", kind[0]) for i, x in enumerate(items))
     if kind in _JSON_TYPES:
         if isinstance(value, kind):
             return value
@@ -143,113 +224,30 @@ def _typed(value: Any, field: str, kind: type = float) -> Any:
     return int(value) if isinstance(value, int) else int(number)
 
 
-def _config_from_dict(raw: dict, overrides: Sequence[str] = ()) -> SweepConfig:
-    """The config in raw, after the --set overrides are applied to it."""
-    _typed(raw, "config root", dict)
-    for item in overrides:
-        _apply_override(raw, item)
-    try:
-        model_names = _need(raw, "models", kind=list)
-        if not model_names:
-            raise ConfigError("models must be a non-empty list")
-        try:
-            models = tuple(CalibrationModel(m) for m in model_names)
-        except ValueError as exc:
-            valid = ", ".join(m.value for m in CalibrationModel)
-            raise ConfigError(f"unknown model in {model_names}; valid: {valid}") from exc
-        try:
-            regime = Regime(_need(raw, "regime"))
-        except ValueError as exc:
-            raise ConfigError(
-                f"regime must be one of {[r.value for r in Regime]}"
-            ) from exc
-        d = _need(raw, "distances_km", kind=dict)
-        grid = DistanceGrid(
-            start=_need(d, "start", "distances_km", float),
-            stop=_need(d, "stop", "distances_km", float),
-            step=_need(d, "step", "distances_km", float),
-        )
-        variances = tuple(_typed(v, f"variances[{i}]")
-                          for i, v in enumerate(_need(raw, "variances", kind=list)))
-        if not variances:
-            raise ConfigError("variances must be a non-empty list")
-        system_raw = _need(raw, "system", kind=dict)
-        allowed = {"eps_c", "eta_d", "v_ele", "beta", "v_rin"}
-        unknown = set(system_raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown system fields: {sorted(unknown)}")
-        system = {k: _typed(v, f"system.{k}") for k, v in system_raw.items()}
-        for req in ("eps_c", "eta_d", "v_ele", "beta"):
-            if req not in system:
-                raise ConfigError(f"missing config field: system.{req}")
-        fs = None
-        if raw.get("finite_size") is not None:
-            f = _typed(raw["finite_size"], "finite_size", dict)
-            fs = FiniteSizeParams(
-                block_length=_need(f, "block_length", "finite_size", int),
-                key_fraction=_need(f, "key_fraction", "finite_size", float),
-                eps_pe=_need(f, "eps_pe", "finite_size", float),
-                eps_pa=_need(f, "eps_pa", "finite_size", float),
-                eps_smooth=_need(f, "eps_smooth", "finite_size", float),
-                calib_samples_m=_need(f, "calib_samples_m", "finite_size", int),
-                dim_hx=_typed(f.get("dim_hx", 2), "finite_size.dim_hx", int),
-            )
-        if regime is Regime.FINITE_SIZE and fs is None:
-            raise ConfigError("finite_size section is required for the finite_size regime")
-        raw_deltas = _typed(raw.get("miscalibration_deltas", [0.0]), "miscalibration_deltas",
-                            list)
-        deltas = tuple(_typed(x, f"miscalibration_deltas[{i}]")
-                       for i, x in enumerate(raw_deltas))
-        if not deltas:
-            deltas = (0.0,)
-        for delta in deltas:
-            if 1.0 + delta <= 0.0:
-                raise ConfigError(f"miscalibration delta {delta} leaves no signal")
-        pulse = raw.get("pulse_rate_hz")
-        if pulse is not None:
-            pulse = _typed(pulse, "pulse_rate_hz")
-            if pulse <= 0.0:
-                raise ConfigError(f"pulse_rate_hz must be positive, got {pulse}")
-        calib = None
-        if raw.get("calibration") is not None:
-            c = _typed(raw["calibration"], "calibration", dict)
-            calib = CalibrationConfig(
-                truth=NoiseGroundTruth(v_tot=_need(c, "v_tot", "calibration", float),
-                                       v_ele=_need(c, "v_ele", "calibration", float)),
-                eps_pe=_need(c, "eps_pe", "calibration", float),
-                m_grid=tuple(_typed(m, f"calibration.m_grid[{i}]", int)
-                             for i, m in enumerate(_need(c, "m_grid", "calibration", list))),
-            )
-        output = _typed(raw.get("output", {}), "output", dict)
-        out_path = output.get("path")
-        if out_path is not None:
-            _typed(out_path, "output.path", str)
-        out_format = output.get("format", "csv")
-        if out_format not in ("csv", "json"):
-            raise ConfigError(f"output.format must be csv or json, got {out_format}")
-        cfg = SweepConfig(
-            models=models,
-            regime=regime,
-            distances_km=grid,
-            variances=variances,
-            system=system,
-            output_path=out_path,
-            output_format=out_format,
-            finite_size=fs if regime is Regime.FINITE_SIZE else None,
-            miscalibration_deltas=deltas,
-            pulse_rate_hz=pulse,
-            calibration=calib,
-        )
-        # Dry run: build what the commands build, so bad values fail before any row.
-        for v in variances:
-            SystemParams(v=v, t=1.0, **system)
-        if calib is not None:
-            calibration_rows(cfg)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+def _section(raw: dict, section: str) -> dict:
+    """The keys of one config section, each typed as _KEYS lists it.
+
+    A dict value is walked as the section of its key. An absent or null
+    key takes its _OPTIONAL value, and is left out where that is None; a
+    key that is not optional must be given, and one _KEYS does not list
+    is an error.
+    """
+    unknown = sorted(set(raw) - set(_KEYS[section]))
+    if unknown:
+        raise ConfigError(f"unknown {section} fields: {unknown}")
+    out = {}
+    for key, kind in _KEYS[section].items():
+        field = key if section == "config" else f"{section}.{key}"
+        value = raw.get(key)
+        if value is None:
+            if field not in _OPTIONAL:
+                raise ConfigError(f"missing config field: {field}")
+            value = _OPTIONAL[field]
+            if value is None:
+                continue
+        value = _typed(value, field, kind)
+        out[key] = _section(value, key) if kind is dict else value
+    return out
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> SweepConfig:
@@ -264,7 +262,7 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> SweepConfig:
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from exc
-    return _config_from_dict(raw, overrides)
+    return SweepConfig.from_dict(raw, overrides)
 
 
 def _apply_override(raw: dict, item: str) -> None:
@@ -301,21 +299,15 @@ def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
 _ROW_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _column(values: list[float]) -> float | np.ndarray:
-    """A one-point block's value as a float, so errors print it as a number;
-    more points as a 1-D column."""
-    return values[0] if len(values) == 1 else np.array(values)
-
-
 def _sweep_block(config: SweepConfig, model: CalibrationModel, v: float,
                  points: list[tuple[float, float]]) -> list[dict]:
     """Key-rate rows of the (distance, delta) points of one (model, V) block,
     from one key_rate call over the block."""
     system = config.system
-    params = SystemParams(v=v, t=_column([transmittance_from_km(d) for d, _ in points]),
+    params = SystemParams(v=v, t=np.array([transmittance_from_km(d) for d, _ in points]),
                           **system)
-    res = key_rate(params, model, config.finite_size, _column([x for _, x in points]))
-    columns = (np.atleast_1d(c).tolist() for c in (
+    res = key_rate(params, model, config.finite_size, np.array([x for _, x in points]))
+    columns = (c.tolist() for c in (
         params.t, res.i_ab, res.chi_be, res.rate_bits_per_pulse, res.worst_n0))
     pulse_rate = config.pulse_rate_hz
     return [{
@@ -346,8 +338,7 @@ def _ten_block(config: SweepConfig, model: CalibrationModel, v: float,
     t = np.array([transmittance_from_km(d) for d, _ in points])
 
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
-        params = SystemParams(v=v, t=_column(t[rows].tolist()),
-                              **{**system, "eps_c": eps_c})
+        params = SystemParams(v=v, t=t[rows], **{**system, "eps_c": eps_c})
         return key_rate(params, model, config.finite_size).rate_bits_per_pulse
 
     return [{
@@ -435,7 +426,7 @@ def calibration_rows(config: SweepConfig) -> list[dict]:
     if config.calibration is None:
         raise ConfigError("calibration section is required for the calib command")
     c = config.calibration
-    return deviation_curve(c.truth, c.m_grid, c.eps_pe)
+    return deviation_curve(c, c.m_grid, c.eps_pe)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,24 @@ class TestDeviationCurve:
         for row in rows:
             assert row["dev_tte"] / row["dev_ote"] == pytest.approx(expect, rel=1e-12)
 
+    def test_matches_confidence_interval_half_widths(self):
+        # deviation_curve keeps its own copy of the half-width formula;
+        # this keeps it equal to the one of confidence_interval.
+        eps_pe = 1e-5
+        m_grid = [2, 3, 10, 10 ** 3] + [10 ** k for k in range(5, 13)]
+        checked = 0
+        for row in deviation_curve(TRUTH, m_grid, eps_pe):
+            ote = confidence_interval(TRUTH.v_tot, 0.0, row["m"], eps_pe)
+            tte = confidence_interval(TRUTH.v_tot, TRUTH.v_ele, row["m"], eps_pe)
+            if ote.degenerate or tte.degenerate:
+                continue
+            assert row["dev_ote"] == pytest.approx((ote.upper - ote.point) / ote.point,
+                                                   rel=1e-10)
+            assert row["dev_tte"] == pytest.approx((tte.point - tte.lower) / tte.point,
+                                                   rel=1e-10)
+            checked += 1
+        assert checked == 9
+
     def test_deterministic(self):
         a = deviation_curve(TRUTH, [100, 1000], 1e-5)
         b = deviation_curve(TRUTH, [100, 1000], 1e-5)

@@ -413,7 +413,7 @@ class TestOutputs:
 
     def test_calib_report(self, tmp_path):
         cfg = base_config(calibration={
-            "v_tot": 2.3768, "v_ele": 0.421, "seed": 0, "eps_pe": 1e-5,
+            "v_tot": 2.3768, "v_ele": 0.421, "eps_pe": 1e-5,
             "m_grid": [10 ** 5, 10 ** 6, 10 ** 7],
         })
         path = write_config(tmp_path, cfg)
@@ -510,6 +510,56 @@ class TestExitCodes:
         assert main(["validate-config", "--config", path, "--set", f"{field}=5"]) \
             == EXIT_CONFIG_ERROR
         assert f"{field} must be {kind}, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,section", [
+        ("typo", "config"),
+        ("distances_km.typo", "distances_km"),
+        ("system.typo", "system"),
+        ("finite_size.typo", "finite_size"),
+        ("calibration.typo", "calibration"),
+        ("output.typo", "output"),
+    ])
+    def test_validate_config_rejects_unknown_keys(self, tmp_path, capsys, key, section):
+        path = write_config(tmp_path, base_config(finite_size=FINITE_SIZE,
+                                                  calibration=CALIBRATION))
+        assert main(["validate-config", "--config", path, "--set", f"{key}=1"]) \
+            == EXIT_CONFIG_ERROR
+        assert f"unknown {section} fields: ['typo']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["models", "variances", "miscalibration_deltas",
+                                       "calibration.m_grid"])
+    def test_validate_config_rejects_empty_lists(self, tmp_path, capsys, field):
+        path = write_config(tmp_path, base_config(calibration=CALIBRATION))
+        assert main(["validate-config", "--config", path, "--set", f"{field}=[]"]) \
+            == EXIT_CONFIG_ERROR
+        assert f"{field} must be a non-empty list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [
+        "system.v_rin", "finite_size", "finite_size.dim_hx", "miscalibration_deltas",
+        "pulse_rate_hz", "calibration", "output", "output.path", "output.format",
+    ])
+    def test_null_counts_as_absent(self, key):
+        # The finite-size regime keeps finite_size.dim_hx in the config.
+        raw = base_config(regime="asymptotic" if key == "finite_size" else "finite_size",
+                          finite_size={**FINITE_SIZE, "dim_hx": 3},
+                          calibration=CALIBRATION, miscalibration_deltas=[0.001],
+                          pulse_rate_hz=5e6)
+        raw["system"]["v_rin"] = 0.002
+        *section, name = key.split(".")
+        absent = json.loads(json.dumps(raw))
+        del (absent[section[0]] if section else absent)[name]
+        assert SweepConfig.from_dict(raw, [f"{key}=null"]) == SweepConfig.from_dict(absent)
+
+    def test_absent_optional_keys_take_their_defaults(self):
+        raw = base_config(finite_size=FINITE_SIZE)
+        del raw["output"]
+        cfg = SweepConfig.from_dict(raw)
+        assert (cfg.miscalibration_deltas, cfg.pulse_rate_hz, cfg.calibration,
+                cfg.output_path, cfg.output_format) == ((0.0,), None, None, None, "csv")
+        assert SystemParams(v=4.0, t=1.0, **cfg.system).v_rin == 0.0
+        assert SweepConfig.from_dict(raw, ["regime=finite_size"]).finite_size.dim_hx == 2
+        with pytest.raises(ConfigError, match="^missing config field: system.beta$"):
+            SweepConfig.from_dict(raw, ["system.beta=null"])
 
     def test_set_on_a_config_that_is_no_object(self, tmp_path, capsys):
         path = write_config(tmp_path, [base_config()])
