@@ -10,6 +10,7 @@ are byte-deterministic for a given config.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -134,8 +135,10 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: Sequence[str] = ()) -> "SweepConfig":
-        """The config in raw, after the --set overrides are applied to it."""
+        """The config in raw, after the --set overrides are applied to a copy
+        of it; raw itself is left as it is."""
         _typed(raw, "config root", dict)
+        raw = copy.deepcopy(raw)
         for item in overrides:
             _apply_override(raw, item)
         try:

@@ -32,11 +32,19 @@ from .models import (
     two_mode_stack,
 )
 
-# Number of evenly spaced points scanned across the SNU confidence
-# interval when taking the finite-size worst case. The rate need not be
-# monotone in the SNU ratio, so both endpoints and the interior are
-# sampled.
+# Number of evenly spaced points of the grid across the SNU confidence
+# interval that the finite-size worst case is taken over. The rate need
+# not be monotone in the SNU ratio, so the grid spans both endpoints and
+# the interior.
 N0_SCAN_POINTS = 21
+
+# Grid indices evaluated first: both endpoints, their neighbours and the
+# midpoint. When chi_BE rises and then falls across them, an interior
+# grid point may exceed every probe, and the whole grid is evaluated.
+# Otherwise the worst probe is taken as the grid's worst case. That is
+# a measured property of the three models, not a proof; the full scan
+# in tests/oracles.py holds it to the grid's worst case.
+_PROBES = np.array([0, 1, N0_SCAN_POINTS // 2, N0_SCAN_POINTS - 2, N0_SCAN_POINTS - 1])
 
 # The three-mode matrix must expose one unit symplectic eigenvalue (the
 # detection beamsplitter's vacuum ancilla survives any rescaling).
@@ -237,6 +245,14 @@ def snu_interval(params: SystemParams, model: CalibrationModel,
                                fs.calib_samples_m, fs.eps_pe)
 
 
+def _interior_max_excluded(chi: np.ndarray) -> bool:
+    """True when no row of chi, a (rows, probes) array over increasing n0,
+    rises and later falls across its probes."""
+    step = np.diff(chi, axis=1)
+    rose = np.logical_or.accumulate(step > 0.0, axis=1)
+    return not (rose[:, :-1] & (step[:, 1:] < 0.0)).any()
+
+
 def key_rate(params: SystemParams, model: CalibrationModel,
              fs: FiniteSizeParams | None = None,
              delta: float | np.ndarray = 0.0) -> KeyRateResult:
@@ -245,10 +261,13 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     The SNU estimates are those :func:`apply_miscalibration` makes under
     a fractional SNU error delta. Asymptotically the rate is beta*I_AB -
     chi_BE at n0 = 1. In the finite-size regime the calibrated-over-true
-    SNU ratio is scanned across the model's :func:`snu_interval`
-    normalized by its point estimate, beta*I_AB - chi_BE is minimized
-    over that grid, the penalty Delta(n) is subtracted and the result
-    scaled by the key fraction n/N.
+    SNU ratio n0 runs over a grid of N0_SCAN_POINTS across the model's
+    :func:`snu_interval` normalized by its point estimate, beta*I_AB -
+    chi_BE is minimized over that grid, the penalty Delta(n) is
+    subtracted and the result scaled by the key fraction n/N. chi_BE is
+    first evaluated at the five _PROBES of the grid; the whole grid is
+    evaluated only when some row rises and then falls across them, since
+    then an interior grid point may hold the worst case.
     Channel-parameter fluctuation is out of scope; only the SNU-bearing
     matrix entries move.
 
@@ -261,12 +280,15 @@ def key_rate(params: SystemParams, model: CalibrationModel,
         n0, penalty, share = np.ones(1), 0.0, 1.0
     else:
         calib = snu_interval(params, model, fs)
-        n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
-                         N0_SCAN_POINTS)
-        penalty, share = finite_size_penalty(fs), fs.key_fraction
+        grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
+                           N0_SCAN_POINTS)
+        n0, penalty, share = grid[_PROBES], finite_size_penalty(fs), fs.key_fraction
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
     chi = np.reshape(_HOLEVO[model](eff, n0), (-1, n0.size))
+    if fs is not None and not _interior_max_excluded(chi):
+        n0 = grid
+        chi = np.reshape(_HOLEVO[model](eff, n0), (-1, n0.size))
     values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
     # argmin takes the first of equal minima, as a strict-< scan would.
     worst = np.argmin(values, axis=1)

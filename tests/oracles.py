@@ -1,5 +1,6 @@
 """Independent closed forms and reference pipelines that the batched
-eigensolver kernels and the lockstep TEN search are tested against."""
+eigensolver kernels, the lockstep TEN search and the probed finite-size
+worst case are tested against."""
 
 import math
 
@@ -8,7 +9,18 @@ import numpy as np
 from cvqkd_calib import CalibrationModel, SystemParams
 from cvqkd_calib.cli import _TEN_BRACKET_CAP, TEN_MAX_ITER, TEN_TOLERANCE
 from cvqkd_calib.gaussian import symplectic_form
+from cvqkd_calib.keyrate import (
+    _HOLEVO,
+    N0_SCAN_POINTS,
+    FiniteSizeParams,
+    KeyRateResult,
+    _as_given,
+    finite_size_penalty,
+    mutual_information,
+    snu_interval,
+)
 from cvqkd_calib.models import (
+    apply_miscalibration,
     conventional_channel_stack,
     conventional_stack,
     three_mode_stack,
@@ -127,3 +139,27 @@ def bisect_tolerable_noise(rate_at) -> float:
         if hi - lo <= TEN_TOLERANCE:
             break
     return 0.5 * (lo + hi)
+
+
+def dense_worst_case(params: SystemParams, model: CalibrationModel,
+                     fs: FiniteSizeParams, delta: float | np.ndarray = 0.0) -> KeyRateResult:
+    """Finite-size key rate from chi_BE at every point of the N0_SCAN_POINTS
+    grid: the full scan that the probe certificate of key_rate shortcuts."""
+    calib = snu_interval(params, model, fs)
+    n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
+                     N0_SCAN_POINTS)
+    penalty, share = finite_size_penalty(fs), fs.key_fraction
+    eff = apply_miscalibration(params, delta)
+    i_ab = mutual_information(eff)
+    chi = np.reshape(_HOLEVO[model](eff, n0), (-1, n0.size))
+    values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
+    # argmin takes the first of equal minima, as a strict-< scan would.
+    worst = np.argmin(values, axis=1)
+    rows = np.arange(worst.size)
+    return KeyRateResult(
+        rate_bits_per_pulse=_as_given(share * (values[rows, worst] - penalty), eff),
+        i_ab=i_ab,
+        chi_be=_as_given(chi[rows, worst], eff),
+        delta_n=penalty,
+        worst_n0=_as_given(n0[worst], eff),
+    )

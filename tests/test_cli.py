@@ -197,29 +197,19 @@ class TestSweepRows:
                 r"NumericalError: eigenvalue solve did not converge$")):
             rows(cfg)
 
+    @pytest.mark.parametrize("index,fallback", [(keyrate.N0_SCAN_POINTS // 2, False),
+                                                (7, True)])
     @pytest.mark.parametrize("model,builder,what", [
         ("two_mode", "two_mode_stack", "two-mode matrix"),
         ("three_mode", "three_mode_stack", "three-mode matrix"),
-        ("conventional", "conventional_stack", "measured matrix"),
+        ("conventional", "conventional_channel_stack", "measured matrix"),
     ])
     def test_poisoned_element_inside_a_block_names_its_point_and_n0(
-            self, monkeypatch, model, builder, what):
-        # One (model, V) block holds 4 distances x 3 deltas x 21 n0; poison the
-        # matrix of V = 20 (the second V), 20 km, delta 0.001 at the eighth n0.
-        original = getattr(keyrate, builder)
-        t_hat = (1.0 + 0.001) * transmittance_from_km(20.0)
-
-        def poisoned(params, n0):
-            out = original(params, n0)
-            rows = np.broadcast(params.v, params.t, params.eps_c).shape or (1,)
-            hit = np.flatnonzero((np.broadcast_to(params.v, rows) == 20.0)
-                                 & (np.broadcast_to(params.t, rows) == t_hat))
-            per_row = out.shape[0] // rows[0]
-            for row in hit:
-                out[row * per_row + 7, 2, 2] = np.nan
-            return out
-
-        monkeypatch.setattr(keyrate, builder, poisoned)
+            self, monkeypatch, model, builder, what, index, fallback):
+        # One (model, V) block holds 4 distances x 3 deltas; poison the matrix
+        # of V = 20 (the second V), 20 km, delta 0.001 at the grid's n0[index],
+        # a probe of the certified pass or, with the full scan forced, a point
+        # only that scan evaluates.
         cfg = SweepConfig.from_dict(base_config(
             models=[model], variances=[4.0, 20.0], regime="finite_size",
             finite_size=FINITE_SIZE, miscalibration_deltas=[0.0, 0.001, 0.003],
@@ -228,7 +218,23 @@ class TestSweepRows:
         calib = snu_interval(p, CalibrationModel(model), cfg.finite_size)
         n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                          keyrate.N0_SCAN_POINTS)
-        named = re.escape(repr(float(n0[7])))
+        original = getattr(keyrate, builder)
+        t_hat = (1.0 + 0.001) * transmittance_from_km(20.0)
+
+        def poisoned(params, scan):
+            out = original(params, scan)
+            rows = np.broadcast(params.v, params.t, params.eps_c).shape or (1,)
+            hit = np.flatnonzero((np.broadcast_to(params.v, rows) == 20.0)
+                                 & (np.broadcast_to(params.t, rows) == t_hat))
+            for row in hit:
+                for k in np.flatnonzero(scan == n0[index]):
+                    out[row * scan.size + k, 2, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(keyrate, builder, poisoned)
+        if fallback:
+            monkeypatch.setattr(keyrate, "_interior_max_excluded", lambda chi: False)
+        named = re.escape(repr(float(n0[index])))
         with pytest.raises(RuntimeError, match=(
                 rf"^model={model} V=20\.0 km=20\.0 delta=0\.001: "
                 rf"NumericalError: non-finite {what} at n0 = {named}$")):
@@ -549,6 +555,15 @@ class TestExitCodes:
         absent = json.loads(json.dumps(raw))
         del (absent[section[0]] if section else absent)[name]
         assert SweepConfig.from_dict(raw, [f"{key}=null"]) == SweepConfig.from_dict(absent)
+
+    def test_overrides_leave_the_callers_dict_as_it_is(self):
+        raw = base_config(finite_size=FINITE_SIZE)
+        before = json.loads(json.dumps(raw))
+        cfg = SweepConfig.from_dict(raw, ["system.eps_c=0.02", "regime=finite_size",
+                                          "output.format=json", "pulse_rate_hz=5e6"])
+        assert (cfg.system["eps_c"], cfg.output_format, cfg.pulse_rate_hz) == (0.02, "json", 5e6)
+        assert raw == before
+        assert SweepConfig.from_dict(raw).system["eps_c"] == 0.01
 
     def test_absent_optional_keys_take_their_defaults(self):
         raw = base_config(finite_size=FINITE_SIZE)

@@ -37,7 +37,12 @@ from cvqkd_calib import (
 from cvqkd_calib.gaussian import entropy_of_spectra, homodyne_conditioned, symplectic_spectra
 from cvqkd_calib.keyrate import snu_interval
 from cvqkd_calib.models import three_mode_stack, two_mode_stack
-from oracles import holevo_lodewyck, holevo_pointwise, mutual_information_from_matrix
+from oracles import (
+    dense_worst_case,
+    holevo_lodewyck,
+    holevo_pointwise,
+    mutual_information_from_matrix,
+)
 from strategies import PROPERTY, at_km, distances_km, link_fields, system_params
 
 TWO = CalibrationModel.ONE_TIME_TWO_MODE
@@ -551,38 +556,56 @@ class TestBatchedScan:
         t = [transmittance_from_km(x) for x in km]
         return params(v=4.0, t=t[0] if rows == 1 else np.array(t)), rows // 2
 
+    @staticmethod
+    def damage_at(monkeypatch, builder, n0, row, damage):
+        """Patch keyrate.<builder>(params, n0) so that damage(stack, i) hits
+        element i of every stack it builds that holds `row` at SNU ratio n0,
+        whichever subset of the grid the call evaluates."""
+        original = getattr(keyrate, builder)
+
+        def damaged(p, scan):
+            out = original(p, scan)
+            for k in np.flatnonzero(scan == n0):
+                damage(out, row * scan.size + k)
+            return out
+
+        monkeypatch.setattr(keyrate, builder, damaged)
+
+    # (grid index, fallback forced): a probe of the certified pass, and a
+    # point that only the full scan evaluates.
+    @pytest.mark.parametrize("index,fallback", [(N0 - 2, False), (7, True)])
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("model,builder", [(TWO, "two_mode_stack"),
                                                (THREE, "three_mode_stack"),
-                                               (CONV, "conventional_stack")])
-    def test_nonfinite_stack_element_names_its_n0(self, monkeypatch, model, builder, rows):
-        original = getattr(keyrate, builder)
+                                               (CONV, "conventional_channel_stack")])
+    def test_nonfinite_stack_element_names_its_n0(self, monkeypatch, model, builder, rows,
+                                                  index, fallback):
         p, middle = self.block(rows)
-
-        def poisoned(p, n0):
-            out = original(p, n0)
-            out[middle * N0 + 7, 2, 2] = np.nan
-            return out
-
-        monkeypatch.setattr(keyrate, builder, poisoned)
         n0 = self.scan_n0(p, model)
-        named = re.escape(repr(float(n0[7])))
+
+        def poison(out, i):
+            out[i, 2, 2] = np.nan
+
+        self.damage_at(monkeypatch, builder, n0[index], middle, poison)
+        if fallback:
+            monkeypatch.setattr(keyrate, "_interior_max_excluded", lambda chi: False)
+        named = re.escape(repr(float(n0[index])))
         with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$"):
             key_rate(p, model, self.FS)
 
+    @pytest.mark.parametrize("index,fallback", [(1, False), (5, True)])
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch, rows):
-        original = keyrate.three_mode_stack
+    def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch, rows, index, fallback):
         p, middle = self.block(rows)
-
-        def inflated(p, n0):
-            out = original(p, n0)
-            out[middle * N0 + 5] *= 1.5
-            return out
-
-        monkeypatch.setattr(keyrate, "three_mode_stack", inflated)
         n0 = self.scan_n0(p, THREE)
-        named = re.escape(repr(float(n0[5])))
+
+        def inflate(out, i):
+            out[i] *= 1.5
+
+        self.damage_at(monkeypatch, "three_mode_stack", n0[index], middle, inflate)
+        if fallback:
+            monkeypatch.setattr(keyrate, "_interior_max_excluded", lambda chi: False)
+        named = re.escape(repr(float(n0[index])))
         with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:"):
             key_rate(p, THREE, self.FS)
 
@@ -591,3 +614,87 @@ class TestBatchedScan:
         for bad in (0.0, -1.0, np.array([1.0, -0.5]), np.ones((2, 2))):
             with pytest.raises(ValueError, match="n0"):
                 holevo_two_mode(p, bad)
+
+
+class TestProbedWorstCase:
+    """key_rate evaluates chi_BE at five probes of the n0 grid and falls back
+    to the whole grid when they cannot exclude an interior maximum; the full
+    21-point scan of tests/oracles.py is its oracle, field for field."""
+
+    FS = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
+                          eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=10 ** 6)
+
+    # Conventional, m = 2564: chi_BE peaks inside the interval above both
+    # endpoints (2.1236 and 1.9740), between the probes.
+    PEAKED = params(v=39.23, t=0.9523, eps_c=0.0644, eta_d=0.51, v_ele=0.0741)
+    PEAKED_FS = dataclasses.replace(FS, calib_samples_m=2564)
+
+    @staticmethod
+    def outcome(rate):
+        try:
+            return rate()
+        except (NumericalError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @PROPERTY
+    @given(p=system_params, delta=st.sampled_from([0.0, 0.001]),
+           log_m=st.floats(1.0, 10.0))
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_equals_dense_scan(self, model, p, delta, log_m):
+        # m from 10, where the interval is floored at n0 = 1e-12, to 1e10.
+        fs = dataclasses.replace(self.FS, calib_samples_m=round(10 ** log_m))
+        assert (self.outcome(lambda: key_rate(p, model, fs, delta))
+                == self.outcome(lambda: dense_worst_case(p, model, fs, delta)))
+
+    def spy(self, monkeypatch):
+        """Record each verdict of the probe certificate."""
+        verdicts = []
+        certify = keyrate._interior_max_excluded
+
+        def recorded(chi):
+            verdicts.append(certify(chi))
+            return verdicts[-1]
+
+        monkeypatch.setattr(keyrate, "_interior_max_excluded", recorded)
+        return verdicts
+
+    def test_interior_peak_falls_back_to_the_full_scan(self, monkeypatch):
+        verdicts = self.spy(monkeypatch)
+        res = key_rate(self.PEAKED, CONV, self.PEAKED_FS)
+        assert verdicts == [False]
+        assert res.chi_be == 2.414488341933574
+        assert res.worst_n0 == 1.1451680844332404
+        assert res == dense_worst_case(self.PEAKED, CONV, self.PEAKED_FS)
+        calib = snu_interval(self.PEAKED, CONV, self.PEAKED_FS)
+        grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, N0)
+        assert res.worst_n0 not in grid[keyrate._PROBES]
+        assert res.chi_be > np.max(holevo_conventional(self.PEAKED, grid[keyrate._PROBES]))
+
+    def test_one_peaked_row_scans_its_whole_block(self, monkeypatch):
+        verdicts = self.spy(monkeypatch)
+        block = dataclasses.replace(self.PEAKED, v=np.array([4.0, 39.23, 20.0]))
+        res = key_rate(block, CONV, self.PEAKED_FS)
+        assert verdicts == [False]
+        assert res.chi_be[1] == 2.414488341933574
+        for i, v in enumerate(block.v):
+            row = key_rate(dataclasses.replace(self.PEAKED, v=float(v)), CONV, self.PEAKED_FS)
+            assert (res.chi_be[i], res.worst_n0[i]) == (row.chi_be, row.worst_n0)
+
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_narrow_interval_is_certified(self, monkeypatch, model):
+        verdicts = self.spy(monkeypatch)
+        key_rate(params(), model, self.FS)
+        assert verdicts == [True]
+
+    @pytest.mark.parametrize("chi,excluded", [
+        ([3.0, 2.0, 1.0, 2.0, 3.0], True),   # valley
+        ([1.0, 1.0, 2.0, 3.0, 3.0], True),   # flat, then rising
+        ([3.0, 2.0, 2.0, 2.0, 1.0], True),   # falling
+        ([1.0, 2.0, 1.0, 1.0, 1.0], False),  # peak at the left neighbour
+        ([1.0, 2.0, 3.0, 2.0, 1.0], False),  # peak at the midpoint
+        ([2.0, 2.0, 2.0, 3.0, 2.0], False),  # peak at the right neighbour
+        ([2.0, 1.0, 1.5, 1.0, 2.0], False),  # rise then fall inside a valley
+    ])
+    def test_certificate_rejects_any_rise_then_fall(self, chi, excluded):
+        rows = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], chi])
+        assert keyrate._interior_max_excluded(rows) is excluded
