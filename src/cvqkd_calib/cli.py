@@ -302,27 +302,28 @@ def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
 _ROW_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _sweep_block(config: SweepConfig, model: CalibrationModel, v: float,
-                 points: list[tuple[float, float]]) -> list[dict]:
-    """Key-rate rows of the (distance, delta) points of one (model, V) block,
-    from one key_rate call over the block."""
+def _sweep_block(config: SweepConfig, model: CalibrationModel,
+                 points: list[tuple[float, float, float]]) -> list[dict]:
+    """Key-rate rows of the (V, distance, delta) points of one model's
+    block, from one key_rate call over the block."""
     system = config.system
-    params = SystemParams(v=v, t=np.array([transmittance_from_km(d) for d, _ in points]),
+    v, dist, delta = (np.array(c) for c in zip(*points))
+    params = SystemParams(v=v, t=np.array([transmittance_from_km(d) for d in dist.tolist()]),
                           **system)
-    res = key_rate(params, model, config.finite_size, np.array([x for _, x in points]))
+    res = key_rate(params, model, config.finite_size, delta)
     columns = (c.tolist() for c in (
         params.t, res.i_ab, res.chi_be, res.rate_bits_per_pulse, res.worst_n0))
     pulse_rate = config.pulse_rate_hz
     return [{
         "model": model.value,
         "regime": config.regime.value,
-        "V": v,
-        "distance_km": dist,
+        "V": v_row,
+        "distance_km": dist_row,
         "transmittance": t,
         "eps_c": system["eps_c"],
         "eta_d": system["eta_d"],
         "v_ele": system["v_ele"],
-        "delta": delta,
+        "delta": delta_row,
         "n0_worst": worst_n0,
         "i_ab": i_ab,
         "chi_be": chi_be,
@@ -330,87 +331,123 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, v: float,
         "rate_bits_per_pulse": rate,
         "rate_bits_per_s": None if pulse_rate is None else rate * pulse_rate,
         "rate_clamped": max(rate, 0.0),
-    } for (dist, delta), t, i_ab, chi_be, rate, worst_n0 in zip(points, *columns)]
+    } for (v_row, dist_row, delta_row), t, i_ab, chi_be, rate, worst_n0
+        in zip(points, *columns)]
 
 
-def _ten_block(config: SweepConfig, model: CalibrationModel, v: float,
-               points: list[tuple[float, float]]) -> list[dict]:
-    """Tolerable-excess-noise rows of the (distance, 0.0) points of one
-    (model, V) block, bisected in lockstep."""
+def _ten_block(config: SweepConfig, model: CalibrationModel,
+               points: list[tuple[float, float, float]]) -> list[dict]:
+    """Tolerable-excess-noise rows of the (V, distance, 0.0) points of one
+    model's block, searched in lockstep."""
     system = config.system
-    t = np.array([transmittance_from_km(d) for d, _ in points])
+    v, dist, _ = (np.array(c) for c in zip(*points))
+    t = np.array([transmittance_from_km(d) for d in dist.tolist()])
 
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
-        params = SystemParams(v=v, t=t[rows], **{**system, "eps_c": eps_c})
+        params = SystemParams(v=v[rows], t=t[rows], **{**system, "eps_c": eps_c})
         return key_rate(params, model, config.finite_size).rate_bits_per_pulse
 
     return [{
         "model": model.value,
         "regime": config.regime.value,
-        "V": v,
-        "distance_km": dist,
+        "V": v_row,
+        "distance_km": dist_row,
         "transmittance": t_row,
         "eta_d": system["eta_d"],
         "v_ele": system["v_ele"],
         "ten": ten,
-    } for (dist, _), t_row, ten in zip(points, t.tolist(),
-                                       _tolerable_noise(rate_at, len(points)).tolist())]
+    } for (v_row, dist_row, _), t_row, ten in zip(
+        points, t.tolist(), _tolerable_noise(rate_at, len(points)).tolist())]
 
 
 def _tolerable_noise(rate_at, n: int) -> np.ndarray:
-    """Largest excess noise with positive rate for each of n rows, to
-    TEN_TOLERANCE, by bisections run in lockstep.
+    """Largest excess noise with positive rate for each of n rows: the
+    value a bisection to TEN_TOLERANCE gives, found from fewer evaluations.
 
     rate_at(rows, eps_c) gives the rates of the listed rows at their
-    eps_c. Each step evaluates every unfinished row once, at the iterate
-    a bisection of that row alone would take next: eps_c = 0, then
-    hi = 0.5, 1, 2, ... while the rate stays positive, then midpoints.
-    A row whose rate is not positive at eps_c = 0 tolerates 0.0.
+    eps_c; each step evaluates every open row once. A row whose rate is
+    not positive at eps_c = 0 tolerates 0.0. The others double hi from
+    0.5 while the rate stays positive. Bisecting [0, hi] would end in a
+    cell of width w = hi / 2^k, k the first level with w <= TEN_TOLERANCE
+    (at most TEN_MAX_ITER), and return the centre of the cell whose lower
+    edge has a positive rate and whose upper edge has not. That cell is
+    found by evaluating cell edges only, exact dyadic floats on the
+    bisection's own tree: a bracket [lo, hi] of edges with rate(lo) > 0 >=
+    rate(hi) moves an end to the edge nearest the Illinois regula falsi
+    estimate (Dowell & Jarratt 1971). Once the steps taken plus the
+    bisection steps the bracket still needs reach twice those of the
+    first bracket, the floored midpoint edge is taken instead, so no row
+    takes more than twice the bisection's steps. Where the rate changes
+    sign once over the edges, the result is the bisection's, bit for bit.
     """
     lo, hi = np.zeros(n), np.full(n, 0.5)
-    steps = np.zeros(n, dtype=int)
-    bracketing = np.ones(n, dtype=bool)
-    tolerant = rate_at(np.arange(n), np.zeros(n)) > 0.0
+    f_lo, f_hi = rate_at(np.arange(n), np.zeros(n)), np.zeros(n)
+    tolerant = f_lo > 0.0
     active = tolerant.copy()
     while active.any():
         rows = np.flatnonzero(active)
-        grow = bracketing[rows]
-        at = np.where(grow, hi[rows], 0.5 * (lo[rows] + hi[rows]))
-        up = rate_at(rows, at) > 0.0
-        # Bracketing rows double hi while the rate stays positive.
-        hi[rows[grow & up]] *= 2.0
+        f = rate_at(rows, hi[rows])
+        up = f > 0.0
+        lo[rows[up]], f_lo[rows[up]] = hi[rows[up]], f[up]
+        hi[rows[up]] *= 2.0
         if np.any(hi[rows] > _TEN_BRACKET_CAP):
             raise RuntimeError("rate stayed positive up to the excess-noise cap")
-        bracketing[rows[grow & ~up]] = False
-        # Bisecting rows move the end whose sign the midpoint shares.
-        lo[rows[~grow & up]] = at[~grow & up]
-        hi[rows[~grow & ~up]] = at[~grow & ~up]
-        steps[rows[~grow]] += 1
-        done = ~grow & ((hi[rows] - lo[rows] <= TEN_TOLERANCE) | (steps[rows] >= TEN_MAX_ITER))
-        active[rows[done]] = False
+        f_hi[rows[~up]] = f[~up]
+        active[rows[~up]] = False
+    # hi is 0.5 * 2^j, so w is the largest power of two <= TEN_TOLERANCE,
+    # or hi / 2 if that is larger, but no smaller than hi / 2^TEN_MAX_ITER.
+    finest = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
+    width = np.maximum(np.minimum(0.5 * hi, finest), hi * 2.0 ** -TEN_MAX_ITER)
+    cells = (hi - lo) / width
+    # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
+    budget = 2 * np.frexp(cells - 1.0)[1]
+    steps = np.zeros(n, dtype=int)
+    moved_lo = np.zeros(n, dtype=bool)  # the newest end is hi, from the doubling
+    active = tolerant & (cells > 1.0)
+    while active.any():
+        rows = np.flatnonzero(active)
+        span = cells[rows]
+        # Halving can underflow both rates to 0; then the estimate is the midpoint.
+        drop = f_lo[rows] - f_hi[rows]
+        estimate = np.rint(span * np.divide(f_lo[rows], drop, out=np.full(rows.size, 0.5),
+                                            where=drop > 0.0))
+        at_budget = steps[rows] + np.frexp(span - 1.0)[1] >= budget[rows]
+        step = np.where(at_budget, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
+        at = lo[rows] + step * width[rows]
+        f = rate_at(rows, at)
+        up = f > 0.0
+        # Illinois: an end kept twice running has its rate halved.
+        f_hi[rows[up & moved_lo[rows]]] *= 0.5
+        f_lo[rows[~up & ~moved_lo[rows]]] *= 0.5
+        lo[rows[up]], f_lo[rows[up]] = at[up], f[up]
+        hi[rows[~up]], f_hi[rows[~up]] = at[~up], f[~up]
+        moved_lo[rows] = up
+        cells[rows] = np.where(up, span - step, step)
+        steps[rows] += 1
+        active[rows] = cells[rows] > 1.0
     return np.where(tolerant, 0.5 * (lo + hi), 0.0)
 
 
 def _grid_rows(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
-    """block(config, model, V, points) over each (model, V) of the grid, sorted,
-    with points every (distance, delta) in that order.
+    """block(config, model, points) over each model of the grid, sorted,
+    with points every (V, distance, delta) in that order, V sorted.
 
     When a block raises, its points are evaluated one at a time in grid
     order, so the error names the first failing point."""
-    points = [(dist, delta) for dist in config.distances_km.points() for delta in deltas]
+    points = [(v, dist, delta) for v in sorted(config.variances)
+              for dist in config.distances_km.points() for delta in deltas]
     rows = []
     for model in sorted(config.models, key=lambda m: m.value):
-        for v in sorted(config.variances):
+        try:
+            rows += block(config, model, points)
+            continue
+        except _ROW_ERRORS:
+            pass  # a block error cannot say which point failed
+        for v, dist, delta in points:
             try:
-                rows += block(config, model, v, points)
-                continue
-            except _ROW_ERRORS:
-                pass  # a block error cannot say which point failed
-            for dist, delta in points:
-                try:
-                    rows += block(config, model, v, [(dist, delta)])
-                except _ROW_ERRORS as exc:
-                    raise _row_failure(exc, model, v, dist, delta) from exc
+                rows += block(config, model, [(v, dist, delta)])
+            except _ROW_ERRORS as exc:
+                raise _row_failure(exc, model, v, dist, delta) from exc
     return rows
 
 
@@ -465,8 +502,8 @@ def write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> Non
 # command -> (help text, row builder, output columns); validate-config builds none.
 _COMMANDS = {
     "sweep": ("Key rate vs distance for the configured models.", sweep_rows, SWEEP_COLUMNS),
-    "ten": ("Tolerable excess noise vs distance (bisection on eps_c).", ten_rows,
-            TEN_COLUMNS),
+    "ten": ("Tolerable excess noise vs distance: the eps_c a 1e-4 bisection finds, "
+            "from fewer rate evaluations.", ten_rows, TEN_COLUMNS),
     "calib": ("Calibration deviation curves vs block length.", calibration_rows,
               CALIB_COLUMNS),
     "validate-config": ("Parse and validate a config, then exit.", None, None),

@@ -121,8 +121,9 @@ def holevo_pointwise(model: CalibrationModel, params: SystemParams, n0: float) -
 
 def bisect_tolerable_noise(rate_at) -> float:
     """Largest excess noise with positive rate_at(eps_c), one row at a time:
-    the scalar bisection that the lockstep TEN search replaced, with its
-    tolerance, iteration limit and bracket cap."""
+    the scalar bisection, with its tolerance, iteration limit and bracket
+    cap, whose result the lockstep edge search of cli._tolerable_noise
+    reproduces from fewer evaluations."""
     if rate_at(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, 0.5

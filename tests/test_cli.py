@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cvqkd_calib
 from cvqkd_calib import (
@@ -38,6 +41,7 @@ from cvqkd_calib.cli import (
 )
 from cvqkd_calib.keyrate import snu_interval
 from oracles import bisect_tolerable_noise
+from strategies import PROPERTY
 
 
 def base_config(**overrides) -> dict:
@@ -241,6 +245,27 @@ class TestSweepRows:
             sweep_rows(cfg)
 
 
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
+
+# Strictly decreasing rates with their root at r, shaped by u in [0, 1].
+RATE_FAMILIES = {
+    "linear": lambda r, u: lambda e: 10.0 ** (6.0 * u - 3.0) * (r - e),
+    "convex": lambda r, u: lambda e: math.exp(-(1.0 + 60.0 * u) * e)
+    - math.exp(-(1.0 + 60.0 * u) * r),
+    "concave": lambda r, u: lambda e: math.copysign(abs(r) ** (1.5 + 3.0 * u), r)
+    - e ** (1.5 + 3.0 * u),
+    "tanh": lambda r, u: lambda e: -math.tanh(10.0 ** (6.0 * u) * (e - r)),
+}
+
+
+def recorded(rate, points: list):
+    """rate, appending each eps_c it is evaluated at to points."""
+    def wrapped(eps_c):
+        points.append(eps_c)
+        return rate(eps_c)
+    return wrapped
+
+
 class TestTenRows:
     def test_ordering_and_positivity(self):
         cfg = SweepConfig.from_dict(base_config(
@@ -320,6 +345,57 @@ class TestTenRows:
         got = cli._tolerable_noise(lambda rows, eps_c: roots[rows] - eps_c, roots.size)
         assert got.tolist() == [bisect_tolerable_noise(lambda eps_c, r=r: r - eps_c)
                                 for r in roots.tolist()]
+
+    @PROPERTY
+    @given(cases=st.lists(st.tuples(
+        st.sampled_from(sorted(RATE_FAMILIES)),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 1000.0)),
+        st.integers(0, 8), st.sampled_from([-1, 0, 1]), st.floats(0.0, 1.0)),
+        min_size=1, max_size=12))
+    def test_lockstep_equals_bisection_on_synthetic_rates(self, cases):
+        # Each row is a strictly decreasing rate. For edge > 0 its root moves
+        # onto one of the last edges that a bisection of r - eps_c evaluates;
+        # ulps then moves it one ulp up or down. A root of 0 (or one ulp
+        # below) makes the rate at eps_c = 0 exactly 0 (or negative).
+        rates = []
+        for family, r, edge, ulps, shape in cases:
+            if edge:
+                points = []
+                bisect_tolerable_noise(recorded(lambda eps_c, r=r: r - eps_c, points))
+                r = points[-min(edge, len(points))]
+            r = float(np.nextafter(r, ulps * np.inf)) if ulps else r
+            rates.append(RATE_FAMILIES[family](r, shape))
+        counts = np.zeros(len(rates), dtype=int)
+
+        def rate_at(rows, eps_c):
+            np.add.at(counts, rows, 1)
+            return np.array([rates[i](e) for i, e in zip(rows.tolist(), eps_c.tolist())])
+
+        got = cli._tolerable_noise(rate_at, len(rates)).tolist()
+        for ten, rate, count in zip(got, rates, counts.tolist()):
+            points = []
+            assert ten == bisect_tolerable_noise(recorded(rate, points))
+            # The same eps_c = 0 and doubling evaluations, then at most twice
+            # the bisection's steps.
+            doubled = 0
+            while 1 + doubled < len(points) and points[1 + doubled] == 0.5 * 2.0 ** doubled:
+                doubled += 1
+            assert count - 1 - doubled <= 2 * (len(points) - 1 - doubled)
+
+    def test_readme_grid_evaluation_budget(self, monkeypatch):
+        # The bisection took 4317 rate evaluations in 135 key_rate calls here.
+        rows_per_call = []
+        healthy = cli.key_rate
+
+        def counted(params, model, fs=None, delta=0.0):
+            res = healthy(params, model, fs, delta)
+            rows_per_call.append(np.size(res.rate_bits_per_pulse))
+            return res
+
+        monkeypatch.setattr(cli, "key_rate", counted)
+        assert len(ten_rows(load_config(str(GOLDEN_CONFIG)))) == 369
+        assert len(rows_per_call) <= 30
+        assert sum(rows_per_call) <= 2200
 
     def test_bracket_cap_names_its_grid_point(self, monkeypatch):
         # A rate that stays positive at 10 km for any excess noise.
@@ -616,6 +692,18 @@ class TestExitCodes:
             output={"path": str(tmp_path / "no-such-dir" / "x.csv"),
                     "format": "csv"}))
         assert main(["sweep", "--config", path]) == EXIT_RUNTIME_ERROR
+
+    @pytest.mark.parametrize("command", ["sweep", "ten"])
+    def test_degenerate_snu_interval_names_its_grid_point(self, tmp_path, capsys, command):
+        # 50 calibration samples cannot bound the SNU at eps_pe 1e-10.
+        path = write_config(tmp_path, base_config(
+            regime="finite_size", finite_size={**FINITE_SIZE, "calib_samples_m": 50}))
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == (
+            "runtime error: model=conventional V=4.0 km=0.0 delta=0.0: ValueError: "
+            "degenerate SNU interval: calib_samples_m = 50 is too few for eps_pe = 1e-10, "
+            "so the interval's lower bound crosses zero\n")
 
 
 def _readme_block(heading: str, language: str) -> str:

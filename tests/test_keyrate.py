@@ -492,6 +492,20 @@ class TestSnuInterval:
         for model in (TWO, THREE):
             assert snu_interval(p, model, fs) == confidence_interval(v_tot, 0.0, 10 ** 6, 1e-8)
 
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_degenerate_interval_fails_by_name(self, model):
+        # At eps_pe 1e-10 the one-time interval crosses zero for m <= 83;
+        # its lower bound would be floored at 1e-12 of the point estimate.
+        fs = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
+                              eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=50)
+        assert snu_interval(params(), model, fs).degenerate
+        with pytest.raises(ValueError, match=(
+                r"^degenerate SNU interval: calib_samples_m = 50 is too few for "
+                r"eps_pe = 1e-10, so the interval's lower bound crosses zero$")):
+            key_rate(params(), model, fs)
+        # The asymptotic rate takes no interval.
+        assert key_rate(params(), model).rate_bits_per_pulse > 0.0
+
 
 class TestBatchedScan:
     """The n0 scan evaluates all N0_SCAN_POINTS bounds in one batched
@@ -641,8 +655,13 @@ class TestProbedWorstCase:
            log_m=st.floats(1.0, 10.0))
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_equals_dense_scan(self, model, p, delta, log_m):
-        # m from 10, where the interval is floored at n0 = 1e-12, to 1e10.
+        # m from 10, where the interval is degenerate and key_rate refuses
+        # to scan from the floor at n0 = 1e-12, to 1e10.
         fs = dataclasses.replace(self.FS, calib_samples_m=round(10 ** log_m))
+        if snu_interval(p, model, fs).degenerate:
+            with pytest.raises(ValueError, match="degenerate SNU interval"):
+                key_rate(p, model, fs, delta)
+            return
         assert (self.outcome(lambda: key_rate(p, model, fs, delta))
                 == self.outcome(lambda: dense_worst_case(p, model, fs, delta)))
 
