@@ -14,23 +14,14 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
-# Floor applied to a confidence bound that would otherwise cross zero
-# (sample count too small for the requested failure probability).
-_DEGENERATE_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class CalibrationEstimate:
-    """SNU estimate with its worst-case confidence interval.
-
-    degenerate flags an interval whose lower bound had to be floored at
-    a positive epsilon because the sample count was too small.
-    """
+    """SNU estimate with its worst-case confidence interval."""
 
     point: float
     lower: float
     upper: float
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lower <= self.point <= self.upper:
@@ -79,7 +70,8 @@ def confidence_interval(v_tot_hat: float, v_ele_hat: float, m: int,
     [v_tot - d_tot - v_ele - d_ele, v_tot + d_tot - v_ele + d_ele] with
     d = z * v_hat * sqrt(2/m) per step of m samples. The two-time
     procedure subtracts a measured v_ele_hat, so both fluctuations widen
-    the bound; the one-time procedure is v_ele_hat = 0, one step.
+    the bound; the one-time procedure is v_ele_hat = 0, one step. A lower
+    bound that crosses zero, m being too few for eps_pe, raises ValueError.
     """
     if v_ele_hat < 0.0:
         raise ValueError(f"electronic noise estimate must be nonnegative, got {v_ele_hat}")
@@ -94,11 +86,11 @@ def confidence_interval(v_tot_hat: float, v_ele_hat: float, m: int,
     d_ele = _half_width(v_ele_hat, m, eps_pe)
     point = v_tot_hat - v_ele_hat
     lower = point - d_tot - d_ele
-    degenerate = lower <= 0.0
-    if degenerate:
-        lower = _DEGENERATE_FLOOR * point
-    return CalibrationEstimate(point=point, lower=lower, upper=point + d_tot + d_ele,
-                               degenerate=degenerate)
+    if lower <= 0.0:
+        raise ValueError(
+            f"degenerate SNU interval: calib_samples_m = {m} is too few for "
+            f"eps_pe = {eps_pe}, so the interval's lower bound crosses zero")
+    return CalibrationEstimate(point=point, lower=lower, upper=point + d_tot + d_ele)
 
 
 def deviation_curve(truth: NoiseGroundTruth, m_grid: Sequence[int],

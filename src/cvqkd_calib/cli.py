@@ -22,8 +22,9 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
-from .keyrate import FiniteSizeParams, key_rate
-from .models import CalibrationModel, SystemParams, transmittance_from_km
+from .keyrate import FiniteSizeParams, key_rate, snu_interval
+from .models import (CalibrationModel, SystemParams, apply_miscalibration,
+                     detector_epr_variance, transmittance_from_km)
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -158,9 +159,6 @@ class SweepConfig:
             fs = FiniteSizeParams(**top["finite_size"]) if "finite_size" in top else None
             if regime is Regime.FINITE_SIZE and fs is None:
                 raise ConfigError("finite_size section is required for the finite_size regime")
-            for delta in top["miscalibration_deltas"]:
-                if 1.0 + delta <= 0.0:
-                    raise ConfigError(f"miscalibration delta {delta} leaves no signal")
             pulse = top.get("pulse_rate_hz")
             if pulse is not None and pulse <= 0.0:
                 raise ConfigError(f"pulse_rate_hz must be positive, got {pulse}")
@@ -181,9 +179,17 @@ class SweepConfig:
                 calibration=(CalibrationConfig(**top["calibration"])
                              if "calibration" in top else None),
             )
-            # Dry run: build what the commands build, so bad values fail before any row.
+            # Dry run: build what the commands build and make the library's checks
+            # that depend on the config alone, so bad values fail before any row.
             for v in cfg.variances:
-                SystemParams(v=v, t=1.0, **cfg.system)
+                params = SystemParams(v=v, t=1.0, **cfg.system)
+            for delta in cfg.miscalibration_deltas:
+                apply_miscalibration(params, delta)
+            if CalibrationModel.CONVENTIONAL_TTE in cfg.models:
+                detector_epr_variance(params)
+            if cfg.finite_size is not None:
+                for model in cfg.models:
+                    snu_interval(params, model, cfg.finite_size)
             if cfg.calibration is not None:
                 calibration_rows(cfg)
         except ConfigError:
@@ -487,13 +493,11 @@ def write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> Non
             writer.writerow(columns)
             for row in rows:
                 writer.writerow([_format_cell(row[c]) for c in columns])
-    elif fmt == "json":
+    else:
         payload = [{c: row[c] for c in columns} for row in rows]
         with open(path, "w") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
-    else:
-        raise ConfigError(f"unknown output format {fmt}")
 
 
 # ---------------------------------------------------------------------------

@@ -267,9 +267,7 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     subtracted and the result scaled by the key fraction n/N. chi_BE is
     first evaluated at the five _PROBES of the grid; the whole grid is
     evaluated only when some row rises and then falls across them, since
-    then an interior grid point may hold the worst case. A degenerate
-    interval, whose lower bound crosses zero because calib_samples_m is
-    too small for eps_pe, raises ValueError.
+    then an interior grid point may hold the worst case.
     Channel-parameter fluctuation is out of scope; only the SNU-bearing
     matrix entries move.
 
@@ -282,10 +280,6 @@ def key_rate(params: SystemParams, model: CalibrationModel,
         n0, penalty, share = np.ones(1), 0.0, 1.0
     else:
         calib = snu_interval(params, model, fs)
-        if calib.degenerate:
-            raise ValueError(
-                f"degenerate SNU interval: calib_samples_m = {fs.calib_samples_m} is too few "
-                f"for eps_pe = {fs.eps_pe}, so the interval's lower bound crosses zero")
         grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                            N0_SCAN_POINTS)
         n0, penalty, share = grid[_PROBES], finite_size_penalty(fs), fs.key_fraction

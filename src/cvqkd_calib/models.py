@@ -212,15 +212,11 @@ def conventional_channel_stack(params: SystemParams, n0: float | np.ndarray) -> 
     return _blocks4(v, cab1, vb1)
 
 
-def conventional_stack(params: SystemParams, g_ab1: np.ndarray) -> np.ndarray:
-    """Covariances (N, 8, 8) of (A, B3, F, G) for the conventional trusted model,
-    one per channel-output state of the stack g_ab1 (N, 4, 4) from
-    :func:`conventional_channel_stack`.
-
-    F and G are the two modes of the detector's trusted EPR source with
-    variance 1 + v_ele / (1 - eta_d), chosen so that mixing F into the
-    signal on the eta_d beamsplitter adds exactly v_ele of noise to the
-    detected mode: Bob's variance is eta_d*t*(v - 1 + eps_c) + 1 + v_ele.
+def detector_epr_variance(params: SystemParams) -> float:
+    """Variance 1 + v_ele / (1 - eta_d) of the conventional detector's trusted
+    EPR source, chosen so that mixing one of its modes into the signal on
+    the eta_d beamsplitter adds exactly v_ele of noise to the detected
+    mode: Bob's variance is eta_d*t*(v - 1 + eps_c) + 1 + v_ele.
     """
     ve = params.v_ele + params.v_rin
     if params.eta_d == 1.0 and ve > 0.0:
@@ -228,7 +224,16 @@ def conventional_stack(params: SystemParams, g_ab1: np.ndarray) -> np.ndarray:
             "eta_d = 1 with nonzero electronic noise needs an infinite detector "
             "EPR variance; use eta_d < 1 or v_ele = 0"
         )
-    v_epr = 1.0 if ve == 0.0 else 1.0 + ve / (1.0 - params.eta_d)
+    return 1.0 if ve == 0.0 else 1.0 + ve / (1.0 - params.eta_d)
+
+
+def conventional_stack(params: SystemParams, g_ab1: np.ndarray) -> np.ndarray:
+    """Covariances (N, 8, 8) of (A, B3, F, G) for the conventional trusted model,
+    one per channel-output state of the stack g_ab1 (N, 4, 4) from
+    :func:`conventional_channel_stack`; F and G are the two modes of the
+    detector's trusted EPR source of :func:`detector_epr_variance`.
+    """
+    v_epr = detector_epr_variance(params)
     out = np.zeros((g_ab1.shape[0], 8, 8))
     out[:, :4, :4] = g_ab1
     out[:, 4:, 4:] = _blocks4(v_epr, math.sqrt(v_epr * v_epr - 1.0), v_epr)[0]

@@ -91,7 +91,6 @@ class TestConfidenceIntervalOte:
         assert expect == pytest.approx(1.485e-3, rel=1e-3)
         assert est.upper - est.point == pytest.approx(expect, rel=1e-12)
         assert est.point - est.lower == pytest.approx(expect, rel=1e-12)
-        assert not est.degenerate
 
     def test_width_scales_as_inverse_sqrt_m(self):
         a = confidence_interval(1.0, 0.0, 10 ** 6, 1e-5)
@@ -103,10 +102,11 @@ class TestConfidenceIntervalOte:
         est = confidence_interval(1.0, 0.0, 10 ** 18, 1e-5)
         assert est.upper - est.lower < 1e-7
 
-    def test_degenerate_small_m_flagged(self):
-        est = confidence_interval(1.0, 0.0, 2, 1e-10)
-        assert est.degenerate
-        assert est.lower > 0.0
+    def test_degenerate_small_m_refused(self):
+        with pytest.raises(ValueError, match=(
+                r"^degenerate SNU interval: calib_samples_m = 2 is too few for "
+                r"eps_pe = 1e-10, so the interval's lower bound crosses zero$")):
+            confidence_interval(1.0, 0.0, 2, 1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -191,10 +191,11 @@ class TestDeviationCurve:
         m_grid = [2, 3, 10, 10 ** 3] + [10 ** k for k in range(5, 13)]
         checked = 0
         for row in deviation_curve(TRUTH, m_grid, eps_pe):
-            ote = confidence_interval(TRUTH.v_tot, 0.0, row["m"], eps_pe)
-            tte = confidence_interval(TRUTH.v_tot, TRUTH.v_ele, row["m"], eps_pe)
-            if ote.degenerate or tte.degenerate:
-                continue
+            try:
+                ote = confidence_interval(TRUTH.v_tot, 0.0, row["m"], eps_pe)
+                tte = confidence_interval(TRUTH.v_tot, TRUTH.v_ele, row["m"], eps_pe)
+            except ValueError:
+                continue  # a degenerate interval has no half-width to compare
             assert row["dev_ote"] == pytest.approx((ote.upper - ote.point) / ote.point,
                                                    rel=1e-10)
             assert row["dev_tte"] == pytest.approx((tte.point - tte.lower) / tte.point,

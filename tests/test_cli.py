@@ -694,16 +694,69 @@ class TestExitCodes:
         assert main(["sweep", "--config", path]) == EXIT_RUNTIME_ERROR
 
     @pytest.mark.parametrize("command", ["sweep", "ten"])
-    def test_degenerate_snu_interval_names_its_grid_point(self, tmp_path, capsys, command):
+    def test_degenerate_snu_interval_fails_before_any_row(self, tmp_path, capsys, command):
         # 50 calibration samples cannot bound the SNU at eps_pe 1e-10.
         path = write_config(tmp_path, base_config(
             regime="finite_size", finite_size={**FINITE_SIZE, "calib_samples_m": 50}))
         assert main([command, "--config", path,
-                     "--out", str(tmp_path / "x.csv")]) == EXIT_RUNTIME_ERROR
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
-            "runtime error: model=conventional V=4.0 km=0.0 delta=0.0: ValueError: "
-            "degenerate SNU interval: calib_samples_m = 50 is too few for eps_pe = 1e-10, "
-            "so the interval's lower bound crosses zero\n")
+            "config error: degenerate SNU interval: calib_samples_m = 50 is too few for "
+            "eps_pe = 1e-10, so the interval's lower bound crosses zero\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    # Configs that fail on the config alone: the overrides of base_config and
+    # the message of the library check that refuses them.
+    DEGENERATE = ("degenerate SNU interval: calib_samples_m = {} is too few for "
+                  "eps_pe = 1e-10, so the interval's lower bound crosses zero")
+    CONFIG_ONLY = {
+        "m_50_all_models": (
+            {"regime": "finite_size", "finite_size": {**FINITE_SIZE, "calib_samples_m": 50}},
+            DEGENERATE.format(50)),
+        # Only the wider two-step interval crosses zero at m = 84.
+        "m_84_conventional": (
+            {"regime": "finite_size", "models": ["conventional"],
+             "finite_size": {**FINITE_SIZE, "calib_samples_m": 84}},
+            DEGENERATE.format(84)),
+        "eta_d_1_conventional": (
+            {"models": ["conventional"],
+             "system": {**base_config()["system"], "eta_d": 1.0}},
+            "eta_d = 1 with nonzero electronic noise needs an infinite detector EPR "
+            "variance; use eta_d < 1 or v_ele = 0"),
+        "delta_minus_1": (
+            {"miscalibration_deltas": [0.0, -1.0]},
+            "miscalibration delta -1.0 leaves no signal"),
+    }
+
+    @pytest.mark.parametrize("overrides, message", CONFIG_ONLY.values(), ids=CONFIG_ONLY)
+    def test_validate_config_and_sweep_agree_on_config_only_failures(
+            self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, base_config(**overrides))
+        out = tmp_path / "x.csv"
+        assert main(["validate-config", "--config", path]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"regime": "finite_size", "models": ["two_mode", "three_mode"],
+         "finite_size": {**FINITE_SIZE, "calib_samples_m": 84}},
+        # The asymptotic regime takes no SNU interval.
+        {"finite_size": {**FINITE_SIZE, "calib_samples_m": 50}},
+        {"models": ["two_mode", "three_mode"],
+         "system": {**base_config()["system"], "eta_d": 1.0}},
+        {"models": ["conventional"],
+         "system": {**base_config()["system"], "eta_d": 1.0, "v_ele": 0.0}},
+    ], ids=["m_84_one_time", "m_50_asymptotic", "eta_d_1_one_time", "eta_d_1_noiseless"])
+    def test_validate_config_and_sweep_accept_what_the_models_evaluate(
+            self, tmp_path, overrides):
+        raw = base_config(**overrides)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "x.csv"
+        assert main(["validate-config", "--config", path]) == EXIT_OK
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert len(read_csv(out)) == 3 * len(raw["models"])
 
 
 def _readme_block(heading: str, language: str) -> str:

@@ -494,14 +494,14 @@ class TestSnuInterval:
 
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_degenerate_interval_fails_by_name(self, model):
-        # At eps_pe 1e-10 the one-time interval crosses zero for m <= 83;
-        # its lower bound would be floored at 1e-12 of the point estimate.
+        # At eps_pe 1e-10 the one-time interval crosses zero for m <= 83.
         fs = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
                               eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=50)
-        assert snu_interval(params(), model, fs).degenerate
-        with pytest.raises(ValueError, match=(
-                r"^degenerate SNU interval: calib_samples_m = 50 is too few for "
-                r"eps_pe = 1e-10, so the interval's lower bound crosses zero$")):
+        message = (r"^degenerate SNU interval: calib_samples_m = 50 is too few for "
+                   r"eps_pe = 1e-10, so the interval's lower bound crosses zero$")
+        with pytest.raises(ValueError, match=message):
+            snu_interval(params(), model, fs)
+        with pytest.raises(ValueError, match=message):
             key_rate(params(), model, fs)
         # The asymptotic rate takes no interval.
         assert key_rate(params(), model).rate_bits_per_pulse > 0.0
@@ -655,13 +655,8 @@ class TestProbedWorstCase:
            log_m=st.floats(1.0, 10.0))
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_equals_dense_scan(self, model, p, delta, log_m):
-        # m from 10, where the interval is degenerate and key_rate refuses
-        # to scan from the floor at n0 = 1e-12, to 1e10.
+        # m from 10, where the interval is degenerate and both refuse it, to 1e10.
         fs = dataclasses.replace(self.FS, calib_samples_m=round(10 ** log_m))
-        if snu_interval(p, model, fs).degenerate:
-            with pytest.raises(ValueError, match="degenerate SNU interval"):
-                key_rate(p, model, fs, delta)
-            return
         assert (self.outcome(lambda: key_rate(p, model, fs, delta))
                 == self.outcome(lambda: dense_worst_case(p, model, fs, delta)))
 
