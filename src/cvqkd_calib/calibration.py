@@ -114,9 +114,8 @@ def deviation_curve(truth: NoiseGroundTruth, m_grid: Sequence[int],
         m = int(given)
         if m < 2:
             raise ValueError(f"need at least 2 samples, got {m}")
-        base = z_quantile(eps_pe) * math.sqrt(2.0) / math.sqrt(m)
-        dev_ote = base
-        dev_tte = base * (truth.v_tot + truth.v_ele) / snu_tte_true
+        dev_ote = _half_width(1.0, m, eps_pe)
+        dev_tte = dev_ote * (truth.v_tot + truth.v_ele) / snu_tte_true
         rows.append({
             "m": m,
             "snu_norm_ote": 1.0 - dev_ote,

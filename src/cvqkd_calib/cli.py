@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Optional, Sequence
 
@@ -42,7 +43,6 @@ TEN_COLUMNS = [
 CALIB_COLUMNS = ["m", "snu_norm_ote", "snu_norm_tte", "dev_ote", "dev_tte"]
 
 TEN_TOLERANCE = 1e-4
-TEN_MAX_ITER = 60
 _TEN_BRACKET_CAP = 1024.0
 
 
@@ -308,62 +308,35 @@ def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
 _ROW_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _sweep_block(config: SweepConfig, model: CalibrationModel,
-                 points: list[tuple[float, float, float]]) -> list[dict]:
-    """Key-rate rows of the (V, distance, delta) points of one model's
-    block, from one key_rate call over the block."""
-    system = config.system
-    v, dist, delta = (np.array(c) for c in zip(*points))
-    params = SystemParams(v=v, t=np.array([transmittance_from_km(d) for d in dist.tolist()]),
-                          **system)
+def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
+                 delta: np.ndarray) -> dict:
+    """The key-rate columns of one model's rows, at their params and delta,
+    from one key_rate call."""
     res = key_rate(params, model, config.finite_size, delta)
-    columns = (c.tolist() for c in (
-        params.t, res.i_ab, res.chi_be, res.rate_bits_per_pulse, res.worst_n0))
+    rate = res.rate_bits_per_pulse
     pulse_rate = config.pulse_rate_hz
-    return [{
-        "model": model.value,
-        "regime": config.regime.value,
-        "V": v_row,
-        "distance_km": dist_row,
-        "transmittance": t,
-        "eps_c": system["eps_c"],
-        "eta_d": system["eta_d"],
-        "v_ele": system["v_ele"],
-        "delta": delta_row,
-        "n0_worst": worst_n0,
-        "i_ab": i_ab,
-        "chi_be": chi_be,
+    return {
+        "eps_c": config.system["eps_c"],
+        "delta": delta.tolist(),
+        "n0_worst": res.worst_n0.tolist(),
+        "i_ab": res.i_ab.tolist(),
+        "chi_be": res.chi_be.tolist(),
         "delta_n": res.delta_n,
-        "rate_bits_per_pulse": rate,
-        "rate_bits_per_s": None if pulse_rate is None else rate * pulse_rate,
-        "rate_clamped": max(rate, 0.0),
-    } for (v_row, dist_row, delta_row), t, i_ab, chi_be, rate, worst_n0
-        in zip(points, *columns)]
+        "rate_bits_per_pulse": rate.tolist(),
+        "rate_bits_per_s": None if pulse_rate is None else (rate * pulse_rate).tolist(),
+        # max(rate, 0.0) per row: a NaN or -0.0 rate is kept as it is.
+        "rate_clamped": np.where(rate < 0.0, 0.0, rate).tolist(),
+    }
 
 
-def _ten_block(config: SweepConfig, model: CalibrationModel,
-               points: list[tuple[float, float, float]]) -> list[dict]:
-    """Tolerable-excess-noise rows of the (V, distance, 0.0) points of one
-    model's block, searched in lockstep."""
-    system = config.system
-    v, dist, _ = (np.array(c) for c in zip(*points))
-    t = np.array([transmittance_from_km(d) for d in dist.tolist()])
-
+def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams) -> dict:
+    """The tolerable-excess-noise column of one model's rows, searched in
+    lockstep."""
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
-        params = SystemParams(v=v[rows], t=t[rows], **{**system, "eps_c": eps_c})
-        return key_rate(params, model, config.finite_size).rate_bits_per_pulse
+        subset = replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c)
+        return key_rate(subset, model, config.finite_size).rate_bits_per_pulse
 
-    return [{
-        "model": model.value,
-        "regime": config.regime.value,
-        "V": v_row,
-        "distance_km": dist_row,
-        "transmittance": t_row,
-        "eta_d": system["eta_d"],
-        "v_ele": system["v_ele"],
-        "ten": ten,
-    } for (v_row, dist_row, _), t_row, ten in zip(
-        points, t.tolist(), _tolerable_noise(rate_at, len(points)).tolist())]
+    return {"ten": _tolerable_noise(rate_at, params.v.size).tolist()}
 
 
 def _tolerable_noise(rate_at, n: int) -> np.ndarray:
@@ -374,10 +347,10 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
     eps_c; each step evaluates every open row once. A row whose rate is
     not positive at eps_c = 0 tolerates 0.0. The others double hi from
     0.5 while the rate stays positive. Bisecting [0, hi] would end in a
-    cell of width w = hi / 2^k, k the first level with w <= TEN_TOLERANCE
-    (at most TEN_MAX_ITER), and return the centre of the cell whose lower
-    edge has a positive rate and whose upper edge has not. That cell is
-    found by evaluating cell edges only, exact dyadic floats on the
+    cell of width w, the largest power of two <= TEN_TOLERANCE as hi is
+    0.5 * 2^j, and return the centre of the cell whose lower edge has a
+    positive rate and whose upper edge has not. That cell is found by
+    evaluating cell edges only, exact dyadic floats on the
     bisection's own tree: a bracket [lo, hi] of edges with rate(lo) > 0 >=
     rate(hi) moves an end to the edge nearest the Illinois regula falsi
     estimate (Dowell & Jarratt 1971). Once the steps taken plus the
@@ -400,10 +373,7 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
             raise RuntimeError("rate stayed positive up to the excess-noise cap")
         f_hi[rows[~up]] = f[~up]
         active[rows[~up]] = False
-    # hi is 0.5 * 2^j, so w is the largest power of two <= TEN_TOLERANCE,
-    # or hi / 2 if that is larger, but no smaller than hi / 2^TEN_MAX_ITER.
-    finest = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
-    width = np.maximum(np.minimum(0.5 * hi, finest), hi * 2.0 ** -TEN_MAX_ITER)
+    width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
     cells = (hi - lo) / width
     # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
     budget = 2 * np.frexp(cells - 1.0)[1]
@@ -419,7 +389,7 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
                                             where=drop > 0.0))
         at_budget = steps[rows] + np.frexp(span - 1.0)[1] >= budget[rows]
         step = np.where(at_budget, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
-        at = lo[rows] + step * width[rows]
+        at = lo[rows] + step * width
         f = rate_at(rows, at)
         up = f > 0.0
         # Illinois: an end kept twice running has its rate halved.
@@ -434,26 +404,48 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
     return np.where(tolerant, 0.5 * (lo + hi), 0.0)
 
 
-def _grid_rows(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
-    """block(config, model, points) over each model of the grid, sorted,
-    with points every (V, distance, delta) in that order, V sorted.
+def _grid_rows(config: SweepConfig, block,
+               deltas: Optional[Sequence[float]] = None) -> list[dict]:
+    """Rows of the grid's points, every (V, distance, delta) in that order,
+    V sorted, for each model, sorted: the shared columns, and those that
+    block(config, model, params, delta) gives for one model's points from
+    their SystemParams and delta column. With deltas None the points have
+    delta 0.0 and block takes no delta.
 
     When a block raises, its points are evaluated one at a time in grid
     order, so the error names the first failing point."""
-    points = [(v, dist, delta) for v in sorted(config.variances)
-              for dist in config.distances_km.points() for delta in deltas]
+    v, km, delta = (c.ravel() for c in np.meshgrid(
+        sorted(config.variances), config.distances_km.points(),
+        [0.0] if deltas is None else deltas, indexing="ij"))
+    t = np.array([transmittance_from_km(d) for d in km.tolist()])
+    system = config.system
+
+    def rows_at(model: CalibrationModel, at: slice) -> list[dict]:
+        params = SystemParams(v=v[at], t=t[at], **system)
+        columns = {
+            "model": model.value, "regime": config.regime.value, "V": v[at].tolist(),
+            "distance_km": km[at].tolist(), "transmittance": t[at].tolist(),
+            "eta_d": system["eta_d"], "v_ele": system["v_ele"],
+            **(block(config, model, params) if deltas is None
+               else block(config, model, params, delta[at])),
+        }
+        # A column is a list of one value per point, or one value for all.
+        cells = [c if isinstance(c, list) else itertools.repeat(c) for c in columns.values()]
+        return [dict(zip(columns, row)) for row in zip(*cells)]
+
     rows = []
     for model in sorted(config.models, key=lambda m: m.value):
         try:
-            rows += block(config, model, points)
+            rows += rows_at(model, slice(None))
             continue
         except _ROW_ERRORS:
             pass  # a block error cannot say which point failed
-        for v, dist, delta in points:
+        for i in range(v.size):
             try:
-                rows += block(config, model, [(v, dist, delta)])
+                rows += rows_at(model, slice(i, i + 1))
             except _ROW_ERRORS as exc:
-                raise _row_failure(exc, model, v, dist, delta) from exc
+                raise _row_failure(exc, model, v[i].item(), km[i].item(),
+                                   delta[i].item()) from exc
     return rows
 
 
@@ -465,7 +457,7 @@ def sweep_rows(config: SweepConfig) -> list[dict]:
 
 def ten_rows(config: SweepConfig) -> list[dict]:
     """Tolerable-excess-noise rows for every (model, V, distance) point."""
-    return _grid_rows(config, _ten_block, [0.0])
+    return _grid_rows(config, _ten_block)
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from cvqkd_calib import CalibrationModel, SystemParams
-from cvqkd_calib.cli import _TEN_BRACKET_CAP, TEN_MAX_ITER, TEN_TOLERANCE
+from cvqkd_calib.cli import _TEN_BRACKET_CAP, TEN_TOLERANCE
 from cvqkd_calib.gaussian import symplectic_form
 from cvqkd_calib.keyrate import (
     _HOLEVO,
@@ -26,6 +26,10 @@ from cvqkd_calib.models import (
     three_mode_stack,
     two_mode_stack,
 )
+
+# Halvings the scalar TEN bisection makes at most; from any bracket up to
+# _TEN_BRACKET_CAP the tolerance is reached well before.
+TEN_MAX_ITER = 60
 
 
 def entropy_g(x: float) -> float:

@@ -32,6 +32,8 @@ from cvqkd_calib.cli import (
     EXIT_RUNTIME_ERROR,
     SWEEP_COLUMNS,
     TEN_COLUMNS,
+    TEN_TOLERANCE,
+    _TEN_BRACKET_CAP,
     ConfigError,
     SweepConfig,
     load_config,
@@ -40,7 +42,7 @@ from cvqkd_calib.cli import (
     ten_rows,
 )
 from cvqkd_calib.keyrate import snu_interval
-from oracles import bisect_tolerable_noise
+from oracles import TEN_MAX_ITER, bisect_tolerable_noise
 from strategies import PROPERTY
 
 
@@ -201,6 +203,25 @@ class TestSweepRows:
                 r"NumericalError: eigenvalue solve did not converge$")):
             rows(cfg)
 
+    @pytest.mark.parametrize("rows,count", [(sweep_rows, 135), (ten_rows, 45)])
+    def test_failed_block_rows_come_from_its_points_one_at_a_time(
+            self, monkeypatch, rows, count):
+        # Every block of more than one row fails, and every point on its own
+        # succeeds, so the rows are those of the one-point reruns.
+        cfg = load_config(str(GOLDEN_CONFIG), ["distances_km.step=50"])
+        expected = rows(cfg)
+        healthy = cli.key_rate
+
+        def single_rows_only(params, model, fs=None, delta=0.0):
+            if np.size(params.t) > 1:
+                raise NumericalError("eigenvalue solve did not converge")
+            return healthy(params, model, fs, delta)
+
+        monkeypatch.setattr(cli, "key_rate", single_rows_only)
+        got = rows(cfg)
+        assert len(got) == count
+        assert got == expected
+
     @pytest.mark.parametrize("index,fallback", [(keyrate.N0_SCAN_POINTS // 2, False),
                                                 (7, True)])
     @pytest.mark.parametrize("model,builder,what", [
@@ -300,6 +321,12 @@ class TestTenRows:
                 hi = mid
         assert row["ten"] == pytest.approx(0.5 * (lo + hi), abs=2e-4)
         assert rate(row["ten"] - 2e-4) > 0
+
+    def test_oracle_iteration_limit_never_binds(self):
+        # The bracket ends at most at the cap, and the bisection's last cells
+        # have the width of the largest power of two <= TEN_TOLERANCE.
+        width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
+        assert _TEN_BRACKET_CAP * 2.0 ** -TEN_MAX_ITER < width <= TEN_TOLERANCE
 
     def test_zero_when_rate_negative_at_origin(self):
         cfg = SweepConfig.from_dict(base_config(
@@ -534,6 +561,7 @@ class TestExitCodes:
         ("system.eps_c=nan", "system.eps_c"),
         ("calibration.v_tot=inf", "calibration.v_tot"),
         ("finite_size.block_length=1e999", "finite_size.block_length"),
+        ("finite_size.block_length=1" + "0" * 400, "finite_size.block_length"),
         ("system.v_rin=true", "system.v_rin"),
         ("pulse_rate_hz=true", "pulse_rate_hz"),
         ("finite_size.block_length=true", "finite_size.block_length"),
@@ -546,6 +574,20 @@ class TestExitCodes:
         assert main(["validate-config", "--config", path, "--set", override]) \
             == EXIT_CONFIG_ERROR
         assert f"{field} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,message", [
+        ("distances_km.start=-5", "distances_km.start must be nonnegative, got -5.0"),
+        ("pulse_rate_hz=0", "pulse_rate_hz must be positive, got 0.0"),
+        ("output.format=xml", "output.format must be csv or json, got xml"),
+        ("finite_size.dim_hx=0", "raw-key alphabet dimension must be positive, got 0"),
+        # --set creates the absent section, which then lacks its other keys.
+        ("calibration.v_tot=1.0", "missing config field: calibration.v_ele"),
+    ])
+    def test_validate_config_names_the_bad_value(self, tmp_path, capsys, override, message):
+        path = write_config(tmp_path, base_config(finite_size=FINITE_SIZE))
+        assert main(["validate-config", "--config", path, "--set", override]) \
+            == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_validate_config_rejects_too_few_calibration_samples(self, tmp_path, capsys):
         # Every SNU interval needs two samples, so the sweep would fail later.

@@ -153,6 +153,15 @@ class TestSymplecticEigenvalues:
         extended = symplectic_spectra(with_vacuum(g))
         assert sorted(extended) == pytest.approx(sorted([nu1, nu2, 1.0]), rel=1e-9)
 
+    def test_solver_failure_is_a_numerical_error(self, monkeypatch):
+        def no_convergence(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        with pytest.raises(NumericalError, match=(
+                r"^eigenvalue solve did not converge \(matrix condition number 1\.000e\+00\)$")):
+            symplectic_spectra(np.eye(4))
+
 
 # ---------------------------------------------------------------------------
 # mix_on_beamsplitter
