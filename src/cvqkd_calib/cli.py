@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -44,11 +43,6 @@ CALIB_COLUMNS = ["m", "snu_norm_ote", "snu_norm_tte", "dev_ote", "dev_tte"]
 
 TEN_TOLERANCE = 1e-4
 _TEN_BRACKET_CAP = 1024.0
-
-
-class Regime(Enum):
-    ASYMPTOTIC = "asymptotic"
-    FINITE_SIZE = "finite_size"
 
 
 class ConfigError(ValueError):
@@ -118,21 +112,20 @@ class CalibrationConfig(NoiseGroundTruth):
 class SweepConfig:
     """Full description of one sweep run.
 
-    finite_size is None in the asymptotic regime, even when the config
-    carries a (validated) finite_size section.
+    finite_size is None exactly in the asymptotic regime, even when the
+    config carries a (validated) finite_size section.
     """
 
     models: tuple[CalibrationModel, ...]
-    regime: Regime
     distances_km: DistanceGrid
     variances: tuple[float, ...]
     system: dict[str, float]
     output_path: Optional[str]
     output_format: str
-    finite_size: Optional[FiniteSizeParams] = None
-    miscalibration_deltas: tuple[float, ...] = (0.0,)
-    pulse_rate_hz: Optional[float] = None
-    calibration: Optional[CalibrationConfig] = None
+    finite_size: Optional[FiniteSizeParams]
+    miscalibration_deltas: tuple[float, ...]
+    pulse_rate_hz: Optional[float]
+    calibration: Optional[CalibrationConfig]
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: Sequence[str] = ()) -> "SweepConfig":
@@ -150,14 +143,11 @@ class SweepConfig:
                 valid = ", ".join(m.value for m in CalibrationModel)
                 raise ConfigError(
                     f"unknown model in {list(top['models'])}; valid: {valid}") from exc
-            try:
-                regime = Regime(top["regime"])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"regime must be one of {[r.value for r in Regime]}"
-                ) from exc
+            regimes = ["asymptotic", "finite_size"]
+            if top["regime"] not in regimes:
+                raise ConfigError(f"regime must be one of {regimes}")
             fs = FiniteSizeParams(**top["finite_size"]) if "finite_size" in top else None
-            if regime is Regime.FINITE_SIZE and fs is None:
+            if top["regime"] == "finite_size" and fs is None:
                 raise ConfigError("finite_size section is required for the finite_size regime")
             pulse = top.get("pulse_rate_hz")
             if pulse is not None and pulse <= 0.0:
@@ -167,13 +157,12 @@ class SweepConfig:
                 raise ConfigError(f"output.format must be csv or json, got {output['format']}")
             cfg = cls(
                 models=models,
-                regime=regime,
                 distances_km=DistanceGrid(**top["distances_km"]),
                 variances=top["variances"],
                 system=top["system"],
                 output_path=output.get("path"),
                 output_format=output["format"],
-                finite_size=fs if regime is Regime.FINITE_SIZE else None,
+                finite_size=fs if top["regime"] == "finite_size" else None,
                 miscalibration_deltas=top["miscalibration_deltas"],
                 pulse_rate_hz=pulse,
                 calibration=(CalibrationConfig(**top["calibration"])
@@ -423,7 +412,9 @@ def _grid_rows(config: SweepConfig, block,
     def rows_at(model: CalibrationModel, at: slice) -> list[dict]:
         params = SystemParams(v=v[at], t=t[at], **system)
         columns = {
-            "model": model.value, "regime": config.regime.value, "V": v[at].tolist(),
+            "model": model.value,
+            "regime": "asymptotic" if config.finite_size is None else "finite_size",
+            "V": v[at].tolist(),
             "distance_km": km[at].tolist(), "transmittance": t[at].tolist(),
             "eta_d": system["eta_d"], "v_ele": system["v_ele"],
             **(block(config, model, params) if deltas is None
@@ -470,21 +461,13 @@ def calibration_rows(config: SweepConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 # output
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> None:
     if fmt == "csv":
         with open(path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(row[c]) for c in columns])
+            # csv writes None as an empty cell and a float as its repr.
+            writer.writerows([row[c] for c in columns] for row in rows)
     else:
         payload = [{c: row[c] for c in columns} for row in rows]
         with open(path, "w") as f:

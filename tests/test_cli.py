@@ -87,11 +87,13 @@ class TestConfigParsing:
             SweepConfig.from_dict(base_config(models=["four_mode"]))
 
     def test_bad_regime_rejected(self):
-        with pytest.raises(ConfigError, match="regime"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "regime must be one of ['asymptotic', 'finite_size']")):
             SweepConfig.from_dict(base_config(regime="instantaneous"))
 
     def test_finite_regime_requires_finite_section(self):
-        with pytest.raises(ConfigError, match="finite_size"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "finite_size section is required for the finite_size regime")):
             SweepConfig.from_dict(base_config(regime="finite_size"))
 
     def test_bad_physics_rejected(self):
@@ -491,6 +493,20 @@ class TestOutputs:
                     assert float(cv) == pytest.approx(jv, rel=1e-15)
                 else:
                     assert cv == str(jv)
+
+    def test_write_rows_cell_text(self, tmp_path):
+        # No golden holds a NaN, an inf or a -0.0 cell.
+        row = {"none": None, "neg_zero": -0.0, "nan": math.nan, "inf": math.inf,
+               "int": 5 * 10 ** 9, "str": "two_mode", "tenth": 0.1, "tiny": 1e-300}
+        cli.write_rows([row], list(row), str(tmp_path / "row.csv"), "csv")
+        assert (tmp_path / "row.csv").read_bytes() == (
+            b"none,neg_zero,nan,inf,int,str,tenth,tiny\n"
+            b",-0.0,nan,inf,5000000000,two_mode,0.1,1e-300\n")
+        cli.write_rows([row], list(row), str(tmp_path / "row.json"), "json")
+        text = (tmp_path / "row.json").read_text()
+        assert '"none": null' in text
+        [back] = json.loads(text)
+        assert [repr(v) for v in back.values()] == [repr(v) for v in row.values()]
 
     def test_out_and_format_flags_apply_together(self, tmp_path):
         path = write_config(tmp_path, base_config(
