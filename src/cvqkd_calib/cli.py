@@ -22,6 +22,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
+from .gaussian import NumericalError
 from .keyrate import FiniteSizeParams, key_rate, snu_interval
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
@@ -93,6 +94,8 @@ class DistanceGrid:
             )
         if self.start < 0.0:
             raise ConfigError(f"distances_km.start must be nonnegative, got {self.start}")
+        if transmittance_from_km(self.stop) == 0.0:
+            raise ConfigError(f"distances_km.stop ({self.stop}) has a transmittance of 0")
 
     def points(self) -> list[float]:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -170,8 +173,10 @@ class SweepConfig:
             )
             # Dry run: build what the commands build and make the library's checks
             # that depend on the config alone, so bad values fail before any row.
+            # The grid's smallest transmittance is that of its stop.
             for v in cfg.variances:
-                params = SystemParams(v=v, t=1.0, **cfg.system)
+                params = SystemParams(v=v, t=transmittance_from_km(cfg.distances_km.stop),
+                                      **cfg.system)
             for delta in cfg.miscalibration_deltas:
                 apply_miscalibration(params, delta)
             if CalibrationModel.CONVENTIONAL_TTE in cfg.models:
@@ -285,18 +290,6 @@ def _apply_override(raw: dict, item: str) -> None:
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _row_failure(exc: Exception, model: CalibrationModel, v: float, dist: float,
-                 delta: float) -> RuntimeError:
-    """The error of one grid point, re-raised with the point named."""
-    return RuntimeError(
-        f"model={model.value} V={v!r} km={dist!r} delta={delta!r}: "
-        f"{type(exc).__name__}: {exc}"
-    )
-
-
-_ROW_ERRORS = (ArithmeticError, RuntimeError, ValueError)
-
-
 def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
                  delta: np.ndarray) -> dict:
     """The key-rate columns of one model's rows, at their params and delta,
@@ -318,12 +311,17 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
     }
 
 
-def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams) -> dict:
-    """The tolerable-excess-noise column of one model's rows, searched in
-    lockstep."""
+def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
+               delta: np.ndarray) -> dict:
+    """The tolerable-excess-noise column of one model's rows, at delta 0,
+    searched in lockstep."""
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
         subset = replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c)
-        return key_rate(subset, model, config.finite_size).rate_bits_per_pulse
+        try:
+            return key_rate(subset, model, config.finite_size).rate_bits_per_pulse
+        except NumericalError as exc:  # row of the subset -> row of the block
+            exc.row = None if exc.row is None else int(rows[exc.row])
+            raise
 
     return {"ten": _tolerable_noise(rate_at, params.v.size).tolist()}
 
@@ -358,8 +356,11 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
         up = f > 0.0
         lo[rows[up]], f_lo[rows[up]] = hi[rows[up]], f[up]
         hi[rows[up]] *= 2.0
-        if np.any(hi[rows] > _TEN_BRACKET_CAP):
-            raise RuntimeError("rate stayed positive up to the excess-noise cap")
+        capped = hi[rows] > _TEN_BRACKET_CAP
+        if capped.any():
+            exc = RuntimeError("rate stayed positive up to the excess-noise cap")
+            exc.row = int(rows[np.argmax(capped)])
+            raise exc
         f_hi[rows[~up]] = f[~up]
         active[rows[~up]] = False
     width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
@@ -393,50 +394,38 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
     return np.where(tolerant, 0.5 * (lo + hi), 0.0)
 
 
-def _grid_rows(config: SweepConfig, block,
-               deltas: Optional[Sequence[float]] = None) -> list[dict]:
+def _grid_rows(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
     """Rows of the grid's points, every (V, distance, delta) in that order,
     V sorted, for each model, sorted: the shared columns, and those that
     block(config, model, params, delta) gives for one model's points from
-    their SystemParams and delta column. With deltas None the points have
-    delta 0.0 and block takes no delta.
+    their SystemParams and delta column.
 
-    When a block raises, its points are evaluated one at a time in grid
-    order, so the error names the first failing point."""
+    A block's error is raised again naming its model and, where the error
+    carries the index of its failing row, that row's point."""
     v, km, delta = (c.ravel() for c in np.meshgrid(
-        sorted(config.variances), config.distances_km.points(),
-        [0.0] if deltas is None else deltas, indexing="ij"))
+        sorted(config.variances), config.distances_km.points(), deltas, indexing="ij"))
     t = np.array([transmittance_from_km(d) for d in km.tolist()])
     system = config.system
-
-    def rows_at(model: CalibrationModel, at: slice) -> list[dict]:
-        params = SystemParams(v=v[at], t=t[at], **system)
-        columns = {
-            "model": model.value,
-            "regime": "asymptotic" if config.finite_size is None else "finite_size",
-            "V": v[at].tolist(),
-            "distance_km": km[at].tolist(), "transmittance": t[at].tolist(),
-            "eta_d": system["eta_d"], "v_ele": system["v_ele"],
-            **(block(config, model, params) if deltas is None
-               else block(config, model, params, delta[at])),
-        }
-        # A column is a list of one value per point, or one value for all.
-        cells = [c if isinstance(c, list) else itertools.repeat(c) for c in columns.values()]
-        return [dict(zip(columns, row)) for row in zip(*cells)]
-
+    params = SystemParams(v=v, t=t, **system)
+    shared = {
+        "regime": "asymptotic" if config.finite_size is None else "finite_size",
+        "V": v.tolist(), "distance_km": km.tolist(), "transmittance": t.tolist(),
+        "eta_d": system["eta_d"], "v_ele": system["v_ele"],
+    }
     rows = []
     for model in sorted(config.models, key=lambda m: m.value):
         try:
-            rows += rows_at(model, slice(None))
-            continue
-        except _ROW_ERRORS:
-            pass  # a block error cannot say which point failed
-        for i in range(v.size):
-            try:
-                rows += rows_at(model, slice(i, i + 1))
-            except _ROW_ERRORS as exc:
-                raise _row_failure(exc, model, v[i].item(), km[i].item(),
-                                   delta[i].item()) from exc
+            columns = {"model": model.value, **shared,
+                       **block(config, model, params, delta)}
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
+            row = getattr(exc, "row", None)
+            point = ("" if row is None else
+                     f" V={v[row].item()!r} km={km[row].item()!r} delta={delta[row].item()!r}")
+            raise RuntimeError(
+                f"model={model.value}{point}: {type(exc).__name__}: {exc}") from exc
+        # A column is a list of one value per point, or one value for all.
+        cells = [c if isinstance(c, list) else itertools.repeat(c) for c in columns.values()]
+        rows += [dict(zip(columns, row)) for row in zip(*cells)]
     return rows
 
 
@@ -448,7 +437,7 @@ def sweep_rows(config: SweepConfig) -> list[dict]:
 
 def ten_rows(config: SweepConfig) -> list[dict]:
     """Tolerable-excess-noise rows for every (model, V, distance) point."""
-    return _grid_rows(config, _ten_block)
+    return _grid_rows(config, _ten_block, [0.0])
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:

@@ -137,14 +137,14 @@ def mutual_information(params: SystemParams) -> float | np.ndarray:
 
 
 def _require_finite(values: np.ndarray, n0: float | np.ndarray, what: str) -> None:
-    """Raise NumericalError naming the n0 of the first (row, n0) entry of
-    `values` that is not finite."""
+    """Raise NumericalError naming the n0, and carrying the row, of the first
+    (row, n0) entry of `values` that is not finite."""
     if np.isfinite(values).all():
         return
     finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
     scan = n0_values(n0)
-    bad = float(scan[np.argmin(finite) % scan.size])
-    raise NumericalError(f"non-finite {what} at n0 = {bad!r}")
+    row, k = divmod(int(np.argmin(finite)), scan.size)
+    raise NumericalError(f"non-finite {what} at n0 = {float(scan[k])!r}", row=row)
 
 
 def _spectra(stack: np.ndarray, n0: float | np.ndarray, what: str) -> np.ndarray:
@@ -191,8 +191,7 @@ def holevo_three_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> flo
         scan = n0_values(n0)
         raise NumericalError(
             f"three-mode matrix lost its unit eigenvalue at n0 = {float(scan[i % scan.size])!r}: "
-            f"spectrum {tuple(float(x) for x in spectra[i])}"
-        )
+            f"spectrum {tuple(float(x) for x in spectra[i])}", row=i // scan.size)
     chi = entropy_of_spectra(spectra) - _conditional_entropy(g, n0)
     return _as_given(chi, params, n0)
 
@@ -290,6 +289,7 @@ def key_rate(params: SystemParams, model: CalibrationModel,
         n0 = grid
         chi = np.reshape(_HOLEVO[model](eff, n0), (-1, n0.size))
     values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
+    _require_finite(values.ravel(), n0, "key rate")
     # argmin takes the first of equal minima, as a strict-< scan would.
     worst = np.argmin(values, axis=1)
     rows = np.arange(worst.size)

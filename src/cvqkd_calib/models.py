@@ -251,9 +251,9 @@ def apply_miscalibration(params: SystemParams,
     variance absorbed into the apparent excess noise. The estimates are
     clamped to their physical ranges (t_hat <= 1, eps_hat >= 0), as a
     constrained estimator would be. delta may be a 1-D column, one per
-    row of params.
+    row of params; a t_hat <= 0, from delta <= -1 or underflow, is an error.
     """
-    if np.any(1.0 + np.asarray(delta) <= 0.0):
+    if np.any((1.0 + np.asarray(delta)) * params.t <= 0.0):
         raise ValueError(f"miscalibration delta {delta} leaves no signal")
     if np.ndim(delta) == 0 and delta == 0.0:
         return params

@@ -192,8 +192,9 @@ class TestSweepRows:
         healthy = keyrate.holevo_three_mode
 
         def failing(params, n0=1.0):
-            if np.any(np.less(params.t, 0.9)):
-                raise NumericalError("eigenvalue solve did not converge")
+            far = np.flatnonzero(np.less(params.t, 0.9))
+            if far.size:
+                raise NumericalError("eigenvalue solve did not converge", row=int(far[0]))
             return healthy(params, n0)
 
         monkeypatch.setitem(keyrate._HOLEVO, CalibrationModel.ONE_TIME_THREE_MODE, failing)
@@ -205,24 +206,27 @@ class TestSweepRows:
                 r"NumericalError: eigenvalue solve did not converge$")):
             rows(cfg)
 
-    @pytest.mark.parametrize("rows,count", [(sweep_rows, 135), (ten_rows, 45)])
-    def test_failed_block_rows_come_from_its_points_one_at_a_time(
-            self, monkeypatch, rows, count):
-        # Every block of more than one row fails, and every point on its own
-        # succeeds, so the rows are those of the one-point reruns.
-        cfg = load_config(str(GOLDEN_CONFIG), ["distances_km.step=50"])
-        expected = rows(cfg)
+    @pytest.mark.parametrize("rows", [sweep_rows, ten_rows])
+    def test_error_without_a_row_names_its_model_from_one_call(self, monkeypatch, rows):
+        # A batched solver failure cannot say which row broke; the block is
+        # not evaluated again to find out.
+        def failing(params, n0=1.0):
+            raise NumericalError("eigenvalue solve did not converge")
+
+        calls = []
         healthy = cli.key_rate
 
-        def single_rows_only(params, model, fs=None, delta=0.0):
-            if np.size(params.t) > 1:
-                raise NumericalError("eigenvalue solve did not converge")
-            return healthy(params, model, fs, delta)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return healthy(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "key_rate", single_rows_only)
-        got = rows(cfg)
-        assert len(got) == count
-        assert got == expected
+        monkeypatch.setitem(keyrate._HOLEVO, CalibrationModel.ONE_TIME_THREE_MODE, failing)
+        monkeypatch.setattr(cli, "key_rate", counted)
+        cfg = SweepConfig.from_dict(base_config(models=["three_mode"]))
+        with pytest.raises(RuntimeError, match=(
+                r"^model=three_mode: NumericalError: eigenvalue solve did not converge$")):
+            rows(cfg)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("index,fallback", [(keyrate.N0_SCAN_POINTS // 2, False),
                                                 (7, True)])
@@ -443,6 +447,26 @@ class TestTenRows:
         with pytest.raises(RuntimeError, match=(
                 r"^model=conventional V=4\.0 km=10\.0 delta=0\.0: "
                 r"RuntimeError: rate stayed positive up to the excess-noise cap$")):
+            ten_rows(cfg)
+
+    def test_error_in_a_later_step_names_its_row_of_the_block(self, monkeypatch):
+        # The rate is not positive at 0 km, so the steps after the first
+        # evaluate the 10 and 20 km rows only; row 0 of such a step is 10 km.
+        healthy = cli.key_rate
+
+        def failing_without_0_km(params, model, fs=None, delta=0.0):
+            t = np.asarray(params.t)
+            if not np.any(t == 1.0):
+                raise NumericalError("eigenvalue solve did not converge", row=0)
+            res = healthy(params, model, fs, delta)
+            return dataclasses.replace(
+                res, rate_bits_per_pulse=np.where(t == 1.0, -1.0, res.rate_bits_per_pulse))
+
+        monkeypatch.setattr(cli, "key_rate", failing_without_0_km)
+        cfg = SweepConfig.from_dict(base_config(models=["two_mode"]))
+        with pytest.raises(RuntimeError, match=(
+                r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
+                r"NumericalError: eigenvalue solve did not converge$")):
             ten_rows(cfg)
 
     def test_finite_size_tolerable_noise_curves_coincide(self):
@@ -763,6 +787,19 @@ class TestExitCodes:
             "eps_pe = 1e-10, so the interval's lower bound crosses zero\n")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["sweep", "ten"])
+    def test_non_finite_rate_is_a_runtime_error(self, tmp_path, capsys, command):
+        # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km.
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(GOLDEN_CONFIG), "--out", str(out),
+                     "--set", "distances_km.start=15500",
+                     "--set", "distances_km.stop=15500"]) == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == (
+            "runtime error: model=conventional V=4.0 km=15500.0 delta=0.0: "
+            "NumericalError: non-finite key rate at n0 = 1.0\n")
+        assert not out.exists()
+
     # Configs that fail on the config alone: the overrides of base_config and
     # the message of the library check that refuses them.
     DEGENERATE = ("degenerate SNU interval: calib_samples_m = {} is too few for "
@@ -784,6 +821,15 @@ class TestExitCodes:
         "delta_minus_1": (
             {"miscalibration_deltas": [0.0, -1.0]},
             "miscalibration delta -1.0 leaves no signal"),
+        # 10^(-0.2 km / 10) underflows to 0 from about 16180 km.
+        "stop_without_transmittance": (
+            {"distances_km": {"start": 0.0, "stop": 20000.0, "step": 10.0}},
+            "distances_km.stop (20000.0) has a transmittance of 0"),
+        # t = 4.9e-324 at 16170 km; a tenth of it underflows to 0.
+        "delta_underflows_the_farthest_transmittance": (
+            {"miscalibration_deltas": [0.0, -0.9],
+             "distances_km": {"start": 16100.0, "stop": 16170.0, "step": 10.0}},
+            "miscalibration delta -0.9 leaves no signal"),
     }
 
     @pytest.mark.parametrize("overrides, message", CONFIG_ONLY.values(), ids=CONFIG_ONLY)

@@ -296,6 +296,14 @@ class TestKeyRateAsymptotic:
         skewed = key_rate(p, CONV, delta=0.002).rate_bits_per_pulse
         assert skewed < clean
 
+    # 1/(t eta_d eta_e) overflows in I_AB, so the rate would be NaN.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_non_finite_rate_names_its_n0(self, model):
+        with pytest.raises(NumericalError, match=r"^non-finite key rate at n0 = 1\.0$") as err:
+            key_rate(params(t=1e-310), model)
+        assert err.value.row == 0
+
     def test_sign_convention_invariance(self):
         # Negating every correlation involving the trusted loss mode C
         # (the printed finite-size matrix uses the opposite sign) moves
@@ -604,8 +612,9 @@ class TestBatchedScan:
         if fallback:
             monkeypatch.setattr(keyrate, "_interior_max_excluded", lambda chi: False)
         named = re.escape(repr(float(n0[index])))
-        with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$"):
+        with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$") as err:
             key_rate(p, model, self.FS)
+        assert err.value.row == middle
 
     @pytest.mark.parametrize("index,fallback", [(1, False), (5, True)])
     @pytest.mark.parametrize("rows", [1, 3])
@@ -620,8 +629,9 @@ class TestBatchedScan:
         if fallback:
             monkeypatch.setattr(keyrate, "_interior_max_excluded", lambda chi: False)
         named = re.escape(repr(float(n0[index])))
-        with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:"):
+        with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:") as err:
             key_rate(p, THREE, self.FS)
+        assert err.value.row == middle
 
     def test_n0_must_be_positive_scalar_or_vector(self):
         p = params()
