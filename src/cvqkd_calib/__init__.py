@@ -22,9 +22,7 @@ from .keyrate import (
     FiniteSizeParams,
     KeyRateResult,
     finite_size_penalty,
-    holevo_conventional,
-    holevo_three_mode,
-    holevo_two_mode,
+    holevo_bound,
     key_rate,
     mutual_information,
 )
@@ -53,9 +51,7 @@ __all__ = [
     "deviation_curve",
     "eta_e_from_noise",
     "finite_size_penalty",
-    "holevo_conventional",
-    "holevo_three_mode",
-    "holevo_two_mode",
+    "holevo_bound",
     "key_rate",
     "mutual_information",
     "transmittance_from_km",

@@ -509,7 +509,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if path is None:
             raise ConfigError("no output path: set output.path in the config or pass --out")
         fmt = config.output_format if args.format is None else args.format
-        write_rows(build_rows(config), columns, path, fmt)
+        # key_rate refuses every non-finite matrix, spectrum and rate with
+        # its grid point named; numpy's warnings would repeat that error
+        # without the point.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            write_rows(build_rows(config), columns, path, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

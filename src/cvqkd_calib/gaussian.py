@@ -12,7 +12,6 @@ them for finiteness where it evaluates them.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -35,14 +34,12 @@ class NumericalError(RuntimeError):
         self.row = row
 
 
-@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode; cached, read-only."""
+    """Standard symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode."""
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for i in range(n_modes):
         out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = block
-    out.flags.writeable = False
     return out
 
 
@@ -94,23 +91,6 @@ def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
     return paired[..., ::-1]
 
 
-# Bounded: the key holds a float transmittance, one per detector in use.
-@functools.lru_cache(maxsize=64)
-def beamsplitter_matrix(dim: int, mode_a: int, mode_b: int,
-                        transmittance: float) -> np.ndarray:
-    """Y of :func:`mix_on_beamsplitter` on dim quadratures; cached, read-only."""
-    t = math.sqrt(transmittance) * np.eye(2)
-    r = math.sqrt(1.0 - transmittance) * np.eye(2)
-    y = np.eye(dim)
-    a, b = 2 * mode_a, 2 * mode_b
-    y[a:a + 2, a:a + 2] = t
-    y[a:a + 2, b:b + 2] = r
-    y[b:b + 2, a:a + 2] = -r
-    y[b:b + 2, b:b + 2] = t
-    y.flags.writeable = False
-    return y
-
-
 def mix_on_beamsplitter(stack: np.ndarray, mode_a: int, mode_b: int,
                         transmittance: float) -> np.ndarray:
     """Mix two modes on a beamsplitter over a stack (..., 2n, 2n).
@@ -119,7 +99,14 @@ def mix_on_beamsplitter(stack: np.ndarray, mode_a: int, mode_b: int,
     the two modes and, on them, sqrt(eta) on the diagonal and
     +/- sqrt(1 - eta) off-diagonal.
     """
-    y = beamsplitter_matrix(stack.shape[-1], mode_a, mode_b, transmittance)
+    t = math.sqrt(transmittance) * np.eye(2)
+    r = math.sqrt(1.0 - transmittance) * np.eye(2)
+    y = np.eye(stack.shape[-1])
+    a, b = 2 * mode_a, 2 * mode_b
+    y[a:a + 2, a:a + 2] = t
+    y[a:a + 2, b:b + 2] = r
+    y[b:b + 2, a:a + 2] = -r
+    y[b:b + 2, b:b + 2] = t
     out = y.T @ stack @ y
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
@@ -133,15 +120,6 @@ def with_vacuum(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.cache
-def kept_quadratures(n_modes: int, measured_mode: int) -> np.ndarray:
-    """Quadrature indices of every mode but the measured one; cached, read-only."""
-    kept = np.array([i for m in range(n_modes) if m != measured_mode
-                     for i in (2 * m, 2 * m + 1)])
-    kept.flags.writeable = False
-    return kept
-
-
 def homodyne_conditioned(stack: np.ndarray, measured_mode: int) -> np.ndarray:
     """Conditional covariances after ideal x-homodyne, over a stack (..., 2n, 2n).
 
@@ -150,7 +128,8 @@ def homodyne_conditioned(stack: np.ndarray, measured_mode: int) -> np.ndarray:
     quadrature; one batched pseudoinverse handles the rank-1 projected
     blocks. The result does not depend on the measurement outcome.
     """
-    kept = kept_quadratures(stack.shape[-1] // 2, measured_mode)
+    kept = np.array([i for m in range(stack.shape[-1] // 2) if m != measured_mode
+                     for i in (2 * m, 2 * m + 1)])
     measured = slice(2 * measured_mode, 2 * measured_mode + 2)
     a = stack[..., kept[:, None], kept]
     b = stack[..., measured, measured]

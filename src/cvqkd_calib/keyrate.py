@@ -154,69 +154,52 @@ def _spectra(stack: np.ndarray, n0: float | np.ndarray, what: str) -> np.ndarray
     return spectra
 
 
-def _conditional_entropy(measured: np.ndarray, n0: float | np.ndarray) -> np.ndarray:
-    """Entropies of the trusted modes left after ideal x-homodyne on B3 (mode 1)
-    of a stack already checked finite."""
+def holevo_bound(params: SystemParams, model: CalibrationModel,
+                 n0: float | np.ndarray = 1.0) -> float | np.ndarray:
+    """Eavesdropper information bound chi_BE = S(E) - S(E | b3) of a model.
+
+    The one-time models give Eve the purification of their full matrix,
+    so S(E) = S(A,B3) for two-mode and S(A,B3,C) for three-mode, and the
+    conditional state is that matrix after ideal x-homodyne on B3. One
+    symplectic eigenvalue of each three-mode matrix equals 1 by
+    construction (the detection beamsplitter's vacuum ancilla); it
+    contributes no entropy and is verified for every (row, n0) as an
+    internal consistency check. In the conventional trusted model Eve
+    purifies only the channel output (A, B1), so her entropy comes from
+    the pre-detector matrix; after Bob's homodyne the global state stays
+    pure, so her conditional entropy equals that of the remaining trusted
+    modes (A, F, G) in the full 8x8 model.
+
+    n0 is a positive scalar or a 1-D array of SNU ratios; every (row, n0)
+    bound comes from one batched pass, a float for scalar params and n0,
+    otherwise an array of shape rows + n0 shape.
+    """
+    if model is CalibrationModel.CONVENTIONAL_TTE:
+        eve = conventional_channel_stack(params, n0)
+        measured = conventional_stack(params, eve)
+        _require_finite(measured, n0, "measured matrix")
+        what = "channel"
+    elif model is CalibrationModel.ONE_TIME_THREE_MODE:
+        eve = measured = three_mode_stack(params, n0)
+        what = "three-mode"
+    elif model is CalibrationModel.ONE_TIME_TWO_MODE:
+        eve = measured = two_mode_stack(params, n0)
+        what = "two-mode"
+    else:
+        raise ValueError(f"unknown calibration model {model!r}")
+    spectra = _spectra(eve, n0, what)
+    if model is CalibrationModel.ONE_TIME_THREE_MODE:
+        lost = np.min(np.abs(spectra - 1.0), axis=-1) > _UNIT_EIGENVALUE_TOL
+        if lost.any():
+            i = int(np.argmax(lost))
+            scan = n0_values(n0)
+            raise NumericalError(
+                f"three-mode matrix lost its unit eigenvalue at n0 = "
+                f"{float(scan[i % scan.size])!r}: "
+                f"spectrum {tuple(float(x) for x in spectra[i])}", row=i // scan.size)
     cond = homodyne_conditioned(measured, 1)
-    return entropy_of_spectra(_spectra(cond, n0, "conditional"))
-
-
-def holevo_two_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
-    """Eavesdropper information bound for the one-time two-mode model.
-
-    chi_BE = S(A,B3) - S(A | b3) with the conditional state after ideal
-    x-homodyne on B3. n0 is a positive scalar or a 1-D array of SNU
-    ratios; every (row, n0) bound comes from one batched pass, a float
-    for scalar params and n0, otherwise an array of shape rows + n0 shape.
-    """
-    g = two_mode_stack(params, n0)
-    chi = entropy_of_spectra(_spectra(g, n0, "two-mode")) - _conditional_entropy(g, n0)
+    chi = entropy_of_spectra(spectra) - entropy_of_spectra(_spectra(cond, n0, "conditional"))
     return _as_given(chi, params, n0)
-
-
-def holevo_three_mode(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
-    """Eavesdropper information bound for the one-time three-mode model.
-
-    chi_BE = S(A,B3,C) - S(A,C | b3). One symplectic eigenvalue of each
-    full matrix equals 1 by construction (the detection beamsplitter's
-    vacuum ancilla); it contributes no entropy and is verified here for
-    every (row, n0) as an internal consistency check. n0 and the result
-    as in :func:`holevo_two_mode`.
-    """
-    g = three_mode_stack(params, n0)
-    spectra = _spectra(g, n0, "three-mode")
-    lost = np.min(np.abs(spectra - 1.0), axis=-1) > _UNIT_EIGENVALUE_TOL
-    if lost.any():
-        i = int(np.argmax(lost))
-        scan = n0_values(n0)
-        raise NumericalError(
-            f"three-mode matrix lost its unit eigenvalue at n0 = {float(scan[i % scan.size])!r}: "
-            f"spectrum {tuple(float(x) for x in spectra[i])}", row=i // scan.size)
-    chi = entropy_of_spectra(spectra) - _conditional_entropy(g, n0)
-    return _as_given(chi, params, n0)
-
-
-def holevo_conventional(params: SystemParams, n0: float | np.ndarray = 1.0) -> float | np.ndarray:
-    """Eavesdropper information bound for the conventional trusted model.
-
-    Eve purifies only the channel output (A, B1), so her entropy comes
-    from the pre-detector matrix; after Bob's homodyne the global state
-    stays pure, so her conditional entropy equals that of the remaining
-    trusted modes (A, F, G) in the full 8x8 model. n0 and the result as
-    in :func:`holevo_two_mode`.
-    """
-    g_ab1 = conventional_channel_stack(params, n0)
-    g = conventional_stack(params, g_ab1)
-    _require_finite(g, n0, "measured matrix")
-    chi = entropy_of_spectra(_spectra(g_ab1, n0, "channel")) - _conditional_entropy(g, n0)
-    return _as_given(chi, params, n0)
-
-
-_HOLEVO = {
-    CalibrationModel.ONE_TIME_TWO_MODE: holevo_two_mode,
-    CalibrationModel.ONE_TIME_THREE_MODE: holevo_three_mode,
-    CalibrationModel.CONVENTIONAL_TTE: holevo_conventional,
-}
 
 
 def finite_size_penalty(fs: FiniteSizeParams) -> float:
@@ -284,10 +267,10 @@ def key_rate(params: SystemParams, model: CalibrationModel,
         n0, penalty, share = grid[_PROBES], finite_size_penalty(fs), fs.key_fraction
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
-    chi = np.reshape(_HOLEVO[model](eff, n0), (-1, n0.size))
+    chi = np.reshape(holevo_bound(eff, model, n0), (-1, n0.size))
     if fs is not None and not _interior_max_excluded(chi):
         n0 = grid
-        chi = np.reshape(_HOLEVO[model](eff, n0), (-1, n0.size))
+        chi = np.reshape(holevo_bound(eff, model, n0), (-1, n0.size))
     values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
     _require_finite(values.ravel(), n0, "key rate")
     # argmin takes the first of equal minima, as a strict-< scan would.

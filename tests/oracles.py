@@ -10,12 +10,12 @@ from cvqkd_calib import CalibrationModel, SystemParams
 from cvqkd_calib.cli import _TEN_BRACKET_CAP, TEN_TOLERANCE
 from cvqkd_calib.gaussian import symplectic_form
 from cvqkd_calib.keyrate import (
-    _HOLEVO,
     N0_SCAN_POINTS,
     FiniteSizeParams,
     KeyRateResult,
     _as_given,
     finite_size_penalty,
+    holevo_bound,
     mutual_information,
     snu_interval,
 )
@@ -156,7 +156,7 @@ def dense_worst_case(params: SystemParams, model: CalibrationModel,
     penalty, share = finite_size_penalty(fs), fs.key_fraction
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
-    chi = np.reshape(_HOLEVO[model](eff, n0), (-1, n0.size))
+    chi = np.reshape(holevo_bound(eff, model, n0), (-1, n0.size))
     values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
     # argmin takes the first of equal minima, as a strict-< scan would.
     worst = np.argmin(values, axis=1)

@@ -25,7 +25,7 @@ from cvqkd_calib import (
     SystemParams,
     confidence_interval,
     deviation_curve,
-    holevo_two_mode,
+    holevo_bound,
     key_rate,
     transmittance_from_km,
 )
@@ -92,7 +92,7 @@ def test_criterion_2_closed_form_oracle_equivalence():
                          v_ele=rng.uniform(0.0, 0.5),
                          beta=BETA)
         closed = holevo_lodewyck(p.v, p.t * p.eta_d * p.eta_e, p.eps_c, 1.0, 0.0)
-        generic = holevo_two_mode(p)
+        generic = holevo_bound(p, CalibrationModel.ONE_TIME_TWO_MODE)
         worst = max(worst, abs(generic - closed) / max(abs(closed), 1e-12))
     elapsed = time.perf_counter() - t0
 

@@ -189,15 +189,15 @@ class TestSweepRows:
     @pytest.mark.parametrize("rows,delta", [(sweep_rows, "0.001"), (ten_rows, "0.0")])
     def test_row_failure_names_grid_point(self, monkeypatch, rows, delta):
         # Holevo evaluation breaks at 10 km only; the error must say where.
-        healthy = keyrate.holevo_three_mode
+        healthy = keyrate.holevo_bound
 
-        def failing(params, n0=1.0):
+        def failing(params, model, n0=1.0):
             far = np.flatnonzero(np.less(params.t, 0.9))
             if far.size:
                 raise NumericalError("eigenvalue solve did not converge", row=int(far[0]))
-            return healthy(params, n0)
+            return healthy(params, model, n0)
 
-        monkeypatch.setitem(keyrate._HOLEVO, CalibrationModel.ONE_TIME_THREE_MODE, failing)
+        monkeypatch.setattr(keyrate, "holevo_bound", failing)
         cfg = SweepConfig.from_dict(base_config(
             models=["three_mode"], miscalibration_deltas=[0.001],
             distances_km={"start": 0.0, "stop": 10.0, "step": 10.0}))
@@ -210,7 +210,7 @@ class TestSweepRows:
     def test_error_without_a_row_names_its_model_from_one_call(self, monkeypatch, rows):
         # A batched solver failure cannot say which row broke; the block is
         # not evaluated again to find out.
-        def failing(params, n0=1.0):
+        def failing(params, model, n0=1.0):
             raise NumericalError("eigenvalue solve did not converge")
 
         calls = []
@@ -220,7 +220,7 @@ class TestSweepRows:
             calls.append(args)
             return healthy(*args, **kwargs)
 
-        monkeypatch.setitem(keyrate._HOLEVO, CalibrationModel.ONE_TIME_THREE_MODE, failing)
+        monkeypatch.setattr(keyrate, "holevo_bound", failing)
         monkeypatch.setattr(cli, "key_rate", counted)
         cfg = SweepConfig.from_dict(base_config(models=["three_mode"]))
         with pytest.raises(RuntimeError, match=(
@@ -787,17 +787,25 @@ class TestExitCodes:
             "eps_pe = 1e-10, so the interval's lower bound crosses zero\n")
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["sweep", "ten"])
-    def test_non_finite_rate_is_a_runtime_error(self, tmp_path, capsys, command):
+    # The error line alone reaches stderr: numpy's overflow and invalid-value
+    # warnings on the way to it would fail these cases.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command,km,more,message", [
         # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km.
+        ("sweep", 15500, [], "delta=0.0: NumericalError: non-finite key rate"),
+        ("ten", 15500, [], "delta=0.0: NumericalError: non-finite key rate"),
+        # The miscalibrated excess noise overflows first.
+        ("sweep", 16100, ["--set", "miscalibration_deltas=[0.003]"],
+         "delta=0.003: NumericalError: non-finite measured matrix"),
+    ], ids=["sweep", "ten", "sweep-16100km-delta0.003"])
+    def test_non_finite_rate_is_a_runtime_error(self, tmp_path, capsys, command, km, more,
+                                                message):
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(GOLDEN_CONFIG), "--out", str(out),
-                     "--set", "distances_km.start=15500",
-                     "--set", "distances_km.stop=15500"]) == EXIT_RUNTIME_ERROR
+                     "--set", f"distances_km.start={km}",
+                     "--set", f"distances_km.stop={km}", *more]) == EXIT_RUNTIME_ERROR
         assert capsys.readouterr().err == (
-            "runtime error: model=conventional V=4.0 km=15500.0 delta=0.0: "
-            "NumericalError: non-finite key rate at n0 = 1.0\n")
+            f"runtime error: model=conventional V=4.0 km={km}.0 {message} at n0 = 1.0\n")
         assert not out.exists()
 
     # Configs that fail on the config alone: the overrides of base_config and

@@ -25,9 +25,7 @@ from cvqkd_calib import (
     apply_miscalibration,
     confidence_interval,
     finite_size_penalty,
-    holevo_conventional,
-    holevo_three_mode,
-    holevo_two_mode,
+    holevo_bound,
     key_rate,
     keyrate,
     models,
@@ -48,7 +46,6 @@ from strategies import PROPERTY, at_km, distances_km, link_fields, system_params
 TWO = CalibrationModel.ONE_TIME_TWO_MODE
 THREE = CalibrationModel.ONE_TIME_THREE_MODE
 CONV = CalibrationModel.CONVENTIONAL_TTE
-HOLEVO = {TWO: holevo_two_mode, THREE: holevo_three_mode, CONV: holevo_conventional}
 N0 = keyrate.N0_SCAN_POINTS
 
 
@@ -120,37 +117,37 @@ class TestMutualInformation:
 class TestHolevoTwoMode:
     def test_pure_state_leaks_nothing(self):
         p = params(v=40.0, t=1.0, eps_c=0.0, eta_d=1.0, v_ele=0.0)
-        assert holevo_two_mode(p) == pytest.approx(0.0, abs=1e-9)
+        assert holevo_bound(p, TWO) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_closed_form_pipeline(self):
         p = params()
-        assert holevo_two_mode(p) == pytest.approx(
+        assert holevo_bound(p, TWO) == pytest.approx(
             two_mode_closed_form_holevo(p), rel=1e-8)
 
     def test_closed_form_over_random_draws(self):
         rng = np.random.default_rng(99)
         for _ in range(100):
             p = random_params(rng)
-            generic = holevo_two_mode(p)
+            generic = holevo_bound(p, TWO)
             closed = two_mode_closed_form_holevo(p)
             assert generic == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
     def test_monotone_in_excess_noise(self):
         base = dict(v=20.0, t=0.3, eta_d=0.6, v_ele=0.01, beta=0.956)
-        values = [holevo_two_mode(params(eps_c=e, **base))
+        values = [holevo_bound(params(eps_c=e, **base), TWO)
                   for e in np.linspace(0.0, 0.2, 15)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_nonnegative_over_draws(self):
         rng = np.random.default_rng(16)
         for _ in range(40):
-            assert holevo_two_mode(random_params(rng)) >= -1e-11
+            assert holevo_bound(random_params(rng), TWO) >= -1e-11
 
 
 class TestHolevoThreeMode:
     def test_zero_for_perfect_system(self):
         p = params(v=40.0, t=1.0, eps_c=0.0, eta_d=1.0, v_ele=0.0)
-        assert holevo_three_mode(p) == pytest.approx(0.0, abs=1e-9)
+        assert holevo_bound(p, THREE) == pytest.approx(0.0, abs=1e-9)
 
     def test_equals_conventional_without_electronic_noise(self):
         rng = np.random.default_rng(12)
@@ -158,25 +155,25 @@ class TestHolevoThreeMode:
             p = random_params(rng)
             p = SystemParams(v=p.v, t=p.t, eps_c=p.eps_c, eta_d=min(p.eta_d, 0.99),
                              v_ele=0.0, beta=p.beta)
-            assert holevo_three_mode(p) == pytest.approx(
-                holevo_conventional(p), rel=1e-9, abs=1e-11)
+            assert holevo_bound(p, THREE) == pytest.approx(
+                holevo_bound(p, CONV), rel=1e-9, abs=1e-11)
 
     def test_never_exceeds_two_mode(self):
         # Trusting the detection loss can only shrink the eavesdropper bound.
         rng = np.random.default_rng(13)
         for _ in range(40):
             p = random_params(rng)
-            assert holevo_three_mode(p) <= holevo_two_mode(p) + 1e-9
+            assert holevo_bound(p, THREE) <= holevo_bound(p, TWO) + 1e-9
 
 
 class TestHolevoConventional:
     def test_zero_for_perfect_system(self):
         p = params(v=40.0, t=1.0, eps_c=0.0, eta_d=1.0, v_ele=0.0)
-        assert holevo_conventional(p) == pytest.approx(0.0, abs=1e-9)
+        assert holevo_bound(p, CONV) == pytest.approx(0.0, abs=1e-9)
 
     def test_positive_rate_at_fifty_km(self):
         p = params(t=transmittance_from_km(50.0))
-        chi = holevo_conventional(p)
+        chi = holevo_bound(p, CONV)
         assert 0.0 < chi < p.beta * mutual_information(p)
 
     def test_nonnegative_over_draws(self):
@@ -185,7 +182,7 @@ class TestHolevoConventional:
             p = random_params(rng)
             if p.eta_d == 1.0 and p.v_ele > 0:
                 continue
-            assert holevo_conventional(p) >= -1e-11
+            assert holevo_bound(p, CONV) >= -1e-11
 
     def test_builds_channel_stack_once(self, monkeypatch):
         # The (A, B1) stack feeds both Eve's entropy and the 8x8 model.
@@ -198,8 +195,8 @@ class TestHolevoConventional:
 
         monkeypatch.setattr(models, "conventional_channel_stack", counted)
         monkeypatch.setattr(keyrate, "conventional_channel_stack", counted)
-        holevo_conventional(params(), 1.0)
-        holevo_conventional(params(), np.linspace(0.99, 1.01, 21))
+        holevo_bound(params(), CONV, 1.0)
+        holevo_bound(params(), CONV, np.linspace(0.99, 1.01, 21))
         assert len(calls) == 2
 
 
@@ -221,14 +218,14 @@ class TestLodewyckOracle:
     def test_conventional_matches_closed_form(self):
         for p in self.draws(21):
             expect = holevo_lodewyck(p.v, p.t, p.eps_c, p.eta_d, p.v_ele)
-            assert holevo_conventional(p) == pytest.approx(expect, rel=1e-9)
+            assert holevo_bound(p, CONV) == pytest.approx(expect, rel=1e-9)
 
     def test_three_mode_concedes_exactly_the_electronic_noise_loss(self):
         # Trusted eta_d, untrusted eta_e: the closed form at transmittance
         # t*eta_e with no electronic noise left on the trusted side.
         for p in self.draws(22):
             expect = holevo_lodewyck(p.v, p.t * p.eta_e, p.eps_c, p.eta_d, 0.0)
-            assert holevo_three_mode(p) == pytest.approx(expect, rel=1e-9)
+            assert holevo_bound(p, THREE) == pytest.approx(expect, rel=1e-9)
 
 
 class TestKeyRateAsymptotic:
@@ -540,12 +537,12 @@ class TestBatchedScan:
     def test_batched_holevo_matches_pointwise(self, model, seed):
         for p in self.draws(seed):
             n0 = np.append(np.linspace(0.99, 1.01, 20), 1.0)
-            batched = HOLEVO[model](p, n0)
+            batched = holevo_bound(p, model, n0)
             assert batched.shape == n0.shape
             for got, x in zip(batched, n0):
                 expect = holevo_pointwise(model, p, float(x))
                 assert got == pytest.approx(expect, rel=1e-13, abs=1e-15)
-            assert HOLEVO[model](p, 1.0) == batched[-1]
+            assert holevo_bound(p, model, 1.0) == batched[-1]
 
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_finite_rate_is_pointwise_minimum(self, model):
@@ -637,7 +634,13 @@ class TestBatchedScan:
         p = params()
         for bad in (0.0, -1.0, np.array([1.0, -0.5]), np.ones((2, 2))):
             with pytest.raises(ValueError, match="n0"):
-                holevo_two_mode(p, bad)
+                holevo_bound(p, TWO, bad)
+
+    @pytest.mark.parametrize("evaluate", [holevo_bound, key_rate])
+    def test_model_must_be_a_calibration_model(self, evaluate):
+        # A model's value string is not the model: no branch may take it.
+        with pytest.raises(ValueError, match="^unknown calibration model 'three_mode'$"):
+            evaluate(params(), "three_mode")
 
 
 class TestProbedWorstCase:
@@ -692,7 +695,7 @@ class TestProbedWorstCase:
         calib = snu_interval(self.PEAKED, CONV, self.PEAKED_FS)
         grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, N0)
         assert res.worst_n0 not in grid[keyrate._PROBES]
-        assert res.chi_be > np.max(holevo_conventional(self.PEAKED, grid[keyrate._PROBES]))
+        assert res.chi_be > np.max(holevo_bound(self.PEAKED, CONV, grid[keyrate._PROBES]))
 
     def test_one_peaked_row_scans_its_whole_block(self, monkeypatch):
         verdicts = self.spy(monkeypatch)
