@@ -204,6 +204,22 @@ class TestApplyBeamsplitter:
         for spectrum, (_, nu1, nu2) in zip(symplectic_spectra(out), draws):
             assert spectrum == pytest.approx((nu1, nu2), rel=1e-9)
 
+    @pytest.mark.parametrize("dim,a,b,eta", [(6, 1, 2, 1.0 / 1.01), (6, 1, 2, 0.6),
+                                             (8, 1, 2, 0.6), (4, 0, 1, 0.0)])
+    def test_mixes_with_the_exact_beamsplitter_matrix(self, dim, a, b, eta):
+        # bytes, not values: the golden outputs depend on Y to the last bit
+        y = np.eye(dim)
+        t, r = math.sqrt(eta) * np.eye(2), math.sqrt(1.0 - eta) * np.eye(2)
+        y[2 * a:2 * a + 2, 2 * a:2 * a + 2] = t
+        y[2 * a:2 * a + 2, 2 * b:2 * b + 2] = r
+        y[2 * b:2 * b + 2, 2 * a:2 * a + 2] = -r
+        y[2 * b:2 * b + 2, 2 * b:2 * b + 2] = t
+        g = np.random.default_rng(dim).uniform(-1.0, 1.0, (3, dim, dim))
+        g = g + np.swapaxes(g, -1, -2)
+        expect = y.T @ g @ y
+        expect = (expect + np.swapaxes(expect, -1, -2)) / 2.0
+        assert mix_on_beamsplitter(g, a, b, eta).tobytes() == expect.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # with_vacuum
@@ -289,6 +305,18 @@ class TestConditionOnHomodyne:
             flipped[:4, 4:6] *= -1.0
             a, b = symplectic_spectra(homodyne_conditioned(np.stack([g, flipped]), 1))
             assert a == pytest.approx(b, rel=1e-10)
+
+    @pytest.mark.parametrize("n,measured", [(2, 1), (3, 1), (4, 1), (3, 2)])
+    def test_keeps_every_other_quadrature_in_order(self, n, measured):
+        # With the measured mode uncorrelated, conditioning only drops its
+        # two quadratures; the rest stay exactly, in their original order.
+        kept = [i for i in range(2 * n) if i // 2 != measured]
+        g = np.random.default_rng(n).uniform(-1.0, 1.0, (2 * n, 2 * n))
+        g = g + g.T
+        g[2 * measured:2 * measured + 2, :] = g[:, 2 * measured:2 * measured + 2] = 0.0
+        g[2 * measured, 2 * measured] = g[2 * measured + 1, 2 * measured + 1] = 2.0
+        out = homodyne_conditioned(g, measured)
+        assert out.tobytes() == g[np.ix_(kept, kept)].tobytes()
 
     def test_reduces_mode_count(self):
         out = homodyne_conditioned(with_vacuum(epr_state(3.0)), 2)
