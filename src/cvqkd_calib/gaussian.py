@@ -5,9 +5,10 @@ vacuum variance normalized to 1, held as a plain array; every kernel
 takes a stack of shape (..., 2n, 2n) and handles all of it in one
 batched pass. Quadratures are stored interleaved as (x1, p1, x2, p2, ...)
 so each mode owns a contiguous 2x2 block, which keeps beamsplitter and
-measurement updates local. The kernels do not validate their arguments:
-the model builders produce the stacks, and the key-rate layer checks
-them for finiteness where it evaluates them.
+measurement updates local; homodyne conditioning is an exact rank-1
+update, with no matrix inverse. The kernels do not validate their
+arguments: the model builders produce the stacks, and the key-rate layer
+checks them for finiteness where it evaluates them.
 """
 
 from __future__ import annotations
@@ -15,15 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# Singular values below this fraction of the largest one are treated as
-# zero when pseudo-inverting the homodyne-projected block, which is
-# rank-deficient by construction.
-_PINV_RCOND = 1e-12
-
-# Projector X onto the x quadrature of the measured mode.
-_X_PROJECTOR = np.diag([1.0, 0.0])
-
 
 class NumericalError(RuntimeError):
     """Raised when an eigensolve or a conditioning step breaks down. row is
@@ -125,20 +117,22 @@ def homodyne_conditioned(stack: np.ndarray, measured_mode: int) -> np.ndarray:
 
     Returns A - C (X B X)^+ C^T per matrix, where B is the measured
     mode's block, C the cross block, and X projects onto its x
-    quadrature; one batched pseudoinverse handles the rank-1 projected
-    blocks. The result does not depend on the measurement outcome.
+    quadrature. (X B X)^+ is exactly diag(1/b_xx, 0), so this is the
+    rank-1 update A - (c / b_xx) c^T with c the measured x-column. The
+    reciprocal is taken first and then multiplied, c * (1/b_xx), as the
+    pseudoinverse product does: dividing c by b_xx rounds differently
+    and would move published rates in the last digits. The result does
+    not depend on the measurement outcome.
     """
     kept = np.array([i for m in range(stack.shape[-1] // 2) if m != measured_mode
                      for i in (2 * m, 2 * m + 1)])
-    measured = slice(2 * measured_mode, 2 * measured_mode + 2)
+    x = 2 * measured_mode
     a = stack[..., kept[:, None], kept]
-    b = stack[..., measured, measured]
-    c = stack[..., kept, measured]
-    bxx = b[..., 0, 0]
+    c = stack[..., kept, x]
+    bxx = stack[..., x, x]
     if np.any(bxx <= 0.0):
         raise NumericalError(
             f"measured quadrature variance must be positive, got {np.min(bxx)}"
         )
-    pinv = np.linalg.pinv(_X_PROJECTOR @ b @ _X_PROJECTOR, rcond=_PINV_RCOND)
-    out = a - c @ pinv @ np.swapaxes(c, -1, -2)
+    out = a - (c * (1.0 / bxx)[..., None])[..., :, None] * c[..., None, :]
     return (out + np.swapaxes(out, -1, -2)) / 2.0

@@ -97,12 +97,13 @@ def _entropy(gamma: np.ndarray) -> float:
     return sum(entropy_g(max(0.0, (lam - 1.0) / 2.0)) for lam in spectrum)
 
 
-def _x_conditioned(gamma: np.ndarray) -> np.ndarray:
-    """A - C (X B X)^+ C^T after x-homodyne on mode 1, one matrix at a time."""
-    keep = [i for i in range(gamma.shape[0]) if i not in (2, 3)]
+def _x_conditioned(gamma: np.ndarray, mode: int = 1) -> np.ndarray:
+    """A - C (X B X)^+ C^T after x-homodyne on one mode, one matrix at a time."""
+    measured = [2 * mode, 2 * mode + 1]
+    keep = [i for i in range(gamma.shape[0]) if i not in measured]
     a = gamma[np.ix_(keep, keep)]
-    b = gamma[2:4, 2:4]
-    c = gamma[np.ix_(keep, [2, 3])]
+    b = gamma[np.ix_(measured, measured)]
+    c = gamma[np.ix_(keep, measured)]
     proj = np.diag([1.0, 0.0])
     out = a - c @ np.linalg.pinv(proj @ b @ proj, rcond=1e-12) @ c.T
     return _checked((out + out.T) / 2.0)

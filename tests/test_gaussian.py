@@ -2,7 +2,8 @@
 
 Independent oracles used here: explicit 4x4/6x6 matrix products for the
 beamsplitter, the analytic two-mode symplectic formula, a full-matrix
-Schur-complement reimplementation of homodyne conditioning, and states
+Schur-complement reimplementation of homodyne conditioning, the
+per-matrix pseudoinverse pipeline of tests/oracles.py, and states
 with a known Williamson spectrum built by conjugating diagonal thermal
 matrices with random symplectics.
 """
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cvqkd_calib import NumericalError, eta_e_from_noise
+from cvqkd_calib import NumericalError, SystemParams, apply_miscalibration, eta_e_from_noise
 from cvqkd_calib.gaussian import (
     entropy_of_spectra,
     homodyne_conditioned,
@@ -21,7 +22,13 @@ from cvqkd_calib.gaussian import (
     symplectic_spectra,
     with_vacuum,
 )
-from oracles import epr_state
+from cvqkd_calib.models import (
+    conventional_channel_stack,
+    conventional_stack,
+    three_mode_stack,
+    two_mode_stack,
+)
+from oracles import _x_conditioned, epr_state
 
 SZ = np.diag([1.0, -1.0])
 
@@ -72,6 +79,26 @@ def random_two_mode_physical(rng: np.random.Generator) -> tuple[np.ndarray, floa
         s = bs @ s
     g = s @ d @ s.T
     return (g + g.T) / 2, nu1, nu2
+
+
+def conditioning_stacks() -> dict[str, tuple[np.ndarray, int]]:
+    """Stacks and the mode measured on them. Each model's measured stack
+    holds 900 matrices: 100 rows with V 1.01-80, t 1e-8-1 and eps_c 0-0.3
+    under an SNU error delta of up to +/-5% and RIN noise, each at 9
+    values of n0 in 0.7-1.3. 300 generic symmetric 6x6 matrices are
+    measured at their first and last mode."""
+    rng = np.random.default_rng(18)
+    true = SystemParams(v=rng.uniform(1.01, 80.0, 100), t=10 ** rng.uniform(-8.0, 0.0, 100),
+                        eps_c=rng.uniform(0.0, 0.3, 100), eta_d=0.6, v_ele=0.05,
+                        beta=0.95, v_rin=0.01)
+    p = apply_miscalibration(true, rng.uniform(-0.05, 0.05, 100))
+    n0 = np.linspace(0.7, 1.3, 9)
+    r = rng.uniform(-1.0, 1.0, (300, 6, 6))
+    generic = r + np.swapaxes(r, -1, -2) + 3.0 * np.eye(6)
+    return {"two-mode": (two_mode_stack(p, n0), 1),
+            "three-mode": (three_mode_stack(p, n0), 1),
+            "conventional": (conventional_stack(p, conventional_channel_stack(p, n0)), 1),
+            "generic-mode-0": (generic, 0), "generic-mode-2": (generic, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +278,7 @@ class TestConditionOnHomodyne:
 
         A commonly quoted closed form for this conditional eigenvalue
         carries a (V + V chi) denominator; the conditioning identity gives
-        (V + chi), which the generic routine reproduces. The variant is
+        (V + chi), which the kernel reproduces. The variant is
         documented here as inconsistent and is not used anywhere.
         """
         v, t, eps_c, eta_d, v_ele = 40.0, 0.5, 0.01, 0.6, 0.01
@@ -270,8 +297,9 @@ class TestConditionOnHomodyne:
         assert abs(lam - printed_variant) > 1.0  # inconsistent printed denominator
 
     def test_matches_full_matrix_oracle_on_three_modes(self):
-        # Generic routine on a stack of 25 vs the independent
-        # rank-1-update implementation, one matrix at a time.
+        # Kernel on a stack of 25 vs the oracle that updates the whole
+        # matrix first and drops the measured mode afterwards, one matrix
+        # at a time.
         rng = np.random.default_rng(33)
         stack = np.stack([
             mix_on_beamsplitter(with_vacuum(random_two_mode_physical(rng)[0]), 1, 2,
@@ -322,10 +350,26 @@ class TestConditionOnHomodyne:
         out = homodyne_conditioned(with_vacuum(epr_state(3.0)), 2)
         assert out.shape == (4, 4)
 
-    def test_zero_variance_quadrature_raises(self):
-        g = np.diag([1.0, 1.0, 0.0, 4.0])
-        with pytest.raises(NumericalError, match="positive"):
-            homodyne_conditioned(g, 1)
+    @pytest.mark.parametrize("name", ["two-mode", "three-mode", "conventional",
+                                      "generic-mode-0", "generic-mode-2"])
+    def test_same_bytes_as_the_pinv_pipeline(self, name):
+        """The kernel multiplies c by 1/b_xx, in the pseudoinverse's own
+        operation order, so it reproduces the per-matrix pinv pipeline of
+        tests/oracles.py bit for bit, signed zeros included; c / b_xx would
+        not."""
+        stack, mode = conditioning_stacks()[name]
+        out = homodyne_conditioned(stack, mode)
+        for got, g in zip(out, stack):
+            assert got.tobytes() == _x_conditioned(g, mode).tobytes()
+
+    @pytest.mark.parametrize("stack,minimum", [
+        (np.diag([1.0, 1.0, 0.0, 4.0]), "0.0"),
+        (np.stack([np.diag([1.0, 1.0, 2.0, 4.0]), np.diag([1.0, 1.0, -0.5, 4.0])]), "-0.5"),
+    ], ids=["zero", "negative-in-second"])
+    def test_nonpositive_variance_quadrature_raises(self, stack, minimum):
+        with pytest.raises(NumericalError, match=(
+                rf"^measured quadrature variance must be positive, got {minimum}$")):
+            homodyne_conditioned(stack, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -697,6 +697,26 @@ class TestProbedWorstCase:
         assert res.worst_n0 not in grid[keyrate._PROBES]
         assert res.chi_be > np.max(holevo_bound(self.PEAKED, CONV, grid[keyrate._PROBES]))
 
+    def test_interior_peak_lies_in_unphysical_states(self):
+        # The peak sits where the reconstructed states violate the
+        # uncertainty relation (smallest symplectic eigenvalue nu < 1, here
+        # on (A, B1)); on the physical grid points chi_BE falls from the
+        # lower endpoint, so the grid's value is not optimistic against them.
+        res = key_rate(self.PEAKED, CONV, self.PEAKED_FS)
+        calib = snu_interval(self.PEAKED, CONV, self.PEAKED_FS)
+        grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, N0)
+        eve = models.conventional_channel_stack(self.PEAKED, grid)
+        cond = homodyne_conditioned(models.conventional_stack(self.PEAKED, eve), 1)
+        nu = np.minimum(symplectic_spectra(eve).min(axis=-1),
+                        symplectic_spectra(cond).min(axis=-1))
+        assert nu[0] >= 1.0 - 1e-9
+        assert nu[list(grid).index(res.worst_n0)] == pytest.approx(0.1435, abs=1e-4)
+        physical = nu >= 1.0 - 1e-9
+        assert physical.tolist() == [True] * 12 + [False] * 9
+        chi = holevo_bound(self.PEAKED, CONV, grid[physical])
+        assert chi[0] == pytest.approx(2.1236, abs=1e-4)
+        assert np.all(np.diff(chi) < 0.0)
+
     def test_one_peaked_row_scans_its_whole_block(self, monkeypatch):
         verdicts = self.spy(monkeypatch)
         block = dataclasses.replace(self.PEAKED, v=np.array([4.0, 39.23, 20.0]))
