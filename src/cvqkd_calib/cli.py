@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
-import itertools
 import json
 import math
 import sys
@@ -296,6 +294,7 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
     from one key_rate call."""
     res = key_rate(params, model, config.finite_size, delta)
     rate = res.rate_bits_per_pulse
+    rates = rate.tolist()
     pulse_rate = config.pulse_rate_hz
     return {
         "eps_c": config.system["eps_c"],
@@ -304,10 +303,11 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
         "i_ab": res.i_ab.tolist(),
         "chi_be": res.chi_be.tolist(),
         "delta_n": res.delta_n,
-        "rate_bits_per_pulse": rate.tolist(),
+        "rate_bits_per_pulse": rates,
         "rate_bits_per_s": None if pulse_rate is None else (rate * pulse_rate).tolist(),
-        # max(rate, 0.0) per row: a NaN or -0.0 rate is kept as it is.
-        "rate_clamped": np.where(rate < 0.0, 0.0, rate).tolist(),
+        # max(rate, 0.0) per row: a NaN or -0.0 rate is kept as it is, and a
+        # kept rate is the same float object in both columns.
+        "rate_clamped": [0.0 if r < 0.0 else r for r in rates],
     }
 
 
@@ -394,14 +394,16 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
     return np.where(tolerant, 0.5 * (lo + hi), 0.0)
 
 
-def _grid_rows(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
-    """Rows of the grid's points, every (V, distance, delta) in that order,
-    V sorted, for each model, sorted: the shared columns, and those that
-    block(config, model, params, delta) gives for one model's points from
-    their SystemParams and delta column.
+def _grid_blocks(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
+    """The grid's points, every (V, distance, delta) in that order, V
+    sorted, as one block of columns for each model, sorted: the shared
+    columns, and those that block(config, model, params, delta) gives for
+    one model's points from their SystemParams and delta column.
 
-    A block's error is raised again naming its model and, where the error
-    carries the index of its failing row, that row's point."""
+    A column is a list of one value per point, or one value for all of
+    them; the V, distance_km and transmittance lists are shared by every
+    block. A block's error is raised again naming its model and, where
+    the error carries the index of its failing row, that row's point."""
     v, km, delta = (c.ravel() for c in np.meshgrid(
         sorted(config.variances), config.distances_km.points(), deltas, indexing="ij"))
     t = np.array([transmittance_from_km(d) for d in km.tolist()])
@@ -412,32 +414,53 @@ def _grid_rows(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict
         "V": v.tolist(), "distance_km": km.tolist(), "transmittance": t.tolist(),
         "eta_d": system["eta_d"], "v_ele": system["v_ele"],
     }
-    rows = []
+    blocks = []
     for model in sorted(config.models, key=lambda m: m.value):
         try:
-            columns = {"model": model.value, **shared,
-                       **block(config, model, params, delta)}
+            blocks.append({"model": model.value, **shared,
+                           **block(config, model, params, delta)})
         except (ArithmeticError, RuntimeError, ValueError) as exc:
             row = getattr(exc, "row", None)
             point = ("" if row is None else
                      f" V={v[row].item()!r} km={km[row].item()!r} delta={delta[row].item()!r}")
             raise RuntimeError(
                 f"model={model.value}{point}: {type(exc).__name__}: {exc}") from exc
-        # A column is a list of one value per point, or one value for all.
-        cells = [c if isinstance(c, list) else itertools.repeat(c) for c in columns.values()]
-        rows += [dict(zip(columns, row)) for row in zip(*cells)]
+    return blocks
+
+
+def _sweep_blocks(config: SweepConfig) -> list[dict]:
+    return _grid_blocks(config, _sweep_block, sorted(config.miscalibration_deltas))
+
+
+def _ten_blocks(config: SweepConfig) -> list[dict]:
+    return _grid_blocks(config, _ten_block, [0.0])
+
+
+def _rows(blocks: list[dict]) -> list[dict]:
+    """One dict per row of the blocks, keyed as the blocks are."""
+    rows = []
+    for block in blocks:
+        n = _block_length(block.values())
+        cells = [c if isinstance(c, list) else [c] * n for c in block.values()]
+        rows += [dict(zip(block, row)) for row in zip(*cells, strict=True)]
     return rows
+
+
+def _block_length(columns) -> int:
+    """Rows in a block of these columns: the length of its lists, or 1 for
+    a block of single values, which is a row dict."""
+    return next((len(c) for c in columns if isinstance(c, list)), 1)
 
 
 def sweep_rows(config: SweepConfig) -> list[dict]:
     """Key-rate rows for every (model, V, distance) point and sorted delta,
     in that order."""
-    return _grid_rows(config, _sweep_block, sorted(config.miscalibration_deltas))
+    return _rows(_sweep_blocks(config))
 
 
 def ten_rows(config: SweepConfig) -> list[dict]:
     """Tolerable-excess-noise rows for every (model, V, distance) point."""
-    return _grid_rows(config, _ten_block, [0.0])
+    return _rows(_ten_blocks(config))
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:
@@ -450,15 +473,66 @@ def calibration_rows(config: SweepConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 # output
 
-def write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> None:
+# A column whose cells are mostly the very float objects of another column
+# of its block, so that their text is taken from that column's: a clamped
+# rate is its rate wherever that is not negative.
+_TEXT_FROM = {"rate_clamped": "rate_bits_per_pulse"}
+
+
+def _cell_text(value: Any) -> str:
+    """A cell as csv writes it with line-feed line ends: None empty, a
+    float its repr, anything else its str, quoted where that holds a
+    comma, a double quote or a line feed. csv leaves a carriage return
+    unquoted with that line end."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    text = str(value)
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_lines(blocks: list[dict], columns: list[str]) -> list[str]:
+    """The CSV lines of the blocks' rows, header first, written column by
+    column: each value is formatted once per call, a single value once for
+    its block and a list shared by several blocks once for all of them."""
+    texts: dict[int, list[str]] = {}  # id of a list column -> its cells' text
+    lines = [",".join(map(_cell_text, columns))]
+    for block in blocks:
+        n = _block_length(block.values())
+        cells = [block[c] for c in columns]
+        for i, (column, values) in enumerate(zip(columns, cells)):
+            if not isinstance(values, list):
+                cells[i] = [_cell_text(values)] * n
+                continue
+            # The blocks hold every list to the end of the call, so no id is reused.
+            if id(values) not in texts:
+                source = block.get(_TEXT_FROM.get(column))
+                known = texts.get(id(source))
+                texts[id(values)] = (list(map(_cell_text, values)) if known is None else
+                                     [t if v is s else _cell_text(v) for v, s, t in
+                                      zip(values, source, known, strict=True)])
+            cells[i] = texts[id(values)]
+        lines += map(",".join, zip(*cells, strict=True))
+    if len(columns) == 1:  # csv quotes a lone empty field, which would be a blank line
+        lines = [line or '""' for line in lines]
+    return lines
+
+
+def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> None:
+    """Write the rows of blocks as CSV or JSON, in the order of columns.
+
+    A block is a dict of columns, each a list of one value per row or one
+    value for all its rows, so a row dict is a one-row block. The CSV is
+    csv's own text, with its QUOTE_MINIMAL rule and line-feed line ends.
+    """
     if fmt == "csv":
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(columns)
-            # csv writes None as an empty cell and a float as its repr.
-            writer.writerows([row[c] for c in columns] for row in rows)
+            f.write("\n".join(_csv_lines(blocks, columns)) + "\n")
     else:
-        payload = [{c: row[c] for c in columns} for row in rows]
+        payload = [{c: row[c] for c in columns} for row in _rows(blocks)]
         with open(path, "w") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
@@ -467,11 +541,13 @@ def write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> Non
 # ---------------------------------------------------------------------------
 # entry point
 
-# command -> (help text, row builder, output columns); validate-config builds none.
+# command -> (help text, block builder, output columns); validate-config builds none.
+# A row dict is a one-row block.
 _COMMANDS = {
-    "sweep": ("Key rate vs distance for the configured models.", sweep_rows, SWEEP_COLUMNS),
+    "sweep": ("Key rate vs distance for the configured models.", _sweep_blocks,
+              SWEEP_COLUMNS),
     "ten": ("Tolerable excess noise vs distance: the eps_c a 1e-4 bisection finds, "
-            "from fewer rate evaluations.", ten_rows, TEN_COLUMNS),
+            "from fewer rate evaluations.", _ten_blocks, TEN_COLUMNS),
     "calib": ("Calibration deviation curves vs block length.", calibration_rows,
               CALIB_COLUMNS),
     "validate-config": ("Parse and validate a config, then exit.", None, None),

@@ -2,17 +2,19 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cvqkd_calib
@@ -488,6 +490,65 @@ class TestTenRows:
             assert abs(t3 - tc) / tc < 0.05
 
 
+# Cells of every kind the writer meets, with strings that csv quotes or
+# leaves bare; float text must be the repr of the very value.
+WRITER_CELLS = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5 * 10 ** 9, 0.1]),
+    st.sampled_from(["", "two_mode", "a,b", 'say "hi"', "line\nfeed", "carriage\rreturn"]),
+    st.floats(),
+)
+
+
+@st.composite
+def writer_cases(draw):
+    """(blocks, columns): row dicts and column blocks of up to 3 rows.
+
+    A block column is a list, a single value or, for blocks of the
+    writer's usual 3 rows, a list shared by every block that takes it.
+    rate_clamped, when a list beside a rate_bits_per_pulse list, keeps
+    some of the rate's very float objects, as a sweep's does."""
+    columns = draw(st.lists(
+        st.one_of(st.sampled_from(["rate_bits_per_pulse", "rate_clamped"]),
+                  st.text(alphabet='a,"\r\n', max_size=3)),
+        min_size=1, max_size=5, unique=True))
+    shared = {c: draw(st.lists(WRITER_CELLS, min_size=3, max_size=3)) for c in columns}
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            blocks.append({c: draw(WRITER_CELLS) for c in columns})
+            continue
+        n = draw(st.integers(0, 3))
+        kinds = ["list", "single"] + (["shared"] * (n == 3))
+        block = {}
+        for c in columns:
+            kind = draw(st.sampled_from(kinds))
+            block[c] = (draw(WRITER_CELLS) if kind == "single" else shared[c]
+                        if kind == "shared" else
+                        draw(st.lists(WRITER_CELLS, min_size=n, max_size=n)))
+        rate, clamped = block.get("rate_bits_per_pulse"), block.get("rate_clamped")
+        if isinstance(rate, list) and isinstance(clamped, list):
+            keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            block["rate_clamped"] = [r if k else c for r, c, k in zip(rate, clamped, keep)]
+        blocks.append(block)
+    return blocks, columns
+
+
+WRITER_CASES = writer_cases()
+
+
+def expand_blocks(blocks: list[dict]) -> list[dict]:
+    """One dict per row: a block's lists give a value per row, and any other
+    value holds for all its rows, so a block of single values is one row."""
+    rows = []
+    for block in blocks:
+        lengths = {len(v) for v in block.values() if isinstance(v, list)}
+        (n,) = lengths or {1}
+        for i in range(n):
+            rows.append({c: v[i] if isinstance(v, list) else v for c, v in block.items()})
+    return rows
+
+
 class TestOutputs:
     def test_sweep_csv_deterministic(self, tmp_path):
         cfg = base_config(output={"path": str(tmp_path / "a.csv"), "format": "csv"})
@@ -497,24 +558,28 @@ class TestOutputs:
         assert main(["sweep", "--config", path]) == EXIT_OK
         assert (tmp_path / "a.csv").read_bytes() == first
 
-    def test_csv_and_json_contain_identical_values(self, tmp_path):
+    @pytest.mark.parametrize("command,columns", [("sweep", SWEEP_COLUMNS),
+                                                 ("ten", TEN_COLUMNS)])
+    def test_csv_and_json_contain_identical_values(self, tmp_path, command, columns):
+        # Both files are written from the same floats, so their text agrees exactly.
         cfg = base_config()
         path = write_config(tmp_path, cfg)
-        assert main(["sweep", "--config", path, "--out", str(tmp_path / "r.csv"),
+        assert main([command, "--config", path, "--out", str(tmp_path / "r.csv"),
                      "--format", "csv"]) == EXIT_OK
-        assert main(["sweep", "--config", path, "--out", str(tmp_path / "r.json"),
+        assert main([command, "--config", path, "--out", str(tmp_path / "r.json"),
                      "--format", "json"]) == EXIT_OK
         csv_rows = read_csv(tmp_path / "r.csv")
         json_rows = json.loads((tmp_path / "r.json").read_text())
-        assert len(csv_rows) == len(json_rows)
+        assert len(csv_rows) == len(json_rows) == 9
         for c, j in zip(csv_rows, json_rows):
-            for col in SWEEP_COLUMNS:
+            assert list(c) == list(j) == columns
+            for col in columns:
                 jv = j[col]
                 cv = c[col]
                 if jv is None:
                     assert cv == ""
                 elif isinstance(jv, float):
-                    assert float(cv) == pytest.approx(jv, rel=1e-15)
+                    assert repr(float(cv)) == repr(jv)
                 else:
                     assert cv == str(jv)
 
@@ -531,6 +596,28 @@ class TestOutputs:
         assert '"none": null' in text
         [back] = json.loads(text)
         assert [repr(v) for v in back.values()] == [repr(v) for v in row.values()]
+
+    @PROPERTY
+    @given(WRITER_CASES)
+    @example(([{"lone": None}, {"lone": ""}, {"lone": [0.1, "", None]}], ["lone"]))
+    @example(([{"rate_bits_per_pulse": [-0.0, math.nan], "rate_clamped": [0.0, math.nan]}],
+              ["rate_bits_per_pulse", "rate_clamped"]))
+    def test_write_rows_writes_what_csv_writes(self, case):
+        blocks, columns = case
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [columns] + [[row[c] for c in columns] for row in expand_blocks(blocks)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.csv")
+            cli.write_rows(blocks, columns, path, "csv")
+            with open(path, newline="") as f:
+                assert f.read() == expected.getvalue()
+
+    def test_write_rows_refuses_lists_of_unequal_length(self, tmp_path):
+        block = {"a": [1.0, 2.0], "b": [3.0]}
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError):
+                cli.write_rows([block], ["a", "b"], str(tmp_path / f"rows.{fmt}"), fmt)
 
     def test_out_and_format_flags_apply_together(self, tmp_path):
         path = write_config(tmp_path, base_config(

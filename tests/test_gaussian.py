@@ -28,7 +28,7 @@ from cvqkd_calib.models import (
     three_mode_stack,
     two_mode_stack,
 )
-from oracles import _x_conditioned, epr_state
+from oracles import _x_conditioned, entropy_by_row, epr_state
 
 SZ = np.diag([1.0, -1.0])
 
@@ -129,6 +129,21 @@ class TestEntropyG:
         vals = entropy_of_spectra(2.0 * xs[:, None] + 1.0)
         assert vals.shape == (50,)
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(), (5000,), (50, 100)])
+    def test_bits_of_the_per_row_sum(self, shape, n):
+        # nu below 1, within 1e-15 of it, and up to 1e3, compared as bytes;
+        # numpy's SIMD log2 would move a few of these thousands of rows.
+        rng = np.random.default_rng(n)
+        nu = 10.0 ** rng.uniform(-1.5, 3.0, shape + (n,))
+        nu.flat[::61] = 1.0 - 1e-15
+        nu.flat[1::59] = 1.0 + 1e-15
+        nu.flat[2::53] = 1.0
+        nu.flat[3::47] = 1e3
+        got = entropy_of_spectra(nu)
+        assert got.shape == shape
+        assert got.tobytes() == entropy_by_row(nu).tobytes()
 
 
 # ---------------------------------------------------------------------------
