@@ -504,8 +504,8 @@ WRITER_CELLS = st.one_of(
 def writer_cases(draw):
     """(blocks, columns): row dicts and column blocks of up to 3 rows.
 
-    A block column is a list, a single value or, for blocks of the
-    writer's usual 3 rows, a list shared by every block that takes it.
+    A block column is a list, a single value or, in a 3-row block, the
+    one list of that column shared by every 3-row block that takes it.
     rate_clamped, when a list beside a rate_bits_per_pulse list, keeps
     some of the rate's very float objects, as a sweep's does."""
     columns = draw(st.lists(
@@ -534,9 +534,6 @@ def writer_cases(draw):
     return blocks, columns
 
 
-WRITER_CASES = writer_cases()
-
-
 def expand_blocks(blocks: list[dict]) -> list[dict]:
     """One dict per row: a block's lists give a value per row, and any other
     value holds for all its rows, so a block of single values is one row."""
@@ -559,7 +556,7 @@ class TestOutputs:
         assert (tmp_path / "a.csv").read_bytes() == first
 
     @pytest.mark.parametrize("command,columns", [("sweep", SWEEP_COLUMNS),
-                                                 ("ten", TEN_COLUMNS)])
+                                                 ("ten", TEN_COLUMNS)], ids=["sweep", "ten"])
     def test_csv_and_json_contain_identical_values(self, tmp_path, command, columns):
         # Both files are written from the same floats, so their text agrees exactly.
         cfg = base_config()
@@ -598,7 +595,7 @@ class TestOutputs:
         assert [repr(v) for v in back.values()] == [repr(v) for v in row.values()]
 
     @PROPERTY
-    @given(WRITER_CASES)
+    @given(writer_cases())
     @example(([{"lone": None}, {"lone": ""}, {"lone": [0.1, "", None]}], ["lone"]))
     @example(([{"rate_bits_per_pulse": [-0.0, math.nan], "rate_clamped": [0.0, math.nan]}],
               ["rate_bits_per_pulse", "rate_clamped"]))
