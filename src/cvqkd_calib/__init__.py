@@ -31,7 +31,6 @@ from .models import (
     CalibrationModel,
     SystemParams,
     apply_miscalibration,
-    eta_e_from_noise,
     transmittance_from_km,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "apply_miscalibration",
     "confidence_interval",
     "deviation_curve",
-    "eta_e_from_noise",
     "finite_size_penalty",
     "holevo_bound",
     "key_rate",

@@ -52,8 +52,8 @@ class ConfigError(ValueError):
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 
 # Every config key by section, "config" being the root, with the kind _typed
-# checks: [kind] is a non-empty list of that kind, and a dict is the section
-# of that name.
+# checks: [kind] is a non-empty list of distinct values of that kind, and a
+# dict is the section of that name.
 _KEYS = {
     "config": {"models": [str], "regime": str, "distances_km": dict, "variances": [float],
                "system": dict, "finite_size": dict, "miscalibration_deltas": [float],
@@ -197,17 +197,21 @@ def _typed(value: Any, field: str, kind: type | list[type]) -> Any:
 
     An object, list or string is returned as given. [kind] is a non-empty
     list, returned as a tuple of its elements, each checked as kind and
-    named field[i]. A float is any finite number; an int is a finite
-    integral one, so 5e9 counts 5000000000 samples but 5.7 is an error. A
-    JSON boolean is not a number, though Python counts it as an int.
-    Numbers are checked after conversion, as --set passes non-JSON such as
-    nan on as a string.
+    named field[i]; no two may be equal, as they would give the same rows.
+    A float is any finite number; an int is a finite integral one, so 5e9
+    counts 5000000000 samples but 5.7 is an error. A JSON boolean is not a
+    number, though Python counts it as an int. Numbers are checked after
+    conversion, as --set passes non-JSON such as nan on as a string.
     """
     if isinstance(kind, list):
         items = _typed(value, field, list)
         if not items:
             raise ConfigError(f"{field} must be a non-empty list")
-        return tuple(_typed(x, f"{field}[{i}]", kind[0]) for i, x in enumerate(items))
+        values = tuple(_typed(x, f"{field}[{i}]", kind[0]) for i, x in enumerate(items))
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise ConfigError(f"{field}[{i}] repeats an earlier value: {x!r}")
+        return values
     if kind in _JSON_TYPES:
         if isinstance(value, kind):
             return value
@@ -298,15 +302,13 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
     pulse_rate = config.pulse_rate_hz
     return {
         "eps_c": config.system["eps_c"],
-        "delta": delta.tolist(),
         "n0_worst": res.worst_n0.tolist(),
         "i_ab": res.i_ab.tolist(),
         "chi_be": res.chi_be.tolist(),
         "delta_n": res.delta_n,
         "rate_bits_per_pulse": rates,
         "rate_bits_per_s": None if pulse_rate is None else (rate * pulse_rate).tolist(),
-        # max(rate, 0.0) per row: a NaN or -0.0 rate is kept as it is, and a
-        # kept rate is the same float object in both columns.
+        # max(rate, 0.0) per row: a NaN or -0.0 rate is kept as it is.
         "rate_clamped": [0.0 if r < 0.0 else r for r in rates],
     }
 
@@ -401,8 +403,8 @@ def _grid_blocks(config: SweepConfig, block, deltas: Sequence[float]) -> list[di
     one model's points from their SystemParams and delta column.
 
     A column is a list of one value per point, or one value for all of
-    them; the V, distance_km and transmittance lists are shared by every
-    block. A block's error is raised again naming its model and, where
+    them; the V, distance_km, transmittance and delta lists are shared by
+    every block. A block's error is raised again naming its model and, where
     the error carries the index of its failing row, that row's point."""
     v, km, delta = (c.ravel() for c in np.meshgrid(
         sorted(config.variances), config.distances_km.points(), deltas, indexing="ij"))
@@ -412,7 +414,7 @@ def _grid_blocks(config: SweepConfig, block, deltas: Sequence[float]) -> list[di
     shared = {
         "regime": "asymptotic" if config.finite_size is None else "finite_size",
         "V": v.tolist(), "distance_km": km.tolist(), "transmittance": t.tolist(),
-        "eta_d": system["eta_d"], "v_ele": system["v_ele"],
+        "delta": delta.tolist(), "eta_d": system["eta_d"], "v_ele": system["v_ele"],
     }
     blocks = []
     for model in sorted(config.models, key=lambda m: m.value):
@@ -473,12 +475,6 @@ def calibration_rows(config: SweepConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 # output
 
-# A column whose cells are mostly the very float objects of another column
-# of its block, so that their text is taken from that column's: a clamped
-# rate is its rate wherever that is not negative.
-_TEXT_FROM = {"rate_clamped": "rate_bits_per_pulse"}
-
-
 def _cell_text(value: Any) -> str:
     """A cell as csv writes it with line-feed line ends: None empty, a
     float its repr, anything else its str, quoted where that holds a
@@ -503,17 +499,13 @@ def _csv_lines(blocks: list[dict], columns: list[str]) -> list[str]:
     for block in blocks:
         n = _block_length(block.values())
         cells = [block[c] for c in columns]
-        for i, (column, values) in enumerate(zip(columns, cells)):
+        for i, values in enumerate(cells):
             if not isinstance(values, list):
                 cells[i] = [_cell_text(values)] * n
                 continue
             # The blocks hold every list to the end of the call, so no id is reused.
             if id(values) not in texts:
-                source = block.get(_TEXT_FROM.get(column))
-                known = texts.get(id(source))
-                texts[id(values)] = (list(map(_cell_text, values)) if known is None else
-                                     [t if v is s else _cell_text(v) for v, s, t in
-                                      zip(values, source, known, strict=True)])
+                texts[id(values)] = list(map(_cell_text, values))
             cells[i] = texts[id(values)]
         lines += map(",".join, zip(*cells, strict=True))
     if len(columns) == 1:  # csv quotes a lone empty field, which would be a blank line

@@ -82,20 +82,10 @@ class SystemParams:
 
     @property
     def eta_e(self) -> float:
-        """Electronic-noise beamsplitter transmittance of this detector."""
-        return eta_e_from_noise(self.v_ele, self.v_rin)
-
-
-def eta_e_from_noise(v_ele: float, v_rin: float = 0.0) -> float:
-    """Transmittance that absorbs additive detector noise as a loss.
-
-    In shot-noise units the LO power normalizes to 1, so the joint
-    one-time unit is 1 + v_ele + v_rin and the equivalent beamsplitter
-    transmittance is its reciprocal.
-    """
-    if v_ele < 0.0 or v_rin < 0.0:
-        raise ValueError("noise variances must be nonnegative")
-    return 1.0 / (1.0 + v_ele + v_rin)
+        """Electronic-noise beamsplitter transmittance of this detector, the
+        loss that absorbs its additive noise: the reciprocal of the joint
+        one-time unit 1 + v_ele + v_rin, in shot-noise units."""
+        return 1.0 / (1.0 + self.v_ele + self.v_rin)
 
 
 def _blocks4(a, c, b) -> np.ndarray:

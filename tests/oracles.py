@@ -4,6 +4,7 @@ worst case are tested against."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from cvqkd_calib import CalibrationModel, SystemParams
@@ -92,6 +93,35 @@ def holevo_lodewyck(v: float, t: float, eps: float, eta: float, v_el: float) -> 
     d = sqrt_b * (v + sqrt_b * chi_hom) / denom
     g = lambda lam: entropy_g(max(0.0, (lam - 1.0) / 2.0))
     return sum(g(lam) for lam in _pair(a, b)) - sum(g(lam) for lam in _pair(c, d))
+
+
+def holevo_two_mode_exact(v: float, t: float, eps_c: float, eta_d: float, v_ele: float,
+                          v_rin: float, n0: float) -> mpmath.mpf:
+    """chi_BE of the one-time two-mode model at SNU ratio n0, from the
+    closed-form spectra of its (A, B3) matrix evaluated to 40 digits.
+
+    With tau = t eta_d / (1 + v_ele + v_rin), the matrix has a = V,
+    c = sqrt(tau (V^2 - 1) / n0) and b = (tau (V - 1 + eps_c) + 1) / n0.
+    Its symplectic pair follows from Delta = a^2 + b^2 - 2c^2 and
+    det = (ab - c^2)^2, and x-homodyne on B3 leaves Alice with
+    sqrt(a (a - c^2/b)). A mode with nu <= 1 carries no entropy, as in
+    gaussian.entropy_of_spectra. The float inputs are taken exactly.
+    """
+    with mpmath.workdps(40):
+        v, t, eps_c, eta_d, v_ele, v_rin, n0 = map(
+            mpmath.mpf, (v, t, eps_c, eta_d, v_ele, v_rin, n0))
+        tau = t * eta_d / (1 + v_ele + v_rin)
+        a, c2, b = v, tau * (v * v - 1) / n0, (tau * (v - 1 + eps_c) + 1) / n0
+        delta, det = a * a + b * b - 2 * c2, (a * b - c2) ** 2
+        root = mpmath.sqrt(delta * delta - 4 * det)
+        spectrum = [mpmath.sqrt((delta + root) / 2), mpmath.sqrt((delta - root) / 2)]
+        conditional = mpmath.sqrt(a * (a - c2 / b))
+
+        def g(nu):
+            x = (nu - 1) / 2
+            return (x + 1) * mpmath.log(x + 1, 2) - x * mpmath.log(x, 2) if x > 0 else 0
+
+        return g(spectrum[0]) + g(spectrum[1]) - g(conditional)
 
 
 def _checked(gamma: np.ndarray) -> np.ndarray:

@@ -505,13 +505,9 @@ def writer_cases(draw):
     """(blocks, columns): row dicts and column blocks of up to 3 rows.
 
     A block column is a list, a single value or, in a 3-row block, the
-    one list of that column shared by every 3-row block that takes it.
-    rate_clamped, when a list beside a rate_bits_per_pulse list, keeps
-    some of the rate's very float objects, as a sweep's does."""
-    columns = draw(st.lists(
-        st.one_of(st.sampled_from(["rate_bits_per_pulse", "rate_clamped"]),
-                  st.text(alphabet='a,"\r\n', max_size=3)),
-        min_size=1, max_size=5, unique=True))
+    one list of that column shared by every 3-row block that takes it."""
+    columns = draw(st.lists(st.text(alphabet='a,"\r\n', max_size=3),
+                            min_size=1, max_size=5, unique=True))
     shared = {c: draw(st.lists(WRITER_CELLS, min_size=3, max_size=3)) for c in columns}
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
@@ -526,10 +522,6 @@ def writer_cases(draw):
             block[c] = (draw(WRITER_CELLS) if kind == "single" else shared[c]
                         if kind == "shared" else
                         draw(st.lists(WRITER_CELLS, min_size=n, max_size=n)))
-        rate, clamped = block.get("rate_bits_per_pulse"), block.get("rate_clamped")
-        if isinstance(rate, list) and isinstance(clamped, list):
-            keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-            block["rate_clamped"] = [r if k else c for r, c, k in zip(rate, clamped, keep)]
         blocks.append(block)
     return blocks, columns
 
@@ -555,11 +547,12 @@ class TestOutputs:
         assert main(["sweep", "--config", path]) == EXIT_OK
         assert (tmp_path / "a.csv").read_bytes() == first
 
-    @pytest.mark.parametrize("command,columns", [("sweep", SWEEP_COLUMNS),
-                                                 ("ten", TEN_COLUMNS)], ids=["sweep", "ten"])
-    def test_csv_and_json_contain_identical_values(self, tmp_path, command, columns):
+    @pytest.mark.parametrize("command,columns,rows", [
+        ("sweep", SWEEP_COLUMNS, 9), ("ten", TEN_COLUMNS, 9),
+        ("calib", CALIB_COLUMNS, len(CALIBRATION["m_grid"]))], ids=["sweep", "ten", "calib"])
+    def test_csv_and_json_contain_identical_values(self, tmp_path, command, columns, rows):
         # Both files are written from the same floats, so their text agrees exactly.
-        cfg = base_config()
+        cfg = base_config(calibration=CALIBRATION)
         path = write_config(tmp_path, cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "r.csv"),
                      "--format", "csv"]) == EXIT_OK
@@ -567,7 +560,7 @@ class TestOutputs:
                      "--format", "json"]) == EXIT_OK
         csv_rows = read_csv(tmp_path / "r.csv")
         json_rows = json.loads((tmp_path / "r.json").read_text())
-        assert len(csv_rows) == len(json_rows) == 9
+        assert len(csv_rows) == len(json_rows) == rows
         for c, j in zip(csv_rows, json_rows):
             assert list(c) == list(j) == columns
             for col in columns:
@@ -609,6 +602,18 @@ class TestOutputs:
             cli.write_rows(blocks, columns, path, "csv")
             with open(path, newline="") as f:
                 assert f.read() == expected.getvalue()
+
+    @PROPERTY
+    @given(writer_cases())
+    def test_write_rows_writes_what_json_writes(self, case):
+        blocks, columns = case
+        expected = json.dumps([{c: row[c] for c in columns} for row in expand_blocks(blocks)],
+                              indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.json")
+            cli.write_rows(blocks, columns, path, "json")
+            with open(path, newline="") as f:
+                assert f.read() == expected
 
     def test_write_rows_refuses_lists_of_unequal_length(self, tmp_path):
         block = {"a": [1.0, 2.0], "b": [3.0]}
@@ -712,6 +717,26 @@ class TestExitCodes:
         assert main(["validate-config", "--config", path, "--set", override]) \
             == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    @pytest.mark.parametrize("override,message", [
+        ("variances=[4, 4.0]", "variances[1] repeats an earlier value: 4.0"),
+        ("miscalibration_deltas=[0.0, -0.0]",
+         "miscalibration_deltas[1] repeats an earlier value: -0.0"),
+        ("calibration.m_grid=[1e5, 100000]",
+         "calibration.m_grid[1] repeats an earlier value: 100000"),
+        ('models=["two_mode", "three_mode", "two_mode"]',
+         "models[2] repeats an earlier value: 'two_mode'"),
+    ], ids=["variances", "deltas", "m_grid", "models"])
+    def test_a_repeated_list_value_is_refused(self, tmp_path, capsys, command, override,
+                                              message):
+        # Each repeat would write the same rows twice.
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, base_config(
+            calibration=CALIBRATION, output={"path": str(out), "format": "csv"}))
+        assert main([command, "--config", path, "--set", override]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_validate_config_rejects_too_few_calibration_samples(self, tmp_path, capsys):
         # Every SNU interval needs two samples, so the sweep would fail later.

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cvqkd_calib import NumericalError, SystemParams, apply_miscalibration, eta_e_from_noise
+from cvqkd_calib import NumericalError, SystemParams, apply_miscalibration
 from cvqkd_calib.gaussian import (
     entropy_of_spectra,
     homodyne_conditioned,
@@ -166,7 +166,8 @@ class TestSymplecticEigenvalues:
     def test_channel_output_matches_analytic_two_mode_formula(self):
         # Lossy noisy channel point with eta_e = 1/1.01
         v, t, eps_c, eta_d = 40.0, 0.5, 0.01, 0.6
-        eta_e = eta_e_from_noise(0.01)
+        eta_e = SystemParams(v=v, t=t, eps_c=eps_c, eta_d=eta_d, v_ele=0.01,
+                             beta=0.956).eta_e
         assert eta_e == pytest.approx(0.990099, abs=1e-6)
         tau = t * eta_d * eta_e
         g = np.zeros((4, 4))
@@ -297,7 +298,8 @@ class TestConditionOnHomodyne:
         documented here as inconsistent and is not used anywhere.
         """
         v, t, eps_c, eta_d, v_ele = 40.0, 0.5, 0.01, 0.6, 0.01
-        tau = t * eta_d * eta_e_from_noise(v_ele)
+        tau = t * eta_d * SystemParams(v=v, t=t, eps_c=eps_c, eta_d=eta_d, v_ele=v_ele,
+                                       beta=0.956).eta_e
         chi = 1.0 / tau - 1.0 + eps_c
         g = np.zeros((4, 4))
         g[:2, :2] = v * np.eye(2)

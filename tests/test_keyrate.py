@@ -11,6 +11,7 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -39,6 +40,7 @@ from oracles import (
     dense_worst_case,
     holevo_lodewyck,
     holevo_pointwise,
+    holevo_two_mode_exact,
     mutual_information_from_matrix,
 )
 from strategies import PROPERTY, at_km, distances_km, link_fields, system_params
@@ -226,6 +228,28 @@ class TestLodewyckOracle:
         for p in self.draws(22):
             expect = holevo_lodewyck(p.v, p.t * p.eta_e, p.eps_c, p.eta_d, 0.0)
             assert holevo_bound(p, THREE) == pytest.approx(expect, rel=1e-9)
+
+
+class TestTwoModeExactOracle:
+    """The two-mode bound at SNU ratios n0 around 1 against a 40-digit
+    evaluation of its closed-form spectra (oracles.holevo_two_mode_exact)."""
+
+    def test_within_1e_12_of_the_exact_bound(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            fields = dict(
+                v=rng.uniform(1.5, 60.0),
+                t=transmittance_from_km(rng.uniform(0.0, 200.0)),
+                eps_c=rng.uniform(0.0, 0.1),
+                eta_d=rng.uniform(0.3, 0.99),
+                v_ele=rng.uniform(0.0, 0.3),
+                v_rin=0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.05),
+            )
+            n0 = np.append(rng.uniform(0.8, 1.2, 5), 1.0)
+            chi = holevo_bound(SystemParams(beta=0.956, **fields), TWO, n0)
+            for got, ratio in zip(chi.tolist(), n0.tolist()):
+                exact = holevo_two_mode_exact(n0=ratio, **fields)
+                assert abs(mpmath.mpf(got) - exact) <= 1e-12, (fields, ratio)
 
 
 class TestKeyRateAsymptotic:

@@ -11,7 +11,6 @@ from cvqkd_calib import (
     SystemParams,
     apply_miscalibration,
     confidence_interval,
-    eta_e_from_noise,
     key_rate,
     transmittance_from_km,
 )
@@ -113,28 +112,22 @@ class TestParamTypes:
 
 class TestEtaE:
     def test_perfect_detector(self):
-        assert eta_e_from_noise(0.0, 0.0) == 1.0
+        assert params(v_ele=0.0, v_rin=0.0).eta_e == 1.0
 
     def test_standard_point(self):
-        assert eta_e_from_noise(0.01) == pytest.approx(1 / 1.01, rel=1e-15)
-        assert eta_e_from_noise(0.01) == pytest.approx(0.990099, abs=1e-6)
+        assert params(v_ele=0.01).eta_e == pytest.approx(1 / 1.01, rel=1e-15)
+        assert params(v_ele=0.01).eta_e == pytest.approx(0.990099, abs=1e-6)
 
     def test_measured_detector_ratio(self):
         # Total variance 2.3768 with 0.421 electronic noise: renormalize so
         # the shot-noise unit 2.3768 - 0.421 = 1.9558 maps to 1, then
         # eta_e = 1.9558/2.3768.
         v_ele_snu = 0.421 / 1.9558
-        assert eta_e_from_noise(v_ele_snu) == pytest.approx(1.9558 / 2.3768, rel=1e-12)
-        assert eta_e_from_noise(v_ele_snu) == pytest.approx(0.82287, abs=1e-5)
+        assert params(v_ele=v_ele_snu).eta_e == pytest.approx(1.9558 / 2.3768, rel=1e-12)
+        assert params(v_ele=v_ele_snu).eta_e == pytest.approx(0.82287, abs=1e-5)
 
     def test_rin_adds_to_denominator(self):
-        assert eta_e_from_noise(0.01, 0.02) == pytest.approx(1 / 1.03, rel=1e-15)
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            eta_e_from_noise(-0.01)
-        with pytest.raises(ValueError):
-            eta_e_from_noise(0.0, -0.01)
+        assert params(v_ele=0.01, v_rin=0.02).eta_e == pytest.approx(1 / 1.03, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +287,7 @@ class TestWorstCaseSplit:
 
     def test_all_loss_to_channel(self):
         for t in (1.0, 0.5, transmittance_from_km(60.0)):
-            eta_e = eta_e_from_noise(0.01)
+            eta_e = params(v_ele=0.01).eta_e
             for model in (TWO, THREE):
                 assert self.rate(model, t, 0.01) == pytest.approx(
                     self.rate(model, t * eta_e, 0.0), rel=1e-12)
@@ -303,7 +296,7 @@ class TestWorstCaseSplit:
         product = 0.3 * 0.99
         rates = []
         for v_ele in (0.0, 0.01, 0.1, 0.3):
-            t = product / eta_e_from_noise(v_ele)
+            t = product / params(v_ele=v_ele).eta_e
             rates.append(self.rate(THREE, t, v_ele))
         assert rates == pytest.approx([rates[0]] * len(rates), rel=1e-12)
 
