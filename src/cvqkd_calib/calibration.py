@@ -33,14 +33,14 @@ class CalibrationEstimate:
 
 @dataclass(frozen=True)
 class NoiseGroundTruth:
-    """True detector-noise variances."""
+    """True detector-noise variances, both finite."""
 
     v_tot: float
     v_ele: float
 
     def __post_init__(self) -> None:
-        if self.v_tot <= 0.0:
-            raise ValueError(f"total noise must be positive, got {self.v_tot}")
+        if not 0.0 < self.v_tot < math.inf:
+            raise ValueError(f"total noise must be finite and positive, got {self.v_tot}")
         if not 0.0 <= self.v_ele < self.v_tot:
             raise ValueError(
                 f"electronic noise must satisfy 0 <= v_ele < v_tot, "

@@ -438,33 +438,6 @@ def _ten_blocks(config: SweepConfig) -> list[dict]:
     return _grid_blocks(config, _ten_block, [0.0])
 
 
-def _rows(blocks: list[dict]) -> list[dict]:
-    """One dict per row of the blocks, keyed as the blocks are."""
-    rows = []
-    for block in blocks:
-        n = _block_length(block.values())
-        cells = [c if isinstance(c, list) else [c] * n for c in block.values()]
-        rows += [dict(zip(block, row)) for row in zip(*cells, strict=True)]
-    return rows
-
-
-def _block_length(columns) -> int:
-    """Rows in a block of these columns: the length of its lists, or 1 for
-    a block of single values, which is a row dict."""
-    return next((len(c) for c in columns if isinstance(c, list)), 1)
-
-
-def sweep_rows(config: SweepConfig) -> list[dict]:
-    """Key-rate rows for every (model, V, distance) point and sorted delta,
-    in that order."""
-    return _rows(_sweep_blocks(config))
-
-
-def ten_rows(config: SweepConfig) -> list[dict]:
-    """Tolerable-excess-noise rows for every (model, V, distance) point."""
-    return _rows(_ten_blocks(config))
-
-
 def calibration_rows(config: SweepConfig) -> list[dict]:
     if config.calibration is None:
         raise ConfigError("calibration section is required for the calib command")
@@ -490,27 +463,35 @@ def _cell_text(value: Any) -> str:
     return text
 
 
-def _csv_lines(blocks: list[dict], columns: list[str]) -> list[str]:
-    """The CSV lines of the blocks' rows, header first, written column by
-    column: each value is formatted once per call, a single value once for
-    its block and a list shared by several blocks once for all of them."""
+def _json_text(value: Any) -> str:
+    """A cell as json.dump writes it: a finite float its repr, anything
+    else json's own text, NaN, Infinity and null included."""
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _cell_rows(blocks: list[dict], columns: list[str], text) -> list[tuple[str, ...]]:
+    """The blocks' rows as tuples of cell text, text(value) of each cell in
+    the order of columns, built column by column: each value is formatted
+    once per call, a single value once for its block and a list shared by
+    several blocks once for all of them."""
     texts: dict[int, list[str]] = {}  # id of a list column -> its cells' text
-    lines = [",".join(map(_cell_text, columns))]
+    rows = []
     for block in blocks:
-        n = _block_length(block.values())
+        # A block's lists give its row count; one of single values is one row.
+        n = next((len(c) for c in block.values() if isinstance(c, list)), 1)
         cells = [block[c] for c in columns]
         for i, values in enumerate(cells):
             if not isinstance(values, list):
-                cells[i] = [_cell_text(values)] * n
+                cells[i] = [text(values)] * n
                 continue
             # The blocks hold every list to the end of the call, so no id is reused.
             if id(values) not in texts:
-                texts[id(values)] = list(map(_cell_text, values))
+                texts[id(values)] = list(map(text, values))
             cells[i] = texts[id(values)]
-        lines += map(",".join, zip(*cells, strict=True))
-    if len(columns) == 1:  # csv quotes a lone empty field, which would be a blank line
-        lines = [line or '""' for line in lines]
-    return lines
+        rows += zip(*cells, strict=True)
+    return rows
 
 
 def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> None:
@@ -518,16 +499,23 @@ def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> N
 
     A block is a dict of columns, each a list of one value per row or one
     value for all its rows, so a row dict is a one-row block. The CSV is
-    csv's own text, with its QUOTE_MINIMAL rule and line-feed line ends.
+    csv's own text, with its QUOTE_MINIMAL rule and line-feed line ends;
+    the JSON is the text of json.dump(rows, indent=2), a list of objects.
     """
     if fmt == "csv":
-        with open(path, "w", newline="") as f:
-            f.write("\n".join(_csv_lines(blocks, columns)) + "\n")
+        lines = [",".join(map(_cell_text, columns)),
+                 *map(",".join, _cell_rows(blocks, columns, _cell_text))]
+        if len(columns) == 1:  # csv quotes a lone empty field, which would be a blank line
+            lines = [line or '""' for line in lines]
+        text = "\n".join(lines) + "\n"
     else:
-        payload = [{c: row[c] for c in columns} for row in _rows(blocks)]
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
+        # One object's text, with a %s for each cell and a key's own % escaped.
+        keys = ",\n".join(f"    {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
+        rows = _cell_rows(blocks, columns, _json_text)
+        objects = ",\n".join(map(f"  {{\n{keys}\n  }}".__mod__, rows))
+        text = f"[\n{objects}\n]\n" if objects else "[]\n"
+    with open(path, "w", newline="") as f:
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +541,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "shot-noise-unit calibration models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, build_rows, _) in _COMMANDS.items():
+    for name, (help_text, build_blocks, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config entry (dotted keys)")
-        if build_rows is not None:
+        if build_blocks is not None:
             p.add_argument("--out", help="output file path (overrides output.path)")
             p.add_argument("--format", choices=["csv", "json"],
                            help="output format (overrides output.format)")
@@ -567,10 +555,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    _, build_rows, columns = _COMMANDS[args.command]
+    _, build_blocks, columns = _COMMANDS[args.command]
     try:
         config = load_config(args.config, args.overrides)
-        if build_rows is None:
+        if build_blocks is None:
             print("configuration valid")
             return EXIT_OK
         path = config.output_path if args.out is None else args.out
@@ -581,7 +569,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # its grid point named; numpy's warnings would repeat that error
         # without the point.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            write_rows(build_rows(config), columns, path, fmt)
+            write_rows(build_blocks(config), columns, path, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

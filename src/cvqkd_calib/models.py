@@ -53,7 +53,7 @@ class SystemParams:
     the reconciliation efficiency, v_rin an optional relative-intensity
     noise variance treated as additive Gaussian noise at the detector.
     v, t and eps_c may also be 1-D columns that broadcast together, one
-    row each; every element is checked.
+    row each; every element is checked, and every field must be finite.
     """
 
     v: float | np.ndarray
@@ -65,20 +65,20 @@ class SystemParams:
     v_rin: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.all(np.greater(self.v, 1.0)):
-            raise ValueError(f"EPR variance must exceed 1, got {self.v}")
+        if not np.all(np.greater(self.v, 1.0) & np.isfinite(self.v)):
+            raise ValueError(f"EPR variance must be finite and exceed 1, got {self.v}")
         if not np.all(np.greater(self.t, 0.0) & np.less_equal(self.t, 1.0)):
             raise ValueError(f"transmittance must lie in (0, 1], got {self.t}")
-        if np.any(np.less(self.eps_c, 0.0)):
-            raise ValueError(f"excess noise must be nonnegative, got {self.eps_c}")
+        if not np.all(np.greater_equal(self.eps_c, 0.0) & np.isfinite(self.eps_c)):
+            raise ValueError(f"excess noise must be finite and nonnegative, got {self.eps_c}")
         if not 0.0 < self.eta_d <= 1.0:
             raise ValueError(f"detection efficiency must lie in (0, 1], got {self.eta_d}")
-        if self.v_ele < 0.0:
-            raise ValueError(f"electronic noise must be nonnegative, got {self.v_ele}")
+        if not 0.0 <= self.v_ele < math.inf:
+            raise ValueError(f"electronic noise must be finite and nonnegative, got {self.v_ele}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"reconciliation efficiency must lie in (0, 1], got {self.beta}")
-        if self.v_rin < 0.0:
-            raise ValueError(f"RIN variance must be nonnegative, got {self.v_rin}")
+        if not 0.0 <= self.v_rin < math.inf:
+            raise ValueError(f"RIN variance must be finite and nonnegative, got {self.v_rin}")
 
     @property
     def eta_e(self) -> float:
@@ -241,7 +241,8 @@ def apply_miscalibration(params: SystemParams,
     variance absorbed into the apparent excess noise. The estimates are
     clamped to their physical ranges (t_hat <= 1, eps_hat >= 0), as a
     constrained estimator would be. delta may be a 1-D column, one per
-    row of params; a t_hat <= 0, from delta <= -1 or underflow, is an error.
+    row of params; a t_hat <= 0, from delta <= -1 or underflow, is an error,
+    as is an eps_hat that overflows.
     """
     if np.any((1.0 + np.asarray(delta)) * params.t <= 0.0):
         raise ValueError(f"miscalibration delta {delta} leaves no signal")
@@ -257,6 +258,8 @@ def apply_miscalibration(params: SystemParams,
         # t_hat = 1 and the variance equation then fixes eps_hat.
         ((1.0 + delta) * (ed * t * (v - 1.0 + ec) + 1.0 + ve) - 1.0 - ve) / ed - (v - 1.0),
     )
+    if np.any(eps_hat == math.inf):
+        raise ValueError(f"miscalibration delta {delta} overflows the excess noise")
     return replace(params, t=_given(np.where(t_hat <= 1.0, t_hat, 1.0)),
                    eps_c=_given(np.where(eps_hat < 0.0, 0.0, eps_hat)))
 

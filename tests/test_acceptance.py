@@ -31,7 +31,7 @@ from cvqkd_calib import (
 )
 from cvqkd_calib.gaussian import homodyne_conditioned, symplectic_spectra
 from cvqkd_calib.models import three_mode_stack
-from cvqkd_calib.cli import SWEEP_COLUMNS, SweepConfig, sweep_rows, write_rows
+from cvqkd_calib.cli import SWEEP_COLUMNS, SweepConfig, _sweep_blocks, write_rows
 from oracles import holevo_lodewyck
 
 TWO = CalibrationModel.ONE_TIME_TWO_MODE
@@ -283,9 +283,9 @@ def test_criterion_8_sweep_determinism(tmp_path):
         "output": {"path": str(tmp_path / "sweep.csv"), "format": "csv"},
     }
     out = str(tmp_path / "sweep.csv")
-    write_rows(sweep_rows(SweepConfig.from_dict(cfg_dict)), SWEEP_COLUMNS, out, "csv")
+    write_rows(_sweep_blocks(SweepConfig.from_dict(cfg_dict)), SWEEP_COLUMNS, out, "csv")
     first = (tmp_path / "sweep.csv").read_bytes()
-    write_rows(sweep_rows(SweepConfig.from_dict(json.loads(json.dumps(cfg_dict)))),
+    write_rows(_sweep_blocks(SweepConfig.from_dict(json.loads(json.dumps(cfg_dict)))),
                SWEEP_COLUMNS, out, "csv")
     second = (tmp_path / "sweep.csv").read_bytes()
     newline = b"\n"

@@ -38,6 +38,13 @@ class TestGroundTruth:
         with pytest.raises(ValueError, match="v_ele"):
             NoiseGroundTruth(v_tot=1.0, v_ele=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field,message", [("v_tot", "total noise"),
+                                               ("v_ele", "electronic noise")])
+    def test_every_field_refuses_non_finite_values(self, field, bad, message):
+        with pytest.raises(ValueError, match=rf"^{message}"):
+            NoiseGroundTruth(**{"v_tot": 1.0, "v_ele": 0.1, field: bad})
+
 
 class TestEstimateVariance:
     """The known-zero-mean estimator the intervals assume: the mean of

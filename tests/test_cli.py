@@ -40,12 +40,30 @@ from cvqkd_calib.cli import (
     SweepConfig,
     load_config,
     main,
-    sweep_rows,
-    ten_rows,
 )
 from cvqkd_calib.keyrate import snu_interval
 from oracles import TEN_MAX_ITER, bisect_tolerable_noise
 from strategies import PROPERTY
+
+
+def expand_blocks(blocks: list[dict]) -> list[dict]:
+    """One dict per row: a block's lists give a value per row, and any other
+    value holds for all its rows, so a block of single values is one row."""
+    rows = []
+    for block in blocks:
+        lengths = {len(v) for v in block.values() if isinstance(v, list)}
+        (n,) = lengths or {1}
+        for i in range(n):
+            rows.append({c: v[i] if isinstance(v, list) else v for c, v in block.items()})
+    return rows
+
+
+def sweep_rows(cfg: SweepConfig) -> list[dict]:
+    return expand_blocks(cli._sweep_blocks(cfg))
+
+
+def ten_rows(cfg: SweepConfig) -> list[dict]:
+    return expand_blocks(cli._ten_blocks(cfg))
 
 
 def base_config(**overrides) -> dict:
@@ -491,11 +509,13 @@ class TestTenRows:
 
 
 # Cells of every kind the writer meets, with strings that csv quotes or
-# leaves bare; float text must be the repr of the very value.
+# leaves bare and json escapes as non-ASCII; float text must be the repr
+# of the very value.
 WRITER_CELLS = st.one_of(
     st.none(),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5 * 10 ** 9, 0.1]),
-    st.sampled_from(["", "two_mode", "a,b", 'say "hi"', "line\nfeed", "carriage\rreturn"]),
+    st.sampled_from(["", "two_mode", "a,b", 'say "hi"', "line\nfeed", "carriage\rreturn",
+                     "caf\u00e9", "line\u2028separator"]),
     st.floats(),
 )
 
@@ -506,7 +526,7 @@ def writer_cases(draw):
 
     A block column is a list, a single value or, in a 3-row block, the
     one list of that column shared by every 3-row block that takes it."""
-    columns = draw(st.lists(st.text(alphabet='a,"\r\n', max_size=3),
+    columns = draw(st.lists(st.text(alphabet='a,"\r\n\u00e9\u2028%', max_size=3),
                             min_size=1, max_size=5, unique=True))
     shared = {c: draw(st.lists(WRITER_CELLS, min_size=3, max_size=3)) for c in columns}
     blocks = []
@@ -524,18 +544,6 @@ def writer_cases(draw):
                         draw(st.lists(WRITER_CELLS, min_size=n, max_size=n)))
         blocks.append(block)
     return blocks, columns
-
-
-def expand_blocks(blocks: list[dict]) -> list[dict]:
-    """One dict per row: a block's lists give a value per row, and any other
-    value holds for all its rows, so a block of single values is one row."""
-    rows = []
-    for block in blocks:
-        lengths = {len(v) for v in block.values() if isinstance(v, list)}
-        (n,) = lengths or {1}
-        for i in range(n):
-            rows.append({c: v[i] if isinstance(v, list) else v for c, v in block.items()})
-    return rows
 
 
 class TestOutputs:
@@ -605,6 +613,7 @@ class TestOutputs:
 
     @PROPERTY
     @given(writer_cases())
+    @example(([], ["a"]))
     def test_write_rows_writes_what_json_writes(self, case):
         blocks, columns = case
         expected = json.dumps([{c: row[c] for c in columns} for row in expand_blocks(blocks)],
@@ -896,25 +905,19 @@ class TestExitCodes:
             "eps_pe = 1e-10, so the interval's lower bound crosses zero\n")
         assert not (tmp_path / "x.csv").exists()
 
-    # The error line alone reaches stderr: numpy's overflow and invalid-value
-    # warnings on the way to it would fail these cases.
+    # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km. The error line
+    # alone reaches stderr: numpy's overflow and invalid-value warnings on the
+    # way to it would fail these cases.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command,km,more,message", [
-        # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km.
-        ("sweep", 15500, [], "delta=0.0: NumericalError: non-finite key rate"),
-        ("ten", 15500, [], "delta=0.0: NumericalError: non-finite key rate"),
-        # The miscalibrated excess noise overflows first.
-        ("sweep", 16100, ["--set", "miscalibration_deltas=[0.003]"],
-         "delta=0.003: NumericalError: non-finite measured matrix"),
-    ], ids=["sweep", "ten", "sweep-16100km-delta0.003"])
-    def test_non_finite_rate_is_a_runtime_error(self, tmp_path, capsys, command, km, more,
-                                                message):
+    @pytest.mark.parametrize("command", ["sweep", "ten"])
+    def test_non_finite_rate_is_a_runtime_error(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(GOLDEN_CONFIG), "--out", str(out),
-                     "--set", f"distances_km.start={km}",
-                     "--set", f"distances_km.stop={km}", *more]) == EXIT_RUNTIME_ERROR
+                     "--set", "distances_km.start=15500",
+                     "--set", "distances_km.stop=15500"]) == EXIT_RUNTIME_ERROR
         assert capsys.readouterr().err == (
-            f"runtime error: model=conventional V=4.0 km={km}.0 {message} at n0 = 1.0\n")
+            "runtime error: model=conventional V=4.0 km=15500.0 delta=0.0: "
+            "NumericalError: non-finite key rate at n0 = 1.0\n")
         assert not out.exists()
 
     # Configs that fail on the config alone: the overrides of base_config and
@@ -947,6 +950,11 @@ class TestExitCodes:
             {"miscalibration_deltas": [0.0, -0.9],
              "distances_km": {"start": 16100.0, "stop": 16170.0, "step": 10.0}},
             "miscalibration delta -0.9 leaves no signal"),
+        # delta / t overflows the apparent excess noise at 16100 km.
+        "delta_overflows_the_farthest_excess_noise": (
+            {"miscalibration_deltas": [0.0, 0.003],
+             "distances_km": {"start": 16100.0, "stop": 16100.0, "step": 10.0}},
+            "miscalibration delta 0.003 overflows the excess noise"),
     }
 
     @pytest.mark.parametrize("overrides, message", CONFIG_ONLY.values(), ids=CONFIG_ONLY)

@@ -92,6 +92,18 @@ class TestParamTypes:
         with pytest.raises(ValueError, match="RIN"):
             params(v_rin=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field,message", [
+        ("v", "EPR variance"), ("t", "transmittance"), ("eps_c", "excess noise"),
+        ("eta_d", "detection efficiency"), ("v_ele", "electronic noise"),
+        ("beta", "reconciliation"), ("v_rin", "RIN"),
+    ])
+    def test_every_field_refuses_non_finite_values(self, field, bad, message):
+        # A NaN fails every comparison, so a check written as "refuse if
+        # below the bound" would let it through.
+        with pytest.raises(ValueError, match=rf"^{message}"):
+            params(**{field: bad})
+
     @pytest.mark.parametrize("field,bad,message", [
         ("v", 1.0, "EPR variance"), ("t", 0.0, "transmittance"), ("t", 1.2, "transmittance"),
         ("eps_c", -0.01, "excess noise"),
@@ -341,6 +353,12 @@ class TestApplyMiscalibration:
     def test_rejects_total_signal_loss(self):
         with pytest.raises(ValueError, match="no signal"):
             apply_miscalibration(params(), -1.0)
+
+    def test_rejects_an_excess_noise_that_overflows(self):
+        # delta / t overflows at t = 1e-320; a negative delta clamps at 0.
+        with pytest.raises(ValueError, match="^miscalibration delta 0.003 overflows"):
+            apply_miscalibration(params(t=1e-320), 0.003)
+        assert apply_miscalibration(params(t=1e-320), -0.003).eps_c == 0.0
 
 
 class TestTransmittance:
