@@ -15,19 +15,15 @@ from .calibration import (
     NoiseGroundTruth,
     confidence_interval,
     deviation_curve,
-    z_quantile,
 )
 from .gaussian import NumericalError
 from .keyrate import (
     FiniteSizeParams,
     KeyRateResult,
-    finite_size_penalty,
     holevo_bound,
     key_rate,
-    mutual_information,
 )
 from .models import (
-    ALPHA_DB_PER_KM,
     CalibrationModel,
     SystemParams,
     apply_miscalibration,
@@ -37,7 +33,6 @@ from .models import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_DB_PER_KM",
     "CalibrationEstimate",
     "CalibrationModel",
     "FiniteSizeParams",
@@ -48,10 +43,7 @@ __all__ = [
     "apply_miscalibration",
     "confidence_interval",
     "deviation_curve",
-    "finite_size_penalty",
     "holevo_bound",
     "key_rate",
-    "mutual_information",
     "transmittance_from_km",
-    "z_quantile",
 ]

@@ -52,12 +52,14 @@ class ConfigError(ValueError):
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 
 # Every config key by section, "config" being the root, with the kind _typed
-# checks: [kind] is a non-empty list of distinct values of that kind, and a
-# dict is the section of that name.
+# checks: a tuple holds the allowed values, [kind] is a non-empty list of
+# distinct values of that kind, and a dict is the section of that name.
 _KEYS = {
-    "config": {"models": [str], "regime": str, "distances_km": dict, "variances": [float],
-               "system": dict, "finite_size": dict, "miscalibration_deltas": [float],
-               "pulse_rate_hz": float, "calibration": dict, "output": dict},
+    "config": {"models": [tuple(m.value for m in CalibrationModel)],
+               "regime": ("asymptotic", "finite_size"), "distances_km": dict,
+               "variances": [float], "system": dict, "finite_size": dict,
+               "miscalibration_deltas": [float], "pulse_rate_hz": float,
+               "calibration": dict, "output": dict},
     "distances_km": {"start": float, "stop": float, "step": float},
     "system": {"eps_c": float, "eta_d": float, "v_ele": float, "beta": float,
                "v_rin": float},
@@ -65,7 +67,7 @@ _KEYS = {
                     "eps_pa": float, "eps_smooth": float, "calib_samples_m": int,
                     "dim_hx": int},
     "calibration": {"v_tot": float, "v_ele": float, "eps_pe": float, "m_grid": [int]},
-    "output": {"path": str, "format": str},
+    "output": {"path": str, "format": ("csv", "json")},
 }
 
 # The optional keys, with the value an absent or null one takes. None leaves
@@ -138,31 +140,19 @@ class SweepConfig:
             _apply_override(raw, item)
         try:
             top = _section(raw, "config")
-            try:
-                models = tuple(CalibrationModel(m) for m in top["models"])
-            except ValueError as exc:
-                valid = ", ".join(m.value for m in CalibrationModel)
-                raise ConfigError(
-                    f"unknown model in {list(top['models'])}; valid: {valid}") from exc
-            regimes = ["asymptotic", "finite_size"]
-            if top["regime"] not in regimes:
-                raise ConfigError(f"regime must be one of {regimes}")
             fs = FiniteSizeParams(**top["finite_size"]) if "finite_size" in top else None
             if top["regime"] == "finite_size" and fs is None:
                 raise ConfigError("finite_size section is required for the finite_size regime")
             pulse = top.get("pulse_rate_hz")
             if pulse is not None and pulse <= 0.0:
                 raise ConfigError(f"pulse_rate_hz must be positive, got {pulse}")
-            output = top["output"]
-            if output["format"] not in ("csv", "json"):
-                raise ConfigError(f"output.format must be csv or json, got {output['format']}")
             cfg = cls(
-                models=models,
+                models=tuple(map(CalibrationModel, top["models"])),
                 distances_km=DistanceGrid(**top["distances_km"]),
                 variances=top["variances"],
                 system=top["system"],
-                output_path=output.get("path"),
-                output_format=output["format"],
+                output_path=top["output"].get("path"),
+                output_format=top["output"]["format"],
                 finite_size=fs if top["regime"] == "finite_size" else None,
                 miscalibration_deltas=top["miscalibration_deltas"],
                 pulse_rate_hz=pulse,
@@ -191,17 +181,18 @@ class SweepConfig:
         return cfg
 
 
-def _typed(value: Any, field: str, kind: type | list[type]) -> Any:
-    """value checked as a kind of _JSON_TYPES, float, int or [kind], or a
-    ConfigError naming the field.
+def _typed(value: Any, field: str, kind: type | tuple | list) -> Any:
+    """value checked as a kind of _JSON_TYPES, float, int, a tuple of
+    allowed values or [kind], or a ConfigError naming the field.
 
-    An object, list or string is returned as given. [kind] is a non-empty
-    list, returned as a tuple of its elements, each checked as kind and
-    named field[i]; no two may be equal, as they would give the same rows.
-    A float is any finite number; an int is a finite integral one, so 5e9
-    counts 5000000000 samples but 5.7 is an error. A JSON boolean is not a
-    number, though Python counts it as an int. Numbers are checked after
-    conversion, as --set passes non-JSON such as nan on as a string.
+    An object, list or string is returned as given, and so is one of a
+    tuple's values. [kind] is a non-empty list, returned as a tuple of its
+    elements, each checked as kind and named field[i]; no two may be
+    equal, as they would give the same rows. A float is any finite number;
+    an int is a finite integral one, so 5e9 counts 5000000000 samples but
+    5.7 is an error. A JSON boolean is not a number, though Python counts
+    it as an int. Numbers are checked after conversion, as --set passes
+    non-JSON such as nan on as a string.
     """
     if isinstance(kind, list):
         items = _typed(value, field, list)
@@ -212,6 +203,10 @@ def _typed(value: Any, field: str, kind: type | list[type]) -> Any:
             if x in values[:i]:
                 raise ConfigError(f"{field}[{i}] repeats an earlier value: {x!r}")
         return values
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ConfigError(f"{field} must be one of {list(kind)}, got {value!r}")
     if kind in _JSON_TYPES:
         if isinstance(value, kind):
             return value
@@ -299,7 +294,9 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
     res = key_rate(params, model, config.finite_size, delta)
     rate = res.rate_bits_per_pulse
     rates = rate.tolist()
-    pulse_rate = config.pulse_rate_hz
+    per_s = None if config.pulse_rate_hz is None else rate * config.pulse_rate_hz
+    if per_s is not None and not np.isfinite(per_s).all():
+        raise NumericalError("non-finite rate_bits_per_s", row=int(np.argmin(np.isfinite(per_s))))
     return {
         "eps_c": config.system["eps_c"],
         "n0_worst": res.worst_n0.tolist(),
@@ -307,7 +304,7 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
         "chi_be": res.chi_be.tolist(),
         "delta_n": res.delta_n,
         "rate_bits_per_pulse": rates,
-        "rate_bits_per_s": None if pulse_rate is None else (rate * pulse_rate).tolist(),
+        "rate_bits_per_s": None if per_s is None else per_s.tolist(),
         # max(rate, 0.0) per row: a NaN or -0.0 rate is kept as it is.
         "rate_clamped": [0.0 if r < 0.0 else r for r in rates],
     }
@@ -548,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config entry (dotted keys)")
         if build_blocks is not None:
             p.add_argument("--out", help="output file path (overrides output.path)")
-            p.add_argument("--format", choices=["csv", "json"],
+            p.add_argument("--format", choices=_KEYS["output"]["format"],
                            help="output format (overrides output.format)")
     return parser
 

@@ -1,14 +1,14 @@
 """Gaussian-state kernels on stacks of quadrature covariance matrices.
 
 A state is its second-moment (covariance) matrix in shot-noise units,
-vacuum variance normalized to 1, held as a plain array; every kernel
-takes a stack of shape (..., 2n, 2n) and handles all of it in one
-batched pass. Quadratures are stored interleaved as (x1, p1, x2, p2, ...)
-so each mode owns a contiguous 2x2 block, which keeps beamsplitter and
-measurement updates local; homodyne conditioning is an exact rank-1
-update, with no matrix inverse. The kernels do not validate their
-arguments: the model builders produce the stacks, and the key-rate layer
-checks them for finiteness where it evaluates them.
+vacuum variance normalized to 1, held as a plain array; every kernel takes
+a stack of shape (..., 2n, 2n) and handles all of it in one batched pass.
+Quadratures are stored interleaved as (x1, p1, x2, p2, ...) so each mode
+owns a contiguous 2x2 block, which keeps beamsplitter and measurement
+updates local; homodyne conditioning is an exact rank-1 update, with no
+matrix inverse. homodyne_conditioned refuses a non-positive measured
+variance, and symplectic_spectra raises NumericalError when its solver
+fails; the key-rate layer checks the builders' stacks for finiteness.
 """
 
 from __future__ import annotations

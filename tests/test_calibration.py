@@ -7,12 +7,8 @@ import pytest
 from scipy import stats
 from scipy.special import erfc
 
-from cvqkd_calib import (
-    NoiseGroundTruth,
-    confidence_interval,
-    deviation_curve,
-    z_quantile,
-)
+from cvqkd_calib import NoiseGroundTruth, confidence_interval, deviation_curve
+from cvqkd_calib.calibration import z_quantile
 
 # Measured in a deployed detector: total LO-on variance and its
 # electronic-noise floor, used throughout as a realistic ground truth.

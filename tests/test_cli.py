@@ -103,7 +103,9 @@ class TestConfigParsing:
             SweepConfig.from_dict(raw)
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ConfigError, match="unknown model"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "models[0] must be one of ['conventional', 'two_mode', 'three_mode'], "
+                "got 'four_mode'")):
             SweepConfig.from_dict(base_config(models=["four_mode"]))
 
     def test_bad_regime_rejected(self):
@@ -716,7 +718,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("override,message", [
         ("distances_km.start=-5", "distances_km.start must be nonnegative, got -5.0"),
         ("pulse_rate_hz=0", "pulse_rate_hz must be positive, got 0.0"),
-        ("output.format=xml", "output.format must be csv or json, got xml"),
+        ("output.format=xml", "output.format must be one of ['csv', 'json'], got 'xml'"),
+        ('models=["four_mode"]', "models[0] must be one of "
+                                 "['conventional', 'two_mode', 'three_mode'], got 'four_mode'"),
+        ('models=["two_mode", 5]', "models[1] must be one of "
+                                   "['conventional', 'two_mode', 'three_mode'], got 5"),
+        ("regime=x", "regime must be one of ['asymptotic', 'finite_size'], got 'x'"),
         ("finite_size.dim_hx=0", "raw-key alphabet dimension must be positive, got 0"),
         # --set creates the absent section, which then lacks its other keys.
         ("calibration.v_tot=1.0", "missing config field: calibration.v_ele"),
@@ -905,19 +912,29 @@ class TestExitCodes:
             "eps_pe = 1e-10, so the interval's lower bound crosses zero\n")
         assert not (tmp_path / "x.csv").exists()
 
-    # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km. The error line
-    # alone reaches stderr: numpy's overflow and invalid-value warnings on the
-    # way to it would fail these cases.
+    # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km, and a rate of
+    # some bits per pulse times 1e308 pulses/s overflows rate_bits_per_s. The
+    # error line alone reaches stderr: numpy's overflow and invalid-value
+    # warnings on the way to it would fail these cases.
+    FAR = ["distances_km.start=15500", "distances_km.stop=15500"]
+    FAR_ERROR = ("model=conventional V=4.0 km=15500.0 delta=0.0: "
+                 "NumericalError: non-finite key rate at n0 = 1.0")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["sweep", "ten"])
-    def test_non_finite_rate_is_a_runtime_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,overrides,message", [
+        ("sweep", FAR, FAR_ERROR),
+        ("ten", FAR, FAR_ERROR),
+        ("sweep", ["pulse_rate_hz=1e308", "variances=[1e4]"],
+         "model=conventional V=10000.0 km=0.0 delta=0.0: "
+         "NumericalError: non-finite rate_bits_per_s"),
+    ], ids=["sweep", "ten", "sweep-rate_bits_per_s"])
+    def test_non_finite_rate_is_a_runtime_error(self, tmp_path, capsys, command, overrides,
+                                                message):
         out = tmp_path / "x.csv"
-        assert main([command, "--config", str(GOLDEN_CONFIG), "--out", str(out),
-                     "--set", "distances_km.start=15500",
-                     "--set", "distances_km.stop=15500"]) == EXIT_RUNTIME_ERROR
-        assert capsys.readouterr().err == (
-            "runtime error: model=conventional V=4.0 km=15500.0 delta=0.0: "
-            "NumericalError: non-finite key rate at n0 = 1.0\n")
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main([command, "--config", str(GOLDEN_CONFIG), "--out", str(out), *sets]) \
+            == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
         assert not out.exists()
 
     # Configs that fail on the config alone: the overrides of base_config and
@@ -1003,6 +1020,15 @@ def test_readme_example_config_is_valid(tmp_path):
 
 def test_readme_library_example_runs():
     exec(compile(_readme_block("## Library", "python"), "README.md", "exec"), {})
+
+
+def test_package_exports_only_the_documented_api():
+    assert sorted(cvqkd_calib.__all__) == [
+        "CalibrationEstimate", "CalibrationModel", "FiniteSizeParams", "KeyRateResult",
+        "NoiseGroundTruth", "NumericalError", "SystemParams", "apply_miscalibration",
+        "confidence_interval", "deviation_curve", "holevo_bound", "key_rate",
+        "transmittance_from_km",
+    ]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -25,16 +25,14 @@ from cvqkd_calib import (
     SystemParams,
     apply_miscalibration,
     confidence_interval,
-    finite_size_penalty,
     holevo_bound,
     key_rate,
     keyrate,
     models,
-    mutual_information,
     transmittance_from_km,
 )
 from cvqkd_calib.gaussian import entropy_of_spectra, homodyne_conditioned, symplectic_spectra
-from cvqkd_calib.keyrate import snu_interval
+from cvqkd_calib.keyrate import finite_size_penalty, mutual_information, snu_interval
 from cvqkd_calib.models import three_mode_stack, two_mode_stack
 from oracles import (
     dense_worst_case,
