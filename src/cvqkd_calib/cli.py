@@ -21,7 +21,7 @@ import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
 from .gaussian import NumericalError
-from .keyrate import FiniteSizeParams, key_rate, snu_interval
+from .keyrate import FiniteSizeParams, key_rate, mutual_information, snu_interval
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
 
@@ -160,13 +160,18 @@ class SweepConfig:
                              if "calibration" in top else None),
             )
             # Dry run: build what the commands build and make the library's checks
-            # that depend on the config alone, so bad values fail before any row.
-            # The grid's smallest transmittance is that of its stop.
+            # that depend on the config alone, so bad values fail before any row,
+            # at the stop, the grid's smallest transmittance. Each variance is built
+            # alone to name a bad one; all then take every delta before I_AB is checked.
+            t = transmittance_from_km(cfg.distances_km.stop)
             for v in cfg.variances:
-                params = SystemParams(v=v, t=transmittance_from_km(cfg.distances_km.stop),
-                                      **cfg.system)
-            for delta in cfg.miscalibration_deltas:
-                apply_miscalibration(params, delta)
+                SystemParams(v=v, t=t, **cfg.system)
+            params = SystemParams(v=np.array(cfg.variances), t=t, **cfg.system)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                eff = [apply_miscalibration(params, d) for d in cfg.miscalibration_deltas]
+                if not all(np.isfinite(mutual_information(e)).all() for e in eff):
+                    raise ConfigError(f"distances_km.stop ({cfg.distances_km.stop}) "
+                                      "gives a non-finite I_AB")
             if CalibrationModel.CONVENTIONAL_TTE in cfg.models:
                 detector_epr_variance(params)
             if cfg.finite_size is not None:
@@ -357,9 +362,8 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
         hi[rows[up]] *= 2.0
         capped = hi[rows] > _TEN_BRACKET_CAP
         if capped.any():
-            exc = RuntimeError("rate stayed positive up to the excess-noise cap")
-            exc.row = int(rows[np.argmax(capped)])
-            raise exc
+            raise NumericalError("rate stayed positive up to the excess-noise cap",
+                                 row=int(rows[np.argmax(capped)]))
         f_hi[rows[~up]] = f[~up]
         active[rows[~up]] = False
     width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)

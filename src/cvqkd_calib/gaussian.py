@@ -18,8 +18,9 @@ import math
 import numpy as np
 
 class NumericalError(RuntimeError):
-    """Raised when an eigensolve or a conditioning step breaks down. row is
-    the index of the failing row of the evaluated block, where known."""
+    """A failed eigensolve or conditioning, a non-finite matrix, spectrum, key
+    rate or rate_bits_per_s, a lost three-mode unit eigenvalue or a TEN bracket
+    at its cap. row is the index of the failing row of the block, where known."""
 
     def __init__(self, message: str, row: int | None = None) -> None:
         super().__init__(message)

@@ -468,7 +468,7 @@ class TestTenRows:
             distances_km={"start": 0.0, "stop": 20.0, "step": 10.0}))
         with pytest.raises(RuntimeError, match=(
                 r"^model=conventional V=4\.0 km=10\.0 delta=0\.0: "
-                r"RuntimeError: rate stayed positive up to the excess-noise cap$")):
+                r"NumericalError: rate stayed positive up to the excess-noise cap$")):
             ten_rows(cfg)
 
     def test_error_in_a_later_step_names_its_row_of_the_block(self, monkeypatch):
@@ -569,7 +569,9 @@ class TestOutputs:
         assert main([command, "--config", path, "--out", str(tmp_path / "r.json"),
                      "--format", "json"]) == EXIT_OK
         csv_rows = read_csv(tmp_path / "r.csv")
-        json_rows = json.loads((tmp_path / "r.json").read_text())
+        text = (tmp_path / "r.json").read_bytes().decode()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        json_rows = json.loads(text)
         assert len(csv_rows) == len(json_rows) == rows
         for c, j in zip(csv_rows, json_rows):
             assert list(c) == list(j) == columns
@@ -912,22 +914,16 @@ class TestExitCodes:
             "eps_pe = 1e-10, so the interval's lower bound crosses zero\n")
         assert not (tmp_path / "x.csv").exists()
 
-    # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km, and a rate of
-    # some bits per pulse times 1e308 pulses/s overflows rate_bits_per_s. The
-    # error line alone reaches stderr: numpy's overflow and invalid-value
-    # warnings on the way to it would fail these cases.
-    FAR = ["distances_km.start=15500", "distances_km.stop=15500"]
-    FAR_ERROR = ("model=conventional V=4.0 km=15500.0 delta=0.0: "
-                 "NumericalError: non-finite key rate at n0 = 1.0")
-
+    # A rate of some bits per pulse times 1e308 pulses/s overflows
+    # rate_bits_per_s, which no config check evaluates. The error line alone
+    # reaches stderr: numpy's overflow warning on the way to it would fail
+    # this case. A distance past I_AB's overflow is a config error.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command,overrides,message", [
-        ("sweep", FAR, FAR_ERROR),
-        ("ten", FAR, FAR_ERROR),
         ("sweep", ["pulse_rate_hz=1e308", "variances=[1e4]"],
          "model=conventional V=10000.0 km=0.0 delta=0.0: "
          "NumericalError: non-finite rate_bits_per_s"),
-    ], ids=["sweep", "ten", "sweep-rate_bits_per_s"])
+    ], ids=["sweep-rate_bits_per_s"])
     def test_non_finite_rate_is_a_runtime_error(self, tmp_path, capsys, command, overrides,
                                                 message):
         out = tmp_path / "x.csv"
@@ -972,8 +968,19 @@ class TestExitCodes:
             {"miscalibration_deltas": [0.0, 0.003],
              "distances_km": {"start": 16100.0, "stop": 16100.0, "step": 10.0}},
             "miscalibration delta 0.003 overflows the excess noise"),
+        # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km.
+        "stop_past_the_i_ab_overflow": (
+            {"distances_km": {"start": 15500.0, "stop": 15500.0, "step": 10.0}},
+            "distances_km.stop (15500.0) gives a non-finite I_AB"),
+        # Every delta meets every variance, whatever their order.
+        "delta_overflows_the_excess_noise_of_the_first_variance": (
+            {"variances": [1.7e308, 4.0], "miscalibration_deltas": [0.9],
+             "distances_km": {"start": 0.0, "stop": 0.0, "step": 10.0}},
+            "miscalibration delta 0.9 overflows the excess noise"),
     }
 
+    # The error line alone reaches stderr, with no numpy warning before it.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides, message", CONFIG_ONLY.values(), ids=CONFIG_ONLY)
     def test_validate_config_and_sweep_agree_on_config_only_failures(
             self, tmp_path, capsys, overrides, message):
@@ -1031,11 +1038,33 @@ def test_package_exports_only_the_documented_api():
     ]
 
 
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this package's source on its path."""
+    src = Path(cvqkd_calib.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, **kwargs)
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy costs about 0.3 s of start-up on every CLI run; tests may use it.
-    src = Path(cvqkd_calib.__file__).resolve().parents[1]
     code = ("import sys, cvqkd_calib.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    out = run_python("-c", code, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args, status", [
+    (["validate-config"], EXIT_OK),
+    (["validate-config", "--set", "regime=finite_size",
+      "--set", "finite_size.calib_samples_m=50"], EXIT_CONFIG_ERROR),
+    (["sweep", "--set", "pulse_rate_hz=1e308", "--set", "variances=[1e4]"],
+     EXIT_RUNTIME_ERROR),
+], ids=["ok", "config_error", "runtime_error"])
+def test_process_exits_with_the_status_main_returns(tmp_path, args, status):
+    # Only cli.entrypoint turns main's return value into the process status.
+    # The sweep would write the config's relative output.path into tmp_path.
+    out = run_python("-m", "cvqkd_calib.cli", *args, "--config", str(GOLDEN_CONFIG),
+                     cwd=tmp_path)
+    assert out.returncode == status
+    assert len(out.stderr.splitlines()) == (0 if status == EXIT_OK else 1)
+    assert list(tmp_path.iterdir()) == []
