@@ -94,12 +94,10 @@ class DistanceGrid:
             )
         if self.start < 0.0:
             raise ConfigError(f"distances_km.start must be nonnegative, got {self.start}")
-        if transmittance_from_km(self.stop) == 0.0:
-            raise ConfigError(f"distances_km.stop ({self.stop}) has a transmittance of 0")
 
-    def points(self) -> list[float]:
+    def points(self, first: int = 0) -> list[float]:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(count)]
+        return [self.start + i * self.step for i in range(count)[first:]]
 
 
 @dataclass(frozen=True)
@@ -159,19 +157,20 @@ class SweepConfig:
                 calibration=(CalibrationConfig(**top["calibration"])
                              if "calibration" in top else None),
             )
-            # Dry run: build what the commands build and make the library's checks
-            # that depend on the config alone, so bad values fail before any row,
-            # at the stop, the grid's smallest transmittance. Each variance is built
-            # alone to name a bad one; all then take every delta before I_AB is checked.
-            t = transmittance_from_km(cfg.distances_km.stop)
+            # Dry run: the library's checks that depend on the config alone, before any
+            # row, at the grid's last point, its smallest transmittance. Each variance
+            # is built alone to name a bad one; all then take every delta before I_AB.
+            (km,) = cfg.distances_km.points(-1)
+            t = transmittance_from_km(km)
+            if t == 0.0:
+                raise ConfigError(f"distances_km point {km} has a transmittance of 0")
             for v in cfg.variances:
                 SystemParams(v=v, t=t, **cfg.system)
             params = SystemParams(v=np.array(cfg.variances), t=t, **cfg.system)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 eff = [apply_miscalibration(params, d) for d in cfg.miscalibration_deltas]
                 if not all(np.isfinite(mutual_information(e)).all() for e in eff):
-                    raise ConfigError(f"distances_km.stop ({cfg.distances_km.stop}) "
-                                      "gives a non-finite I_AB")
+                    raise ConfigError(f"distances_km point {km} gives a non-finite I_AB")
             if CalibrationModel.CONVENTIONAL_TTE in cfg.models:
                 detector_epr_variance(params)
             if cfg.finite_size is not None:
@@ -549,28 +548,29 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config entry (dotted keys)")
         if build_blocks is not None:
             p.add_argument("--out", help="output file path (overrides output.path)")
-            p.add_argument("--format", choices=_KEYS["output"]["format"],
-                           help="output format (overrides output.format)")
+            p.add_argument("--format", help="output format (overrides output.format)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     _, build_blocks, columns = _COMMANDS[args.command]
+    # --format f is a last --set output.format="f", so it wins over the others.
+    fmt = getattr(args, "format", None)  # validate-config takes no --format
+    overrides = args.overrides + ([] if fmt is None else [f"output.format={json.dumps(fmt)}"])
     try:
-        config = load_config(args.config, args.overrides)
+        config = load_config(args.config, overrides)
         if build_blocks is None:
             print("configuration valid")
             return EXIT_OK
         path = config.output_path if args.out is None else args.out
         if path is None:
             raise ConfigError("no output path: set output.path in the config or pass --out")
-        fmt = config.output_format if args.format is None else args.format
         # key_rate refuses every non-finite matrix, spectrum and rate with
         # its grid point named; numpy's warnings would repeat that error
         # without the point.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            write_rows(build_blocks(config), columns, path, fmt)
+            write_rows(build_blocks(config), columns, path, config.output_format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

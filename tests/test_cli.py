@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -638,11 +639,15 @@ class TestOutputs:
         path = write_config(tmp_path, base_config(
             output={"path": str(tmp_path / "configured.csv"), "format": "csv"}))
         out = tmp_path / "flagged.json"
-        assert main(["sweep", "--config", path, "--out", str(out),
-                     "--format", "json"]) == EXIT_OK
-        assert not (tmp_path / "configured.csv").exists()
-        rows = json.loads(out.read_text())
-        assert [list(r) for r in rows] == [SWEEP_COLUMNS] * 9
+        # --format wins over --set output.format= on either side of it.
+        sets = ["--set", "output.format=csv"]
+        for before, after in [([], []), (sets, []), ([], sets)]:
+            out.unlink(missing_ok=True)
+            assert main(["sweep", "--config", path, *before, "--out", str(out),
+                         "--format", "json", *after]) == EXIT_OK
+            assert not (tmp_path / "configured.csv").exists()
+            rows = json.loads(out.read_text())
+            assert [list(r) for r in rows] == [SWEEP_COLUMNS] * 9
 
     def test_sweep_header(self, tmp_path):
         path = write_config(tmp_path, base_config(
@@ -892,6 +897,28 @@ class TestExitCodes:
         assert main([command, "--config", path]) == EXIT_CONFIG_ERROR
         assert "no output path" in capsys.readouterr().err
 
+    # --format is checked by the key table, as output.format is, not by argparse.
+    @pytest.mark.parametrize("command", ["sweep", "ten", "calib"])
+    @pytest.mark.parametrize("value", ["xml", ""], ids=["xml", "empty"])
+    def test_format_flag_is_refused_as_output_format_is(self, tmp_path, capsys, command,
+                                                        value):
+        path = write_config(tmp_path, base_config(calibration=CALIBRATION))
+        out = tmp_path / "x.out"
+        for flag in (["--format", value], ["--set", f"output.format={value}"]):
+            assert main([command, "--config", path, "--out", str(out), *flag]) \
+                == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == (
+                f"config error: output.format must be one of ['csv', 'json'], got {value!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["null", '"csv"'])
+    def test_format_flag_takes_its_value_as_a_name(self, tmp_path, capsys, value):
+        # Unlike --set output.format=null, which is the default csv.
+        path = write_config(tmp_path, base_config())
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "x.out"),
+                     "--format", value]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.endswith(f"got {value!r}\n")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) \
             == EXIT_CONFIG_ERROR
@@ -957,7 +984,7 @@ class TestExitCodes:
         # 10^(-0.2 km / 10) underflows to 0 from about 16180 km.
         "stop_without_transmittance": (
             {"distances_km": {"start": 0.0, "stop": 20000.0, "step": 10.0}},
-            "distances_km.stop (20000.0) has a transmittance of 0"),
+            "distances_km point 20000.0 has a transmittance of 0"),
         # t = 4.9e-324 at 16170 km; a tenth of it underflows to 0.
         "delta_underflows_the_farthest_transmittance": (
             {"miscalibration_deltas": [0.0, -0.9],
@@ -971,7 +998,7 @@ class TestExitCodes:
         # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km.
         "stop_past_the_i_ab_overflow": (
             {"distances_km": {"start": 15500.0, "stop": 15500.0, "step": 10.0}},
-            "distances_km.stop (15500.0) gives a non-finite I_AB"),
+            "distances_km point 15500.0 gives a non-finite I_AB"),
         # Every delta meets every variance, whatever their order.
         "delta_overflows_the_excess_noise_of_the_first_variance": (
             {"variances": [1.7e308, 4.0], "miscalibration_deltas": [0.9],
@@ -1001,7 +1028,13 @@ class TestExitCodes:
          "system": {**base_config()["system"], "eta_d": 1.0}},
         {"models": ["conventional"],
          "system": {**base_config()["system"], "eta_d": 1.0, "v_ele": 0.0}},
-    ], ids=["m_84_one_time", "m_50_asymptotic", "eta_d_1_one_time", "eta_d_1_noiseless"])
+        # Only the grid's last point is judged, not a stop that lies past it: the
+        # last point is 15000 km, below the I_AB overflow from about 15401 km ...
+        {"distances_km": {"start": 13000.0, "stop": 15450.0, "step": 1000.0}},
+        # ... and 15200 km, though the stop's transmittance underflows to 0.
+        {"distances_km": {"start": 13000.0, "stop": 16200.0, "step": 1100.0}},
+    ], ids=["m_84_one_time", "m_50_asymptotic", "eta_d_1_one_time", "eta_d_1_noiseless",
+            "stop_past_the_i_ab_overflow_off_grid", "stop_without_transmittance_off_grid"])
     def test_validate_config_and_sweep_accept_what_the_models_evaluate(
             self, tmp_path, overrides):
         raw = base_config(**overrides)
@@ -1012,9 +1045,12 @@ class TestExitCodes:
         assert len(read_csv(out)) == 3 * len(raw["models"])
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_block(heading: str, language: str) -> str:
     """The first fenced code block of that language after the heading in README.md."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     start = text.index(heading)
     return re.search(rf"```{language}\n(.*?)```", text[start:], re.S).group(1)
 
@@ -1023,6 +1059,31 @@ def test_readme_example_config_is_valid(tmp_path):
     path = tmp_path / "readme.json"
     path.write_text(_readme_block("Example config:", "json"))
     assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+
+
+def test_readme_defaults_table_lists_the_optional_keys():
+    text = README.read_text()
+    table = text[text.index("| key | default |"):].split("\n\n")[0]
+    assert re.findall(r"^\| `([\w.]+)` \|", table, re.M) == list(cli._OPTIONAL)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    (tmp_path / "examples.json").write_text(_readme_block("Example config:", "json"))
+    monkeypatch.chdir(tmp_path)
+    for line in _readme_block("## CLI", "sh").splitlines():
+        prog, *args = shlex.split(line, comments=True)
+        assert prog == "cvqkd-calib"
+        assert main(args) == EXIT_OK, (line, capsys.readouterr().err)
+    written = sorted(p for p in tmp_path.iterdir() if p.name != "examples.json")
+    assert written
+    for path in written:
+        # Each file holds the format its extension names, with a command's columns.
+        if path.suffix == ".json":
+            headers = {tuple(row) for row in json.loads(path.read_text())}
+        else:
+            assert path.suffix == ".csv"
+            headers = {tuple(read_csv(path)[0])}
+        assert headers in [{tuple(c)} for c in (SWEEP_COLUMNS, TEN_COLUMNS, CALIB_COLUMNS)]
 
 
 def test_readme_library_example_runs():
