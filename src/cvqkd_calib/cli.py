@@ -315,9 +315,9 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
 
 
 def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
-               delta: np.ndarray) -> dict:
+               delta: np.ndarray, start: Optional[np.ndarray]) -> dict:
     """The tolerable-excess-noise column of one model's rows, at delta 0,
-    searched in lockstep."""
+    searched in lockstep, each row from its seed in start if one is given."""
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
         subset = replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c)
         try:
@@ -326,74 +326,91 @@ def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParam
             exc.row = None if exc.row is None else int(rows[exc.row])
             raise
 
-    return {"ten": _tolerable_noise(rate_at, params.v.size).tolist()}
+    return {"ten": _tolerable_noise(rate_at, params.v.size, start).tolist()}
 
 
-def _tolerable_noise(rate_at, n: int) -> np.ndarray:
+def _tolerable_noise(rate_at, n: int, start: Optional[np.ndarray] = None) -> np.ndarray:
     """Largest excess noise with positive rate for each of n rows: the
     value a bisection to TEN_TOLERANCE gives, found from fewer evaluations.
 
     rate_at(rows, eps_c) gives the rates of the listed rows at their
-    eps_c; each step evaluates every open row once. A row whose rate is
-    not positive at eps_c = 0 tolerates 0.0. The others double hi from
-    0.5 while the rate stays positive. Bisecting [0, hi] would end in a
-    cell of width w, the largest power of two <= TEN_TOLERANCE as hi is
-    0.5 * 2^j, and return the centre of the cell whose lower edge has a
-    positive rate and whose upper edge has not. That cell is found by
-    evaluating cell edges only, exact dyadic floats on the
-    bisection's own tree: a bracket [lo, hi] of edges with rate(lo) > 0 >=
-    rate(hi) moves an end to the edge nearest the Illinois regula falsi
-    estimate (Dowell & Jarratt 1971). Once the steps taken plus the
-    bisection steps the bracket still needs reach twice those of the
-    first bracket, the floored midpoint edge is taken instead, so no row
-    takes more than twice the bisection's steps. Where the rate changes
-    sign once over the edges, the result is the bisection's, bit for bit.
+    eps_c. The bisection doubles hi from 0.5 while the rate is positive,
+    halves [hi / 2, hi] (or [0, 0.5]) to a cell of width w, the largest
+    power of two <= TEN_TOLERANCE, and returns the centre of the cell
+    whose lower edge has a positive rate and whose upper edge has not.
+    This search evaluates such cell edges only, exact dyadic floats.
+
+    Its first step evaluates every row at eps_c = 0, and a row with a
+    positive seed in start also at its first probe: the edge at or below
+    the seed, at least w and at most _TEN_BRACKET_CAP. Other rows probe
+    0.5 next. A row whose rate at 0 is not positive tolerates 0.0. While
+    the rate at a probe is positive, the next probe doubles it, up to the
+    cap, and a positive rate at the cap is an error. The bracket [lo, hi]
+    the probes leave shrinks to one cell: each step takes the edge nearest
+    the inverse quadratic interpolation of lo, hi and the place an end
+    last moved from, or nearest the secant root where that estimate is
+    missing or outside the bracket. Once the steps taken plus the
+    bisection steps the bracket still needs reach twice those of its
+    first bracket, the floored midpoint edge is taken instead. So a row
+    makes one evaluation at 0, one per probe and at most twice the
+    bisection steps of its first bracket; without a seed, the probes and
+    the bracket are the bisection's own. Each step evaluates every open
+    row in one call. Where the rate changes sign once over the edges up
+    to the cap, the result is the bisection's, bit for bit.
     """
-    lo, hi = np.zeros(n), np.full(n, 0.5)
-    f_lo, f_hi = rate_at(np.arange(n), np.zeros(n)), np.zeros(n)
+    width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
+    seeds = np.zeros(n) if start is None else start
+    seeded = seeds > 0.0
+    # Until its rate there is not positive, hi is a row's next probe.
+    hi = np.where(seeded, width * np.clip(np.floor(seeds / width), 1.0,
+                                          _TEN_BRACKET_CAP / width), 0.5)
+    rows = np.concatenate([np.arange(n), np.flatnonzero(seeded)])
+    at = np.concatenate([np.zeros(n), hi[seeded]])
+    f = rate_at(rows, at)
+    lo, f_lo, f_hi = np.zeros(n), f[:n], np.zeros(n)
     tolerant = f_lo > 0.0
-    active = tolerant.copy()
-    while active.any():
-        rows = np.flatnonzero(active)
-        f = rate_at(rows, hi[rows])
+    probing = tolerant.copy()
+    # The first probes' rates, of the tolerant rows, are taken in as a step's.
+    taken = tolerant[rows[n:]]
+    rows, at, f = rows[n:][taken], at[n:][taken], f[n:][taken]
+    # The third point of the interpolation, NaN until an end moves.
+    x_c, f_c = np.zeros(n), np.full(n, np.nan)
+    steps, budget = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    while True:
         up = f > 0.0
-        lo[rows[up]], f_lo[rows[up]] = hi[rows[up]], f[up]
-        hi[rows[up]] *= 2.0
-        capped = hi[rows] > _TEN_BRACKET_CAP
+        probe = probing[rows]
+        capped = probe & up & (at == _TEN_BRACKET_CAP)
         if capped.any():
             raise NumericalError("rate stayed positive up to the excess-noise cap",
                                  row=int(rows[np.argmax(capped)]))
-        f_hi[rows[~up]] = f[~up]
-        active[rows[~up]] = False
-    width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
-    cells = (hi - lo) / width
-    # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
-    budget = 2 * np.frexp(cells - 1.0)[1]
-    steps = np.zeros(n, dtype=int)
-    moved_lo = np.zeros(n, dtype=bool)  # the newest end is hi, from the doubling
-    active = tolerant & (cells > 1.0)
-    while active.any():
+        moved = rows[up]
+        x_c[moved], f_c[moved] = lo[moved], f_lo[moved]
+        lo[moved], f_lo[moved] = at[up], f[up]
+        moved = rows[~probe & ~up]
+        x_c[moved], f_c[moved] = hi[moved], f_hi[moved]
+        hi[rows[~up]], f_hi[rows[~up]] = at[~up], f[~up]
+        hi[rows[probe & up]] = np.minimum(2.0 * at[probe & up], _TEN_BRACKET_CAP)
+        steps[rows[~probe]] += 1
+        closed = rows[probe & ~up]
+        probing[closed] = False
+        # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
+        budget[closed] = 2 * np.frexp((hi[closed] - lo[closed]) / width - 1.0)[1]
+        active = probing | (tolerant & (hi - lo > width))
+        if not active.any():
+            return np.where(tolerant, 0.5 * (lo + hi), 0.0)
         rows = np.flatnonzero(active)
-        span = cells[rows]
-        # Halving can underflow both rates to 0; then the estimate is the midpoint.
-        drop = f_lo[rows] - f_hi[rows]
-        estimate = np.rint(span * np.divide(f_lo[rows], drop, out=np.full(rows.size, 0.5),
-                                            where=drop > 0.0))
+        # In cells from lo: hi at span, the third point at c.
+        span = (hi[rows] - lo[rows]) / width
+        c = (x_c[rows] - lo[rows]) / width
+        fa, fb, fc = f_lo[rows], f_hi[rows], f_c[rows]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            iqi = (span * fa * fc / ((fb - fa) * (fb - fc))
+                   + c * fa * fb / ((fc - fa) * (fc - fb)))
+        estimate = np.rint(np.where((iqi > 0.0) & (iqi < span), iqi, span * fa / (fa - fb)))
         at_budget = steps[rows] + np.frexp(span - 1.0)[1] >= budget[rows]
         step = np.where(at_budget, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
-        at = lo[rows] + step * width
+        at = np.where(probing[rows], hi[rows], lo[rows] + step * width)
         f = rate_at(rows, at)
-        up = f > 0.0
-        # Illinois: an end kept twice running has its rate halved.
-        f_hi[rows[up & moved_lo[rows]]] *= 0.5
-        f_lo[rows[~up & ~moved_lo[rows]]] *= 0.5
-        lo[rows[up]], f_lo[rows[up]] = at[up], f[up]
-        hi[rows[~up]], f_hi[rows[~up]] = at[~up], f[~up]
-        moved_lo[rows] = up
-        cells[rows] = np.where(up, span - step, step)
-        steps[rows] += 1
-        active[rows] = cells[rows] > 1.0
-    return np.where(tolerant, 0.5 * (lo + hi), 0.0)
 
 
 def _grid_blocks(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
@@ -435,7 +452,18 @@ def _sweep_blocks(config: SweepConfig) -> list[dict]:
 
 
 def _ten_blocks(config: SweepConfig) -> list[dict]:
-    return _grid_blocks(config, _ten_block, [0.0])
+    """The ten blocks, each model's search seeded with the TEN column of
+    the model before it: the models differ only in which detector noise
+    they trust, so their TENs lie close."""
+    column = None
+
+    def block(config, model, params, delta):
+        nonlocal column
+        out = _ten_block(config, model, params, delta, column)
+        column = np.array(out["ten"])
+        return out
+
+    return _grid_blocks(config, block, [0.0])
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:

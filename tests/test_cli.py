@@ -24,7 +24,6 @@ from cvqkd_calib import (
     NumericalError,
     SystemParams,
     cli,
-    key_rate,
     keyrate,
     transmittance_from_km,
 )
@@ -308,6 +307,39 @@ RATE_FAMILIES = {
 }
 
 
+TEN_WIDTH = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
+
+# Seeds of a row with its root at r; high is a draw from (512, 1024].
+SEEDS = {
+    "zero": lambda r, high: 0.0,
+    "root": lambda r, high: r,
+    "edge below": lambda r, high: float(np.nextafter(TEN_WIDTH * round(r / TEN_WIDTH), -np.inf)),
+    "edge above": lambda r, high: float(np.nextafter(TEN_WIDTH * round(r / TEN_WIDTH), np.inf)),
+    "1e-3 root": lambda r, high: 1e-3 * r,
+    "1e3 root": lambda r, high: 1e3 * r,
+    "below the cap": lambda r, high: high,
+    "above the cap": lambda r, high: 2.0 * _TEN_BRACKET_CAP,
+}
+
+
+def evaluation_bound(rate, seed: float) -> int:
+    """The most rate evaluations the TEN search of one row makes: one at 0,
+    one per probe, and twice the bisection steps of the bracket the probes
+    leave. The probes start from the cell edge at or below a positive seed,
+    at least one cell and at most the cap, or else from 0.5, and double up
+    to the cap while the rate is positive; the rate at the cap is not.
+    Without a seed the probes are the bisection's doubling, so the search
+    takes at most twice the bisection's steps after it."""
+    first = (min(max(math.floor(seed / TEN_WIDTH), 1) * TEN_WIDTH, _TEN_BRACKET_CAP)
+             if seed > 0.0 else 0.5)
+    if rate(0.0) <= 0.0:
+        return 1 + (seed > 0.0)
+    lo, hi, probes = 0.0, first, 1
+    while rate(hi) > 0.0:
+        lo, hi, probes = hi, min(2.0 * hi, _TEN_BRACKET_CAP), probes + 1
+    return 1 + probes + 2 * (int((hi - lo) / TEN_WIDTH) - 1).bit_length()
+
+
 def recorded(rate, points: list):
     """rate, appending each eps_c it is evaluated at to points."""
     def wrapped(eps_c):
@@ -366,7 +398,8 @@ class TestTenRows:
 
     @staticmethod
     def oracle_rows(cfg):
-        """Each grid row's TEN from the scalar bisection of tests/oracles.py."""
+        """Each grid row's TEN from the scalar bisection of tests/oracles.py,
+        on the rates of cli.key_rate, which a test may patch."""
         out = []
         for model in sorted(cfg.models, key=lambda m: m.value):
             for v in sorted(cfg.variances):
@@ -374,7 +407,7 @@ class TestTenRows:
                     def rate_at(eps_c, model=model, v=v, km=km):
                         p = SystemParams(v=v, t=transmittance_from_km(km),
                                          **{**cfg.system, "eps_c": eps_c})
-                        return key_rate(p, model, cfg.finite_size).rate_bits_per_pulse
+                        return cli.key_rate(p, model, cfg.finite_size).rate_bits_per_pulse
 
                     out.append(bisect_tolerable_noise(rate_at))
         return out
@@ -405,41 +438,52 @@ class TestTenRows:
     @PROPERTY
     @given(cases=st.lists(st.tuples(
         st.sampled_from(sorted(RATE_FAMILIES)),
-        st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 1000.0)),
-        st.integers(0, 8), st.sampled_from([-1, 0, 1]), st.floats(0.0, 1.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 2.0 * _TEN_BRACKET_CAP),
+                  st.just(_TEN_BRACKET_CAP)),
+        st.integers(0, 8), st.sampled_from([-1, 0, 1]), st.floats(0.0, 1.0),
+        st.sampled_from(sorted(SEEDS)),
+        st.floats(0.5 * _TEN_BRACKET_CAP, _TEN_BRACKET_CAP, exclude_min=True)),
         min_size=1, max_size=12))
     def test_lockstep_equals_bisection_on_synthetic_rates(self, cases):
         # Each row is a strictly decreasing rate. For edge > 0 its root moves
         # onto one of the last edges that a bisection of r - eps_c evaluates;
         # ulps then moves it one ulp up or down. A root of 0 (or one ulp
-        # below) makes the rate at eps_c = 0 exactly 0 (or negative).
-        rates = []
-        for family, r, edge, ulps, shape in cases:
-            if edge:
+        # below) makes the rate at eps_c = 0 exactly 0 (or negative). The row
+        # is searched from the seed SEEDS names, "zero" being a cold start.
+        rates, seeds = [], []
+        for family, r, edge, ulps, shape, seed, high in cases:
+            if edge and r <= _TEN_BRACKET_CAP:
                 points = []
                 bisect_tolerable_noise(recorded(lambda eps_c, r=r: r - eps_c, points))
                 r = points[-min(edge, len(points))]
             r = float(np.nextafter(r, ulps * np.inf)) if ulps else r
             rates.append(RATE_FAMILIES[family](r, shape))
+            seeds.append(SEEDS[seed](r, high))
         counts = np.zeros(len(rates), dtype=int)
 
         def rate_at(rows, eps_c):
             np.add.at(counts, rows, 1)
             return np.array([rates[i](e) for i, e in zip(rows.tolist(), eps_c.tolist())])
 
-        got = cli._tolerable_noise(rate_at, len(rates)).tolist()
-        for ten, rate, count in zip(got, rates, counts.tolist()):
-            points = []
-            assert ten == bisect_tolerable_noise(recorded(rate, points))
-            # The same eps_c = 0 and doubling evaluations, then at most twice
-            # the bisection's steps.
-            doubled = 0
-            while 1 + doubled < len(points) and points[1 + doubled] == 0.5 * 2.0 ** doubled:
-                doubled += 1
-            assert count - 1 - doubled <= 2 * (len(points) - 1 - doubled)
+        capped = [i for i, rate in enumerate(rates) if rate(_TEN_BRACKET_CAP) > 0.0]
+        if capped:
+            with pytest.raises(NumericalError,
+                               match="^rate stayed positive up to the excess-noise cap$") as err:
+                cli._tolerable_noise(rate_at, len(rates), np.array(seeds))
+            assert err.value.row in capped
+            for i in capped:
+                with pytest.raises(RuntimeError, match="excess-noise cap"):
+                    bisect_tolerable_noise(rates[i])
+            return
+        got = cli._tolerable_noise(rate_at, len(rates), np.array(seeds)).tolist()
+        for ten, rate, seed, count in zip(got, rates, seeds, counts.tolist()):
+            assert ten == bisect_tolerable_noise(rate)
+            assert count <= evaluation_bound(rate, seed)
 
     def test_readme_grid_evaluation_budget(self, monkeypatch):
-        # The bisection took 4317 rate evaluations in 135 key_rate calls here.
+        # The bisection took 4317 rate evaluations in 135 key_rate calls here,
+        # the edge search from 0.5 for every model 1994 in 23, and the search
+        # seeded with the model before 1508 in 16.
         rows_per_call = []
         healthy = cli.key_rate
 
@@ -450,8 +494,8 @@ class TestTenRows:
 
         monkeypatch.setattr(cli, "key_rate", counted)
         assert len(ten_rows(load_config(str(GOLDEN_CONFIG)))) == 369
-        assert len(rows_per_call) <= 30
-        assert sum(rows_per_call) <= 2200
+        assert len(rows_per_call) <= 17
+        assert sum(rows_per_call) <= 1550
 
     def test_bracket_cap_names_its_grid_point(self, monkeypatch):
         # A rate that stays positive at 10 km for any excess noise.
@@ -471,6 +515,57 @@ class TestTenRows:
                 r"^model=conventional V=4\.0 km=10\.0 delta=0\.0: "
                 r"NumericalError: rate stayed positive up to the excess-noise cap$")):
             ten_rows(cfg)
+
+    def test_bracket_cap_of_a_seeded_model_names_its_grid_point(self, monkeypatch):
+        # Only two_mode stays positive at 10 km, where three_mode's TEN
+        # seeds it: its probes start at the lower edge of the cell that TEN
+        # is the centre of and double up to the cap itself.
+        cfg = SweepConfig.from_dict(base_config())
+        seed = {(r["model"], r["distance_km"]): r["ten"] for r in ten_rows(cfg)}[
+            "three_mode", 10.0]
+        healthy = cli.key_rate
+        t10 = transmittance_from_km(10.0)
+        probes = []
+
+        def two_mode_positive_at_10_km(params, model, fs=None, delta=0.0):
+            res = healthy(params, model, fs, delta)
+            if model is not CalibrationModel.ONE_TIME_TWO_MODE:
+                return res
+            at_10_km = np.asarray(params.t) == t10
+            probes.extend(np.asarray(params.eps_c)[at_10_km].tolist())
+            return dataclasses.replace(
+                res, rate_bits_per_pulse=np.where(at_10_km, 1.0, res.rate_bits_per_pulse))
+
+        monkeypatch.setattr(cli, "key_rate", two_mode_positive_at_10_km)
+        with pytest.raises(RuntimeError, match=(
+                r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
+                r"NumericalError: rate stayed positive up to the excess-noise cap$")):
+            ten_rows(cfg)
+        assert probes[:2] == [0.0, seed - 0.5 * TEN_WIDTH]
+        assert probes[2:] == [min(2.0 * p, _TEN_BRACKET_CAP) for p in probes[1:-1]]
+        assert probes[-1] == _TEN_BRACKET_CAP
+
+    def test_zero_tolerance_next_to_a_positive_one_equals_the_oracle(self, monkeypatch):
+        # Conventional tolerates no excess noise at 10 km, so three_mode
+        # searches that row from a seed of 0.0, as the first model does;
+        # two_mode tolerates none at 20 km, where three_mode's TEN seeds it.
+        healthy = cli.key_rate
+        negative = {"conventional": transmittance_from_km(10.0),
+                    "two_mode": transmittance_from_km(20.0)}
+
+        def patched(params, model, fs=None, delta=0.0):
+            res = healthy(params, model, fs, delta)
+            hit = np.asarray(params.t) == negative.get(model.value, -1.0)
+            return dataclasses.replace(
+                res, rate_bits_per_pulse=np.where(hit, -1.0, res.rate_bits_per_pulse))
+
+        monkeypatch.setattr(cli, "key_rate", patched)
+        cfg = SweepConfig.from_dict(base_config())
+        rows = ten_rows(cfg)
+        ten = {(r["model"], r["distance_km"]): r["ten"] for r in rows}
+        assert ten["conventional", 10.0] == ten["two_mode", 20.0] == 0.0
+        assert ten["three_mode", 10.0] > 0.0 and ten["three_mode", 20.0] > 0.0
+        assert [r["ten"] for r in rows] == self.oracle_rows(cfg)
 
     def test_error_in_a_later_step_names_its_row_of_the_block(self, monkeypatch):
         # The rate is not positive at 0 km, so the steps after the first
