@@ -21,7 +21,8 @@ import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
 from .gaussian import NumericalError
-from .keyrate import FiniteSizeParams, key_rate, mutual_information, snu_interval
+from .keyrate import (FiniteSizeParams, closed_form_rate, key_rate, mutual_information,
+                      snu_interval)
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
 
@@ -315,21 +316,36 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
 
 
 def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
-               delta: np.ndarray, start: Optional[np.ndarray]) -> dict:
+               delta: np.ndarray) -> dict:
     """The tolerable-excess-noise column of one model's rows, at delta 0,
-    searched in lockstep, each row from its seed in start if one is given."""
+    searched in lockstep from the cells that closed_form_rate predicts.
+
+    The same search on the closed form gives each row's predicted cell.
+    A cap error there leaves every row without one; the prediction only
+    chooses which rates key_rate evaluates, so every output and error
+    still comes from key_rate."""
+    def subset(rows: np.ndarray, eps_c: np.ndarray) -> SystemParams:
+        return replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c)
+
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
-        subset = replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c)
         try:
-            return key_rate(subset, model, config.finite_size).rate_bits_per_pulse
+            return key_rate(subset(rows, eps_c), model, config.finite_size).rate_bits_per_pulse
         except NumericalError as exc:  # row of the subset -> row of the block
             exc.row = None if exc.row is None else int(rows[exc.row])
             raise
 
-    return {"ten": _tolerable_noise(rate_at, params.v.size, start).tolist()}
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            predicted = _tolerable_noise(
+                lambda rows, eps_c: closed_form_rate(subset(rows, eps_c), model,
+                                                     config.finite_size),
+                params.v.size)
+    except NumericalError:
+        predicted = None
+    return {"ten": _tolerable_noise(rate_at, params.v.size, predicted).tolist()}
 
 
-def _tolerable_noise(rate_at, n: int, start: Optional[np.ndarray] = None) -> np.ndarray:
+def _tolerable_noise(rate_at, n: int, predicted: Optional[np.ndarray] = None) -> np.ndarray:
     """Largest excess noise with positive rate for each of n rows: the
     value a bisection to TEN_TOLERANCE gives, found from fewer evaluations.
 
@@ -337,68 +353,94 @@ def _tolerable_noise(rate_at, n: int, start: Optional[np.ndarray] = None) -> np.
     eps_c. The bisection doubles hi from 0.5 while the rate is positive,
     halves [hi / 2, hi] (or [0, 0.5]) to a cell of width w, the largest
     power of two <= TEN_TOLERANCE, and returns the centre of the cell
-    whose lower edge has a positive rate and whose upper edge has not.
-    This search evaluates such cell edges only, exact dyadic floats.
+    whose lower edge has a positive rate and whose upper edge has not,
+    or 0.0 where the rate at 0 is not positive. This search evaluates
+    such cell edges only, exact dyadic floats, and each row keeps the
+    highest edge known positive (lo) and the lowest known not (hi); it
+    is done once they are one cell apart, or once hi is 0.
 
-    Its first step evaluates every row at eps_c = 0, and a row with a
-    positive seed in start also at its first probe: the edge at or below
-    the seed, at least w and at most _TEN_BRACKET_CAP. Other rows probe
-    0.5 next. A row whose rate at 0 is not positive tolerates 0.0. While
-    the rate at a probe is positive, the next probe doubles it, up to the
-    cap, and a positive rate at the cap is an error. The bracket [lo, hi]
-    the probes leave shrinks to one cell: each step takes the edge nearest
-    the inverse quadratic interpolation of lo, hi and the place an end
-    last moved from, or nearest the secant root where that estimate is
-    missing or outside the bracket. Once the steps taken plus the
-    bisection steps the bracket still needs reach twice those of its
-    first bracket, the floored midpoint edge is taken instead. So a row
-    makes one evaluation at 0, one per probe and at most twice the
-    bisection steps of its first bracket; without a seed, the probes and
-    the bracket are the bisection's own. Each step evaluates every open
-    row in one call. Where the rate changes sign once over the edges up
-    to the cap, the result is the bisection's, bit for bit.
+    A row with a prediction in (0, _TEN_BRACKET_CAP) first evaluates
+    both edges of the predicted cell; a hit is done in one step. After a
+    miss it moves to the cell where the secant through those two edges
+    crosses zero, for at most two more steps, each cell kept inside what
+    is known and each edge evaluated once. Then, and from the start for
+    every other row, it searches as the bisection does: it evaluates 0
+    while no edge is known positive, then, until one is known not to
+    be, doubles its probe from lo (from 0.5 at lo = 0) up to the cap; a
+    positive rate at the cap is an error. The bracket [lo, hi] then
+    shrinks: each step takes the edge nearest the inverse quadratic
+    interpolation of lo, hi and the place an end last moved from, or
+    nearest the secant root where that estimate is missing or outside
+    the bracket. Once the steps taken plus the bisection steps the
+    bracket still needs reach twice those of the bracket it started
+    from, the floored midpoint edge is taken instead. Each step
+    evaluates every open row in one call. Where the rate changes sign
+    once over the edges up to the cap, the result is the bisection's,
+    bit for bit; without a prediction, so are the probes and bracket.
     """
     width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
-    seeds = np.zeros(n) if start is None else start
-    seeded = seeds > 0.0
-    # Until its rate there is not positive, hi is a row's next probe.
-    hi = np.where(seeded, width * np.clip(np.floor(seeds / width), 1.0,
-                                          _TEN_BRACKET_CAP / width), 0.5)
-    rows = np.concatenate([np.arange(n), np.flatnonzero(seeded)])
-    at = np.concatenate([np.zeros(n), hi[seeded]])
-    f = rate_at(rows, at)
-    lo, f_lo, f_hi = np.zeros(n), f[:n], np.zeros(n)
-    tolerant = f_lo > 0.0
-    probing = tolerant.copy()
-    # The first probes' rates, of the tolerant rows, are taken in as a step's.
-    taken = tolerant[rows[n:]]
-    rows, at, f = rows[n:][taken], at[n:][taken], f[n:][taken]
-    # The third point of the interpolation, NaN until an end moves.
-    x_c, f_c = np.zeros(n), np.full(n, np.nan)
-    steps, budget = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    while True:
+    cap = _TEN_BRACKET_CAP
+    # An end not known yet has a NaN rate, lo one cell below 0 and hi at inf.
+    lo, f_lo = np.full(n, -width), np.full(n, np.nan)
+    hi, f_hi = np.full(n, np.inf), np.full(n, np.nan)
+    # The third point of the interpolation: the place an end last moved from.
+    x_c, f_c = np.full(n, np.nan), np.full(n, np.nan)
+    predicted = np.zeros(n) if predicted is None else np.asarray(predicted, dtype=float)
+    guesses = np.where((predicted > 0.0) & (predicted < cap), 3, 0)
+    cell = width * np.floor(np.where(guesses > 0, predicted, 0.0) / width)
+    steps, budget = np.zeros(n, dtype=int), np.full(n, -1)
+
+    def take(rows: np.ndarray, at: np.ndarray, f: np.ndarray) -> None:
+        """Move an end of each row to its point, unless the bracket excludes it."""
+        inside = (lo[rows] < at) & (at < hi[rows])
+        rows, at, f = rows[inside], at[inside], f[inside]
         up = f > 0.0
-        probe = probing[rows]
-        capped = probe & up & (at == _TEN_BRACKET_CAP)
+        old, f_old = np.where(up, lo[rows], hi[rows]), np.where(up, f_lo[rows], f_hi[rows])
+        known = ~np.isnan(f_old)
+        x_c[rows[known]], f_c[rows[known]] = old[known], f_old[known]
+        lo[rows[up]], f_lo[rows[up]] = at[up], f[up]
+        hi[rows[~up]], f_hi[rows[~up]] = at[~up], f[~up]
+
+    def guess(g: np.ndarray, r: np.ndarray, at: np.ndarray) -> None:
+        """Evaluate the edges of the cells of rows g inside their brackets,
+        with rows r at their points, in one call; then move each row of g
+        to the cell of its secant."""
+        a = np.clip(cell[g], np.maximum(lo[g], 0.0), np.minimum(hi[g], cap) - width)
+        rows = np.concatenate([g, g, r])
+        at = np.concatenate([a, a + width, at])
+        lower = np.arange(rows.size) < g.size
+        inside = (lo[rows] < at) & (at < hi[rows])
+        rows, at, lower = rows[inside], at[inside], lower[inside]
+        f = rate_at(rows, at)
+        # A cell's lower edge is taken first if its rate is positive, else
+        # its upper edge is: so after a miss the end that moved and the
+        # third point are the cell's two edges.
+        f_lower = np.full(n, np.nan)
+        f_lower[rows[lower]] = f[lower]
+        later = np.where(lower, ~(f > 0.0), f_lower[rows] > 0.0)
+        take(rows[~later], at[~later], f[~later])
+        take(rows[later], at[later], f[later])
+        up = f_c[g] > 0.0
+        x_m, f_m = np.where(up, lo[g], hi[g]), np.where(up, f_lo[g], f_hi[g])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            root = x_c[g] - f_c[g] * (x_m - x_c[g]) / (f_m - f_c[g])
+        cell[g] = width * np.floor(root / width)
+        guesses[g] = np.where(np.isfinite(root), guesses[g] - 1, 0)
+
+    while True:
+        capped = lo == cap
         if capped.any():
             raise NumericalError("rate stayed positive up to the excess-noise cap",
-                                 row=int(rows[np.argmax(capped)]))
-        moved = rows[up]
-        x_c[moved], f_c[moved] = lo[moved], f_lo[moved]
-        lo[moved], f_lo[moved] = at[up], f[up]
-        moved = rows[~probe & ~up]
-        x_c[moved], f_c[moved] = hi[moved], f_hi[moved]
-        hi[rows[~up]], f_hi[rows[~up]] = at[~up], f[~up]
-        hi[rows[probe & up]] = np.minimum(2.0 * at[probe & up], _TEN_BRACKET_CAP)
-        steps[rows[~probe]] += 1
-        closed = rows[probe & ~up]
-        probing[closed] = False
-        # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
-        budget[closed] = 2 * np.frexp((hi[closed] - lo[closed]) / width - 1.0)[1]
-        active = probing | (tolerant & (hi - lo > width))
+                                 row=int(np.argmax(capped)))
+        active = hi - lo > width
         if not active.any():
-            return np.where(tolerant, 0.5 * (lo + hi), 0.0)
-        rows = np.flatnonzero(active)
+            return np.where(lo >= 0.0, 0.5 * (lo + hi), 0.0)
+        # A searching row evaluates 0, then probes, then steps into its bracket.
+        r = np.flatnonzero(active & (guesses == 0))
+        at = np.minimum(np.where(lo[r] > 0.0, 2.0 * lo[r], 0.5), cap)
+        at[np.isnan(f_lo[r])] = 0.0
+        s = np.flatnonzero(~np.isnan(f_lo[r]) & np.isfinite(hi[r]))
+        rows = r[s]
         # In cells from lo: hi at span, the third point at c.
         span = (hi[rows] - lo[rows]) / width
         c = (x_c[rows] - lo[rows]) / width
@@ -407,10 +449,18 @@ def _tolerable_noise(rate_at, n: int, start: Optional[np.ndarray] = None) -> np.
             iqi = (span * fa * fc / ((fb - fa) * (fb - fc))
                    + c * fa * fb / ((fc - fa) * (fc - fb)))
         estimate = np.rint(np.where((iqi > 0.0) & (iqi < span), iqi, span * fa / (fa - fb)))
-        at_budget = steps[rows] + np.frexp(span - 1.0)[1] >= budget[rows]
+        # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
+        needed = np.frexp(span - 1.0)[1]
+        budget[rows] = np.where(budget[rows] < 0, 2 * needed, budget[rows])
+        at_budget = steps[rows] + needed >= budget[rows]
         step = np.where(at_budget, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
-        at = np.where(probing[rows], hi[rows], lo[rows] + step * width)
-        f = rate_at(rows, at)
+        at[s] = lo[rows] + step * width
+        steps[rows] += 1
+        g = np.flatnonzero(active & (guesses > 0))
+        if g.size:
+            guess(g, r, at)
+        else:
+            take(r, at, rate_at(r, at))
 
 
 def _grid_blocks(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
@@ -452,18 +502,7 @@ def _sweep_blocks(config: SweepConfig) -> list[dict]:
 
 
 def _ten_blocks(config: SweepConfig) -> list[dict]:
-    """The ten blocks, each model's search seeded with the TEN column of
-    the model before it: the models differ only in which detector noise
-    they trust, so their TENs lie close."""
-    column = None
-
-    def block(config, model, params, delta):
-        nonlocal column
-        out = _ten_block(config, model, params, delta, column)
-        column = np.array(out["ten"])
-        return out
-
-    return _grid_blocks(config, block, [0.0])
+    return _grid_blocks(config, _ten_block, [0.0])
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:

@@ -1,6 +1,11 @@
 """Independent closed forms and reference pipelines that the batched
 eigensolver kernels, the lockstep TEN search and the probed finite-size
-worst case are tested against."""
+worst case are tested against.
+
+Nothing in src/ imports them. holevo_lodewyck is the scalar form of the
+closed form that keyrate.closed_form_rate vectorises to predict each TEN
+row's cell, written apart from it so that it still checks the eigensolver
+pipeline on its own."""
 
 import math
 

@@ -309,35 +309,45 @@ RATE_FAMILIES = {
 
 TEN_WIDTH = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
 
-# Seeds of a row with its root at r; high is a draw from (512, 1024].
-SEEDS = {
-    "zero": lambda r, high: 0.0,
-    "root": lambda r, high: r,
-    "edge below": lambda r, high: float(np.nextafter(TEN_WIDTH * round(r / TEN_WIDTH), -np.inf)),
-    "edge above": lambda r, high: float(np.nextafter(TEN_WIDTH * round(r / TEN_WIDTH), np.inf)),
-    "1e-3 root": lambda r, high: 1e-3 * r,
-    "1e3 root": lambda r, high: 1e3 * r,
-    "below the cap": lambda r, high: high,
-    "above the cap": lambda r, high: 2.0 * _TEN_BRACKET_CAP,
+# Predictions of a row's TEN, the bisection's value ten (the root where the
+# rate stays positive up to the cap); x is a draw from (0, 2 * cap].
+PREDICTIONS = {
+    "cell": lambda ten, x: ten,
+    "cell below": lambda ten, x: ten - TEN_WIDTH,
+    "cell above": lambda ten, x: ten + TEN_WIDTH,
+    "lower edge -1 ulp": lambda ten, x: float(np.nextafter(ten - 0.5 * TEN_WIDTH, -np.inf)),
+    "lower edge +1 ulp": lambda ten, x: float(np.nextafter(ten - 0.5 * TEN_WIDTH, np.inf)),
+    "1000 cells below": lambda ten, x: ten - 1000.0 * TEN_WIDTH,
+    "1000 cells above": lambda ten, x: ten + 1000.0 * TEN_WIDTH,
+    "zero": lambda ten, x: 0.0,
+    "drawn": lambda ten, x: x,
+    "nan": lambda ten, x: math.nan,
+    "inf": lambda ten, x: math.inf,
+    "cap": lambda ten, x: _TEN_BRACKET_CAP,
 }
 
 
-def evaluation_bound(rate, seed: float) -> int:
-    """The most rate evaluations the TEN search of one row makes: one at 0,
-    one per probe, and twice the bisection steps of the bracket the probes
-    leave. The probes start from the cell edge at or below a positive seed,
-    at least one cell and at most the cap, or else from 0.5, and double up
-    to the cap while the rate is positive; the rate at the cap is not.
-    Without a seed the probes are the bisection's doubling, so the search
-    takes at most twice the bisection's steps after it."""
-    first = (min(max(math.floor(seed / TEN_WIDTH), 1) * TEN_WIDTH, _TEN_BRACKET_CAP)
-             if seed > 0.0 else 0.5)
-    if rate(0.0) <= 0.0:
-        return 1 + (seed > 0.0)
-    lo, hi, probes = 0.0, first, 1
-    while rate(hi) > 0.0:
-        lo, hi, probes = hi, min(2.0 * hi, _TEN_BRACKET_CAP), probes + 1
-    return 1 + probes + 2 * (int((hi - lo) / TEN_WIDTH) - 1).bit_length()
+def evaluation_bound(rate, predicted: float) -> int:
+    """The most rate evaluations the TEN search of one row makes. Without a
+    prediction in (0, cap) the search is the bisection's: one evaluation at
+    0, one per doubling probe from 0.5 while the rate is positive, and twice
+    the bisection steps of the bracket the probes leave. A row predicted in
+    the cell the bisection ends in makes two. Any other prediction costs at
+    most two evaluations in each of three guess steps, then one at 0, the
+    doubling probes from one cell up to the cap, and twice the bisection
+    steps of [0, cap]."""
+    if not 0.0 < predicted < _TEN_BRACKET_CAP:
+        if rate(0.0) <= 0.0:
+            return 1
+        lo, hi, probes = 0.0, 0.5, 1
+        while rate(hi) > 0.0:
+            lo, hi, probes = hi, min(2.0 * hi, _TEN_BRACKET_CAP), probes + 1
+        return 1 + probes + 2 * (int((hi - lo) / TEN_WIDTH) - 1).bit_length()
+    cell = TEN_WIDTH * math.floor(predicted / TEN_WIDTH)
+    if rate(cell) > 0.0 >= rate(cell + TEN_WIDTH):
+        return 2
+    steps = (int(_TEN_BRACKET_CAP / TEN_WIDTH) - 1).bit_length()
+    return 3 * 2 + 1 + steps + 2 * steps
 
 
 def recorded(rate, points: list):
@@ -441,24 +451,27 @@ class TestTenRows:
         st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 2.0 * _TEN_BRACKET_CAP),
                   st.just(_TEN_BRACKET_CAP)),
         st.integers(0, 8), st.sampled_from([-1, 0, 1]), st.floats(0.0, 1.0),
-        st.sampled_from(sorted(SEEDS)),
-        st.floats(0.5 * _TEN_BRACKET_CAP, _TEN_BRACKET_CAP, exclude_min=True)),
+        st.sampled_from(sorted(PREDICTIONS)),
+        st.floats(0.0, 2.0 * _TEN_BRACKET_CAP, exclude_min=True)),
         min_size=1, max_size=12))
     def test_lockstep_equals_bisection_on_synthetic_rates(self, cases):
         # Each row is a strictly decreasing rate. For edge > 0 its root moves
         # onto one of the last edges that a bisection of r - eps_c evaluates;
         # ulps then moves it one ulp up or down. A root of 0 (or one ulp
         # below) makes the rate at eps_c = 0 exactly 0 (or negative). The row
-        # is searched from the seed SEEDS names, "zero" being a cold start.
-        rates, seeds = [], []
-        for family, r, edge, ulps, shape, seed, high in cases:
+        # is predicted as PREDICTIONS names: in its own cell, next to it or
+        # far from it, 0.0, a draw that may lie past the cap, or no number.
+        rates, predicted = [], []
+        for family, r, edge, ulps, shape, prediction, x in cases:
             if edge and r <= _TEN_BRACKET_CAP:
                 points = []
                 bisect_tolerable_noise(recorded(lambda eps_c, r=r: r - eps_c, points))
                 r = points[-min(edge, len(points))]
             r = float(np.nextafter(r, ulps * np.inf)) if ulps else r
-            rates.append(RATE_FAMILIES[family](r, shape))
-            seeds.append(SEEDS[seed](r, high))
+            rate = RATE_FAMILIES[family](r, shape)
+            ten = r if rate(_TEN_BRACKET_CAP) > 0.0 else bisect_tolerable_noise(rate)
+            rates.append(rate)
+            predicted.append(PREDICTIONS[prediction](ten, x))
         counts = np.zeros(len(rates), dtype=int)
 
         def rate_at(rows, eps_c):
@@ -469,21 +482,21 @@ class TestTenRows:
         if capped:
             with pytest.raises(NumericalError,
                                match="^rate stayed positive up to the excess-noise cap$") as err:
-                cli._tolerable_noise(rate_at, len(rates), np.array(seeds))
+                cli._tolerable_noise(rate_at, len(rates), np.array(predicted))
             assert err.value.row in capped
             for i in capped:
                 with pytest.raises(RuntimeError, match="excess-noise cap"):
                     bisect_tolerable_noise(rates[i])
             return
-        got = cli._tolerable_noise(rate_at, len(rates), np.array(seeds)).tolist()
-        for ten, rate, seed, count in zip(got, rates, seeds, counts.tolist()):
+        got = cli._tolerable_noise(rate_at, len(rates), np.array(predicted)).tolist()
+        for ten, rate, guess, count in zip(got, rates, predicted, counts.tolist()):
             assert ten == bisect_tolerable_noise(rate)
-            assert count <= evaluation_bound(rate, seed)
+            assert count <= evaluation_bound(rate, guess)
 
-    def test_readme_grid_evaluation_budget(self, monkeypatch):
-        # The bisection took 4317 rate evaluations in 135 key_rate calls here,
-        # the edge search from 0.5 for every model 1994 in 23, and the search
-        # seeded with the model before 1508 in 16.
+    @staticmethod
+    def counted_ten_rows(monkeypatch, overrides=()):
+        """The README grid's ten rows under overrides, with the number of
+        rows of each key_rate call they took."""
         rows_per_call = []
         healthy = cli.key_rate
 
@@ -493,9 +506,42 @@ class TestTenRows:
             return res
 
         monkeypatch.setattr(cli, "key_rate", counted)
-        assert len(ten_rows(load_config(str(GOLDEN_CONFIG)))) == 369
-        assert len(rows_per_call) <= 17
-        assert sum(rows_per_call) <= 1550
+        return ten_rows(load_config(str(GOLDEN_CONFIG), overrides)), rows_per_call
+
+    def test_readme_grid_evaluation_budget(self, monkeypatch):
+        # The bisection took 4317 rate evaluations in 135 key_rate calls here,
+        # the edge search from 0.5 for every model 1994 in 23, the search
+        # seeded with the model before 1508 in 16, and the search from the
+        # predicted cells 651 in 3.
+        rows, rows_per_call = self.counted_ten_rows(monkeypatch)
+        assert len(rows) == 369
+        assert len(rows_per_call) <= 4
+        assert sum(rows_per_call) <= 700
+
+    def test_finite_size_readme_grid_evaluation_budget(self, monkeypatch):
+        # The search seeded with the model before took 536 rate evaluations
+        # in 16 key_rate calls here. The finite-size prediction lies above
+        # the worst case over the SNU interval, so its rows miss and take a
+        # secant step or two: 501 in 9.
+        rows, rows_per_call = self.counted_ten_rows(
+            monkeypatch, ["regime=finite_size", "distances_km.step=10"])
+        assert len(rows) == 189
+        assert len(rows_per_call) <= 10
+        assert sum(rows_per_call) <= 536
+
+    @pytest.mark.parametrize("model", ["conventional", "three_mode", "two_mode"])
+    def test_a_model_alone_writes_the_column_it_writes_with_the_others(self, tmp_path,
+                                                                      model):
+        def ten_lines(*overrides):
+            out = tmp_path / "ten.csv"
+            assert main(["ten", "--config", str(GOLDEN_CONFIG), "--out", str(out),
+                         *overrides]) == EXIT_OK
+            return [line for line in out.read_text().splitlines()
+                    if line.startswith(f"{model},")]
+
+        alone = ten_lines("--set", f'models=["{model}"]')
+        assert len(alone) == 123
+        assert alone == ten_lines()
 
     def test_bracket_cap_names_its_grid_point(self, monkeypatch):
         # A rate that stays positive at 10 km for any excess noise.
@@ -517,14 +563,17 @@ class TestTenRows:
             ten_rows(cfg)
 
     def test_bracket_cap_of_a_seeded_model_names_its_grid_point(self, monkeypatch):
-        # Only two_mode stays positive at 10 km, where three_mode's TEN
-        # seeds it: its probes start at the lower edge of the cell that TEN
-        # is the centre of and double up to the cap itself.
+        # Only two_mode stays positive at 10 km. Its row there evaluates both
+        # edges of the cell the closed form predicts; no secant crosses zero
+        # through two equal rates, so its probes double from the upper edge
+        # up to the cap itself.
         cfg = SweepConfig.from_dict(base_config())
-        seed = {(r["model"], r["distance_km"]): r["ten"] for r in ten_rows(cfg)}[
-            "three_mode", 10.0]
-        healthy = cli.key_rate
         t10 = transmittance_from_km(10.0)
+        at_10_km = SystemParams(v=4.0, t=t10, **cfg.system)
+        (predicted,) = cli._tolerable_noise(lambda rows, eps_c: keyrate.closed_form_rate(
+            dataclasses.replace(at_10_km, eps_c=eps_c), CalibrationModel.ONE_TIME_TWO_MODE), 1)
+        cell = TEN_WIDTH * math.floor(predicted / TEN_WIDTH)
+        healthy = cli.key_rate
         probes = []
 
         def two_mode_positive_at_10_km(params, model, fs=None, delta=0.0):
@@ -541,14 +590,15 @@ class TestTenRows:
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
                 r"NumericalError: rate stayed positive up to the excess-noise cap$")):
             ten_rows(cfg)
-        assert probes[:2] == [0.0, seed - 0.5 * TEN_WIDTH]
+        assert cell > 0.0
+        assert probes[:2] == [cell, cell + TEN_WIDTH]
         assert probes[2:] == [min(2.0 * p, _TEN_BRACKET_CAP) for p in probes[1:-1]]
         assert probes[-1] == _TEN_BRACKET_CAP
 
     def test_zero_tolerance_next_to_a_positive_one_equals_the_oracle(self, monkeypatch):
-        # Conventional tolerates no excess noise at 10 km, so three_mode
-        # searches that row from a seed of 0.0, as the first model does;
-        # two_mode tolerates none at 20 km, where three_mode's TEN seeds it.
+        # Conventional tolerates no excess noise at 10 km and two_mode none
+        # at 20 km, where the closed form predicts a positive TEN for both;
+        # three_mode keeps its own TEN at both points.
         healthy = cli.key_rate
         negative = {"conventional": transmittance_from_km(10.0),
                     "two_mode": transmittance_from_km(20.0)}
@@ -568,8 +618,12 @@ class TestTenRows:
         assert [r["ten"] for r in rows] == self.oracle_rows(cfg)
 
     def test_error_in_a_later_step_names_its_row_of_the_block(self, monkeypatch):
-        # The rate is not positive at 0 km, so the steps after the first
-        # evaluate the 10 and 20 km rows only; row 0 of such a step is 10 km.
+        # The prediction misses: it says no row tolerates excess noise, so
+        # each row's first step evaluates eps_c = 0 only. The rate is not
+        # positive at 0 km, so the steps after the first evaluate the 10 and
+        # 20 km rows only; row 0 of such a step is 10 km.
+        monkeypatch.setattr(cli, "closed_form_rate",
+                            lambda params, model, fs=None: -np.ones(np.shape(params.eps_c)))
         healthy = cli.key_rate
 
         def failing_without_0_km(params, model, fs=None, delta=0.0):

@@ -201,7 +201,7 @@ class TestHolevoConventional:
 
 
 class TestLodewyckOracle:
-    """Both trusted-detector models against Lodewyck et al., PRA 76, 042305 (2007)."""
+    """The models against Lodewyck et al., PRA 76, 042305 (2007)."""
 
     @staticmethod
     def draws(seed, n=300):
@@ -226,6 +226,22 @@ class TestLodewyckOracle:
         for p in self.draws(22):
             expect = holevo_lodewyck(p.v, p.t * p.eta_e, p.eps_c, p.eta_d, 0.0)
             assert holevo_bound(p, THREE) == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("model", [CONV, THREE, TWO])
+    @pytest.mark.parametrize("with_rin", [False, True])
+    def test_closed_form_rate_equals_key_rate(self, model, with_rin):
+        # 20 detectors with 10 channel rows each, as one block per detector.
+        rng = np.random.default_rng([24, with_rin])
+        for _ in range(20):
+            p = SystemParams(
+                v=rng.uniform(1.5, 60.0, 10), t=10 ** rng.uniform(-3, 0, 10),
+                eps_c=rng.uniform(0.0, 0.1, 10), eta_d=rng.uniform(0.3, 0.99),
+                v_ele=rng.uniform(1e-3, 0.3), beta=rng.uniform(0.85, 1.0),
+                v_rin=rng.uniform(1e-3, 0.1) if with_rin else 0.0)
+            res = key_rate(p, model)
+            scale = np.maximum(np.abs(res.rate_bits_per_pulse), np.abs(res.chi_be))
+            error = np.abs(keyrate.closed_form_rate(p, model) - res.rate_bits_per_pulse)
+            assert np.all(error <= 1e-9 * scale), (p, error / scale)
 
 
 class TestTwoModeExactOracle:
