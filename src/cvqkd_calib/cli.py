@@ -21,8 +21,8 @@ import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
 from .gaussian import NumericalError
-from .keyrate import (FiniteSizeParams, closed_form_rate, key_rate, mutual_information,
-                      snu_interval)
+from .keyrate import (FiniteSizeParams, closed_form_model, closed_form_rate, key_rate,
+                      mutual_information, snu_interval)
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
 
@@ -315,37 +315,46 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
     }
 
 
-def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
-               delta: np.ndarray) -> dict:
-    """The tolerable-excess-noise column of one model's rows, at delta 0,
-    searched in lockstep from the cells that closed_form_rate predicts.
-
-    The same search on the closed form gives each row's predicted cell.
-    A cap error there leaves every row without one; the prediction only
-    chooses which rates key_rate evaluates, so every output and error
-    still comes from key_rate."""
-    def subset(rows: np.ndarray, eps_c: np.ndarray) -> SystemParams:
-        return replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c)
+def _predicted_ten(config: SweepConfig, params: SystemParams) -> dict:
+    """Each configured model's predicted TEN column at params, from one
+    search over every model's rows stacked, each row evaluating
+    closed_form_rate with its model's closed_form_model. A row whose
+    closed form stays positive up to the cap is predicted at the cap,
+    which _tolerable_noise takes as no prediction."""
+    models = sorted(config.models, key=lambda m: m.value)
+    fs = config.finite_size
+    per_row = np.repeat([closed_form_model(params, m, fs) for m in models], params.v.size,
+                        axis=0)
+    v, t = np.tile(params.v, len(models)), np.tile(params.t, len(models))
 
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
+        return closed_form_rate(replace(params, v=v[rows], t=t[rows], eps_c=eps_c),
+                                per_row[rows], fs)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ten = _tolerable_noise(rate_at, v.size, strict=False)
+    return dict(zip(models, np.split(ten, len(models))))
+
+
+def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
+               predicted: np.ndarray) -> dict:
+    """The tolerable-excess-noise column of one model's rows, at delta 0,
+    searched in lockstep from the cells of its predicted column; the
+    prediction only chooses which rates key_rate evaluates, so every
+    output and error comes from key_rate."""
+    def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
         try:
-            return key_rate(subset(rows, eps_c), model, config.finite_size).rate_bits_per_pulse
+            return key_rate(replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c),
+                            model, config.finite_size).rate_bits_per_pulse
         except NumericalError as exc:  # row of the subset -> row of the block
             exc.row = None if exc.row is None else int(rows[exc.row])
             raise
 
-    try:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            predicted = _tolerable_noise(
-                lambda rows, eps_c: closed_form_rate(subset(rows, eps_c), model,
-                                                     config.finite_size),
-                params.v.size)
-    except NumericalError:
-        predicted = None
     return {"ten": _tolerable_noise(rate_at, params.v.size, predicted).tolist()}
 
 
-def _tolerable_noise(rate_at, n: int, predicted: Optional[np.ndarray] = None) -> np.ndarray:
+def _tolerable_noise(rate_at, n: int, predicted: Optional[np.ndarray] = None,
+                     strict: bool = True) -> np.ndarray:
     """Largest excess noise with positive rate for each of n rows: the
     value a bisection to TEN_TOLERANCE gives, found from fewer evaluations.
 
@@ -367,8 +376,9 @@ def _tolerable_noise(rate_at, n: int, predicted: Optional[np.ndarray] = None) ->
     every other row, it searches as the bisection does: it evaluates 0
     while no edge is known positive, then, until one is known not to
     be, doubles its probe from lo (from 0.5 at lo = 0) up to the cap; a
-    positive rate at the cap is an error. The bracket [lo, hi] then
-    shrinks: each step takes the edge nearest the inverse quadratic
+    positive rate at the cap is an error, or with strict False gives the
+    row the cap itself while the other rows go on. The bracket [lo, hi]
+    then shrinks: each step takes the edge nearest the inverse quadratic
     interpolation of lo, hi and the place an end last moved from, or
     nearest the secant root where that estimate is missing or outside
     the bracket. Once the steps taken plus the bisection steps the
@@ -428,10 +438,12 @@ def _tolerable_noise(rate_at, n: int, predicted: Optional[np.ndarray] = None) ->
         guesses[g] = np.where(np.isfinite(root), guesses[g] - 1, 0)
 
     while True:
-        capped = lo == cap
+        capped = (lo == cap) & (hi > cap)  # hi = cap ends a row that is not strict
         if capped.any():
-            raise NumericalError("rate stayed positive up to the excess-noise cap",
-                                 row=int(np.argmax(capped)))
+            if strict:
+                raise NumericalError("rate stayed positive up to the excess-noise cap",
+                                     row=int(np.argmax(capped)))
+            hi[capped] = cap
         active = hi - lo > width
         if not active.any():
             return np.where(lo >= 0.0, 0.5 * (lo + hi), 0.0)
@@ -463,11 +475,12 @@ def _tolerable_noise(rate_at, n: int, predicted: Optional[np.ndarray] = None) ->
             take(r, at, rate_at(r, at))
 
 
-def _grid_blocks(config: SweepConfig, block, deltas: Sequence[float]) -> list[dict]:
+def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> list[dict]:
     """The grid's points, every (V, distance, delta) in that order, V
     sorted, as one block of columns for each model, sorted: the shared
-    columns, and those that block(config, model, params, delta) gives for
-    one model's points from their SystemParams and delta column.
+    columns, and those that block(model) gives for one model's points,
+    block being what blocks_at(params, delta) returns for the SystemParams
+    and delta column of every point.
 
     A column is a list of one value per point, or one value for all of
     them; the V, distance_km, transmittance and delta lists are shared by
@@ -483,11 +496,11 @@ def _grid_blocks(config: SweepConfig, block, deltas: Sequence[float]) -> list[di
         "V": v.tolist(), "distance_km": km.tolist(), "transmittance": t.tolist(),
         "delta": delta.tolist(), "eta_d": system["eta_d"], "v_ele": system["v_ele"],
     }
+    block = blocks_at(params, delta)
     blocks = []
     for model in sorted(config.models, key=lambda m: m.value):
         try:
-            blocks.append({"model": model.value, **shared,
-                           **block(config, model, params, delta)})
+            blocks.append({"model": model.value, **shared, **block(model)})
         except (ArithmeticError, RuntimeError, ValueError) as exc:
             row = getattr(exc, "row", None)
             point = ("" if row is None else
@@ -498,11 +511,16 @@ def _grid_blocks(config: SweepConfig, block, deltas: Sequence[float]) -> list[di
 
 
 def _sweep_blocks(config: SweepConfig) -> list[dict]:
-    return _grid_blocks(config, _sweep_block, sorted(config.miscalibration_deltas))
+    return _grid_blocks(config, lambda params, delta: lambda model: _sweep_block(
+        config, model, params, delta), sorted(config.miscalibration_deltas))
 
 
 def _ten_blocks(config: SweepConfig) -> list[dict]:
-    return _grid_blocks(config, _ten_block, [0.0])
+    def blocks_at(params: SystemParams, delta: np.ndarray):
+        predicted = _predicted_ten(config, params)
+        return lambda model: _ten_block(config, model, params, predicted[model])
+
+    return _grid_blocks(config, blocks_at, [0.0])
 
 
 def calibration_rows(config: SweepConfig) -> list[dict]:

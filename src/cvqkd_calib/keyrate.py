@@ -5,6 +5,9 @@ asymptotic regime. Every key rate is evaluated numerically from the
 models' covariance matrices through the generic symplectic-spectrum
 pipeline. The closed form of Lodewyck et al. in closed_form_rate only
 predicts where the TEN search should look; no output is taken from it.
+It takes the model per row, so one search predicts the rows of every
+model, and in the finite-size regime it is taken at the worse end of
+the SNU interval, where key_rate's worst case most often lies.
 """
 
 from __future__ import annotations
@@ -211,32 +214,56 @@ def _pair_entropies(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     return terms[0] + terms[1]
 
 
-def closed_form_rate(params: SystemParams, model: CalibrationModel,
-                     fs: FiniteSizeParams | None = None) -> float | np.ndarray:
-    """The key rate at n0 = 1 from the closed-form chi_BE of Lodewyck et al.,
-    PRA 76, 042305 (2007), in one vectorised pass without an eigensolve.
-
-    Their trusted detector of efficiency eta and electronic noise v_el
-    behind a channel of transmittance T gives every model: (T, eta,
-    v_el) is (t, eta_d, v_ele + v_rin) for conventional, (t eta_e,
-    eta_d, 0) for three-mode and (t eta_d eta_e, 1, 0) for two-mode. The
-    finite-size value is key_fraction * (rate - Delta(n)) at n0 = 1, not
-    the worst case over the SNU interval. It agrees with key_rate to
-    float error in the asymptotic regime; ten uses it only to choose
-    which rates key_rate evaluates. Where its arithmetic overflows, it
-    returns a non-finite rate, not an error.
+def closed_form_model(params: SystemParams, model: CalibrationModel,
+                      fs: FiniteSizeParams | None = None) -> np.ndarray:
+    """The model as closed_form_rate takes it, the row [T / t, eta, v_el,
+    n0, ...]: Lodewyck's trusted detector of efficiency eta and electronic
+    noise v_el behind a channel of transmittance T, and the SNU ratios the
+    rate's worst case is taken over. (T, eta, v_el) is (t, eta_d, v_ele +
+    v_rin) for conventional, (t eta_e, eta_d, 0) for three-mode and
+    (t eta_d eta_e, 1, 0) for two-mode. The ratios are 1 asymptotically,
+    and with fs the two ends of the model's SNU interval normalized by its
+    point estimate, the ends of key_rate's grid.
     """
     if model is CalibrationModel.CONVENTIONAL_TTE:
-        t, eta, v_el = params.t, params.eta_d, params.v_ele + params.v_rin
+        detector = [1.0, params.eta_d, params.v_ele + params.v_rin]
     elif model is CalibrationModel.ONE_TIME_THREE_MODE:
-        t, eta, v_el = np.multiply(params.t, params.eta_e), params.eta_d, 0.0
+        detector = [params.eta_e, params.eta_d, 0.0]
     elif model is CalibrationModel.ONE_TIME_TWO_MODE:
-        t, eta, v_el = np.multiply(params.t, params.eta_d * params.eta_e), 1.0, 0.0
+        detector = [params.eta_d * params.eta_e, 1.0, 0.0]
     else:
         raise ValueError(f"unknown calibration model {model!r}")
-    v, t = np.asarray(params.v), np.asarray(t)
+    if fs is None:
+        return np.array(detector + [1.0])
+    calib = snu_interval(params, model, fs)
+    return np.array(detector + [calib.lower / calib.point, calib.upper / calib.point])
+
+
+def closed_form_rate(params: SystemParams, model: np.ndarray,
+                     fs: FiniteSizeParams | None = None) -> float | np.ndarray:
+    """The key rate from the closed-form chi_BE of Lodewyck et al., PRA 76,
+    042305 (2007), in one vectorised pass without an eigensolve.
+
+    model is a closed_form_model row for all rows of params, or one for
+    each, so that one call takes rows of several models. A model's state
+    at SNU ratio n0 is its n0 = 1 state at t / n0 and eps_c + (1 - n0) /
+    (t eta_d eta_e), and I_AB does not move, so the rate at n0 is beta *
+    I_AB - chi_BE at those parameters. They are evaluated as raw columns,
+    since t / n0 exceeds 1 at 0 km for n0 < 1.
+    The finite-size value is key_fraction * (rate - Delta(n)) at the worse
+    end of the SNU interval; key_rate's worst case over its grid is most
+    often at an end, where the two agree to float error, as they do in the
+    asymptotic regime. ten uses it only to choose which rates key_rate
+    evaluates. Where its arithmetic overflows, it returns a non-finite
+    rate, not an error.
+    """
+    model = np.reshape(model, (-1, np.shape(model)[-1]))
+    gain, eta, v_el, n0 = model[:, :1], model[:, 1:2], model[:, 2:3], model[:, 3:]
+    v, t, eps_c = (np.reshape(x, (-1, 1)) for x in (params.v, params.t, params.eps_c))
+    eps_c = eps_c + (1.0 - n0) / (t * params.eta_d * params.eta_e)
+    t = gain * (t / n0)
     # Noise referred to the channel input: the line's, the detector's, the total.
-    line = 1.0 / t - 1.0 + params.eps_c
+    line = 1.0 / t - 1.0 + eps_c
     hom = (1.0 - eta) / eta + v_el / eta
     total = line + hom / t
     a = v * v * (1.0 - 2.0 * t) + 2.0 * t + t * t * (v + line) ** 2
@@ -246,8 +273,9 @@ def closed_form_rate(params: SystemParams, model: CalibrationModel,
     d = sqrt_b * (v + sqrt_b * hom) / denom
     # Eve's entropy from the pair (a, b), her conditional one from (c, d).
     eve, conditional = _pair_entropies(np.stack([a, c]), np.stack([sqrt_b * sqrt_b, d]))
-    rate = np.ravel(params.beta * np.asarray(mutual_information(params))
-                    - (eve - conditional))
+    i_ab = np.reshape(mutual_information(params), (-1, 1))
+    # fmin skips an end whose state is too unphysical for the closed form (NaN).
+    rate = np.fmin.reduce(params.beta * i_ab - (eve - conditional), axis=1)
     if fs is not None:
         rate = fs.key_fraction * (rate - finite_size_penalty(fs))
     return _as_given(rate, params)

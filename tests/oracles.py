@@ -3,9 +3,10 @@ eigensolver kernels, the lockstep TEN search and the probed finite-size
 worst case are tested against.
 
 Nothing in src/ imports them. holevo_lodewyck is the scalar form of the
-closed form that keyrate.closed_form_rate vectorises to predict each TEN
-row's cell, written apart from it so that it still checks the eigensolver
-pipeline on its own."""
+closed form that keyrate.closed_form_rate vectorises, over rows of every
+model and, finite-size, the two ends of each row's SNU interval, to
+predict each TEN row's cell; it is written apart from it so that it
+still checks the eigensolver pipeline on its own."""
 
 import math
 

@@ -1,5 +1,6 @@
 """Tests for config handling, sweep execution and output contracts."""
 
+import collections
 import csv
 import dataclasses
 import io
@@ -487,6 +488,10 @@ class TestTenRows:
             for i in capped:
                 with pytest.raises(RuntimeError, match="excess-noise cap"):
                     bisect_tolerable_noise(rates[i])
+            # Not strict, a capped row gets the cap and the others their TEN.
+            got = cli._tolerable_noise(rate_at, len(rates), np.array(predicted), strict=False)
+            assert got.tolist() == [_TEN_BRACKET_CAP if i in capped else
+                                    bisect_tolerable_noise(rate) for i, rate in enumerate(rates)]
             return
         got = cli._tolerable_noise(rate_at, len(rates), np.array(predicted)).tolist()
         for ten, rate, guess, count in zip(got, rates, predicted, counts.tolist()):
@@ -496,38 +501,49 @@ class TestTenRows:
     @staticmethod
     def counted_ten_rows(monkeypatch, overrides=()):
         """The README grid's ten rows under overrides, with the number of
-        rows of each key_rate call they took."""
-        rows_per_call = []
-        healthy = cli.key_rate
+        rows of each key_rate call and of each closed_form_rate call (each
+        step of the prediction) they took."""
+        rows_per_call, predicted_per_step = [], []
+        healthy, closed_form = cli.key_rate, cli.closed_form_rate
 
         def counted(params, model, fs=None, delta=0.0):
             res = healthy(params, model, fs, delta)
             rows_per_call.append(np.size(res.rate_bits_per_pulse))
             return res
 
+        def counted_closed_form(params, model, fs=None):
+            rate = closed_form(params, model, fs)
+            predicted_per_step.append(np.size(rate))
+            return rate
+
         monkeypatch.setattr(cli, "key_rate", counted)
-        return ten_rows(load_config(str(GOLDEN_CONFIG), overrides)), rows_per_call
+        monkeypatch.setattr(cli, "closed_form_rate", counted_closed_form)
+        rows = ten_rows(load_config(str(GOLDEN_CONFIG), overrides))
+        return rows, rows_per_call, predicted_per_step
 
     def test_readme_grid_evaluation_budget(self, monkeypatch):
         # The bisection took 4317 rate evaluations in 135 key_rate calls here,
         # the edge search from 0.5 for every model 1994 in 23, the search
         # seeded with the model before 1508 in 16, and the search from the
-        # predicted cells 651 in 3.
-        rows, rows_per_call = self.counted_ten_rows(monkeypatch)
+        # predicted cells 651 in 3. The prediction took 20 closed-form steps
+        # as one search per model, and takes 7 as one search over all rows.
+        rows, rows_per_call, predicted_per_step = self.counted_ten_rows(monkeypatch)
         assert len(rows) == 369
-        assert len(rows_per_call) <= 4
-        assert sum(rows_per_call) <= 700
+        assert len(predicted_per_step) <= 8
+        assert (len(rows_per_call), sum(rows_per_call)) == (3, 651)
 
     def test_finite_size_readme_grid_evaluation_budget(self, monkeypatch):
         # The search seeded with the model before took 536 rate evaluations
-        # in 16 key_rate calls here. The finite-size prediction lies above
-        # the worst case over the SNU interval, so its rows miss and take a
-        # secant step or two: 501 in 9.
-        rows, rows_per_call = self.counted_ten_rows(
+        # in 16 key_rate calls here. The prediction at n0 = 1 lay above the
+        # worst case over the SNU interval, so its rows missed and took a
+        # secant step or two: 501 in 9. At the interval's worse end it takes
+        # 269 in 3.
+        rows, rows_per_call, predicted_per_step = self.counted_ten_rows(
             monkeypatch, ["regime=finite_size", "distances_km.step=10"])
         assert len(rows) == 189
-        assert len(rows_per_call) <= 10
-        assert sum(rows_per_call) <= 536
+        assert len(predicted_per_step) <= 8
+        assert len(rows_per_call) <= 3
+        assert sum(rows_per_call) <= 290
 
     @pytest.mark.parametrize("model", ["conventional", "three_mode", "two_mode"])
     def test_a_model_alone_writes_the_column_it_writes_with_the_others(self, tmp_path,
@@ -569,9 +585,8 @@ class TestTenRows:
         # up to the cap itself.
         cfg = SweepConfig.from_dict(base_config())
         t10 = transmittance_from_km(10.0)
-        at_10_km = SystemParams(v=4.0, t=t10, **cfg.system)
-        (predicted,) = cli._tolerable_noise(lambda rows, eps_c: keyrate.closed_form_rate(
-            dataclasses.replace(at_10_km, eps_c=eps_c), CalibrationModel.ONE_TIME_TWO_MODE), 1)
+        at_10_km = SystemParams(v=np.array([4.0]), t=np.array([t10]), **cfg.system)
+        (predicted,) = cli._predicted_ten(cfg, at_10_km)[CalibrationModel.ONE_TIME_TWO_MODE]
         cell = TEN_WIDTH * math.floor(predicted / TEN_WIDTH)
         healthy = cli.key_rate
         probes = []
@@ -617,13 +632,47 @@ class TestTenRows:
         assert ten["three_mode", 10.0] > 0.0 and ten["three_mode", 20.0] > 0.0
         assert [r["ten"] for r in rows] == self.oracle_rows(cfg)
 
+    def test_a_capped_prediction_leaves_the_other_rows_predicted(self, monkeypatch):
+        # Conventional's closed form stays positive up to the cap at 10 km,
+        # so that row alone is predicted at the cap, searches from eps_c = 0
+        # and ends as it does predicted. Every other row still evaluates its
+        # predicted cell's edges, or eps_c = 0, in one step.
+        cfg = SweepConfig.from_dict(base_config())
+        expected = [r["ten"] for r in ten_rows(cfg)]
+        t10 = transmittance_from_km(10.0)
+        conventional = keyrate.closed_form_model(
+            SystemParams(v=4.0, t=t10, **cfg.system), CalibrationModel.CONVENTIONAL_TTE)
+        closed_form, healthy = cli.closed_form_rate, cli.key_rate
+        evaluations = collections.Counter()
+
+        def capped_at_10_km(params, model, fs=None):
+            hit = (np.asarray(params.t) == t10) & np.all(model == conventional, axis=1)
+            return np.where(hit, 1.0, closed_form(params, model, fs))
+
+        def counted(params, model, fs=None, delta=0.0):
+            evaluations.update((model.value, t) for t in np.asarray(params.t).tolist())
+            return healthy(params, model, fs, delta)
+
+        grid = SystemParams(v=np.full(3, 4.0), t=np.array([1.0, t10, transmittance_from_km(20.0)]),
+                            **cfg.system)
+        before = cli._predicted_ten(cfg, grid)
+        monkeypatch.setattr(cli, "closed_form_rate", capped_at_10_km)
+        monkeypatch.setattr(cli, "key_rate", counted)
+        after = cli._predicted_ten(cfg, grid)
+        assert after[CalibrationModel.CONVENTIONAL_TTE][1] == _TEN_BRACKET_CAP
+        after[CalibrationModel.CONVENTIONAL_TTE][1] = before[CalibrationModel.CONVENTIONAL_TTE][1]
+        assert all(np.array_equal(after[m], before[m]) for m in before)
+        assert [r["ten"] for r in ten_rows(cfg)] == expected
+        assert evaluations.pop(("conventional", t10)) > 2
+        assert len(evaluations) == 8 and max(evaluations.values()) <= 2
+
     def test_error_in_a_later_step_names_its_row_of_the_block(self, monkeypatch):
         # The prediction misses: it says no row tolerates excess noise, so
         # each row's first step evaluates eps_c = 0 only. The rate is not
         # positive at 0 km, so the steps after the first evaluate the 10 and
         # 20 km rows only; row 0 of such a step is 10 km.
-        monkeypatch.setattr(cli, "closed_form_rate",
-                            lambda params, model, fs=None: -np.ones(np.shape(params.eps_c)))
+        monkeypatch.setattr(cli, "_predicted_ten", lambda config, params: {
+            model: np.zeros(params.v.size) for model in config.models})
         healthy = cli.key_rate
 
         def failing_without_0_km(params, model, fs=None, delta=0.0):

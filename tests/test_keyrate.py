@@ -230,18 +230,40 @@ class TestLodewyckOracle:
     @pytest.mark.parametrize("model", [CONV, THREE, TWO])
     @pytest.mark.parametrize("with_rin", [False, True])
     def test_closed_form_rate_equals_key_rate(self, model, with_rin):
-        # 20 detectors with 10 channel rows each, as one block per detector.
-        rng = np.random.default_rng([24, with_rin])
-        for _ in range(20):
-            p = SystemParams(
-                v=rng.uniform(1.5, 60.0, 10), t=10 ** rng.uniform(-3, 0, 10),
-                eps_c=rng.uniform(0.0, 0.1, 10), eta_d=rng.uniform(0.3, 0.99),
-                v_ele=rng.uniform(1e-3, 0.3), beta=rng.uniform(0.85, 1.0),
-                v_rin=rng.uniform(1e-3, 0.1) if with_rin else 0.0)
-            res = key_rate(p, model)
-            scale = np.maximum(np.abs(res.rate_bits_per_pulse), np.abs(res.chi_be))
-            error = np.abs(keyrate.closed_form_rate(p, model) - res.rate_bits_per_pulse)
-            assert np.all(error <= 1e-9 * scale), (p, error / scale)
+        # 20 detectors with 10 channel rows each, as one block per detector,
+        # in each regime. Finite-size, the first row is at t = 1, where the
+        # interval's lower end n0 < 1 puts t / n0 past 1, and the rows
+        # compared are those whose worst case over the grid is an end of the
+        # SNU interval: 199 of 200 for conventional without v_rin, all 200
+        # otherwise.
+        for finite in (False, True):
+            rng = np.random.default_rng([24 + finite, with_rin])
+            compared = 0
+            for _ in range(20):
+                t = 10 ** rng.uniform(-3, 0, 10)
+                p = SystemParams(
+                    v=rng.uniform(1.5, 60.0, 10), t=np.append(1.0, t[1:]) if finite else t,
+                    eps_c=rng.uniform(0.0, 0.1, 10), eta_d=rng.uniform(0.3, 0.99),
+                    v_ele=rng.uniform(1e-3, 0.3), beta=rng.uniform(0.85, 1.0),
+                    v_rin=rng.uniform(1e-3, 0.1) if with_rin else 0.0)
+                fs = None if not finite else FiniteSizeParams(
+                    block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10, eps_pa=1e-10,
+                    eps_smooth=1e-10, calib_samples_m=int(10 ** rng.uniform(5, 9)))
+                res = key_rate(p, model, fs)
+                ends = [1.0]
+                if finite:
+                    calib = snu_interval(p, model, fs)
+                    ends = [calib.lower / calib.point, calib.upper / calib.point]
+                at_end = np.isin(res.worst_n0, ends)
+                scale = np.maximum(np.abs(res.rate_bits_per_pulse), np.abs(res.chi_be))[at_end]
+                # An unphysical end may take a NaN square root, which the rate skips.
+                with np.errstate(invalid="ignore"):
+                    rate = keyrate.closed_form_rate(
+                        p, keyrate.closed_form_model(p, model, fs), fs)[at_end]
+                error = np.abs(rate - res.rate_bits_per_pulse[at_end])
+                assert np.all(error <= 1e-9 * scale), (p, fs, error / scale)
+                compared += at_end.sum()
+            assert compared >= 199
 
 
 class TestTwoModeExactOracle:

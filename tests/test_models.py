@@ -1,5 +1,7 @@
 """Tests for the calibration-model covariance builders and conversions."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -245,6 +247,58 @@ class TestBuildConventional:
         channel = conventional_channel_stack(p, 1.0)
         for stack in (channel, conventional_stack(p, channel)):
             assert symplectic_spectra(stack).min() >= 1.0 - PHYSICALITY_TOL
+
+
+# ---------------------------------------------------------------------------
+# SNU ratio as a channel
+
+def unit_ratio_twin(p: SystemParams, n0: float) -> SystemParams:
+    """p's parameters at n0 = 1 that give its state at SNU ratio n0: t / n0
+    and eps_c + (1 - n0) / (t eta_d eta_e). SystemParams refuses the t > 1
+    of n0 < 1 near 0 km and the eps_c < 0 of n0 > 1 at low excess noise,
+    so only such a twin is built without its checks."""
+    t, eps_c = p.t / n0, p.eps_c + (1.0 - n0) / (p.t * p.eta_d * p.eta_e)
+    if t <= 1.0 and eps_c >= 0.0:
+        return dataclasses.replace(p, t=t, eps_c=eps_c)
+    twin = copy.copy(p)
+    object.__setattr__(twin, "t", t)
+    object.__setattr__(twin, "eps_c", eps_c)
+    return twin
+
+
+class TestSnuRatioAsChannel:
+    """Each builder's state at SNU ratio n0 is its n0 = 1 state at the
+    parameters of unit_ratio_twin, the identity keyrate.closed_form_rate
+    evaluates the finite-size prediction by."""
+
+    BUILDERS = {
+        "two_mode": two_mode_stack,
+        # n0 != 1 takes _rescale_three_mode; the twin at n0 = 1 the physical build.
+        "three_mode": three_mode_stack,
+        "conventional_channel": conventional_channel_stack,
+        "conventional": conventional,
+    }
+
+    @staticmethod
+    def draws(seed, n=200):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            p = params(
+                v=rng.uniform(1.5, 60.0), t=1.0 if i % 4 == 0 else 10 ** rng.uniform(-3, 0),
+                eps_c=rng.uniform(0.0, 0.1), eta_d=rng.uniform(0.3, 0.99),
+                v_ele=rng.uniform(1e-3, 0.3), v_rin=rng.uniform(0.0, 0.1))
+            yield p, rng.uniform(0.9, 1.1)
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_state_at_n0_is_the_unit_ratio_state_of_the_twin(self, builder):
+        build = self.BUILDERS[builder]
+        bypassed = 0
+        for p, n0 in self.draws(31):
+            twin = unit_ratio_twin(p, n0)
+            bypassed += twin.t > 1.0 or twin.eps_c < 0.0
+            (got,), (want,) = build(p, n0), build(twin, 1.0)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (p, n0)
+        assert 50 <= bypassed < 200
 
 
 # ---------------------------------------------------------------------------
