@@ -21,8 +21,8 @@ import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
 from .gaussian import NumericalError
-from .keyrate import (FiniteSizeParams, closed_form_model, closed_form_rate, key_rate,
-                      mutual_information, snu_interval)
+from .keyrate import (FiniteSizeParams, certified_rate, closed_form_model, closed_form_rate,
+                      key_rate, mutual_information, snu_interval)
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
 
@@ -328,8 +328,10 @@ def _predicted_ten(config: SweepConfig, params: SystemParams) -> dict:
     v, t = np.tile(params.v, len(models)), np.tile(params.t, len(models))
 
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
-        return closed_form_rate(replace(params, v=v[rows], t=t[rows], eps_c=eps_c),
-                                per_row[rows], fs)
+        rate, _ = closed_form_rate(replace(params, v=v[rows], t=t[rows], eps_c=eps_c),
+                                   per_row[rows], fs)
+        # fmin skips a ratio whose state is too unphysical for the closed form (NaN).
+        return np.fmin.reduce(rate, axis=1)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ten = _tolerable_noise(rate_at, v.size, strict=False)
@@ -339,16 +341,26 @@ def _predicted_ten(config: SweepConfig, params: SystemParams) -> dict:
 def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
                predicted: np.ndarray) -> dict:
     """The tolerable-excess-noise column of one model's rows, at delta 0,
-    searched in lockstep from the cells of its predicted column; the
-    prediction only chooses which rates key_rate evaluates, so every
-    output and error comes from key_rate."""
+    searched in lockstep from the cells of its predicted column. Each
+    step takes a row's rate from certified_rate where the closed form
+    certifies its sign, and from one key_rate call for the other rows.
+    The TEN depends only on those signs, so it is key_rate's; a row near
+    a zero rate gets key_rate's value and errors."""
+    fs = config.finite_size
+    model_row = closed_form_model(params, model, fs)
+
     def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
-        try:
-            return key_rate(replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c),
-                            model, config.finite_size).rate_bits_per_pulse
-        except NumericalError as exc:  # row of the subset -> row of the block
-            exc.row = None if exc.row is None else int(rows[exc.row])
-            raise
+        at = replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c)
+        rate = certified_rate(at, model_row, fs)
+        rest = np.flatnonzero(np.isnan(rate))
+        if rest.size:
+            try:
+                rate[rest] = key_rate(replace(at, v=at.v[rest], t=at.t[rest], eps_c=eps_c[rest]),
+                                      model, fs).rate_bits_per_pulse
+            except NumericalError as exc:  # row of the subset -> row of the block
+                exc.row = None if exc.row is None else int(rows[rest[exc.row]])
+                raise
+        return rate
 
     return {"ten": _tolerable_noise(rate_at, params.v.size, predicted).tolist()}
 

@@ -1,13 +1,15 @@
 """Secret key rates under collective attacks, asymptotic and finite-size.
 
 Reverse reconciliation throughout: rate = beta * I_AB - chi_BE in the
-asymptotic regime. Every key rate is evaluated numerically from the
-models' covariance matrices through the generic symplectic-spectrum
-pipeline. The closed form of Lodewyck et al. in closed_form_rate only
-predicts where the TEN search should look; no output is taken from it.
-It takes the model per row, so one search predicts the rows of every
-model, and in the finite-size regime it is taken at the worse end of
-the SNU interval, where key_rate's worst case most often lies.
+asymptotic regime. Every key rate that sweep prints is evaluated
+numerically from the models' covariance matrices through the generic
+symplectic-spectrum pipeline. The closed form of Lodewyck et al. in
+closed_form_rate serves the TEN search, which needs only the sign of each
+rate: it predicts where the search should look, and certified_rate takes
+a rate's sign from it where a margin over both routes' error certifies
+that the sign is key_rate's. It takes the model per row, so one search
+predicts the rows of every model, and in the finite-size regime it is
+taken at each SNU ratio of key_rate's grid.
 """
 
 from __future__ import annotations
@@ -52,6 +54,14 @@ _PROBES = np.array([0, 1, N0_SCAN_POINTS // 2, N0_SCAN_POINTS - 2, N0_SCAN_POINT
 # The three-mode matrix must expose one unit symplectic eigenvalue (the
 # detection beamsplitter's vacuum ancilla survives any rescaling).
 _UNIT_EIGENVALUE_TOL = 1e-6
+
+# The margin by which closed_form_rate certifies the sign of key_rate's
+# rate: at each SNU ratio the two routes agree to within RATE_MARGIN_REL
+# of max(|rate|, |chi_BE|) (tests/test_keyrate.py asserts it; 2.3e-11 is
+# the worst seen), and RATE_MARGIN_ABS bits cover both routes' float
+# error near a zero rate, about 1e-14.
+RATE_MARGIN_REL = 1e-9
+RATE_MARGIN_ABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,13 @@ def _as_given(values: np.ndarray, params: SystemParams,
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
+def _snr(params: SystemParams) -> np.ndarray:
+    """The ratio (V + chi)/(chi + 1) whose log2 is twice I_AB, with the total
+    noise referred to the channel input, chi = 1/(t * eta_d * eta_e) - 1 + eps_c."""
+    chi = 1.0 / (np.asarray(params.t) * params.eta_d * params.eta_e) - 1.0 + params.eps_c
+    return (params.v + chi) / (chi + 1.0)
+
+
 def mutual_information(params: SystemParams) -> float | np.ndarray:
     """Shannon information between Alice and Bob, identical for all models.
 
@@ -134,8 +151,7 @@ def mutual_information(params: SystemParams) -> float | np.ndarray:
     value follows from any model matrix as 1/2 log2(V_B / V_B|A) with
     Alice's mode heterodyned. One value per row; each takes libm's log2.
     """
-    chi = 1.0 / (np.asarray(params.t) * params.eta_d * params.eta_e) - 1.0 + params.eps_c
-    ratio = np.ravel((params.v + chi) / (chi + 1.0)).tolist()
+    ratio = np.ravel(_snr(params)).tolist()
     return _as_given(np.array([0.5 * math.log2(x) for x in ratio]), params)
 
 
@@ -221,9 +237,8 @@ def closed_form_model(params: SystemParams, model: CalibrationModel,
     noise v_el behind a channel of transmittance T, and the SNU ratios the
     rate's worst case is taken over. (T, eta, v_el) is (t, eta_d, v_ele +
     v_rin) for conventional, (t eta_e, eta_d, 0) for three-mode and
-    (t eta_d eta_e, 1, 0) for two-mode. The ratios are 1 asymptotically,
-    and with fs the two ends of the model's SNU interval normalized by its
-    point estimate, the ends of key_rate's grid.
+    (t eta_d eta_e, 1, 0) for two-mode. The ratio is 1 asymptotically, and
+    with fs the N0_SCAN_POINTS ratios of key_rate's grid, bit for bit.
     """
     if model is CalibrationModel.CONVENTIONAL_TTE:
         detector = [1.0, params.eta_d, params.v_ele + params.v_rin]
@@ -233,29 +248,25 @@ def closed_form_model(params: SystemParams, model: CalibrationModel,
         detector = [params.eta_d * params.eta_e, 1.0, 0.0]
     else:
         raise ValueError(f"unknown calibration model {model!r}")
-    if fs is None:
-        return np.array(detector + [1.0])
-    calib = snu_interval(params, model, fs)
-    return np.array(detector + [calib.lower / calib.point, calib.upper / calib.point])
+    return np.concatenate([detector, [1.0] if fs is None else _n0_grid(params, model, fs)])
 
 
 def closed_form_rate(params: SystemParams, model: np.ndarray,
-                     fs: FiniteSizeParams | None = None) -> float | np.ndarray:
-    """The key rate from the closed-form chi_BE of Lodewyck et al., PRA 76,
-    042305 (2007), in one vectorised pass without an eigensolve.
+                     fs: FiniteSizeParams | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The key rate and chi_BE from the closed form of Lodewyck et al., PRA
+    76, 042305 (2007), in one vectorised pass without an eigensolve, each
+    of shape (rows, SNU ratios).
 
     model is a closed_form_model row for all rows of params, or one for
     each, so that one call takes rows of several models. A model's state
     at SNU ratio n0 is its n0 = 1 state at t / n0 and eps_c + (1 - n0) /
     (t eta_d eta_e), and I_AB does not move, so the rate at n0 is beta *
-    I_AB - chi_BE at those parameters. They are evaluated as raw columns,
-    since t / n0 exceeds 1 at 0 km for n0 < 1.
-    The finite-size value is key_fraction * (rate - Delta(n)) at the worse
-    end of the SNU interval; key_rate's worst case over its grid is most
-    often at an end, where the two agree to float error, as they do in the
-    asymptotic regime. ten uses it only to choose which rates key_rate
-    evaluates. Where its arithmetic overflows, it returns a non-finite
-    rate, not an error.
+    I_AB - chi_BE at those parameters, and with fs key_fraction * (that -
+    Delta(n)): the rate key_rate gives where its worst case lies at n0.
+    They are evaluated as raw columns, since t / n0 exceeds 1 at 0 km for
+    n0 < 1. I_AB takes numpy's log2, not libm's as mutual_information does.
+    Where the arithmetic overflows, or the state is too unphysical for
+    the closed form, a value is not finite; there is no error.
     """
     model = np.reshape(model, (-1, np.shape(model)[-1]))
     gain, eta, v_el, n0 = model[:, :1], model[:, 1:2], model[:, 2:3], model[:, 3:]
@@ -273,12 +284,37 @@ def closed_form_rate(params: SystemParams, model: np.ndarray,
     d = sqrt_b * (v + sqrt_b * hom) / denom
     # Eve's entropy from the pair (a, b), her conditional one from (c, d).
     eve, conditional = _pair_entropies(np.stack([a, c]), np.stack([sqrt_b * sqrt_b, d]))
-    i_ab = np.reshape(mutual_information(params), (-1, 1))
-    # fmin skips an end whose state is too unphysical for the closed form (NaN).
-    rate = np.fmin.reduce(params.beta * i_ab - (eve - conditional), axis=1)
+    chi = eve - conditional
+    i_ab = 0.5 * np.log2(np.reshape(_snr(params), (-1, 1)))
+    rate = params.beta * i_ab - chi
     if fs is not None:
         rate = fs.key_fraction * (rate - finite_size_penalty(fs))
-    return _as_given(rate, params)
+    return rate, chi
+
+
+def certified_rate(params: SystemParams, model: np.ndarray,
+                   fs: FiniteSizeParams | None = None) -> np.ndarray:
+    """Each row's closed-form rate, its lowest over the SNU ratios, where
+    the closed form certifies the sign of key_rate's rate; NaN elsewhere.
+
+    model is as closed_form_rate takes it, with the ratios closed_form_model
+    gives. At each ratio the margin is RATE_MARGIN_REL * max(|rate|,
+    |chi_BE|) + RATE_MARGIN_ABS. A row is certified positive where its
+    rate exceeds the margin at every ratio of key_rate's grid, and
+    non-positive where it lies below minus the margin at some _PROBES
+    ratio, since key_rate takes its worst case over a superset of the
+    probes. A NaN or infinite rate or margin at any ratio certifies
+    nothing.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rate, chi = closed_form_rate(params, model, fs)
+        margin = RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi)) + RATE_MARGIN_ABS
+        # min, not fmin: a NaN at any ratio leaves its row uncertified.
+        low = np.min(rate - margin, axis=1)
+        probes = slice(None) if fs is None else _PROBES
+        high = np.min(rate[:, probes] + margin[:, probes], axis=1)
+    certain = np.isfinite(low) & ((low > 0.0) | (high < 0.0))
+    return np.where(certain, np.min(rate, axis=1), np.nan)
 
 
 def finite_size_penalty(fs: FiniteSizeParams) -> float:
@@ -304,6 +340,14 @@ def snu_interval(params: SystemParams, model: CalibrationModel,
     v_ele = params.v_ele if model is CalibrationModel.CONVENTIONAL_TTE else 0.0
     return confidence_interval(1.0 + params.v_ele + params.v_rin, v_ele,
                                fs.calib_samples_m, fs.eps_pe)
+
+
+def _n0_grid(params: SystemParams, model: CalibrationModel,
+             fs: FiniteSizeParams) -> np.ndarray:
+    """The N0_SCAN_POINTS SNU ratios across the model's snu_interval,
+    normalized by its point estimate."""
+    calib = snu_interval(params, model, fs)
+    return np.linspace(calib.lower / calib.point, calib.upper / calib.point, N0_SCAN_POINTS)
 
 
 def _interior_max_excluded(chi: np.ndarray) -> bool:
@@ -340,9 +384,7 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     if fs is None:
         n0, penalty, share = np.ones(1), 0.0, 1.0
     else:
-        calib = snu_interval(params, model, fs)
-        grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
-                           N0_SCAN_POINTS)
+        grid = _n0_grid(params, model, fs)
         n0, penalty, share = grid[_PROBES], finite_size_penalty(fs), fs.key_fraction
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)

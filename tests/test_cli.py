@@ -67,6 +67,13 @@ def ten_rows(cfg: SweepConfig) -> list[dict]:
     return expand_blocks(cli._ten_blocks(cfg))
 
 
+def no_certificate(monkeypatch) -> None:
+    """Take every ten rate from cli.key_rate, as if the closed form
+    certified no sign, for tests that patch or count key_rate."""
+    monkeypatch.setattr(cli, "certified_rate",
+                        lambda params, model, fs=None: np.full(np.size(params.v), np.nan))
+
+
 def base_config(**overrides) -> dict:
     cfg = {
         "models": ["conventional", "two_mode", "three_mode"],
@@ -212,6 +219,7 @@ class TestSweepRows:
     @pytest.mark.parametrize("rows,delta", [(sweep_rows, "0.001"), (ten_rows, "0.0")])
     def test_row_failure_names_grid_point(self, monkeypatch, rows, delta):
         # Holevo evaluation breaks at 10 km only; the error must say where.
+        no_certificate(monkeypatch)
         healthy = keyrate.holevo_bound
 
         def failing(params, model, n0=1.0):
@@ -245,6 +253,7 @@ class TestSweepRows:
 
         monkeypatch.setattr(keyrate, "holevo_bound", failing)
         monkeypatch.setattr(cli, "key_rate", counted)
+        no_certificate(monkeypatch)
         cfg = SweepConfig.from_dict(base_config(models=["three_mode"]))
         with pytest.raises(RuntimeError, match=(
                 r"^model=three_mode: NumericalError: eigenvalue solve did not converge$")):
@@ -512,9 +521,9 @@ class TestTenRows:
             return res
 
         def counted_closed_form(params, model, fs=None):
-            rate = closed_form(params, model, fs)
-            predicted_per_step.append(np.size(rate))
-            return rate
+            rate, chi = closed_form(params, model, fs)
+            predicted_per_step.append(len(rate))
+            return rate, chi
 
         monkeypatch.setattr(cli, "key_rate", counted)
         monkeypatch.setattr(cli, "closed_form_rate", counted_closed_form)
@@ -527,23 +536,24 @@ class TestTenRows:
         # seeded with the model before 1508 in 16, and the search from the
         # predicted cells 651 in 3. The prediction took 20 closed-form steps
         # as one search per model, and takes 7 as one search over all rows.
+        # The closed form now certifies the sign of every edge the search
+        # evaluates, so key_rate evaluates none.
         rows, rows_per_call, predicted_per_step = self.counted_ten_rows(monkeypatch)
         assert len(rows) == 369
         assert len(predicted_per_step) <= 8
-        assert (len(rows_per_call), sum(rows_per_call)) == (3, 651)
+        assert rows_per_call == []
 
     def test_finite_size_readme_grid_evaluation_budget(self, monkeypatch):
         # The search seeded with the model before took 536 rate evaluations
         # in 16 key_rate calls here. The prediction at n0 = 1 lay above the
         # worst case over the SNU interval, so its rows missed and took a
-        # secant step or two: 501 in 9. At the interval's worse end it takes
-        # 269 in 3.
+        # secant step or two: 501 in 9. At the interval's worse end it took
+        # 269 in 3, every one of which the closed form now certifies.
         rows, rows_per_call, predicted_per_step = self.counted_ten_rows(
             monkeypatch, ["regime=finite_size", "distances_km.step=10"])
         assert len(rows) == 189
         assert len(predicted_per_step) <= 8
-        assert len(rows_per_call) <= 3
-        assert sum(rows_per_call) <= 290
+        assert rows_per_call == []
 
     @pytest.mark.parametrize("model", ["conventional", "three_mode", "two_mode"])
     def test_a_model_alone_writes_the_column_it_writes_with_the_others(self, tmp_path,
@@ -561,6 +571,7 @@ class TestTenRows:
 
     def test_bracket_cap_names_its_grid_point(self, monkeypatch):
         # A rate that stays positive at 10 km for any excess noise.
+        no_certificate(monkeypatch)
         healthy = cli.key_rate
         t10 = transmittance_from_km(10.0)
 
@@ -601,6 +612,7 @@ class TestTenRows:
                 res, rate_bits_per_pulse=np.where(at_10_km, 1.0, res.rate_bits_per_pulse))
 
         monkeypatch.setattr(cli, "key_rate", two_mode_positive_at_10_km)
+        no_certificate(monkeypatch)
         with pytest.raises(RuntimeError, match=(
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
                 r"NumericalError: rate stayed positive up to the excess-noise cap$")):
@@ -625,6 +637,7 @@ class TestTenRows:
                 res, rate_bits_per_pulse=np.where(hit, -1.0, res.rate_bits_per_pulse))
 
         monkeypatch.setattr(cli, "key_rate", patched)
+        no_certificate(monkeypatch)
         cfg = SweepConfig.from_dict(base_config())
         rows = ten_rows(cfg)
         ten = {(r["model"], r["distance_km"]): r["ten"] for r in rows}
@@ -647,7 +660,8 @@ class TestTenRows:
 
         def capped_at_10_km(params, model, fs=None):
             hit = (np.asarray(params.t) == t10) & np.all(model == conventional, axis=1)
-            return np.where(hit, 1.0, closed_form(params, model, fs))
+            rate, chi = closed_form(params, model, fs)
+            return np.where(hit[:, None], 1.0, rate), chi
 
         def counted(params, model, fs=None, delta=0.0):
             evaluations.update((model.value, t) for t in np.asarray(params.t).tolist())
@@ -658,6 +672,7 @@ class TestTenRows:
         before = cli._predicted_ten(cfg, grid)
         monkeypatch.setattr(cli, "closed_form_rate", capped_at_10_km)
         monkeypatch.setattr(cli, "key_rate", counted)
+        no_certificate(monkeypatch)
         after = cli._predicted_ten(cfg, grid)
         assert after[CalibrationModel.CONVENTIONAL_TTE][1] == _TEN_BRACKET_CAP
         after[CalibrationModel.CONVENTIONAL_TTE][1] = before[CalibrationModel.CONVENTIONAL_TTE][1]
@@ -684,11 +699,59 @@ class TestTenRows:
                 res, rate_bits_per_pulse=np.where(t == 1.0, -1.0, res.rate_bits_per_pulse))
 
         monkeypatch.setattr(cli, "key_rate", failing_without_0_km)
+        no_certificate(monkeypatch)
         cfg = SweepConfig.from_dict(base_config(models=["two_mode"]))
         with pytest.raises(RuntimeError, match=(
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
                 r"NumericalError: eigenvalue solve did not converge$")):
             ten_rows(cfg)
+
+    def test_error_among_certified_rows_names_its_row_of_the_block(self, monkeypatch):
+        # The closed form certifies every rate but the 10 km row's, so each
+        # key_rate call takes that row alone, as its row 0.
+        certified = cli.certified_rate
+        t10 = transmittance_from_km(10.0)
+
+        def all_but_10_km(params, model, fs=None):
+            return np.where(np.asarray(params.t) == t10, np.nan, certified(params, model, fs))
+
+        def failing(params, model, fs=None, delta=0.0):
+            assert np.all(np.asarray(params.t) == t10)
+            raise NumericalError("eigenvalue solve did not converge", row=0)
+
+        monkeypatch.setattr(cli, "certified_rate", all_but_10_km)
+        monkeypatch.setattr(cli, "key_rate", failing)
+        cfg = SweepConfig.from_dict(base_config(models=["two_mode"]))
+        with pytest.raises(RuntimeError, match=(
+                r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
+                r"NumericalError: eigenvalue solve did not converge$")):
+            ten_rows(cfg)
+
+    @pytest.mark.parametrize("regime", ["asymptotic", "finite_size"])
+    def test_certificate_leaves_far_rows_as_key_rate_writes_them(self, tmp_path, monkeypatch,
+                                                                 capsys, regime):
+        # From about 600 km the asymptotic rate is within float error of 0,
+        # so its rows near 0 go to key_rate, which gives their values and
+        # errors: the TEN file is the one key_rate alone writes, and at
+        # 14000 km a rate positive up to the cap is still the error.
+        def ten_bytes(*overrides):
+            out = tmp_path / "ten.csv"
+            sets = [arg for item in (f"regime={regime}", *overrides)
+                    for arg in ("--set", item)]
+            status = main(["ten", "--config", str(GOLDEN_CONFIG), "--out", str(out), *sets])
+            return status, capsys.readouterr().err, out.read_bytes() if status == EXIT_OK else b""
+
+        far = ["distances_km.start=300", "distances_km.stop=900"]
+        farther = ["distances_km.start=13000", "distances_km.stop=15000",
+                   "distances_km.step=1000"]
+        certified = ten_bytes(*far), ten_bytes(*farther)
+        no_certificate(monkeypatch)
+        assert certified == (ten_bytes(*far), ten_bytes(*farther))
+        assert certified[0][0] == EXIT_OK
+        if regime == "asymptotic":
+            assert certified[1][:2] == (EXIT_RUNTIME_ERROR, (
+                "runtime error: model=conventional V=4.0 km=14000.0 delta=0.0: "
+                "NumericalError: rate stayed positive up to the excess-noise cap\n"))
 
     def test_finite_size_tolerable_noise_curves_coincide(self):
         # Three-mode and conventional tolerable-excess-noise values stay

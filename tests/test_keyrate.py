@@ -31,6 +31,7 @@ from cvqkd_calib import (
     models,
     transmittance_from_km,
 )
+from cvqkd_calib.cli import _TEN_BRACKET_CAP
 from cvqkd_calib.gaussian import entropy_of_spectra, homodyne_conditioned, symplectic_spectra
 from cvqkd_calib.keyrate import finite_size_penalty, mutual_information, snu_interval
 from cvqkd_calib.models import three_mode_stack, two_mode_stack
@@ -231,14 +232,18 @@ class TestLodewyckOracle:
     @pytest.mark.parametrize("with_rin", [False, True])
     def test_closed_form_rate_equals_key_rate(self, model, with_rin):
         # 20 detectors with 10 channel rows each, as one block per detector,
-        # in each regime. Finite-size, the first row is at t = 1, where the
-        # interval's lower end n0 < 1 puts t / n0 past 1, and the rows
-        # compared are those whose worst case over the grid is an end of the
-        # SNU interval: 199 of 200 for conventional without v_rin, all 200
-        # otherwise.
+        # in each regime, compared at every SNU ratio of key_rate's grid
+        # (the one ratio 1 asymptotically), where key_rate's rate would be
+        # share * (beta * I_AB - holevo_bound - Delta(n)): certified_rate
+        # relies on agreement at each ratio. Finite-size, the first row is
+        # at t = 1, where the interval's lower end n0 < 1 puts t / n0 past 1.
+        # The closed form is NaN at one of the 4200 (row, ratio) pairs of
+        # conventional with v_rin: at t = 1 and the interval's upper end,
+        # where the excess noise the ratio implies is negative. No rate is
+        # certified from such a row.
         for finite in (False, True):
             rng = np.random.default_rng([24 + finite, with_rin])
-            compared = 0
+            undefined = 0
             for _ in range(20):
                 t = 10 ** rng.uniform(-3, 0, 10)
                 p = SystemParams(
@@ -249,21 +254,123 @@ class TestLodewyckOracle:
                 fs = None if not finite else FiniteSizeParams(
                     block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10, eps_pa=1e-10,
                     eps_smooth=1e-10, calib_samples_m=int(10 ** rng.uniform(5, 9)))
+                model_row = keyrate.closed_form_model(p, model, fs)
+                share, penalty = (1.0, 0.0) if fs is None else (
+                    fs.key_fraction, finite_size_penalty(fs))
+                chi = np.reshape(holevo_bound(p, model, model_row[3:]), (10, -1))
+                expect = share * (p.beta * np.reshape(mutual_information(p), (-1, 1))
+                                  - chi - penalty)
+                # key_rate's rate is the rate at its worst ratio.
                 res = key_rate(p, model, fs)
-                ends = [1.0]
-                if finite:
-                    calib = snu_interval(p, model, fs)
-                    ends = [calib.lower / calib.point, calib.upper / calib.point]
-                at_end = np.isin(res.worst_n0, ends)
-                scale = np.maximum(np.abs(res.rate_bits_per_pulse), np.abs(res.chi_be))[at_end]
-                # An unphysical end may take a NaN square root, which the rate skips.
+                assert np.all(np.any(expect == np.reshape(res.rate_bits_per_pulse, (-1, 1)),
+                                     axis=1))
                 with np.errstate(invalid="ignore"):
-                    rate = keyrate.closed_form_rate(
-                        p, keyrate.closed_form_model(p, model, fs), fs)[at_end]
-                error = np.abs(rate - res.rate_bits_per_pulse[at_end])
-                assert np.all(error <= 1e-9 * scale), (p, fs, error / scale)
-                compared += at_end.sum()
-            assert compared >= 199
+                    rate, closed_chi = keyrate.closed_form_rate(p, model_row, fs)
+                defined = np.isfinite(rate)
+                scale = np.maximum(np.abs(rate), np.abs(closed_chi))[defined]
+                error = np.abs(rate - expect)[defined]
+                assert np.all(error <= keyrate.RATE_MARGIN_REL * scale), (p, fs, error / scale)
+                undefined += rate.size - defined.sum()
+            assert undefined == (model is CONV and with_rin and finite)
+
+
+class TestCertifiedRate:
+    """keyrate.certified_rate takes a TEN edge's sign from the closed form
+    where its margin certifies it; there the sign is key_rate's."""
+
+    @staticmethod
+    def closed_form_root(p, model, fs):
+        """Each row's eps_c in [0, cap] where the closed form's lowest rate
+        over the SNU grid turns from positive to not, to within a few ulps:
+        0 where it is not positive at 0, the cap where it stays positive."""
+        cf = keyrate.closed_form_model(p, model, fs)
+
+        def positive(eps_c):
+            with np.errstate(invalid="ignore"):
+                rate, _ = keyrate.closed_form_rate(dataclasses.replace(p, eps_c=eps_c), cf, fs)
+            return np.min(rate, axis=1) > 0.0
+
+        lo, hi = np.zeros(p.v.size), np.full(p.v.size, _TEN_BRACKET_CAP)
+        lo[positive(hi)] = _TEN_BRACKET_CAP
+        hi[~positive(lo)] = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            up = positive(mid)
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        return lo
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("with_rin", [False, True])
+    @pytest.mark.parametrize("model", [CONV, THREE, TWO])
+    def test_certified_sign_is_key_rates(self, model, with_rin, finite):
+        # 8 detectors of 40 rows each: 0-2000 km, denser near 0, and eps_c
+        # at 0, log-uniform up to the cap, a relative step of 1e-15 to 0.1
+        # either side of the closed form's root, or next to that root. Near
+        # a root or from about 600 km the rate is within float error of 0,
+        # where the certificate must stay silent; m from 1e4 gives wide SNU
+        # intervals, with the worst case inside some of them.
+        rng = np.random.default_rng([30, list(CalibrationModel).index(model), with_rin, finite])
+        certified = uncertified = 0
+        for _ in range(8):
+            n = 40
+            km = 2000.0 * rng.uniform(0.0, 1.0, n) ** 2
+            p = SystemParams(
+                v=rng.uniform(1.5, 60.0, n), t=10.0 ** (-0.02 * km), eps_c=np.zeros(n),
+                eta_d=rng.uniform(0.3, 0.99), v_ele=rng.uniform(1e-3, 0.3),
+                beta=rng.uniform(0.85, 1.0), v_rin=rng.uniform(1e-3, 0.1) if with_rin else 0.0)
+            fs = None if not finite else FiniteSizeParams(
+                block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10, eps_pa=1e-10,
+                eps_smooth=1e-10, calib_samples_m=int(10 ** rng.uniform(4, 10)))
+            root = self.closed_form_root(p, model, fs)
+            step = 10.0 ** rng.uniform(-15, -1, n) * rng.choice([-1.0, 1.0], n)
+            eps_c = np.choose(rng.integers(0, 4, n), [
+                np.zeros(n),
+                10.0 ** rng.uniform(-4, math.log10(_TEN_BRACKET_CAP), n),
+                np.clip(root * (1.0 + step), 0.0, _TEN_BRACKET_CAP),
+                np.nextafter(root, np.where(step > 0.0, np.inf, 0.0)),
+            ])
+            p = dataclasses.replace(p, eps_c=eps_c)
+            rate = keyrate.certified_rate(p, keyrate.closed_form_model(p, model, fs), fs)
+            sure = ~np.isnan(rate)
+            expect = key_rate(p, model, fs).rate_bits_per_pulse
+            assert np.array_equal(rate[sure] > 0.0, expect[sure] > 0.0), (
+                p, fs, np.flatnonzero(sure & ((rate > 0.0) != (expect > 0.0))))
+            certified += sure.sum()
+            uncertified += (~sure).sum()
+        # Many rows are certified, and the rows near 0 are not.
+        assert certified >= 100 and uncertified >= 5
+
+    @pytest.mark.parametrize("rate,chi,sign", [
+        ([[2e-12, 3e-12, 2e-12]], [[0.0, 0.0, 0.0]], 1.0),      # clears the floor everywhere
+        ([[2e-12, 3e-12, 5e-13]], [[0.0, 0.0, 0.0]], np.nan),   # not at one ratio
+        ([[1.0, -2e-12, 1.0]], [[0.0, 0.0, 0.0]], -1.0),        # below at one ratio
+        ([[5e-7, 1.0, 5e-7]], [[1e3, 1e3, 1e3]], np.nan),       # within 1e-9 of chi
+        ([[0.5, np.nan, 0.5]], [[1.0, 1.0, 1.0]], np.nan),      # NaN at one ratio
+        ([[-1.0, np.nan, -1.0]], [[1.0, 1.0, 1.0]], np.nan),
+        ([[1.0, 1.0, 1.0]], [[1.0, np.inf, 1.0]], np.nan),      # infinite margin
+        ([[-1.0, -np.finfo(float).max, -1.0]], [[1.0, 1.0, 1.0]], np.nan),  # overflows
+    ])
+    def test_margin_rule(self, monkeypatch, rate, chi, sign):
+        # Asymptotically every ratio is a probe; the 3 ratios stand for a grid.
+        monkeypatch.setattr(keyrate, "closed_form_rate",
+                            lambda *args: (np.array(rate), np.array(chi)))
+        got = keyrate.certified_rate(params(), np.zeros(4))
+        if np.isnan(sign):
+            assert np.isnan(got).all()
+        else:
+            assert np.sign(got).tolist() == [sign]
+
+    def test_positive_needs_every_grid_ratio_and_non_positive_a_probe(self, monkeypatch):
+        fs = TestProbedWorstCase.FS
+        dip = np.ones((2, N0))
+        dip[0, 2] = -1.0  # a dip between the probes: not certified positive
+        dip[1, 2], dip[1, 1] = -1.0, 0.0  # a probe at 0 and the dip: not certified either
+        monkeypatch.setattr(keyrate, "closed_form_rate",
+                            lambda *args: (dip, np.ones_like(dip)))
+        assert 2 not in keyrate._PROBES and 1 in keyrate._PROBES
+        assert np.isnan(keyrate.certified_rate(params(), np.zeros(3 + N0), fs)).all()
+        dip[:, 1] = -1.0  # now at a probe: certified non-positive
+        assert keyrate.certified_rate(params(), np.zeros(3 + N0), fs).tolist() == [-1.0, -1.0]
 
 
 class TestTwoModeExactOracle:

@@ -269,7 +269,7 @@ def unit_ratio_twin(p: SystemParams, n0: float) -> SystemParams:
 class TestSnuRatioAsChannel:
     """Each builder's state at SNU ratio n0 is its n0 = 1 state at the
     parameters of unit_ratio_twin, the identity keyrate.closed_form_rate
-    evaluates the finite-size prediction by."""
+    evaluates the finite-size rates by."""
 
     BUILDERS = {
         "two_mode": two_mode_stack,
