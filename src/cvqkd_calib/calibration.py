@@ -103,6 +103,8 @@ def deviation_curve(truth: NoiseGroundTruth, m_grid: Sequence[int],
     normalized worst-case SNU estimate 1 - dev. The two-time method
     measures twice, so both half-widths enter its deviation. Block
     lengths must be integral: 1e5 counts as 100000, 100000.5 is an error.
+    A deviation of 1 or more, where confidence_interval's lower bound
+    crosses zero, raises ValueError naming m and the method.
     """
     if len(m_grid) == 0:
         raise ValueError("block-length grid must not be empty")
@@ -116,6 +118,11 @@ def deviation_curve(truth: NoiseGroundTruth, m_grid: Sequence[int],
             raise ValueError(f"need at least 2 samples, got {m}")
         dev_ote = _half_width(1.0, m, eps_pe)
         dev_tte = dev_ote * (truth.v_tot + truth.v_ele) / snu_tte_true
+        for method, dev in (("one-time", dev_ote), ("two-time", dev_tte)):
+            if dev >= 1.0:
+                raise ValueError(
+                    f"degenerate SNU interval: m = {m} is too few for eps_pe = {eps_pe}, "
+                    f"so the {method} deviation {dev!r} is >= 1")
         rows.append({
             "m": m,
             "snu_norm_ote": 1.0 - dev_ote,

@@ -315,155 +315,107 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
     }
 
 
-def _predicted_ten(config: SweepConfig, params: SystemParams) -> dict:
-    """Each configured model's predicted TEN column at params, from one
-    search over every model's rows stacked, each row evaluating
-    closed_form_rate with its model's closed_form_model. A row whose
-    closed form stays positive up to the cap is predicted at the cap,
-    which _tolerable_noise takes as no prediction."""
+def _ten_columns(config: SweepConfig, params: SystemParams) -> dict:
+    """The tolerable-excess-noise column of every configured model at
+    params, at delta 0, from one lockstep search over every model's rows
+    stacked, sorted by model. Each step takes a row's value and sign from
+    certified_rate, with its model's closed_form_model, where the closed
+    form certifies the sign. The other rows take the closed form's lowest
+    value over the SNU ratios and key_rate's sign, from one key_rate call
+    per model in sorted order. The TEN depends only on those signs, so it
+    is key_rate's; a row near a zero rate gets key_rate's sign and errors.
+    An error carries its model as exc.model and, where it has one, its
+    row of that model's block."""
     models = sorted(config.models, key=lambda m: m.value)
-    fs = config.finite_size
-    per_row = np.repeat([closed_form_model(params, m, fs) for m in models], params.v.size,
-                        axis=0)
+    fs, n = config.finite_size, params.v.size
+    per_row = np.repeat([closed_form_model(params, m, fs) for m in models], n, axis=0)
     v, t = np.tile(params.v, len(models)), np.tile(params.t, len(models))
 
-    def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
-        rate, _ = closed_form_rate(replace(params, v=v[rows], t=t[rows], eps_c=eps_c),
-                                   per_row[rows], fs)
-        # fmin skips a ratio whose state is too unphysical for the closed form (NaN).
-        return np.fmin.reduce(rate, axis=1)
+    def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def part(k):  # the params of evaluated rows k
+            return replace(params, v=v[rows[k]], t=t[rows[k]], eps_c=eps_c[k])
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ten = _tolerable_noise(rate_at, v.size, strict=False)
-    return dict(zip(models, np.split(ten, len(models))))
-
-
-def _ten_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
-               predicted: np.ndarray) -> dict:
-    """The tolerable-excess-noise column of one model's rows, at delta 0,
-    searched in lockstep from the cells of its predicted column. Each
-    step takes a row's rate from certified_rate where the closed form
-    certifies its sign, and from one key_rate call for the other rows.
-    The TEN depends only on those signs, so it is key_rate's; a row near
-    a zero rate gets key_rate's value and errors."""
-    fs = config.finite_size
-    model_row = closed_form_model(params, model, fs)
-
-    def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> np.ndarray:
-        at = replace(params, v=params.v[rows], t=params.t[rows], eps_c=eps_c)
-        rate = certified_rate(at, model_row, fs)
-        rest = np.flatnonzero(np.isnan(rate))
+        value = certified_rate(part(slice(None)), per_row[rows], fs)
+        positive = value > 0.0
+        rest = np.flatnonzero(np.isnan(value))
         if rest.size:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                rate, _ = closed_form_rate(part(rest), per_row[rows[rest]], fs)
+            # fmin skips a ratio whose state is too unphysical for the closed form (NaN).
+            value[rest] = np.fmin.reduce(rate, axis=1)
+        for i, model in enumerate(models):
+            own = rest[rows[rest] // n == i]
+            if not own.size:
+                continue
             try:
-                rate[rest] = key_rate(replace(at, v=at.v[rest], t=at.t[rest], eps_c=eps_c[rest]),
-                                      model, fs).rate_bits_per_pulse
-            except NumericalError as exc:  # row of the subset -> row of the block
-                exc.row = None if exc.row is None else int(rows[rest[exc.row]])
+                positive[own] = key_rate(part(own), model, fs).rate_bits_per_pulse > 0.0
+            except (ArithmeticError, RuntimeError, ValueError) as exc:
+                row = getattr(exc, "row", None)  # a row of own -> a row of the stack
+                exc.row = None if row is None else int(rows[own[row]])
+                exc.model = model
                 raise
-        return rate
+        return value, positive
 
-    return {"ten": _tolerable_noise(rate_at, params.v.size, predicted).tolist()}
+    try:
+        ten = _tolerable_noise(rate_at, v.size)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        if getattr(exc, "row", None) is not None:  # a row of the stack -> model and row
+            i, exc.row = divmod(exc.row, n)
+            exc.model = models[i]
+        raise
+    return {model: column.tolist() for model, column in zip(models, np.split(ten, len(models)))}
 
 
-def _tolerable_noise(rate_at, n: int, predicted: Optional[np.ndarray] = None,
-                     strict: bool = True) -> np.ndarray:
+def _tolerable_noise(rate_at, n: int) -> np.ndarray:
     """Largest excess noise with positive rate for each of n rows: the
     value a bisection to TEN_TOLERANCE gives, found from fewer evaluations.
 
-    rate_at(rows, eps_c) gives the rates of the listed rows at their
-    eps_c. The bisection doubles hi from 0.5 while the rate is positive,
-    halves [hi / 2, hi] (or [0, 0.5]) to a cell of width w, the largest
-    power of two <= TEN_TOLERANCE, and returns the centre of the cell
-    whose lower edge has a positive rate and whose upper edge has not,
-    or 0.0 where the rate at 0 is not positive. This search evaluates
-    such cell edges only, exact dyadic floats, and each row keeps the
-    highest edge known positive (lo) and the lowest known not (hi); it
-    is done once they are one cell apart, or once hi is 0.
+    rate_at(rows, eps_c) gives, for the listed rows at their eps_c, a
+    value of the rate and whether the rate is positive. The bisection
+    doubles hi from 0.5 while the rate is positive, halves [hi / 2, hi]
+    (or [0, 0.5]) to a cell of width w, the largest power of two <=
+    TEN_TOLERANCE, and returns the centre of the cell whose lower edge
+    has a positive rate and whose upper edge has not, or 0.0 where the
+    rate at 0 is not positive. This search evaluates such cell edges
+    only, exact dyadic floats, and each row keeps the highest edge known
+    positive (lo) and the lowest known not (hi); it is done once they
+    are one cell apart, or once hi is 0.
 
-    A row with a prediction in (0, _TEN_BRACKET_CAP) first evaluates
-    both edges of the predicted cell; a hit is done in one step. After a
-    miss it moves to the cell where the secant through those two edges
-    crosses zero, for at most two more steps, each cell kept inside what
-    is known and each edge evaluated once. Then, and from the start for
-    every other row, it searches as the bisection does: it evaluates 0
-    while no edge is known positive, then, until one is known not to
-    be, doubles its probe from lo (from 0.5 at lo = 0) up to the cap; a
-    positive rate at the cap is an error, or with strict False gives the
-    row the cap itself while the other rows go on. The bracket [lo, hi]
+    Each row evaluates 0 while no edge is known positive, then, until one
+    is known not to be, doubles its probe from lo (from 0.5 at lo = 0) up
+    to the cap, where a positive rate is an error. The bracket [lo, hi]
     then shrinks: each step takes the edge nearest the inverse quadratic
-    interpolation of lo, hi and the place an end last moved from, or
-    nearest the secant root where that estimate is missing or outside
-    the bracket. Once the steps taken plus the bisection steps the
-    bracket still needs reach twice those of the bracket it started
-    from, the floored midpoint edge is taken instead. Each step
-    evaluates every open row in one call. Where the rate changes sign
-    once over the edges up to the cap, the result is the bisection's,
-    bit for bit; without a prediction, so are the probes and bracket.
+    interpolation of the values at lo, hi and the place an end last moved
+    from, or nearest the secant root where that estimate is missing or
+    outside the bracket, or the floored midpoint edge where the secant
+    root is not finite. Once the steps taken plus the bisection steps the
+    bracket still needs reach twice those of the bracket it started from,
+    the midpoint edge is taken instead. Each step evaluates every open
+    row in one call. The values only choose the next edge; the sign alone
+    decides which end moves to it. So where the sign changes once over
+    the edges up to the cap, the result is the bisection's, bit for bit,
+    and so are the probes, whatever the values.
     """
     width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
     cap = _TEN_BRACKET_CAP
-    # An end not known yet has a NaN rate, lo one cell below 0 and hi at inf.
+    # An end not known yet has lo one cell below 0 or hi at inf, with a NaN value.
     lo, f_lo = np.full(n, -width), np.full(n, np.nan)
     hi, f_hi = np.full(n, np.inf), np.full(n, np.nan)
     # The third point of the interpolation: the place an end last moved from.
     x_c, f_c = np.full(n, np.nan), np.full(n, np.nan)
-    predicted = np.zeros(n) if predicted is None else np.asarray(predicted, dtype=float)
-    guesses = np.where((predicted > 0.0) & (predicted < cap), 3, 0)
-    cell = width * np.floor(np.where(guesses > 0, predicted, 0.0) / width)
     steps, budget = np.zeros(n, dtype=int), np.full(n, -1)
 
-    def take(rows: np.ndarray, at: np.ndarray, f: np.ndarray) -> None:
-        """Move an end of each row to its point, unless the bracket excludes it."""
-        inside = (lo[rows] < at) & (at < hi[rows])
-        rows, at, f = rows[inside], at[inside], f[inside]
-        up = f > 0.0
-        old, f_old = np.where(up, lo[rows], hi[rows]), np.where(up, f_lo[rows], f_hi[rows])
-        known = ~np.isnan(f_old)
-        x_c[rows[known]], f_c[rows[known]] = old[known], f_old[known]
-        lo[rows[up]], f_lo[rows[up]] = at[up], f[up]
-        hi[rows[~up]], f_hi[rows[~up]] = at[~up], f[~up]
-
-    def guess(g: np.ndarray, r: np.ndarray, at: np.ndarray) -> None:
-        """Evaluate the edges of the cells of rows g inside their brackets,
-        with rows r at their points, in one call; then move each row of g
-        to the cell of its secant."""
-        a = np.clip(cell[g], np.maximum(lo[g], 0.0), np.minimum(hi[g], cap) - width)
-        rows = np.concatenate([g, g, r])
-        at = np.concatenate([a, a + width, at])
-        lower = np.arange(rows.size) < g.size
-        inside = (lo[rows] < at) & (at < hi[rows])
-        rows, at, lower = rows[inside], at[inside], lower[inside]
-        f = rate_at(rows, at)
-        # A cell's lower edge is taken first if its rate is positive, else
-        # its upper edge is: so after a miss the end that moved and the
-        # third point are the cell's two edges.
-        f_lower = np.full(n, np.nan)
-        f_lower[rows[lower]] = f[lower]
-        later = np.where(lower, ~(f > 0.0), f_lower[rows] > 0.0)
-        take(rows[~later], at[~later], f[~later])
-        take(rows[later], at[later], f[later])
-        up = f_c[g] > 0.0
-        x_m, f_m = np.where(up, lo[g], hi[g]), np.where(up, f_lo[g], f_hi[g])
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            root = x_c[g] - f_c[g] * (x_m - x_c[g]) / (f_m - f_c[g])
-        cell[g] = width * np.floor(root / width)
-        guesses[g] = np.where(np.isfinite(root), guesses[g] - 1, 0)
-
     while True:
-        capped = (lo == cap) & (hi > cap)  # hi = cap ends a row that is not strict
+        capped = lo == cap
         if capped.any():
-            if strict:
-                raise NumericalError("rate stayed positive up to the excess-noise cap",
-                                     row=int(np.argmax(capped)))
-            hi[capped] = cap
-        active = hi - lo > width
-        if not active.any():
+            raise NumericalError("rate stayed positive up to the excess-noise cap",
+                                 row=int(np.argmax(capped)))
+        r = np.flatnonzero(hi - lo > width)
+        if not r.size:
             return np.where(lo >= 0.0, 0.5 * (lo + hi), 0.0)
-        # A searching row evaluates 0, then probes, then steps into its bracket.
-        r = np.flatnonzero(active & (guesses == 0))
-        at = np.minimum(np.where(lo[r] > 0.0, 2.0 * lo[r], 0.5), cap)
-        at[np.isnan(f_lo[r])] = 0.0
-        s = np.flatnonzero(~np.isnan(f_lo[r]) & np.isfinite(hi[r]))
+        # A row evaluates 0, then probes, then steps into its bracket.
+        at = np.where(lo[r] < 0.0, 0.0, np.clip(2.0 * lo[r], 0.5, cap))
+        s = np.flatnonzero((lo[r] >= 0.0) & (hi[r] < np.inf))
         rows = r[s]
         # In cells from lo: hi at span, the third point at c.
         span = (hi[rows] - lo[rows]) / width
@@ -472,19 +424,23 @@ def _tolerable_noise(rate_at, n: int, predicted: Optional[np.ndarray] = None,
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             iqi = (span * fa * fc / ((fb - fa) * (fb - fc))
                    + c * fa * fb / ((fc - fa) * (fc - fb)))
-        estimate = np.rint(np.where((iqi > 0.0) & (iqi < span), iqi, span * fa / (fa - fb)))
+            estimate = np.rint(np.where((iqi > 0.0) & (iqi < span), iqi,
+                                        span * fa / (fa - fb)))
         # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
         needed = np.frexp(span - 1.0)[1]
         budget[rows] = np.where(budget[rows] < 0, 2 * needed, budget[rows])
-        at_budget = steps[rows] + needed >= budget[rows]
-        step = np.where(at_budget, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
+        midpoint = (steps[rows] + needed >= budget[rows]) | ~np.isfinite(estimate)
+        step = np.where(midpoint, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
         at[s] = lo[rows] + step * width
         steps[rows] += 1
-        g = np.flatnonzero(active & (guesses > 0))
-        if g.size:
-            guess(g, r, at)
-        else:
-            take(r, at, rate_at(r, at))
+        f, up = rate_at(r, at)
+        # Each point lies strictly inside its row's bracket. Its sign says
+        # which end moves there; a known end's old place is the third point.
+        old = np.where(up, lo[r], hi[r])
+        known = (old >= 0.0) & (old < np.inf)
+        x_c[r[known]], f_c[r[known]] = old[known], np.where(up, f_lo[r], f_hi[r])[known]
+        lo[r[up]], f_lo[r[up]] = at[up], f[up]
+        hi[r[~up]], f_hi[r[~up]] = at[~up], f[~up]
 
 
 def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> list[dict]:
@@ -496,8 +452,9 @@ def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> lis
 
     A column is a list of one value per point, or one value for all of
     them; the V, distance_km, transmittance and delta lists are shared by
-    every block. A block's error is raised again naming its model and, where
-    the error carries the index of its failing row, that row's point."""
+    every block. An error of block(model), or of blocks_at naming its
+    model as exc.model, is raised again naming that model and, where the
+    error carries the index of its failing row, that row's point."""
     v, km, delta = (c.ravel() for c in np.meshgrid(
         sorted(config.variances), config.distances_km.points(), deltas, indexing="ij"))
     t = np.array([transmittance_from_km(d) for d in km.tolist()])
@@ -508,17 +465,19 @@ def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> lis
         "V": v.tolist(), "distance_km": km.tolist(), "transmittance": t.tolist(),
         "delta": delta.tolist(), "eta_d": system["eta_d"], "v_ele": system["v_ele"],
     }
-    block = blocks_at(params, delta)
-    blocks = []
-    for model in sorted(config.models, key=lambda m: m.value):
-        try:
+    blocks, model = [], None
+    try:
+        block = blocks_at(params, delta)
+        for model in sorted(config.models, key=lambda m: m.value):
             blocks.append({"model": model.value, **shared, **block(model)})
-        except (ArithmeticError, RuntimeError, ValueError) as exc:
-            row = getattr(exc, "row", None)
-            point = ("" if row is None else
-                     f" V={v[row].item()!r} km={km[row].item()!r} delta={delta[row].item()!r}")
-            raise RuntimeError(
-                f"model={model.value}{point}: {type(exc).__name__}: {exc}") from exc
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        model = getattr(exc, "model", model)
+        if model is None:
+            raise
+        row = getattr(exc, "row", None)
+        point = ("" if row is None else
+                 f" V={v[row].item()!r} km={km[row].item()!r} delta={delta[row].item()!r}")
+        raise RuntimeError(f"model={model.value}{point}: {type(exc).__name__}: {exc}") from exc
     return blocks
 
 
@@ -529,8 +488,8 @@ def _sweep_blocks(config: SweepConfig) -> list[dict]:
 
 def _ten_blocks(config: SweepConfig) -> list[dict]:
     def blocks_at(params: SystemParams, delta: np.ndarray):
-        predicted = _predicted_ten(config, params)
-        return lambda model: _ten_block(config, model, params, predicted[model])
+        ten = _ten_columns(config, params)
+        return lambda model: {"ten": ten[model]}
 
     return _grid_blocks(config, blocks_at, [0.0])
 

@@ -4,12 +4,12 @@ Reverse reconciliation throughout: rate = beta * I_AB - chi_BE in the
 asymptotic regime. Every key rate that sweep prints is evaluated
 numerically from the models' covariance matrices through the generic
 symplectic-spectrum pipeline. The closed form of Lodewyck et al. in
-closed_form_rate serves the TEN search, which needs only the sign of each
-rate: it predicts where the search should look, and certified_rate takes
-a rate's sign from it where a margin over both routes' error certifies
-that the sign is key_rate's. It takes the model per row, so one search
-predicts the rows of every model, and in the finite-size regime it is
-taken at each SNU ratio of key_rate's grid.
+closed_form_rate serves the TEN search, whose result depends only on the
+sign of each rate: its values choose where the search looks next, and
+certified_rate takes a rate's sign from it where a margin over both
+routes' error certifies that the sign is key_rate's. It takes the model
+per row, so one search covers the rows of every model, and in the
+finite-size regime it is taken at each SNU ratio of key_rate's grid.
 """
 
 from __future__ import annotations

@@ -4,10 +4,9 @@ worst case are tested against.
 
 Nothing in src/ imports them. holevo_lodewyck is the scalar form of the
 closed form that keyrate.closed_form_rate vectorises, over rows of every
-model and, finite-size, each SNU ratio of key_rate's grid, to predict
-each TEN row's cell and certify the signs of its rates; it is written
-apart from it so that it still checks the eigensolver pipeline on its
-own."""
+model and, finite-size, each SNU ratio of key_rate's grid, to steer the
+TEN search and certify the signs of its rates; it is written apart from
+it so that it still checks the eigensolver pipeline on its own."""
 
 import math
 

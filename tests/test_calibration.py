@@ -189,16 +189,20 @@ class TestDeviationCurve:
 
     def test_matches_confidence_interval_half_widths(self):
         # deviation_curve keeps its own copy of the half-width formula;
-        # this keeps it equal to the one of confidence_interval.
+        # this keeps it equal to the one of confidence_interval, and has it
+        # refuse exactly the m whose interval is degenerate.
         eps_pe = 1e-5
         m_grid = [2, 3, 10, 10 ** 3] + [10 ** k for k in range(5, 13)]
         checked = 0
-        for row in deviation_curve(TRUTH, m_grid, eps_pe):
+        for m in m_grid:
             try:
-                ote = confidence_interval(TRUTH.v_tot, 0.0, row["m"], eps_pe)
-                tte = confidence_interval(TRUTH.v_tot, TRUTH.v_ele, row["m"], eps_pe)
+                ote = confidence_interval(TRUTH.v_tot, 0.0, m, eps_pe)
+                tte = confidence_interval(TRUTH.v_tot, TRUTH.v_ele, m, eps_pe)
             except ValueError:
+                with pytest.raises(ValueError, match=rf"^degenerate SNU interval: m = {m} "):
+                    deviation_curve(TRUTH, [m], eps_pe)
                 continue  # a degenerate interval has no half-width to compare
+            (row,) = deviation_curve(TRUTH, [m], eps_pe)
             assert row["dev_ote"] == pytest.approx((ote.upper - ote.point) / ote.point,
                                                    rel=1e-10)
             assert row["dev_tte"] == pytest.approx((tte.point - tte.lower) / tte.point,

@@ -319,45 +319,31 @@ RATE_FAMILIES = {
 
 TEN_WIDTH = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
 
-# Predictions of a row's TEN, the bisection's value ten (the root where the
-# rate stays positive up to the cap); x is a draw from (0, 2 * cap].
-PREDICTIONS = {
-    "cell": lambda ten, x: ten,
-    "cell below": lambda ten, x: ten - TEN_WIDTH,
-    "cell above": lambda ten, x: ten + TEN_WIDTH,
-    "lower edge -1 ulp": lambda ten, x: float(np.nextafter(ten - 0.5 * TEN_WIDTH, -np.inf)),
-    "lower edge +1 ulp": lambda ten, x: float(np.nextafter(ten - 0.5 * TEN_WIDTH, np.inf)),
-    "1000 cells below": lambda ten, x: ten - 1000.0 * TEN_WIDTH,
-    "1000 cells above": lambda ten, x: ten + 1000.0 * TEN_WIDTH,
-    "zero": lambda ten, x: 0.0,
-    "drawn": lambda ten, x: x,
-    "nan": lambda ten, x: math.nan,
-    "inf": lambda ten, x: math.inf,
-    "cap": lambda ten, x: _TEN_BRACKET_CAP,
+# Values that a row's rate_at may give beside the sign of rate(e), x being
+# a draw from [-1, 1]: the search reads them to choose its edges, and must
+# end where the signs alone put it whatever they are.
+VALUES = {
+    "exact": lambda rate, e, x: rate(e),
+    "nan": lambda rate, e, x: math.nan,
+    "+inf": lambda rate, e, x: math.inf,
+    "-inf": lambda rate, e, x: -math.inf,
+    "sign-flipped": lambda rate, e, x: -rate(e),
+    "noisy": lambda rate, e, x: rate(e) + x * math.cos(7919.0 * e),
+    "constant": lambda rate, e, x: x,
 }
 
 
-def evaluation_bound(rate, predicted: float) -> int:
-    """The most rate evaluations the TEN search of one row makes. Without a
-    prediction in (0, cap) the search is the bisection's: one evaluation at
-    0, one per doubling probe from 0.5 while the rate is positive, and twice
-    the bisection steps of the bracket the probes leave. A row predicted in
-    the cell the bisection ends in makes two. Any other prediction costs at
-    most two evaluations in each of three guess steps, then one at 0, the
-    doubling probes from one cell up to the cap, and twice the bisection
-    steps of [0, cap]."""
-    if not 0.0 < predicted < _TEN_BRACKET_CAP:
-        if rate(0.0) <= 0.0:
-            return 1
-        lo, hi, probes = 0.0, 0.5, 1
-        while rate(hi) > 0.0:
-            lo, hi, probes = hi, min(2.0 * hi, _TEN_BRACKET_CAP), probes + 1
-        return 1 + probes + 2 * (int((hi - lo) / TEN_WIDTH) - 1).bit_length()
-    cell = TEN_WIDTH * math.floor(predicted / TEN_WIDTH)
-    if rate(cell) > 0.0 >= rate(cell + TEN_WIDTH):
-        return 2
-    steps = (int(_TEN_BRACKET_CAP / TEN_WIDTH) - 1).bit_length()
-    return 3 * 2 + 1 + steps + 2 * steps
+def evaluation_bound(rate) -> int:
+    """The most rate evaluations the TEN search of one row makes, those of
+    the bisection's own start: one at 0, one per doubling probe from 0.5
+    while the rate is positive, and twice the bisection steps of the
+    bracket the probes leave."""
+    if rate(0.0) <= 0.0:
+        return 1
+    lo, hi, probes = 0.0, 0.5, 1
+    while rate(hi) > 0.0:
+        lo, hi, probes = hi, min(2.0 * hi, _TEN_BRACKET_CAP), probes + 1
+    return 1 + probes + 2 * (int((hi - lo) / TEN_WIDTH) - 1).bit_length()
 
 
 def recorded(rate, points: list):
@@ -451,7 +437,8 @@ class TestTenRows:
         # Real rates turn negative below eps_c = 0.5, so linear rates with
         # roots up to the cap drive the bracket doubling.
         roots = np.array([-0.1, 0.0, 0.3, 0.5, 0.7, 3.3, 100.0, 1000.0])
-        got = cli._tolerable_noise(lambda rows, eps_c: roots[rows] - eps_c, roots.size)
+        got = cli._tolerable_noise(
+            lambda rows, eps_c: (roots[rows] - eps_c, roots[rows] - eps_c > 0.0), roots.size)
         assert got.tolist() == [bisect_tolerable_noise(lambda eps_c, r=r: r - eps_c)
                                 for r in roots.tolist()]
 
@@ -461,18 +448,18 @@ class TestTenRows:
         st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 2.0 * _TEN_BRACKET_CAP),
                   st.just(_TEN_BRACKET_CAP)),
         st.integers(0, 8), st.sampled_from([-1, 0, 1]), st.floats(0.0, 1.0),
-        st.sampled_from(sorted(PREDICTIONS)),
-        st.floats(0.0, 2.0 * _TEN_BRACKET_CAP, exclude_min=True)),
+        st.sampled_from(sorted(VALUES)), st.floats(-1.0, 1.0)),
         min_size=1, max_size=12))
     def test_lockstep_equals_bisection_on_synthetic_rates(self, cases):
         # Each row is a strictly decreasing rate. For edge > 0 its root moves
         # onto one of the last edges that a bisection of r - eps_c evaluates;
         # ulps then moves it one ulp up or down. A root of 0 (or one ulp
         # below) makes the rate at eps_c = 0 exactly 0 (or negative). The row
-        # is predicted as PREDICTIONS names: in its own cell, next to it or
-        # far from it, 0.0, a draw that may lie past the cap, or no number.
-        rates, predicted = [], []
-        for family, r, edge, ulps, shape, prediction, x in cases:
+        # gives the search the sign of its rate and a value as VALUES names:
+        # the rate itself, no number, one of the wrong sign, noise or a
+        # constant.
+        rates, values = [], []
+        for family, r, edge, ulps, shape, kind, x in cases:
             if edge and r <= _TEN_BRACKET_CAP:
                 points = []
                 bisect_tolerable_noise(recorded(lambda eps_c, r=r: r - eps_c, points))
@@ -481,78 +468,76 @@ class TestTenRows:
             rate = RATE_FAMILIES[family](r, shape)
             ten = r if rate(_TEN_BRACKET_CAP) > 0.0 else bisect_tolerable_noise(rate)
             rates.append(rate)
-            predicted.append(PREDICTIONS[prediction](ten, x))
+            values.append(lambda e, rate=rate, kind=kind, x=x: VALUES[kind](rate, e, x))
         counts = np.zeros(len(rates), dtype=int)
 
         def rate_at(rows, eps_c):
             np.add.at(counts, rows, 1)
-            return np.array([rates[i](e) for i, e in zip(rows.tolist(), eps_c.tolist())])
+            points = list(zip(rows.tolist(), eps_c.tolist()))
+            return (np.array([values[i](e) for i, e in points]),
+                    np.array([rates[i](e) > 0.0 for i, e in points], dtype=bool))
 
         capped = [i for i, rate in enumerate(rates) if rate(_TEN_BRACKET_CAP) > 0.0]
         if capped:
             with pytest.raises(NumericalError,
                                match="^rate stayed positive up to the excess-noise cap$") as err:
-                cli._tolerable_noise(rate_at, len(rates), np.array(predicted))
+                cli._tolerable_noise(rate_at, len(rates))
             assert err.value.row in capped
             for i in capped:
                 with pytest.raises(RuntimeError, match="excess-noise cap"):
                     bisect_tolerable_noise(rates[i])
-            # Not strict, a capped row gets the cap and the others their TEN.
-            got = cli._tolerable_noise(rate_at, len(rates), np.array(predicted), strict=False)
-            assert got.tolist() == [_TEN_BRACKET_CAP if i in capped else
-                                    bisect_tolerable_noise(rate) for i, rate in enumerate(rates)]
             return
-        got = cli._tolerable_noise(rate_at, len(rates), np.array(predicted)).tolist()
-        for ten, rate, guess, count in zip(got, rates, predicted, counts.tolist()):
+        got = cli._tolerable_noise(rate_at, len(rates)).tolist()
+        for ten, rate, count in zip(got, rates, counts.tolist()):
             assert ten == bisect_tolerable_noise(rate)
-            assert count <= evaluation_bound(rate, guess)
+            assert count <= evaluation_bound(rate)
 
     @staticmethod
     def counted_ten_rows(monkeypatch, overrides=()):
         """The README grid's ten rows under overrides, with the number of
-        rows of each key_rate call and of each closed_form_rate call (each
-        step of the prediction) they took."""
-        rows_per_call, predicted_per_step = [], []
-        healthy, closed_form = cli.key_rate, cli.closed_form_rate
+        rows of each key_rate call and of each certified_rate call (each
+        step of the search) they took."""
+        rows_per_call, rows_per_step = [], []
+        healthy, certified = cli.key_rate, cli.certified_rate
 
         def counted(params, model, fs=None, delta=0.0):
             res = healthy(params, model, fs, delta)
             rows_per_call.append(np.size(res.rate_bits_per_pulse))
             return res
 
-        def counted_closed_form(params, model, fs=None):
-            rate, chi = closed_form(params, model, fs)
-            predicted_per_step.append(len(rate))
-            return rate, chi
+        def counted_certified(params, model, fs=None):
+            rate = certified(params, model, fs)
+            rows_per_step.append(len(rate))
+            return rate
 
         monkeypatch.setattr(cli, "key_rate", counted)
-        monkeypatch.setattr(cli, "closed_form_rate", counted_closed_form)
+        monkeypatch.setattr(cli, "certified_rate", counted_certified)
         rows = ten_rows(load_config(str(GOLDEN_CONFIG), overrides))
-        return rows, rows_per_call, predicted_per_step
+        return rows, rows_per_call, rows_per_step
 
     def test_readme_grid_evaluation_budget(self, monkeypatch):
         # The bisection took 4317 rate evaluations in 135 key_rate calls here,
         # the edge search from 0.5 for every model 1994 in 23, the search
-        # seeded with the model before 1508 in 16, and the search from the
-        # predicted cells 651 in 3. The prediction took 20 closed-form steps
-        # as one search per model, and takes 7 as one search over all rows.
-        # The closed form now certifies the sign of every edge the search
-        # evaluates, so key_rate evaluates none.
-        rows, rows_per_call, predicted_per_step = self.counted_ten_rows(monkeypatch)
+        # seeded with the model before 1508 in 16, and the search from cells
+        # the closed form predicted 651 in 3, after 7 closed-form steps. The
+        # one search over all rows takes 7 steps, and the closed form
+        # certifies the sign of every edge it evaluates, so key_rate
+        # evaluates none.
+        rows, rows_per_call, rows_per_step = self.counted_ten_rows(monkeypatch)
         assert len(rows) == 369
-        assert len(predicted_per_step) <= 8
+        assert 1 <= len(rows_per_step) <= 7
         assert rows_per_call == []
 
     def test_finite_size_readme_grid_evaluation_budget(self, monkeypatch):
         # The search seeded with the model before took 536 rate evaluations
-        # in 16 key_rate calls here. The prediction at n0 = 1 lay above the
-        # worst case over the SNU interval, so its rows missed and took a
-        # secant step or two: 501 in 9. At the interval's worse end it took
-        # 269 in 3, every one of which the closed form now certifies.
-        rows, rows_per_call, predicted_per_step = self.counted_ten_rows(
+        # in 16 key_rate calls here, and the search from cells the closed
+        # form predicted at the SNU interval's worse end 269 in 3. The one
+        # search over all rows takes 7 steps, every sign of which the
+        # closed form certifies.
+        rows, rows_per_call, rows_per_step = self.counted_ten_rows(
             monkeypatch, ["regime=finite_size", "distances_km.step=10"])
         assert len(rows) == 189
-        assert len(predicted_per_step) <= 8
+        assert 1 <= len(rows_per_step) <= 7
         assert rows_per_call == []
 
     @pytest.mark.parametrize("model", ["conventional", "three_mode", "two_mode"])
@@ -590,15 +575,11 @@ class TestTenRows:
             ten_rows(cfg)
 
     def test_bracket_cap_of_a_seeded_model_names_its_grid_point(self, monkeypatch):
-        # Only two_mode stays positive at 10 km. Its row there evaluates both
-        # edges of the cell the closed form predicts; no secant crosses zero
-        # through two equal rates, so its probes double from the upper edge
-        # up to the cap itself.
+        # Only two_mode stays positive at 10 km, searched with the other
+        # models' rows. Its row there evaluates 0, then probes that double
+        # from 0.5 up to the cap itself.
         cfg = SweepConfig.from_dict(base_config())
         t10 = transmittance_from_km(10.0)
-        at_10_km = SystemParams(v=np.array([4.0]), t=np.array([t10]), **cfg.system)
-        (predicted,) = cli._predicted_ten(cfg, at_10_km)[CalibrationModel.ONE_TIME_TWO_MODE]
-        cell = TEN_WIDTH * math.floor(predicted / TEN_WIDTH)
         healthy = cli.key_rate
         probes = []
 
@@ -617,14 +598,12 @@ class TestTenRows:
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
                 r"NumericalError: rate stayed positive up to the excess-noise cap$")):
             ten_rows(cfg)
-        assert cell > 0.0
-        assert probes[:2] == [cell, cell + TEN_WIDTH]
-        assert probes[2:] == [min(2.0 * p, _TEN_BRACKET_CAP) for p in probes[1:-1]]
+        assert probes == [0.0] + [2.0 ** k for k in range(-1, 11)]
         assert probes[-1] == _TEN_BRACKET_CAP
 
     def test_zero_tolerance_next_to_a_positive_one_equals_the_oracle(self, monkeypatch):
         # Conventional tolerates no excess noise at 10 km and two_mode none
-        # at 20 km, where the closed form predicts a positive TEN for both;
+        # at 20 km, where the closed form gives a positive TEN for both;
         # three_mode keeps its own TEN at both points.
         healthy = cli.key_rate
         negative = {"conventional": transmittance_from_km(10.0),
@@ -646,48 +625,46 @@ class TestTenRows:
         assert [r["ten"] for r in rows] == self.oracle_rows(cfg)
 
     def test_a_capped_prediction_leaves_the_other_rows_predicted(self, monkeypatch):
-        # Conventional's closed form stays positive up to the cap at 10 km,
-        # so that row alone is predicted at the cap, searches from eps_c = 0
-        # and ends as it does predicted. Every other row still evaluates its
-        # predicted cell's edges, or eps_c = 0, in one step.
+        # Without a certificate, every row takes its value from
+        # cli.closed_form_rate and its sign from key_rate. Conventional's
+        # closed form is patched to stay positive up to the cap at 10 km,
+        # so that row's values cross no zero and it steps to midpoints: it
+        # takes more evaluations, but ends as it does with the true closed
+        # form, and every other row takes the same evaluations as before.
         cfg = SweepConfig.from_dict(base_config())
         expected = [r["ten"] for r in ten_rows(cfg)]
         t10 = transmittance_from_km(10.0)
         conventional = keyrate.closed_form_model(
             SystemParams(v=4.0, t=t10, **cfg.system), CalibrationModel.CONVENTIONAL_TTE)
         closed_form, healthy = cli.closed_form_rate, cli.key_rate
-        evaluations = collections.Counter()
 
         def capped_at_10_km(params, model, fs=None):
             hit = (np.asarray(params.t) == t10) & np.all(model == conventional, axis=1)
             rate, chi = closed_form(params, model, fs)
             return np.where(hit[:, None], 1.0, rate), chi
 
-        def counted(params, model, fs=None, delta=0.0):
-            evaluations.update((model.value, t) for t in np.asarray(params.t).tolist())
-            return healthy(params, model, fs, delta)
+        def counted_ten():
+            evaluations = collections.Counter()
 
-        grid = SystemParams(v=np.full(3, 4.0), t=np.array([1.0, t10, transmittance_from_km(20.0)]),
-                            **cfg.system)
-        before = cli._predicted_ten(cfg, grid)
-        monkeypatch.setattr(cli, "closed_form_rate", capped_at_10_km)
-        monkeypatch.setattr(cli, "key_rate", counted)
+            def counted(params, model, fs=None, delta=0.0):
+                evaluations.update((model.value, t) for t in np.asarray(params.t).tolist())
+                return healthy(params, model, fs, delta)
+
+            monkeypatch.setattr(cli, "key_rate", counted)
+            return [r["ten"] for r in ten_rows(cfg)], evaluations
+
         no_certificate(monkeypatch)
-        after = cli._predicted_ten(cfg, grid)
-        assert after[CalibrationModel.CONVENTIONAL_TTE][1] == _TEN_BRACKET_CAP
-        after[CalibrationModel.CONVENTIONAL_TTE][1] = before[CalibrationModel.CONVENTIONAL_TTE][1]
-        assert all(np.array_equal(after[m], before[m]) for m in before)
-        assert [r["ten"] for r in ten_rows(cfg)] == expected
-        assert evaluations.pop(("conventional", t10)) > 2
-        assert len(evaluations) == 8 and max(evaluations.values()) <= 2
+        ten, before = counted_ten()
+        monkeypatch.setattr(cli, "closed_form_rate", capped_at_10_km)
+        capped_ten, after = counted_ten()
+        assert ten == capped_ten == expected
+        assert after.pop(("conventional", t10)) > before.pop(("conventional", t10))
+        assert len(after) == 8 and after == before
 
     def test_error_in_a_later_step_names_its_row_of_the_block(self, monkeypatch):
-        # The prediction misses: it says no row tolerates excess noise, so
-        # each row's first step evaluates eps_c = 0 only. The rate is not
-        # positive at 0 km, so the steps after the first evaluate the 10 and
-        # 20 km rows only; row 0 of such a step is 10 km.
-        monkeypatch.setattr(cli, "_predicted_ten", lambda config, params: {
-            model: np.zeros(params.v.size) for model in config.models})
+        # Each row's first step evaluates eps_c = 0. The rate is not positive
+        # at 0 km, so the steps after the first evaluate the 10 and 20 km
+        # rows only; row 0 of such a step is 10 km.
         healthy = cli.key_rate
 
         def failing_without_0_km(params, model, fs=None, delta=0.0):
@@ -726,6 +703,34 @@ class TestTenRows:
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
                 r"NumericalError: eigenvalue solve did not converge$")):
             ten_rows(cfg)
+
+    @pytest.mark.parametrize("three_mode_at,named", [
+        (0.0, r"model=three_mode V=4\.0 km=20\.0"),
+        (0.5, r"model=two_mode V=4\.0 km=0\.0"),
+    ], ids=["same step", "later step"])
+    def test_error_of_several_models_names_the_first_in_step_then_model_order(
+            self, monkeypatch, three_mode_at, named):
+        # key_rate fails for two_mode at 0 km in the first step (eps_c = 0),
+        # and for three_mode at 20 km in the same step or the next one (the
+        # probe at 0.5). The earliest failing step wins, then sorted model
+        # order, not grid order.
+        no_certificate(monkeypatch)
+        healthy = cli.key_rate
+        fails = {"three_mode": (transmittance_from_km(20.0), three_mode_at),
+                 "two_mode": (1.0, 0.0)}
+
+        def failing(params, model, fs=None, delta=0.0):
+            t, eps_c = fails.get(model.value, (-1.0, -1.0))
+            hit = (np.asarray(params.t) == t) & (np.asarray(params.eps_c) == eps_c)
+            if hit.any():
+                raise NumericalError("eigenvalue solve did not converge",
+                                     row=int(np.argmax(hit)))
+            return healthy(params, model, fs, delta)
+
+        monkeypatch.setattr(cli, "key_rate", failing)
+        with pytest.raises(RuntimeError, match=(
+                rf"^{named} delta=0\.0: NumericalError: eigenvalue solve did not converge$")):
+            ten_rows(SweepConfig.from_dict(base_config()))
 
     @pytest.mark.parametrize("regime", ["asymptotic", "finite_size"])
     def test_certificate_leaves_far_rows_as_key_rate_writes_them(self, tmp_path, monkeypatch,
@@ -1039,10 +1044,14 @@ class TestExitCodes:
         assert "needs n >= 2, got 1.5" in capsys.readouterr().err
 
     # [0.5] is no count, so it fails before the dry run and names its field.
+    # At eps_pe = 1e-5 the one-time deviation is 1 or more up to m = 39,
+    # and the two-time one up to m = 79.
     @pytest.mark.parametrize("m_grid,message", [
         ("[1]", "need at least 2 samples"),
         ("[0.5]", "calibration.m_grid[0] must be an integer, got 0.5"),
-    ], ids=["[1]", "[0.5]"])
+        ("[2, 50]", "m = 2 is too few for eps_pe = 1e-05, so the one-time deviation"),
+        ("[50]", "m = 50 is too few for eps_pe = 1e-05, so the two-time deviation"),
+    ], ids=["[1]", "[0.5]", "[2, 50]", "[50]"])
     def test_validate_config_dry_runs_calibration(self, tmp_path, capsys, m_grid, message):
         path = write_config(tmp_path, base_config(calibration=CALIBRATION))
         assert main(["validate-config", "--config", path,
