@@ -21,8 +21,8 @@ import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
 from .gaussian import NumericalError
-from .keyrate import (FiniteSizeParams, certified_rate, closed_form_model, closed_form_rate,
-                      key_rate, mutual_information, snu_interval)
+from .keyrate import (FiniteSizeParams, certified_rate, closed_form_model, key_rate,
+                      mutual_information, snu_interval)
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
 
@@ -258,10 +258,12 @@ def _section(raw: dict, section: str) -> dict:
 def load_config(path: str, overrides: Sequence[str] = ()) -> SweepConfig:
     """Read a JSON config file and apply --set overrides."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -318,12 +320,12 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
 def _ten_columns(config: SweepConfig, params: SystemParams) -> dict:
     """The tolerable-excess-noise column of every configured model at
     params, at delta 0, from one lockstep search over every model's rows
-    stacked, sorted by model. Each step takes a row's value and sign from
-    certified_rate, with its model's closed_form_model, where the closed
-    form certifies the sign. The other rows take the closed form's lowest
-    value over the SNU ratios and key_rate's sign, from one key_rate call
-    per model in sorted order. The TEN depends only on those signs, so it
-    is key_rate's; a row near a zero rate gets key_rate's sign and errors.
+    stacked, sorted by model. Each step takes every row's value from
+    certified_rate, with its model's closed_form_model, and its sign too
+    where the closed form certifies it. The other rows take key_rate's
+    sign, from one key_rate call per model in sorted order. The TEN
+    depends only on those signs, so it is key_rate's; a row near a zero
+    rate gets key_rate's sign and errors.
     An error carries its model as exc.model and, where it has one, its
     row of that model's block."""
     models = sorted(config.models, key=lambda m: m.value)
@@ -335,14 +337,9 @@ def _ten_columns(config: SweepConfig, params: SystemParams) -> dict:
         def part(k):  # the params of evaluated rows k
             return replace(params, v=v[rows[k]], t=t[rows[k]], eps_c=eps_c[k])
 
-        value = certified_rate(part(slice(None)), per_row[rows], fs)
+        value, certain = certified_rate(part(slice(None)), per_row[rows], fs)
         positive = value > 0.0
-        rest = np.flatnonzero(np.isnan(value))
-        if rest.size:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                rate, _ = closed_form_rate(part(rest), per_row[rows[rest]], fs)
-            # fmin skips a ratio whose state is too unphysical for the closed form (NaN).
-            value[rest] = np.fmin.reduce(rate, axis=1)
+        rest = np.flatnonzero(~certain)
         for i, model in enumerate(models):
             own = rest[rows[rest] // n == i]
             if not own.size:

@@ -57,9 +57,9 @@ _UNIT_EIGENVALUE_TOL = 1e-6
 
 # The margin by which closed_form_rate certifies the sign of key_rate's
 # rate: at each SNU ratio the two routes agree to within RATE_MARGIN_REL
-# of max(|rate|, |chi_BE|) (tests/test_keyrate.py asserts it; 2.3e-11 is
-# the worst seen), and RATE_MARGIN_ABS bits cover both routes' float
-# error near a zero rate, about 1e-14.
+# of max(|rate|, |chi_BE|) (tests/test_keyrate.py asserts it; 7.0e-11 is
+# the worst seen on its draws), and RATE_MARGIN_ABS bits cover both
+# routes' float error near a zero rate, about 1e-14.
 RATE_MARGIN_REL = 1e-9
 RATE_MARGIN_ABS = 1e-12
 
@@ -136,23 +136,16 @@ def _as_given(values: np.ndarray, params: SystemParams,
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def _snr(params: SystemParams) -> np.ndarray:
-    """The ratio (V + chi)/(chi + 1) whose log2 is twice I_AB, with the total
-    noise referred to the channel input, chi = 1/(t * eta_d * eta_e) - 1 + eps_c."""
-    chi = 1.0 / (np.asarray(params.t) * params.eta_d * params.eta_e) - 1.0 + params.eps_c
-    return (params.v + chi) / (chi + 1.0)
-
-
 def mutual_information(params: SystemParams) -> float | np.ndarray:
     """Shannon information between Alice and Bob, identical for all models.
 
     I_AB = 1/2 log2((V + chi)/(chi + 1)) with the total noise referred to
     the channel input, chi = 1/(t * eta_d * eta_e) - 1 + eps_c. The same
     value follows from any model matrix as 1/2 log2(V_B / V_B|A) with
-    Alice's mode heterodyned. One value per row; each takes libm's log2.
+    Alice's mode heterodyned. One value per row.
     """
-    ratio = np.ravel(_snr(params)).tolist()
-    return _as_given(np.array([0.5 * math.log2(x) for x in ratio]), params)
+    chi = 1.0 / (np.asarray(params.t) * params.eta_d * params.eta_e) - 1.0 + params.eps_c
+    return _as_given(0.5 * np.log2(np.ravel((params.v + chi) / (chi + 1.0))), params)
 
 
 def _require_finite(values: np.ndarray, n0: float | np.ndarray, what: str) -> None:
@@ -221,15 +214,6 @@ def holevo_bound(params: SystemParams, model: CalibrationModel,
     return _as_given(chi, params, n0)
 
 
-def _pair_entropies(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Entropies of the symplectic pairs with nu1^2 + nu2^2 = s and
-    (nu1 nu2)^2 = p, in numpy's log2; modes with nu <= 1 carry none."""
-    nu1 = np.sqrt((s + np.sqrt(s * s - 4.0 * p)) / 2.0)
-    x = np.maximum((np.stack([nu1, np.sqrt(p) / nu1]) - 1.0) / 2.0, 0.0)
-    terms = (x + 1.0) * np.log2(x + 1.0) - x * np.log2(np.where(x > 0.0, x, 1.0))
-    return terms[0] + terms[1]
-
-
 def closed_form_model(params: SystemParams, model: CalibrationModel,
                       fs: FiniteSizeParams | None = None) -> np.ndarray:
     """The model as closed_form_rate takes it, the row [T / t, eta, v_el,
@@ -264,9 +248,8 @@ def closed_form_rate(params: SystemParams, model: np.ndarray,
     I_AB - chi_BE at those parameters, and with fs key_fraction * (that -
     Delta(n)): the rate key_rate gives where its worst case lies at n0.
     They are evaluated as raw columns, since t / n0 exceeds 1 at 0 km for
-    n0 < 1. I_AB takes numpy's log2, not libm's as mutual_information does.
-    Where the arithmetic overflows, or the state is too unphysical for
-    the closed form, a value is not finite; there is no error.
+    n0 < 1. Where the arithmetic overflows, or the state is too unphysical
+    for the closed form, a value is not finite; there is no error.
     """
     model = np.reshape(model, (-1, np.shape(model)[-1]))
     gain, eta, v_el, n0 = model[:, :1], model[:, 1:2], model[:, 2:3], model[:, 3:]
@@ -282,20 +265,23 @@ def closed_form_rate(params: SystemParams, model: np.ndarray,
     denom = t * (v + total)
     c = (a * hom + v * sqrt_b + t * (v + line)) / denom
     d = sqrt_b * (v + sqrt_b * hom) / denom
-    # Eve's entropy from the pair (a, b), her conditional one from (c, d).
-    eve, conditional = _pair_entropies(np.stack([a, c]), np.stack([sqrt_b * sqrt_b, d]))
+    # Eve's symplectic pair has nu1^2 + nu2^2 = a and (nu1 nu2)^2 = b, her
+    # conditional one the same with (c, d).
+    s, p = np.stack([a, c]), np.stack([sqrt_b * sqrt_b, d])
+    nu1 = np.sqrt((s + np.sqrt(s * s - 4.0 * p)) / 2.0)
+    eve, conditional = entropy_of_spectra(np.stack([nu1, np.sqrt(p) / nu1], axis=-1))
     chi = eve - conditional
-    i_ab = 0.5 * np.log2(np.reshape(_snr(params), (-1, 1)))
-    rate = params.beta * i_ab - chi
+    rate = params.beta * np.reshape(mutual_information(params), (-1, 1)) - chi
     if fs is not None:
         rate = fs.key_fraction * (rate - finite_size_penalty(fs))
     return rate, chi
 
 
 def certified_rate(params: SystemParams, model: np.ndarray,
-                   fs: FiniteSizeParams | None = None) -> np.ndarray:
-    """Each row's closed-form rate, its lowest over the SNU ratios, where
-    the closed form certifies the sign of key_rate's rate; NaN elsewhere.
+                   fs: FiniteSizeParams | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's closed-form rate, its lowest over the SNU ratios that
+    give one (NaN where none does), and whether the closed form certifies
+    the sign of the row's key_rate rate.
 
     model is as closed_form_rate takes it, with the ratios closed_form_model
     gives. At each ratio the margin is RATE_MARGIN_REL * max(|rate|,
@@ -313,8 +299,8 @@ def certified_rate(params: SystemParams, model: np.ndarray,
         low = np.min(rate - margin, axis=1)
         probes = slice(None) if fs is None else _PROBES
         high = np.min(rate[:, probes] + margin[:, probes], axis=1)
-    certain = np.isfinite(low) & ((low > 0.0) | (high < 0.0))
-    return np.where(certain, np.min(rate, axis=1), np.nan)
+        value = np.fmin.reduce(rate, axis=1)
+    return value, np.isfinite(low) & ((low > 0.0) | (high < 0.0))
 
 
 def finite_size_penalty(fs: FiniteSizeParams) -> float:

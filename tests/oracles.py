@@ -45,8 +45,10 @@ def entropy_g(x: float) -> float:
 
 
 def entropy_by_row(spectra: np.ndarray) -> np.ndarray:
-    """Entropies of spectra (..., n) one row at a time: each row's
-    entropy_g((nu - 1)/2) terms added to 0 in spectrum order. The sum is
+    """Entropies of spectra (..., n) one row at a time, with libm's log2:
+    each row's entropy_g((nu - 1)/2) terms added to 0 in spectrum order.
+    gaussian.entropy_of_spectra, with numpy's log2 over the whole stack,
+    is held to be no farther from entropy_exact than this. The sum is
     spelled out, as sum() compensates its float rounding from Python 3.12."""
     x = (spectra - 1.0) / 2.0
     out = []
@@ -56,6 +58,21 @@ def entropy_by_row(spectra: np.ndarray) -> np.ndarray:
             total += term
         out.append(total)
     return np.array(out).reshape(x.shape[:-1])
+
+
+def g_exact(nu: mpmath.mpf) -> mpmath.mpf:
+    """The entropy g((nu - 1)/2) of one mode at mpmath's working precision,
+    0 for nu <= 1."""
+    x = (nu - 1) / 2
+    return (x + 1) * mpmath.log(x + 1, 2) - x * mpmath.log(x, 2) if x > 0 else mpmath.mpf(0)
+
+
+def entropy_exact(spectra: np.ndarray) -> list[mpmath.mpf]:
+    """Entropies of spectra (..., n) to 40 digits, the float spectra taken
+    exactly: one mpmath number per row, rows in row-major order."""
+    with mpmath.workdps(40):
+        return [mpmath.fsum(g_exact(mpmath.mpf(nu)) for nu in row)
+                for row in spectra.reshape(-1, spectra.shape[-1]).tolist()]
 
 
 def epr_state(v: float) -> np.ndarray:
@@ -122,12 +139,7 @@ def holevo_two_mode_exact(v: float, t: float, eps_c: float, eta_d: float, v_ele:
         root = mpmath.sqrt(delta * delta - 4 * det)
         spectrum = [mpmath.sqrt((delta + root) / 2), mpmath.sqrt((delta - root) / 2)]
         conditional = mpmath.sqrt(a * (a - c2 / b))
-
-        def g(nu):
-            x = (nu - 1) / 2
-            return (x + 1) * mpmath.log(x + 1, 2) - x * mpmath.log(x, 2) if x > 0 else 0
-
-        return g(spectrum[0]) + g(spectrum[1]) - g(conditional)
+        return g_exact(spectrum[0]) + g_exact(spectrum[1]) - g_exact(conditional)
 
 
 def _checked(gamma: np.ndarray) -> np.ndarray:
@@ -159,10 +171,12 @@ def _x_conditioned(gamma: np.ndarray, mode: int = 1) -> np.ndarray:
     return _checked((out + out.T) / 2.0)
 
 
-def holevo_pointwise(model: CalibrationModel, params: SystemParams, n0: float) -> float:
-    """chi_BE at one SNU ratio by the per-point pipeline the batched kernels
-    replaced: one model matrix at a time, checked finite and symmetric, one
-    eigvals call and one pinv per matrix, and a scalar libm entropy."""
+def entropies_pointwise(model: CalibrationModel, params: SystemParams,
+                        n0: float) -> tuple[float, float]:
+    """Eve's entropies S(E) and S(E | b3) at one SNU ratio, whose difference
+    is chi_BE, by the per-point pipeline the batched kernels replaced: one
+    model matrix at a time, checked finite and symmetric, one eigvals call
+    and one pinv per matrix, and a scalar libm entropy."""
     if model is CalibrationModel.ONE_TIME_TWO_MODE:
         eve = measured = _checked(two_mode_stack(params, n0)[0])
     elif model is CalibrationModel.ONE_TIME_THREE_MODE:
@@ -171,7 +185,13 @@ def holevo_pointwise(model: CalibrationModel, params: SystemParams, n0: float) -
         channel = conventional_channel_stack(params, n0)
         eve = _checked(channel[0])
         measured = _checked(conventional_stack(params, channel)[0])
-    return _entropy(eve) - _entropy(_x_conditioned(measured))
+    return _entropy(eve), _entropy(_x_conditioned(measured))
+
+
+def holevo_pointwise(model: CalibrationModel, params: SystemParams, n0: float) -> float:
+    """chi_BE at one SNU ratio by the per-point pipeline of entropies_pointwise."""
+    eve, conditional = entropies_pointwise(model, params, n0)
+    return eve - conditional
 
 
 def bisect_tolerable_noise(rate_at) -> float:

@@ -68,10 +68,11 @@ def ten_rows(cfg: SweepConfig) -> list[dict]:
 
 
 def no_certificate(monkeypatch) -> None:
-    """Take every ten rate from cli.key_rate, as if the closed form
-    certified no sign, for tests that patch or count key_rate."""
-    monkeypatch.setattr(cli, "certified_rate",
-                        lambda params, model, fs=None: np.full(np.size(params.v), np.nan))
+    """Take every ten sign from cli.key_rate, as if the closed form
+    certified none, for tests that patch or count key_rate."""
+    certified = cli.certified_rate
+    monkeypatch.setattr(cli, "certified_rate", lambda params, model, fs=None: (
+        certified(params, model, fs)[0], np.zeros(np.size(params.v), dtype=bool)))
 
 
 def base_config(**overrides) -> dict:
@@ -506,9 +507,9 @@ class TestTenRows:
             return res
 
         def counted_certified(params, model, fs=None):
-            rate = certified(params, model, fs)
-            rows_per_step.append(len(rate))
-            return rate
+            value, certain = certified(params, model, fs)
+            rows_per_step.append(len(value))
+            return value, certain
 
         monkeypatch.setattr(cli, "key_rate", counted)
         monkeypatch.setattr(cli, "certified_rate", counted_certified)
@@ -626,7 +627,7 @@ class TestTenRows:
 
     def test_a_capped_prediction_leaves_the_other_rows_predicted(self, monkeypatch):
         # Without a certificate, every row takes its value from
-        # cli.closed_form_rate and its sign from key_rate. Conventional's
+        # keyrate.closed_form_rate and its sign from key_rate. Conventional's
         # closed form is patched to stay positive up to the cap at 10 km,
         # so that row's values cross no zero and it steps to midpoints: it
         # takes more evaluations, but ends as it does with the true closed
@@ -636,7 +637,7 @@ class TestTenRows:
         t10 = transmittance_from_km(10.0)
         conventional = keyrate.closed_form_model(
             SystemParams(v=4.0, t=t10, **cfg.system), CalibrationModel.CONVENTIONAL_TTE)
-        closed_form, healthy = cli.closed_form_rate, cli.key_rate
+        closed_form, healthy = keyrate.closed_form_rate, cli.key_rate
 
         def capped_at_10_km(params, model, fs=None):
             hit = (np.asarray(params.t) == t10) & np.all(model == conventional, axis=1)
@@ -655,7 +656,7 @@ class TestTenRows:
 
         no_certificate(monkeypatch)
         ten, before = counted_ten()
-        monkeypatch.setattr(cli, "closed_form_rate", capped_at_10_km)
+        monkeypatch.setattr(keyrate, "closed_form_rate", capped_at_10_km)
         capped_ten, after = counted_ten()
         assert ten == capped_ten == expected
         assert after.pop(("conventional", t10)) > before.pop(("conventional", t10))
@@ -690,7 +691,8 @@ class TestTenRows:
         t10 = transmittance_from_km(10.0)
 
         def all_but_10_km(params, model, fs=None):
-            return np.where(np.asarray(params.t) == t10, np.nan, certified(params, model, fs))
+            value, certain = certified(params, model, fs)
+            return value, certain & (np.asarray(params.t) != t10)
 
         def failing(params, model, fs=None, delta=0.0):
             assert np.all(np.asarray(params.t) == t10)
@@ -1192,6 +1194,15 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) \
             == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    def test_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff" + json.dumps(base_config()).encode())
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"config error: config {path} is not UTF-8 text: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n")
 
     def test_unwritable_output_is_runtime_error(self, tmp_path):
         path = write_config(tmp_path, base_config(

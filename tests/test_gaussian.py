@@ -8,8 +8,10 @@ with a known Williamson spectrum built by conjugating diagonal thermal
 matrices with random symplectics.
 """
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from cvqkd_calib.models import (
     three_mode_stack,
     two_mode_stack,
 )
-from oracles import _x_conditioned, entropy_by_row, epr_state
+from oracles import _x_conditioned, entropy_by_row, entropy_exact, epr_state
 
 SZ = np.diag([1.0, -1.0])
 
@@ -132,18 +134,48 @@ class TestEntropyG:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("shape", [(), (5000,), (50, 100)])
-    def test_bits_of_the_per_row_sum(self, shape, n):
-        # nu below 1, within 1e-15 of it, and up to 1e3, compared as bytes;
-        # numpy's SIMD log2 would move a few of these thousands of rows.
-        rng = np.random.default_rng(n)
-        nu = 10.0 ** rng.uniform(-1.5, 3.0, shape + (n,))
-        nu.flat[::61] = 1.0 - 1e-15
-        nu.flat[1::59] = 1.0 + 1e-15
-        nu.flat[2::53] = 1.0
-        nu.flat[3::47] = 1e3
-        got = entropy_of_spectra(nu)
+    def test_rows_within_float_error_of_40_digits(self, shape, n):
+        # Each row is within 2 eps of the sum of its terms' magnitudes,
+        # (x+1) log2(x+1) + x |log2 x|, plus 1e-15 bits for x + 1 rounding
+        # where x is below 1e-15.
+        nu, exact = spectra_with_exact_entropies(n)
+        size = math.prod(shape)
+        got = entropy_of_spectra(nu[:size].reshape(shape + (n,)))
         assert got.shape == shape
-        assert got.tobytes() == entropy_by_row(nu).tobytes()
+        x = np.maximum((nu[:size] - 1.0) / 2.0, 0.0)
+        magnitude = ((x + 1.0) * np.log2(x + 1.0)
+                     + x * np.abs(np.log2(np.where(x > 0.0, x, 1.0)))).sum(axis=1)
+        error = errors(got.ravel(), exact[:size])
+        assert np.all(error <= 2.0 * np.finfo(float).eps * magnitude + 1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_as_close_to_40_digits_as_the_per_element_sum(self, n):
+        # Against oracles.entropy_by_row, the per-element libm loop, on the
+        # inputs above.
+        nu, exact = spectra_with_exact_entropies(n)
+        ours, loop = (errors(f(nu), exact) for f in (entropy_of_spectra, entropy_by_row))
+        assert ours.max() <= loop.max()
+        assert np.median(ours) <= np.median(loop)
+
+
+@functools.cache
+def spectra_with_exact_entropies(n: int) -> tuple[np.ndarray, list]:
+    """5000 spectra of n modes, nu below 1, within 1e-15 of it, and up to
+    1e3, with their entropies to 40 digits (oracles.entropy_exact)."""
+    rng = np.random.default_rng(n)
+    nu = 10.0 ** rng.uniform(-1.5, 3.0, (5000, n))
+    nu.flat[::61] = 1.0 - 1e-15
+    nu.flat[1::59] = 1.0 + 1e-15
+    nu.flat[2::53] = 1.0
+    nu.flat[3::47] = 1e3
+    nu.flags.writeable = False
+    return nu, entropy_exact(nu)
+
+
+def errors(got: np.ndarray, exact: list) -> np.ndarray:
+    """|got - exact| of each row, computed in mpmath."""
+    with mpmath.workdps(40):
+        return np.array([float(abs(mpmath.mpf(g) - e)) for g, e in zip(got.tolist(), exact)])
 
 
 # ---------------------------------------------------------------------------

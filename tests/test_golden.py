@@ -11,6 +11,10 @@ commands below and says why:
 """
 
 import gzip
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ import pytest
 from cvqkd_calib.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parents[1] / "src"
 
 FINITE_STEP_50 = ["--set", "regime=finite_size", "--set", "distances_km.step=50"]
 
@@ -46,3 +51,22 @@ def test_output_is_byte_identical(tmp_path, capsys, name):
                 for lines in (got_lines, expect_lines)]
         pytest.fail(f"{name}: {len(got_lines)} lines against {len(expect_lines)}; "
                     f"line {first + 1} reads {pair[0]!r}, expected {pair[1]!r}")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("name", ["ten_asymptotic", "ten_finite_size_step50", "calib"])
+def test_output_does_not_depend_on_the_blas_kernel(tmp_path, name):
+    # The eigensolver's last digits follow OpenBLAS's kernel, so the sweep
+    # goldens move under another one. On this grid every TEN edge takes its
+    # sign from the closed form, which runs no eigensolve, and calib runs
+    # none either, so these match under the oldest x86-64 kernel too. A
+    # numpy built without OpenBLAS ignores the variable.
+    command, *overrides = CASES[name]
+    out = tmp_path / f"{name}.csv"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "cvqkd_calib.cli", command, "--config",
+                    str(GOLDEN / "config.json"), *overrides, "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    assert out.read_bytes() == gzip.decompress((GOLDEN / f"{name}.csv.gz").read_bytes())

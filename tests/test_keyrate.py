@@ -37,6 +37,7 @@ from cvqkd_calib.keyrate import finite_size_penalty, mutual_information, snu_int
 from cvqkd_calib.models import three_mode_stack, two_mode_stack
 from oracles import (
     dense_worst_case,
+    entropies_pointwise,
     holevo_lodewyck,
     holevo_pointwise,
     holevo_two_mode_exact,
@@ -330,8 +331,7 @@ class TestCertifiedRate:
                 np.nextafter(root, np.where(step > 0.0, np.inf, 0.0)),
             ])
             p = dataclasses.replace(p, eps_c=eps_c)
-            rate = keyrate.certified_rate(p, keyrate.closed_form_model(p, model, fs), fs)
-            sure = ~np.isnan(rate)
+            rate, sure = keyrate.certified_rate(p, keyrate.closed_form_model(p, model, fs), fs)
             expect = key_rate(p, model, fs).rate_bits_per_pulse
             assert np.array_equal(rate[sure] > 0.0, expect[sure] > 0.0), (
                 p, fs, np.flatnonzero(sure & ((rate > 0.0) != (expect > 0.0))))
@@ -354,11 +354,12 @@ class TestCertifiedRate:
         # Asymptotically every ratio is a probe; the 3 ratios stand for a grid.
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (np.array(rate), np.array(chi)))
-        got = keyrate.certified_rate(params(), np.zeros(4))
-        if np.isnan(sign):
-            assert np.isnan(got).all()
-        else:
-            assert np.sign(got).tolist() == [sign]
+        value, certain = keyrate.certified_rate(params(), np.zeros(4))
+        # The value is the lowest rate over the ratios that give one.
+        assert value.tolist() == np.fmin.reduce(rate, axis=1).tolist()
+        assert certain.tolist() == [not np.isnan(sign)]
+        if certain[0]:
+            assert np.sign(value).tolist() == [sign]
 
     def test_positive_needs_every_grid_ratio_and_non_positive_a_probe(self, monkeypatch):
         fs = TestProbedWorstCase.FS
@@ -368,9 +369,11 @@ class TestCertifiedRate:
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (dip, np.ones_like(dip)))
         assert 2 not in keyrate._PROBES and 1 in keyrate._PROBES
-        assert np.isnan(keyrate.certified_rate(params(), np.zeros(3 + N0), fs)).all()
+        value, certain = keyrate.certified_rate(params(), np.zeros(3 + N0), fs)
+        assert value.tolist() == [-1.0, -1.0] and certain.tolist() == [False, False]
         dip[:, 1] = -1.0  # now at a probe: certified non-positive
-        assert keyrate.certified_rate(params(), np.zeros(3 + N0), fs).tolist() == [-1.0, -1.0]
+        value, certain = keyrate.certified_rate(params(), np.zeros(3 + N0), fs)
+        assert value.tolist() == [-1.0, -1.0] and certain.tolist() == [True, True]
 
 
 class TestTwoModeExactOracle:
@@ -707,8 +710,10 @@ class TestBatchedScan:
             batched = holevo_bound(p, model, n0)
             assert batched.shape == n0.shape
             for got, x in zip(batched, n0):
-                expect = holevo_pointwise(model, p, float(x))
-                assert got == pytest.approx(expect, rel=1e-13, abs=1e-15)
+                # chi is the difference of two entropies, each computed to
+                # about 1e-14 of itself, so it is held to their sum.
+                eve, conditional = entropies_pointwise(model, p, float(x))
+                assert abs(got - (eve - conditional)) <= 1e-13 * (eve + conditional)
             assert holevo_bound(p, model, 1.0) == batched[-1]
 
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
