@@ -619,9 +619,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         path = config.output_path if args.out is None else args.out
         if path is None:
             raise ConfigError("no output path: set output.path in the config or pass --out")
-        # key_rate refuses every non-finite matrix, spectrum and rate with
-        # its grid point named; numpy's warnings would repeat that error
-        # without the point.
+        # key_rate refuses every non-finite matrix, spectrum and rate it
+        # evaluates with its grid point named; numpy's warnings would
+        # repeat that error without the point.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             write_rows(build_blocks(config), columns, path, config.output_format)
     except ConfigError as exc:

@@ -4,18 +4,19 @@ Reverse reconciliation throughout: rate = beta * I_AB - chi_BE in the
 asymptotic regime. Every key rate that sweep prints is evaluated
 numerically from the models' covariance matrices through the generic
 symplectic-spectrum pipeline. The closed form of Lodewyck et al. in
-closed_form_rate serves the TEN search, whose result depends only on the
-sign of each rate: its values choose where the search looks next, and
-certified_rate takes a rate's sign from it where a margin over both
-routes' error certifies that the sign is key_rate's. It takes the model
-per row, so one search covers the rows of every model, and in the
-finite-size regime it is taken at each SNU ratio of key_rate's grid.
+closed_form_rate bounds that rate within a margin at each SNU ratio, so
+finite-size key_rate runs the pipeline only at the ratios that may hold
+a row's worst case. The TEN search depends only on the sign of each
+rate: the closed form's values choose where it looks next, and
+certified_rate takes a rate's sign from it where the margin certifies
+that the sign is key_rate's. It takes the model per row, so one search
+covers the rows of every model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,23 +44,16 @@ from .models import (
 # the interior.
 N0_SCAN_POINTS = 21
 
-# Grid indices evaluated first: both endpoints, their neighbours and the
-# midpoint. When chi_BE rises and then falls across them, an interior
-# grid point may exceed every probe, and the whole grid is evaluated.
-# Otherwise the worst probe is taken as the grid's worst case. That is
-# a measured property of the three models, not a proof; the full scan
-# in tests/oracles.py holds it to the grid's worst case.
-_PROBES = np.array([0, 1, N0_SCAN_POINTS // 2, N0_SCAN_POINTS - 2, N0_SCAN_POINTS - 1])
-
 # The three-mode matrix must expose one unit symplectic eigenvalue (the
 # detection beamsplitter's vacuum ancilla survives any rescaling).
 _UNIT_EIGENVALUE_TOL = 1e-6
 
-# The margin by which closed_form_rate certifies the sign of key_rate's
-# rate: at each SNU ratio the two routes agree to within RATE_MARGIN_REL
-# of max(|rate|, |chi_BE|) (tests/test_keyrate.py asserts it; 7.0e-11 is
-# the worst seen on its draws), and RATE_MARGIN_ABS bits cover both
-# routes' float error near a zero rate, about 1e-14.
+# The margin by which closed_form_rate bounds key_rate's rate at each SNU
+# ratio, which picks the ratios key_rate evaluates and certifies the signs
+# of the TEN search: the two routes agree to within RATE_MARGIN_REL of
+# max(|rate|, |chi_BE|) (tests/test_keyrate.py asserts it for m from 1e3;
+# 7.0e-11 is the worst seen on its draws), and RATE_MARGIN_ABS bits cover
+# both routes' float error near a zero rate, about 1e-14.
 RATE_MARGIN_REL = 1e-9
 RATE_MARGIN_ABS = 1e-12
 
@@ -222,7 +216,8 @@ def closed_form_model(params: SystemParams, model: CalibrationModel,
     rate's worst case is taken over. (T, eta, v_el) is (t, eta_d, v_ele +
     v_rin) for conventional, (t eta_e, eta_d, 0) for three-mode and
     (t eta_d eta_e, 1, 0) for two-mode. The ratio is 1 asymptotically, and
-    with fs the N0_SCAN_POINTS ratios of key_rate's grid, bit for bit.
+    with fs key_rate's grid: N0_SCAN_POINTS ratios across the model's
+    snu_interval, normalized by its point estimate.
     """
     if model is CalibrationModel.CONVENTIONAL_TTE:
         detector = [1.0, params.eta_d, params.v_ele + params.v_rin]
@@ -232,7 +227,11 @@ def closed_form_model(params: SystemParams, model: CalibrationModel,
         detector = [params.eta_d * params.eta_e, 1.0, 0.0]
     else:
         raise ValueError(f"unknown calibration model {model!r}")
-    return np.concatenate([detector, [1.0] if fs is None else _n0_grid(params, model, fs)])
+    if fs is None:
+        return np.concatenate([detector, [1.0]])
+    calib = snu_interval(params, model, fs)
+    return np.concatenate([detector, np.linspace(calib.lower / calib.point,
+                                                 calib.upper / calib.point, N0_SCAN_POINTS)])
 
 
 def closed_form_rate(params: SystemParams, model: np.ndarray,
@@ -277,6 +276,18 @@ def closed_form_rate(params: SystemParams, model: np.ndarray,
     return rate, chi
 
 
+def _rate_bounds(params: SystemParams, model: np.ndarray,
+                 fs: FiniteSizeParams | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """closed_form_rate's rate at each (row, SNU ratio) and the bounds,
+    the rate minus and plus RATE_MARGIN_REL * max(|rate|, |chi_BE|) +
+    RATE_MARGIN_ABS, between which key_rate's rate at that ratio lies.
+    Where the closed form is not finite, so are the bounds."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rate, chi = closed_form_rate(params, model, fs)
+        margin = RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi)) + RATE_MARGIN_ABS
+        return rate, rate - margin, rate + margin
+
+
 def certified_rate(params: SystemParams, model: np.ndarray,
                    fs: FiniteSizeParams | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's closed-form rate, its lowest over the SNU ratios that
@@ -284,23 +295,17 @@ def certified_rate(params: SystemParams, model: np.ndarray,
     the sign of the row's key_rate rate.
 
     model is as closed_form_rate takes it, with the ratios closed_form_model
-    gives. At each ratio the margin is RATE_MARGIN_REL * max(|rate|,
-    |chi_BE|) + RATE_MARGIN_ABS. A row is certified positive where its
-    rate exceeds the margin at every ratio of key_rate's grid, and
-    non-positive where it lies below minus the margin at some _PROBES
-    ratio, since key_rate takes its worst case over a superset of the
-    probes. A NaN or infinite rate or margin at any ratio certifies
-    nothing.
+    gives. key_rate's rate is its lowest rate over the whole grid, and at
+    each ratio that rate lies within the _rate_bounds. So a row is
+    certified positive where the lower bound exceeds 0 at every ratio, and
+    non-positive where the upper bound lies below 0 at any one ratio: the
+    grid's lowest rate is at most the rate there. A NaN or infinite rate
+    or margin at any ratio certifies nothing.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rate, chi = closed_form_rate(params, model, fs)
-        margin = RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi)) + RATE_MARGIN_ABS
-        # min, not fmin: a NaN at any ratio leaves its row uncertified.
-        low = np.min(rate - margin, axis=1)
-        probes = slice(None) if fs is None else _PROBES
-        high = np.min(rate[:, probes] + margin[:, probes], axis=1)
-        value = np.fmin.reduce(rate, axis=1)
-    return value, np.isfinite(low) & ((low > 0.0) | (high < 0.0))
+    rate, lower, upper = _rate_bounds(params, model, fs)
+    # min, not fmin: a NaN at any ratio leaves its row uncertified.
+    low, high = np.min(lower, axis=1), np.min(upper, axis=1)
+    return np.fmin.reduce(rate, axis=1), np.isfinite(low) & ((low > 0.0) | (high < 0.0))
 
 
 def finite_size_penalty(fs: FiniteSizeParams) -> float:
@@ -328,20 +333,24 @@ def snu_interval(params: SystemParams, model: CalibrationModel,
                                fs.calib_samples_m, fs.eps_pe)
 
 
-def _n0_grid(params: SystemParams, model: CalibrationModel,
-             fs: FiniteSizeParams) -> np.ndarray:
-    """The N0_SCAN_POINTS SNU ratios across the model's snu_interval,
-    normalized by its point estimate."""
-    calib = snu_interval(params, model, fs)
-    return np.linspace(calib.lower / calib.point, calib.upper / calib.point, N0_SCAN_POINTS)
-
-
-def _interior_max_excluded(chi: np.ndarray) -> bool:
-    """True when no row of chi, a (rows, probes) array over increasing n0,
-    rises and later falls across its probes."""
-    step = np.diff(chi, axis=1)
-    rose = np.logical_or.accumulate(step > 0.0, axis=1)
-    return not (rose[:, :-1] & (step[:, 1:] < 0.0)).any()
+def _candidate_chi(params: SystemParams, model: CalibrationModel, n0: np.ndarray,
+                   candidate: np.ndarray) -> np.ndarray:
+    """holevo_bound at the (row, n0) pairs where candidate, a (rows, n0)
+    mask, holds, NaN elsewhere: one call per n0 on the rows that hold it.
+    An error's row is that of the block."""
+    chi, shape = np.full(candidate.shape, np.nan), _row_shape(params) or (1,)
+    for k in np.flatnonzero(candidate.any(axis=0)):
+        rows = np.flatnonzero(candidate[:, k])
+        part = params if rows.size == candidate.shape[0] else replace(params, **{
+            name: np.broadcast_to(getattr(params, name), shape)[rows]
+            for name in ("v", "t", "eps_c")})
+        try:
+            chi[rows, k] = np.reshape(holevo_bound(part, model, n0[k:k + 1]), -1)
+        except NumericalError as exc:
+            if exc.row is not None:
+                exc.row = int(rows[exc.row])
+            raise
+    return chi
 
 
 def key_rate(params: SystemParams, model: CalibrationModel,
@@ -355,33 +364,38 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     SNU ratio n0 runs over a grid of N0_SCAN_POINTS across the model's
     :func:`snu_interval` normalized by its point estimate, beta*I_AB -
     chi_BE is minimized over that grid, the penalty Delta(n) is
-    subtracted and the result scaled by the key fraction n/N. chi_BE is
-    first evaluated at the five _PROBES of the grid; the whole grid is
-    evaluated only when some row rises and then falls across them, since
-    then an interior grid point may hold the worst case.
+    subtracted and the result scaled by the key fraction n/N.
     Channel-parameter fluctuation is out of scope; only the SNU-bearing
     matrix entries move.
 
+    Finite-size, chi_BE comes from the eigensolver only at a row's
+    candidate ratios: all but those whose lower bound (_rate_bounds) lies
+    above the row's lowest upper bound, as such a ratio holds a higher
+    rate than some other. A ratio where the closed form is not finite is
+    a candidate. So the result is the whole grid's worst case bit for
+    bit, and a fault at a ratio that is no candidate raises nothing.
+
     One row for scalar params and delta. A block of rows, with v, t,
-    eps_c or delta as 1-D columns, goes through one batched Holevo call
-    over every (row, n0) and gives a column per result field; each row
-    equals its own one-row evaluation.
+    eps_c or delta as 1-D columns, gives a column per result field, from
+    one batched Holevo call per evaluated n0; each row equals its own
+    one-row evaluation.
     """
     if fs is None:
         n0, penalty, share = np.ones(1), 0.0, 1.0
     else:
-        grid = _n0_grid(params, model, fs)
-        n0, penalty, share = grid[_PROBES], finite_size_penalty(fs), fs.key_fraction
+        cf = closed_form_model(params, model, fs)  # ends with the n0 grid
+        n0, penalty, share = cf[3:], finite_size_penalty(fs), fs.key_fraction
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
-    chi = np.reshape(holevo_bound(eff, model, n0), (-1, n0.size))
-    if fs is not None and not _interior_max_excluded(chi):
-        n0 = grid
-        chi = np.reshape(holevo_bound(eff, model, n0), (-1, n0.size))
+    candidate = np.ones((np.size(i_ab), 1), dtype=bool)
+    if fs is not None:
+        _, lower, upper = _rate_bounds(eff, cf, fs)
+        candidate = ~(lower > np.fmin.reduce(upper, axis=1)[:, None])
+    chi = _candidate_chi(eff, model, n0, candidate)
     values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
-    _require_finite(values.ravel(), n0, "key rate")
+    _require_finite(np.where(candidate, values, 0.0).ravel(), n0, "key rate")
     # argmin takes the first of equal minima, as a strict-< scan would.
-    worst = np.argmin(values, axis=1)
+    worst = np.argmin(np.where(candidate, values, np.inf), axis=1)
     rows = np.arange(worst.size)
     return KeyRateResult(
         rate_bits_per_pulse=_as_given(share * (values[rows, worst] - penalty), eff),

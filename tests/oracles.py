@@ -1,12 +1,13 @@
 """Independent closed forms and reference pipelines that the batched
-eigensolver kernels, the lockstep TEN search and the probed finite-size
-worst case are tested against.
+eigensolver kernels, the lockstep TEN search and the finite-size worst
+case over the closed form's candidate SNU ratios are tested against.
 
 Nothing in src/ imports them. holevo_lodewyck is the scalar form of the
 closed form that keyrate.closed_form_rate vectorises, over rows of every
-model and, finite-size, each SNU ratio of key_rate's grid, to steer the
-TEN search and certify the signs of its rates; it is written apart from
-it so that it still checks the eigensolver pipeline on its own."""
+model and, finite-size, each SNU ratio of key_rate's grid, to pick the
+ratios key_rate evaluates, steer the TEN search and certify the signs of
+its rates; it is written apart from it so that it still checks the
+eigensolver pipeline on its own."""
 
 import math
 
@@ -220,7 +221,8 @@ def bisect_tolerable_noise(rate_at) -> float:
 def dense_worst_case(params: SystemParams, model: CalibrationModel,
                      fs: FiniteSizeParams, delta: float | np.ndarray = 0.0) -> KeyRateResult:
     """Finite-size key rate from chi_BE at every point of the N0_SCAN_POINTS
-    grid: the full scan that the probe certificate of key_rate shortcuts."""
+    grid in one holevo_bound call: the full scan that key_rate, evaluating
+    only the closed form's candidate ratios, must equal field for field."""
     calib = snu_interval(params, model, fs)
     n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                      N0_SCAN_POINTS)

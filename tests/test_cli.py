@@ -261,27 +261,39 @@ class TestSweepRows:
             rows(cfg)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("index,fallback", [(keyrate.N0_SCAN_POINTS // 2, False),
-                                                (7, True)])
+    # (grid index, full scan forced): the row's worst ratio, its one
+    # candidate here, and a ratio that is a candidate only when the closed
+    # form is NaN.
+    @pytest.mark.parametrize("index,full", [(None, False), (7, True)])
     @pytest.mark.parametrize("model,builder,what", [
         ("two_mode", "two_mode_stack", "two-mode matrix"),
         ("three_mode", "three_mode_stack", "three-mode matrix"),
         ("conventional", "conventional_channel_stack", "measured matrix"),
     ])
     def test_poisoned_element_inside_a_block_names_its_point_and_n0(
-            self, monkeypatch, model, builder, what, index, fallback):
+            self, monkeypatch, model, builder, what, index, full):
         # One (model, V) block holds 4 distances x 3 deltas; poison the matrix
-        # of V = 20 (the second V), 20 km, delta 0.001 at the grid's n0[index],
-        # a probe of the certified pass or, with the full scan forced, a point
-        # only that scan evaluates.
+        # of V = 20 (the second V), 20 km, delta 0.001 at an SNU ratio that
+        # key_rate evaluates for that row.
         cfg = SweepConfig.from_dict(base_config(
             models=[model], variances=[4.0, 20.0], regime="finite_size",
             finite_size=FINITE_SIZE, miscalibration_deltas=[0.0, 0.001, 0.003],
             distances_km={"start": 0.0, "stop": 30.0, "step": 10.0}))
-        p = SystemParams(v=20.0, t=1.0, **cfg.system)
-        calib = snu_interval(p, CalibrationModel(model), cfg.finite_size)
-        n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
-                         keyrate.N0_SCAN_POINTS)
+        if full:
+            p = SystemParams(v=20.0, t=1.0, **cfg.system)
+            calib = snu_interval(p, CalibrationModel(model), cfg.finite_size)
+            n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
+                             keyrate.N0_SCAN_POINTS)[index]
+            closed_form = keyrate.closed_form_rate
+
+            def undefined(params, model, fs=None):
+                rate, chi = closed_form(params, model, fs)
+                return np.full_like(rate, np.nan), chi
+
+            monkeypatch.setattr(keyrate, "closed_form_rate", undefined)
+        else:
+            n0, = [r["n0_worst"] for r in sweep_rows(cfg)
+                   if (r["V"], r["distance_km"], r["delta"]) == (20.0, 20.0, 0.001)]
         original = getattr(keyrate, builder)
         t_hat = (1.0 + 0.001) * transmittance_from_km(20.0)
 
@@ -291,14 +303,12 @@ class TestSweepRows:
             hit = np.flatnonzero((np.broadcast_to(params.v, rows) == 20.0)
                                  & (np.broadcast_to(params.t, rows) == t_hat))
             for row in hit:
-                for k in np.flatnonzero(scan == n0[index]):
+                for k in np.flatnonzero(scan == n0):
                     out[row * scan.size + k, 2, 2] = np.nan
             return out
 
         monkeypatch.setattr(keyrate, builder, poisoned)
-        if fallback:
-            monkeypatch.setattr(keyrate, "_interior_max_excluded", lambda chi: False)
-        named = re.escape(repr(float(n0[index])))
+        named = re.escape(repr(float(n0)))
         with pytest.raises(RuntimeError, match=(
                 rf"^model={model} V=20\.0 km=20\.0 delta=0\.001: "
                 rf"NumericalError: non-finite {what} at n0 = {named}$")):
@@ -640,7 +650,9 @@ class TestTenRows:
         closed_form, healthy = keyrate.closed_form_rate, cli.key_rate
 
         def capped_at_10_km(params, model, fs=None):
-            hit = (np.asarray(params.t) == t10) & np.all(model == conventional, axis=1)
+            # model is one row for all of params, or one row each.
+            rows = np.reshape(model, (-1, np.shape(model)[-1]))
+            hit = (np.asarray(params.t) == t10) & np.all(rows == conventional, axis=1)
             rate, chi = closed_form(params, model, fs)
             return np.where(hit[:, None], 1.0, rate), chi
 

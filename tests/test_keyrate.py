@@ -7,6 +7,7 @@ model as it stands and, at transmittance t*eta_e without electronic
 noise, for the three-mode model.
 """
 
+import collections
 import dataclasses
 import math
 import re
@@ -84,6 +85,11 @@ def two_mode_closed_form_holevo(p: SystemParams) -> float:
     assert disc == pytest.approx(a_printed, rel=1e-12)
     assert det == pytest.approx(b_printed, rel=1e-12)
     return holevo_lodewyck(v, tau, p.eps_c, 1.0, 0.0)
+
+
+def fields_of(res: KeyRateResult) -> list[list[float]]:
+    """A result's fields as lists, for == comparison of blocks."""
+    return [np.ravel(getattr(res, f.name)).tolist() for f in dataclasses.fields(res)]
 
 
 class TestMutualInformation:
@@ -274,6 +280,37 @@ class TestLodewyckOracle:
                 undefined += rate.size - defined.sum()
             assert undefined == (model is CONV and with_rin and finite)
 
+    @pytest.mark.parametrize("model", [CONV, THREE, TWO])
+    @pytest.mark.parametrize("with_rin", [False, True])
+    def test_closed_form_rate_within_margin_at_small_m(self, model, with_rin):
+        # key_rate evaluates the eigensolver only where the closed form,
+        # within RATE_MARGIN_REL at each ratio, may hold the worst case, so
+        # the margin must also hold where m from 1e3 to 1e5 gives wide SNU
+        # intervals reaching unphysical states. 20 detectors of 10 rows,
+        # the first at t = 1; 7.2e-12 is the worst seen here, and the
+        # closed form is NaN at 152 of the 25200 (row, ratio) pairs.
+        rng = np.random.default_rng([26, with_rin])
+        for _ in range(20):
+            t = 10 ** rng.uniform(-3, 0, 10)
+            p = SystemParams(
+                v=rng.uniform(1.5, 60.0, 10), t=np.append(1.0, t[1:]),
+                eps_c=rng.uniform(0.0, 0.1, 10), eta_d=rng.uniform(0.3, 0.99),
+                v_ele=rng.uniform(1e-3, 0.3), beta=rng.uniform(0.85, 1.0),
+                v_rin=rng.uniform(1e-3, 0.1) if with_rin else 0.0)
+            fs = FiniteSizeParams(
+                block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10, eps_pa=1e-10,
+                eps_smooth=1e-10, calib_samples_m=int(10 ** rng.uniform(3, 5)))
+            model_row = keyrate.closed_form_model(p, model, fs)
+            chi = np.reshape(holevo_bound(p, model, model_row[3:]), (10, -1))
+            expect = fs.key_fraction * (p.beta * np.reshape(mutual_information(p), (-1, 1))
+                                        - chi - finite_size_penalty(fs))
+            with np.errstate(invalid="ignore"):
+                rate, closed_chi = keyrate.closed_form_rate(p, model_row, fs)
+            defined = np.isfinite(rate)
+            scale = np.maximum(np.abs(rate), np.abs(closed_chi))[defined]
+            error = np.abs(rate - expect)[defined]
+            assert np.all(error <= keyrate.RATE_MARGIN_REL * scale), (p, fs, error / scale)
+
 
 class TestCertifiedRate:
     """keyrate.certified_rate takes a TEN edge's sign from the closed form
@@ -361,19 +398,20 @@ class TestCertifiedRate:
         if certain[0]:
             assert np.sign(value).tolist() == [sign]
 
-    def test_positive_needs_every_grid_ratio_and_non_positive_a_probe(self, monkeypatch):
-        fs = TestProbedWorstCase.FS
-        dip = np.ones((2, N0))
-        dip[0, 2] = -1.0  # a dip between the probes: not certified positive
-        dip[1, 2], dip[1, 1] = -1.0, 0.0  # a probe at 0 and the dip: not certified either
+    def test_positive_needs_every_grid_ratio_and_non_positive_any_one(self, monkeypatch):
+        # key_rate's worst case is the whole grid's, so a rate below minus
+        # the margin at any one ratio, an interior one included, certifies
+        # the row non-positive. With chi_BE 1 the margin is about 1e-9.
+        fs = TestCandidateWorstCase.FS
+        dip = np.ones((3, N0))
+        dip[0, 7] = -1.0  # a dip at one interior ratio: certified non-positive
+        dip[1, 7] = 5e-10  # within the margin of 0 there: certified neither way
+        dip[2, 7] = 2e-9  # clears the margin there too: certified positive
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (dip, np.ones_like(dip)))
-        assert 2 not in keyrate._PROBES and 1 in keyrate._PROBES
         value, certain = keyrate.certified_rate(params(), np.zeros(3 + N0), fs)
-        assert value.tolist() == [-1.0, -1.0] and certain.tolist() == [False, False]
-        dip[:, 1] = -1.0  # now at a probe: certified non-positive
-        value, certain = keyrate.certified_rate(params(), np.zeros(3 + N0), fs)
-        assert value.tolist() == [-1.0, -1.0] and certain.tolist() == [True, True]
+        assert value.tolist() == [-1.0, 5e-10, 2e-9]
+        assert certain.tolist() == [True, False, True]
 
 
 class TestTwoModeExactOracle:
@@ -748,59 +786,95 @@ class TestBatchedScan:
         return params(v=4.0, t=t[0] if rows == 1 else np.array(t)), rows // 2
 
     @staticmethod
-    def damage_at(monkeypatch, builder, n0, row, damage):
+    def damage_at(monkeypatch, builder, n0, t, damage):
         """Patch keyrate.<builder>(params, n0) so that damage(stack, i) hits
-        element i of every stack it builds that holds `row` at SNU ratio n0,
-        whichever subset of the grid the call evaluates."""
+        element i of every stack it builds that holds the row at
+        transmittance t at SNU ratio n0, whichever rows and ratios the call
+        evaluates."""
         original = getattr(keyrate, builder)
 
         def damaged(p, scan):
             out = original(p, scan)
-            for k in np.flatnonzero(scan == n0):
-                damage(out, row * scan.size + k)
+            rows = np.flatnonzero(np.atleast_1d(p.t) == t)
+            for row in rows:
+                for k in np.flatnonzero(scan == n0):
+                    damage(out, row * scan.size + k)
             return out
 
         monkeypatch.setattr(keyrate, builder, damaged)
 
-    # (grid index, fallback forced): a probe of the certified pass, and a
-    # point that only the full scan evaluates.
-    @pytest.mark.parametrize("index,fallback", [(N0 - 2, False), (7, True)])
+    @staticmethod
+    def scan_every_ratio_of(monkeypatch, row):
+        """Make the closed form NaN on one row of each key_rate block, so
+        that every ratio is a candidate of that row."""
+        closed_form = keyrate.closed_form_rate
+
+        def undefined(params, model, fs=None):
+            rate, chi = closed_form(params, model, fs)
+            rate[row] = np.nan
+            return rate, chi
+
+        monkeypatch.setattr(keyrate, "closed_form_rate", undefined)
+
+    def damaged_ratio(self, monkeypatch, p, model, middle, index, full):
+        """The n0 to damage: the middle row's worst ratio, a candidate, or
+        with the full scan forced on that row, grid index `index`."""
+        n0 = self.scan_n0(p, model)
+        if not full:
+            return float(np.atleast_1d(key_rate(p, model, self.FS).worst_n0)[middle])
+        self.scan_every_ratio_of(monkeypatch, middle)
+        return float(n0[index])
+
+    # (grid index, full scan forced): the middle row's worst ratio, the
+    # one candidate of every row here, and a ratio that is a candidate of
+    # the middle row only when its closed form is NaN.
+    @pytest.mark.parametrize("index,full", [(None, False), (7, True)])
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("model,builder", [(TWO, "two_mode_stack"),
                                                (THREE, "three_mode_stack"),
                                                (CONV, "conventional_channel_stack")])
     def test_nonfinite_stack_element_names_its_n0(self, monkeypatch, model, builder, rows,
-                                                  index, fallback):
+                                                  index, full):
         p, middle = self.block(rows)
-        n0 = self.scan_n0(p, model)
+        n0 = self.damaged_ratio(monkeypatch, p, model, middle, index, full)
 
         def poison(out, i):
             out[i, 2, 2] = np.nan
 
-        self.damage_at(monkeypatch, builder, n0[index], middle, poison)
-        if fallback:
-            monkeypatch.setattr(keyrate, "_interior_max_excluded", lambda chi: False)
-        named = re.escape(repr(float(n0[index])))
+        self.damage_at(monkeypatch, builder, n0, np.atleast_1d(p.t)[middle], poison)
+        named = re.escape(repr(n0))
         with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$") as err:
             key_rate(p, model, self.FS)
         assert err.value.row == middle
 
-    @pytest.mark.parametrize("index,fallback", [(1, False), (5, True)])
+    @pytest.mark.parametrize("index,full", [(None, False), (5, True)])
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch, rows, index, fallback):
+    def test_lost_unit_eigenvalue_names_its_n0(self, monkeypatch, rows, index, full):
         p, middle = self.block(rows)
-        n0 = self.scan_n0(p, THREE)
+        n0 = self.damaged_ratio(monkeypatch, p, THREE, middle, index, full)
 
         def inflate(out, i):
             out[i] *= 1.5
 
-        self.damage_at(monkeypatch, "three_mode_stack", n0[index], middle, inflate)
-        if fallback:
-            monkeypatch.setattr(keyrate, "_interior_max_excluded", lambda chi: False)
-        named = re.escape(repr(float(n0[index])))
+        self.damage_at(monkeypatch, "three_mode_stack", n0, np.atleast_1d(p.t)[middle], inflate)
+        named = re.escape(repr(n0))
         with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:") as err:
             key_rate(p, THREE, self.FS)
         assert err.value.row == middle
+
+    def test_damage_at_a_ratio_that_is_no_candidate_is_not_evaluated(self, monkeypatch):
+        # The one behaviour the candidate rule changes: a ratio that cannot
+        # hold the worst case is never built, so a fault there raises nothing.
+        p, middle = self.block(3)
+        n0 = self.scan_n0(p, TWO)
+        expect = dense_worst_case(p, TWO, self.FS)
+        assert 7 not in [list(n0).index(x) for x in expect.worst_n0]
+
+        def poison(out, i):
+            out[i, 2, 2] = np.nan
+
+        self.damage_at(monkeypatch, "two_mode_stack", n0[7], p.t[middle], poison)
+        assert fields_of(key_rate(p, TWO, self.FS)) == fields_of(expect)
 
     def test_n0_must_be_positive_scalar_or_vector(self):
         p = params()
@@ -815,16 +889,17 @@ class TestBatchedScan:
             evaluate(params(), "three_mode")
 
 
-class TestProbedWorstCase:
-    """key_rate evaluates chi_BE at five probes of the n0 grid and falls back
-    to the whole grid when they cannot exclude an interior maximum; the full
-    21-point scan of tests/oracles.py is its oracle, field for field."""
+class TestCandidateWorstCase:
+    """key_rate evaluates chi_BE only at the SNU ratios that the closed
+    form, within its margin, leaves as candidates for each row's worst
+    case; the full 21-point scan of tests/oracles.py is its oracle, field
+    for field."""
 
     FS = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
                           eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=10 ** 6)
 
     # Conventional, m = 2564: chi_BE peaks inside the interval above both
-    # endpoints (2.1236 and 1.9740), between the probes.
+    # endpoints (2.1236 and 1.9740).
     PEAKED = params(v=39.23, t=0.9523, eps_c=0.0644, eta_d=0.51, v_ele=0.0741)
     PEAKED_FS = dataclasses.replace(FS, calib_samples_m=2564)
 
@@ -845,29 +920,61 @@ class TestProbedWorstCase:
         assert (self.outcome(lambda: key_rate(p, model, fs, delta))
                 == self.outcome(lambda: dense_worst_case(p, model, fs, delta)))
 
-    def spy(self, monkeypatch):
-        """Record each verdict of the probe certificate."""
-        verdicts = []
-        certify = keyrate._interior_max_excluded
+    @staticmethod
+    def spy(monkeypatch):
+        """Record, per holevo_bound call, the v of each row it evaluates and
+        its SNU ratios."""
+        calls = []
+        original = keyrate.holevo_bound
 
-        def recorded(chi):
-            verdicts.append(certify(chi))
-            return verdicts[-1]
+        def recorded(p, model, n0=1.0):
+            calls.append((np.ravel(p.v).tolist(), np.ravel(n0).tolist()))
+            return original(p, model, n0)
 
-        monkeypatch.setattr(keyrate, "_interior_max_excluded", recorded)
-        return verdicts
+        monkeypatch.setattr(keyrate, "holevo_bound", recorded)
+        return calls
 
-    def test_interior_peak_falls_back_to_the_full_scan(self, monkeypatch):
-        verdicts = self.spy(monkeypatch)
+    @staticmethod
+    def readme_blocks():
+        """The README finite-size grid, 0-200 km at a 5 km step, as the
+        (model, V) blocks that sweep evaluates: distances by delta 0, 0.001
+        and 0.003."""
+        km = np.arange(0.0, 201.0, 5.0)
+        t = np.repeat([transmittance_from_km(x) for x in km], 3)
+        delta = np.tile([0.0, 0.001, 0.003], km.size)
+        for model in (TWO, THREE, CONV):
+            for v in (4.0, 20.0, 40.0):
+                yield model, params(v=np.full(t.size, v), t=t), delta
+
+    @pytest.mark.parametrize("m", [5 * 10 ** 9, 10 ** 5, 10 ** 4, 2564])
+    def test_readme_grid_equals_dense_scan(self, m):
+        # From the goldens' m, where every worst n0 is an interval end, to
+        # the m of PEAKED, where some lie inside the interval.
+        fs = dataclasses.replace(self.FS, calib_samples_m=m)
+        for model, p, delta in self.readme_blocks():
+            assert (fields_of(key_rate(p, model, fs, delta))
+                    == fields_of(dense_worst_case(p, model, fs, delta))), (model, p.v[0])
+
+    @pytest.mark.parametrize("m", [5 * 10 ** 9, 10 ** 5])
+    def test_readme_grid_takes_one_ratio_per_row(self, monkeypatch, m):
+        fs = dataclasses.replace(self.FS, calib_samples_m=m)
+        calls = self.spy(monkeypatch)
+        for model, p, delta in self.readme_blocks():
+            calls.clear()
+            key_rate(p, model, fs, delta)
+            assert sum(len(v) * len(n0) for v, n0 in calls) == p.v.size, (model, p.v[0])
+
+    def test_interior_peak_is_a_candidate(self, monkeypatch):
+        calls = self.spy(monkeypatch)
         res = key_rate(self.PEAKED, CONV, self.PEAKED_FS)
-        assert verdicts == [False]
         assert res.chi_be == 2.414488341933574
         assert res.worst_n0 == 1.1451680844332404
         assert res == dense_worst_case(self.PEAKED, CONV, self.PEAKED_FS)
         calib = snu_interval(self.PEAKED, CONV, self.PEAKED_FS)
         grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, N0)
-        assert res.worst_n0 not in grid[keyrate._PROBES]
-        assert res.chi_be > np.max(holevo_bound(self.PEAKED, CONV, grid[keyrate._PROBES]))
+        evaluated = [x for _, n0 in calls for x in n0]
+        assert res.worst_n0 in evaluated and res.worst_n0 not in (grid[0], grid[-1])
+        assert len(evaluated) < N0
 
     def test_interior_peak_lies_in_unphysical_states(self):
         # The peak sits where the reconstructed states violate the
@@ -889,31 +996,40 @@ class TestProbedWorstCase:
         assert chi[0] == pytest.approx(2.1236, abs=1e-4)
         assert np.all(np.diff(chi) < 0.0)
 
-    def test_one_peaked_row_scans_its_whole_block(self, monkeypatch):
-        verdicts = self.spy(monkeypatch)
+    def test_one_peaked_row_widens_only_its_own_scan(self, monkeypatch):
+        calls = self.spy(monkeypatch)
         block = dataclasses.replace(self.PEAKED, v=np.array([4.0, 39.23, 20.0]))
         res = key_rate(block, CONV, self.PEAKED_FS)
-        assert verdicts == [False]
         assert res.chi_be[1] == 2.414488341933574
+        evaluated = collections.Counter(v for vs, n0 in calls for v in vs * len(n0))
+        assert evaluated[4.0] == 1 and evaluated[39.23] > 1
         for i, v in enumerate(block.v):
             row = key_rate(dataclasses.replace(self.PEAKED, v=float(v)), CONV, self.PEAKED_FS)
             assert (res.chi_be[i], res.worst_n0[i]) == (row.chi_be, row.worst_n0)
 
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
-    def test_narrow_interval_is_certified(self, monkeypatch, model):
-        verdicts = self.spy(monkeypatch)
+    def test_narrow_interval_takes_one_ratio(self, monkeypatch, model):
+        calls = self.spy(monkeypatch)
         key_rate(params(), model, self.FS)
-        assert verdicts == [True]
+        assert len(calls) == 1 and len(calls[0][1]) == 1
 
-    @pytest.mark.parametrize("chi,excluded", [
-        ([3.0, 2.0, 1.0, 2.0, 3.0], True),   # valley
-        ([1.0, 1.0, 2.0, 3.0, 3.0], True),   # flat, then rising
-        ([3.0, 2.0, 2.0, 2.0, 1.0], True),   # falling
-        ([1.0, 2.0, 1.0, 1.0, 1.0], False),  # peak at the left neighbour
-        ([1.0, 2.0, 3.0, 2.0, 1.0], False),  # peak at the midpoint
-        ([2.0, 2.0, 2.0, 3.0, 2.0], False),  # peak at the right neighbour
-        ([2.0, 1.0, 1.5, 1.0, 2.0], False),  # rise then fall inside a valley
-    ])
-    def test_certificate_rejects_any_rise_then_fall(self, chi, excluded):
-        rows = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], chi])
-        assert keyrate._interior_max_excluded(rows) is excluded
+    def test_candidate_rule(self, monkeypatch):
+        # chi_BE 1 puts the margin near 1e-9. Row 0: the lowest rate and one
+        # within the two margins of it are candidates, a NaN ratio too. Row
+        # 1: NaN everywhere, so every ratio is a candidate. Row 2: a tie.
+        rate = np.ones((3, N0))
+        rate[0, [3, 4, 5, 6]] = [0.5, 0.5 + 1.5e-9, 0.5 + 3e-9, np.nan]
+        rate[1] = np.nan
+        rate[2, [0, N0 - 1]] = 0.25
+        monkeypatch.setattr(keyrate, "closed_form_rate",
+                            lambda *args: (rate, np.ones_like(rate)))
+        calls = self.spy(monkeypatch)
+        key_rate(params(v=np.array([4.0, 20.0, 40.0])), TWO, self.FS)
+        grid = keyrate.closed_form_model(params(), TWO, self.FS)[3:].tolist()
+        evaluated = {v: [] for v in (4.0, 20.0, 40.0)}
+        for vs, n0 in calls:
+            for v in vs:
+                evaluated[v] += [grid.index(x) for x in n0]
+        assert sorted(evaluated[4.0]) == [3, 4, 6]
+        assert sorted(evaluated[20.0]) == list(range(N0))
+        assert sorted(evaluated[40.0]) == [0, N0 - 1]
