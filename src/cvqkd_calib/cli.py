@@ -14,15 +14,15 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
 from .gaussian import NumericalError
-from .keyrate import (FiniteSizeParams, certified_rate, closed_form_model, key_rate,
-                      mutual_information, snu_interval)
+from .keyrate import (FiniteSizeParams, key_rate, mutual_information, snu_interval,
+                      tolerable_excess_noise)
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
 
@@ -40,9 +40,6 @@ TEN_COLUMNS = [
     "ten",
 ]
 CALIB_COLUMNS = ["m", "snu_norm_ote", "snu_norm_tte", "dev_ote", "dev_tte"]
-
-TEN_TOLERANCE = 1e-4
-_TEN_BRACKET_CAP = 1024.0
 
 
 class ConfigError(ValueError):
@@ -317,129 +314,6 @@ def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemPar
     }
 
 
-def _ten_columns(config: SweepConfig, params: SystemParams) -> dict:
-    """The tolerable-excess-noise column of every configured model at
-    params, at delta 0, from one lockstep search over every model's rows
-    stacked, sorted by model. Each step takes every row's value from
-    certified_rate, with its model's closed_form_model, and its sign too
-    where the closed form certifies it. The other rows take key_rate's
-    sign, from one key_rate call per model in sorted order. The TEN
-    depends only on those signs, so it is key_rate's; a row near a zero
-    rate gets key_rate's sign and errors.
-    An error carries its model as exc.model and, where it has one, its
-    row of that model's block."""
-    models = sorted(config.models, key=lambda m: m.value)
-    fs, n = config.finite_size, params.v.size
-    per_row = np.repeat([closed_form_model(params, m, fs) for m in models], n, axis=0)
-    v, t = np.tile(params.v, len(models)), np.tile(params.t, len(models))
-
-    def rate_at(rows: np.ndarray, eps_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        def part(k):  # the params of evaluated rows k
-            return replace(params, v=v[rows[k]], t=t[rows[k]], eps_c=eps_c[k])
-
-        value, certain = certified_rate(part(slice(None)), per_row[rows], fs)
-        positive = value > 0.0
-        rest = np.flatnonzero(~certain)
-        for i, model in enumerate(models):
-            own = rest[rows[rest] // n == i]
-            if not own.size:
-                continue
-            try:
-                positive[own] = key_rate(part(own), model, fs).rate_bits_per_pulse > 0.0
-            except (ArithmeticError, RuntimeError, ValueError) as exc:
-                row = getattr(exc, "row", None)  # a row of own -> a row of the stack
-                exc.row = None if row is None else int(rows[own[row]])
-                exc.model = model
-                raise
-        return value, positive
-
-    try:
-        ten = _tolerable_noise(rate_at, v.size)
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
-        if getattr(exc, "row", None) is not None:  # a row of the stack -> model and row
-            i, exc.row = divmod(exc.row, n)
-            exc.model = models[i]
-        raise
-    return {model: column.tolist() for model, column in zip(models, np.split(ten, len(models)))}
-
-
-def _tolerable_noise(rate_at, n: int) -> np.ndarray:
-    """Largest excess noise with positive rate for each of n rows: the
-    value a bisection to TEN_TOLERANCE gives, found from fewer evaluations.
-
-    rate_at(rows, eps_c) gives, for the listed rows at their eps_c, a
-    value of the rate and whether the rate is positive. The bisection
-    doubles hi from 0.5 while the rate is positive, halves [hi / 2, hi]
-    (or [0, 0.5]) to a cell of width w, the largest power of two <=
-    TEN_TOLERANCE, and returns the centre of the cell whose lower edge
-    has a positive rate and whose upper edge has not, or 0.0 where the
-    rate at 0 is not positive. This search evaluates such cell edges
-    only, exact dyadic floats, and each row keeps the highest edge known
-    positive (lo) and the lowest known not (hi); it is done once they
-    are one cell apart, or once hi is 0.
-
-    Each row evaluates 0 while no edge is known positive, then, until one
-    is known not to be, doubles its probe from lo (from 0.5 at lo = 0) up
-    to the cap, where a positive rate is an error. The bracket [lo, hi]
-    then shrinks: each step takes the edge nearest the inverse quadratic
-    interpolation of the values at lo, hi and the place an end last moved
-    from, or nearest the secant root where that estimate is missing or
-    outside the bracket, or the floored midpoint edge where the secant
-    root is not finite. Once the steps taken plus the bisection steps the
-    bracket still needs reach twice those of the bracket it started from,
-    the midpoint edge is taken instead. Each step evaluates every open
-    row in one call. The values only choose the next edge; the sign alone
-    decides which end moves to it. So where the sign changes once over
-    the edges up to the cap, the result is the bisection's, bit for bit,
-    and so are the probes, whatever the values.
-    """
-    width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
-    cap = _TEN_BRACKET_CAP
-    # An end not known yet has lo one cell below 0 or hi at inf, with a NaN value.
-    lo, f_lo = np.full(n, -width), np.full(n, np.nan)
-    hi, f_hi = np.full(n, np.inf), np.full(n, np.nan)
-    # The third point of the interpolation: the place an end last moved from.
-    x_c, f_c = np.full(n, np.nan), np.full(n, np.nan)
-    steps, budget = np.zeros(n, dtype=int), np.full(n, -1)
-
-    while True:
-        capped = lo == cap
-        if capped.any():
-            raise NumericalError("rate stayed positive up to the excess-noise cap",
-                                 row=int(np.argmax(capped)))
-        r = np.flatnonzero(hi - lo > width)
-        if not r.size:
-            return np.where(lo >= 0.0, 0.5 * (lo + hi), 0.0)
-        # A row evaluates 0, then probes, then steps into its bracket.
-        at = np.where(lo[r] < 0.0, 0.0, np.clip(2.0 * lo[r], 0.5, cap))
-        s = np.flatnonzero((lo[r] >= 0.0) & (hi[r] < np.inf))
-        rows = r[s]
-        # In cells from lo: hi at span, the third point at c.
-        span = (hi[rows] - lo[rows]) / width
-        c = (x_c[rows] - lo[rows]) / width
-        fa, fb, fc = f_lo[rows], f_hi[rows], f_c[rows]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            iqi = (span * fa * fc / ((fb - fa) * (fb - fc))
-                   + c * fa * fb / ((fc - fa) * (fc - fb)))
-            estimate = np.rint(np.where((iqi > 0.0) & (iqi < span), iqi,
-                                        span * fa / (fa - fb)))
-        # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
-        needed = np.frexp(span - 1.0)[1]
-        budget[rows] = np.where(budget[rows] < 0, 2 * needed, budget[rows])
-        midpoint = (steps[rows] + needed >= budget[rows]) | ~np.isfinite(estimate)
-        step = np.where(midpoint, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
-        at[s] = lo[rows] + step * width
-        steps[rows] += 1
-        f, up = rate_at(r, at)
-        # Each point lies strictly inside its row's bracket. Its sign says
-        # which end moves there; a known end's old place is the third point.
-        old = np.where(up, lo[r], hi[r])
-        known = (old >= 0.0) & (old < np.inf)
-        x_c[r[known]], f_c[r[known]] = old[known], np.where(up, f_lo[r], f_hi[r])[known]
-        lo[r[up]], f_lo[r[up]] = at[up], f[up]
-        hi[r[~up]], f_hi[r[~up]] = at[~up], f[~up]
-
-
 def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> list[dict]:
     """The grid's points, every (V, distance, delta) in that order, V
     sorted, as one block of columns for each model, sorted: the shared
@@ -485,8 +359,8 @@ def _sweep_blocks(config: SweepConfig) -> list[dict]:
 
 def _ten_blocks(config: SweepConfig) -> list[dict]:
     def blocks_at(params: SystemParams, delta: np.ndarray):
-        ten = _ten_columns(config, params)
-        return lambda model: {"ten": ten[model]}
+        ten = tolerable_excess_noise(params, config.models, config.finite_size)
+        return lambda model: {"ten": ten[model].tolist()}
 
     return _grid_blocks(config, blocks_at, [0.0])
 

@@ -1,4 +1,5 @@
-"""Secret key rates under collective attacks, asymptotic and finite-size.
+"""Secret key rates under collective attacks, asymptotic and finite-size,
+and the tolerable excess noise (TEN) of each model.
 
 Reverse reconciliation throughout: rate = beta * I_AB - chi_BE in the
 asymptotic regime. Every key rate that sweep prints is evaluated
@@ -6,16 +7,16 @@ numerically from the models' covariance matrices through the generic
 symplectic-spectrum pipeline. The closed form of Lodewyck et al. in
 closed_form_rate bounds that rate within a margin at each SNU ratio, so
 finite-size key_rate runs the pipeline only at the ratios that may hold
-a row's worst case. The TEN search depends only on the sign of each
-rate: the closed form's values choose where it looks next, and
-certified_rate takes a rate's sign from it where the margin certifies
-that the sign is key_rate's. It takes the model per row, so one search
-covers the rows of every model.
+a row's worst case. tolerable_excess_noise searches every model's rows
+at once on the sign of each rate alone: the closed form's values choose
+where it looks next, and _rate_sign takes key_rate's sign from the
+closed form where the margin certifies it, from key_rate elsewhere.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +57,9 @@ _UNIT_EIGENVALUE_TOL = 1e-6
 # both routes' float error near a zero rate, about 1e-14.
 RATE_MARGIN_REL = 1e-9
 RATE_MARGIN_ABS = 1e-12
+
+TEN_TOLERANCE = 1e-4
+_TEN_BRACKET_CAP = 1024.0
 
 
 @dataclass(frozen=True)
@@ -288,26 +292,6 @@ def _rate_bounds(params: SystemParams, model: np.ndarray,
         return rate, rate - margin, rate + margin
 
 
-def certified_rate(params: SystemParams, model: np.ndarray,
-                   fs: FiniteSizeParams | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's closed-form rate, its lowest over the SNU ratios that
-    give one (NaN where none does), and whether the closed form certifies
-    the sign of the row's key_rate rate.
-
-    model is as closed_form_rate takes it, with the ratios closed_form_model
-    gives. key_rate's rate is its lowest rate over the whole grid, and at
-    each ratio that rate lies within the _rate_bounds. So a row is
-    certified positive where the lower bound exceeds 0 at every ratio, and
-    non-positive where the upper bound lies below 0 at any one ratio: the
-    grid's lowest rate is at most the rate there. A NaN or infinite rate
-    or margin at any ratio certifies nothing.
-    """
-    rate, lower, upper = _rate_bounds(params, model, fs)
-    # min, not fmin: a NaN at any ratio leaves its row uncertified.
-    low, high = np.min(lower, axis=1), np.min(upper, axis=1)
-    return np.fmin.reduce(rate, axis=1), np.isfinite(low) & ((low > 0.0) | (high < 0.0))
-
-
 def finite_size_penalty(fs: FiniteSizeParams) -> float:
     """Rate correction Delta(n) for finite raw-key length.
 
@@ -333,17 +317,22 @@ def snu_interval(params: SystemParams, model: CalibrationModel,
                                fs.calib_samples_m, fs.eps_pe)
 
 
+def _rows_of(params: SystemParams, rows: np.ndarray) -> SystemParams:
+    """The params of the listed rows of a block, as columns."""
+    shape = _row_shape(params) or (1,)
+    return replace(params, **{name: np.broadcast_to(getattr(params, name), shape)[rows]
+                              for name in ("v", "t", "eps_c")})
+
+
 def _candidate_chi(params: SystemParams, model: CalibrationModel, n0: np.ndarray,
                    candidate: np.ndarray) -> np.ndarray:
     """holevo_bound at the (row, n0) pairs where candidate, a (rows, n0)
     mask, holds, NaN elsewhere: one call per n0 on the rows that hold it.
     An error's row is that of the block."""
-    chi, shape = np.full(candidate.shape, np.nan), _row_shape(params) or (1,)
+    chi = np.full(candidate.shape, np.nan)
     for k in np.flatnonzero(candidate.any(axis=0)):
         rows = np.flatnonzero(candidate[:, k])
-        part = params if rows.size == candidate.shape[0] else replace(params, **{
-            name: np.broadcast_to(getattr(params, name), shape)[rows]
-            for name in ("v", "t", "eps_c")})
+        part = params if rows.size == candidate.shape[0] else _rows_of(params, rows)
         try:
             chi[rows, k] = np.reshape(holevo_bound(part, model, n0[k:k + 1]), -1)
         except NumericalError as exc:
@@ -404,3 +393,139 @@ def key_rate(params: SystemParams, model: CalibrationModel,
         delta_n=penalty,
         worst_n0=_as_given(n0[worst], eff),
     )
+
+
+def _rate_sign(stack: SystemParams, models: Sequence[CalibrationModel], cf: np.ndarray,
+               which: np.ndarray, rows: np.ndarray, eps_c: np.ndarray,
+               fs: FiniteSizeParams | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """rate_at of the TEN search over stack, whose row i is of model
+    models[which[i]] with closed_form_model row cf[which[i]]: for the
+    listed rows at their eps_c, the lowest closed-form rate over the SNU
+    ratios (NaN where none gives one) and whether key_rate's is positive.
+
+    key_rate's rate is its lowest over the grid of closed_form_model
+    ratios, and lies within the _rate_bounds at each. So its sign is
+    certified positive where the lower bound exceeds 0 at every ratio,
+    and non-positive where the upper bound lies below 0 at any one; a NaN
+    or infinite bound certifies nothing. The other rows take key_rate's
+    sign from one call per model, in the order of models, whose error
+    names the model as exc.model and, where it has one, its row of stack.
+    """
+    params, which = replace(stack, v=stack.v[rows], t=stack.t[rows], eps_c=eps_c), which[rows]
+    rate, lower, upper = _rate_bounds(params, cf[which], fs)
+    # min, not fmin: a NaN at any ratio leaves its row uncertified.
+    low, high = np.min(lower, axis=1), np.min(upper, axis=1)
+    value = np.fmin.reduce(rate, axis=1)
+    positive = value > 0.0
+    uncertified = ~(np.isfinite(low) & ((low > 0.0) | (high < 0.0)))
+    for i in sorted(set(which[uncertified].tolist())):  # np.unique imports numpy.ma
+        own = np.flatnonzero(uncertified & (which == i))
+        try:
+            res = key_rate(_rows_of(params, own), models[i], fs)
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
+            row = getattr(exc, "row", None)  # a row of own -> a row of stack
+            exc.row, exc.model = None if row is None else int(rows[own[row]]), models[i]
+            raise
+        positive[own] = res.rate_bits_per_pulse > 0.0
+    return value, positive
+
+
+def tolerable_excess_noise(params: SystemParams, models: Sequence[CalibrationModel],
+                           fs: FiniteSizeParams | None = None) -> dict:
+    """Each model's tolerable-excess-noise column at the rows of params, v
+    and t columns of one length: the largest eps_c with a positive
+    key_rate rate at delta 0, as a bisection to TEN_TOLERANCE finds it,
+    from one _tolerable_noise search over every model's rows stacked in
+    sorted model order. An error carries its model as exc.model and,
+    where it has one, its row of params as exc.row."""
+    models = sorted(models, key=lambda m: m.value)
+    n, k = np.size(params.v), len(models)
+    stack = replace(params, v=np.tile(params.v, k), t=np.tile(params.t, k))
+    cf = np.array([closed_form_model(params, m, fs) for m in models])
+    which = np.repeat(np.arange(k), n)
+    try:
+        ten = _tolerable_noise(lambda rows, eps_c: _rate_sign(
+            stack, models, cf, which, rows, eps_c, fs), k * n)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        if getattr(exc, "row", None) is not None:  # a row of the stack -> model and row
+            i, exc.row = divmod(exc.row, n)
+            exc.model = models[i]
+        raise
+    return dict(zip(models, np.split(ten, k)))
+
+
+def _tolerable_noise(rate_at, n: int) -> np.ndarray:
+    """Largest excess noise with positive rate for each of n rows: the
+    value a bisection to TEN_TOLERANCE gives, found from fewer evaluations.
+
+    rate_at(rows, eps_c) gives, for the listed rows at their eps_c, a
+    value of the rate and whether the rate is positive. The bisection
+    doubles hi from 0.5 while the rate is positive, halves [hi / 2, hi]
+    (or [0, 0.5]) to a cell of width w, the largest power of two <=
+    TEN_TOLERANCE, and returns the centre of the cell whose lower edge
+    has a positive rate and whose upper edge has not, or 0.0 where the
+    rate at 0 is not positive. This search evaluates such cell edges
+    only, exact dyadic floats, and each row keeps the highest edge known
+    positive (lo) and the lowest known not (hi); it is done once they
+    are one cell apart, or once hi is 0.
+
+    Each row evaluates 0 while no edge is known positive, then, until one
+    is known not to be, doubles its probe from lo (from 0.5 at lo = 0) up
+    to the cap, where a positive rate is an error. The bracket [lo, hi]
+    then shrinks: each step takes the edge nearest the inverse quadratic
+    interpolation of the values at lo, hi and the place an end last moved
+    from, or nearest the secant root where that estimate is missing or
+    outside the bracket, or the floored midpoint edge where the secant
+    root is not finite. Once the steps taken plus the bisection steps the
+    bracket still needs reach twice those of the bracket it started from,
+    the midpoint edge is taken instead. Each step evaluates every open
+    row in one call. The values only choose the next edge; the sign alone
+    decides which end moves to it. So where the sign changes once over
+    the edges up to the cap, the result is the bisection's, bit for bit,
+    and so are the probes, whatever the values.
+    """
+    width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
+    cap = _TEN_BRACKET_CAP
+    # An end not known yet has lo one cell below 0 or hi at inf, with a NaN value.
+    lo, f_lo = np.full(n, -width), np.full(n, np.nan)
+    hi, f_hi = np.full(n, np.inf), np.full(n, np.nan)
+    # The third point of the interpolation: the place an end last moved from.
+    x_c, f_c = np.full(n, np.nan), np.full(n, np.nan)
+    steps, budget = np.zeros(n, dtype=int), np.full(n, -1)
+
+    while True:
+        capped = lo == cap
+        if capped.any():
+            raise NumericalError("rate stayed positive up to the excess-noise cap",
+                                 row=int(np.argmax(capped)))
+        r = np.flatnonzero(hi - lo > width)
+        if not r.size:
+            return np.where(lo >= 0.0, 0.5 * (lo + hi), 0.0)
+        # A row evaluates 0, then probes, then steps into its bracket.
+        at = np.where(lo[r] < 0.0, 0.0, np.clip(2.0 * lo[r], 0.5, cap))
+        s = np.flatnonzero((lo[r] >= 0.0) & (hi[r] < np.inf))
+        rows = r[s]
+        # In cells from lo: hi at span, the third point at c.
+        span = (hi[rows] - lo[rows]) / width
+        c = (x_c[rows] - lo[rows]) / width
+        fa, fb, fc = f_lo[rows], f_hi[rows], f_c[rows]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            iqi = (span * fa * fc / ((fb - fa) * (fb - fc))
+                   + c * fa * fb / ((fc - fa) * (fc - fb)))
+            estimate = np.rint(np.where((iqi > 0.0) & (iqi < span), iqi,
+                                        span * fa / (fa - fb)))
+        # frexp(c - 1)[1] is ceil(log2(c)), the bisection steps c cells need.
+        needed = np.frexp(span - 1.0)[1]
+        budget[rows] = np.where(budget[rows] < 0, 2 * needed, budget[rows])
+        midpoint = (steps[rows] + needed >= budget[rows]) | ~np.isfinite(estimate)
+        step = np.where(midpoint, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
+        at[s] = lo[rows] + step * width
+        steps[rows] += 1
+        f, up = rate_at(r, at)
+        # Each point lies strictly inside its row's bracket. Its sign says
+        # which end moves there; a known end's old place is the third point.
+        old = np.where(up, lo[r], hi[r])
+        known = (old >= 0.0) & (old < np.inf)
+        x_c[r[known]], f_c[r[known]] = old[known], np.where(up, f_lo[r], f_hi[r])[known]
+        lo[r[up]], f_lo[r[up]] = at[up], f[up]
+        hi[r[~up]], f_hi[r[~up]] = at[~up], f[~up]

@@ -5,8 +5,9 @@ case over the closed form's candidate SNU ratios are tested against.
 Nothing in src/ imports them. holevo_lodewyck is the scalar form of the
 closed form that keyrate.closed_form_rate vectorises, over rows of every
 model and, finite-size, each SNU ratio of key_rate's grid, to pick the
-ratios key_rate evaluates, steer the TEN search and certify the signs of
-its rates; it is written apart from it so that it still checks the
+ratios key_rate evaluates and to steer keyrate.tolerable_excess_noise,
+whose keyrate._rate_sign takes a rate's sign from it where the margin
+certifies it; it is written apart from it so that it still checks the
 eigensolver pipeline on its own."""
 
 import math
@@ -15,10 +16,11 @@ import mpmath
 import numpy as np
 
 from cvqkd_calib import CalibrationModel, SystemParams
-from cvqkd_calib.cli import _TEN_BRACKET_CAP, TEN_TOLERANCE
 from cvqkd_calib.gaussian import symplectic_form
 from cvqkd_calib.keyrate import (
     N0_SCAN_POINTS,
+    TEN_TOLERANCE,
+    _TEN_BRACKET_CAP,
     FiniteSizeParams,
     KeyRateResult,
     _as_given,
@@ -198,7 +200,7 @@ def holevo_pointwise(model: CalibrationModel, params: SystemParams, n0: float) -
 def bisect_tolerable_noise(rate_at) -> float:
     """Largest excess noise with positive rate_at(eps_c), one row at a time:
     the scalar bisection, with its tolerance, iteration limit and bracket
-    cap, whose result the lockstep edge search of cli._tolerable_noise
+    cap, whose result the lockstep edge search of keyrate._tolerable_noise
     reproduces from fewer evaluations."""
     if rate_at(0.0) <= 0.0:
         return 0.0

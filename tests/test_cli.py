@@ -35,14 +35,12 @@ from cvqkd_calib.cli import (
     EXIT_RUNTIME_ERROR,
     SWEEP_COLUMNS,
     TEN_COLUMNS,
-    TEN_TOLERANCE,
-    _TEN_BRACKET_CAP,
     ConfigError,
     SweepConfig,
     load_config,
     main,
 )
-from cvqkd_calib.keyrate import snu_interval
+from cvqkd_calib.keyrate import TEN_TOLERANCE, _TEN_BRACKET_CAP, snu_interval
 from oracles import TEN_MAX_ITER, bisect_tolerable_noise
 from strategies import PROPERTY
 
@@ -68,11 +66,17 @@ def ten_rows(cfg: SweepConfig) -> list[dict]:
 
 
 def no_certificate(monkeypatch) -> None:
-    """Take every ten sign from cli.key_rate, as if the closed form
-    certified none, for tests that patch or count key_rate."""
-    certified = cli.certified_rate
-    monkeypatch.setattr(cli, "certified_rate", lambda params, model, fs=None: (
-        certified(params, model, fs)[0], np.zeros(np.size(params.v), dtype=bool)))
+    """Take every ten sign from keyrate.key_rate, as if the closed form
+    bounded no rate, for tests that patch or count key_rate. The closed
+    form still gives every value; finite-size key_rate then evaluates
+    every SNU ratio, which gives the rates it gives from its candidates."""
+    bounds = keyrate._rate_bounds
+
+    def unbounded(params, model, fs):
+        rate, lower, upper = bounds(params, model, fs)
+        return rate, np.full_like(lower, np.nan), np.full_like(upper, np.nan)
+
+    monkeypatch.setattr(keyrate, "_rate_bounds", unbounded)
 
 
 def base_config(**overrides) -> dict:
@@ -246,14 +250,16 @@ class TestSweepRows:
             raise NumericalError("eigenvalue solve did not converge")
 
         calls = []
-        healthy = cli.key_rate
+        healthy = keyrate.key_rate
 
         def counted(*args, **kwargs):
             calls.append(args)
             return healthy(*args, **kwargs)
 
         monkeypatch.setattr(keyrate, "holevo_bound", failing)
+        # sweep calls key_rate from cli, ten from keyrate.
         monkeypatch.setattr(cli, "key_rate", counted)
+        monkeypatch.setattr(keyrate, "key_rate", counted)
         no_certificate(monkeypatch)
         cfg = SweepConfig.from_dict(base_config(models=["three_mode"]))
         with pytest.raises(RuntimeError, match=(
@@ -416,7 +422,7 @@ class TestTenRows:
     @staticmethod
     def oracle_rows(cfg):
         """Each grid row's TEN from the scalar bisection of tests/oracles.py,
-        on the rates of cli.key_rate, which a test may patch."""
+        on the rates of keyrate.key_rate, which a test may patch."""
         out = []
         for model in sorted(cfg.models, key=lambda m: m.value):
             for v in sorted(cfg.variances):
@@ -424,7 +430,7 @@ class TestTenRows:
                     def rate_at(eps_c, model=model, v=v, km=km):
                         p = SystemParams(v=v, t=transmittance_from_km(km),
                                          **{**cfg.system, "eps_c": eps_c})
-                        return cli.key_rate(p, model, cfg.finite_size).rate_bits_per_pulse
+                        return keyrate.key_rate(p, model, cfg.finite_size).rate_bits_per_pulse
 
                     out.append(bisect_tolerable_noise(rate_at))
         return out
@@ -448,7 +454,7 @@ class TestTenRows:
         # Real rates turn negative below eps_c = 0.5, so linear rates with
         # roots up to the cap drive the bracket doubling.
         roots = np.array([-0.1, 0.0, 0.3, 0.5, 0.7, 3.3, 100.0, 1000.0])
-        got = cli._tolerable_noise(
+        got = keyrate._tolerable_noise(
             lambda rows, eps_c: (roots[rows] - eps_c, roots[rows] - eps_c > 0.0), roots.size)
         assert got.tolist() == [bisect_tolerable_noise(lambda eps_c, r=r: r - eps_c)
                                 for r in roots.tolist()]
@@ -492,13 +498,13 @@ class TestTenRows:
         if capped:
             with pytest.raises(NumericalError,
                                match="^rate stayed positive up to the excess-noise cap$") as err:
-                cli._tolerable_noise(rate_at, len(rates))
+                keyrate._tolerable_noise(rate_at, len(rates))
             assert err.value.row in capped
             for i in capped:
                 with pytest.raises(RuntimeError, match="excess-noise cap"):
                     bisect_tolerable_noise(rates[i])
             return
-        got = cli._tolerable_noise(rate_at, len(rates)).tolist()
+        got = keyrate._tolerable_noise(rate_at, len(rates)).tolist()
         for ten, rate, count in zip(got, rates, counts.tolist()):
             assert ten == bisect_tolerable_noise(rate)
             assert count <= evaluation_bound(rate)
@@ -506,23 +512,23 @@ class TestTenRows:
     @staticmethod
     def counted_ten_rows(monkeypatch, overrides=()):
         """The README grid's ten rows under overrides, with the number of
-        rows of each key_rate call and of each certified_rate call (each
-        step of the search) they took."""
+        rows of each key_rate call and of each _rate_sign call (each step
+        of the search) they took."""
         rows_per_call, rows_per_step = [], []
-        healthy, certified = cli.key_rate, cli.certified_rate
+        healthy, signed = keyrate.key_rate, keyrate._rate_sign
 
         def counted(params, model, fs=None, delta=0.0):
             res = healthy(params, model, fs, delta)
             rows_per_call.append(np.size(res.rate_bits_per_pulse))
             return res
 
-        def counted_certified(params, model, fs=None):
-            value, certain = certified(params, model, fs)
+        def counted_signed(*args):
+            value, positive = signed(*args)
             rows_per_step.append(len(value))
-            return value, certain
+            return value, positive
 
-        monkeypatch.setattr(cli, "key_rate", counted)
-        monkeypatch.setattr(cli, "certified_rate", counted_certified)
+        monkeypatch.setattr(keyrate, "key_rate", counted)
+        monkeypatch.setattr(keyrate, "_rate_sign", counted_signed)
         rows = ten_rows(load_config(str(GOLDEN_CONFIG), overrides))
         return rows, rows_per_call, rows_per_step
 
@@ -568,7 +574,7 @@ class TestTenRows:
     def test_bracket_cap_names_its_grid_point(self, monkeypatch):
         # A rate that stays positive at 10 km for any excess noise.
         no_certificate(monkeypatch)
-        healthy = cli.key_rate
+        healthy = keyrate.key_rate
         t10 = transmittance_from_km(10.0)
 
         def positive_at_10_km(params, model, fs=None, delta=0.0):
@@ -576,7 +582,7 @@ class TestTenRows:
             rate = np.where(np.asarray(params.t) == t10, 1.0, res.rate_bits_per_pulse)
             return dataclasses.replace(res, rate_bits_per_pulse=rate)
 
-        monkeypatch.setattr(cli, "key_rate", positive_at_10_km)
+        monkeypatch.setattr(keyrate, "key_rate", positive_at_10_km)
         cfg = SweepConfig.from_dict(base_config(
             models=["conventional", "two_mode"],
             distances_km={"start": 0.0, "stop": 20.0, "step": 10.0}))
@@ -591,7 +597,7 @@ class TestTenRows:
         # from 0.5 up to the cap itself.
         cfg = SweepConfig.from_dict(base_config())
         t10 = transmittance_from_km(10.0)
-        healthy = cli.key_rate
+        healthy = keyrate.key_rate
         probes = []
 
         def two_mode_positive_at_10_km(params, model, fs=None, delta=0.0):
@@ -603,7 +609,7 @@ class TestTenRows:
             return dataclasses.replace(
                 res, rate_bits_per_pulse=np.where(at_10_km, 1.0, res.rate_bits_per_pulse))
 
-        monkeypatch.setattr(cli, "key_rate", two_mode_positive_at_10_km)
+        monkeypatch.setattr(keyrate, "key_rate", two_mode_positive_at_10_km)
         no_certificate(monkeypatch)
         with pytest.raises(RuntimeError, match=(
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
@@ -616,7 +622,7 @@ class TestTenRows:
         # Conventional tolerates no excess noise at 10 km and two_mode none
         # at 20 km, where the closed form gives a positive TEN for both;
         # three_mode keeps its own TEN at both points.
-        healthy = cli.key_rate
+        healthy = keyrate.key_rate
         negative = {"conventional": transmittance_from_km(10.0),
                     "two_mode": transmittance_from_km(20.0)}
 
@@ -626,7 +632,7 @@ class TestTenRows:
             return dataclasses.replace(
                 res, rate_bits_per_pulse=np.where(hit, -1.0, res.rate_bits_per_pulse))
 
-        monkeypatch.setattr(cli, "key_rate", patched)
+        monkeypatch.setattr(keyrate, "key_rate", patched)
         no_certificate(monkeypatch)
         cfg = SweepConfig.from_dict(base_config())
         rows = ten_rows(cfg)
@@ -647,7 +653,7 @@ class TestTenRows:
         t10 = transmittance_from_km(10.0)
         conventional = keyrate.closed_form_model(
             SystemParams(v=4.0, t=t10, **cfg.system), CalibrationModel.CONVENTIONAL_TTE)
-        closed_form, healthy = keyrate.closed_form_rate, cli.key_rate
+        closed_form, healthy = keyrate.closed_form_rate, keyrate.key_rate
 
         def capped_at_10_km(params, model, fs=None):
             # model is one row for all of params, or one row each.
@@ -663,7 +669,7 @@ class TestTenRows:
                 evaluations.update((model.value, t) for t in np.asarray(params.t).tolist())
                 return healthy(params, model, fs, delta)
 
-            monkeypatch.setattr(cli, "key_rate", counted)
+            monkeypatch.setattr(keyrate, "key_rate", counted)
             return [r["ten"] for r in ten_rows(cfg)], evaluations
 
         no_certificate(monkeypatch)
@@ -678,7 +684,7 @@ class TestTenRows:
         # Each row's first step evaluates eps_c = 0. The rate is not positive
         # at 0 km, so the steps after the first evaluate the 10 and 20 km
         # rows only; row 0 of such a step is 10 km.
-        healthy = cli.key_rate
+        healthy = keyrate.key_rate
 
         def failing_without_0_km(params, model, fs=None, delta=0.0):
             t = np.asarray(params.t)
@@ -688,7 +694,7 @@ class TestTenRows:
             return dataclasses.replace(
                 res, rate_bits_per_pulse=np.where(t == 1.0, -1.0, res.rate_bits_per_pulse))
 
-        monkeypatch.setattr(cli, "key_rate", failing_without_0_km)
+        monkeypatch.setattr(keyrate, "key_rate", failing_without_0_km)
         no_certificate(monkeypatch)
         cfg = SweepConfig.from_dict(base_config(models=["two_mode"]))
         with pytest.raises(RuntimeError, match=(
@@ -699,19 +705,20 @@ class TestTenRows:
     def test_error_among_certified_rows_names_its_row_of_the_block(self, monkeypatch):
         # The closed form certifies every rate but the 10 km row's, so each
         # key_rate call takes that row alone, as its row 0.
-        certified = cli.certified_rate
+        bounds = keyrate._rate_bounds
         t10 = transmittance_from_km(10.0)
 
-        def all_but_10_km(params, model, fs=None):
-            value, certain = certified(params, model, fs)
-            return value, certain & (np.asarray(params.t) != t10)
+        def all_but_10_km(params, model, fs):
+            rate, lower, upper = bounds(params, model, fs)
+            at_10_km = (np.asarray(params.t) == t10)[:, None]
+            return rate, np.where(at_10_km, np.nan, lower), np.where(at_10_km, np.nan, upper)
 
         def failing(params, model, fs=None, delta=0.0):
             assert np.all(np.asarray(params.t) == t10)
             raise NumericalError("eigenvalue solve did not converge", row=0)
 
-        monkeypatch.setattr(cli, "certified_rate", all_but_10_km)
-        monkeypatch.setattr(cli, "key_rate", failing)
+        monkeypatch.setattr(keyrate, "_rate_bounds", all_but_10_km)
+        monkeypatch.setattr(keyrate, "key_rate", failing)
         cfg = SweepConfig.from_dict(base_config(models=["two_mode"]))
         with pytest.raises(RuntimeError, match=(
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
@@ -729,7 +736,7 @@ class TestTenRows:
         # probe at 0.5). The earliest failing step wins, then sorted model
         # order, not grid order.
         no_certificate(monkeypatch)
-        healthy = cli.key_rate
+        healthy = keyrate.key_rate
         fails = {"three_mode": (transmittance_from_km(20.0), three_mode_at),
                  "two_mode": (1.0, 0.0)}
 
@@ -741,7 +748,7 @@ class TestTenRows:
                                      row=int(np.argmax(hit)))
             return healthy(params, model, fs, delta)
 
-        monkeypatch.setattr(cli, "key_rate", failing)
+        monkeypatch.setattr(keyrate, "key_rate", failing)
         with pytest.raises(RuntimeError, match=(
                 rf"^{named} delta=0\.0: NumericalError: eigenvalue solve did not converge$")):
             ten_rows(SweepConfig.from_dict(base_config()))

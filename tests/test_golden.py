@@ -57,14 +57,18 @@ def test_output_is_byte_identical(tmp_path, capsys, name):
                     reason="OPENBLAS_CORETYPE names x86-64 kernels")
 @pytest.mark.parametrize("name", ["ten_asymptotic", "ten_finite_size_step50", "calib"])
 def test_output_does_not_depend_on_the_blas_kernel(tmp_path, name):
-    # The eigensolver's last digits follow OpenBLAS's kernel, so the sweep
-    # goldens move under another one. On this grid every TEN edge takes its
-    # sign from the closed form, which runs no eigensolve, and calib runs
-    # none either, so these match under the oldest x86-64 kernel too. A
-    # numpy built without OpenBLAS ignores the variable.
+    # The eigensolver's last digits follow OpenBLAS's kernel, and numpy's
+    # log2 differs between its AVX-512 and AVX2 paths, so the sweep goldens
+    # move under another kernel or SIMD level. On this grid every TEN edge
+    # takes its sign from the closed form, which runs no eigensolve, and
+    # calib runs none either, so these match under the oldest x86-64 kernel
+    # with numpy's AVX-512 targets disabled too, as on a CPU without
+    # AVX-512. A numpy built without OpenBLAS ignores the first variable,
+    # and one that lacks these targets the second.
     command, *overrides = CASES[name]
     out = tmp_path / f"{name}.csv"
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-m", "cvqkd_calib.cli", command, "--config",
                     str(GOLDEN / "config.json"), *overrides, "--out", str(out)],

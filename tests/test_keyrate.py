@@ -32,9 +32,13 @@ from cvqkd_calib import (
     models,
     transmittance_from_km,
 )
-from cvqkd_calib.cli import _TEN_BRACKET_CAP
 from cvqkd_calib.gaussian import entropy_of_spectra, homodyne_conditioned, symplectic_spectra
-from cvqkd_calib.keyrate import finite_size_penalty, mutual_information, snu_interval
+from cvqkd_calib.keyrate import (
+    _TEN_BRACKET_CAP,
+    finite_size_penalty,
+    mutual_information,
+    snu_interval,
+)
 from cvqkd_calib.models import three_mode_stack, two_mode_stack
 from oracles import (
     dense_worst_case,
@@ -241,7 +245,7 @@ class TestLodewyckOracle:
         # 20 detectors with 10 channel rows each, as one block per detector,
         # in each regime, compared at every SNU ratio of key_rate's grid
         # (the one ratio 1 asymptotically), where key_rate's rate would be
-        # share * (beta * I_AB - holevo_bound - Delta(n)): certified_rate
+        # share * (beta * I_AB - holevo_bound - Delta(n)): _rate_sign
         # relies on agreement at each ratio. Finite-size, the first row is
         # at t = 1, where the interval's lower end n0 < 1 puts t / n0 past 1.
         # The closed form is NaN at one of the 4200 (row, ratio) pairs of
@@ -312,9 +316,10 @@ class TestLodewyckOracle:
             assert np.all(error <= keyrate.RATE_MARGIN_REL * scale), (p, fs, error / scale)
 
 
-class TestCertifiedRate:
-    """keyrate.certified_rate takes a TEN edge's sign from the closed form
-    where its margin certifies it; there the sign is key_rate's."""
+class TestRateSign:
+    """keyrate._rate_sign gives each TEN edge key_rate's sign: from the
+    closed form where its margin certifies it, and from key_rate on the
+    other rows, one call per model."""
 
     @staticmethod
     def closed_form_root(p, model, fs):
@@ -337,10 +342,33 @@ class TestCertifiedRate:
             lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
         return lo
 
+    @staticmethod
+    def signs(p, models, which, fs=None):
+        """_rate_sign over every row of p, at its own eps_c."""
+        cf = np.array([keyrate.closed_form_model(p, m, fs) for m in models])
+        rows = np.arange(which.size)
+        return keyrate._rate_sign(p, models, cf, which, rows,
+                                  np.broadcast_to(p.eps_c, rows.shape), fs)
+
+    @staticmethod
+    def key_rate_calls(monkeypatch, rate=None):
+        """The (model, params) of each key_rate call that follows; rate(params)
+        gives the rates of a call where given, key_rate's own otherwise."""
+        calls, healthy = [], keyrate.key_rate
+
+        def recorded(params, model, fs=None, delta=0.0):
+            calls.append((model, params))
+            if rate is None:
+                return healthy(params, model, fs, delta)
+            return KeyRateResult(rate(params), 0.0, 0.0, 0.0, 1.0)
+
+        monkeypatch.setattr(keyrate, "key_rate", recorded)
+        return calls
+
     @pytest.mark.parametrize("finite", [False, True])
     @pytest.mark.parametrize("with_rin", [False, True])
     @pytest.mark.parametrize("model", [CONV, THREE, TWO])
-    def test_certified_sign_is_key_rates(self, model, with_rin, finite):
+    def test_sign_is_key_rates(self, monkeypatch, model, with_rin, finite):
         # 8 detectors of 40 rows each: 0-2000 km, denser near 0, and eps_c
         # at 0, log-uniform up to the cap, a relative step of 1e-15 to 0.1
         # either side of the closed form's root, or next to that root. Near
@@ -348,6 +376,7 @@ class TestCertifiedRate:
         # where the certificate must stay silent; m from 1e4 gives wide SNU
         # intervals, with the worst case inside some of them.
         rng = np.random.default_rng([30, list(CalibrationModel).index(model), with_rin, finite])
+        calls = self.key_rate_calls(monkeypatch)
         certified = uncertified = 0
         for _ in range(8):
             n = 40
@@ -368,14 +397,72 @@ class TestCertifiedRate:
                 np.nextafter(root, np.where(step > 0.0, np.inf, 0.0)),
             ])
             p = dataclasses.replace(p, eps_c=eps_c)
-            rate, sure = keyrate.certified_rate(p, keyrate.closed_form_model(p, model, fs), fs)
-            expect = key_rate(p, model, fs).rate_bits_per_pulse
-            assert np.array_equal(rate[sure] > 0.0, expect[sure] > 0.0), (
-                p, fs, np.flatnonzero(sure & ((rate > 0.0) != (expect > 0.0))))
-            certified += sure.sum()
-            uncertified += (~sure).sum()
+            expect = key_rate(p, model, fs).rate_bits_per_pulse > 0.0
+            del calls[:]
+            _, positive = self.signs(p, [model], np.zeros(n, dtype=int), fs)
+            assert np.array_equal(positive, expect), (p, fs, np.flatnonzero(positive != expect))
+            asked = sum(np.size(params.v) for _, params in calls)
+            certified += n - asked
+            uncertified += asked
         # Many rows are certified, and the rows near 0 are not.
         assert certified >= 100 and uncertified >= 5
+
+    @pytest.mark.parametrize("regime", ["asymptotic 300-900 km", "finite-size m = 1e4"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_models_take_key_rates_sign_once_per_model(self, monkeypatch, regime, seed):
+        # 60 rows of all three models in random order, on the README system,
+        # with eps_c at 0, log-uniform, or within 1e-9 relative of the
+        # closed form's root. Asymptotically at 300-900 km many rates are
+        # within float error of 0; finite-size at m = 1e4, with a fifth of
+        # the rows at 0 km, the SNU interval reaches states where the closed
+        # form is NaN at some ratios. Every sign is key_rate's for the
+        # row's model, and key_rate runs once per model, in sorted order, on
+        # exactly the rows whose sign the closed form's margin leaves open.
+        rng = np.random.default_rng([32, seed, regime.startswith("finite")])
+        n, models = 60, sorted(CalibrationModel, key=lambda m: m.value)
+        far = regime.startswith("asymptotic")
+        fs = None if far else FiniteSizeParams(
+            block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10, eps_pa=1e-10,
+            eps_smooth=1e-10, calib_samples_m=10 ** 4)
+        km = (rng.uniform(300.0, 900.0, n) if far else
+              np.where(rng.uniform(size=n) < 0.2, 0.0, 200.0 * rng.uniform(0.0, 1.0, n) ** 2))
+        which = rng.integers(0, len(models), n)
+        p = SystemParams(v=rng.uniform(1.5, 60.0, n), t=10.0 ** (-0.02 * km),
+                         eps_c=np.zeros(n), eta_d=0.6, v_ele=0.01, beta=0.956)
+        eps_c = np.where(rng.uniform(size=n) < 0.5, 0.0, 10.0 ** rng.uniform(-5.0, -0.5, n))
+        near = rng.uniform(size=n) < 0.4
+        for i, model in enumerate(models):
+            own = np.flatnonzero((which == i) & near)
+            root = self.closed_form_root(keyrate._rows_of(p, own), model, fs)
+            eps_c[own] = root * (1.0 + 10.0 ** rng.uniform(-15, -9, own.size)
+                                 * rng.choice([-1.0, 1.0], own.size))
+        p = dataclasses.replace(p, eps_c=eps_c)
+        expect, certain, undefined = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), 0
+        for i, model in enumerate(models):
+            own = np.flatnonzero(which == i)
+            part = keyrate._rows_of(p, own)
+            expect[own] = key_rate(part, model, fs).rate_bits_per_pulse > 0.0
+            with np.errstate(invalid="ignore"):
+                rate, chi = keyrate.closed_form_rate(
+                    part, keyrate.closed_form_model(part, model, fs), fs)
+                margin = (keyrate.RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi))
+                          + keyrate.RATE_MARGIN_ABS)
+                certain[own] = np.all(np.isfinite(rate + margin), axis=1) & (
+                    np.all(rate - margin > 0.0, axis=1) | np.any(rate + margin < 0.0, axis=1))
+            undefined += np.sum(~np.isfinite(rate))
+        calls = self.key_rate_calls(monkeypatch)
+        _, positive = self.signs(p, models, which, fs)
+        assert np.array_equal(positive, expect), np.flatnonzero(positive != expect)
+        asked = [(model, np.flatnonzero(~certain & (which == i)))
+                 for i, model in enumerate(models)]
+        asked = [(model, rows) for model, rows in asked if rows.size]
+        assert [model for model, _ in calls] == [model for model, _ in asked]
+        for (_, got), (_, rows) in zip(calls, asked):
+            assert got.v.tolist() == p.v[rows].tolist()
+            assert got.t.tolist() == p.t[rows].tolist()
+            assert got.eps_c.tolist() == p.eps_c[rows].tolist()
+        assert certain.sum() >= 10 and (~certain).sum() >= 5
+        assert (undefined > 0) == (not far)
 
     @pytest.mark.parametrize("rate,chi,sign", [
         ([[2e-12, 3e-12, 2e-12]], [[0.0, 0.0, 0.0]], 1.0),      # clears the floor everywhere
@@ -389,14 +476,17 @@ class TestCertifiedRate:
     ])
     def test_margin_rule(self, monkeypatch, rate, chi, sign):
         # Asymptotically every ratio is a probe; the 3 ratios stand for a grid.
+        # key_rate, patched to the closed form's value with its sign
+        # flipped, gives the sign of a row the margin does not certify.
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (np.array(rate), np.array(chi)))
-        value, certain = keyrate.certified_rate(params(), np.zeros(4))
+        calls = self.key_rate_calls(monkeypatch, lambda p: -np.fmin.reduce(rate, axis=1))
+        value, positive = self.signs(params(v=np.array([40.0]), t=np.array([0.5])), [TWO],
+                                     np.zeros(1, dtype=int))
         # The value is the lowest rate over the ratios that give one.
         assert value.tolist() == np.fmin.reduce(rate, axis=1).tolist()
-        assert certain.tolist() == [not np.isnan(sign)]
-        if certain[0]:
-            assert np.sign(value).tolist() == [sign]
+        assert len(calls) == np.isnan(sign)
+        assert positive.tolist() == [(value[0] > 0.0) == (not np.isnan(sign))]
 
     def test_positive_needs_every_grid_ratio_and_non_positive_any_one(self, monkeypatch):
         # key_rate's worst case is the whole grid's, so a rate below minus
@@ -409,9 +499,13 @@ class TestCertifiedRate:
         dip[2, 7] = 2e-9  # clears the margin there too: certified positive
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (dip, np.ones_like(dip)))
-        value, certain = keyrate.certified_rate(params(), np.zeros(3 + N0), fs)
+        calls = self.key_rate_calls(monkeypatch, lambda p: np.full(np.size(p.v), -1.0))
+        value, positive = self.signs(params(v=np.full(3, 40.0), t=np.full(3, 0.5)), [TWO],
+                                     np.zeros(3, dtype=int), fs)
         assert value.tolist() == [-1.0, 5e-10, 2e-9]
-        assert certain.tolist() == [True, False, True]
+        # Only the middle row asks key_rate, which gives it a negative rate.
+        assert [np.size(p.v) for _, p in calls] == [1]
+        assert positive.tolist() == [False, False, True]
 
 
 class TestTwoModeExactOracle:
