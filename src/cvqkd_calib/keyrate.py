@@ -34,9 +34,7 @@ from .models import (
     apply_miscalibration,
     conventional_channel_stack,
     conventional_stack,
-    n0_values,
     three_mode_stack,
-    two_mode_stack,
 )
 
 # Number of evenly spaced points of the grid across the SNU confidence
@@ -121,16 +119,16 @@ class KeyRateResult:
     worst_n0: float | np.ndarray
 
 
-def _row_shape(params: SystemParams) -> tuple[int, ...]:
-    """() for one row of scalar params, (rows,) for a block of columns."""
-    return np.broadcast(params.v, params.t, params.eps_c).shape
+def _row_shape(params: SystemParams, n0: float | np.ndarray = 1.0) -> tuple[int, ...]:
+    """() for one row of scalar params and n0, (rows,) for a block of columns."""
+    return np.broadcast(params.v, params.t, params.eps_c, n0).shape
 
 
 def _as_given(values: np.ndarray, params: SystemParams,
               n0: float | np.ndarray = 1.0) -> float | np.ndarray:
-    """Row-major values over (row, n0) shaped as the inputs were: a float for
-    scalar params and n0, otherwise an array of shape rows + n0 shape."""
-    shape = _row_shape(params) + np.shape(n0)
+    """One value per row shaped as the inputs were: a float for scalar
+    params and n0, otherwise a 1-D column."""
+    shape = _row_shape(params, n0)
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
@@ -148,13 +146,12 @@ def mutual_information(params: SystemParams) -> float | np.ndarray:
 
 def _require_finite(values: np.ndarray, n0: float | np.ndarray, what: str) -> None:
     """Raise NumericalError naming the n0, and carrying the row, of the first
-    (row, n0) entry of `values` that is not finite."""
+    row of `values` that is not finite."""
     if np.isfinite(values).all():
         return
-    finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
-    scan = n0_values(n0)
-    row, k = divmod(int(np.argmin(finite)), scan.size)
-    raise NumericalError(f"non-finite {what} at n0 = {float(scan[k])!r}", row=row)
+    row = int(np.argmin(np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)))
+    n0 = float(np.broadcast_to(n0, values.shape[:1])[row])
+    raise NumericalError(f"non-finite {what} at n0 = {n0!r}", row=row)
 
 
 def _spectra(stack: np.ndarray, n0: float | np.ndarray, what: str) -> np.ndarray:
@@ -173,16 +170,20 @@ def holevo_bound(params: SystemParams, model: CalibrationModel,
     conditional state is that matrix after ideal x-homodyne on B3. One
     symplectic eigenvalue of each three-mode matrix equals 1 by
     construction (the detection beamsplitter's vacuum ancilla); it
-    contributes no entropy and is verified for every (row, n0) as an
-    internal consistency check. In the conventional trusted model Eve
-    purifies only the channel output (A, B1), so her entropy comes from
-    the pre-detector matrix; after Bob's homodyne the global state stays
-    pure, so her conditional entropy equals that of the remaining trusted
-    modes (A, F, G) in the full 8x8 model.
+    contributes no entropy and is verified for every row as an internal
+    consistency check. The two-mode (A, B3) is the conventional channel
+    state at transmittance t*eta_d*eta_e behind an ideal detector. In the
+    conventional trusted model Eve purifies only the channel output (A,
+    B1), so her entropy comes from the pre-detector matrix; after Bob's
+    homodyne the global state stays pure, so her conditional entropy
+    equals that of the remaining trusted modes (A, F, G) in the full 8x8
+    model.
 
-    n0 is a positive scalar or a 1-D array of SNU ratios; every (row, n0)
+    n0, the SNU ratio, is a positive scalar or a 1-D column that
+    broadcasts with v, t and eps_c like one more of them; a column of
+    another length than the rows is a ValueError naming n0. Every row's
     bound comes from one batched pass, a float for scalar params and n0,
-    otherwise an array of shape rows + n0 shape.
+    otherwise a 1-D column.
     """
     if model is CalibrationModel.CONVENTIONAL_TTE:
         eve = conventional_channel_stack(params, n0)
@@ -193,7 +194,9 @@ def holevo_bound(params: SystemParams, model: CalibrationModel,
         eve = measured = three_mode_stack(params, n0)
         what = "three-mode"
     elif model is CalibrationModel.ONE_TIME_TWO_MODE:
-        eve = measured = two_mode_stack(params, n0)
+        receiver = replace(params, t=np.asarray(params.t) * params.eta_d * params.eta_e,
+                           eta_d=1.0, v_ele=0.0, v_rin=0.0)
+        eve = measured = conventional_channel_stack(receiver, n0)
         what = "two-mode"
     else:
         raise ValueError(f"unknown calibration model {model!r}")
@@ -202,11 +205,10 @@ def holevo_bound(params: SystemParams, model: CalibrationModel,
         lost = np.min(np.abs(spectra - 1.0), axis=-1) > _UNIT_EIGENVALUE_TOL
         if lost.any():
             i = int(np.argmax(lost))
-            scan = n0_values(n0)
             raise NumericalError(
                 f"three-mode matrix lost its unit eigenvalue at n0 = "
-                f"{float(scan[i % scan.size])!r}: "
-                f"spectrum {tuple(float(x) for x in spectra[i])}", row=i // scan.size)
+                f"{float(np.broadcast_to(n0, lost.shape)[i])!r}: "
+                f"spectrum {tuple(float(x) for x in spectra[i])}", row=i)
     cond = homodyne_conditioned(measured, 1)
     chi = entropy_of_spectra(spectra) - entropy_of_spectra(_spectra(cond, n0, "conditional"))
     return _as_given(chi, params, n0)
@@ -324,24 +326,6 @@ def _rows_of(params: SystemParams, rows: np.ndarray) -> SystemParams:
                               for name in ("v", "t", "eps_c")})
 
 
-def _candidate_chi(params: SystemParams, model: CalibrationModel, n0: np.ndarray,
-                   candidate: np.ndarray) -> np.ndarray:
-    """holevo_bound at the (row, n0) pairs where candidate, a (rows, n0)
-    mask, holds, NaN elsewhere: one call per n0 on the rows that hold it.
-    An error's row is that of the block."""
-    chi = np.full(candidate.shape, np.nan)
-    for k in np.flatnonzero(candidate.any(axis=0)):
-        rows = np.flatnonzero(candidate[:, k])
-        part = params if rows.size == candidate.shape[0] else _rows_of(params, rows)
-        try:
-            chi[rows, k] = np.reshape(holevo_bound(part, model, n0[k:k + 1]), -1)
-        except NumericalError as exc:
-            if exc.row is not None:
-                exc.row = int(rows[exc.row])
-            raise
-    return chi
-
-
 def key_rate(params: SystemParams, model: CalibrationModel,
              fs: FiniteSizeParams | None = None,
              delta: float | np.ndarray = 0.0) -> KeyRateResult:
@@ -366,8 +350,9 @@ def key_rate(params: SystemParams, model: CalibrationModel,
 
     One row for scalar params and delta. A block of rows, with v, t,
     eps_c or delta as 1-D columns, gives a column per result field, from
-    one batched Holevo call per evaluated n0; each row equals its own
-    one-row evaluation.
+    one holevo_bound call over every evaluated (row, n0) pair in
+    row-major order, so an error names the first failing pair in that
+    order; each row equals its own one-row evaluation.
     """
     if fs is None:
         n0, penalty, share = np.ones(1), 0.0, 1.0
@@ -380,9 +365,18 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     if fs is not None:
         _, lower, upper = _rate_bounds(eff, cf, fs)
         candidate = ~(lower > np.fmin.reduce(upper, axis=1)[:, None])
-    chi = _candidate_chi(eff, model, n0, candidate)
-    values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
-    _require_finite(np.where(candidate, values, 0.0).ravel(), n0, "key rate")
+    row_of, k = np.nonzero(candidate)  # the (row, n0) pairs, in row-major order
+    # Every row has a candidate, so as many pairs as rows are the rows in order.
+    part = eff if row_of.size == candidate.shape[0] else _rows_of(eff, row_of)
+    chi = np.full(candidate.shape, np.nan)
+    try:
+        chi[row_of, k] = np.reshape(holevo_bound(part, model, n0[k]), -1)
+        values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
+        _require_finite(values[row_of, k], n0[k], "key rate")
+    except NumericalError as exc:
+        if exc.row is not None:  # a pair -> its row of the block
+            exc.row = int(row_of[exc.row])
+        raise
     # argmin takes the first of equal minima, as a strict-< scan would.
     worst = np.argmin(np.where(candidate, values, np.inf), axis=1)
     rows = np.arange(worst.size)

@@ -14,12 +14,16 @@ measure statistics but differing in how much of the detector is trusted:
   efficiency loss mode C kept on the trusted side; the electronic noise
   becomes an untrusted loss of transmittance eta_e.
 
+The two-mode model needs no builder of its own: it is the conventional
+receiver's channel state with every detector imperfection moved into
+the channel, at transmittance t*eta_d*eta_e behind an ideal detector.
+
 The fields v, t and eps_c of :class:`SystemParams` may be scalars or 1-D
 columns that broadcast together, one row of a grid block per element;
-the detector fields are scalars shared by every row. Each builder
-returns a plain stack (rows * N, 2n, 2n), one matrix per (row, n0) pair
-in row-major order, for a scalar or 1-D array of N SNU ratios n0, which
-:func:`n0_values` checks positive.
+the detector fields are scalars shared by every row. The SNU ratio n0
+is one more such field of the builders: a positive scalar or 1-D column
+that broadcasts with v, t and eps_c. Each builder returns a plain stack
+(rows, 2n, 2n), one matrix per row.
 """
 
 from __future__ import annotations
@@ -100,44 +104,19 @@ def _blocks4(a, c, b) -> np.ndarray:
     return g
 
 
-def n0_values(n0: float | np.ndarray) -> np.ndarray:
-    """The SNU ratios of a stack as a 1-D array, checked positive."""
-    values = np.atleast_1d(np.asarray(n0, dtype=float))
-    if values.ndim != 1 or not np.all(values > 0.0):
-        raise ValueError(f"n0 must be a positive scalar or 1-D array, got {n0!r}")
-    return values
-
-
-def _columns(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """v, t and eps_c as (rows, 1) or (1, 1) arrays, which broadcast to one row each."""
-    return tuple(np.reshape(x, (-1, 1)) for x in (params.v, params.t, params.eps_c))
-
-
-def _channel_output(params: SystemParams) -> np.ndarray:
-    v, t, ec = _columns(params)
-    cross = np.sqrt(t * (v * v - 1.0))
-    vb = t * (v - 1.0 + ec) + 1.0
-    return _blocks4(v, cross, vb)
-
-
-def two_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
-    """Covariances (rows * N, 4, 4) of (A, B3) for the one-time two-mode model.
-
-    Bob's block carries the full product transmittance t*eta_d*eta_e and,
-    for n0 != 1, the calibrated-over-true SNU ratio divides his variance
-    and scales the cross correlation by 1/sqrt(n0). One matrix per
-    (row, n0).
-    """
-    n0 = n0_values(n0)
-    v, t, ec = _columns(params)
-    tau = t * params.eta_d * params.eta_e
-    cross = np.sqrt(tau * (v * v - 1.0) / n0)
-    vb = (tau * (v - 1.0 + ec) + 1.0) / n0
-    return _blocks4(v, cross, vb)
+def _columns(params: SystemParams, n0: float | np.ndarray) -> list[np.ndarray]:
+    """v, t, eps_c and n0 broadcast to 1-D columns of one element per row,
+    n0 checked positive and of one ratio per row, or one for all."""
+    n0 = np.asarray(n0, dtype=float)
+    rows = np.broadcast(params.v, params.t, params.eps_c).size
+    if n0.ndim > 1 or rows > 1 and n0.size not in (1, rows) or not np.all(n0 > 0.0):
+        raise ValueError(f"n0 must be a positive scalar or a column of one per row "
+                         f"({rows} rows), got {n0!r}")
+    return np.broadcast_arrays(*(np.ravel(x) for x in (params.v, params.t, params.eps_c, n0)))
 
 
 def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
-    """Covariances (rows * N, 6, 6) of (A, B3, C) for the one-time three-mode model.
+    """Covariances (rows, 6, 6) of (A, B3, C) for the one-time three-mode model.
 
     Built by the physical sequence: channel output, vacuum ancilla mixed
     on the electronic-noise beamsplitter eta_e (its reflected mode is
@@ -151,18 +130,16 @@ def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray
     For n0 != 1 the B3 entries are rescaled and the unobserved mode C is
     reconstructed from the rescaled Bob variance through the trusted
     eta_d relations, which is how the receiver would rebuild the state
-    from miscalibrated data. The choice is made per (row, n0).
+    from miscalibrated data. The choice is made per row.
     """
-    n0 = n0_values(n0)
-    g = with_vacuum(_channel_output(params))
+    v, t, ec, n0 = _columns(params, n0)
+    g = with_vacuum(_blocks4(v, np.sqrt(t * (v * v - 1.0)), t * (v - 1.0 + ec) + 1.0))
     g = mix_on_beamsplitter(g, 1, 2, params.eta_e)[:, :4, :4]
     g = mix_on_beamsplitter(with_vacuum(g), 1, 2, params.eta_d)
-    out = np.repeat(g, n0.size, axis=0)
-    scan = np.tile(n0, g.shape[0])
-    moved = scan != 1.0
+    moved = n0 != 1.0
     if moved.any():
-        out[moved] = _rescale_three_mode(out[moved], params.eta_d, scan[moved])
-    return out
+        g[moved] = _rescale_three_mode(g[moved], params.eta_d, n0[moved])
+    return g
 
 
 def _rescale_three_mode(g: np.ndarray, eta_d: float, n0: np.ndarray) -> np.ndarray:
@@ -184,15 +161,16 @@ def _rescale_three_mode(g: np.ndarray, eta_d: float, n0: np.ndarray) -> np.ndarr
 
 
 def conventional_channel_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
-    """Channel-output states (rows * N, 4, 4) of (A, B1) as the receiver of the
+    """Channel-output states (rows, 4, 4) of (A, B1) as the receiver of the
     conventional model reconstructs them from its (possibly
     miscalibrated) measured moments and its trusted knowledge of eta_d
-    and v_ele, one per (row, n0).
+    and v_ele, one per row.
 
-    At n0 = 1 this is exactly the physical channel output.
+    At n0 = 1 this is exactly the physical channel output. With eta_d = 1
+    and v_ele = v_rin = 0 it is the (A, B3) state of the one-time
+    two-mode model, whose t then carries the whole loss t*eta_d*eta_e.
     """
-    n0 = n0_values(n0)
-    v, t, ec = _columns(params)
+    v, t, ec, n0 = _columns(params, n0)
     ed = params.eta_d
     ve = params.v_ele + params.v_rin
     vb3 = (ed * t * (v - 1.0 + ec) + 1.0 + ve) / n0

@@ -8,8 +8,14 @@ model and, finite-size, each SNU ratio of key_rate's grid, to pick the
 ratios key_rate evaluates and to steer keyrate.tolerable_excess_noise,
 whose keyrate._rate_sign takes a rate's sign from it where the margin
 certifies it; it is written apart from it so that it still checks the
-eigensolver pipeline on its own."""
+eigensolver pipeline on its own.
 
+The builders and holevo_bound take one SNU ratio per row. grid_pairs
+forms the (row, n0) pairs of rows against a grid of ratios, in row-major
+order, and two_mode_stack builds the two-mode (A, B3) directly, as the
+reference for holevo_bound's route through the conventional receiver."""
+
+import dataclasses
 import math
 
 import mpmath
@@ -30,11 +36,11 @@ from cvqkd_calib.keyrate import (
     snu_interval,
 )
 from cvqkd_calib.models import (
+    _blocks4,
     apply_miscalibration,
     conventional_channel_stack,
     conventional_stack,
     three_mode_stack,
-    two_mode_stack,
 )
 
 # Halvings the scalar TEN bisection makes at most; from any bracket up to
@@ -145,6 +151,37 @@ def holevo_two_mode_exact(v: float, t: float, eps_c: float, eta_d: float, v_ele:
         return g_exact(spectrum[0]) + g_exact(spectrum[1]) - g_exact(conditional)
 
 
+def grid_pairs(params: SystemParams, n0: np.ndarray) -> tuple[SystemParams, np.ndarray]:
+    """Every row of params at every ratio of the 1-D grid n0, as the params
+    of the (row, n0) pairs in row-major order and their column of ratios."""
+    n0 = np.asarray(n0, dtype=float)
+    shape = np.broadcast(params.v, params.t, params.eps_c).shape or (1,)
+    pairs = dataclasses.replace(params, **{
+        name: np.repeat(np.broadcast_to(getattr(params, name), shape), n0.size)
+        for name in ("v", "t", "eps_c")})
+    return pairs, np.tile(n0, shape[0])
+
+
+def holevo_grid(params: SystemParams, model: CalibrationModel, n0: np.ndarray) -> np.ndarray:
+    """holevo_bound of every row at every ratio of the grid n0, shape (rows, ratios)."""
+    pairs, ratios = grid_pairs(params, n0)
+    return np.reshape(holevo_bound(pairs, model, ratios), (-1, np.size(n0)))
+
+
+def two_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
+    """Covariances (rows, 4, 4) of (A, B3) for the one-time two-mode model,
+    built directly: Bob's block carries the full product transmittance
+    tau = t*eta_d*eta_e and, for n0 != 1, the calibrated-over-true SNU
+    ratio divides his variance and scales the cross correlation by
+    1/sqrt(n0). n0 broadcasts with v, t and eps_c."""
+    v, t, ec, n0 = np.broadcast_arrays(*(np.ravel(x) for x in (
+        params.v, params.t, params.eps_c, n0)))
+    tau = t * params.eta_d * params.eta_e
+    cross = np.sqrt(tau * (v * v - 1.0) / n0)
+    vb = (tau * (v - 1.0 + ec) + 1.0) / n0
+    return _blocks4(v, cross, vb)
+
+
 def _checked(gamma: np.ndarray) -> np.ndarray:
     """One covariance matrix, asserted finite and symmetric to 1e-12 of its
     largest entry (at least 1), returned symmetrised."""
@@ -223,15 +260,16 @@ def bisect_tolerable_noise(rate_at) -> float:
 def dense_worst_case(params: SystemParams, model: CalibrationModel,
                      fs: FiniteSizeParams, delta: float | np.ndarray = 0.0) -> KeyRateResult:
     """Finite-size key rate from chi_BE at every point of the N0_SCAN_POINTS
-    grid in one holevo_bound call: the full scan that key_rate, evaluating
-    only the closed form's candidate ratios, must equal field for field."""
+    grid, from one holevo_bound call over every (row, n0) pair: the full
+    scan that key_rate, evaluating only the closed form's candidate
+    ratios, must equal field for field."""
     calib = snu_interval(params, model, fs)
     n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                      N0_SCAN_POINTS)
     penalty, share = finite_size_penalty(fs), fs.key_fraction
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
-    chi = np.reshape(holevo_bound(eff, model, n0), (-1, n0.size))
+    chi = holevo_grid(eff, model, n0)
     values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
     # argmin takes the first of equal minima, as a strict-< scan would.
     worst = np.argmin(values, axis=1)

@@ -272,7 +272,7 @@ class TestSweepRows:
     # form is NaN.
     @pytest.mark.parametrize("index,full", [(None, False), (7, True)])
     @pytest.mark.parametrize("model,builder,what", [
-        ("two_mode", "two_mode_stack", "two-mode matrix"),
+        ("two_mode", "conventional_channel_stack", "two-mode matrix"),
         ("three_mode", "three_mode_stack", "three-mode matrix"),
         ("conventional", "conventional_channel_stack", "measured matrix"),
     ])
@@ -302,15 +302,17 @@ class TestSweepRows:
                    if (r["V"], r["distance_km"], r["delta"]) == (20.0, 20.0, 0.001)]
         original = getattr(keyrate, builder)
         t_hat = (1.0 + 0.001) * transmittance_from_km(20.0)
+        if model == "two_mode":  # its route builds the channel state at t*eta_d*eta_e
+            p = SystemParams(v=20.0, t=t_hat, **cfg.system)
+            t_hat = t_hat * p.eta_d * p.eta_e
 
-        def poisoned(params, scan):
-            out = original(params, scan)
-            rows = np.broadcast(params.v, params.t, params.eps_c).shape or (1,)
-            hit = np.flatnonzero((np.broadcast_to(params.v, rows) == 20.0)
-                                 & (np.broadcast_to(params.t, rows) == t_hat))
-            for row in hit:
-                for k in np.flatnonzero(scan == n0):
-                    out[row * scan.size + k, 2, 2] = np.nan
+        def poisoned(params, ratios):
+            out = original(params, ratios)
+            rows = out.shape[:1]
+            hit = ((np.broadcast_to(params.v, rows) == 20.0)
+                   & (np.broadcast_to(params.t, rows) == t_hat)
+                   & (np.broadcast_to(ratios, rows) == n0))
+            out[hit, 2, 2] = np.nan
             return out
 
         monkeypatch.setattr(keyrate, builder, poisoned)

@@ -28,9 +28,15 @@ from cvqkd_calib.models import (
     conventional_channel_stack,
     conventional_stack,
     three_mode_stack,
+)
+from oracles import (
+    _x_conditioned,
+    entropy_by_row,
+    entropy_exact,
+    epr_state,
+    grid_pairs,
     two_mode_stack,
 )
-from oracles import _x_conditioned, entropy_by_row, entropy_exact, epr_state
 
 SZ = np.diag([1.0, -1.0])
 
@@ -93,8 +99,8 @@ def conditioning_stacks() -> dict[str, tuple[np.ndarray, int]]:
     true = SystemParams(v=rng.uniform(1.01, 80.0, 100), t=10 ** rng.uniform(-8.0, 0.0, 100),
                         eps_c=rng.uniform(0.0, 0.3, 100), eta_d=0.6, v_ele=0.05,
                         beta=0.95, v_rin=0.01)
-    p = apply_miscalibration(true, rng.uniform(-0.05, 0.05, 100))
-    n0 = np.linspace(0.7, 1.3, 9)
+    p, n0 = grid_pairs(apply_miscalibration(true, rng.uniform(-0.05, 0.05, 100)),
+                       np.linspace(0.7, 1.3, 9))
     r = rng.uniform(-1.0, 1.0, (300, 6, 6))
     generic = r + np.swapaxes(r, -1, -2) + 3.0 * np.eye(6)
     return {"two-mode": (two_mode_stack(p, n0), 1),

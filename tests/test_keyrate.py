@@ -39,14 +39,16 @@ from cvqkd_calib.keyrate import (
     mutual_information,
     snu_interval,
 )
-from cvqkd_calib.models import three_mode_stack, two_mode_stack
+from cvqkd_calib.models import three_mode_stack
 from oracles import (
     dense_worst_case,
     entropies_pointwise,
+    holevo_grid,
     holevo_lodewyck,
     holevo_pointwise,
     holevo_two_mode_exact,
     mutual_information_from_matrix,
+    two_mode_stack,
 )
 from strategies import PROPERTY, at_km, distances_km, link_fields, system_params
 
@@ -143,6 +145,26 @@ class TestHolevoTwoMode:
             generic = holevo_bound(p, TWO)
             closed = two_mode_closed_form_holevo(p)
             assert generic == pytest.approx(closed, rel=1e-8, abs=1e-10)
+
+    def test_same_bits_as_the_direct_builder_pipeline(self):
+        # holevo_bound builds (A, B3) as the conventional channel state at
+        # t*eta_d*eta_e behind an ideal detector; oracles.two_mode_stack
+        # builds it directly. Through the same kernels both give the same
+        # bound bit for bit, at SNU ratios off 1, under an SNU error and
+        # with RIN, 20 blocks of 50 rows.
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            n = 50
+            true = SystemParams(
+                v=rng.uniform(1.5, 60.0, n), t=10 ** rng.uniform(-3, 0, n),
+                eps_c=rng.uniform(0.0, 0.1, n), eta_d=rng.uniform(0.3, 0.99),
+                v_ele=rng.uniform(0.0, 0.3), beta=0.956, v_rin=rng.uniform(1e-3, 0.1))
+            p = apply_miscalibration(true, rng.uniform(-0.05, 0.05, n))
+            n0 = rng.uniform(0.9, 1.1, n)
+            g = two_mode_stack(p, n0)
+            expect = (entropy_of_spectra(symplectic_spectra(g))
+                      - entropy_of_spectra(symplectic_spectra(homodyne_conditioned(g, 1))))
+            assert holevo_bound(p, TWO, n0).tolist() == expect.tolist()
 
     def test_monotone_in_excess_noise(self):
         base = dict(v=20.0, t=0.3, eta_d=0.6, v_ele=0.01, beta=0.956)
@@ -268,7 +290,7 @@ class TestLodewyckOracle:
                 model_row = keyrate.closed_form_model(p, model, fs)
                 share, penalty = (1.0, 0.0) if fs is None else (
                     fs.key_fraction, finite_size_penalty(fs))
-                chi = np.reshape(holevo_bound(p, model, model_row[3:]), (10, -1))
+                chi = holevo_grid(p, model, model_row[3:])
                 expect = share * (p.beta * np.reshape(mutual_information(p), (-1, 1))
                                   - chi - penalty)
                 # key_rate's rate is the rate at its worst ratio.
@@ -305,7 +327,7 @@ class TestLodewyckOracle:
                 block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10, eps_pa=1e-10,
                 eps_smooth=1e-10, calib_samples_m=int(10 ** rng.uniform(3, 5)))
             model_row = keyrate.closed_form_model(p, model, fs)
-            chi = np.reshape(holevo_bound(p, model, model_row[3:]), (10, -1))
+            chi = holevo_grid(p, model, model_row[3:])
             expect = fs.key_fraction * (p.beta * np.reshape(mutual_information(p), (-1, 1))
                                         - chi - finite_size_penalty(fs))
             with np.errstate(invalid="ignore"):
@@ -880,19 +902,25 @@ class TestBatchedScan:
         return params(v=4.0, t=t[0] if rows == 1 else np.array(t)), rows // 2
 
     @staticmethod
+    def route_t(model, p, row):
+        """The t that the model's builder sees for a row of p: the two-mode
+        route builds the conventional channel state at t*eta_d*eta_e."""
+        t = np.atleast_1d(p.t)[row]
+        return t * p.eta_d * p.eta_e if model is TWO else t
+
+    @staticmethod
     def damage_at(monkeypatch, builder, n0, t, damage):
         """Patch keyrate.<builder>(params, n0) so that damage(stack, i) hits
-        element i of every stack it builds that holds the row at
-        transmittance t at SNU ratio n0, whichever rows and ratios the call
-        evaluates."""
+        element i of every stack it builds for the row at transmittance t
+        at SNU ratio n0, whichever (row, ratio) pairs the call evaluates."""
         original = getattr(keyrate, builder)
 
-        def damaged(p, scan):
-            out = original(p, scan)
-            rows = np.flatnonzero(np.atleast_1d(p.t) == t)
-            for row in rows:
-                for k in np.flatnonzero(scan == n0):
-                    damage(out, row * scan.size + k)
+        def damaged(p, ratios):
+            out = original(p, ratios)
+            rows = out.shape[:1]
+            hit = (np.broadcast_to(p.t, rows) == t) & (np.broadcast_to(ratios, rows) == n0)
+            for i in np.flatnonzero(hit):
+                damage(out, i)
             return out
 
         monkeypatch.setattr(keyrate, builder, damaged)
@@ -924,7 +952,7 @@ class TestBatchedScan:
     # the middle row only when its closed form is NaN.
     @pytest.mark.parametrize("index,full", [(None, False), (7, True)])
     @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("model,builder", [(TWO, "two_mode_stack"),
+    @pytest.mark.parametrize("model,builder", [(TWO, "conventional_channel_stack"),
                                                (THREE, "three_mode_stack"),
                                                (CONV, "conventional_channel_stack")])
     def test_nonfinite_stack_element_names_its_n0(self, monkeypatch, model, builder, rows,
@@ -935,7 +963,7 @@ class TestBatchedScan:
         def poison(out, i):
             out[i, 2, 2] = np.nan
 
-        self.damage_at(monkeypatch, builder, n0, np.atleast_1d(p.t)[middle], poison)
+        self.damage_at(monkeypatch, builder, n0, self.route_t(model, p, middle), poison)
         named = re.escape(repr(n0))
         with pytest.raises(NumericalError, match=f"non-finite .* at n0 = {named}$") as err:
             key_rate(p, model, self.FS)
@@ -950,7 +978,8 @@ class TestBatchedScan:
         def inflate(out, i):
             out[i] *= 1.5
 
-        self.damage_at(monkeypatch, "three_mode_stack", n0, np.atleast_1d(p.t)[middle], inflate)
+        self.damage_at(monkeypatch, "three_mode_stack", n0, self.route_t(THREE, p, middle),
+                       inflate)
         named = re.escape(repr(n0))
         with pytest.raises(NumericalError, match=f"unit eigenvalue at n0 = {named}:") as err:
             key_rate(p, THREE, self.FS)
@@ -967,14 +996,58 @@ class TestBatchedScan:
         def poison(out, i):
             out[i, 2, 2] = np.nan
 
-        self.damage_at(monkeypatch, "two_mode_stack", n0[7], p.t[middle], poison)
+        self.damage_at(monkeypatch, "conventional_channel_stack", n0[7],
+                       self.route_t(TWO, p, middle), poison)
         assert fields_of(key_rate(p, TWO, self.FS)) == fields_of(expect)
+        # The same damage raises once the ratio is evaluated.
+        self.scan_every_ratio_of(monkeypatch, middle)
+        with pytest.raises(NumericalError, match="^non-finite two-mode matrix at n0 = "):
+            key_rate(p, TWO, self.FS)
+
+    @pytest.mark.parametrize("model,builder", [(TWO, "conventional_channel_stack"),
+                                               (THREE, "three_mode_stack"),
+                                               (CONV, "conventional_channel_stack")])
+    def test_error_names_the_first_failing_pair_in_row_major_order(self, monkeypatch, model,
+                                                                   builder):
+        # Every ratio of every row is a candidate; row 0 fails at grid index
+        # 9 and row 1 at index 2. One holevo_bound call takes the pairs row
+        # by row, so the error names row 0 and its ratio. (Taken ratio by
+        # ratio, it would name row 1.)
+        p, _ = self.block(3)
+        n0 = self.scan_n0(p, model)
+        self.scan_every_ratio_of(monkeypatch, slice(None))
+
+        def poison(out, i):
+            out[i, 2, 2] = np.nan
+
+        for row, k in ((0, 9), (1, 2)):
+            self.damage_at(monkeypatch, builder, n0[k], self.route_t(model, p, row), poison)
+        named = re.escape(repr(float(n0[9])))
+        with pytest.raises(NumericalError, match=f"^non-finite .* matrix at n0 = {named}$") as err:
+            key_rate(p, model, self.FS)
+        assert err.value.row == 0
 
     def test_n0_must_be_positive_scalar_or_vector(self):
-        p = params()
-        for bad in (0.0, -1.0, np.array([1.0, -0.5]), np.ones((2, 2))):
-            with pytest.raises(ValueError, match="n0"):
-                holevo_bound(p, TWO, bad)
+        # A column on a block of rows must hold one ratio per row.
+        p, block = params(), params(v=np.array([4.0, 20.0, 40.0]))
+        for rows, bad in ((p, 0.0), (p, -1.0), (p, np.array([1.0, -0.5])),
+                          (p, np.ones((2, 2))), (block, np.ones(2)), (block, np.ones(4))):
+            for model in (TWO, THREE, CONV):
+                with pytest.raises(ValueError, match="^n0 must be"):
+                    holevo_bound(rows, model, bad)
+
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_n0_column_takes_one_ratio_per_row(self, model):
+        # One ratio for every row, or one per row, each row's as on its own.
+        block = params(v=np.array([4.0, 20.0, 40.0]))
+        n0 = np.array([1.0, 0.999, 1.001])
+        per_row = holevo_bound(block, model, n0)
+        assert per_row.shape == (3,)
+        same = holevo_bound(block, model, np.ones(1))
+        assert same.tolist() == holevo_bound(block, model).tolist()
+        for i in range(3):
+            row = params(v=float(block.v[i]))
+            assert holevo_bound(row, model, n0[i]) == per_row[i]
 
     @pytest.mark.parametrize("evaluate", [holevo_bound, key_rate])
     def test_model_must_be_a_calibration_model(self, evaluate):
@@ -1016,13 +1089,15 @@ class TestCandidateWorstCase:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record, per holevo_bound call, the v of each row it evaluates and
-        its SNU ratios."""
+        """Record, per holevo_bound call, the (v, n0) of each row it
+        evaluates, in order."""
         calls = []
         original = keyrate.holevo_bound
 
         def recorded(p, model, n0=1.0):
-            calls.append((np.ravel(p.v).tolist(), np.ravel(n0).tolist()))
+            rows = np.broadcast(p.v, p.t, p.eps_c, n0).shape
+            calls.append(list(zip(np.broadcast_to(p.v, rows).ravel().tolist(),
+                                  np.broadcast_to(n0, rows).ravel().tolist())))
             return original(p, model, n0)
 
         monkeypatch.setattr(keyrate, "holevo_bound", recorded)
@@ -1056,7 +1131,27 @@ class TestCandidateWorstCase:
         for model, p, delta in self.readme_blocks():
             calls.clear()
             key_rate(p, model, fs, delta)
-            assert sum(len(v) * len(n0) for v, n0 in calls) == p.v.size, (model, p.v[0])
+            assert [len(pairs) for pairs in calls] == [p.v.size], (model, p.v[0])
+
+    @pytest.mark.parametrize("m", [None, 5 * 10 ** 9, 10 ** 4])
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_one_holevo_call_per_key_rate_call(self, monkeypatch, model, m):
+        # Every evaluated (row, n0) pair goes through one call, asymptotic
+        # or finite-size. At m = 1e4 the closed form is also made NaN on
+        # the first row of each block, so that its candidates span every
+        # ratio of the grid.
+        fs = None if m is None else dataclasses.replace(self.FS, calib_samples_m=m)
+        if m == 10 ** 4:
+            TestBatchedScan.scan_every_ratio_of(monkeypatch, 0)
+        calls = self.spy(monkeypatch)
+        for block_model, p, delta in self.readme_blocks():
+            if block_model is not model:
+                continue
+            calls.clear()
+            key_rate(p, model, fs, delta)
+            assert len(calls) == 1
+            pairs = len(calls[0])
+            assert pairs >= p.v.size + N0 - 1 if m == 10 ** 4 else pairs == p.v.size
 
     def test_interior_peak_is_a_candidate(self, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -1066,7 +1161,7 @@ class TestCandidateWorstCase:
         assert res == dense_worst_case(self.PEAKED, CONV, self.PEAKED_FS)
         calib = snu_interval(self.PEAKED, CONV, self.PEAKED_FS)
         grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, N0)
-        evaluated = [x for _, n0 in calls for x in n0]
+        evaluated = [n0 for pairs in calls for _, n0 in pairs]
         assert res.worst_n0 in evaluated and res.worst_n0 not in (grid[0], grid[-1])
         assert len(evaluated) < N0
 
@@ -1095,7 +1190,7 @@ class TestCandidateWorstCase:
         block = dataclasses.replace(self.PEAKED, v=np.array([4.0, 39.23, 20.0]))
         res = key_rate(block, CONV, self.PEAKED_FS)
         assert res.chi_be[1] == 2.414488341933574
-        evaluated = collections.Counter(v for vs, n0 in calls for v in vs * len(n0))
+        evaluated = collections.Counter(v for pairs in calls for v, _ in pairs)
         assert evaluated[4.0] == 1 and evaluated[39.23] > 1
         for i, v in enumerate(block.v):
             row = key_rate(dataclasses.replace(self.PEAKED, v=float(v)), CONV, self.PEAKED_FS)
@@ -1105,7 +1200,7 @@ class TestCandidateWorstCase:
     def test_narrow_interval_takes_one_ratio(self, monkeypatch, model):
         calls = self.spy(monkeypatch)
         key_rate(params(), model, self.FS)
-        assert len(calls) == 1 and len(calls[0][1]) == 1
+        assert len(calls) == 1 and len(calls[0]) == 1
 
     def test_candidate_rule(self, monkeypatch):
         # chi_BE 1 puts the margin near 1e-9. Row 0: the lowest rate and one
@@ -1121,9 +1216,9 @@ class TestCandidateWorstCase:
         key_rate(params(v=np.array([4.0, 20.0, 40.0])), TWO, self.FS)
         grid = keyrate.closed_form_model(params(), TWO, self.FS)[3:].tolist()
         evaluated = {v: [] for v in (4.0, 20.0, 40.0)}
-        for vs, n0 in calls:
-            for v in vs:
-                evaluated[v] += [grid.index(x) for x in n0]
+        for pairs in calls:
+            for v, n0 in pairs:
+                evaluated[v].append(grid.index(n0))
         assert sorted(evaluated[4.0]) == [3, 4, 6]
         assert sorted(evaluated[20.0]) == list(range(N0))
         assert sorted(evaluated[40.0]) == [0, N0 - 1]

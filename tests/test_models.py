@@ -21,9 +21,8 @@ from cvqkd_calib.models import (
     conventional_channel_stack,
     conventional_stack,
     three_mode_stack,
-    two_mode_stack,
 )
-from oracles import epr_state
+from oracles import epr_state, two_mode_stack
 from strategies import PROPERTY, system_params
 
 SZ = np.diag([1.0, -1.0])
@@ -145,7 +144,8 @@ class TestEtaE:
 
 
 # ---------------------------------------------------------------------------
-# two-mode builder
+# two-mode builder: the direct one of tests/oracles.py, which holevo_bound's
+# route through conventional_channel_stack matches bit for bit
 
 class TestBuildTwoMode:
     def test_lossless_noiseless_is_pure(self):
