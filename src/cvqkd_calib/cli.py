@@ -92,6 +92,9 @@ class DistanceGrid:
             )
         if self.start < 0.0:
             raise ConfigError(f"distances_km.start must be nonnegative, got {self.start}")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ConfigError(f"distances_km has too many points: ({self.stop} - {self.start})"
+                              f" / {self.step} overflows")
 
     def points(self, first: int = 0) -> list[float]:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -390,20 +393,12 @@ def _cell_text(value: Any) -> str:
     return text
 
 
-def _json_text(value: Any) -> str:
-    """A cell as json.dump writes it: a finite float its repr, anything
-    else json's own text, NaN, Infinity and null included."""
-    if isinstance(value, float) and math.isfinite(value):
-        return repr(value)
-    return json.dumps(value)
-
-
-def _cell_rows(blocks: list[dict], columns: list[str], text) -> list[tuple[str, ...]]:
-    """The blocks' rows as tuples of cell text, text(value) of each cell in
-    the order of columns, built column by column: each value is formatted
-    once per call, a single value once for its block and a list shared by
-    several blocks once for all of them."""
-    texts: dict[int, list[str]] = {}  # id of a list column -> its cells' text
+def _cell_rows(blocks: list[dict], columns: list[str], text) -> list[tuple]:
+    """The blocks' rows as tuples of text(value) of each cell in the order
+    of columns, built column by column: each value is formatted once per
+    call, a single value once for its block and a list shared by several
+    blocks once for all of them."""
+    texts: dict[int, list] = {}  # id of a list column -> its cells' text
     rows = []
     for block in blocks:
         # A block's lists give its row count; one of single values is one row.
@@ -427,7 +422,7 @@ def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> N
     A block is a dict of columns, each a list of one value per row or one
     value for all its rows, so a row dict is a one-row block. The CSV is
     csv's own text, with its QUOTE_MINIMAL rule and line-feed line ends;
-    the JSON is the text of json.dump(rows, indent=2), a list of objects.
+    the JSON is json.dumps(rows, indent=2), a list of objects.
     """
     if fmt == "csv":
         lines = [",".join(map(_cell_text, columns)),
@@ -436,11 +431,8 @@ def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> N
             lines = [line or '""' for line in lines]
         text = "\n".join(lines) + "\n"
     else:
-        # One object's text, with a %s for each cell and a key's own % escaped.
-        keys = ",\n".join(f"    {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
-        rows = _cell_rows(blocks, columns, _json_text)
-        objects = ",\n".join(map(f"  {{\n{keys}\n  }}".__mod__, rows))
-        text = f"[\n{objects}\n]\n" if objects else "[]\n"
+        rows = _cell_rows(blocks, columns, lambda value: value)
+        text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
     with open(path, "w", newline="") as f:
         f.write(text)
 

@@ -226,16 +226,18 @@ def apply_miscalibration(params: SystemParams,
         raise ValueError(f"miscalibration delta {delta} leaves no signal")
     if np.ndim(delta) == 0 and delta == 0.0:
         return params
-    v, t, ec, ed = params.v, params.t, params.eps_c, params.eta_d
+    v, t, ec, ed = params.v, np.asarray(params.t), params.eps_c, params.eta_d
     ve = params.v_ele + params.v_rin
-    t_hat = (1.0 + delta) * np.asarray(t)
-    eps_hat = np.where(
-        t_hat <= 1.0,
-        ec + delta * (1.0 + ve) / ((1.0 + delta) * ed * t),
-        # Covariance implies t_hat > 1; the constrained estimate pins
-        # t_hat = 1 and the variance equation then fixes eps_hat.
-        ((1.0 + delta) * (ed * t * (v - 1.0 + ec) + 1.0 + ve) - 1.0 - ve) / ed - (v - 1.0),
-    )
+    t_hat = (1.0 + delta) * t
+    # Where (1 + delta) * ed * t underflows to 0, eps_hat is infinite and refused below.
+    with np.errstate(divide="ignore", over="ignore"):
+        eps_hat = np.where(
+            t_hat <= 1.0,
+            ec + delta * (1.0 + ve) / ((1.0 + delta) * ed * t),
+            # Covariance implies t_hat > 1; the constrained estimate pins
+            # t_hat = 1 and the variance equation then fixes eps_hat.
+            ((1.0 + delta) * (ed * t * (v - 1.0 + ec) + 1.0 + ve) - 1.0 - ve) / ed - (v - 1.0),
+        )
     if np.any(eps_hat == math.inf):
         raise ValueError(f"miscalibration delta {delta} overflows the excess noise")
     return replace(params, t=_given(np.where(t_hat <= 1.0, t_hat, 1.0)),

@@ -755,6 +755,43 @@ class TestTenRows:
                 rf"^{named} delta=0\.0: NumericalError: eigenvalue solve did not converge$")):
             ten_rows(SweepConfig.from_dict(base_config()))
 
+    def test_key_rate_takes_the_one_row_where_the_closed_form_breaks_down(self, monkeypatch):
+        # At eta_d 0.9 and v_ele 0.2, conventional V = 40 at 0 km and eps_c = 0 is
+        # a pure state whose s^2 - 4p rounds below 0, so its closed-form rate is
+        # NaN: the one non-finite rate of the search, whose sign key_rate gives.
+        closed_form, healthy = keyrate.closed_form_rate, keyrate.key_rate
+        broken, calls = [], []
+
+        def closed_form_spy(params, model, fs=None):
+            rate, chi = closed_form(params, model, fs)
+            bad = ~np.isfinite(rate).all(axis=1)
+            columns = (np.broadcast_to(x, bad.shape)[bad].tolist()
+                       for x in (params.v, params.t, params.eps_c))
+            broken.extend(zip(*columns))
+            return rate, chi
+
+        def key_rate_spy(params, model, fs=None, delta=0.0):
+            res = healthy(params, model, fs, delta)
+            calls.append((model, params.v.tolist(), params.t.tolist(),
+                          params.eps_c.tolist(), res.rate_bits_per_pulse.tolist()))
+            return res
+
+        monkeypatch.setattr(keyrate, "closed_form_rate", closed_form_spy)
+        monkeypatch.setattr(keyrate, "key_rate", key_rate_spy)
+        cfg = load_config(str(GOLDEN_CONFIG), [
+            "system.eta_d=0.9", "system.v_ele=0.2", "system.eps_c=0.05"])
+        rows = ten_rows(cfg)
+        assert broken == [(40.0, 1.0, 0.0)]
+        assert calls == [(CalibrationModel.CONVENTIONAL_TTE, [40.0], [1.0], [0.0],
+                          [2.3512166274132875])]
+        (row,) = [r for r in rows if (r["model"], r["V"], r["distance_km"])
+                  == ("conventional", 40.0, 0.0)]
+        monkeypatch.setattr(keyrate, "key_rate", healthy)
+        oracle = bisect_tolerable_noise(lambda eps_c: healthy(
+            SystemParams(v=40.0, t=1.0, **{**cfg.system, "eps_c": eps_c}),
+            CalibrationModel.CONVENTIONAL_TTE).rate_bits_per_pulse)
+        assert row["ten"] == oracle == 0.348236083984375
+
     @pytest.mark.parametrize("regime", ["asymptotic", "finite_size"])
     def test_certificate_leaves_far_rows_as_key_rate_writes_them(self, tmp_path, monkeypatch,
                                                                  capsys, regime):
@@ -1297,6 +1334,17 @@ class TestExitCodes:
             {"miscalibration_deltas": [0.0, 0.003],
              "distances_km": {"start": 16100.0, "stop": 16100.0, "step": 10.0}},
             "miscalibration delta 0.003 overflows the excess noise"),
+        # 1.001 * 0.4 * t underflows to 0 at 16180 km, so the apparent excess
+        # noise divides by zero.
+        "delta_divides_the_farthest_excess_noise_by_zero": (
+            {"miscalibration_deltas": [0.0, 0.001],
+             "system": {**base_config()["system"], "eta_d": 0.4},
+             "distances_km": {"start": 16160.0, "stop": 16180.0, "step": 1.0}},
+            "miscalibration delta 0.001 overflows the excess noise"),
+        # The point count overflows before any list of points is built.
+        "point_count_overflows": (
+            {"distances_km": {"start": 0.0, "stop": 1e10, "step": 1e-300}},
+            "distances_km has too many points: (10000000000.0 - 0.0) / 1e-300 overflows"),
         # 1/(t eta_d eta_e) overflows in I_AB from about 15401 km.
         "stop_past_the_i_ab_overflow": (
             {"distances_km": {"start": 15500.0, "stop": 15500.0, "step": 10.0}},
@@ -1308,7 +1356,8 @@ class TestExitCodes:
             "miscalibration delta 0.9 overflows the excess noise"),
     }
 
-    # The error line alone reaches stderr, with no numpy warning before it.
+    # The error line alone reaches stderr, with no numpy warning before it,
+    # and sweep and ten give it as validate-config does.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides, message", CONFIG_ONLY.values(), ids=CONFIG_ONLY)
     def test_validate_config_and_sweep_agree_on_config_only_failures(
@@ -1316,9 +1365,10 @@ class TestExitCodes:
         path = write_config(tmp_path, base_config(**overrides))
         out = tmp_path / "x.csv"
         assert main(["validate-config", "--config", path]) == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        for command in ("sweep", "ten"):
+            assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [

@@ -413,6 +413,11 @@ class TestApplyMiscalibration:
         with pytest.raises(ValueError, match="^miscalibration delta 0.003 overflows"):
             apply_miscalibration(params(t=1e-320), 0.003)
         assert apply_miscalibration(params(t=1e-320), -0.003).eps_c == 0.0
+        # 1.003 * 0.4 * 5e-324 rounds to 0, so eps_hat divides by zero, though
+        # 1.003 * 5e-324 does not, so the signal is still there.
+        for t in (5e-324, np.array([0.5, 5e-324])):
+            with pytest.raises(ValueError, match="^miscalibration delta 0.003 overflows"):
+                apply_miscalibration(params(t=t, eta_d=0.4), 0.003)
 
 
 class TestTransmittance:
