@@ -2,12 +2,15 @@
 and the tolerable excess noise (TEN) of each model.
 
 Reverse reconciliation throughout: rate = beta * I_AB - chi_BE in the
-asymptotic regime. Every key rate that sweep prints is evaluated
-numerically from the models' covariance matrices through the generic
-symplectic-spectrum pipeline. The closed form of Lodewyck et al. in
-closed_form_rate bounds that rate within a margin at each SNU ratio, so
-finite-size key_rate runs the pipeline only at the ratios that may hold
-a row's worst case. tolerable_excess_noise searches every model's rows
+asymptotic regime. Two routes give chi_BE: closed_form_rate, the closed
+form of Lodewyck et al. without an eigensolve, and holevo_bound, the
+generic symplectic-spectrum pipeline on the models' covariance matrices.
+They agree within a margin at each SNU ratio. Asymptotic key_rate prints
+the closed form's rate and chi_BE, and the pipeline's only on rows where
+the closed form is not finite. Finite-size key_rate prints the
+pipeline's, which it runs only at the ratios that, by the closed form
+within the margin, may hold a row's worst case (and wherever the closed
+form is not finite). tolerable_excess_noise searches every model's rows
 at once on the sign of each rate alone: the closed form's values choose
 where it looks next, and _rate_sign takes key_rate's sign from the
 closed form where the margin certifies it, from key_rate elsewhere.
@@ -47,9 +50,10 @@ N0_SCAN_POINTS = 21
 # detection beamsplitter's vacuum ancilla survives any rescaling).
 _UNIT_EIGENVALUE_TOL = 1e-6
 
-# The margin by which closed_form_rate bounds key_rate's rate at each SNU
-# ratio, which picks the ratios key_rate evaluates and certifies the signs
-# of the TEN search: the two routes agree to within RATE_MARGIN_REL of
+# The margin by which closed_form_rate bounds the eigensolver's rate at each
+# SNU ratio, which picks the ratios finite-size key_rate evaluates and
+# certifies the signs of the TEN search: the two routes agree to within
+# RATE_MARGIN_REL of
 # max(|rate|, |chi_BE|) (tests/test_keyrate.py asserts it for m from 1e3;
 # 7.0e-11 is the worst seen on its draws), and RATE_MARGIN_ABS bits cover
 # both routes' float error near a zero rate, about 1e-14.
@@ -341,36 +345,45 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     Channel-parameter fluctuation is out of scope; only the SNU-bearing
     matrix entries move.
 
-    Finite-size, chi_BE comes from the eigensolver only at a row's
-    candidate ratios: all but those whose lower bound (_rate_bounds) lies
-    above the row's lowest upper bound, as such a ratio holds a higher
-    rate than some other. A ratio where the closed form is not finite is
-    a candidate. So the result is the whole grid's worst case bit for
-    bit, and a fault at a ratio that is no candidate raises nothing.
+    Asymptotically the rate and chi_BE are closed_form_rate's at n0 = 1,
+    so chi_be may differ from holevo_bound's by up to the margin
+    (RATE_MARGIN_REL of max(|rate|, |chi_BE|) plus RATE_MARGIN_ABS). The
+    eigensolver runs only on a row whose closed form is not finite: an
+    overflow, or a state such as a pure one whose discriminant rounds
+    below 0. Finite-size, chi_BE comes from the eigensolver only at a
+    row's candidate ratios: all but those whose lower bound (_rate_bounds)
+    lies above the row's lowest upper bound, as such a ratio holds a
+    higher rate than some other. A ratio where the closed form is not
+    finite is a candidate. So the result is the whole grid's worst case
+    bit for bit, and a fault at a ratio that is no candidate raises
+    nothing. Either regime makes one closed_form_rate call.
 
     One row for scalar params and delta. A block of rows, with v, t,
     eps_c or delta as 1-D columns, gives a column per result field, from
-    one holevo_bound call over every evaluated (row, n0) pair in
+    at most one holevo_bound call over every evaluated (row, n0) pair in
     row-major order, so an error names the first failing pair in that
     order; each row equals its own one-row evaluation.
     """
+    eff = apply_miscalibration(params, delta)
+    i_ab = mutual_information(eff)
     if fs is None:
         n0, penalty, share = np.ones(1), 0.0, 1.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rate, chi = closed_form_rate(eff, closed_form_model(params, model))
+        candidate = ~np.isfinite(rate)
     else:
         cf = closed_form_model(params, model, fs)  # ends with the n0 grid
         n0, penalty, share = cf[3:], finite_size_penalty(fs), fs.key_fraction
-    eff = apply_miscalibration(params, delta)
-    i_ab = mutual_information(eff)
-    candidate = np.ones((np.size(i_ab), 1), dtype=bool)
-    if fs is not None:
         _, lower, upper = _rate_bounds(eff, cf, fs)
         candidate = ~(lower > np.fmin.reduce(upper, axis=1)[:, None])
+        chi = np.full(candidate.shape, np.nan)
     row_of, k = np.nonzero(candidate)  # the (row, n0) pairs, in row-major order
-    # Every row has a candidate, so as many pairs as rows are the rows in order.
-    part = eff if row_of.size == candidate.shape[0] else _rows_of(eff, row_of)
-    chi = np.full(candidate.shape, np.nan)
     try:
-        chi[row_of, k] = np.reshape(holevo_bound(part, model, n0[k]), -1)
+        if row_of.size:
+            # A finite-size row has at least one candidate and an asymptotic
+            # row at most one, so as many pairs as rows are the rows in order.
+            part = eff if row_of.size == candidate.shape[0] else _rows_of(eff, row_of)
+            chi[row_of, k] = np.reshape(holevo_bound(part, model, n0[k]), -1)
         values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
         _require_finite(values[row_of, k], n0[k], "key rate")
     except NumericalError as exc:

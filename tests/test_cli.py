@@ -79,6 +79,20 @@ def no_certificate(monkeypatch) -> None:
     monkeypatch.setattr(keyrate, "_rate_bounds", unbounded)
 
 
+def no_closed_form(monkeypatch) -> None:
+    """Make every closed-form rate NaN, as where the closed form breaks
+    down, for tests that patch or count holevo_bound or key_rate: key_rate
+    then takes every rate from holevo_bound, asymptotic or finite-size at
+    every SNU ratio, and ten takes every sign from key_rate."""
+    closed_form = keyrate.closed_form_rate
+
+    def undefined(params, model, fs=None):
+        rate, chi = closed_form(params, model, fs)
+        return np.full_like(rate, np.nan), chi
+
+    monkeypatch.setattr(keyrate, "closed_form_rate", undefined)
+
+
 def base_config(**overrides) -> dict:
     cfg = {
         "models": ["conventional", "two_mode", "three_mode"],
@@ -224,7 +238,7 @@ class TestSweepRows:
     @pytest.mark.parametrize("rows,delta", [(sweep_rows, "0.001"), (ten_rows, "0.0")])
     def test_row_failure_names_grid_point(self, monkeypatch, rows, delta):
         # Holevo evaluation breaks at 10 km only; the error must say where.
-        no_certificate(monkeypatch)
+        no_closed_form(monkeypatch)
         healthy = keyrate.holevo_bound
 
         def failing(params, model, n0=1.0):
@@ -260,12 +274,33 @@ class TestSweepRows:
         # sweep calls key_rate from cli, ten from keyrate.
         monkeypatch.setattr(cli, "key_rate", counted)
         monkeypatch.setattr(keyrate, "key_rate", counted)
-        no_certificate(monkeypatch)
+        no_closed_form(monkeypatch)
         cfg = SweepConfig.from_dict(base_config(models=["three_mode"]))
         with pytest.raises(RuntimeError, match=(
                 r"^model=three_mode: NumericalError: eigenvalue solve did not converge$")):
             rows(cfg)
         assert len(calls) == 1
+
+    def test_row_where_the_closed_form_breaks_down_takes_the_eigensolver(self, monkeypatch):
+        # At eta_d 0.9 and v_ele 0.2, conventional V = 40 at 0 km and eps_c = 0
+        # is a pure state whose s^2 - 4p rounds below 0, so its closed-form
+        # rate is NaN. The asymptotic sweep writes the eigensolver's rate
+        # there, from one call on that row alone, and the closed form's
+        # everywhere else.
+        eigensolver, solved = keyrate.holevo_bound, []
+
+        def holevo_spy(params, model, n0=1.0):
+            solved.append((model, np.size(params.v)))
+            return eigensolver(params, model, n0)
+
+        monkeypatch.setattr(keyrate, "holevo_bound", holevo_spy)
+        rows = sweep_rows(load_config(str(GOLDEN_CONFIG), [
+            "system.eta_d=0.9", "system.v_ele=0.2", "system.eps_c=0"]))
+        (row,) = [r for r in rows if (r["model"], r["V"], r["distance_km"], r["delta"])
+                  == ("conventional", 40.0, 0.0, 0.0)]
+        assert row["rate_bits_per_pulse"] == 2.3512166274132875
+        assert solved == [(CalibrationModel.CONVENTIONAL_TTE, 1)]
+        assert all(math.isfinite(r["rate_bits_per_pulse"]) for r in rows)
 
     # (grid index, full scan forced): the row's worst ratio, its one
     # candidate here, and a ratio that is a candidate only when the closed
@@ -759,8 +794,10 @@ class TestTenRows:
         # At eta_d 0.9 and v_ele 0.2, conventional V = 40 at 0 km and eps_c = 0 is
         # a pure state whose s^2 - 4p rounds below 0, so its closed-form rate is
         # NaN: the one non-finite rate of the search, whose sign key_rate gives.
-        closed_form, healthy = keyrate.closed_form_rate, keyrate.key_rate
-        broken, calls = [], []
+        # key_rate meets the same NaN and takes that rate from the eigensolver.
+        closed_form, healthy, eigensolver = (keyrate.closed_form_rate, keyrate.key_rate,
+                                             keyrate.holevo_bound)
+        broken, calls, solved = [], [], []
 
         def closed_form_spy(params, model, fs=None):
             rate, chi = closed_form(params, model, fs)
@@ -776,14 +813,22 @@ class TestTenRows:
                           params.eps_c.tolist(), res.rate_bits_per_pulse.tolist()))
             return res
 
+        def holevo_spy(params, model, n0=1.0):
+            solved.append((model, *(np.ravel(x).tolist() for x in (params.v, params.t,
+                                                                   params.eps_c))))
+            return eigensolver(params, model, n0)
+
         monkeypatch.setattr(keyrate, "closed_form_rate", closed_form_spy)
         monkeypatch.setattr(keyrate, "key_rate", key_rate_spy)
+        monkeypatch.setattr(keyrate, "holevo_bound", holevo_spy)
         cfg = load_config(str(GOLDEN_CONFIG), [
             "system.eta_d=0.9", "system.v_ele=0.2", "system.eps_c=0.05"])
         rows = ten_rows(cfg)
-        assert broken == [(40.0, 1.0, 0.0)]
+        # Once in the search's certificate, once in key_rate's own closed form.
+        assert broken == [(40.0, 1.0, 0.0)] * 2
         assert calls == [(CalibrationModel.CONVENTIONAL_TTE, [40.0], [1.0], [0.0],
                           [2.3512166274132875])]
+        assert solved == [(CalibrationModel.CONVENTIONAL_TTE, [40.0], [1.0], [0.0])]
         (row,) = [r for r in rows if (r["model"], r["V"], r["distance_km"])
                   == ("conventional", 40.0, 0.0)]
         monkeypatch.setattr(keyrate, "key_rate", healthy)

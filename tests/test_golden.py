@@ -53,24 +53,47 @@ def test_output_is_byte_identical(tmp_path, capsys, name):
                     f"line {first + 1} reads {pair[0]!r}, expected {pair[1]!r}")
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
-@pytest.mark.parametrize("name", ["ten_asymptotic", "ten_finite_size_step50", "calib"])
-def test_output_does_not_depend_on_the_blas_kernel(tmp_path, name):
-    # The eigensolver's last digits follow OpenBLAS's kernel, and numpy's
-    # log2 differs between its AVX-512 and AVX2 paths, so the sweep goldens
-    # move under another kernel or SIMD level. On this grid every TEN edge
-    # takes its sign from the closed form, which runs no eigensolve, and
-    # calib runs none either, so these match under the oldest x86-64 kernel
-    # with numpy's AVX-512 targets disabled too, as on a CPU without
-    # AVX-512. A numpy built without OpenBLAS ignores the first variable,
-    # and one that lacks these targets the second.
+def run_in_subprocess(tmp_path, name, **env) -> bytes:
+    """The output of one golden case from the CLI in a fresh interpreter
+    under the given environment variables, which numpy and OpenBLAS read
+    only at import."""
     command, *overrides = CASES[name]
     out = tmp_path / f"{name}.csv"
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-m", "cvqkd_calib.cli", command, "--config",
                     str(GOLDEN / "config.json"), *overrides, "--out", str(out)],
                    env=env, check=True, capture_output=True, timeout=120)
-    assert out.read_bytes() == gzip.decompress((GOLDEN / f"{name}.csv.gz").read_bytes())
+    return out.read_bytes()
+
+
+X86_64 = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                            reason="OPENBLAS_CORETYPE names x86-64 kernels")
+
+
+@X86_64
+@pytest.mark.parametrize("name", ["ten_asymptotic", "ten_finite_size_step50", "calib"])
+def test_output_does_not_depend_on_the_blas_kernel(tmp_path, name):
+    # The eigensolver's last digits follow OpenBLAS's kernel, so the
+    # finite-size sweep golden, the only one that runs it on this grid,
+    # moves under another kernel; and numpy's log2
+    # differs between its AVX-512 and AVX2 paths, so both sweep goldens move
+    # under another SIMD level. On this grid every TEN edge takes its sign
+    # from the closed form, which runs no eigensolve, and calib runs none
+    # either, so these match under the oldest x86-64 kernel with numpy's
+    # AVX-512 targets disabled too, as on a CPU without AVX-512. A numpy
+    # built without OpenBLAS ignores the first variable, and one that lacks
+    # these targets the second.
+    got = run_in_subprocess(tmp_path, name, OPENBLAS_CORETYPE="Prescott",
+                            NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    assert got == gzip.decompress((GOLDEN / f"{name}.csv.gz").read_bytes())
+
+
+@X86_64
+@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+def test_asymptotic_sweep_does_not_depend_on_the_blas_kernel(tmp_path, kernel):
+    # On this grid every asymptotic rate comes from the closed form, which
+    # runs no eigensolve. numpy's SIMD level is left as it is: its log2
+    # still moves this golden between the AVX-512 and AVX2 paths.
+    got = run_in_subprocess(tmp_path, "sweep_asymptotic", OPENBLAS_CORETYPE=kernel)
+    assert got == gzip.decompress((GOLDEN / "sweep_asymptotic.csv.gz").read_bytes())

@@ -266,9 +266,11 @@ class TestLodewyckOracle:
     def test_closed_form_rate_equals_key_rate(self, model, with_rin):
         # 20 detectors with 10 channel rows each, as one block per detector,
         # in each regime, compared at every SNU ratio of key_rate's grid
-        # (the one ratio 1 asymptotically), where key_rate's rate would be
+        # (the one ratio 1 asymptotically), where the eigensolver's rate is
         # share * (beta * I_AB - holevo_bound - Delta(n)): _rate_sign
-        # relies on agreement at each ratio. Finite-size, the first row is
+        # relies on agreement at each ratio. key_rate prints the closed
+        # form's rate and chi_BE asymptotically, and finite-size the
+        # eigensolver's at its worst ratio. Finite-size, the first row is
         # at t = 1, where the interval's lower end n0 < 1 puts t / n0 past 1.
         # The closed form is NaN at one of the 4200 (row, ratio) pairs of
         # conventional with v_rin: at t = 1 and the interval's upper end,
@@ -293,12 +295,16 @@ class TestLodewyckOracle:
                 chi = holevo_grid(p, model, model_row[3:])
                 expect = share * (p.beta * np.reshape(mutual_information(p), (-1, 1))
                                   - chi - penalty)
-                # key_rate's rate is the rate at its worst ratio.
                 res = key_rate(p, model, fs)
-                assert np.all(np.any(expect == np.reshape(res.rate_bits_per_pulse, (-1, 1)),
-                                     axis=1))
                 with np.errstate(invalid="ignore"):
                     rate, closed_chi = keyrate.closed_form_rate(p, model_row, fs)
+                if fs is None:
+                    assert res.rate_bits_per_pulse.tolist() == rate[:, 0].tolist()
+                    assert res.chi_be.tolist() == closed_chi[:, 0].tolist()
+                else:
+                    # key_rate's rate is the eigensolver's at its worst ratio.
+                    assert np.all(np.any(
+                        expect == np.reshape(res.rate_bits_per_pulse, (-1, 1)), axis=1))
                 defined = np.isfinite(rate)
                 scale = np.maximum(np.abs(rate), np.abs(closed_chi))[defined]
                 error = np.abs(rate - expect)[defined]
@@ -624,6 +630,11 @@ class TestKeyRateAsymptotic:
         with pytest.raises(NumericalError, match=r"^non-finite key rate at n0 = 1\.0$") as err:
             key_rate(params(t=1e-310), model)
         assert err.value.row == 0
+        # In a block the closed form is finite on the other rows, and the
+        # eigensolver's error names the one row it evaluates.
+        with pytest.raises(NumericalError, match=r"^non-finite key rate at n0 = 1\.0$") as err:
+            key_rate(params(t=np.array([0.5, 0.1, 1e-310, 0.01])), model)
+        assert err.value.row == 2
 
     def test_sign_convention_invariance(self):
         # Negating every correlation involving the trusted loss mode C
@@ -1136,22 +1147,50 @@ class TestCandidateWorstCase:
     @pytest.mark.parametrize("m", [None, 5 * 10 ** 9, 10 ** 4])
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_one_holevo_call_per_key_rate_call(self, monkeypatch, model, m):
-        # Every evaluated (row, n0) pair goes through one call, asymptotic
-        # or finite-size. At m = 1e4 the closed form is also made NaN on
-        # the first row of each block, so that its candidates span every
-        # ratio of the grid.
+        # Finite-size, every evaluated (row, n0) pair goes through one call.
+        # At m = 1e4 the closed form is also made NaN on the first row of
+        # each block, so that its candidates span every ratio of the grid.
+        # Asymptotically the closed form is finite on every row here, so
+        # key_rate makes no call. Either way it makes one closed-form call.
         fs = None if m is None else dataclasses.replace(self.FS, calib_samples_m=m)
         if m == 10 ** 4:
             TestBatchedScan.scan_every_ratio_of(monkeypatch, 0)
+        closed_forms, closed_form = [], keyrate.closed_form_rate
+        monkeypatch.setattr(keyrate, "closed_form_rate",
+                            lambda *args: closed_forms.append(args) or closed_form(*args))
         calls = self.spy(monkeypatch)
         for block_model, p, delta in self.readme_blocks():
             if block_model is not model:
                 continue
             calls.clear()
+            closed_forms.clear()
             key_rate(p, model, fs, delta)
+            assert len(closed_forms) == 1
+            if m is None:
+                assert calls == []
+                continue
             assert len(calls) == 1
             pairs = len(calls[0])
             assert pairs >= p.v.size + N0 - 1 if m == 10 ** 4 else pairs == p.v.size
+
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_asymptotic_row_without_closed_form_takes_the_eigensolver(self, monkeypatch,
+                                                                       model):
+        # With the closed form NaN on the first row of each block, one call
+        # evaluates that row alone, and key_rate writes the eigensolver's
+        # rate and chi_BE there.
+        TestBatchedScan.scan_every_ratio_of(monkeypatch, 0)
+        calls = self.spy(monkeypatch)
+        for block_model, p, delta in self.readme_blocks():
+            if block_model is not model:
+                continue
+            calls.clear()
+            res = key_rate(p, model, None, delta)
+            assert calls == [[(p.v[0], 1.0)]]
+            first = keyrate._rows_of(apply_miscalibration(p, delta), np.array([0]))
+            chi = holevo_bound(first, model)
+            assert res.chi_be[0] == chi[0]
+            assert res.rate_bits_per_pulse[0] == (first.beta * mutual_information(first) - chi)[0]
 
     def test_interior_peak_is_a_candidate(self, monkeypatch):
         calls = self.spy(monkeypatch)
