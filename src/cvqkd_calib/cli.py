@@ -14,15 +14,15 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
 from .gaussian import NumericalError
-from .keyrate import (FiniteSizeParams, key_rate, mutual_information, snu_interval,
-                      tolerable_excess_noise)
+from .keyrate import (FiniteSizeParams, closed_form_model, closed_form_rate, key_rate,
+                      mutual_information, tolerable_excess_noise)
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
 
@@ -160,7 +160,9 @@ class SweepConfig:
             )
             # Dry run: the library's checks that depend on the config alone, before any
             # row, at the grid's last point, its smallest transmittance. Each variance
-            # is built alone to name a bad one; all then take every delta before I_AB.
+            # is built alone to name a bad one, and each delta applied alone. Then
+            # every (model, delta, variance), as one row in that order, gives I_AB and
+            # the model's closed-form key rate, which overflows far enough out.
             (km,) = cfg.distances_km.points(-1)
             t = transmittance_from_km(km)
             if t == 0.0:
@@ -168,15 +170,24 @@ class SweepConfig:
             for v in cfg.variances:
                 SystemParams(v=v, t=t, **cfg.system)
             params = SystemParams(v=np.array(cfg.variances), t=t, **cfg.system)
+            k = len(cfg.models)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 eff = [apply_miscalibration(params, d) for d in cfg.miscalibration_deltas]
-                if not all(np.isfinite(mutual_information(e)).all() for e in eff):
+                eff = replace(params, **{f: np.tile(np.concatenate([
+                    np.broadcast_to(getattr(e, f), params.v.shape) for e in eff]), k)
+                    for f in ("v", "t", "eps_c")})
+                if not np.isfinite(mutual_information(eff)).all():
                     raise ConfigError(f"distances_km point {km} gives a non-finite I_AB")
             if CalibrationModel.CONVENTIONAL_TTE in cfg.models:
                 detector_epr_variance(params)
-            if cfg.finite_size is not None:
-                for model in cfg.models:
-                    snu_interval(params, model, cfg.finite_size)
+            cf = [closed_form_model(params, m, cfg.finite_size) for m in cfg.models]
+            rate, _ = closed_form_rate(eff, np.repeat(cf, eff.v.size // k, axis=0),
+                                       cfg.finite_size)
+            finite = np.isfinite(rate).all(axis=1)
+            if not finite.all():
+                model = cfg.models[int(np.argmin(finite)) * k // finite.size]
+                raise ConfigError(
+                    f"distances_km point {km} gives a non-finite {model.value} key rate")
             if cfg.calibration is not None:
                 calibration_rows(cfg)
         except ConfigError:

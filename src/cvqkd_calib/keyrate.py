@@ -2,18 +2,17 @@
 and the tolerable excess noise (TEN) of each model.
 
 Reverse reconciliation throughout: rate = beta * I_AB - chi_BE in the
-asymptotic regime. Two routes give chi_BE: closed_form_rate, the closed
-form of Lodewyck et al. without an eigensolve, and holevo_bound, the
-generic symplectic-spectrum pipeline on the models' covariance matrices.
-They agree within a margin at each SNU ratio. Asymptotic key_rate prints
-the closed form's rate and chi_BE, and the pipeline's only on rows where
-the closed form is not finite. Finite-size key_rate prints the
-pipeline's, which it runs only at the ratios that, by the closed form
-within the margin, may hold a row's worst case (and wherever the closed
-form is not finite). tolerable_excess_noise searches every model's rows
-at once on the sign of each rate alone: the closed form's values choose
-where it looks next, and _rate_sign takes key_rate's sign from the
-closed form where the margin certifies it, from key_rate elsewhere.
+asymptotic regime. closed_form_rate, the closed form of Lodewyck et al.
+without an eigensolve, gives every rate but one kind: asymptotic key_rate
+prints it, and tolerable_excess_noise searches every model's rows at once
+on the sign of its worst case over the SNU ratios, its values choosing
+where to look next. holevo_bound, the generic symplectic-spectrum
+pipeline on the models' covariance matrices, agrees with it within a
+margin at each SNU ratio, and gives the chi_BE that finite-size key_rate
+prints, at the ratios that by the closed form within the margin may hold
+a row's worst case. So finite-size key_rate and the TEN search can differ
+in sign only where |rate| lies below the two routes' difference, within
+the margin and about 5e-13 bits on the rows measured.
 """
 
 from __future__ import annotations
@@ -51,12 +50,11 @@ N0_SCAN_POINTS = 21
 _UNIT_EIGENVALUE_TOL = 1e-6
 
 # The margin by which closed_form_rate bounds the eigensolver's rate at each
-# SNU ratio, which picks the ratios finite-size key_rate evaluates and
-# certifies the signs of the TEN search: the two routes agree to within
-# RATE_MARGIN_REL of
-# max(|rate|, |chi_BE|) (tests/test_keyrate.py asserts it for m from 1e3;
-# 7.0e-11 is the worst seen on its draws), and RATE_MARGIN_ABS bits cover
-# both routes' float error near a zero rate, about 1e-14.
+# SNU ratio, which picks the ratios finite-size key_rate evaluates: the two
+# routes agree to within RATE_MARGIN_REL of max(|rate|, |chi_BE|)
+# (tests/test_keyrate.py asserts it for m from 1e3; 7.0e-11 is the worst
+# seen on its draws), and RATE_MARGIN_ABS bits cover both routes' float
+# error near a zero rate, about 1e-14.
 RATE_MARGIN_REL = 1e-9
 RATE_MARGIN_ABS = 1e-12
 
@@ -150,12 +148,15 @@ def mutual_information(params: SystemParams) -> float | np.ndarray:
 
 def _require_finite(values: np.ndarray, n0: float | np.ndarray, what: str) -> None:
     """Raise NumericalError naming the n0, and carrying the row, of the first
-    row of `values` that is not finite."""
-    if np.isfinite(values).all():
+    element of `values` in row-major order that is not finite. n0 is one
+    ratio for all rows, one per row, or one per (row, ratio) of a rate grid."""
+    bad = ~np.isfinite(values)
+    if not bad.any():
         return
-    row = int(np.argmin(np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)))
-    n0 = float(np.broadcast_to(n0, values.shape[:1])[row])
-    raise NumericalError(f"non-finite {what} at n0 = {n0!r}", row=row)
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    n0 = np.asarray(n0)
+    n0 = float(np.broadcast_to(n0, bad.shape[:n0.ndim])[at[:n0.ndim]])
+    raise NumericalError(f"non-finite {what} at n0 = {n0!r}", row=int(at[0]))
 
 
 def _spectra(stack: np.ndarray, n0: float | np.ndarray, what: str) -> np.ndarray:
@@ -244,6 +245,7 @@ def closed_form_model(params: SystemParams, model: CalibrationModel,
                                                  calib.upper / calib.point, N0_SCAN_POINTS)])
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def closed_form_rate(params: SystemParams, model: np.ndarray,
                      fs: FiniteSizeParams | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The key rate and chi_BE from the closed form of Lodewyck et al., PRA
@@ -257,8 +259,10 @@ def closed_form_rate(params: SystemParams, model: np.ndarray,
     I_AB - chi_BE at those parameters, and with fs key_fraction * (that -
     Delta(n)): the rate key_rate gives where its worst case lies at n0.
     They are evaluated as raw columns, since t / n0 exceeds 1 at 0 km for
-    n0 < 1. Where the arithmetic overflows, or the state is too unphysical
-    for the closed form, a value is not finite; there is no error.
+    n0 < 1. Each symplectic pair is taken as the moduli symplectic_spectra
+    reports, so unphysical states have a value too. Only where the
+    arithmetic overflows is a value not finite; there is no error, and no
+    warning.
     """
     model = np.reshape(model, (-1, np.shape(model)[-1]))
     gain, eta, v_el, n0 = model[:, :1], model[:, 1:2], model[:, 2:3], model[:, 3:]
@@ -275,27 +279,20 @@ def closed_form_rate(params: SystemParams, model: np.ndarray,
     c = (a * hom + v * sqrt_b + t * (v + line)) / denom
     d = sqrt_b * (v + sqrt_b * hom) / denom
     # Eve's symplectic pair has nu1^2 + nu2^2 = a and (nu1 nu2)^2 = b, her
-    # conditional one the same with (c, d).
+    # conditional one the same with (c, d): nu^2 are the roots of x^2 - s x + p.
+    # Of an unphysical state they are taken as the moduli symplectic_spectra
+    # reports. A complex pair (s^2 < 4p) has both nu^2 = sqrt(p); else the
+    # larger is (|s| + sqrt(s^2 - 4p)) / 2; and nu1 nu2 = sqrt(|p|) throughout.
+    # Selecting on disc < 0 leaves an overflow's NaN a NaN.
     s, p = np.stack([a, c]), np.stack([sqrt_b * sqrt_b, d])
-    nu1 = np.sqrt((s + np.sqrt(s * s - 4.0 * p)) / 2.0)
-    eve, conditional = entropy_of_spectra(np.stack([nu1, np.sqrt(p) / nu1], axis=-1))
+    disc = s * s - 4.0 * p
+    nu1 = np.sqrt(np.where(disc < 0.0, np.sqrt(p), (np.abs(s) + np.sqrt(disc)) / 2.0))
+    eve, conditional = entropy_of_spectra(np.stack([nu1, np.sqrt(np.abs(p)) / nu1], axis=-1))
     chi = eve - conditional
     rate = params.beta * np.reshape(mutual_information(params), (-1, 1)) - chi
     if fs is not None:
         rate = fs.key_fraction * (rate - finite_size_penalty(fs))
     return rate, chi
-
-
-def _rate_bounds(params: SystemParams, model: np.ndarray,
-                 fs: FiniteSizeParams | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """closed_form_rate's rate at each (row, SNU ratio) and the bounds,
-    the rate minus and plus RATE_MARGIN_REL * max(|rate|, |chi_BE|) +
-    RATE_MARGIN_ABS, between which key_rate's rate at that ratio lies.
-    Where the closed form is not finite, so are the bounds."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rate, chi = closed_form_rate(params, model, fs)
-        margin = RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi)) + RATE_MARGIN_ABS
-        return rate, rate - margin, rate + margin
 
 
 def finite_size_penalty(fs: FiniteSizeParams) -> float:
@@ -347,16 +344,15 @@ def key_rate(params: SystemParams, model: CalibrationModel,
 
     Asymptotically the rate and chi_BE are closed_form_rate's at n0 = 1,
     so chi_be may differ from holevo_bound's by up to the margin
-    (RATE_MARGIN_REL of max(|rate|, |chi_BE|) plus RATE_MARGIN_ABS). The
-    eigensolver runs only on a row whose closed form is not finite: an
-    overflow, or a state such as a pure one whose discriminant rounds
-    below 0. Finite-size, chi_BE comes from the eigensolver only at a
-    row's candidate ratios: all but those whose lower bound (_rate_bounds)
-    lies above the row's lowest upper bound, as such a ratio holds a
-    higher rate than some other. A ratio where the closed form is not
-    finite is a candidate. So the result is the whole grid's worst case
-    bit for bit, and a fault at a ratio that is no candidate raises
-    nothing. Either regime makes one closed_form_rate call.
+    (RATE_MARGIN_REL of max(|rate|, |chi_BE|) plus RATE_MARGIN_ABS), and
+    no eigensolve runs. Finite-size, chi_BE comes from the eigensolver
+    only at a row's candidate ratios: all but those whose closed-form rate
+    less the margin lies above the row's lowest closed-form rate plus the
+    margin, as such a ratio holds a higher rate than some other. So the
+    result is the whole grid's worst case bit for bit, and a fault of the
+    eigensolver route at a ratio that is no candidate raises nothing.
+    Either regime makes one closed_form_rate call, and a closed-form rate
+    that is not finite, at any ratio, is an error naming its ratio.
 
     One row for scalar params and delta. A block of rows, with v, t,
     eps_c or delta as 1-D columns, gives a column per result field, from
@@ -366,35 +362,34 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     """
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
-    if fs is None:
-        n0, penalty, share = np.ones(1), 0.0, 1.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rate, chi = closed_form_rate(eff, closed_form_model(params, model))
-        candidate = ~np.isfinite(rate)
-    else:
-        cf = closed_form_model(params, model, fs)  # ends with the n0 grid
-        n0, penalty, share = cf[3:], finite_size_penalty(fs), fs.key_fraction
-        _, lower, upper = _rate_bounds(eff, cf, fs)
-        candidate = ~(lower > np.fmin.reduce(upper, axis=1)[:, None])
+    cf = closed_form_model(params, model, fs)  # ends with the n0 grid
+    n0 = cf[3:]
+    rate, chi = closed_form_rate(eff, cf, fs)
+    _require_finite(rate, np.broadcast_to(n0, rate.shape), "key rate")
+    rows = np.arange(rate.shape[0])
+    worst, penalty = np.zeros(rows.size, dtype=int), 0.0
+    if fs is not None:
+        margin = RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi)) + RATE_MARGIN_ABS
+        candidate = ~(rate - margin > np.min(rate + margin, axis=1)[:, None])
+        row_of, k = np.nonzero(candidate)  # the (row, n0) pairs, in row-major order
         chi = np.full(candidate.shape, np.nan)
-    row_of, k = np.nonzero(candidate)  # the (row, n0) pairs, in row-major order
-    try:
-        if row_of.size:
-            # A finite-size row has at least one candidate and an asymptotic
-            # row at most one, so as many pairs as rows are the rows in order.
-            part = eff if row_of.size == candidate.shape[0] else _rows_of(eff, row_of)
+        try:
+            # Each row has at least one candidate, so as many pairs as rows
+            # are the rows in order.
+            part = eff if row_of.size == rows.size else _rows_of(eff, row_of)
             chi[row_of, k] = np.reshape(holevo_bound(part, model, n0[k]), -1)
-        values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
-        _require_finite(values[row_of, k], n0[k], "key rate")
-    except NumericalError as exc:
-        if exc.row is not None:  # a pair -> its row of the block
-            exc.row = int(row_of[exc.row])
-        raise
-    # argmin takes the first of equal minima, as a strict-< scan would.
-    worst = np.argmin(np.where(candidate, values, np.inf), axis=1)
-    rows = np.arange(worst.size)
+            values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
+            _require_finite(values[row_of, k], n0[k], "key rate")
+        except NumericalError as exc:
+            if exc.row is not None:  # a pair -> its row of the block
+                exc.row = int(row_of[exc.row])
+            raise
+        # argmin takes the first of equal minima, as a strict-< scan would.
+        worst = np.argmin(np.where(candidate, values, np.inf), axis=1)
+        penalty = finite_size_penalty(fs)
+        rate = fs.key_fraction * (values - penalty)
     return KeyRateResult(
-        rate_bits_per_pulse=_as_given(share * (values[rows, worst] - penalty), eff),
+        rate_bits_per_pulse=_as_given(rate[rows, worst], eff),
         i_ab=i_ab,
         chi_be=_as_given(chi[rows, worst], eff),
         delta_n=penalty,
@@ -402,49 +397,37 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     )
 
 
-def _rate_sign(stack: SystemParams, models: Sequence[CalibrationModel], cf: np.ndarray,
-               which: np.ndarray, rows: np.ndarray, eps_c: np.ndarray,
+def _rate_sign(stack: SystemParams, cf: np.ndarray, which: np.ndarray, rows: np.ndarray,
+               eps_c: np.ndarray,
                fs: FiniteSizeParams | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """rate_at of the TEN search over stack, whose row i is of model
-    models[which[i]] with closed_form_model row cf[which[i]]: for the
-    listed rows at their eps_c, the lowest closed-form rate over the SNU
-    ratios (NaN where none gives one) and whether key_rate's is positive.
-
-    key_rate's rate is its lowest over the grid of closed_form_model
-    ratios, and lies within the _rate_bounds at each. So its sign is
-    certified positive where the lower bound exceeds 0 at every ratio,
-    and non-positive where the upper bound lies below 0 at any one; a NaN
-    or infinite bound certifies nothing. The other rows take key_rate's
-    sign from one call per model, in the order of models, whose error
-    names the model as exc.model and, where it has one, its row of stack.
-    """
-    params, which = replace(stack, v=stack.v[rows], t=stack.t[rows], eps_c=eps_c), which[rows]
-    rate, lower, upper = _rate_bounds(params, cf[which], fs)
-    # min, not fmin: a NaN at any ratio leaves its row uncertified.
-    low, high = np.min(lower, axis=1), np.min(upper, axis=1)
-    value = np.fmin.reduce(rate, axis=1)
-    positive = value > 0.0
-    uncertified = ~(np.isfinite(low) & ((low > 0.0) | (high < 0.0)))
-    for i in sorted(set(which[uncertified].tolist())):  # np.unique imports numpy.ma
-        own = np.flatnonzero(uncertified & (which == i))
-        try:
-            res = key_rate(_rows_of(params, own), models[i], fs)
-        except (ArithmeticError, RuntimeError, ValueError) as exc:
-            row = getattr(exc, "row", None)  # a row of own -> a row of stack
-            exc.row, exc.model = None if row is None else int(rows[own[row]]), models[i]
-            raise
-        positive[own] = res.rate_bits_per_pulse > 0.0
-    return value, positive
+    """rate_at of the TEN search over stack, whose row i has the
+    closed_form_model row cf[which[i]]: for the listed rows at their eps_c,
+    the closed form's lowest rate over the SNU ratios and whether it is
+    positive. A rate that is not finite is an error naming its ratio and
+    carrying its row of stack."""
+    model = cf[which[rows]]
+    rate, _ = closed_form_rate(replace(stack, v=stack.v[rows], t=stack.t[rows], eps_c=eps_c),
+                               model, fs)
+    try:
+        _require_finite(rate, model[:, 3:], "key rate")
+    except NumericalError as exc:  # a listed row -> its row of stack
+        exc.row = int(rows[exc.row])
+        raise
+    value = np.min(rate, axis=1)
+    return value, value > 0.0
 
 
 def tolerable_excess_noise(params: SystemParams, models: Sequence[CalibrationModel],
                            fs: FiniteSizeParams | None = None) -> dict:
     """Each model's tolerable-excess-noise column at the rows of params, v
-    and t columns of one length: the largest eps_c with a positive
-    key_rate rate at delta 0, as a bisection to TEN_TOLERANCE finds it,
-    from one _tolerable_noise search over every model's rows stacked in
-    sorted model order. An error carries its model as exc.model and,
-    where it has one, its row of params as exc.row."""
+    and t columns of one length: the largest eps_c with a positive rate
+    at delta 0, as a bisection to TEN_TOLERANCE finds it, from one
+    _tolerable_noise search over every model's rows stacked in sorted
+    model order. The rate is the closed form's worst case over the SNU
+    ratios, which is key_rate's asymptotically and, finite-size, has
+    key_rate's sign wherever |rate| exceeds the margin. An error of the
+    search carries its model as exc.model and its row of params as
+    exc.row."""
     models = sorted(models, key=lambda m: m.value)
     n, k = np.size(params.v), len(models)
     stack = replace(params, v=np.tile(params.v, k), t=np.tile(params.t, k))
@@ -452,11 +435,10 @@ def tolerable_excess_noise(params: SystemParams, models: Sequence[CalibrationMod
     which = np.repeat(np.arange(k), n)
     try:
         ten = _tolerable_noise(lambda rows, eps_c: _rate_sign(
-            stack, models, cf, which, rows, eps_c, fs), k * n)
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
-        if getattr(exc, "row", None) is not None:  # a row of the stack -> model and row
-            i, exc.row = divmod(exc.row, n)
-            exc.model = models[i]
+            stack, cf, which, rows, eps_c, fs), k * n)
+    except NumericalError as exc:  # a row of the stack -> model and row
+        i, exc.row = divmod(exc.row, n)
+        exc.model = models[i]
         raise
     return dict(zip(models, np.split(ten, k)))
 

@@ -4,11 +4,11 @@ case over the closed form's candidate SNU ratios are tested against.
 
 Nothing in src/ imports them. holevo_lodewyck is the scalar form of the
 closed form that keyrate.closed_form_rate vectorises, over rows of every
-model and, finite-size, each SNU ratio of key_rate's grid, to pick the
-ratios key_rate evaluates and to steer keyrate.tolerable_excess_noise,
-whose keyrate._rate_sign takes a rate's sign from it where the margin
-certifies it; it is written apart from it so that it still checks the
-eigensolver pipeline on its own.
+model and, finite-size, each SNU ratio of key_rate's grid: it gives every
+asymptotic rate, picks the ratios finite-size key_rate evaluates, and
+gives keyrate.tolerable_excess_noise every value and sign. holevo_lodewyck
+is written apart from it, for physical states only, so that it still
+checks the eigensolver pipeline on its own.
 
 The builders and holevo_bound take one SNU ratio per row. grid_pairs
 forms the (row, n0) pairs of rows against a grid of ratios, in row-major

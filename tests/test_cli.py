@@ -65,32 +65,35 @@ def ten_rows(cfg: SweepConfig) -> list[dict]:
     return expand_blocks(cli._ten_blocks(cfg))
 
 
-def no_certificate(monkeypatch) -> None:
-    """Take every ten sign from keyrate.key_rate, as if the closed form
-    bounded no rate, for tests that patch or count key_rate. The closed
-    form still gives every value; finite-size key_rate then evaluates
-    every SNU ratio, which gives the rates it gives from its candidates."""
-    bounds = keyrate._rate_bounds
-
-    def unbounded(params, model, fs):
-        rate, lower, upper = bounds(params, model, fs)
-        return rate, np.full_like(lower, np.nan), np.full_like(upper, np.nan)
-
-    monkeypatch.setattr(keyrate, "_rate_bounds", unbounded)
-
-
-def no_closed_form(monkeypatch) -> None:
-    """Make every closed-form rate NaN, as where the closed form breaks
-    down, for tests that patch or count holevo_bound or key_rate: key_rate
-    then takes every rate from holevo_bound, asymptotic or finite-size at
-    every SNU ratio, and ten takes every sign from key_rate."""
+def patch_closed_form(monkeypatch, change) -> None:
+    """Patch keyrate.closed_form_rate, which gives every asymptotic rate and
+    every ten sign, to return change(params, names, rate) as its rate: names
+    holds the model name of each row of rate, and params the rows' columns."""
     closed_form = keyrate.closed_form_rate
 
-    def undefined(params, model, fs=None):
+    def patched(params, model, fs=None):
         rate, chi = closed_form(params, model, fs)
-        return np.full_like(rate, np.nan), chi
+        detectors = np.reshape(model, (-1, np.shape(model)[-1]))[:, :3]
+        names = [next(m.value for m in CalibrationModel
+                      if np.array_equal(row, keyrate.closed_form_model(params, m)[:3]))
+                 for row in detectors]
+        return change(params, np.broadcast_to(names, rate.shape[:1]), rate.copy()), chi
 
-    monkeypatch.setattr(keyrate, "closed_form_rate", undefined)
+    monkeypatch.setattr(keyrate, "closed_form_rate", patched)
+
+
+def rate_where(hit, value):
+    """A patch_closed_form change: value at every SNU ratio of the rows where
+    hit(params, names) holds."""
+    def change(params, names, rate):
+        rate[np.broadcast_to(hit(params, names), rate.shape[:1])] = value
+        return rate
+    return change
+
+
+def at_t(t):
+    """The rows of params at transmittance t."""
+    return lambda params, names: np.asarray(params.t) == t
 
 
 def base_config(**overrides) -> dict:
@@ -235,10 +238,11 @@ class TestSweepRows:
         assert row["n0_worst"] != 1.0
         assert row["regime"] == "finite_size"
 
-    @pytest.mark.parametrize("rows,delta", [(sweep_rows, "0.001"), (ten_rows, "0.0")])
-    def test_row_failure_names_grid_point(self, monkeypatch, rows, delta):
+    def test_row_failure_names_grid_point(self, monkeypatch):
         # Holevo evaluation breaks at 10 km only; the error must say where.
-        no_closed_form(monkeypatch)
+        # Only finite-size sweep runs the eigensolver, and the closed form's
+        # flat rate makes every ratio a candidate.
+        patch_closed_form(monkeypatch, lambda params, names, rate: np.zeros_like(rate))
         healthy = keyrate.holevo_bound
 
         def failing(params, model, n0=1.0):
@@ -249,15 +253,27 @@ class TestSweepRows:
 
         monkeypatch.setattr(keyrate, "holevo_bound", failing)
         cfg = SweepConfig.from_dict(base_config(
+            models=["three_mode"], miscalibration_deltas=[0.001], regime="finite_size",
+            finite_size=FINITE_SIZE, distances_km={"start": 0.0, "stop": 10.0, "step": 10.0}))
+        with pytest.raises(RuntimeError, match=(
+                r"^model=three_mode V=4\.0 km=10\.0 delta=0\.001: "
+                r"NumericalError: eigenvalue solve did not converge$")):
+            sweep_rows(cfg)
+
+    @pytest.mark.parametrize("rows,delta", [(sweep_rows, "0.001"), (ten_rows, "0.0")])
+    def test_non_finite_closed_form_names_grid_point(self, monkeypatch, rows, delta):
+        # The closed form is not finite at 10 km only, as past its overflow.
+        patch_closed_form(monkeypatch, rate_where(
+            lambda params, names: np.less(params.t, 0.9), np.nan))
+        cfg = SweepConfig.from_dict(base_config(
             models=["three_mode"], miscalibration_deltas=[0.001],
             distances_km={"start": 0.0, "stop": 10.0, "step": 10.0}))
         with pytest.raises(RuntimeError, match=(
                 rf"^model=three_mode V=4\.0 km=10\.0 delta={delta}: "
-                r"NumericalError: eigenvalue solve did not converge$")):
+                r"NumericalError: non-finite key rate at n0 = 1\.0$")):
             rows(cfg)
 
-    @pytest.mark.parametrize("rows", [sweep_rows, ten_rows])
-    def test_error_without_a_row_names_its_model_from_one_call(self, monkeypatch, rows):
+    def test_error_without_a_row_names_its_model_from_one_call(self, monkeypatch):
         # A batched solver failure cannot say which row broke; the block is
         # not evaluated again to find out.
         def failing(params, model, n0=1.0):
@@ -271,22 +287,33 @@ class TestSweepRows:
             return healthy(*args, **kwargs)
 
         monkeypatch.setattr(keyrate, "holevo_bound", failing)
-        # sweep calls key_rate from cli, ten from keyrate.
         monkeypatch.setattr(cli, "key_rate", counted)
-        monkeypatch.setattr(keyrate, "key_rate", counted)
-        no_closed_form(monkeypatch)
-        cfg = SweepConfig.from_dict(base_config(models=["three_mode"]))
+        cfg = SweepConfig.from_dict(base_config(
+            models=["three_mode"], regime="finite_size", finite_size=FINITE_SIZE))
         with pytest.raises(RuntimeError, match=(
                 r"^model=three_mode: NumericalError: eigenvalue solve did not converge$")):
-            rows(cfg)
+            sweep_rows(cfg)
         assert len(calls) == 1
 
-    def test_row_where_the_closed_form_breaks_down_takes_the_eigensolver(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [sweep_rows, ten_rows])
+    def test_asymptotic_rows_run_no_eigensolve(self, monkeypatch, rows):
+        # Asymptotic sweep and ten take every rate from the closed form, so a
+        # failing eigensolver changes nothing.
+        cfg = SweepConfig.from_dict(base_config(miscalibration_deltas=[0.0, 0.001]))
+        expected = rows(cfg)
+
+        def failing(params, model, n0=1.0):
+            raise NumericalError("eigenvalue solve did not converge")
+
+        monkeypatch.setattr(keyrate, "holevo_bound", failing)
+        assert rows(cfg) == expected
+
+    def test_row_where_the_closed_form_broke_down_is_exact(self, monkeypatch):
         # At eta_d 0.9 and v_ele 0.2, conventional V = 40 at 0 km and eps_c = 0
-        # is a pure state whose s^2 - 4p rounds below 0, so its closed-form
-        # rate is NaN. The asymptotic sweep writes the eigensolver's rate
-        # there, from one call on that row alone, and the closed form's
-        # everywhere else.
+        # is a pure state whose s^2 - 4p rounds below 0. The closed form
+        # takes that pair's modulus, so the sweep writes the exact chi_BE 0
+        # and the rate beta * I_AB there, with no eigensolve (which would
+        # give chi_BE 4.0e-12 and the rate 2.3512166274132875).
         eigensolver, solved = keyrate.holevo_bound, []
 
         def holevo_spy(params, model, n0=1.0):
@@ -298,13 +325,15 @@ class TestSweepRows:
             "system.eta_d=0.9", "system.v_ele=0.2", "system.eps_c=0"]))
         (row,) = [r for r in rows if (r["model"], r["V"], r["distance_km"], r["delta"])
                   == ("conventional", 40.0, 0.0, 0.0)]
-        assert row["rate_bits_per_pulse"] == 2.3512166274132875
-        assert solved == [(CalibrationModel.CONVENTIONAL_TTE, 1)]
+        assert row["chi_be"] == 0.0
+        assert row["rate_bits_per_pulse"] == 2.3512166274172563
+        assert row["rate_bits_per_pulse"] == 0.956 * row["i_ab"]
+        assert solved == []
         assert all(math.isfinite(r["rate_bits_per_pulse"]) for r in rows)
 
     # (grid index, full scan forced): the row's worst ratio, its one
     # candidate here, and a ratio that is a candidate only when the closed
-    # form is NaN.
+    # form is flat.
     @pytest.mark.parametrize("index,full", [(None, False), (7, True)])
     @pytest.mark.parametrize("model,builder,what", [
         ("two_mode", "conventional_channel_stack", "two-mode matrix"),
@@ -325,13 +354,7 @@ class TestSweepRows:
             calib = snu_interval(p, CalibrationModel(model), cfg.finite_size)
             n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                              keyrate.N0_SCAN_POINTS)[index]
-            closed_form = keyrate.closed_form_rate
-
-            def undefined(params, model, fs=None):
-                rate, chi = closed_form(params, model, fs)
-                return np.full_like(rate, np.nan), chi
-
-            monkeypatch.setattr(keyrate, "closed_form_rate", undefined)
+            patch_closed_form(monkeypatch, lambda params, names, rate: np.zeros_like(rate))
         else:
             n0, = [r["n0_worst"] for r in sweep_rows(cfg)
                    if (r["V"], r["distance_km"], r["delta"]) == (20.0, 20.0, 0.001)]
@@ -574,9 +597,8 @@ class TestTenRows:
         # the edge search from 0.5 for every model 1994 in 23, the search
         # seeded with the model before 1508 in 16, and the search from cells
         # the closed form predicted 651 in 3, after 7 closed-form steps. The
-        # one search over all rows takes 7 steps, and the closed form
-        # certifies the sign of every edge it evaluates, so key_rate
-        # evaluates none.
+        # one search over all rows takes 7 steps, each taking its signs from
+        # the closed form, so key_rate evaluates none.
         rows, rows_per_call, rows_per_step = self.counted_ten_rows(monkeypatch)
         assert len(rows) == 369
         assert 1 <= len(rows_per_step) <= 7
@@ -586,8 +608,8 @@ class TestTenRows:
         # The search seeded with the model before took 536 rate evaluations
         # in 16 key_rate calls here, and the search from cells the closed
         # form predicted at the SNU interval's worse end 269 in 3. The one
-        # search over all rows takes 7 steps, every sign of which the
-        # closed form certifies.
+        # search over all rows takes 7 steps, every sign of which comes from
+        # the closed form.
         rows, rows_per_call, rows_per_step = self.counted_ten_rows(
             monkeypatch, ["regime=finite_size", "distances_km.step=10"])
         assert len(rows) == 189
@@ -610,16 +632,7 @@ class TestTenRows:
 
     def test_bracket_cap_names_its_grid_point(self, monkeypatch):
         # A rate that stays positive at 10 km for any excess noise.
-        no_certificate(monkeypatch)
-        healthy = keyrate.key_rate
-        t10 = transmittance_from_km(10.0)
-
-        def positive_at_10_km(params, model, fs=None, delta=0.0):
-            res = healthy(params, model, fs, delta)
-            rate = np.where(np.asarray(params.t) == t10, 1.0, res.rate_bits_per_pulse)
-            return dataclasses.replace(res, rate_bits_per_pulse=rate)
-
-        monkeypatch.setattr(keyrate, "key_rate", positive_at_10_km)
+        patch_closed_form(monkeypatch, rate_where(at_t(transmittance_from_km(10.0)), 1.0))
         cfg = SweepConfig.from_dict(base_config(
             models=["conventional", "two_mode"],
             distances_km={"start": 0.0, "stop": 20.0, "step": 10.0}))
@@ -634,20 +647,15 @@ class TestTenRows:
         # from 0.5 up to the cap itself.
         cfg = SweepConfig.from_dict(base_config())
         t10 = transmittance_from_km(10.0)
-        healthy = keyrate.key_rate
         probes = []
 
-        def two_mode_positive_at_10_km(params, model, fs=None, delta=0.0):
-            res = healthy(params, model, fs, delta)
-            if model is not CalibrationModel.ONE_TIME_TWO_MODE:
-                return res
-            at_10_km = np.asarray(params.t) == t10
-            probes.extend(np.asarray(params.eps_c)[at_10_km].tolist())
-            return dataclasses.replace(
-                res, rate_bits_per_pulse=np.where(at_10_km, 1.0, res.rate_bits_per_pulse))
+        def two_mode_positive_at_10_km(params, names, rate):
+            hit = (np.asarray(params.t) == t10) & (names == "two_mode")
+            probes.extend(np.asarray(params.eps_c)[hit].tolist())
+            rate[hit] = 1.0
+            return rate
 
-        monkeypatch.setattr(keyrate, "key_rate", two_mode_positive_at_10_km)
-        no_certificate(monkeypatch)
+        patch_closed_form(monkeypatch, two_mode_positive_at_10_km)
         with pytest.raises(RuntimeError, match=(
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
                 r"NumericalError: rate stayed positive up to the excess-noise cap$")):
@@ -658,19 +666,12 @@ class TestTenRows:
     def test_zero_tolerance_next_to_a_positive_one_equals_the_oracle(self, monkeypatch):
         # Conventional tolerates no excess noise at 10 km and two_mode none
         # at 20 km, where the closed form gives a positive TEN for both;
-        # three_mode keeps its own TEN at both points.
-        healthy = keyrate.key_rate
+        # three_mode keeps its own TEN at both points. The oracle bisects the
+        # rates of key_rate, which takes the same patched closed form.
         negative = {"conventional": transmittance_from_km(10.0),
                     "two_mode": transmittance_from_km(20.0)}
-
-        def patched(params, model, fs=None, delta=0.0):
-            res = healthy(params, model, fs, delta)
-            hit = np.asarray(params.t) == negative.get(model.value, -1.0)
-            return dataclasses.replace(
-                res, rate_bits_per_pulse=np.where(hit, -1.0, res.rate_bits_per_pulse))
-
-        monkeypatch.setattr(keyrate, "key_rate", patched)
-        no_certificate(monkeypatch)
+        patch_closed_form(monkeypatch, rate_where(lambda params, names: np.asarray(params.t) == [
+            negative.get(name, -1.0) for name in names], -1.0))
         cfg = SweepConfig.from_dict(base_config())
         rows = ten_rows(cfg)
         ten = {(r["model"], r["distance_km"]): r["ten"] for r in rows}
@@ -679,87 +680,68 @@ class TestTenRows:
         assert [r["ten"] for r in rows] == self.oracle_rows(cfg)
 
     def test_a_capped_prediction_leaves_the_other_rows_predicted(self, monkeypatch):
-        # Without a certificate, every row takes its value from
-        # keyrate.closed_form_rate and its sign from key_rate. Conventional's
-        # closed form is patched to stay positive up to the cap at 10 km,
-        # so that row's values cross no zero and it steps to midpoints: it
-        # takes more evaluations, but ends as it does with the true closed
-        # form, and every other row takes the same evaluations as before.
+        # The search takes each next edge from the values of _rate_sign and
+        # moves an end by its sign alone. Conventional's values at 10 km are
+        # patched to stay positive up to the cap, its signs left as they
+        # are, so that row's values cross no zero and it steps to midpoints:
+        # it takes more evaluations, but ends as it does with the true
+        # values, and every other row takes the same evaluations as before.
         cfg = SweepConfig.from_dict(base_config())
-        expected = [r["ten"] for r in ten_rows(cfg)]
         t10 = transmittance_from_km(10.0)
-        conventional = keyrate.closed_form_model(
-            SystemParams(v=4.0, t=t10, **cfg.system), CalibrationModel.CONVENTIONAL_TTE)
-        closed_form, healthy = keyrate.closed_form_rate, keyrate.key_rate
+        signed = keyrate._rate_sign
 
-        def capped_at_10_km(params, model, fs=None):
-            # model is one row for all of params, or one row each.
-            rows = np.reshape(model, (-1, np.shape(model)[-1]))
-            hit = (np.asarray(params.t) == t10) & np.all(rows == conventional, axis=1)
-            rate, chi = closed_form(params, model, fs)
-            return np.where(hit[:, None], 1.0, rate), chi
-
-        def counted_ten():
+        def counted_ten(capped):
             evaluations = collections.Counter()
 
-            def counted(params, model, fs=None, delta=0.0):
-                evaluations.update((model.value, t) for t in np.asarray(params.t).tolist())
-                return healthy(params, model, fs, delta)
+            def counted(stack, cf, which, rows, eps_c, fs=None):
+                value, positive = signed(stack, cf, which, rows, eps_c, fs)
+                model, t = which[rows], stack.t[rows]
+                evaluations.update(zip(model.tolist(), t.tolist()))
+                if capped:  # models are stacked in sorted order, conventional first
+                    value = np.where((model == 0) & (t == t10), 1.0, value)
+                return value, positive
 
-            monkeypatch.setattr(keyrate, "key_rate", counted)
+            monkeypatch.setattr(keyrate, "_rate_sign", counted)
             return [r["ten"] for r in ten_rows(cfg)], evaluations
 
-        no_certificate(monkeypatch)
-        ten, before = counted_ten()
-        monkeypatch.setattr(keyrate, "closed_form_rate", capped_at_10_km)
-        capped_ten, after = counted_ten()
-        assert ten == capped_ten == expected
-        assert after.pop(("conventional", t10)) > before.pop(("conventional", t10))
+        ten, before = counted_ten(False)
+        capped_ten, after = counted_ten(True)
+        assert ten == capped_ten
+        assert after.pop((0, t10)) > before.pop((0, t10))
         assert len(after) == 8 and after == before
 
     def test_error_in_a_later_step_names_its_row_of_the_block(self, monkeypatch):
         # Each row's first step evaluates eps_c = 0. The rate is not positive
         # at 0 km, so the steps after the first evaluate the 10 and 20 km
-        # rows only; row 0 of such a step is 10 km.
-        healthy = keyrate.key_rate
+        # rows only; row 0 of such a step is 10 km, whose closed form is not
+        # finite there.
+        def change(params, names, rate):
+            t, eps_c = np.broadcast_arrays(params.t, params.eps_c)
+            rate[t == 1.0] = -1.0
+            rate[(t == transmittance_from_km(10.0)) & (eps_c > 0.0)] = np.nan
+            return rate
 
-        def failing_without_0_km(params, model, fs=None, delta=0.0):
-            t = np.asarray(params.t)
-            if not np.any(t == 1.0):
-                raise NumericalError("eigenvalue solve did not converge", row=0)
-            res = healthy(params, model, fs, delta)
-            return dataclasses.replace(
-                res, rate_bits_per_pulse=np.where(t == 1.0, -1.0, res.rate_bits_per_pulse))
-
-        monkeypatch.setattr(keyrate, "key_rate", failing_without_0_km)
-        no_certificate(monkeypatch)
+        patch_closed_form(monkeypatch, change)
         cfg = SweepConfig.from_dict(base_config(models=["two_mode"]))
         with pytest.raises(RuntimeError, match=(
                 r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
-                r"NumericalError: eigenvalue solve did not converge$")):
+                r"NumericalError: non-finite key rate at n0 = 1\.0$")):
             ten_rows(cfg)
 
-    def test_error_among_certified_rows_names_its_row_of_the_block(self, monkeypatch):
-        # The closed form certifies every rate but the 10 km row's, so each
-        # key_rate call takes that row alone, as its row 0.
-        bounds = keyrate._rate_bounds
-        t10 = transmittance_from_km(10.0)
+    def test_error_among_finite_rows_names_its_row_of_the_block(self, monkeypatch):
+        # As above, but the closed form fails at 20 km, row 1 of a later
+        # step, after the finite 10 km row.
+        def change(params, names, rate):
+            t, eps_c = np.broadcast_arrays(params.t, params.eps_c)
+            rate[t == 1.0] = -1.0
+            rate[(t == transmittance_from_km(20.0)) & (eps_c > 0.0)] = np.nan
+            return rate
 
-        def all_but_10_km(params, model, fs):
-            rate, lower, upper = bounds(params, model, fs)
-            at_10_km = (np.asarray(params.t) == t10)[:, None]
-            return rate, np.where(at_10_km, np.nan, lower), np.where(at_10_km, np.nan, upper)
-
-        def failing(params, model, fs=None, delta=0.0):
-            assert np.all(np.asarray(params.t) == t10)
-            raise NumericalError("eigenvalue solve did not converge", row=0)
-
-        monkeypatch.setattr(keyrate, "_rate_bounds", all_but_10_km)
-        monkeypatch.setattr(keyrate, "key_rate", failing)
+        patch_closed_form(monkeypatch, change)
         cfg = SweepConfig.from_dict(base_config(models=["two_mode"]))
         with pytest.raises(RuntimeError, match=(
-                r"^model=two_mode V=4\.0 km=10\.0 delta=0\.0: "
-                r"NumericalError: eigenvalue solve did not converge$")):
+                r"^model=two_mode V=4\.0 km=20\.0 delta=0\.0: "
+                r"NumericalError: non-finite key rate at n0 = 1\.0$")):
             ten_rows(cfg)
 
     @pytest.mark.parametrize("three_mode_at,named", [
@@ -768,100 +750,87 @@ class TestTenRows:
     ], ids=["same step", "later step"])
     def test_error_of_several_models_names_the_first_in_step_then_model_order(
             self, monkeypatch, three_mode_at, named):
-        # key_rate fails for two_mode at 0 km in the first step (eps_c = 0),
-        # and for three_mode at 20 km in the same step or the next one (the
-        # probe at 0.5). The earliest failing step wins, then sorted model
-        # order, not grid order.
-        no_certificate(monkeypatch)
-        healthy = keyrate.key_rate
+        # The closed form fails for two_mode at 0 km in the first step
+        # (eps_c = 0), and for three_mode at 20 km in the same step or the
+        # next one (the probe at 0.5). The earliest failing step wins, then
+        # sorted model order, not grid order.
         fails = {"three_mode": (transmittance_from_km(20.0), three_mode_at),
                  "two_mode": (1.0, 0.0)}
 
-        def failing(params, model, fs=None, delta=0.0):
-            t, eps_c = fails.get(model.value, (-1.0, -1.0))
-            hit = (np.asarray(params.t) == t) & (np.asarray(params.eps_c) == eps_c)
-            if hit.any():
-                raise NumericalError("eigenvalue solve did not converge",
-                                     row=int(np.argmax(hit)))
-            return healthy(params, model, fs, delta)
+        def change(params, names, rate):
+            t, eps_c = np.broadcast_arrays(params.t, params.eps_c)
+            for name, (at_t, at_eps_c) in fails.items():
+                rate[(names == name) & (t == at_t) & (eps_c == at_eps_c)] = np.nan
+            return rate
 
-        monkeypatch.setattr(keyrate, "key_rate", failing)
+        patch_closed_form(monkeypatch, change)
         with pytest.raises(RuntimeError, match=(
-                rf"^{named} delta=0\.0: NumericalError: eigenvalue solve did not converge$")):
+                rf"^{named} delta=0\.0: NumericalError: non-finite key rate at n0 = 1\.0$")):
             ten_rows(SweepConfig.from_dict(base_config()))
 
-    def test_key_rate_takes_the_one_row_where_the_closed_form_breaks_down(self, monkeypatch):
-        # At eta_d 0.9 and v_ele 0.2, conventional V = 40 at 0 km and eps_c = 0 is
-        # a pure state whose s^2 - 4p rounds below 0, so its closed-form rate is
-        # NaN: the one non-finite rate of the search, whose sign key_rate gives.
-        # key_rate meets the same NaN and takes that rate from the eigensolver.
-        closed_form, healthy, eigensolver = (keyrate.closed_form_rate, keyrate.key_rate,
-                                             keyrate.holevo_bound)
-        broken, calls, solved = [], [], []
+    def test_the_row_where_the_closed_form_broke_down_takes_its_exact_rate(self, monkeypatch):
+        # At eta_d 0.9 and v_ele 0.2, conventional V = 40 at 0 km and eps_c = 0
+        # is a pure state whose s^2 - 4p rounds below 0. The closed form takes
+        # that pair's modulus, so the search's first step there gives the
+        # exact rate beta * I_AB, and no rate goes to key_rate or the
+        # eigensolver. The TEN cell is the scalar bisection's on key_rate.
+        signed, healthy, eigensolver = keyrate._rate_sign, keyrate.key_rate, keyrate.holevo_bound
+        first, calls = [], []
 
-        def closed_form_spy(params, model, fs=None):
-            rate, chi = closed_form(params, model, fs)
-            bad = ~np.isfinite(rate).all(axis=1)
-            columns = (np.broadcast_to(x, bad.shape)[bad].tolist()
-                       for x in (params.v, params.t, params.eps_c))
-            broken.extend(zip(*columns))
-            return rate, chi
+        def sign_spy(stack, cf, which, rows, eps_c, fs=None):
+            value, positive = signed(stack, cf, which, rows, eps_c, fs)
+            hit = (which[rows] == 0) & (stack.v[rows] == 40.0) & (stack.t[rows] == 1.0)
+            first.extend(zip(eps_c[hit].tolist(), value[hit].tolist()))
+            return value, positive
 
-        def key_rate_spy(params, model, fs=None, delta=0.0):
-            res = healthy(params, model, fs, delta)
-            calls.append((model, params.v.tolist(), params.t.tolist(),
-                          params.eps_c.tolist(), res.rate_bits_per_pulse.tolist()))
-            return res
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("ten left the closed form")
 
-        def holevo_spy(params, model, n0=1.0):
-            solved.append((model, *(np.ravel(x).tolist() for x in (params.v, params.t,
-                                                                   params.eps_c))))
-            return eigensolver(params, model, n0)
-
-        monkeypatch.setattr(keyrate, "closed_form_rate", closed_form_spy)
-        monkeypatch.setattr(keyrate, "key_rate", key_rate_spy)
-        monkeypatch.setattr(keyrate, "holevo_bound", holevo_spy)
+        monkeypatch.setattr(keyrate, "_rate_sign", sign_spy)
+        monkeypatch.setattr(keyrate, "key_rate", refused)
+        monkeypatch.setattr(keyrate, "holevo_bound", refused)
         cfg = load_config(str(GOLDEN_CONFIG), [
             "system.eta_d=0.9", "system.v_ele=0.2", "system.eps_c=0.05"])
         rows = ten_rows(cfg)
-        # Once in the search's certificate, once in key_rate's own closed form.
-        assert broken == [(40.0, 1.0, 0.0)] * 2
-        assert calls == [(CalibrationModel.CONVENTIONAL_TTE, [40.0], [1.0], [0.0],
-                          [2.3512166274132875])]
-        assert solved == [(CalibrationModel.CONVENTIONAL_TTE, [40.0], [1.0], [0.0])]
+        assert calls == []
+        assert first[0] == (0.0, 2.3512166274172563)
         (row,) = [r for r in rows if (r["model"], r["V"], r["distance_km"])
                   == ("conventional", 40.0, 0.0)]
         monkeypatch.setattr(keyrate, "key_rate", healthy)
+        monkeypatch.setattr(keyrate, "holevo_bound", eigensolver)
         oracle = bisect_tolerable_noise(lambda eps_c: healthy(
             SystemParams(v=40.0, t=1.0, **{**cfg.system, "eps_c": eps_c}),
             CalibrationModel.CONVENTIONAL_TTE).rate_bits_per_pulse)
         assert row["ten"] == oracle == 0.348236083984375
 
     @pytest.mark.parametrize("regime", ["asymptotic", "finite_size"])
-    def test_certificate_leaves_far_rows_as_key_rate_writes_them(self, tmp_path, monkeypatch,
-                                                                 capsys, regime):
+    def test_far_rows_take_key_rates_signs(self, monkeypatch, regime):
         # From about 600 km the asymptotic rate is within float error of 0,
-        # so its rows near 0 go to key_rate, which gives their values and
-        # errors: the TEN file is the one key_rate alone writes, and at
-        # 14000 km a rate positive up to the cap is still the error.
-        def ten_bytes(*overrides):
-            out = tmp_path / "ten.csv"
-            sets = [arg for item in (f"regime={regime}", *overrides)
-                    for arg in ("--set", item)]
-            status = main(["ten", "--config", str(GOLDEN_CONFIG), "--out", str(out), *sets])
-            return status, capsys.readouterr().err, out.read_bytes() if status == EXIT_OK else b""
+        # where the closed form's sign, which the search takes, is key_rate's
+        # asymptotically; finite-size it may differ within the margin, which
+        # no edge here reaches. So the TEN column is the one the same search
+        # writes with every sign from key_rate.
+        cfg = load_config(str(GOLDEN_CONFIG), [
+            f"regime={regime}", "distances_km.start=300", "distances_km.stop=900"])
+        models = sorted(cfg.models, key=lambda m: m.value)
+        signed = keyrate._rate_sign
 
-        far = ["distances_km.start=300", "distances_km.stop=900"]
-        farther = ["distances_km.start=13000", "distances_km.stop=15000",
-                   "distances_km.step=1000"]
-        certified = ten_bytes(*far), ten_bytes(*farther)
-        no_certificate(monkeypatch)
-        assert certified == (ten_bytes(*far), ten_bytes(*farther))
-        assert certified[0][0] == EXIT_OK
-        if regime == "asymptotic":
-            assert certified[1][:2] == (EXIT_RUNTIME_ERROR, (
-                "runtime error: model=conventional V=4.0 km=14000.0 delta=0.0: "
-                "NumericalError: rate stayed positive up to the excess-noise cap\n"))
+        def key_rate_signs(stack, cf, which, rows, eps_c, fs=None):
+            value, _ = signed(stack, cf, which, rows, eps_c, fs)
+            positive = np.zeros(rows.size, dtype=bool)
+            for i, model in enumerate(models):
+                own = np.flatnonzero(which[rows] == i)
+                if not own.size:
+                    continue
+                part = dataclasses.replace(stack, v=stack.v[rows[own]], t=stack.t[rows[own]],
+                                           eps_c=eps_c[own])
+                positive[own] = keyrate.key_rate(part, model, fs).rate_bits_per_pulse > 0.0
+            return value, positive
+
+        expected = ten_rows(cfg)
+        monkeypatch.setattr(keyrate, "_rate_sign", key_rate_signs)
+        assert ten_rows(cfg) == expected
 
     def test_finite_size_tolerable_noise_curves_coincide(self):
         # Three-mode and conventional tolerable-excess-noise values stay
@@ -1394,6 +1363,28 @@ class TestExitCodes:
         "stop_past_the_i_ab_overflow": (
             {"distances_km": {"start": 15500.0, "stop": 15500.0, "step": 10.0}},
             "distances_km point 15500.0 gives a non-finite I_AB"),
+        # The closed-form key rate overflows from about 7696 km for two_mode
+        # and 7707 km for the others; the first model in the config's order
+        # that overflows is named.
+        "stop_past_the_closed_form_overflow": (
+            {"distances_km": {"start": 7600.0, "stop": 7800.0, "step": 100.0}},
+            "distances_km point 7800.0 gives a non-finite conventional key rate"),
+        "stop_past_the_two_mode_overflow": (
+            {"distances_km": {"start": 7600.0, "stop": 7700.0, "step": 100.0}},
+            "distances_km point 7700.0 gives a non-finite two_mode key rate"),
+        # Only the grid's last point is judged, not a stop that lies past it:
+        # the last point is 15000 km, below the I_AB overflow ...
+        "stop_past_the_i_ab_overflow_off_grid": (
+            {"distances_km": {"start": 13000.0, "stop": 15450.0, "step": 1000.0}},
+            "distances_km point 15000.0 gives a non-finite conventional key rate"),
+        # ... and 15200 km, though the stop's transmittance underflows to 0.
+        "stop_without_transmittance_off_grid": (
+            {"distances_km": {"start": 13000.0, "stop": 16200.0, "step": 1100.0}},
+            "distances_km point 15200.0 gives a non-finite conventional key rate"),
+        "finite_size_stop_past_the_closed_form_overflow": (
+            {"regime": "finite_size", "finite_size": FINITE_SIZE,
+             "distances_km": {"start": 7600.0, "stop": 7800.0, "step": 100.0}},
+            "distances_km point 7800.0 gives a non-finite conventional key rate"),
         # Every delta meets every variance, whatever their order.
         "delta_overflows_the_excess_noise_of_the_first_variance": (
             {"variances": [1.7e308, 4.0], "miscalibration_deltas": [0.9],
@@ -1425,21 +1416,25 @@ class TestExitCodes:
          "system": {**base_config()["system"], "eta_d": 1.0}},
         {"models": ["conventional"],
          "system": {**base_config()["system"], "eta_d": 1.0, "v_ele": 0.0}},
-        # Only the grid's last point is judged, not a stop that lies past it: the
-        # last point is 15000 km, below the I_AB overflow from about 15401 km ...
-        {"distances_km": {"start": 13000.0, "stop": 15450.0, "step": 1000.0}},
-        # ... and 15200 km, though the stop's transmittance underflows to 0.
-        {"distances_km": {"start": 13000.0, "stop": 16200.0, "step": 1100.0}},
+        # The last point lies below the closed form's overflow, in each regime.
+        # 7500 km is no point here: at V = 4 conventional's chi_BE rounds to
+        # -6.2e-15 there for any eps_c, so ten's rate stays positive up to
+        # the cap, a runtime error.
+        {"distances_km": {"start": 7400.0, "stop": 7600.0, "step": 200.0}},
+        {"regime": "finite_size", "finite_size": FINITE_SIZE,
+         "distances_km": {"start": 7400.0, "stop": 7600.0, "step": 200.0}},
     ], ids=["m_84_one_time", "m_50_asymptotic", "eta_d_1_one_time", "eta_d_1_noiseless",
-            "stop_past_the_i_ab_overflow_off_grid", "stop_without_transmittance_off_grid"])
-    def test_validate_config_and_sweep_accept_what_the_models_evaluate(
+            "stop_below_the_closed_form_overflow", "finite_size_stop_below_the_overflow"])
+    def test_validate_config_sweep_and_ten_accept_what_the_models_evaluate(
             self, tmp_path, overrides):
         raw = base_config(**overrides)
         path = write_config(tmp_path, raw)
         out = tmp_path / "x.csv"
         assert main(["validate-config", "--config", path]) == EXIT_OK
-        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
-        assert len(read_csv(out)) == 3 * len(raw["models"])
+        for command in ("sweep", "ten"):
+            assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+            assert len(read_csv(out)) == len(raw["models"]) * len(
+                SweepConfig.from_dict(raw).distances_km.points())
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -267,18 +267,17 @@ class TestLodewyckOracle:
         # 20 detectors with 10 channel rows each, as one block per detector,
         # in each regime, compared at every SNU ratio of key_rate's grid
         # (the one ratio 1 asymptotically), where the eigensolver's rate is
-        # share * (beta * I_AB - holevo_bound - Delta(n)): _rate_sign
-        # relies on agreement at each ratio. key_rate prints the closed
-        # form's rate and chi_BE asymptotically, and finite-size the
-        # eigensolver's at its worst ratio. Finite-size, the first row is
-        # at t = 1, where the interval's lower end n0 < 1 puts t / n0 past 1.
-        # The closed form is NaN at one of the 4200 (row, ratio) pairs of
-        # conventional with v_rin: at t = 1 and the interval's upper end,
-        # where the excess noise the ratio implies is negative. No rate is
-        # certified from such a row.
+        # share * (beta * I_AB - holevo_bound - Delta(n)): finite-size
+        # key_rate's candidate ratios rely on agreement at each ratio.
+        # key_rate prints the closed form's rate and chi_BE asymptotically,
+        # and finite-size the eigensolver's at its worst ratio. Finite-size,
+        # the first row is at t = 1, where the interval's lower end n0 < 1
+        # puts t / n0 past 1. The closed form is finite at every (row, ratio)
+        # pair, one of conventional with v_rin among them: at t = 1 and the
+        # interval's upper end, where the excess noise the ratio implies is
+        # negative, it takes the moduli the eigensolver reports.
         for finite in (False, True):
             rng = np.random.default_rng([24 + finite, with_rin])
-            undefined = 0
             for _ in range(20):
                 t = 10 ** rng.uniform(-3, 0, 10)
                 p = SystemParams(
@@ -296,8 +295,8 @@ class TestLodewyckOracle:
                 expect = share * (p.beta * np.reshape(mutual_information(p), (-1, 1))
                                   - chi - penalty)
                 res = key_rate(p, model, fs)
-                with np.errstate(invalid="ignore"):
-                    rate, closed_chi = keyrate.closed_form_rate(p, model_row, fs)
+                rate, closed_chi = keyrate.closed_form_rate(p, model_row, fs)
+                assert np.isfinite(rate).all()
                 if fs is None:
                     assert res.rate_bits_per_pulse.tolist() == rate[:, 0].tolist()
                     assert res.chi_be.tolist() == closed_chi[:, 0].tolist()
@@ -305,12 +304,9 @@ class TestLodewyckOracle:
                     # key_rate's rate is the eigensolver's at its worst ratio.
                     assert np.all(np.any(
                         expect == np.reshape(res.rate_bits_per_pulse, (-1, 1)), axis=1))
-                defined = np.isfinite(rate)
-                scale = np.maximum(np.abs(rate), np.abs(closed_chi))[defined]
-                error = np.abs(rate - expect)[defined]
+                scale = np.maximum(np.abs(rate), np.abs(closed_chi))
+                error = np.abs(rate - expect)
                 assert np.all(error <= keyrate.RATE_MARGIN_REL * scale), (p, fs, error / scale)
-                undefined += rate.size - defined.sum()
-            assert undefined == (model is CONV and with_rin and finite)
 
     @pytest.mark.parametrize("model", [CONV, THREE, TWO])
     @pytest.mark.parametrize("with_rin", [False, True])
@@ -319,8 +315,9 @@ class TestLodewyckOracle:
         # within RATE_MARGIN_REL at each ratio, may hold the worst case, so
         # the margin must also hold where m from 1e3 to 1e5 gives wide SNU
         # intervals reaching unphysical states. 20 detectors of 10 rows,
-        # the first at t = 1; 7.2e-12 is the worst seen here, and the
-        # closed form is NaN at 152 of the 25200 (row, ratio) pairs.
+        # the first at t = 1; 7.2e-12 is the worst seen here. At 152 of the
+        # 25200 (row, ratio) pairs the state is so unphysical that the
+        # closed form takes its symplectic pairs' moduli.
         rng = np.random.default_rng([26, with_rin])
         for _ in range(20):
             t = 10 ** rng.uniform(-3, 0, 10)
@@ -336,18 +333,17 @@ class TestLodewyckOracle:
             chi = holevo_grid(p, model, model_row[3:])
             expect = fs.key_fraction * (p.beta * np.reshape(mutual_information(p), (-1, 1))
                                         - chi - finite_size_penalty(fs))
-            with np.errstate(invalid="ignore"):
-                rate, closed_chi = keyrate.closed_form_rate(p, model_row, fs)
-            defined = np.isfinite(rate)
-            scale = np.maximum(np.abs(rate), np.abs(closed_chi))[defined]
-            error = np.abs(rate - expect)[defined]
+            rate, closed_chi = keyrate.closed_form_rate(p, model_row, fs)
+            scale = np.maximum(np.abs(rate), np.abs(closed_chi))
+            error = np.abs(rate - expect)
             assert np.all(error <= keyrate.RATE_MARGIN_REL * scale), (p, fs, error / scale)
 
 
 class TestRateSign:
-    """keyrate._rate_sign gives each TEN edge key_rate's sign: from the
-    closed form where its margin certifies it, and from key_rate on the
-    other rows, one call per model."""
+    """keyrate._rate_sign gives each TEN edge the closed form's worst case
+    over the SNU ratios and its sign, with no eigensolve: key_rate's rate
+    and sign asymptotically, and finite-size key_rate's sign wherever
+    |rate| exceeds the margin between the two routes."""
 
     @staticmethod
     def closed_form_root(p, model, fs):
@@ -357,8 +353,7 @@ class TestRateSign:
         cf = keyrate.closed_form_model(p, model, fs)
 
         def positive(eps_c):
-            with np.errstate(invalid="ignore"):
-                rate, _ = keyrate.closed_form_rate(dataclasses.replace(p, eps_c=eps_c), cf, fs)
+            rate, _ = keyrate.closed_form_rate(dataclasses.replace(p, eps_c=eps_c), cf, fs)
             return np.min(rate, axis=1) > 0.0
 
         lo, hi = np.zeros(p.v.size), np.full(p.v.size, _TEN_BRACKET_CAP)
@@ -371,27 +366,24 @@ class TestRateSign:
         return lo
 
     @staticmethod
-    def signs(p, models, which, fs=None):
-        """_rate_sign over every row of p, at its own eps_c."""
+    def signs(monkeypatch, p, models, which, fs=None):
+        """_rate_sign over every row of p, at its own eps_c, with holevo_bound
+        made to fail."""
+        def no_eigensolve(*args):
+            raise AssertionError("_rate_sign ran the eigensolver")
+
+        monkeypatch.setattr(keyrate, "holevo_bound", no_eigensolve)
         cf = np.array([keyrate.closed_form_model(p, m, fs) for m in models])
         rows = np.arange(which.size)
-        return keyrate._rate_sign(p, models, cf, which, rows,
-                                  np.broadcast_to(p.eps_c, rows.shape), fs)
+        return keyrate._rate_sign(p, cf, which, rows, np.broadcast_to(p.eps_c, rows.shape), fs)
 
     @staticmethod
-    def key_rate_calls(monkeypatch, rate=None):
-        """The (model, params) of each key_rate call that follows; rate(params)
-        gives the rates of a call where given, key_rate's own otherwise."""
-        calls, healthy = [], keyrate.key_rate
-
-        def recorded(params, model, fs=None, delta=0.0):
-            calls.append((model, params))
-            if rate is None:
-                return healthy(params, model, fs, delta)
-            return KeyRateResult(rate(params), 0.0, 0.0, 0.0, 1.0)
-
-        monkeypatch.setattr(keyrate, "key_rate", recorded)
-        return calls
+    def gap(p, model, fs):
+        """Each row's largest margin over its SNU ratios: key_rate's rate
+        lies within it of the closed form's worst case."""
+        rate, chi = keyrate.closed_form_rate(p, keyrate.closed_form_model(p, model, fs), fs)
+        margin = keyrate.RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi))
+        return np.max(margin + keyrate.RATE_MARGIN_ABS, axis=1)
 
     @pytest.mark.parametrize("finite", [False, True])
     @pytest.mark.parametrize("with_rin", [False, True])
@@ -400,12 +392,13 @@ class TestRateSign:
         # 8 detectors of 40 rows each: 0-2000 km, denser near 0, and eps_c
         # at 0, log-uniform up to the cap, a relative step of 1e-15 to 0.1
         # either side of the closed form's root, or next to that root. Near
-        # a root or from about 600 km the rate is within float error of 0,
-        # where the certificate must stay silent; m from 1e4 gives wide SNU
-        # intervals, with the worst case inside some of them.
+        # a root or from about 600 km the rate is within float error of 0;
+        # m from 1e4 gives wide SNU intervals, with the worst case inside
+        # some of them. Asymptotically the value is key_rate's rate, so
+        # every sign is key_rate's; finite-size key_rate prints the
+        # eigensolver's rate, whose sign may differ only within the gap.
         rng = np.random.default_rng([30, list(CalibrationModel).index(model), with_rin, finite])
-        calls = self.key_rate_calls(monkeypatch)
-        certified = uncertified = 0
+        near_zero = 0
         for _ in range(8):
             n = 40
             km = 2000.0 * rng.uniform(0.0, 1.0, n) ** 2
@@ -425,27 +418,32 @@ class TestRateSign:
                 np.nextafter(root, np.where(step > 0.0, np.inf, 0.0)),
             ])
             p = dataclasses.replace(p, eps_c=eps_c)
-            expect = key_rate(p, model, fs).rate_bits_per_pulse > 0.0
-            del calls[:]
-            _, positive = self.signs(p, [model], np.zeros(n, dtype=int), fs)
-            assert np.array_equal(positive, expect), (p, fs, np.flatnonzero(positive != expect))
-            asked = sum(np.size(params.v) for _, params in calls)
-            certified += n - asked
-            uncertified += asked
-        # Many rows are certified, and the rows near 0 are not.
-        assert certified >= 100 and uncertified >= 5
+            rate = key_rate(p, model, fs).rate_bits_per_pulse
+            gap = self.gap(p, model, fs)
+            with monkeypatch.context() as patched:
+                value, positive = self.signs(patched, p, [model], np.zeros(n, dtype=int), fs)
+            assert np.array_equal(positive, value > 0.0)
+            if fs is None:
+                assert value.tolist() == rate.tolist()
+            else:
+                assert np.all(np.abs(value - rate) <= gap), (p, fs)
+            clear = np.ones(n, dtype=bool) if fs is None else np.abs(rate) > gap
+            assert np.array_equal(positive[clear], rate[clear] > 0.0), (
+                p, fs, np.flatnonzero(positive[clear] != (rate[clear] > 0.0)))
+            near_zero += np.sum(np.abs(rate) <= gap)
+        # The draws reach rates within the gap of 0.
+        assert near_zero >= 5
 
     @pytest.mark.parametrize("regime", ["asymptotic 300-900 km", "finite-size m = 1e4"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_mixed_models_take_key_rates_sign_once_per_model(self, monkeypatch, regime, seed):
+    def test_mixed_models_take_each_rows_own_closed_form(self, monkeypatch, regime, seed):
         # 60 rows of all three models in random order, on the README system,
         # with eps_c at 0, log-uniform, or within 1e-9 relative of the
         # closed form's root. Asymptotically at 300-900 km many rates are
         # within float error of 0; finite-size at m = 1e4, with a fifth of
-        # the rows at 0 km, the SNU interval reaches states where the closed
-        # form is NaN at some ratios. Every sign is key_rate's for the
-        # row's model, and key_rate runs once per model, in sorted order, on
-        # exactly the rows whose sign the closed form's margin leaves open.
+        # the rows at 0 km, the SNU interval reaches unphysical states. Each
+        # row's value is its own model's closed-form worst case, and its
+        # sign is key_rate's as test_sign_is_key_rates states it.
         rng = np.random.default_rng([32, seed, regime.startswith("finite")])
         n, models = 60, sorted(CalibrationModel, key=lambda m: m.value)
         far = regime.startswith("asymptotic")
@@ -465,75 +463,160 @@ class TestRateSign:
             eps_c[own] = root * (1.0 + 10.0 ** rng.uniform(-15, -9, own.size)
                                  * rng.choice([-1.0, 1.0], own.size))
         p = dataclasses.replace(p, eps_c=eps_c)
-        expect, certain, undefined = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), 0
+        expect, rate, gap = np.zeros(n), np.zeros(n), np.zeros(n)
         for i, model in enumerate(models):
             own = np.flatnonzero(which == i)
             part = keyrate._rows_of(p, own)
-            expect[own] = key_rate(part, model, fs).rate_bits_per_pulse > 0.0
-            with np.errstate(invalid="ignore"):
-                rate, chi = keyrate.closed_form_rate(
-                    part, keyrate.closed_form_model(part, model, fs), fs)
-                margin = (keyrate.RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi))
-                          + keyrate.RATE_MARGIN_ABS)
-                certain[own] = np.all(np.isfinite(rate + margin), axis=1) & (
-                    np.all(rate - margin > 0.0, axis=1) | np.any(rate + margin < 0.0, axis=1))
-            undefined += np.sum(~np.isfinite(rate))
-        calls = self.key_rate_calls(monkeypatch)
-        _, positive = self.signs(p, models, which, fs)
-        assert np.array_equal(positive, expect), np.flatnonzero(positive != expect)
-        asked = [(model, np.flatnonzero(~certain & (which == i)))
-                 for i, model in enumerate(models)]
-        asked = [(model, rows) for model, rows in asked if rows.size]
-        assert [model for model, _ in calls] == [model for model, _ in asked]
-        for (_, got), (_, rows) in zip(calls, asked):
-            assert got.v.tolist() == p.v[rows].tolist()
-            assert got.t.tolist() == p.t[rows].tolist()
-            assert got.eps_c.tolist() == p.eps_c[rows].tolist()
-        assert certain.sum() >= 10 and (~certain).sum() >= 5
-        assert (undefined > 0) == (not far)
+            closed, _ = keyrate.closed_form_rate(
+                part, keyrate.closed_form_model(part, model, fs), fs)
+            expect[own] = np.min(closed, axis=1)
+            rate[own] = key_rate(part, model, fs).rate_bits_per_pulse
+            gap[own] = self.gap(part, model, fs)
+        value, positive = self.signs(monkeypatch, p, models, which, fs)
+        assert value.tolist() == expect.tolist()
+        assert np.array_equal(positive, value > 0.0)
+        clear = np.ones(n, dtype=bool) if far else np.abs(rate) > gap
+        assert np.array_equal(positive[clear], rate[clear] > 0.0), np.flatnonzero(
+            positive[clear] != (rate[clear] > 0.0))
+        assert np.sum(np.abs(rate) <= gap) >= 5
 
-    @pytest.mark.parametrize("rate,chi,sign", [
-        ([[2e-12, 3e-12, 2e-12]], [[0.0, 0.0, 0.0]], 1.0),      # clears the floor everywhere
-        ([[2e-12, 3e-12, 5e-13]], [[0.0, 0.0, 0.0]], np.nan),   # not at one ratio
-        ([[1.0, -2e-12, 1.0]], [[0.0, 0.0, 0.0]], -1.0),        # below at one ratio
-        ([[5e-7, 1.0, 5e-7]], [[1e3, 1e3, 1e3]], np.nan),       # within 1e-9 of chi
-        ([[0.5, np.nan, 0.5]], [[1.0, 1.0, 1.0]], np.nan),      # NaN at one ratio
-        ([[-1.0, np.nan, -1.0]], [[1.0, 1.0, 1.0]], np.nan),
-        ([[1.0, 1.0, 1.0]], [[1.0, np.inf, 1.0]], np.nan),      # infinite margin
-        ([[-1.0, -np.finfo(float).max, -1.0]], [[1.0, 1.0, 1.0]], np.nan),  # overflows
+    @pytest.mark.parametrize("rate,sign", [
+        ([[2e-12, 3e-12, 2e-12]], True),            # no margin: a positive value is positive
+        ([[2e-12, 3e-12, 5e-13]], True),
+        ([[1.0, -2e-12, 1.0]], False),              # the lowest ratio decides
+        ([[5e-7, 1.0, 5e-7]], True),
+        ([[-1.0, -np.finfo(float).max, -1.0]], False),
+        ([[0.0, 1.0, 1.0]], False),                 # 0 is not positive
     ])
-    def test_margin_rule(self, monkeypatch, rate, chi, sign):
-        # Asymptotically every ratio is a probe; the 3 ratios stand for a grid.
-        # key_rate, patched to the closed form's value with its sign
-        # flipped, gives the sign of a row the margin does not certify.
+    def test_value_is_the_lowest_rate_and_its_sign(self, monkeypatch, rate, sign):
+        # The 3 ratios stand for a grid.
         monkeypatch.setattr(keyrate, "closed_form_rate",
-                            lambda *args: (np.array(rate), np.array(chi)))
-        calls = self.key_rate_calls(monkeypatch, lambda p: -np.fmin.reduce(rate, axis=1))
-        value, positive = self.signs(params(v=np.array([40.0]), t=np.array([0.5])), [TWO],
-                                     np.zeros(1, dtype=int))
-        # The value is the lowest rate over the ratios that give one.
-        assert value.tolist() == np.fmin.reduce(rate, axis=1).tolist()
-        assert len(calls) == np.isnan(sign)
-        assert positive.tolist() == [(value[0] > 0.0) == (not np.isnan(sign))]
+                            lambda *args: (np.array(rate), np.ones((1, 3))))
+        value, positive = self.signs(monkeypatch, params(v=np.array([40.0]), t=np.array([0.5])),
+                                     [TWO], np.zeros(1, dtype=int))
+        assert value.tolist() == np.min(rate, axis=1).tolist()
+        assert positive.tolist() == [sign]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_names_its_ratio_and_row_of_the_stack(self, monkeypatch, bad):
+        # Rows 1 and 3 of the stack are listed; the listed row 1, stack row
+        # 3, is not finite at grid index 7, and the error carries stack row 3.
+        fs = TestCandidateWorstCase.FS
+        rate = np.ones((2, N0))
+        rate[1, 7] = bad
+        monkeypatch.setattr(keyrate, "closed_form_rate", lambda *args: (rate, np.ones_like(rate)))
+        p = params(v=np.full(4, 40.0), t=np.full(4, 0.5))
+        cf = np.array([keyrate.closed_form_model(p, TWO, fs)])
+        named = re.escape(repr(float(cf[0, 3 + 7])))
+        with pytest.raises(NumericalError, match=f"^non-finite key rate at n0 = {named}$") as err:
+            keyrate._rate_sign(p, cf, np.zeros(4, dtype=int), np.array([1, 3]),
+                               np.zeros(2), fs)
+        assert err.value.row == 3
 
     def test_positive_needs_every_grid_ratio_and_non_positive_any_one(self, monkeypatch):
-        # key_rate's worst case is the whole grid's, so a rate below minus
-        # the margin at any one ratio, an interior one included, certifies
-        # the row non-positive. With chi_BE 1 the margin is about 1e-9.
+        # The worst case is the whole grid's, so a rate below 0 at any one
+        # ratio, an interior one included, makes the row non-positive, and
+        # one just above 0 there leaves it positive.
         fs = TestCandidateWorstCase.FS
         dip = np.ones((3, N0))
-        dip[0, 7] = -1.0  # a dip at one interior ratio: certified non-positive
-        dip[1, 7] = 5e-10  # within the margin of 0 there: certified neither way
-        dip[2, 7] = 2e-9  # clears the margin there too: certified positive
+        dip[0, 7] = -1.0
+        dip[1, 7] = 5e-10
+        dip[2, 7] = 2e-9
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (dip, np.ones_like(dip)))
-        calls = self.key_rate_calls(monkeypatch, lambda p: np.full(np.size(p.v), -1.0))
-        value, positive = self.signs(params(v=np.full(3, 40.0), t=np.full(3, 0.5)), [TWO],
-                                     np.zeros(3, dtype=int), fs)
+        value, positive = self.signs(monkeypatch, params(v=np.full(3, 40.0), t=np.full(3, 0.5)),
+                                     [TWO], np.zeros(3, dtype=int), fs)
         assert value.tolist() == [-1.0, 5e-10, 2e-9]
-        # Only the middle row asks key_rate, which gives it a negative rate.
-        assert [np.size(p.v) for _, p in calls] == [1]
-        assert positive.tolist() == [False, False, True]
+        assert positive.tolist() == [False, True, True]
+
+
+class TestClosedFormModuli:
+    """closed_form_rate where a symplectic pair's nu^2, the roots of
+    x^2 - s x + p, are complex (s^2 < 4p) or one is negative (p < 0): it
+    takes the moduli that symplectic_spectra reports, so it agrees there
+    with the eigensolver route."""
+
+    FS = FiniteSizeParams(block_length=10 ** 10, key_fraction=0.5, eps_pe=1e-10,
+                          eps_pa=1e-10, eps_smooth=1e-10, calib_samples_m=10 ** 4)
+
+    @staticmethod
+    def pair_invariants(p, model_row):
+        """(s, p) of Eve's and of the conditional pair at each (row, ratio),
+        stacked as closed_form_rate forms them."""
+        gain, eta, v_el, n0 = model_row[0], model_row[1], model_row[2], model_row[3:]
+        v, t, eps_c = (np.reshape(x, (-1, 1)) for x in (p.v, p.t, p.eps_c))
+        eps_c = eps_c + (1.0 - n0) / (t * p.eta_d * p.eta_e)
+        t = gain * (t / n0)
+        line = 1.0 / t - 1.0 + eps_c
+        hom = (1.0 - eta) / eta + v_el / eta
+        a = v * v * (1.0 - 2.0 * t) + 2.0 * t + t * t * (v + line) ** 2
+        sqrt_b = t * (v * line + 1.0)
+        denom = t * (v + line + hom / t)
+        c = (a * hom + v * sqrt_b + t * (v + line)) / denom
+        d = sqrt_b * (v + sqrt_b * hom) / denom
+        return np.stack([a, c]), np.stack([sqrt_b * sqrt_b, d])
+
+    def negative_pairs(self, p, model, fs):
+        """closed_form_rate's chi_BE against holevo_bound at the SNU ratios
+        where a pair has p < 0, or s < 0 < p (both nu^2 negative), held to
+        1e-12 relative; the number of ratios of each kind."""
+        row = keyrate.closed_form_model(p, model, fs)
+        pair_s, pair_p = self.pair_invariants(p, row)
+        negative = np.any(pair_p < 0.0, axis=0)[0]
+        both = np.any((pair_s < 0.0) & (pair_p > 0.0), axis=0)[0]
+        _, chi = keyrate.closed_form_rate(p, row, fs)
+        eigen = holevo_bound(p, model, row[3:])
+        hit = negative | both
+        assert np.all(np.abs(chi[0] - eigen)[hit] <= 1e-12 * np.abs(eigen[hit]))
+        return negative.sum(), both.sum()
+
+    @pytest.mark.parametrize("m", [10 ** 4, 3000])
+    def test_negative_pairs_match_the_eigensolver(self, m):
+        # The README system at 0 km and eps_c 0, whose SNU intervals reach
+        # states with p < 0. 3.4e-13 is the worst relative difference seen.
+        fs = dataclasses.replace(self.FS, calib_samples_m=m)
+        negative = sum(self.negative_pairs(params(v=v, t=1.0, eps_c=0.0), model, fs)[0]
+                       for v in (20.0, 40.0) for model in (CONV, THREE))
+        assert negative >= 10
+
+    @pytest.mark.parametrize("model", [CONV, THREE])
+    def test_pairs_of_negative_sum_match_the_eigensolver(self, model):
+        # At m = 100 the interval's upper end n0 = 1.91 implies an excess
+        # noise of -2.4, where the conditional pair has s < 0 < p: both
+        # nu^2 are negative, and the larger modulus is (|s| + sqrt(s^2 -
+        # 4p)) / 2.
+        fs = dataclasses.replace(self.FS, calib_samples_m=100)
+        p = params(v=3.0, t=1.0, eps_c=0.0, eta_d=0.375, v_ele=0.0)
+        assert self.negative_pairs(p, model, fs)[1] >= 1
+
+    def test_complex_pair_of_a_pure_state_gives_no_information(self):
+        # The conventional state at 0 km and eps_c 0 is pure, so chi_BE is
+        # exactly 0. Here s^2 - 4p of one pair rounds below 0, to a complex
+        # pair of modulus sqrt(p) = 1 up to rounding; the eigensolver gives
+        # 4.0e-12.
+        p = params(v=40.0, t=1.0, eps_c=0.0, eta_d=0.9, v_ele=0.2)
+        row = keyrate.closed_form_model(p, CONV)
+        s, pair_p = self.pair_invariants(p, row)
+        assert np.any(s * s < 4.0 * pair_p)
+        rate, chi = keyrate.closed_form_rate(p, row)
+        assert chi.tolist() == [[0.0]]
+        assert abs(holevo_bound(p, CONV)) <= 1e-11
+        assert rate.tolist() == [[p.beta * mutual_information(p)]]
+
+    @pytest.mark.parametrize("model", [TWO, THREE, CONV])
+    def test_overflow_stays_non_finite(self, model):
+        # From about 7700 km on the README system the arithmetic overflows;
+        # the complex-pair branch must not take the resulting NaN for a
+        # modulus (selected on s^2 - 4p >= 0 instead, every rate from 8500 km
+        # reads 0.0 asymptotically).
+        for km in (8000.0, 8500.0, 12000.0, 15000.0):
+            p = params(v=np.array([4.0, 20.0, 40.0]), t=transmittance_from_km(km))
+            for fs in (None, self.FS):
+                rate, _ = keyrate.closed_form_rate(p, keyrate.closed_form_model(p, model, fs), fs)
+                assert not np.isfinite(rate).any(), (km, fs)
+        assert np.isfinite(keyrate.closed_form_rate(
+            dataclasses.replace(p, t=transmittance_from_km(7600.0)),
+            keyrate.closed_form_model(p, model))[0]).all()
 
 
 class TestTwoModeExactOracle:
@@ -630,8 +713,8 @@ class TestKeyRateAsymptotic:
         with pytest.raises(NumericalError, match=r"^non-finite key rate at n0 = 1\.0$") as err:
             key_rate(params(t=1e-310), model)
         assert err.value.row == 0
-        # In a block the closed form is finite on the other rows, and the
-        # eigensolver's error names the one row it evaluates.
+        # In a block the closed form is finite on the other rows, and its
+        # error names the one row where it is not.
         with pytest.raises(NumericalError, match=r"^non-finite key rate at n0 = 1\.0$") as err:
             key_rate(params(t=np.array([0.5, 0.1, 1e-310, 0.01])), model)
         assert err.value.row == 2
@@ -938,16 +1021,16 @@ class TestBatchedScan:
 
     @staticmethod
     def scan_every_ratio_of(monkeypatch, row):
-        """Make the closed form NaN on one row of each key_rate block, so
-        that every ratio is a candidate of that row."""
+        """Make the closed form's rate flat on one row of each key_rate
+        block, so that every ratio is a candidate of that row."""
         closed_form = keyrate.closed_form_rate
 
-        def undefined(params, model, fs=None):
+        def flat(params, model, fs=None):
             rate, chi = closed_form(params, model, fs)
-            rate[row] = np.nan
+            rate[row] = 0.0
             return rate, chi
 
-        monkeypatch.setattr(keyrate, "closed_form_rate", undefined)
+        monkeypatch.setattr(keyrate, "closed_form_rate", flat)
 
     def damaged_ratio(self, monkeypatch, p, model, middle, index, full):
         """The n0 to damage: the middle row's worst ratio, a candidate, or
@@ -960,7 +1043,7 @@ class TestBatchedScan:
 
     # (grid index, full scan forced): the middle row's worst ratio, the
     # one candidate of every row here, and a ratio that is a candidate of
-    # the middle row only when its closed form is NaN.
+    # the middle row only when its closed form is flat.
     @pytest.mark.parametrize("index,full", [(None, False), (7, True)])
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("model,builder", [(TWO, "conventional_channel_stack"),
@@ -1148,10 +1231,10 @@ class TestCandidateWorstCase:
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_one_holevo_call_per_key_rate_call(self, monkeypatch, model, m):
         # Finite-size, every evaluated (row, n0) pair goes through one call.
-        # At m = 1e4 the closed form is also made NaN on the first row of
+        # At m = 1e4 the closed form is also made flat on the first row of
         # each block, so that its candidates span every ratio of the grid.
-        # Asymptotically the closed form is finite on every row here, so
-        # key_rate makes no call. Either way it makes one closed-form call.
+        # Asymptotically key_rate makes no call. Either way it makes one
+        # closed-form call.
         fs = None if m is None else dataclasses.replace(self.FS, calib_samples_m=m)
         if m == 10 ** 4:
             TestBatchedScan.scan_every_ratio_of(monkeypatch, 0)
@@ -1173,24 +1256,28 @@ class TestCandidateWorstCase:
             pairs = len(calls[0])
             assert pairs >= p.v.size + N0 - 1 if m == 10 ** 4 else pairs == p.v.size
 
+    @pytest.mark.parametrize("fs", [None, FS])
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
-    def test_asymptotic_row_without_closed_form_takes_the_eigensolver(self, monkeypatch,
-                                                                       model):
-        # With the closed form NaN on the first row of each block, one call
-        # evaluates that row alone, and key_rate writes the eigensolver's
-        # rate and chi_BE there.
-        TestBatchedScan.scan_every_ratio_of(monkeypatch, 0)
+    def test_non_finite_closed_form_is_refused_by_name(self, monkeypatch, model, fs):
+        # A closed-form rate that is not finite at any ratio, a candidate or
+        # not, is an error naming that ratio and carrying its row; no
+        # eigensolve runs before it.
+        closed_form = keyrate.closed_form_rate
+        k = 0 if fs is None else N0 - 1
+
+        def undefined(params, model, fs=None):
+            rate, chi = closed_form(params, model, fs)
+            rate[4, k] = np.nan
+            return rate, chi
+
+        monkeypatch.setattr(keyrate, "closed_form_rate", undefined)
         calls = self.spy(monkeypatch)
-        for block_model, p, delta in self.readme_blocks():
-            if block_model is not model:
-                continue
-            calls.clear()
-            res = key_rate(p, model, None, delta)
-            assert calls == [[(p.v[0], 1.0)]]
-            first = keyrate._rows_of(apply_miscalibration(p, delta), np.array([0]))
-            chi = holevo_bound(first, model)
-            assert res.chi_be[0] == chi[0]
-            assert res.rate_bits_per_pulse[0] == (first.beta * mutual_information(first) - chi)[0]
+        _, p, delta = next(b for b in self.readme_blocks() if b[0] is model)
+        named = re.escape(repr(float(keyrate.closed_form_model(p, model, fs)[3 + k])))
+        with pytest.raises(NumericalError, match=f"^non-finite key rate at n0 = {named}$") as err:
+            key_rate(p, model, fs, delta)
+        assert err.value.row == 4
+        assert calls == []
 
     def test_interior_peak_is_a_candidate(self, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -1201,8 +1288,8 @@ class TestCandidateWorstCase:
         calib = snu_interval(self.PEAKED, CONV, self.PEAKED_FS)
         grid = np.linspace(calib.lower / calib.point, calib.upper / calib.point, N0)
         evaluated = [n0 for pairs in calls for _, n0 in pairs]
-        assert res.worst_n0 in evaluated and res.worst_n0 not in (grid[0], grid[-1])
-        assert len(evaluated) < N0
+        assert res.worst_n0 not in (grid[0], grid[-1])
+        assert evaluated == [res.worst_n0]
 
     def test_interior_peak_lies_in_unphysical_states(self):
         # The peak sits where the reconstructed states violate the
@@ -1224,13 +1311,15 @@ class TestCandidateWorstCase:
         assert chi[0] == pytest.approx(2.1236, abs=1e-4)
         assert np.all(np.diff(chi) < 0.0)
 
-    def test_one_peaked_row_widens_only_its_own_scan(self, monkeypatch):
+    def test_a_peaked_row_in_a_block_takes_one_ratio_as_the_others_do(self, monkeypatch):
+        # The peak lies in unphysical states, where the closed form takes
+        # the moduli the eigensolver reports, so it finds the peak itself.
         calls = self.spy(monkeypatch)
         block = dataclasses.replace(self.PEAKED, v=np.array([4.0, 39.23, 20.0]))
         res = key_rate(block, CONV, self.PEAKED_FS)
         assert res.chi_be[1] == 2.414488341933574
         evaluated = collections.Counter(v for pairs in calls for v, _ in pairs)
-        assert evaluated[4.0] == 1 and evaluated[39.23] > 1
+        assert evaluated == {4.0: 1, 39.23: 1, 20.0: 1}
         for i, v in enumerate(block.v):
             row = key_rate(dataclasses.replace(self.PEAKED, v=float(v)), CONV, self.PEAKED_FS)
             assert (res.chi_be[i], res.worst_n0[i]) == (row.chi_be, row.worst_n0)
@@ -1243,11 +1332,11 @@ class TestCandidateWorstCase:
 
     def test_candidate_rule(self, monkeypatch):
         # chi_BE 1 puts the margin near 1e-9. Row 0: the lowest rate and one
-        # within the two margins of it are candidates, a NaN ratio too. Row
-        # 1: NaN everywhere, so every ratio is a candidate. Row 2: a tie.
+        # within the two margins of it are candidates, one beyond them not.
+        # Row 1: flat, so every ratio is a candidate. Row 2: a tie.
         rate = np.ones((3, N0))
-        rate[0, [3, 4, 5, 6]] = [0.5, 0.5 + 1.5e-9, 0.5 + 3e-9, np.nan]
-        rate[1] = np.nan
+        rate[0, [3, 4, 5]] = [0.5, 0.5 + 1.5e-9, 0.5 + 3e-9]
+        rate[1] = 0.75
         rate[2, [0, N0 - 1]] = 0.25
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (rate, np.ones_like(rate)))
@@ -1258,6 +1347,6 @@ class TestCandidateWorstCase:
         for pairs in calls:
             for v, n0 in pairs:
                 evaluated[v].append(grid.index(n0))
-        assert sorted(evaluated[4.0]) == [3, 4, 6]
+        assert sorted(evaluated[4.0]) == [3, 4]
         assert sorted(evaluated[20.0]) == list(range(N0))
         assert sorted(evaluated[40.0]) == [0, N0 - 1]
