@@ -68,6 +68,9 @@ _KEYS = {
     "output": {"path": str, "format": ("csv", "json")},
 }
 
+# The most points a distance grid may have; sweep and ten build them all.
+_MAX_POINTS = 10 ** 6
+
 # The optional keys, with the value an absent or null one takes. None leaves
 # the key out, so a dataclass default applies or the reader finds it unset.
 _OPTIONAL = {
@@ -95,10 +98,16 @@ class DistanceGrid:
         if not math.isfinite((self.stop - self.start) / self.step):
             raise ConfigError(f"distances_km has too many points: ({self.stop} - {self.start})"
                               f" / {self.step} overflows")
+        if self.count > _MAX_POINTS:
+            raise ConfigError(f"distances_km has too many points: {self.count}, more than"
+                              f" {_MAX_POINTS}")
+
+    @property
+    def count(self) -> int:
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def points(self, first: int = 0) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(count)[first:]]
+        return [self.start + i * self.step for i in range(self.count)[first:]]
 
 
 @dataclass(frozen=True)

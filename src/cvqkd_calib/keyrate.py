@@ -3,16 +3,14 @@ and the tolerable excess noise (TEN) of each model.
 
 Reverse reconciliation throughout: rate = beta * I_AB - chi_BE in the
 asymptotic regime. closed_form_rate, the closed form of Lodewyck et al.
-without an eigensolve, gives every rate but one kind: asymptotic key_rate
-prints it, and tolerable_excess_noise searches every model's rows at once
-on the sign of its worst case over the SNU ratios, its values choosing
-where to look next. holevo_bound, the generic symplectic-spectrum
-pipeline on the models' covariance matrices, agrees with it within a
-margin at each SNU ratio, and gives the chi_BE that finite-size key_rate
-prints, at the ratios that by the closed form within the margin may hold
-a row's worst case. So finite-size key_rate and the TEN search can differ
-in sign only where |rate| lies below the two routes' difference, within
-the margin and about 5e-13 bits on the rows measured.
+without an eigensolve, gives every asymptotic rate, picks each
+finite-size row's worst SNU ratio, and gives tolerable_excess_noise the
+value and sign of each rate it searches on: the worst case over the SNU
+ratios, by the same rule. holevo_bound, the generic symplectic-spectrum
+pipeline on the models' covariance matrices, gives the chi_BE that
+finite-size key_rate prints, at that one ratio per row. So finite-size
+key_rate and the TEN search can differ in sign only where |rate| lies
+below the two routes' difference, about 5e-13 bits on the rows measured.
 """
 
 from __future__ import annotations
@@ -48,15 +46,6 @@ N0_SCAN_POINTS = 21
 # The three-mode matrix must expose one unit symplectic eigenvalue (the
 # detection beamsplitter's vacuum ancilla survives any rescaling).
 _UNIT_EIGENVALUE_TOL = 1e-6
-
-# The margin by which closed_form_rate bounds the eigensolver's rate at each
-# SNU ratio, which picks the ratios finite-size key_rate evaluates: the two
-# routes agree to within RATE_MARGIN_REL of max(|rate|, |chi_BE|)
-# (tests/test_keyrate.py asserts it for m from 1e3; 7.0e-11 is the worst
-# seen on its draws), and RATE_MARGIN_ABS bits cover both routes' float
-# error near a zero rate, about 1e-14.
-RATE_MARGIN_REL = 1e-9
-RATE_MARGIN_ABS = 1e-12
 
 TEN_TOLERANCE = 1e-4
 _TEN_BRACKET_CAP = 1024.0
@@ -121,16 +110,11 @@ class KeyRateResult:
     worst_n0: float | np.ndarray
 
 
-def _row_shape(params: SystemParams, n0: float | np.ndarray = 1.0) -> tuple[int, ...]:
-    """() for one row of scalar params and n0, (rows,) for a block of columns."""
-    return np.broadcast(params.v, params.t, params.eps_c, n0).shape
-
-
 def _as_given(values: np.ndarray, params: SystemParams,
               n0: float | np.ndarray = 1.0) -> float | np.ndarray:
     """One value per row shaped as the inputs were: a float for scalar
     params and n0, otherwise a 1-D column."""
-    shape = _row_shape(params, n0)
+    shape = np.broadcast(params.v, params.t, params.eps_c, n0).shape
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
@@ -257,7 +241,8 @@ def closed_form_rate(params: SystemParams, model: np.ndarray,
     at SNU ratio n0 is its n0 = 1 state at t / n0 and eps_c + (1 - n0) /
     (t eta_d eta_e), and I_AB does not move, so the rate at n0 is beta *
     I_AB - chi_BE at those parameters, and with fs key_fraction * (that -
-    Delta(n)): the rate key_rate gives where its worst case lies at n0.
+    Delta(n)), whose first lowest value over the grid is key_rate's
+    worst ratio.
     They are evaluated as raw columns, since t / n0 exceeds 1 at 0 km for
     n0 < 1. Each symplectic pair is taken as the moduli symplectic_spectra
     reports, so unphysical states have a value too. Only where the
@@ -320,13 +305,6 @@ def snu_interval(params: SystemParams, model: CalibrationModel,
                                fs.calib_samples_m, fs.eps_pe)
 
 
-def _rows_of(params: SystemParams, rows: np.ndarray) -> SystemParams:
-    """The params of the listed rows of a block, as columns."""
-    shape = _row_shape(params) or (1,)
-    return replace(params, **{name: np.broadcast_to(getattr(params, name), shape)[rows]
-                              for name in ("v", "t", "eps_c")})
-
-
 def key_rate(params: SystemParams, model: CalibrationModel,
              fs: FiniteSizeParams | None = None,
              delta: float | np.ndarray = 0.0) -> KeyRateResult:
@@ -343,22 +321,19 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     matrix entries move.
 
     Asymptotically the rate and chi_BE are closed_form_rate's at n0 = 1,
-    so chi_be may differ from holevo_bound's by up to the margin
-    (RATE_MARGIN_REL of max(|rate|, |chi_BE|) plus RATE_MARGIN_ABS), and
-    no eigensolve runs. Finite-size, chi_BE comes from the eigensolver
-    only at a row's candidate ratios: all but those whose closed-form rate
-    less the margin lies above the row's lowest closed-form rate plus the
-    margin, as such a ratio holds a higher rate than some other. So the
-    result is the whole grid's worst case bit for bit, and a fault of the
-    eigensolver route at a ratio that is no candidate raises nothing.
-    Either regime makes one closed_form_rate call, and a closed-form rate
-    that is not finite, at any ratio, is an error naming its ratio.
+    and no eigensolve runs. Finite-size, the worst ratio of each row is
+    the first of the lowest closed_form_rate values over the grid, and
+    chi_BE there comes from holevo_bound, so the eigensolver runs at one
+    ratio per row and a fault of its route at any other ratio raises
+    nothing. Either regime makes one closed_form_rate call, and a
+    closed-form rate that is not finite, at any ratio, is an error naming
+    its ratio.
 
     One row for scalar params and delta. A block of rows, with v, t,
     eps_c or delta as 1-D columns, gives a column per result field, from
-    at most one holevo_bound call over every evaluated (row, n0) pair in
-    row-major order, so an error names the first failing pair in that
-    order; each row equals its own one-row evaluation.
+    at most one holevo_bound call over every row at its worst ratio, so
+    an error names the first failing row; each row equals its own one-row
+    evaluation.
     """
     eff = apply_miscalibration(params, delta)
     i_ab = mutual_information(eff)
@@ -366,32 +341,20 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     n0 = cf[3:]
     rate, chi = closed_form_rate(eff, cf, fs)
     _require_finite(rate, np.broadcast_to(n0, rate.shape), "key rate")
-    rows = np.arange(rate.shape[0])
-    worst, penalty = np.zeros(rows.size, dtype=int), 0.0
+    # argmin takes the first of equal minima, as a strict-< scan would.
+    worst = np.argmin(rate, axis=1)
+    rows = np.arange(worst.size)
+    rate, chi, penalty = rate[rows, worst], chi[rows, worst], 0.0
     if fs is not None:
-        margin = RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi)) + RATE_MARGIN_ABS
-        candidate = ~(rate - margin > np.min(rate + margin, axis=1)[:, None])
-        row_of, k = np.nonzero(candidate)  # the (row, n0) pairs, in row-major order
-        chi = np.full(candidate.shape, np.nan)
-        try:
-            # Each row has at least one candidate, so as many pairs as rows
-            # are the rows in order.
-            part = eff if row_of.size == rows.size else _rows_of(eff, row_of)
-            chi[row_of, k] = np.reshape(holevo_bound(part, model, n0[k]), -1)
-            values = eff.beta * np.reshape(i_ab, (-1, 1)) - chi
-            _require_finite(values[row_of, k], n0[k], "key rate")
-        except NumericalError as exc:
-            if exc.row is not None:  # a pair -> its row of the block
-                exc.row = int(row_of[exc.row])
-            raise
-        # argmin takes the first of equal minima, as a strict-< scan would.
-        worst = np.argmin(np.where(candidate, values, np.inf), axis=1)
+        chi = np.reshape(holevo_bound(eff, model, n0[worst]), -1)
+        values = eff.beta * np.reshape(i_ab, -1) - chi
+        _require_finite(values, n0[worst], "key rate")
         penalty = finite_size_penalty(fs)
         rate = fs.key_fraction * (values - penalty)
     return KeyRateResult(
-        rate_bits_per_pulse=_as_given(rate[rows, worst], eff),
+        rate_bits_per_pulse=_as_given(rate, eff),
         i_ab=i_ab,
-        chi_be=_as_given(chi[rows, worst], eff),
+        chi_be=_as_given(chi, eff),
         delta_n=penalty,
         worst_n0=_as_given(n0[worst], eff),
     )
@@ -424,8 +387,9 @@ def tolerable_excess_noise(params: SystemParams, models: Sequence[CalibrationMod
     at delta 0, as a bisection to TEN_TOLERANCE finds it, from one
     _tolerable_noise search over every model's rows stacked in sorted
     model order. The rate is the closed form's worst case over the SNU
-    ratios, which is key_rate's asymptotically and, finite-size, has
-    key_rate's sign wherever |rate| exceeds the margin. An error of the
+    ratios, which is key_rate's asymptotically and, finite-size, is taken
+    at key_rate's worst ratio, so it has key_rate's sign wherever |rate|
+    exceeds the two routes' difference there. An error of the
     search carries its model as exc.model and its row of params as
     exc.row."""
     models = sorted(models, key=lambda m: m.value)

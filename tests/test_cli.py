@@ -162,6 +162,26 @@ class TestConfigParsing:
             SweepConfig.from_dict(base_config(
                 distances_km={"start": 10, "stop": 5, "step": 1}))
 
+    # Only the config is checked here: no test builds a grid past the cap,
+    # which sweep and ten would allocate in full.
+    def test_grid_of_up_to_a_million_points_is_accepted(self):
+        cfg = SweepConfig.from_dict(base_config(
+            distances_km={"start": 0.0, "stop": 199.9998, "step": 2e-4}))
+        assert cfg.distances_km.count == 10 ** 6
+
+    def test_grid_of_more_than_a_million_points_is_refused(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "distances_km has too many points: 1000001, more than 1000000")):
+            SweepConfig.from_dict(base_config(
+                distances_km={"start": 0.0, "stop": 200.0, "step": 2e-4}))
+
+    def test_validate_config_refuses_a_grid_past_the_cap(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["validate-config", "--config", path, "--set", "distances_km.step=1e-9",
+                     "--set", "distances_km.stop=200"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: distances_km has too many points: 200000000001, more than 1000000\n")
+
     def test_json_error_carries_line_info(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"models": [,]}')
@@ -240,9 +260,7 @@ class TestSweepRows:
 
     def test_row_failure_names_grid_point(self, monkeypatch):
         # Holevo evaluation breaks at 10 km only; the error must say where.
-        # Only finite-size sweep runs the eigensolver, and the closed form's
-        # flat rate makes every ratio a candidate.
-        patch_closed_form(monkeypatch, lambda params, names, rate: np.zeros_like(rate))
+        # Only finite-size sweep runs the eigensolver.
         healthy = keyrate.holevo_bound
 
         def failing(params, model, n0=1.0):
@@ -331,17 +349,17 @@ class TestSweepRows:
         assert solved == []
         assert all(math.isfinite(r["rate_bits_per_pulse"]) for r in rows)
 
-    # (grid index, full scan forced): the row's worst ratio, its one
-    # candidate here, and a ratio that is a candidate only when the closed
-    # form is flat.
-    @pytest.mark.parametrize("index,full", [(None, False), (7, True)])
+    # (grid index, lowest rate moved): the row's worst ratio, and a ratio
+    # that is its worst only when the closed form's lowest rate is moved
+    # there.
+    @pytest.mark.parametrize("index,moved", [(None, False), (7, True)])
     @pytest.mark.parametrize("model,builder,what", [
         ("two_mode", "conventional_channel_stack", "two-mode matrix"),
         ("three_mode", "three_mode_stack", "three-mode matrix"),
         ("conventional", "conventional_channel_stack", "measured matrix"),
     ])
     def test_poisoned_element_inside_a_block_names_its_point_and_n0(
-            self, monkeypatch, model, builder, what, index, full):
+            self, monkeypatch, model, builder, what, index, moved):
         # One (model, V) block holds 4 distances x 3 deltas; poison the matrix
         # of V = 20 (the second V), 20 km, delta 0.001 at an SNU ratio that
         # key_rate evaluates for that row.
@@ -349,12 +367,18 @@ class TestSweepRows:
             models=[model], variances=[4.0, 20.0], regime="finite_size",
             finite_size=FINITE_SIZE, miscalibration_deltas=[0.0, 0.001, 0.003],
             distances_km={"start": 0.0, "stop": 30.0, "step": 10.0}))
-        if full:
+        if moved:
             p = SystemParams(v=20.0, t=1.0, **cfg.system)
             calib = snu_interval(p, CalibrationModel(model), cfg.finite_size)
             n0 = np.linspace(calib.lower / calib.point, calib.upper / calib.point,
                              keyrate.N0_SCAN_POINTS)[index]
-            patch_closed_form(monkeypatch, lambda params, names, rate: np.zeros_like(rate))
+
+            def lowest_at_index(params, names, rate):
+                rate[:] = 1.0
+                rate[:, index] = 0.0
+                return rate
+
+            patch_closed_form(monkeypatch, lowest_at_index)
         else:
             n0, = [r["n0_worst"] for r in sweep_rows(cfg)
                    if (r["V"], r["distance_km"], r["delta"]) == (20.0, 20.0, 0.001)]

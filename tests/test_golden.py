@@ -3,6 +3,8 @@
 tests/golden/ holds gzipped outputs written from tests/golden/config.json
 (the README example config). Each test regenerates one output through
 cli.main and compares bytes, so any change to a printed digit fails here.
+The sweep goldens hold under numpy 2.4.6 with its AVX-512 dispatch: every
+entropy takes numpy's log2, whose AVX2 path differs in the last bits.
 A change that moves outputs on purpose regenerates the files with the
 commands below and says why:
 
