@@ -4,13 +4,13 @@ and the tolerable excess noise (TEN) of each model.
 Reverse reconciliation throughout: rate = beta * I_AB - chi_BE in the
 asymptotic regime. closed_form_rate, the closed form of Lodewyck et al.
 without an eigensolve, gives every asymptotic rate, picks each
-finite-size row's worst SNU ratio, and gives tolerable_excess_noise the
-value and sign of each rate it searches on: the worst case over the SNU
-ratios, by the same rule. holevo_bound, the generic symplectic-spectrum
-pipeline on the models' covariance matrices, gives the chi_BE that
-finite-size key_rate prints, at that one ratio per row. So finite-size
-key_rate and the TEN search can differ in sign only where |rate| lies
-below the two routes' difference, about 5e-13 bits on the rows measured.
+finite-size row's worst SNU ratio, and gives tolerable_excess_noise each
+rate it searches on: the worst case over the SNU ratios, by the same
+rule. holevo_bound, the generic symplectic-spectrum pipeline on the
+models' covariance matrices, gives the chi_BE that finite-size key_rate
+prints, at that one ratio per row. So finite-size key_rate and the TEN
+search can differ in sign only where |rate| lies below the two routes'
+difference, about 5e-13 bits on the rows measured.
 """
 
 from __future__ import annotations
@@ -268,9 +268,12 @@ def closed_form_rate(params: SystemParams, model: np.ndarray,
     # Of an unphysical state they are taken as the moduli symplectic_spectra
     # reports. A complex pair (s^2 < 4p) has both nu^2 = sqrt(p); else the
     # larger is (|s| + sqrt(s^2 - 4p)) / 2; and nu1 nu2 = sqrt(|p|) throughout.
-    # Selecting on disc < 0 leaves an overflow's NaN a NaN.
+    # Selecting on disc < 0 leaves an overflow's NaN a NaN. A pure pair's disc
+    # is 0 but may round up to 4u s^2 (u = 2^-53), so up to 16u s^2 counts as 0.
     s, p = np.stack([a, c]), np.stack([sqrt_b * sqrt_b, d])
-    disc = s * s - 4.0 * p
+    ss = s * s
+    disc = ss - 4.0 * p
+    disc[(disc > 0.0) & (disc <= 2.0 ** -49 * ss)] = 0.0
     nu1 = np.sqrt(np.where(disc < 0.0, np.sqrt(p), (np.abs(s) + np.sqrt(disc)) / 2.0))
     eve, conditional = entropy_of_spectra(np.stack([nu1, np.sqrt(np.abs(p)) / nu1], axis=-1))
     chi = eve - conditional
@@ -360,24 +363,14 @@ def key_rate(params: SystemParams, model: CalibrationModel,
     )
 
 
-def _rate_sign(stack: SystemParams, cf: np.ndarray, which: np.ndarray, rows: np.ndarray,
-               eps_c: np.ndarray,
-               fs: FiniteSizeParams | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """rate_at of the TEN search over stack, whose row i has the
-    closed_form_model row cf[which[i]]: for the listed rows at their eps_c,
-    the closed form's lowest rate over the SNU ratios and whether it is
-    positive. A rate that is not finite is an error naming its ratio and
-    carrying its row of stack."""
-    model = cf[which[rows]]
-    rate, _ = closed_form_rate(replace(stack, v=stack.v[rows], t=stack.t[rows], eps_c=eps_c),
-                               model, fs)
-    try:
-        _require_finite(rate, model[:, 3:], "key rate")
-    except NumericalError as exc:  # a listed row -> its row of stack
-        exc.row = int(rows[exc.row])
-        raise
-    value = np.min(rate, axis=1)
-    return value, value > 0.0
+def _lowest_rate(params: SystemParams, model: np.ndarray,
+                 fs: FiniteSizeParams | None = None) -> np.ndarray:
+    """rate_at of the TEN search: each row's lowest closed-form rate over
+    the SNU ratios of its closed_form_model row in model. A rate that is
+    not finite is an error naming its ratio and carrying its row."""
+    rate, _ = closed_form_rate(params, model, fs)
+    _require_finite(rate, model[:, 3:], "key rate")
+    return np.min(rate, axis=1)
 
 
 def tolerable_excess_noise(params: SystemParams, models: Sequence[CalibrationModel],
@@ -386,20 +379,19 @@ def tolerable_excess_noise(params: SystemParams, models: Sequence[CalibrationMod
     and t columns of one length: the largest eps_c with a positive rate
     at delta 0, as a bisection to TEN_TOLERANCE finds it, from one
     _tolerable_noise search over every model's rows stacked in sorted
-    model order. The rate is the closed form's worst case over the SNU
+    model order, each row with its own model's closed_form_model row. The
+    rate is _lowest_rate's, the closed form's worst case over the SNU
     ratios, which is key_rate's asymptotically and, finite-size, is taken
     at key_rate's worst ratio, so it has key_rate's sign wherever |rate|
-    exceeds the two routes' difference there. An error of the
-    search carries its model as exc.model and its row of params as
-    exc.row."""
+    exceeds the two routes' difference there. An error of the search
+    carries its model as exc.model and its row of params as exc.row."""
     models = sorted(models, key=lambda m: m.value)
     n, k = np.size(params.v), len(models)
     stack = replace(params, v=np.tile(params.v, k), t=np.tile(params.t, k))
-    cf = np.array([closed_form_model(params, m, fs) for m in models])
-    which = np.repeat(np.arange(k), n)
+    cf = np.repeat([closed_form_model(params, m, fs) for m in models], n, axis=0)
     try:
-        ten = _tolerable_noise(lambda rows, eps_c: _rate_sign(
-            stack, cf, which, rows, eps_c, fs), k * n)
+        ten = _tolerable_noise(lambda rows, eps_c: _lowest_rate(
+            replace(stack, v=stack.v[rows], t=stack.t[rows], eps_c=eps_c), cf[rows], fs), k * n)
     except NumericalError as exc:  # a row of the stack -> model and row
         i, exc.row = divmod(exc.row, n)
         exc.model = models[i]
@@ -411,16 +403,16 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
     """Largest excess noise with positive rate for each of n rows: the
     value a bisection to TEN_TOLERANCE gives, found from fewer evaluations.
 
-    rate_at(rows, eps_c) gives, for the listed rows at their eps_c, a
-    value of the rate and whether the rate is positive. The bisection
-    doubles hi from 0.5 while the rate is positive, halves [hi / 2, hi]
-    (or [0, 0.5]) to a cell of width w, the largest power of two <=
-    TEN_TOLERANCE, and returns the centre of the cell whose lower edge
-    has a positive rate and whose upper edge has not, or 0.0 where the
-    rate at 0 is not positive. This search evaluates such cell edges
-    only, exact dyadic floats, and each row keeps the highest edge known
-    positive (lo) and the lowest known not (hi); it is done once they
-    are one cell apart, or once hi is 0.
+    rate_at(rows, eps_c) gives the rate of each listed row at its eps_c,
+    and a NumericalError it raises carries its listed row, which becomes
+    that row's index among the n. The bisection doubles hi from 0.5 while
+    the rate is positive, halves [hi / 2, hi] (or [0, 0.5]) to a cell of
+    width w, the largest power of two <= TEN_TOLERANCE, and returns the
+    centre of the cell whose lower edge has a positive rate and whose
+    upper edge has not, or 0.0 where the rate at 0 is not positive. This
+    search evaluates such cell edges only, exact dyadic floats, and each
+    row keeps the highest edge known positive (lo) and the lowest known
+    not (hi); it is done once they are one cell apart, or once hi is 0.
 
     Each row evaluates 0 while no edge is known positive, then, until one
     is known not to be, doubles its probe from lo (from 0.5 at lo = 0) up
@@ -432,10 +424,11 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
     root is not finite. Once the steps taken plus the bisection steps the
     bracket still needs reach twice those of the bracket it started from,
     the midpoint edge is taken instead. Each step evaluates every open
-    row in one call. The values only choose the next edge; the sign alone
-    decides which end moves to it. So where the sign changes once over
-    the edges up to the cap, the result is the bisection's, bit for bit,
-    and so are the probes, whatever the values.
+    row in one call. The magnitudes only choose the next edge; the sign
+    of the value alone decides which end moves to it. So where the sign
+    changes once over the edges up to the cap, the result is the
+    bisection's, bit for bit, and so are the probes, whatever the
+    magnitudes.
     """
     width = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
     cap = _TEN_BRACKET_CAP
@@ -474,7 +467,12 @@ def _tolerable_noise(rate_at, n: int) -> np.ndarray:
         step = np.where(midpoint, np.floor(0.5 * span), np.clip(estimate, 1.0, span - 1.0))
         at[s] = lo[rows] + step * width
         steps[rows] += 1
-        f, up = rate_at(r, at)
+        try:
+            f = rate_at(r, at)
+        except NumericalError as exc:  # a listed row -> its row of the n
+            exc.row = int(r[exc.row])
+            raise
+        up = f > 0.0
         # Each point lies strictly inside its row's bracket. Its sign says
         # which end moves there; a known end's old place is the third point.
         old = np.where(up, lo[r], hi[r])

@@ -127,19 +127,17 @@ def three_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray
     model is also the worst-case split that security requires: the
     untrusted channel takes all of the measured loss t*eta_e.
 
-    For n0 != 1 the B3 entries are rescaled and the unobserved mode C is
-    reconstructed from the rescaled Bob variance through the trusted
-    eta_d relations, which is how the receiver would rebuild the state
-    from miscalibrated data. The choice is made per row.
+    The B3 entries of that build are then rescaled by n0 and the
+    unobserved mode C is reconstructed from the rescaled Bob variance
+    through the trusted eta_d relations, which is how the receiver would
+    rebuild the state from miscalibrated data. At n0 = 1 this gives the
+    physical build's matrix to within a few ulps.
     """
     v, t, ec, n0 = _columns(params, n0)
     g = with_vacuum(_blocks4(v, np.sqrt(t * (v * v - 1.0)), t * (v - 1.0 + ec) + 1.0))
     g = mix_on_beamsplitter(g, 1, 2, params.eta_e)[:, :4, :4]
     g = mix_on_beamsplitter(with_vacuum(g), 1, 2, params.eta_d)
-    moved = n0 != 1.0
-    if moved.any():
-        g[moved] = _rescale_three_mode(g[moved], params.eta_d, n0[moved])
-    return g
+    return _rescale_three_mode(g, params.eta_d, n0)
 
 
 def _rescale_three_mode(g: np.ndarray, eta_d: float, n0: np.ndarray) -> np.ndarray:

@@ -7,16 +7,19 @@ closed form that keyrate.closed_form_rate vectorises, over rows of every
 model and, finite-size, each SNU ratio of key_rate's grid: it gives every
 asymptotic rate, picks the one ratio per row at which finite-size
 key_rate runs the eigensolver, and gives keyrate.tolerable_excess_noise
-every value and sign. holevo_lodewyck is written apart from it, for
-physical states only, so that it still checks the eigensolver pipeline
-on its own. RATE_MARGIN_REL and RATE_MARGIN_ABS bound how far the two
+every rate it searches on, whose sign moves a bracket end.
+holevo_lodewyck is written apart from it, for physical states only, so
+that it still checks the eigensolver pipeline on its own. RATE_MARGIN_REL and RATE_MARGIN_ABS bound how far the two
 routes' rates lie apart at each SNU ratio, and dense_worst_case is the
 full eigensolver scan of the grid that finite-size key_rate is held to.
 
 The builders and holevo_bound take one SNU ratio per row. grid_pairs
 forms the (row, n0) pairs of rows against a grid of ratios, in row-major
-order, and two_mode_stack builds the two-mode (A, B3) directly, as the
-reference for holevo_bound's route through the conventional receiver."""
+order. two_mode_stack builds the two-mode (A, B3) directly, as the
+reference for holevo_bound's route through the conventional receiver,
+and physical_three_mode builds the three-mode (A, B3, C) at n0 = 1 by
+beamsplitters alone, as the reference for three_mode_stack's rebuilt
+mode C."""
 import dataclasses
 import math
 
@@ -24,7 +27,7 @@ import mpmath
 import numpy as np
 
 from cvqkd_calib import CalibrationModel, SystemParams
-from cvqkd_calib.gaussian import symplectic_form
+from cvqkd_calib.gaussian import mix_on_beamsplitter, symplectic_form, with_vacuum
 from cvqkd_calib.keyrate import (
     N0_SCAN_POINTS,
     TEN_TOLERANCE,
@@ -190,6 +193,20 @@ def two_mode_stack(params: SystemParams, n0: float | np.ndarray) -> np.ndarray:
     cross = np.sqrt(tau * (v * v - 1.0) / n0)
     vb = (tau * (v - 1.0 + ec) + 1.0) / n0
     return _blocks4(v, cross, vb)
+
+
+def physical_three_mode(params: SystemParams) -> np.ndarray:
+    """Covariances (rows, 6, 6) of (A, B3, C) for the one-time three-mode
+    model at SNU ratio 1, by the physical sequence alone: channel output,
+    a vacuum ancilla mixed on the electronic-noise beamsplitter eta_e and
+    traced out, then a second vacuum ancilla mixed on the detection-
+    efficiency beamsplitter eta_d, whose reflected mode is C. The
+    reference for models.three_mode_stack, which rebuilds B3 and C from
+    that build's B3 through the trusted eta_d relations at every n0."""
+    v, t, ec = np.broadcast_arrays(*(np.ravel(x) for x in (params.v, params.t, params.eps_c)))
+    g = with_vacuum(_blocks4(v, np.sqrt(t * (v * v - 1.0)), t * (v - 1.0 + ec) + 1.0))
+    g = mix_on_beamsplitter(g, 1, 2, params.eta_e)[:, :4, :4]
+    return mix_on_beamsplitter(with_vacuum(g), 1, 2, params.eta_d)
 
 
 def _checked(gamma: np.ndarray) -> np.ndarray:

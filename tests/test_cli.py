@@ -420,17 +420,16 @@ RATE_FAMILIES = {
 
 TEN_WIDTH = 2.0 ** (math.frexp(TEN_TOLERANCE)[1] - 1)
 
-# Values that a row's rate_at may give beside the sign of rate(e), x being
+# Magnitudes that a row's rate_at may give with the sign of rate(e), x being
 # a draw from [-1, 1]: the search reads them to choose its edges, and must
-# end where the signs alone put it whatever they are.
-VALUES = {
-    "exact": lambda rate, e, x: rate(e),
-    "nan": lambda rate, e, x: math.nan,
-    "+inf": lambda rate, e, x: math.inf,
-    "-inf": lambda rate, e, x: -math.inf,
-    "sign-flipped": lambda rate, e, x: -rate(e),
-    "noisy": lambda rate, e, x: rate(e) + x * math.cos(7919.0 * e),
-    "constant": lambda rate, e, x: x,
+# end where the signs alone put it whatever they are. Each is positive
+# where rate(e) is, so the value keeps the rate's sign.
+MAGNITUDES = {
+    "exact": lambda rate, e, x: abs(rate(e)),
+    "inf": lambda rate, e, x: math.inf,
+    "inverted": lambda rate, e, x: 1.0 / abs(rate(e)) if rate(e) else math.inf,
+    "noisy": lambda rate, e, x: abs(rate(e)) + abs(x * math.cos(7919.0 * e)),
+    "constant": lambda rate, e, x: 1.0 + abs(x),
 }
 
 
@@ -538,8 +537,7 @@ class TestTenRows:
         # Real rates turn negative below eps_c = 0.5, so linear rates with
         # roots up to the cap drive the bracket doubling.
         roots = np.array([-0.1, 0.0, 0.3, 0.5, 0.7, 3.3, 100.0, 1000.0])
-        got = keyrate._tolerable_noise(
-            lambda rows, eps_c: (roots[rows] - eps_c, roots[rows] - eps_c > 0.0), roots.size)
+        got = keyrate._tolerable_noise(lambda rows, eps_c: roots[rows] - eps_c, roots.size)
         assert got.tolist() == [bisect_tolerable_noise(lambda eps_c, r=r: r - eps_c)
                                 for r in roots.tolist()]
 
@@ -549,16 +547,16 @@ class TestTenRows:
         st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 2.0 * _TEN_BRACKET_CAP),
                   st.just(_TEN_BRACKET_CAP)),
         st.integers(0, 8), st.sampled_from([-1, 0, 1]), st.floats(0.0, 1.0),
-        st.sampled_from(sorted(VALUES)), st.floats(-1.0, 1.0)),
+        st.sampled_from(sorted(MAGNITUDES)), st.floats(-1.0, 1.0)),
         min_size=1, max_size=12))
     def test_lockstep_equals_bisection_on_synthetic_rates(self, cases):
         # Each row is a strictly decreasing rate. For edge > 0 its root moves
         # onto one of the last edges that a bisection of r - eps_c evaluates;
         # ulps then moves it one ulp up or down. A root of 0 (or one ulp
         # below) makes the rate at eps_c = 0 exactly 0 (or negative). The row
-        # gives the search the sign of its rate and a value as VALUES names:
-        # the rate itself, no number, one of the wrong sign, noise or a
-        # constant.
+        # gives the search a value of its rate's sign, whose magnitude is as
+        # MAGNITUDES names: the rate's own, infinite, its reciprocal, noisy or
+        # a constant.
         rates, values = [], []
         for family, r, edge, ulps, shape, kind, x in cases:
             if edge and r <= _TEN_BRACKET_CAP:
@@ -569,14 +567,13 @@ class TestTenRows:
             rate = RATE_FAMILIES[family](r, shape)
             ten = r if rate(_TEN_BRACKET_CAP) > 0.0 else bisect_tolerable_noise(rate)
             rates.append(rate)
-            values.append(lambda e, rate=rate, kind=kind, x=x: VALUES[kind](rate, e, x))
+            values.append(lambda e, rate=rate, kind=kind, x=x: math.copysign(
+                MAGNITUDES[kind](rate, e, x), 1.0 if rate(e) > 0.0 else -1.0))
         counts = np.zeros(len(rates), dtype=int)
 
         def rate_at(rows, eps_c):
             np.add.at(counts, rows, 1)
-            points = list(zip(rows.tolist(), eps_c.tolist()))
-            return (np.array([values[i](e) for i, e in points]),
-                    np.array([rates[i](e) > 0.0 for i, e in points], dtype=bool))
+            return np.array([values[i](e) for i, e in zip(rows.tolist(), eps_c.tolist())])
 
         capped = [i for i, rate in enumerate(rates) if rate(_TEN_BRACKET_CAP) > 0.0]
         if capped:
@@ -596,23 +593,23 @@ class TestTenRows:
     @staticmethod
     def counted_ten_rows(monkeypatch, overrides=()):
         """The README grid's ten rows under overrides, with the number of
-        rows of each key_rate call and of each _rate_sign call (each step
+        rows of each key_rate call and of each _lowest_rate call (each step
         of the search) they took."""
         rows_per_call, rows_per_step = [], []
-        healthy, signed = keyrate.key_rate, keyrate._rate_sign
+        healthy, lowest = keyrate.key_rate, keyrate._lowest_rate
 
         def counted(params, model, fs=None, delta=0.0):
             res = healthy(params, model, fs, delta)
             rows_per_call.append(np.size(res.rate_bits_per_pulse))
             return res
 
-        def counted_signed(*args):
-            value, positive = signed(*args)
+        def counted_lowest(*args):
+            value = lowest(*args)
             rows_per_step.append(len(value))
-            return value, positive
+            return value
 
         monkeypatch.setattr(keyrate, "key_rate", counted)
-        monkeypatch.setattr(keyrate, "_rate_sign", counted_signed)
+        monkeypatch.setattr(keyrate, "_lowest_rate", counted_lowest)
         rows = ten_rows(load_config(str(GOLDEN_CONFIG), overrides))
         return rows, rows_per_call, rows_per_step
 
@@ -621,7 +618,7 @@ class TestTenRows:
         # the edge search from 0.5 for every model 1994 in 23, the search
         # seeded with the model before 1508 in 16, and the search from cells
         # the closed form predicted 651 in 3, after 7 closed-form steps. The
-        # one search over all rows takes 7 steps, each taking its signs from
+        # one search over all rows takes 7 steps, each taking its values from
         # the closed form, so key_rate evaluates none.
         rows, rows_per_call, rows_per_step = self.counted_ten_rows(monkeypatch)
         assert len(rows) == 369
@@ -632,7 +629,7 @@ class TestTenRows:
         # The search seeded with the model before took 536 rate evaluations
         # in 16 key_rate calls here, and the search from cells the closed
         # form predicted at the SNU interval's worse end 269 in 3. The one
-        # search over all rows takes 7 steps, every sign of which comes from
+        # search over all rows takes 7 steps, every value of which comes from
         # the closed form.
         rows, rows_per_call, rows_per_step = self.counted_ten_rows(
             monkeypatch, ["regime=finite_size", "distances_km.step=10"])
@@ -703,35 +700,39 @@ class TestTenRows:
         assert ten["three_mode", 10.0] > 0.0 and ten["three_mode", 20.0] > 0.0
         assert [r["ten"] for r in rows] == self.oracle_rows(cfg)
 
-    def test_a_capped_prediction_leaves_the_other_rows_predicted(self, monkeypatch):
-        # The search takes each next edge from the values of _rate_sign and
-        # moves an end by its sign alone. Conventional's values at 10 km are
-        # patched to stay positive up to the cap, its signs left as they
-        # are, so that row's values cross no zero and it steps to midpoints:
+    def test_a_row_of_uninformative_values_leaves_the_other_rows_predicted(self,
+                                                                            monkeypatch):
+        # The search takes each next edge from the magnitudes of
+        # _lowest_rate's values and moves an end by their sign alone.
+        # Conventional's values at 10 km are patched to +1 or -1, their signs
+        # kept, so that row's magnitudes say nothing of where its root lies:
         # it takes more evaluations, but ends as it does with the true
         # values, and every other row takes the same evaluations as before.
         cfg = SweepConfig.from_dict(base_config())
         t10 = transmittance_from_km(10.0)
-        signed = keyrate._rate_sign
+        lowest = keyrate._lowest_rate
 
-        def counted_ten(capped):
+        def counted_ten(uninformative):
             evaluations = collections.Counter()
 
-            def counted(stack, cf, which, rows, eps_c, fs=None):
-                value, positive = signed(stack, cf, which, rows, eps_c, fs)
-                model, t = which[rows], stack.t[rows]
-                evaluations.update(zip(model.tolist(), t.tolist()))
-                if capped:  # models are stacked in sorted order, conventional first
-                    value = np.where((model == 0) & (t == t10), 1.0, value)
-                return value, positive
+            def counted(params, model, fs=None):
+                value = lowest(params, model, fs)
+                # The gain T / t of closed_form_model tells the models apart
+                # at eta_d < 1: 1 for conventional alone.
+                gain, t = model[:, 0], params.t
+                evaluations.update(zip(gain.tolist(), t.tolist()))
+                if uninformative:
+                    value = np.where((gain == 1.0) & (t == t10),
+                                     np.where(value > 0.0, 1.0, -1.0), value)
+                return value
 
-            monkeypatch.setattr(keyrate, "_rate_sign", counted)
+            monkeypatch.setattr(keyrate, "_lowest_rate", counted)
             return [r["ten"] for r in ten_rows(cfg)], evaluations
 
         ten, before = counted_ten(False)
-        capped_ten, after = counted_ten(True)
-        assert ten == capped_ten
-        assert after.pop((0, t10)) > before.pop((0, t10))
+        uninformative_ten, after = counted_ten(True)
+        assert ten == uninformative_ten
+        assert after.pop((1.0, t10)) > before.pop((1.0, t10))
         assert len(after) == 8 and after == before
 
     def test_error_in_a_later_step_names_its_row_of_the_block(self, monkeypatch):
@@ -798,20 +799,21 @@ class TestTenRows:
         # that pair's modulus, so the search's first step there gives the
         # exact rate beta * I_AB, and no rate goes to key_rate or the
         # eigensolver. The TEN cell is the scalar bisection's on key_rate.
-        signed, healthy, eigensolver = keyrate._rate_sign, keyrate.key_rate, keyrate.holevo_bound
+        lowest, healthy, eigensolver = keyrate._lowest_rate, keyrate.key_rate, keyrate.holevo_bound
         first, calls = [], []
 
-        def sign_spy(stack, cf, which, rows, eps_c, fs=None):
-            value, positive = signed(stack, cf, which, rows, eps_c, fs)
-            hit = (which[rows] == 0) & (stack.v[rows] == 40.0) & (stack.t[rows] == 1.0)
-            first.extend(zip(eps_c[hit].tolist(), value[hit].tolist()))
-            return value, positive
+        def lowest_spy(params, model, fs=None):
+            value = lowest(params, model, fs)
+            # The gain T / t of closed_form_model is 1 for conventional alone.
+            hit = (model[:, 0] == 1.0) & (params.v == 40.0) & (params.t == 1.0)
+            first.extend(zip(params.eps_c[hit].tolist(), value[hit].tolist()))
+            return value
 
         def refused(*args, **kwargs):
             calls.append(args)
             raise AssertionError("ten left the closed form")
 
-        monkeypatch.setattr(keyrate, "_rate_sign", sign_spy)
+        monkeypatch.setattr(keyrate, "_lowest_rate", lowest_spy)
         monkeypatch.setattr(keyrate, "key_rate", refused)
         monkeypatch.setattr(keyrate, "holevo_bound", refused)
         cfg = load_config(str(GOLDEN_CONFIG), [
@@ -834,26 +836,24 @@ class TestTenRows:
         # where the closed form's sign, which the search takes, is key_rate's
         # asymptotically; finite-size it may differ within the margin, which
         # no edge here reaches. So the TEN column is the one the same search
-        # writes with every sign from key_rate.
+        # writes on key_rate's rates, which give it the same signs.
         cfg = load_config(str(GOLDEN_CONFIG), [
             f"regime={regime}", "distances_km.start=300", "distances_km.stop=900"])
-        models = sorted(cfg.models, key=lambda m: m.value)
-        signed = keyrate._rate_sign
 
-        def key_rate_signs(stack, cf, which, rows, eps_c, fs=None):
-            value, _ = signed(stack, cf, which, rows, eps_c, fs)
-            positive = np.zeros(rows.size, dtype=bool)
-            for i, model in enumerate(models):
-                own = np.flatnonzero(which[rows] == i)
-                if not own.size:
-                    continue
-                part = dataclasses.replace(stack, v=stack.v[rows[own]], t=stack.t[rows[own]],
-                                           eps_c=eps_c[own])
-                positive[own] = keyrate.key_rate(part, model, fs).rate_bits_per_pulse > 0.0
-            return value, positive
+        def key_rates(params, model, fs=None):
+            value = np.full(params.v.size, np.nan)
+            for m in cfg.models:
+                own = np.flatnonzero(np.all(model == keyrate.closed_form_model(params, m, fs),
+                                            axis=1))
+                if own.size:
+                    part = dataclasses.replace(params, v=params.v[own], t=params.t[own],
+                                               eps_c=params.eps_c[own])
+                    value[own] = keyrate.key_rate(part, m, fs).rate_bits_per_pulse
+            assert not np.isnan(value).any(), "a row matched no model"
+            return value
 
         expected = ten_rows(cfg)
-        monkeypatch.setattr(keyrate, "_rate_sign", key_rate_signs)
+        monkeypatch.setattr(keyrate, "_lowest_rate", key_rates)
         assert ten_rows(cfg) == expected
 
     def test_finite_size_tolerable_noise_curves_coincide(self):

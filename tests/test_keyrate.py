@@ -15,7 +15,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cvqkd_calib import (
@@ -363,10 +363,11 @@ class TestLodewyckOracle:
 
 
 class TestRateSign:
-    """keyrate._rate_sign gives each TEN edge the closed form's worst case
-    over the SNU ratios and its sign, with no eigensolve: key_rate's rate
-    and sign asymptotically, and finite-size key_rate's sign wherever
-    |rate| exceeds the margin between the two routes."""
+    """keyrate._lowest_rate gives each TEN edge the closed form's worst case
+    over the SNU ratios, with no eigensolve, and the search moves an end
+    by its sign: key_rate's rate asymptotically, and finite-size
+    key_rate's sign wherever |rate| exceeds the margin between the two
+    routes."""
 
     @staticmethod
     def closed_form_root(p, model, fs):
@@ -389,24 +390,27 @@ class TestRateSign:
         return lo
 
     @staticmethod
-    def signs(monkeypatch, p, models, which, fs=None):
-        """_rate_sign over every row of p, at its own eps_c, with holevo_bound
-        made to fail."""
+    def lowest(monkeypatch, p, models, which, fs=None):
+        """_lowest_rate over every row of p, at its own eps_c, row i with the
+        closed_form_model row of models[which[i]], with holevo_bound made to
+        fail."""
         def no_eigensolve(*args):
-            raise AssertionError("_rate_sign ran the eigensolver")
+            raise AssertionError("_lowest_rate ran the eigensolver")
 
         monkeypatch.setattr(keyrate, "holevo_bound", no_eigensolve)
         cf = np.array([keyrate.closed_form_model(p, m, fs) for m in models])
-        rows = np.arange(which.size)
-        return keyrate._rate_sign(p, cf, which, rows, np.broadcast_to(p.eps_c, rows.shape), fs)
+        return keyrate._lowest_rate(p, cf[which], fs)
 
     @staticmethod
     def gap(p, model, fs):
-        """Each row's largest margin over its SNU ratios: key_rate's rate
-        lies within it of the closed form's worst case."""
+        """Each row's margin at the closed form's worst SNU ratio, the one
+        at which key_rate evaluates its rate: key_rate's rate lies within it
+        of the closed form's worst case."""
         rate, chi = keyrate.closed_form_rate(p, keyrate.closed_form_model(p, model, fs), fs)
-        margin = RATE_MARGIN_REL * np.maximum(np.abs(rate), np.abs(chi))
-        return np.max(margin + RATE_MARGIN_ABS, axis=1)
+        worst = np.argmin(rate, axis=1)
+        rows = np.arange(worst.size)
+        return (RATE_MARGIN_REL * np.maximum(np.abs(rate[rows, worst]), np.abs(chi[rows, worst]))
+                + RATE_MARGIN_ABS)
 
     @pytest.mark.parametrize("finite", [False, True])
     @pytest.mark.parametrize("with_rin", [False, True])
@@ -444,15 +448,14 @@ class TestRateSign:
             rate = key_rate(p, model, fs).rate_bits_per_pulse
             gap = self.gap(p, model, fs)
             with monkeypatch.context() as patched:
-                value, positive = self.signs(patched, p, [model], np.zeros(n, dtype=int), fs)
-            assert np.array_equal(positive, value > 0.0)
+                value = self.lowest(patched, p, [model], np.zeros(n, dtype=int), fs)
             if fs is None:
                 assert value.tolist() == rate.tolist()
             else:
                 assert np.all(np.abs(value - rate) <= gap), (p, fs)
             clear = np.ones(n, dtype=bool) if fs is None else np.abs(rate) > gap
-            assert np.array_equal(positive[clear], rate[clear] > 0.0), (
-                p, fs, np.flatnonzero(positive[clear] != (rate[clear] > 0.0)))
+            assert np.array_equal(value[clear] > 0.0, rate[clear] > 0.0), (
+                p, fs, np.flatnonzero((value[clear] > 0.0) != (rate[clear] > 0.0)))
             near_zero += np.sum(np.abs(rate) <= gap)
         # The draws reach rates within the gap of 0.
         assert near_zero >= 5
@@ -495,12 +498,11 @@ class TestRateSign:
             expect[own] = np.min(closed, axis=1)
             rate[own] = key_rate(part, model, fs).rate_bits_per_pulse
             gap[own] = self.gap(part, model, fs)
-        value, positive = self.signs(monkeypatch, p, models, which, fs)
+        value = self.lowest(monkeypatch, p, models, which, fs)
         assert value.tolist() == expect.tolist()
-        assert np.array_equal(positive, value > 0.0)
         clear = np.ones(n, dtype=bool) if far else np.abs(rate) > gap
-        assert np.array_equal(positive[clear], rate[clear] > 0.0), np.flatnonzero(
-            positive[clear] != (rate[clear] > 0.0))
+        assert np.array_equal(value[clear] > 0.0, rate[clear] > 0.0), np.flatnonzero(
+            (value[clear] > 0.0) != (rate[clear] > 0.0))
         assert np.sum(np.abs(rate) <= gap) >= 5
 
     @pytest.mark.parametrize("rate,sign", [
@@ -512,29 +514,35 @@ class TestRateSign:
         ([[0.0, 1.0, 1.0]], False),                 # 0 is not positive
     ])
     def test_value_is_the_lowest_rate_and_its_sign(self, monkeypatch, rate, sign):
-        # The 3 ratios stand for a grid.
+        # The 3 ratios stand for a grid; the search takes the value's sign.
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (np.array(rate), np.ones((1, 3))))
-        value, positive = self.signs(monkeypatch, params(v=np.array([40.0]), t=np.array([0.5])),
-                                     [TWO], np.zeros(1, dtype=int))
+        value = self.lowest(monkeypatch, params(v=np.array([40.0]), t=np.array([0.5])),
+                            [TWO], np.zeros(1, dtype=int))
         assert value.tolist() == np.min(rate, axis=1).tolist()
-        assert positive.tolist() == [sign]
+        assert (value > 0.0).tolist() == [sign]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rate_names_its_ratio_and_row_of_the_stack(self, monkeypatch, bad):
-        # Rows 1 and 3 of the stack are listed; the listed row 1, stack row
-        # 3, is not finite at grid index 7, and the error carries stack row 3.
+        # Rows 0 and 2 are not positive at eps_c = 0, so the search's second
+        # step lists rows 1 and 3 only. There the listed row 1, row 3 of the
+        # stack, is not finite at grid index 7: the error names that ratio
+        # and carries row 3.
         fs = TestCandidateWorstCase.FS
-        rate = np.ones((2, N0))
-        rate[1, 7] = bad
-        monkeypatch.setattr(keyrate, "closed_form_rate", lambda *args: (rate, np.ones_like(rate)))
-        p = params(v=np.full(4, 40.0), t=np.full(4, 0.5))
-        cf = np.array([keyrate.closed_form_model(p, TWO, fs)])
-        named = re.escape(repr(float(cf[0, 3 + 7])))
+
+        def closed_form(params, model, fs=None):
+            rate = np.ones((params.v.size, N0))
+            rate[np.isin(params.v, [40.0, 42.0]) & (params.eps_c == 0.0)] = -1.0
+            rate[(params.v == 43.0) & (params.eps_c > 0.0), 7] = bad
+            return rate, np.ones_like(rate)
+
+        monkeypatch.setattr(keyrate, "closed_form_rate", closed_form)
+        p = params(v=np.array([40.0, 41.0, 42.0, 43.0]), t=np.full(4, 0.5))
+        named = re.escape(repr(float(keyrate.closed_form_model(p, TWO, fs)[3 + 7])))
         with pytest.raises(NumericalError, match=f"^non-finite key rate at n0 = {named}$") as err:
-            keyrate._rate_sign(p, cf, np.zeros(4, dtype=int), np.array([1, 3]),
-                               np.zeros(2), fs)
+            keyrate.tolerable_excess_noise(p, [TWO], fs)
         assert err.value.row == 3
+        assert err.value.model is TWO
 
     def test_positive_needs_every_grid_ratio_and_non_positive_any_one(self, monkeypatch):
         # The worst case is the whole grid's, so a rate below 0 at any one
@@ -547,10 +555,10 @@ class TestRateSign:
         dip[2, 7] = 2e-9
         monkeypatch.setattr(keyrate, "closed_form_rate",
                             lambda *args: (dip, np.ones_like(dip)))
-        value, positive = self.signs(monkeypatch, params(v=np.full(3, 40.0), t=np.full(3, 0.5)),
-                                     [TWO], np.zeros(3, dtype=int), fs)
+        value = self.lowest(monkeypatch, params(v=np.full(3, 40.0), t=np.full(3, 0.5)),
+                            [TWO], np.zeros(3, dtype=int), fs)
         assert value.tolist() == [-1.0, 5e-10, 2e-9]
-        assert positive.tolist() == [False, True, True]
+        assert (value > 0.0).tolist() == [False, True, True]
 
 
 class TestClosedFormModuli:
@@ -625,6 +633,25 @@ class TestClosedFormModuli:
         assert chi.tolist() == [[0.0]]
         assert abs(holevo_bound(p, CONV)) <= 1e-11
         assert rate.tolist() == [[p.beta * mutual_information(p)]]
+
+    @PROPERTY
+    @given(fields=link_fields, model=st.sampled_from([CONV, THREE]))
+    @example(fields={"v": 40.0, "eps_c": 0.0, "eta_d": 0.6, "v_ele": 0.01, "beta": 0.956},
+             model=CONV)
+    @example(fields={"v": 4.0, "eps_c": 0.0, "eta_d": 0.9, "v_ele": 0.2, "beta": 0.956},
+             model=CONV)
+    def test_pure_state_gives_no_information(self, fields, model):
+        # At t = 1 and eps_c 0 the conventional state is pure, and so is the
+        # three-mode state without electronic noise: chi_BE is exactly 0. A
+        # pure pair's s^2 - 4p is 0 and can round up to 4u s^2, which would
+        # put nu1 about 1e-8 above 1 and chi_BE near -1.5e-7, an optimistic
+        # rate; the examples are README-system rows where it did. The
+        # eigensolver's own error here reaches 3.7e-11.
+        p = SystemParams(**{**fields, "eps_c": 0.0, "v_ele": fields["v_ele"] * (model is CONV)},
+                         t=1.0)
+        _, chi = keyrate.closed_form_rate(p, keyrate.closed_form_model(p, model))
+        assert abs(chi[0, 0]) <= 1e-12
+        assert abs(holevo_bound(p, model)) <= 1e-10
 
     @pytest.mark.parametrize("model", [TWO, THREE, CONV])
     def test_overflow_stays_non_finite(self, model):
