@@ -15,14 +15,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .calibration import NoiseGroundTruth, deviation_curve
 from .gaussian import NumericalError
-from .keyrate import (FiniteSizeParams, closed_form_model, closed_form_rate, key_rate,
-                      mutual_information, tolerable_excess_noise)
+from .keyrate import (FiniteSizeParams, KeyRateResult, closed_form_model, closed_form_rate,
+                      key_rate, mutual_information, tolerable_excess_noise)
 from .models import (CalibrationModel, SystemParams, apply_miscalibration,
                      detector_epr_variance, transmittance_from_km)
 
@@ -314,26 +314,24 @@ def _apply_override(raw: dict, item: str) -> None:
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _sweep_block(config: SweepConfig, model: CalibrationModel, params: SystemParams,
-                 delta: np.ndarray) -> dict:
-    """The key-rate columns of one model's rows, at their params and delta,
-    from one key_rate call."""
-    res = key_rate(params, model, config.finite_size, delta)
+def _sweep_block(config: SweepConfig, res: KeyRateResult, shared: dict) -> dict:
+    """The key-rate columns of one model's rows from its key_rate result
+    res. I_AB does not depend on the model, so the first block's I_AB
+    column goes into shared and every later block takes that one."""
     rate = res.rate_bits_per_pulse
-    rates = rate.tolist()
     per_s = None if config.pulse_rate_hz is None else rate * config.pulse_rate_hz
     if per_s is not None and not np.isfinite(per_s).all():
         raise NumericalError("non-finite rate_bits_per_s", row=int(np.argmin(np.isfinite(per_s))))
     return {
         "eps_c": config.system["eps_c"],
-        "n0_worst": res.worst_n0.tolist(),
-        "i_ab": res.i_ab.tolist(),
-        "chi_be": res.chi_be.tolist(),
+        "n0_worst": res.worst_n0,
+        "i_ab": shared.setdefault("i_ab", res.i_ab),
+        "chi_be": res.chi_be,
         "delta_n": res.delta_n,
-        "rate_bits_per_pulse": rates,
-        "rate_bits_per_s": None if per_s is None else per_s.tolist(),
+        "rate_bits_per_pulse": rate,
+        "rate_bits_per_s": per_s,
         # max(rate, 0.0) per row: a NaN or -0.0 rate is kept as it is.
-        "rate_clamped": [0.0 if r < 0.0 else r for r in rates],
+        "rate_clamped": np.where(rate < 0.0, 0.0, rate),
     }
 
 
@@ -344,20 +342,24 @@ def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> lis
     block being what blocks_at(params, delta) returns for the SystemParams
     and delta column of every point.
 
-    A column is a list of one value per point, or one value for all of
-    them; the V, distance_km, transmittance and delta lists are shared by
-    every block. An error of block(model), or of blocks_at naming its
-    model as exc.model, is raised again naming that model and, where the
-    error carries the index of its failing row, that row's point."""
-    v, km, delta = (c.ravel() for c in np.meshgrid(
-        sorted(config.variances), config.distances_km.points(), deltas, indexing="ij"))
-    t = np.array([transmittance_from_km(d) for d in km.tolist()])
+    A column is a float64 array of one value per point, or one value for
+    all of them; the V, distance_km, transmittance and delta arrays are
+    shared by every block. Each distance's transmittance is computed once
+    and gathered to its points. An error of block(model), or of blocks_at
+    naming its model as exc.model, is raised again naming that model and,
+    where the error carries the index of its failing row, that row's
+    point."""
+    points = config.distances_km.points()
+    v, i, delta = (c.ravel() for c in np.meshgrid(
+        sorted(config.variances), np.arange(len(points)), deltas, indexing="ij"))
+    km = np.array(points)[i]
+    t = np.array([transmittance_from_km(d) for d in points])[i]
     system = config.system
     params = SystemParams(v=v, t=t, **system)
     shared = {
         "regime": "asymptotic" if config.finite_size is None else "finite_size",
-        "V": v.tolist(), "distance_km": km.tolist(), "transmittance": t.tolist(),
-        "delta": delta.tolist(), "eta_d": system["eta_d"], "v_ele": system["v_ele"],
+        "V": v, "distance_km": km, "transmittance": t, "delta": delta,
+        "eta_d": system["eta_d"], "v_ele": system["v_ele"],
     }
     blocks, model = [], None
     try:
@@ -376,14 +378,18 @@ def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> lis
 
 
 def _sweep_blocks(config: SweepConfig) -> list[dict]:
-    return _grid_blocks(config, lambda params, delta: lambda model: _sweep_block(
-        config, model, params, delta), sorted(config.miscalibration_deltas))
+    def blocks_at(params: SystemParams, delta: np.ndarray):
+        shared: dict = {}
+        return lambda model: _sweep_block(
+            config, key_rate(params, model, config.finite_size, delta), shared)
+
+    return _grid_blocks(config, blocks_at, sorted(config.miscalibration_deltas))
 
 
 def _ten_blocks(config: SweepConfig) -> list[dict]:
     def blocks_at(params: SystemParams, delta: np.ndarray):
         ten = tolerable_excess_noise(params, config.models, config.finite_size)
-        return lambda model: {"ten": ten[model].tolist()}
+        return lambda model: {"ten": ten[model]}
 
     return _grid_blocks(config, blocks_at, [0.0])
 
@@ -413,45 +419,48 @@ def _cell_text(value: Any) -> str:
     return text
 
 
-def _cell_rows(blocks: list[dict], columns: list[str], text) -> list[tuple]:
-    """The blocks' rows as tuples of text(value) of each cell in the order
-    of columns, built column by column: each value is formatted once per
-    call, a single value once for its block and a list shared by several
-    blocks once for all of them."""
-    texts: dict[int, list] = {}  # id of a list column -> its cells' text
-    rows = []
+def _cell_rows(blocks: list[dict], columns: list[str], text, float_text) -> Iterator[tuple]:
+    """The blocks' rows, yielded one at a time, as tuples of the text of
+    each cell in the order of columns, built column by column: text(value)
+    for a cell of a list or a single value, and float_text(x) for each
+    value x of a float64 array, in one map over its tolist(). Each column
+    is formatted once per call, a single value once for its block and a
+    list or array shared by several blocks once for all of them."""
+    texts: dict[int, list] = {}  # id of a list or array column -> its cells' text
     for block in blocks:
-        # A block's lists give its row count; one of single values is one row.
-        n = next((len(c) for c in block.values() if isinstance(c, list)), 1)
+        # A block's columns give its row count; one of single values is one row.
+        n = next((len(c) for c in block.values() if isinstance(c, (list, np.ndarray))), 1)
         cells = [block[c] for c in columns]
         for i, values in enumerate(cells):
-            if not isinstance(values, list):
+            if not isinstance(values, (list, np.ndarray)):
                 cells[i] = [text(values)] * n
                 continue
-            # The blocks hold every list to the end of the call, so no id is reused.
+            # The blocks hold every column to the end of the call, so no id is reused.
             if id(values) not in texts:
-                texts[id(values)] = list(map(text, values))
+                texts[id(values)] = (list(map(text, values)) if isinstance(values, list)
+                                     else list(map(float_text, values.tolist())))
             cells[i] = texts[id(values)]
-        rows += zip(*cells, strict=True)
-    return rows
+        yield from zip(*cells, strict=True)
 
 
 def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> None:
     """Write the rows of blocks as CSV or JSON, in the order of columns.
 
-    A block is a dict of columns, each a list of one value per row or one
-    value for all its rows, so a row dict is a one-row block. The CSV is
-    csv's own text, with its QUOTE_MINIMAL rule and line-feed line ends;
-    the JSON is json.dumps(rows, indent=2), a list of objects.
+    A block is a dict of columns, each a list or float64 array of one
+    value per row, or one value for all its rows, so a row dict is a
+    one-row block. An array holds Python floats' values, so its cells are
+    written as a list of them would be. The CSV is csv's own text, with
+    its QUOTE_MINIMAL rule and line-feed line ends; the JSON is
+    json.dumps(rows, indent=2), a list of objects.
     """
     if fmt == "csv":
         lines = [",".join(map(_cell_text, columns)),
-                 *map(",".join, _cell_rows(blocks, columns, _cell_text))]
+                 *map(",".join, _cell_rows(blocks, columns, _cell_text, float.__repr__))]
         if len(columns) == 1:  # csv quotes a lone empty field, which would be a blank line
             lines = [line or '""' for line in lines]
         text = "\n".join(lines) + "\n"
     else:
-        rows = _cell_rows(blocks, columns, lambda value: value)
+        rows = _cell_rows(blocks, columns, lambda value: value, float)
         text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
     with open(path, "w", newline="") as f:
         f.write(text)

@@ -47,9 +47,11 @@ from strategies import PROPERTY
 
 def expand_blocks(blocks: list[dict]) -> list[dict]:
     """One dict per row: a block's lists give a value per row, and any other
-    value holds for all its rows, so a block of single values is one row."""
+    value holds for all its rows, so a block of single values is one row. A
+    float64 array column counts as the list of its values as Python floats."""
     rows = []
     for block in blocks:
+        block = {c: v.tolist() if isinstance(v, np.ndarray) else v for c, v in block.items()}
         lengths = {len(v) for v in block.values() if isinstance(v, list)}
         (n,) = lengths or {1}
         for i in range(n):
@@ -245,6 +247,56 @@ class TestSweepRows:
         assert [r["delta"] for r in rows] == [0.0, 0.001, 0.003]
         rates = [r["rate_bits_per_pulse"] for r in rows]
         assert rates[0] > rates[1] > rates[2]
+
+    @pytest.mark.parametrize("regime", ["asymptotic", "finite_size"])
+    def test_every_model_block_holds_one_i_ab_column(self, regime):
+        # The README grid's 0 km, delta 0.003 rows have (1 + delta) * t > 1,
+        # where apply_miscalibration clamps t_hat to 1.
+        cfg = load_config(str(GOLDEN_CONFIG), [f"regime={regime}"])
+        blocks = cli._sweep_blocks(cfg)
+        assert len(blocks) == 3
+        assert len({id(b["i_ab"]) for b in blocks}) == 1
+        for b in blocks:
+            assert np.any((1.0 + b["delta"]) * b["transmittance"] > 1.0)
+            params = SystemParams(v=b["V"], t=b["transmittance"], **cfg.system)
+            res = keyrate.key_rate(params, CalibrationModel(b["model"]), cfg.finite_size,
+                                   b["delta"])
+            assert b["i_ab"].tobytes() == res.i_ab.tobytes()
+
+    def test_i_ab_error_names_its_model_and_point(self, monkeypatch):
+        # key_rate makes the I_AB column, so its errors name the first model.
+        cfg = SweepConfig.from_dict(base_config(variances=[4.0, 20.0]))
+
+        def failing(params):
+            raise NumericalError("non-finite I_AB", row=4)
+
+        monkeypatch.setattr(keyrate, "mutual_information", failing)
+        with pytest.raises(RuntimeError, match=(
+                r"^model=conventional V=20\.0 km=10\.0 delta=0\.0: "
+                r"NumericalError: non-finite I_AB$")):
+            sweep_rows(cfg)
+
+    @pytest.mark.parametrize("blocks_of", [cli._sweep_blocks, cli._ten_blocks])
+    def test_grid_columns_are_each_distance_and_its_transmittance(self, monkeypatch,
+                                                                   blocks_of):
+        # 0.05 + i * 0.1 is not exact in binary; each row must hold the
+        # grid's own point, and the one transmittance computed for it.
+        cfg = SweepConfig.from_dict(base_config(
+            variances=[20.0, 4.0], miscalibration_deltas=[0.0, 0.003],
+            distances_km={"start": 0.05, "stop": 1.0, "step": 0.1}))
+        calls = []
+        monkeypatch.setattr(cli, "transmittance_from_km",
+                            lambda km: calls.append(km) or transmittance_from_km(km))
+        blocks = blocks_of(cfg)
+        points = cfg.distances_km.points()
+        assert calls == points
+        deltas = 2 if blocks_of is cli._sweep_blocks else 1
+        km = [p for _ in cfg.variances for p in points for _ in range(deltas)]
+        t = list(map(transmittance_from_km, km))
+        for b in blocks:
+            assert list(map(float.hex, b["distance_km"].tolist())) == list(map(float.hex, km))
+            assert list(map(float.hex, b["transmittance"].tolist())) == list(map(float.hex, t))
+            assert all(c.dtype == np.float64 for c in b.values() if isinstance(c, np.ndarray))
 
     def test_finite_rows_carry_penalty_and_worst_ratio(self):
         cfg = SweepConfig.from_dict(base_config(
@@ -913,6 +965,39 @@ def writer_cases(draw):
     return blocks, columns
 
 
+# The floats whose text is hardest to get right, then any float.
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e22, 0.1, 1 / 3]),
+    st.floats(),
+)
+
+
+@st.composite
+def float_array_cases(draw):
+    """(blocks, columns): column blocks of up to 3 rows whose columns are
+    float64 arrays, lists of writer cells or single values. In a 3-row
+    block an array column may be the one array of that column shared by
+    every 3-row block that takes it."""
+    columns = draw(st.lists(st.sampled_from(["a", "b,", "c"]), min_size=1, max_size=3,
+                            unique=True))
+    shared = {c: np.array(draw(st.lists(FLOAT_CELLS, min_size=3, max_size=3)), dtype=np.float64)
+              for c in columns}
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 3))
+        kinds = ["array", "list", "single"] + (["shared"] * (n == 3))
+        block = {}
+        for c in columns:
+            kind = draw(st.sampled_from(kinds))
+            block[c] = (draw(WRITER_CELLS) if kind == "single" else shared[c]
+                        if kind == "shared" else
+                        draw(st.lists(WRITER_CELLS, min_size=n, max_size=n)) if kind == "list"
+                        else np.array(draw(st.lists(FLOAT_CELLS, min_size=n, max_size=n)),
+                                      dtype=np.float64))
+        blocks.append(block)
+    return blocks, columns
+
+
 class TestOutputs:
     def test_sweep_csv_deterministic(self, tmp_path):
         cfg = base_config(output={"path": str(tmp_path / "a.csv"), "format": "csv"})
@@ -992,6 +1077,23 @@ class TestOutputs:
             cli.write_rows(blocks, columns, path, "json")
             with open(path, newline="") as f:
                 assert f.read() == expected
+
+    @PROPERTY
+    @given(float_array_cases())
+    @example(([{"x": np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e22, 0.1,
+                               1 / 3])}], ["x"]))
+    def test_write_rows_writes_float_arrays_as_csv_and_json_write_their_floats(self, case):
+        blocks, columns = case
+        rows = [[row[c] for c in columns] for row in expand_blocks(blocks)]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([columns] + rows)
+        expected_json = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt, text in (("csv", expected.getvalue()), ("json", expected_json)):
+                path = os.path.join(tmp, f"rows.{fmt}")
+                cli.write_rows(blocks, columns, path, fmt)
+                with open(path, newline="") as f:
+                    assert f.read() == text
 
     def test_write_rows_refuses_lists_of_unequal_length(self, tmp_path):
         block = {"a": [1.0, 2.0], "b": [3.0]}
