@@ -422,11 +422,25 @@ def _cell_text(value: Any) -> str:
 def _cell_rows(blocks: list[dict], columns: list[str], text, float_text) -> Iterator[tuple]:
     """The blocks' rows, yielded one at a time, as tuples of the text of
     each cell in the order of columns, built column by column: text(value)
-    for a cell of a list or a single value, and float_text(x) for each
-    value x of a float64 array, in one map over its tolist(). Each column
-    is formatted once per call, a single value once for its block and a
-    list or array shared by several blocks once for all of them."""
+    for a cell of a list or a single value, and float_text(x) for a value
+    x of a float64 array. A single value is formatted once for its block,
+    and a list once per call for all the blocks that share it. float_text
+    is called once per call for each distinct bit pattern among all the
+    arrays' values, and its text gathered back to every cell that holds
+    it: 0.0 and -0.0 differ in their bits, so each keeps its own text,
+    and NaNs of any sign or payload print alike."""
     texts: dict[int, list] = {}  # id of a list or array column -> its cells' text
+    arrays = {id(a): a for block in blocks for a in map(block.__getitem__, columns)
+              if isinstance(a, np.ndarray)}
+    if arrays:
+        bits, inverse = np.unique(np.concatenate([*arrays.values()]).view(np.int64),
+                                  return_inverse=True)
+        unique = np.array([*map(float_text, bits.view(np.float64).tolist())], dtype=object)
+        ends = np.cumsum([a.size for a in arrays.values()]).tolist()
+        for key, start, end in zip(arrays, [0, *ends], ends):
+            texts[key] = unique[inverse[start:end]].tolist()
+        # The generator keeps its locals until its last row; these are done with.
+        del bits, inverse, unique
     for block in blocks:
         # A block's columns give its row count; one of single values is one row.
         n = next((len(c) for c in block.values() if isinstance(c, (list, np.ndarray))), 1)
@@ -437,8 +451,7 @@ def _cell_rows(blocks: list[dict], columns: list[str], text, float_text) -> Iter
                 continue
             # The blocks hold every column to the end of the call, so no id is reused.
             if id(values) not in texts:
-                texts[id(values)] = (list(map(text, values)) if isinstance(values, list)
-                                     else list(map(float_text, values.tolist())))
+                texts[id(values)] = list(map(text, values))
             cells[i] = texts[id(values)]
         yield from zip(*cells, strict=True)
 
@@ -449,9 +462,10 @@ def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> N
     A block is a dict of columns, each a list or float64 array of one
     value per row, or one value for all its rows, so a row dict is a
     one-row block. An array holds Python floats' values, so its cells are
-    written as a list of them would be. The CSV is csv's own text, with
-    its QUOTE_MINIMAL rule and line-feed line ends; the JSON is
-    json.dumps(rows, indent=2), a list of objects.
+    written as a list of them would be; each distinct bit pattern among
+    the arrays is formatted once per call (see _cell_rows). The CSV is
+    csv's own text, with its QUOTE_MINIMAL rule and line-feed line ends;
+    the JSON is json.dumps(rows, indent=2), a list of objects.
     """
     if fmt == "csv":
         lines = [",".join(map(_cell_text, columns)),

@@ -998,6 +998,48 @@ def float_array_cases(draw):
     return blocks, columns
 
 
+# Floats whose bit patterns differ though they compare or print alike: the
+# two zeros, NaNs of either sign and of another payload; then the
+# infinities and the least subnormal.
+BIT_TWINS = [0.0, -0.0, math.nan, -math.nan,
+             np.int64(0x7FF8000000000001).view(np.float64).item(), math.inf, -math.inf, 5e-324]
+
+
+@st.composite
+def shared_bits_cases(draw):
+    """(blocks, columns): blocks of float64 array columns whose values all
+    come from BIT_TWINS and up to 3 other floats, so that one call's
+    columns and blocks share bit patterns. In a 3-row block a column may
+    be the one array of that column shared by every 3-row block that
+    takes it."""
+    cells = st.sampled_from(BIT_TWINS + draw(st.lists(st.floats(), max_size=3)))
+    columns = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3,
+                            unique=True))
+    shared = {c: np.array(draw(st.lists(cells, min_size=3, max_size=3))) for c in columns}
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 3))
+        blocks.append({c: shared[c] if n == 3 and draw(st.booleans()) else
+                       np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+                       for c in columns})
+    return blocks, columns
+
+
+def assert_writes_what_csv_and_json_write(blocks, columns) -> None:
+    """write_rows's CSV is csv.writer's text of the rows, and its JSON is
+    json.dumps's, an array column counting as the list of its floats."""
+    rows = [[row[c] for c in columns] for row in expand_blocks(blocks)]
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([columns] + rows)
+    expected_json = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, text in (("csv", expected.getvalue()), ("json", expected_json)):
+            path = os.path.join(tmp, f"rows.{fmt}")
+            cli.write_rows(blocks, columns, path, fmt)
+            with open(path, newline="") as f:
+                assert f.read() == text
+
+
 class TestOutputs:
     def test_sweep_csv_deterministic(self, tmp_path):
         cfg = base_config(output={"path": str(tmp_path / "a.csv"), "format": "csv"})
@@ -1083,17 +1125,31 @@ class TestOutputs:
     @example(([{"x": np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e22, 0.1,
                                1 / 3])}], ["x"]))
     def test_write_rows_writes_float_arrays_as_csv_and_json_write_their_floats(self, case):
-        blocks, columns = case
-        rows = [[row[c] for c in columns] for row in expand_blocks(blocks)]
-        expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerows([columns] + rows)
-        expected_json = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
-        with tempfile.TemporaryDirectory() as tmp:
-            for fmt, text in (("csv", expected.getvalue()), ("json", expected_json)):
-                path = os.path.join(tmp, f"rows.{fmt}")
-                cli.write_rows(blocks, columns, path, fmt)
-                with open(path, newline="") as f:
-                    assert f.read() == text
+        assert_writes_what_csv_and_json_write(*case)
+
+    @PROPERTY
+    @given(shared_bits_cases())
+    @example(([{"a": np.array([0.0, -0.0, 0.0]), "b": np.array([-0.0, math.nan, -math.nan])},
+               {"a": np.array(BIT_TWINS), "b": np.array(BIT_TWINS[::-1])}], ["a", "b"]))
+    @example(([{"a": np.array([-0.0, -0.0]), "b": np.array([0.0, 0.0])}], ["a", "b"]))
+    def test_write_rows_writes_bit_patterns_shared_across_columns_and_blocks(self, case):
+        # Each distinct bit pattern is formatted once per call and its text
+        # gathered back to its cells; a key on the value would give 0.0 and
+        # -0.0 one text.
+        assert_writes_what_csv_and_json_write(*case)
+
+    @pytest.mark.parametrize("regime", ["asymptotic", "finite_size"])
+    def test_each_bit_pattern_of_the_array_cells_is_formatted_once(self, regime):
+        blocks = cli._sweep_blocks(load_config(str(GOLDEN_CONFIG), [f"regime={regime}"]))
+        cells = np.concatenate([b[c] for b in blocks for c in SWEEP_COLUMNS
+                                if isinstance(b[c], np.ndarray)])
+        calls = []
+        rows = list(cli._cell_rows(blocks, SWEEP_COLUMNS, cli._cell_text,
+                                   lambda x: calls.append(x) or repr(x)))
+        assert len(rows) == 1107
+        called = np.array(calls).view(np.int64).tolist()
+        assert len(called) == len(set(called))
+        assert set(called) == set(cells.view(np.int64).tolist())
 
     def test_write_rows_refuses_lists_of_unequal_length(self, tmp_path):
         block = {"a": [1.0, 2.0], "b": [3.0]}

@@ -12,7 +12,10 @@ commands below and says why:
     gzip -n -9 <name>.csv
 """
 
+import csv
 import gzip
+import io
+import json
 import os
 import platform
 import subprocess
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from cvqkd_calib.cli import EXIT_OK, main
+from cvqkd_calib.cli import EXIT_OK, SWEEP_COLUMNS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = GOLDEN.parents[1] / "src"
@@ -53,6 +56,24 @@ def test_output_is_byte_identical(tmp_path, capsys, name):
                 for lines in (got_lines, expect_lines)]
         pytest.fail(f"{name}: {len(got_lines)} lines against {len(expect_lines)}; "
                     f"line {first + 1} reads {pair[0]!r}, expected {pair[1]!r}")
+
+
+def test_json_sweep_holds_the_asymptotic_sweep_golden_values(tmp_path, capsys):
+    # No golden holds JSON: the JSON sweep must give, row for row, the
+    # floats of the CSV golden, bit for bit, and its model and regime text.
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--config", str(GOLDEN / "config.json"), "--format", "json",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    got = json.loads(out.read_text())
+    text = gzip.decompress((GOLDEN / "sweep_asymptotic.csv.gz").read_bytes()).decode()
+    expect = list(csv.DictReader(io.StringIO(text)))
+    assert len(got) == len(expect) == 1107
+    for row, golden in zip(got, expect):
+        assert list(row) == list(golden) == SWEEP_COLUMNS
+        assert [row[c] for c in ("model", "regime")] == [golden[c] for c in ("model", "regime")]
+        assert ([float.hex(row[c]) for c in SWEEP_COLUMNS[2:]]
+                == [float.hex(float(golden[c])) for c in SWEEP_COLUMNS[2:]])
 
 
 def run_in_subprocess(tmp_path, name, **env) -> bytes:
