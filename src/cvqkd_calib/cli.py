@@ -484,7 +484,8 @@ def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> N
 # entry point
 
 # command -> (help text, block builder, output columns); validate-config builds none.
-# A row dict is a one-row block.
+# A row dict is a one-row block. The names are the parser's command choices, and the
+# help texts its list of commands.
 _COMMANDS = {
     "sweep": ("Key rate vs distance for the configured models.", _sweep_blocks,
               SWEEP_COLUMNS),
@@ -497,29 +498,35 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command: a command name from _COMMANDS and
+    the flags, in either order. Its help lists each command's help text
+    after the flags. main refuses --out and --format for validate-config."""
     parser = argparse.ArgumentParser(
         prog="cvqkd-calib",
-        description="Key-rate sweeps and calibration statistics for CV-QKD "
+        description="Key-rate sweeps and calibration statistics for CV-QKD\n"
                     "shot-noise-unit calibration models.",
+        epilog="commands:\n" + "\n".join(f"  {name:<17}{help_text}"
+                                         for name, (help_text, _, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, build_blocks, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON config file")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config entry (dotted keys)")
-        if build_blocks is not None:
-            p.add_argument("--out", help="output file path (overrides output.path)")
-            p.add_argument("--format", help="output format (overrides output.format)")
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to the JSON config file")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="override a config entry (dotted keys)")
+    parser.add_argument("--out", help="output file path (overrides output.path)")
+    parser.add_argument("--format", help="output format (overrides output.format)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     _, build_blocks, columns = _COMMANDS[args.command]
+    if build_blocks is None and (args.out is not None or args.format is not None):
+        parser.error(f"{args.command} writes no output, so it takes no --out or --format")
     # --format f is a last --set output.format="f", so it wins over the others.
-    fmt = getattr(args, "format", None)  # validate-config takes no --format
-    overrides = args.overrides + ([] if fmt is None else [f"output.format={json.dumps(fmt)}"])
+    overrides = args.overrides + ([] if args.format is None
+                                  else [f"output.format={json.dumps(args.format)}"])
     try:
         config = load_config(args.config, overrides)
         if build_blocks is None:

@@ -1619,7 +1619,60 @@ class TestExitCodes:
                 SweepConfig.from_dict(raw).distances_km.points())
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+class TestUsage:
+    # Each is argparse's usage error, exit 2 with its usage line, before any config is read.
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--out", "x.csv"],
+        ["sweeps", "--config", "{config}", "--out", "x.csv"],
+        ["sweep", "--config", "{config}", "--out", "x.csv", "--jobs", "2"],
+        ["validate-config", "--config", "{config}", "--out", "x.csv"],
+        ["validate-config", "--config", "{config}", "--format", "json"],
+    ], ids=["no_config", "unknown_command", "unknown_flag", "validate_config_out",
+            "validate_config_format"])
+    def test_usage_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                    args):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, base_config(
+            output={"path": str(tmp_path / "configured.csv"), "format": "csv"}))
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(config=path) for a in args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cvqkd-calib ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_help_exits_0_and_describes_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for name, (help_text, _, _) in cli._COMMANDS.items():
+            assert f"{name} {help_text}" in out
+
+    def test_calls_in_one_process_do_not_leak_into_each_other(self, tmp_path):
+        path = write_config(tmp_path, base_config(
+            output={"path": str(tmp_path / "configured.csv"), "format": "csv"}))
+        outs = [tmp_path / f"{i}.csv" for i in range(3)]
+        assert main(["sweep", "--config", path, "--out", str(outs[0])]) == EXIT_OK
+        assert main(["sweep", "--config", path, "--out", str(outs[1]),
+                     "--set", "variances=[5.0]", "--format", "json"]) == EXIT_OK
+        assert main(["sweep", "--config", path, "--out", str(outs[2])]) == EXIT_OK
+        assert outs[1].read_bytes() != outs[0].read_bytes()
+        assert outs[2].read_bytes() == outs[0].read_bytes()
+
+    def test_options_may_come_before_the_command(self, tmp_path):
+        path = write_config(tmp_path, base_config(calibration=CALIBRATION))
+        for command in ("sweep", "ten", "calib"):
+            after, before = tmp_path / f"{command}_after.json", tmp_path / f"{command}.json"
+            assert main([command, "--config", path, "--out", str(after), "--set",
+                         "variances=[5.0]", "--format", "json"]) == EXIT_OK
+            assert main(["--config", path, "--set", "variances=[5.0]", "--out", str(before),
+                         command, "--format", "json"]) == EXIT_OK
+            assert before.read_bytes() == after.read_bytes()
+
+
+README =Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _readme_block(heading: str, language: str) -> str:
