@@ -123,8 +123,9 @@ class CalibrationConfig(NoiseGroundTruth):
 class SweepConfig:
     """Full description of one sweep run.
 
-    finite_size is None exactly in the asymptotic regime, even when the
-    config carries a (validated) finite_size section.
+    models are sorted by value, the order of every command's rows and
+    errors. finite_size is None exactly in the asymptotic regime, even
+    when the config carries a (validated) finite_size section.
     """
 
     models: tuple[CalibrationModel, ...]
@@ -155,7 +156,8 @@ class SweepConfig:
             if pulse is not None and pulse <= 0.0:
                 raise ConfigError(f"pulse_rate_hz must be positive, got {pulse}")
             cfg = cls(
-                models=tuple(map(CalibrationModel, top["models"])),
+                models=tuple(sorted(map(CalibrationModel, top["models"]),
+                                    key=lambda m: m.value)),
                 distances_km=DistanceGrid(**top["distances_km"]),
                 variances=top["variances"],
                 system=top["system"],
@@ -337,7 +339,7 @@ def _sweep_block(config: SweepConfig, res: KeyRateResult, shared: dict) -> dict:
 
 def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> list[dict]:
     """The grid's points, every (V, distance, delta) in that order, V
-    sorted, as one block of columns for each model, sorted: the shared
+    sorted, as one block of columns for each model in turn: the shared
     columns, and those that block(model) gives for one model's points,
     block being what blocks_at(params, delta) returns for the SystemParams
     and delta column of every point.
@@ -364,7 +366,7 @@ def _grid_blocks(config: SweepConfig, blocks_at, deltas: Sequence[float]) -> lis
     blocks, model = [], None
     try:
         block = blocks_at(params, delta)
-        for model in sorted(config.models, key=lambda m: m.value):
+        for model in config.models:
             blocks.append({"model": model.value, **shared, **block(model)})
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         model = getattr(exc, "model", model)
@@ -404,32 +406,23 @@ def calibration_rows(config: SweepConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 # output
 
-def _cell_text(value: Any) -> str:
-    """A cell as csv writes it with line-feed line ends: None empty, a
-    float its repr, anything else its str, quoted where that holds a
-    comma, a double quote or a line feed. csv leaves a carriage return
-    unquoted with that line end."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _csv_text(value: Any) -> str:
+    """A single value's CSV cell: empty for None, else its str, a float's
+    being its repr. No command writes a comma, quote or line break, so
+    no cell is quoted."""
+    return "" if value is None else str(value)
 
 
 def _cell_rows(blocks: list[dict], columns: list[str], text, float_text) -> Iterator[tuple]:
     """The blocks' rows, yielded one at a time, as tuples of the text of
     each cell in the order of columns, built column by column: text(value)
-    for a cell of a list or a single value, and float_text(x) for a value
-    x of a float64 array. A single value is formatted once for its block,
-    and a list once per call for all the blocks that share it. float_text
-    is called once per call for each distinct bit pattern among all the
-    arrays' values, and its text gathered back to every cell that holds
-    it: 0.0 and -0.0 differ in their bits, so each keeps its own text,
-    and NaNs of any sign or payload print alike."""
-    texts: dict[int, list] = {}  # id of a list or array column -> its cells' text
+    for a single value, formatted once for its block, and float_text(x)
+    for a value x of a float64 array. float_text is called once per call
+    for each distinct bit pattern among all the arrays' values, and its
+    text gathered back to every cell that holds it: 0.0 and -0.0 differ in
+    their bits, so each keeps its own text, and NaNs of any sign or
+    payload print alike."""
+    texts: dict[int, list] = {}  # id of an array column -> its cells' text
     arrays = {id(a): a for block in blocks for a in map(block.__getitem__, columns)
               if isinstance(a, np.ndarray)}
     if arrays:
@@ -442,36 +435,24 @@ def _cell_rows(blocks: list[dict], columns: list[str], text, float_text) -> Iter
         # The generator keeps its locals until its last row; these are done with.
         del bits, inverse, unique
     for block in blocks:
-        # A block's columns give its row count; one of single values is one row.
-        n = next((len(c) for c in block.values() if isinstance(c, (list, np.ndarray))), 1)
-        cells = [block[c] for c in columns]
-        for i, values in enumerate(cells):
-            if not isinstance(values, (list, np.ndarray)):
-                cells[i] = [text(values)] * n
-                continue
-            # The blocks hold every column to the end of the call, so no id is reused.
-            if id(values) not in texts:
-                texts[id(values)] = list(map(text, values))
-            cells[i] = texts[id(values)]
-        yield from zip(*cells, strict=True)
+        # A block's arrays give its row count; one of single values is one row.
+        n = next((len(c) for c in block.values() if isinstance(c, np.ndarray)), 1)
+        yield from zip(*[texts[id(v)] if isinstance(v, np.ndarray) else [text(v)] * n
+                         for v in map(block.__getitem__, columns)], strict=True)
 
 
 def write_rows(blocks: list[dict], columns: list[str], path: str, fmt: str) -> None:
     """Write the rows of blocks as CSV or JSON, in the order of columns.
 
-    A block is a dict of columns, each a list or float64 array of one
-    value per row, or one value for all its rows, so a row dict is a
-    one-row block. An array holds Python floats' values, so its cells are
-    written as a list of them would be; each distinct bit pattern among
-    the arrays is formatted once per call (see _cell_rows). The CSV is
-    csv's own text, with its QUOTE_MINIMAL rule and line-feed line ends;
-    the JSON is json.dumps(rows, indent=2), a list of objects.
-    """
+    A block is a dict of columns, each a float64 array of one value per
+    row or a single None, int, float or str for all its rows, so a row
+    dict is a one-row block. An array value's CSV cell is its float's
+    repr (see _cell_rows), a single value's is _csv_text's, and lines end
+    in a line feed; the JSON is json.dumps(rows, indent=2), a list of
+    objects."""
     if fmt == "csv":
-        lines = [",".join(map(_cell_text, columns)),
-                 *map(",".join, _cell_rows(blocks, columns, _cell_text, float.__repr__))]
-        if len(columns) == 1:  # csv quotes a lone empty field, which would be a blank line
-            lines = [line or '""' for line in lines]
+        lines = [",".join(columns),
+                 *map(",".join, _cell_rows(blocks, columns, _csv_text, float.__repr__))]
         text = "\n".join(lines) + "\n"
     else:
         rows = _cell_rows(blocks, columns, lambda value: value, float)

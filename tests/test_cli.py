@@ -458,6 +458,7 @@ class TestSweepRows:
 
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
+FINITE_STEP_50 = ["--set", "regime=finite_size", "--set", "distances_km.step=50"]
 
 # Strictly decreasing rates with their root at r, shaped by u in [0, 1].
 RATE_FAMILIES = {
@@ -927,40 +928,42 @@ class TestTenRows:
             assert abs(t3 - tc) / tc < 0.05
 
 
-# Cells of every kind the writer meets, with strings that csv quotes or
-# leaves bare and json escapes as non-ASCII; float text must be the repr
-# of the very value.
+# Single values of every kind the writer meets, with strings that json
+# escapes as non-ASCII; float text must be the repr of the very value. No
+# command writes a comma, double quote or line break, so none is drawn.
 WRITER_CELLS = st.one_of(
     st.none(),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5 * 10 ** 9, 0.1]),
-    st.sampled_from(["", "two_mode", "a,b", 'say "hi"', "line\nfeed", "carriage\rreturn",
-                     "caf\u00e9", "line\u2028separator"]),
+    st.sampled_from(["", "two_mode", "caf\u00e9", "line\u2028separator", "50%"]),
     st.floats(),
 )
 
 
 @st.composite
 def writer_cases(draw):
-    """(blocks, columns): row dicts and column blocks of up to 3 rows.
+    """(blocks, columns): row dicts of single values and column blocks of
+    up to 3 rows.
 
-    A block column is a list, a single value or, in a 3-row block, the
-    one list of that column shared by every 3-row block that takes it."""
-    columns = draw(st.lists(st.text(alphabet='a,"\r\n\u00e9\u2028%', max_size=3),
-                            min_size=1, max_size=5, unique=True))
-    shared = {c: draw(st.lists(WRITER_CELLS, min_size=3, max_size=3)) for c in columns}
+    A block column is a float64 array, a single value or, in a 3-row
+    block, the one array of that column shared by every 3-row block that
+    takes it. There are two columns or more, as in every command's output:
+    csv quotes the empty field of a one-column row."""
+    columns = draw(st.lists(st.text(alphabet="a\u00e9\u2028%", max_size=3),
+                            min_size=2, max_size=5, unique=True))
+    shared = {c: np.array(draw(st.lists(st.floats(), min_size=3, max_size=3))) for c in columns}
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
             blocks.append({c: draw(WRITER_CELLS) for c in columns})
             continue
         n = draw(st.integers(0, 3))
-        kinds = ["list", "single"] + (["shared"] * (n == 3))
+        kinds = ["array", "single"] + (["shared"] * (n == 3))
         block = {}
         for c in columns:
             kind = draw(st.sampled_from(kinds))
             block[c] = (draw(WRITER_CELLS) if kind == "single" else shared[c]
                         if kind == "shared" else
-                        draw(st.lists(WRITER_CELLS, min_size=n, max_size=n)))
+                        np.array(draw(st.lists(st.floats(), min_size=n, max_size=n))))
         blocks.append(block)
     return blocks, columns
 
@@ -975,25 +978,24 @@ FLOAT_CELLS = st.one_of(
 @st.composite
 def float_array_cases(draw):
     """(blocks, columns): column blocks of up to 3 rows whose columns are
-    float64 arrays, lists of writer cells or single values. In a 3-row
-    block an array column may be the one array of that column shared by
-    every 3-row block that takes it."""
-    columns = draw(st.lists(st.sampled_from(["a", "b,", "c"]), min_size=1, max_size=3,
+    float64 arrays or single values, two columns or more (see
+    writer_cases). In a 3-row block an array column may be the one array
+    of that column shared by every 3-row block that takes it."""
+    columns = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=2, max_size=3,
                             unique=True))
     shared = {c: np.array(draw(st.lists(FLOAT_CELLS, min_size=3, max_size=3)), dtype=np.float64)
               for c in columns}
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(0, 3))
-        kinds = ["array", "list", "single"] + (["shared"] * (n == 3))
+        kinds = ["array", "single"] + (["shared"] * (n == 3))
         block = {}
         for c in columns:
             kind = draw(st.sampled_from(kinds))
             block[c] = (draw(WRITER_CELLS) if kind == "single" else shared[c]
                         if kind == "shared" else
-                        draw(st.lists(WRITER_CELLS, min_size=n, max_size=n)) if kind == "list"
-                        else np.array(draw(st.lists(FLOAT_CELLS, min_size=n, max_size=n)),
-                                      dtype=np.float64))
+                        np.array(draw(st.lists(FLOAT_CELLS, min_size=n, max_size=n)),
+                                 dtype=np.float64))
         blocks.append(block)
     return blocks, columns
 
@@ -1093,8 +1095,9 @@ class TestOutputs:
 
     @PROPERTY
     @given(writer_cases())
-    @example(([{"lone": None}, {"lone": ""}, {"lone": [0.1, "", None]}], ["lone"]))
-    @example(([{"rate_bits_per_pulse": [-0.0, math.nan], "rate_clamped": [0.0, math.nan]}],
+    @example(([{"a": None, "b": ""}, {"a": np.array([0.1, -0.0]), "b": None}], ["a", "b"]))
+    @example(([{"rate_bits_per_pulse": np.array([-0.0, math.nan]),
+                "rate_clamped": np.array([0.0, math.nan])}],
               ["rate_bits_per_pulse", "rate_clamped"]))
     def test_write_rows_writes_what_csv_writes(self, case):
         blocks, columns = case
@@ -1109,7 +1112,7 @@ class TestOutputs:
 
     @PROPERTY
     @given(writer_cases())
-    @example(([], ["a"]))
+    @example(([], ["a", "b"]))
     def test_write_rows_writes_what_json_writes(self, case):
         blocks, columns = case
         expected = json.dumps([{c: row[c] for c in columns} for row in expand_blocks(blocks)],
@@ -1144,18 +1147,49 @@ class TestOutputs:
         cells = np.concatenate([b[c] for b in blocks for c in SWEEP_COLUMNS
                                 if isinstance(b[c], np.ndarray)])
         calls = []
-        rows = list(cli._cell_rows(blocks, SWEEP_COLUMNS, cli._cell_text,
+        rows = list(cli._cell_rows(blocks, SWEEP_COLUMNS, cli._csv_text,
                                    lambda x: calls.append(x) or repr(x)))
         assert len(rows) == 1107
         called = np.array(calls).view(np.int64).tolist()
         assert len(called) == len(set(called))
         assert set(called) == set(cells.view(np.int64).tolist())
 
-    def test_write_rows_refuses_lists_of_unequal_length(self, tmp_path):
-        block = {"a": [1.0, 2.0], "b": [3.0]}
+    def test_write_rows_refuses_arrays_of_unequal_length(self, tmp_path):
+        block = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
         for fmt in ("csv", "json"):
             with pytest.raises(ValueError):
                 cli.write_rows([block], ["a", "b"], str(tmp_path / f"rows.{fmt}"), fmt)
+
+    # The writer handles float64 array columns and single values, and quotes
+    # no CSV cell; a list column or a string that csv would quote fails here.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args", [
+        ["sweep"], ["sweep", *FINITE_STEP_50], ["ten"], ["ten", *FINITE_STEP_50], ["calib"],
+    ], ids=["sweep-asymptotic", "sweep-finite_size", "ten-asymptotic", "ten-finite_size",
+            "calib"])
+    def test_the_commands_write_float_arrays_and_unquoted_single_values(
+            self, tmp_path, monkeypatch, args, fmt):
+        calls = []
+        write_rows = cli.write_rows
+
+        def spy(blocks, columns, *rest):
+            calls.append((blocks, columns))
+            write_rows(blocks, columns, *rest)
+
+        monkeypatch.setattr(cli, "write_rows", spy)
+        command, *sets = args
+        assert main([command, "--config", str(GOLDEN_CONFIG), *sets,
+                     "--out", str(tmp_path / f"out.{fmt}"), "--format", fmt]) == EXIT_OK
+        [(blocks, columns)] = calls
+        assert columns in (SWEEP_COLUMNS, TEN_COLUMNS, CALIB_COLUMNS) and blocks
+        cells = [b[c] for b in blocks for c in columns]
+        arrays = [v for v in cells if isinstance(v, np.ndarray)]
+        singles = [v for v in cells if not isinstance(v, np.ndarray)]
+        assert all(a.dtype == np.float64 and a.ndim == 1 for a in arrays)
+        assert [v for v in singles if v is not None and type(v) not in (int, float, str)] == []
+        texts = [*columns, *(m.value for m in CalibrationModel),
+                 *(v for v in singles if type(v) is str)]
+        assert [t for t in texts if set(t) & set(',"\r\n')] == []
 
     def test_out_and_format_flags_apply_together(self, tmp_path):
         path = write_config(tmp_path, base_config(
@@ -1546,10 +1580,14 @@ class TestExitCodes:
             {"distances_km": {"start": 15500.0, "stop": 15500.0, "step": 10.0}},
             "distances_km point 15500.0 gives a non-finite I_AB"),
         # The closed-form key rate overflows from about 7696 km for two_mode
-        # and 7707 km for the others; the first model in the config's order
-        # that overflows is named.
+        # and 7707 km for the others; the first that overflows in sorted
+        # order is named, whatever the config's order.
         "stop_past_the_closed_form_overflow": (
             {"distances_km": {"start": 7600.0, "stop": 7800.0, "step": 100.0}},
+            "distances_km point 7800.0 gives a non-finite conventional key rate"),
+        "stop_past_the_closed_form_overflow_models_reversed": (
+            {"models": ["two_mode", "three_mode", "conventional"],
+             "distances_km": {"start": 7600.0, "stop": 7800.0, "step": 100.0}},
             "distances_km point 7800.0 gives a non-finite conventional key rate"),
         "stop_past_the_two_mode_overflow": (
             {"distances_km": {"start": 7600.0, "stop": 7700.0, "step": 100.0}},
